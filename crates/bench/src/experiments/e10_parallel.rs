@@ -3,9 +3,9 @@
 //! drops with batch size while solution quality stays comparable, and the
 //! batches remain diverse.
 
-use crate::experiments::redis_target;
+use crate::experiments::{redis_target, run_bo_policy};
 use crate::report::{f, Report};
-use autotune::run_parallel;
+use autotune::SchedulePolicy;
 use autotune_optimizer::{BayesianOptimizer, Optimizer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -22,12 +22,11 @@ pub fn run() -> Report {
         let mut best = 0.0;
         let n_seeds = 5;
         for seed in 0..n_seeds {
-            let target = redis_target();
-            let mut opt = BayesianOptimizer::gp(target.space().clone());
-            let s = run_parallel(&target, &mut opt, total / k, k, 77 + seed);
+            let policy = SchedulePolicy::SyncBatch { k };
+            let (s, best_cost) = run_bo_policy(&redis_target(), policy, total, 77 + seed);
             wall += s.wall_clock_s / n_seeds as f64;
             machine += s.machine_seconds / n_seeds as f64;
-            best += s.best_cost / n_seeds as f64;
+            best += best_cost / n_seeds as f64;
         }
         rows.push(vec![
             format!("{k}"),

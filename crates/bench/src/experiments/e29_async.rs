@@ -3,9 +3,9 @@
 //! vary by an order of magnitude with the config, so the synchronous
 //! barrier wastes slot time on every batch.
 
+use crate::experiments::run_bo_policy;
 use crate::report::{f, Report};
-use autotune::{run_async_parallel, run_parallel, Objective, Target};
-use autotune_optimizer::BayesianOptimizer;
+use autotune::{Objective, SchedulePolicy, Target};
 use autotune_sim::{Environment, SparkSim, Workload};
 
 fn spark_target() -> Target {
@@ -27,17 +27,15 @@ pub fn run() -> Report {
     let mut sync_best = 0.0;
     let mut async_best = 0.0;
     for seed in 0..n_seeds {
-        let target = spark_target();
-        let mut opt = BayesianOptimizer::gp(target.space().clone());
-        let s = run_parallel(&target, &mut opt, total / k, k, 800 + seed);
+        let sync = SchedulePolicy::SyncBatch { k };
+        let (s, best) = run_bo_policy(&spark_target(), sync, total, 800 + seed);
         sync_wall += s.wall_clock_s / n_seeds as f64;
-        sync_best += s.best_cost / n_seeds as f64;
+        sync_best += best / n_seeds as f64;
 
-        let target = spark_target();
-        let mut opt = BayesianOptimizer::gp(target.space().clone());
-        let a = run_async_parallel(&target, &mut opt, total, k, 800 + seed);
+        let slots = SchedulePolicy::AsyncSlots { k };
+        let (a, best) = run_bo_policy(&spark_target(), slots, total, 800 + seed);
         async_wall += a.wall_clock_s / n_seeds as f64;
-        async_best += a.best_cost / n_seeds as f64;
+        async_best += best / n_seeds as f64;
     }
     let speedup = sync_wall / async_wall.max(1e-9);
 

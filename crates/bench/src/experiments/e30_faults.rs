@@ -7,7 +7,7 @@
 
 use crate::report::{f, Report};
 use autotune::executor::{
-    CrashPenaltyMw, Executor, MachineAssignMw, OptimizerSource, QuarantineMw, RetryMw,
+    Campaign, CrashPenaltyMw, MachineAssignMw, OptimizerSource, QuarantineMw, RetryMw,
     SchedulePolicy, TimeoutMw,
 };
 use autotune::{Target, TrialStorage};
@@ -52,12 +52,12 @@ enum Variant {
 fn run_variant(variant: &Variant, seed: u64, policy: SchedulePolicy) -> (TrialStorage, usize) {
     let target = target(seed, !matches!(variant, Variant::FaultFree));
     let mut opt = BayesianOptimizer::gp(target.space().clone());
-    let mut source = OptimizerSource::new(&mut opt, BUDGET);
-    let mut storage = TrialStorage::new();
-    let mut exec = Executor::new(&target, policy)
+    let source = OptimizerSource::new(&mut opt, BUDGET);
+    let mut campaign = Campaign::over(&target, Box::new(source), policy, seed)
+        .with_event_log(false)
         .with_middleware(Box::new(MachineAssignMw::round_robin(N_MACHINES)));
     if matches!(variant, Variant::Resilient) {
-        exec = exec
+        campaign = campaign
             .with_middleware(Box::new(QuarantineMw::with_defaults(N_MACHINES)))
             .with_middleware(Box::new(RetryMw::new(3, 5.0)))
             .with_middleware(Box::new(TimeoutMw::new(TIMEOUT_S)));
@@ -67,10 +67,9 @@ fn run_variant(variant: &Variant, seed: u64, policy: SchedulePolicy) -> (TrialSt
     } else {
         CrashPenaltyMw::new(PENALTY)
     };
-    let report = exec
-        .with_middleware(Box::new(mw))
-        .run(&mut source, &mut storage, seed);
-    (storage, report.n_quarantined_machines)
+    let mut campaign = campaign.with_middleware(Box::new(mw));
+    let report = campaign.run();
+    (campaign.into_storage(), report.n_quarantined_machines)
 }
 
 /// Runs the experiment.

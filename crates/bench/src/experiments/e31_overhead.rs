@@ -9,9 +9,8 @@
 //! the overhead histograms carry real nanoseconds.
 
 use crate::report::{f, Report};
-use autotune::executor::{Executor, OptimizerSource, SchedulePolicy};
+use autotune::executor::{Campaign, OptimizerSource, SchedulePolicy};
 use autotune::telemetry::{MetricsSnapshot, SpanRecorder, WallTimer};
-use autotune::TrialStorage;
 use autotune_optimizer::{BayesianOptimizer, Optimizer, RandomSearch};
 use std::time::Instant;
 
@@ -29,16 +28,17 @@ impl WallTimer for StdTimer {
 
 fn run_instrumented(mut opt: Box<dyn Optimizer>, record_spans: bool) -> (MetricsSnapshot, String) {
     let target = super::dbms_target();
-    let mut source = OptimizerSource::new(opt.as_mut(), BUDGET);
-    let mut storage = TrialStorage::new();
+    let source = OptimizerSource::new(opt.as_mut(), BUDGET);
     let mut spans = SpanRecorder::new();
     let report = {
-        let mut exec = Executor::new(&target, SchedulePolicy::Sequential)
-            .with_timer(Box::new(StdTimer(Instant::now())));
+        let mut campaign =
+            Campaign::over(&target, Box::new(source), SchedulePolicy::Sequential, 3_100)
+                .with_event_log(false)
+                .with_timer(Box::new(StdTimer(Instant::now())));
         if record_spans {
-            exec = exec.with_subscriber(Box::new(&mut spans));
+            campaign = campaign.with_subscriber(Box::new(&mut spans));
         }
-        exec.run(&mut source, &mut storage, 3_100)
+        campaign.run()
     };
     let trace = if record_spans {
         spans.validate_all().expect("well-formed spans");

@@ -21,9 +21,8 @@
 //!   in place (0 full hyperparameter refits).
 
 use crate::report::{f, Report};
-use autotune::executor::{Executor, OptimizerSource, SchedulePolicy};
+use autotune::executor::{Campaign, OptimizerSource, SchedulePolicy};
 use autotune::telemetry::{MetricsSnapshot, WallTimer};
-use autotune::TrialStorage;
 use autotune_optimizer::{
     AcquisitionFunction, BayesianOptimizer, BoConfig, Observation, SurrogateChoice,
 };
@@ -80,11 +79,11 @@ fn warm_history(n: usize, seed: u64) -> Vec<Observation> {
 
 fn run_instrumented(opt: &mut BayesianOptimizer, budget: usize, seed: u64) -> MetricsSnapshot {
     let target = super::dbms_target();
-    let mut source = OptimizerSource::new(opt, budget);
-    let mut storage = TrialStorage::new();
-    let report = Executor::new(&target, SchedulePolicy::Sequential)
+    let source = OptimizerSource::new(opt, budget);
+    let report = Campaign::over(&target, Box::new(source), SchedulePolicy::Sequential, seed)
+        .with_event_log(false)
         .with_timer(Box::new(StdTimer(Instant::now())))
-        .run(&mut source, &mut storage, seed);
+        .run();
     report.metrics
 }
 

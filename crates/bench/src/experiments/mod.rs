@@ -36,8 +36,9 @@ pub mod e34_chaos;
 pub mod e35_cache;
 pub mod e36_scale;
 
+use autotune::executor::{Campaign, ExecReport, OptimizerSource, SchedulePolicy};
 use autotune::{Objective, Target};
-use autotune_optimizer::Optimizer;
+use autotune_optimizer::{BayesianOptimizer, Optimizer};
 use autotune_sim::{DbmsSim, Environment, RedisSim, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -62,6 +63,23 @@ pub(crate) fn dbms_target() -> Target {
         Environment::medium(),
         Objective::MinimizeLatencyAvg,
     )
+}
+
+/// Runs `budget` GP-BO trials over `target` under `policy` (slide 57:
+/// `SyncBatch` barriers vs `AsyncSlots` refilling); returns the campaign
+/// report and the best cost found.
+pub(crate) fn run_bo_policy(
+    target: &Target,
+    policy: SchedulePolicy,
+    budget: usize,
+    seed: u64,
+) -> (ExecReport, f64) {
+    let mut opt = BayesianOptimizer::gp(target.space().clone());
+    let source = OptimizerSource::new(&mut opt, budget);
+    let mut campaign = Campaign::over(target, Box::new(source), policy, seed).with_event_log(false);
+    let report = campaign.run();
+    let best = campaign.storage().best().expect("a successful trial");
+    (report, best.cost)
 }
 
 /// Runs an ask/tell campaign and returns the best-so-far curve.

@@ -1,13 +1,14 @@
 //! The resumable campaign state machine.
 //!
-//! A [`Campaign`] owns everything one tuning run needs — target, source,
+//! A [`Campaign`] holds everything one tuning run needs — target, source,
 //! middleware, telemetry fan-out, virtual clock — and advances in
-//! discrete **ticks**: stage a wave of trial requests, measure it,
-//! absorb the results. [`Executor::run`](super::Executor::run) drives
-//! the very same [`CampaignState`] in a loop, so a campaign advanced
-//! tick-by-tick (e.g. multiplexed with thousands of others by
-//! `autotune-serve`) produces byte-identical trial histories to a
-//! standalone executor run.
+//! discrete **ticks**: stage a wave of trial requests, measure it
+//! ([`measure_wave`]), absorb the results. [`Campaign::run`] is that
+//! tick in a loop and [`Campaign::tick`] is the
+//! [`ready_wave`](Campaign::ready_wave)/[`complete_wave`](Campaign::complete_wave)
+//! cycle inline, so a campaign advanced wave by wave (e.g. multiplexed
+//! with thousands of others by `autotune-serve`) produces a
+//! byte-identical trial history to a standalone run.
 //!
 //! # The event log and the replay contract
 //!
@@ -212,10 +213,72 @@ impl fmt::Display for CampaignError {
 
 impl std::error::Error for CampaignError {}
 
-/// The mutable per-campaign loop state, extracted from what used to live
-/// in `Executor::run`'s stack frame. [`super::Executor`] and [`Campaign`]
-/// both drive it tick by tick, so the two paths cannot drift apart.
-pub(crate) struct CampaignState {
+/// The live measurement for the next unreplayed staged item.
+fn next_live(live: &mut std::vec::IntoIter<Measurement>) -> Measurement {
+    live.next().expect("one live measurement per staged item") // lint: allow(D5) apply_wave callers measure exactly `ready_wave()`
+}
+
+/// How a campaign holds its target: shared (the registry's `'static`
+/// campaigns) or borrowed for a one-shot run over a caller-owned target.
+enum TargetRef<'a> {
+    Shared(Arc<Target>),
+    Borrowed(&'a Target),
+}
+
+impl std::ops::Deref for TargetRef<'_> {
+    type Target = Target;
+
+    fn deref(&self) -> &Target {
+        match self {
+            TargetRef::Shared(t) => t,
+            TargetRef::Borrowed(t) => t,
+        }
+    }
+}
+
+/// A resumable tuning campaign: the one trial engine.
+///
+/// A `Campaign` holds its whole world — target, source, middleware,
+/// telemetry fan-out, virtual clock, trial history — and advances in
+/// discrete ticks, so thousands can be interleaved by a scheduler.
+/// [`Campaign::new`] shares its target behind an [`Arc`]; with `'static`
+/// collaborators (an owned source, owned middleware) the campaign itself
+/// is `'static` and can be parked in a registry indefinitely.
+/// [`Campaign::over`] borrows a caller-owned target for a one-shot run.
+///
+/// ```
+/// use autotune::executor::{Campaign, OptimizerSource, SchedulePolicy};
+/// use autotune::{Objective, Target};
+/// use autotune_optimizer::RandomSearch;
+/// use autotune_sim::{Environment, RedisSim, Workload};
+///
+/// let target = Target::simulated(
+///     Box::new(RedisSim::new()),
+///     Workload::kv_cache(10_000.0),
+///     Environment::medium(),
+///     Objective::MinimizeLatencyP95,
+/// );
+/// let mut opt = RandomSearch::new(target.space().clone());
+/// let mut campaign = Campaign::new(
+///     target,
+///     Box::new(OptimizerSource::new(&mut opt, 8)),
+///     SchedulePolicy::AsyncSlots { k: 4 },
+///     1,
+/// );
+/// let report = campaign.run();
+/// assert_eq!(report.n_trials, 8);
+/// assert!(report.wall_clock_s < report.machine_seconds);
+/// let snapshot = campaign.snapshot().expect("log is on by default");
+/// assert!(!snapshot.log.is_empty());
+/// ```
+pub struct Campaign<'a> {
+    target: TargetRef<'a>,
+    noise_strategy: NoiseStrategy,
+    source: Box<dyn TrialSource + 'a>,
+    middleware: Vec<Box<dyn Middleware + 'a>>,
+    fan: FanOut<'a>,
+    timer: Box<dyn WallTimer + 'a>,
+    storage: TrialStorage,
     seed: u64,
     policy: SchedulePolicy,
     cost_is_elapsed: bool,
@@ -238,23 +301,54 @@ pub(crate) struct CampaignState {
     events: Vec<TrialEvent>,
     log: Option<Vec<CampaignEvent>>,
     replay: BTreeMap<(u64, u32), Measurement>,
-    pub(crate) staged: Vec<(WorkItem, Option<Measurement>)>,
+    staged: Vec<(WorkItem, Option<Measurement>)>,
     n_ticks: u64,
 }
 
-/// The live measurement for the next unreplayed staged item.
-fn next_live(live: &mut std::vec::IntoIter<Measurement>) -> Measurement {
-    live.next().expect("one live measurement per staged item") // lint: allow(D5) merge_staged callers measure exactly `staged_live()`
-}
-
-impl CampaignState {
-    pub(crate) fn new(
-        seed: u64,
+impl<'a> Campaign<'a> {
+    /// A campaign over `target` drawing trials from `source` under the
+    /// given scheduling policy and campaign seed. The event log is
+    /// enabled by default ([`Campaign::with_event_log`] turns it off for
+    /// fleets that never snapshot).
+    pub fn new(
+        target: impl Into<Arc<Target>>,
+        source: Box<dyn TrialSource + 'a>,
         policy: SchedulePolicy,
-        cost_is_elapsed: bool,
-        log_enabled: bool,
+        seed: u64,
     ) -> Self {
-        CampaignState {
+        Self::build(TargetRef::Shared(target.into()), source, policy, seed)
+    }
+
+    /// [`Campaign::new`] over a borrowed target: the one-shot form for
+    /// callers that keep their target (and usually read their source
+    /// back — hand it over as `Box::new(&mut source)`).
+    pub fn over(
+        target: &'a Target,
+        source: Box<dyn TrialSource + 'a>,
+        policy: SchedulePolicy,
+        seed: u64,
+    ) -> Self {
+        Self::build(TargetRef::Borrowed(target), source, policy, seed)
+    }
+
+    fn build(
+        target: TargetRef<'a>,
+        source: Box<dyn TrialSource + 'a>,
+        policy: SchedulePolicy,
+        seed: u64,
+    ) -> Self {
+        let cost_is_elapsed = matches!(target.objective(), Objective::MinimizeElapsed);
+        Campaign {
+            target,
+            noise_strategy: NoiseStrategy::Single,
+            source,
+            middleware: Vec::new(),
+            fan: FanOut {
+                collector: MetricsCollector::new(),
+                subs: Vec::new(),
+            },
+            timer: Box::new(NullTimer),
+            storage: TrialStorage::new(),
             seed,
             policy,
             cost_is_elapsed,
@@ -275,15 +369,121 @@ impl CampaignState {
             last_refits: 0,
             last_updates: 0,
             events: Vec::new(),
-            log: log_enabled.then(Vec::new),
+            log: Some(Vec::new()),
             replay: BTreeMap::new(),
             staged: Vec::new(),
             n_ticks: 0,
         }
     }
 
-    pub(crate) fn is_done(&self) -> bool {
+    /// Sets the measurement policy per trial (default: one raw run).
+    pub fn with_noise_strategy(mut self, strategy: NoiseStrategy) -> Self {
+        self.noise_strategy = strategy;
+        self
+    }
+
+    /// Appends a middleware to the chain (applied in insertion order).
+    pub fn with_middleware(mut self, mw: Box<dyn Middleware + 'a>) -> Self {
+        self.middleware.push(mw);
+        self
+    }
+
+    /// Attaches a telemetry subscriber (notified in attachment order, on
+    /// the driver thread, with virtual-clock timestamps). Subscribers are
+    /// pure observers: attaching any combination leaves campaign results
+    /// byte-identical.
+    pub fn with_subscriber(mut self, sub: Box<dyn Subscriber + 'a>) -> Self {
+        self.fan.subs.push(sub);
+        self
+    }
+
+    /// Injects a real-time source for optimizer overhead attribution
+    /// (default: [`NullTimer`], every reading 0). Readings flow only into
+    /// subscriber-side metrics — never into the clock, and the event log
+    /// records them as 0.
+    pub fn with_timer(mut self, timer: Box<dyn WallTimer + 'a>) -> Self {
+        self.timer = timer;
+        self
+    }
+
+    /// Enables or disables the append-only event log (default: on).
+    /// Snapshots require it; a fleet that never snapshots can turn it
+    /// off to drop the bookkeeping.
+    pub fn with_event_log(mut self, enabled: bool) -> Self {
+        self.log = enabled.then(Vec::new);
+        self
+    }
+
+    /// The target under tuning.
+    pub fn target(&self) -> &Target {
+        &self.target
+    }
+
+    /// The per-trial measurement policy.
+    pub fn noise_strategy(&self) -> &NoiseStrategy {
+        &self.noise_strategy
+    }
+
+    /// The campaign seed.
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// The scheduling policy.
+    pub fn policy(&self) -> SchedulePolicy {
+        self.policy
+    }
+
+    /// Whether the campaign has drained.
+    pub fn is_done(&self) -> bool {
         self.done
+    }
+
+    /// Ticks completed so far.
+    pub fn n_ticks(&self) -> u64 {
+        self.n_ticks
+    }
+
+    /// The trial history so far.
+    pub fn storage(&self) -> &TrialStorage {
+        &self.storage
+    }
+
+    /// Consumes the campaign, returning its trial history.
+    pub fn into_storage(self) -> TrialStorage {
+        self.storage
+    }
+
+    /// The rolled-up telemetry so far (`wall_clock_s` is final once the
+    /// campaign is done).
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.fan.collector.snapshot()
+    }
+
+    /// The event log, when enabled.
+    pub fn log(&self) -> Option<&[CampaignEvent]> {
+        self.log.as_deref()
+    }
+
+    fn log_len(&self) -> usize {
+        self.log.as_ref().map_or(0, Vec::len)
+    }
+
+    /// Accounting report of the campaign so far (clones the event
+    /// stream; final once [`Campaign::is_done`]).
+    pub fn report(&self) -> ExecReport {
+        ExecReport {
+            events: self.events.clone(),
+            wall_clock_s: self.clock,
+            machine_seconds: self.machine_seconds,
+            n_trials: self.n_trials,
+            n_aborted: self.n_aborted,
+            n_transient: self.n_transient,
+            n_retried: self.n_retried,
+            n_quarantined_machines: self.quarantined.len(),
+            saved_s: self.saved_s,
+            metrics: self.metrics(),
+        }
     }
 
     fn log_push(&mut self, f: impl FnOnce() -> CampaignEvent) {
@@ -292,15 +492,15 @@ impl CampaignState {
         }
     }
 
-    fn emit_trial(&mut self, fan: &mut FanOut<'_>, at_s: f64, ev: TrialEvent) {
-        fan.trial(at_s, &ev);
+    fn emit_trial(&mut self, at_s: f64, ev: TrialEvent) {
+        self.fan.trial(at_s, &ev);
         self.events.push(ev);
     }
 
     /// Fans an optimizer-side event out and logs it with `wall_ns`
     /// zeroed, keeping the log independent of any injected real timer.
-    fn emit_opt(&mut self, fan: &mut FanOut<'_>, ev: &OptEvent) {
-        fan.opt(self.clock, ev);
+    fn emit_opt(&mut self, ev: &OptEvent) {
+        self.fan.opt(self.clock, ev);
         if self.log.is_some() {
             let mut e = *ev;
             match &mut e {
@@ -315,71 +515,60 @@ impl CampaignState {
 
     /// Announces increases of the source's cumulative refit/update
     /// counters, attributed to trial `id`.
-    fn poll_model_counters(&mut self, source: &dyn TrialSource, fan: &mut FanOut<'_>, id: u64) {
-        let refits = source.n_refits();
+    fn poll_model_counters(&mut self, id: u64) {
+        let refits = self.source.n_refits();
         if refits > self.last_refits {
             self.last_refits = refits;
-            self.emit_opt(
-                fan,
-                &OptEvent::SurrogateRefit {
-                    id,
-                    n_refits: refits,
-                },
-            );
+            self.emit_opt(&OptEvent::SurrogateRefit {
+                id,
+                n_refits: refits,
+            });
         }
-        let updates = source.n_model_updates();
+        let updates = self.source.n_model_updates();
         if updates > self.last_updates {
             self.last_updates = updates;
-            self.emit_opt(
-                fan,
-                &OptEvent::ModelUpdate {
-                    id,
-                    n_updates: updates,
-                },
-            );
+            self.emit_opt(&OptEvent::ModelUpdate {
+                id,
+                n_updates: updates,
+            });
         }
     }
 
     /// Admission: fills free slots from the source and stages the wave,
-    /// serving any replayed measurements from the log. No-op when a wave
-    /// is already staged or the campaign is done.
-    pub(crate) fn stage(
-        &mut self,
-        source: &mut dyn TrialSource,
-        middleware: &mut [Box<dyn Middleware + '_>],
-        fan: &mut FanOut<'_>,
-        timer: &mut dyn WallTimer,
-    ) {
+    /// serving any replayed measurements from the log, then
+    /// fast-forwards the target's drift clock past those replayed
+    /// measurements so a partially replayed wave's remaining items
+    /// measure live from the recorded trajectory (a no-op outside
+    /// replay: the queue is empty and stamped clocks never run ahead of
+    /// a live target's). No-op when a wave is already staged or the
+    /// campaign is done.
+    fn stage(&mut self) {
         if self.done || !self.staged.is_empty() {
             return;
         }
         if !self.primed {
-            // Mirror the executor's pre-loop baseline read of the
-            // source's cumulative counters.
-            self.last_refits = source.n_refits();
-            self.last_updates = source.n_model_updates();
+            // Baseline read of the source's cumulative counters.
+            self.last_refits = self.source.n_refits();
+            self.last_updates = self.source.n_model_updates();
             self.primed = true;
         }
         let capacity = self.policy.capacity();
         let mut wave: Vec<WorkItem> = Vec::new();
         while !self.exhausted && self.in_flight.len() + wave.len() < capacity {
             let prospective = self.next_id;
-            self.emit_opt(fan, &OptEvent::SuggestBegin { id: prospective });
-            let t0 = timer.now_ns();
-            let step = source.next(&mut self.suggest_rng);
-            let wall_ns = timer.now_ns().saturating_sub(t0);
-            self.emit_opt(
-                fan,
-                &OptEvent::SuggestEnd {
-                    id: prospective,
-                    wall_ns,
-                    dispatched: matches!(step, SourceStep::Dispatch(_)),
-                },
-            );
-            self.poll_model_counters(&*source, fan, prospective);
+            self.emit_opt(&OptEvent::SuggestBegin { id: prospective });
+            let t0 = self.timer.now_ns();
+            let step = self.source.next(&mut self.suggest_rng);
+            let wall_ns = self.timer.now_ns().saturating_sub(t0);
+            self.emit_opt(&OptEvent::SuggestEnd {
+                id: prospective,
+                wall_ns,
+                dispatched: matches!(step, SourceStep::Dispatch(_)),
+            });
+            self.poll_model_counters(prospective);
             match step {
                 SourceStep::Dispatch(mut req) => {
-                    for mw in middleware.iter_mut() {
+                    for mw in &mut self.middleware {
                         mw.before_dispatch(&mut req, &mut self.suggest_rng);
                     }
                     let id = self.next_id;
@@ -388,7 +577,7 @@ impl CampaignState {
                         id,
                         config: req.config.clone(),
                     };
-                    self.emit_trial(fan, self.clock, ev);
+                    self.emit_trial(self.clock, ev);
                     self.log_push(|| CampaignEvent::Suggested {
                         id,
                         request: req.clone(),
@@ -406,81 +595,85 @@ impl CampaignState {
                 }
             }
         }
-        for (config, rung) in source.take_promotions() {
-            let ev = TrialEvent::Promoted { config, rung };
-            self.emit_trial(fan, self.clock, ev);
+        for (config, rung) in self.source.take_promotions() {
+            self.emit_trial(self.clock, TrialEvent::Promoted { config, rung });
         }
         self.staged = Vec::with_capacity(wave.len());
         for w in wave {
             let m = self.replay.remove(&(w.id, 0));
             self.staged.push((w, m));
         }
+        // Measurements within a wave run in wave order, so the latest
+        // replayed stamp is the clock after the last replayed one — where
+        // live measurement of the rest must begin.
+        let replayed = self
+            .staged
+            .iter()
+            .filter_map(|(_, m)| m.as_ref().map(|m| m.clock))
+            .max()
+            .unwrap_or(0);
+        if replayed > self.target.noise_clock() {
+            self.target.set_noise_clock(replayed);
+        }
     }
 
     /// The staged items that still need a live measurement (in wave
     /// order); the rest were served from the replay queue.
-    pub(crate) fn staged_live(&self) -> Vec<&WorkItem> {
+    fn staged_live(&self) -> impl Iterator<Item = &WorkItem> {
         self.staged
             .iter()
             .filter(|(_, m)| m.is_none())
             .map(|(w, _)| w)
-            .collect()
     }
 
-    /// Latest drift-clock position among the staged wave's replayed
-    /// measurements (0 when none carry a stamp). Measurements within a
-    /// wave run in wave order, so the max is the clock after the last
-    /// replayed one — where live measurement of the rest must begin.
-    pub(crate) fn staged_replayed_clock(&self) -> u64 {
-        self.staged
-            .iter()
-            .filter_map(|(_, m)| m.as_ref().map(|m| m.clock))
-            .max()
-            .unwrap_or(0)
+    /// Stages the next wave and returns the items needing a **live**
+    /// measurement (replayed items are filled internally). The caller
+    /// measures them with [`measure_wave`] — on any thread, but one
+    /// campaign's wave in wave order on one thread, because a noisy
+    /// target's drift clock advances per evaluation — and hands the
+    /// results back to [`Campaign::complete_wave`] in the returned order.
+    /// Idempotent until the wave completes; empty when the campaign is
+    /// done or the tick needs no live measurement.
+    pub fn ready_wave(&mut self) -> Vec<WorkItem> {
+        self.stage();
+        self.staged_live().cloned().collect()
     }
 
-    /// Pairs the staged wave with its measurements: replayed ones from
-    /// the stage step, live ones from `live` in wave order.
-    pub(crate) fn merge_staged(&mut self, live: Vec<Measurement>) -> Vec<(WorkItem, Measurement)> {
-        let staged = std::mem::take(&mut self.staged);
-        let mut live = live.into_iter();
-        staged
-            .into_iter()
-            .map(|(w, m)| {
-                let m = m.unwrap_or_else(|| next_live(&mut live));
-                (w, m)
-            })
-            .collect()
+    /// Completes the staged wave with the live measurements for
+    /// [`Campaign::ready_wave`]'s items, in that order. Returns whether
+    /// the campaign is done.
+    pub fn complete_wave(&mut self, live: Vec<Measurement>) -> Result<bool, CampaignError> {
+        let expected = self.staged_live().count();
+        if live.len() != expected {
+            return Err(CampaignError::WaveSizeMismatch {
+                expected,
+                got: live.len(),
+            });
+        }
+        self.apply_wave(live);
+        Ok(self.done)
     }
 
-    /// The back half of one tick: absorb the measured wave (fault rolls,
-    /// middleware, retries), advance the virtual clock to the next
-    /// completion, finalize completed trials and report them to the
-    /// source. Sets `done` when the campaign has drained.
-    #[allow(clippy::too_many_arguments)] // the executor's collaborators, threaded explicitly
-    pub(crate) fn finish_tick(
-        &mut self,
-        target: &Target,
-        noise: &NoiseStrategy,
-        source: &mut dyn TrialSource,
-        middleware: &mut [Box<dyn Middleware + '_>],
-        fan: &mut FanOut<'_>,
-        timer: &mut dyn WallTimer,
-        storage: &mut TrialStorage,
-        merged: Vec<(WorkItem, Measurement)>,
-    ) {
+    /// The back half of one tick: pair the staged wave with its
+    /// measurements (replayed ones from the stage step, live ones from
+    /// `live` in wave order), absorb them (fault rolls, middleware,
+    /// retries), advance the virtual clock to the next completion,
+    /// finalize completed trials and report them to the source. Sets
+    /// `done` when the campaign has drained.
+    fn apply_wave(&mut self, live: Vec<Measurement>) {
         if self.done {
             return;
         }
         self.n_ticks += 1;
-        let barrier = self.policy.barrier();
+        let mut live = live.into_iter();
 
         // Measurement absorption: per trial, log the raw measurement,
         // inject any planned fault, run censoring middleware, and loop on
         // retries — a retry re-measures with a fresh per-attempt seed and
         // a fresh fault roll, charging the failed attempt plus backoff to
         // the trial's elapsed time.
-        for (p, m) in merged {
+        for (p, m) in std::mem::take(&mut self.staged) {
+            let mut m = m.unwrap_or_else(|| next_live(&mut live));
             self.log_push(|| CampaignEvent::Measured {
                 id: p.id,
                 attempt: 0,
@@ -491,25 +684,25 @@ impl CampaignState {
                 at_s: self.clock,
                 machine_id: m.machine_id.or(p.req.machine_id),
             };
-            self.emit_trial(fan, self.clock, ev);
-            let mut m = m;
+            self.emit_trial(self.clock, ev);
             let mut attempt: u32 = 0;
             let mut carried_s = 0.0_f64;
             loop {
                 if m.fault.is_none() {
                     // ConfigCrash already set by the target; otherwise
                     // roll this attempt's infrastructure fate.
-                    if let Some(plan) = target.faults() {
+                    if let Some(plan) = self.target.faults() {
                         let machine = m.machine_id.or(p.req.machine_id);
                         if let Some(f) = plan.roll(p.id, attempt, machine, self.clock + carried_s) {
                             apply_fault(&f, &mut m, self.cost_is_elapsed);
                         }
                     }
                 }
-                for mw in middleware.iter_mut() {
+                for mw in &mut self.middleware {
                     mw.after_measure(&mut m, self.cost_is_elapsed);
                 }
-                let backoff = middleware
+                let backoff = self
+                    .middleware
                     .iter_mut()
                     .find_map(|mw| mw.retry_after(&m, attempt));
                 match backoff {
@@ -522,7 +715,7 @@ impl CampaignState {
                             backoff_s,
                             at_s: self.clock + carried_s,
                         };
-                        self.emit_trial(fan, self.clock + carried_s, ev);
+                        self.emit_trial(self.clock + carried_s, ev);
                         m = match self.replay.remove(&(p.id, attempt)) {
                             Some(m) => {
                                 // A replayed re-measurement advanced the
@@ -530,14 +723,14 @@ impl CampaignState {
                                 // fresh target in step so any *live*
                                 // measurement later in this replay starts
                                 // from the recorded trajectory.
-                                if m.clock > target.noise_clock() {
-                                    target.set_noise_clock(m.clock);
+                                if m.clock > self.target.noise_clock() {
+                                    self.target.set_noise_clock(m.clock);
                                 }
                                 m
                             }
                             None => measure_request(
-                                target,
-                                noise,
+                                &self.target,
+                                &self.noise_strategy,
                                 &p.req,
                                 trial_seed(p.eval_seed, u64::from(attempt)),
                             ),
@@ -565,13 +758,13 @@ impl CampaignState {
             // Exhausted and drained — or a source that waits with
             // nothing in flight, which would never unblock.
             self.done = true;
-            fan.end(self.clock);
+            self.fan.end(self.clock);
             return;
         }
 
         // Completion: a full wave under a batch barrier, else the
         // earliest virtual finisher (ties go to dispatch order).
-        let completed: Vec<Scheduled> = if barrier {
+        let completed: Vec<Scheduled> = if self.policy.barrier() {
             let batch_max = self
                 .in_flight
                 .iter()
@@ -615,24 +808,21 @@ impl CampaignState {
                 fault: s.m.fault,
                 telemetry: s.m.telemetry,
             };
-            for mw in middleware.iter_mut() {
+            for mw in &mut self.middleware {
                 mw.on_outcome(&mut outcome);
             }
             self.log_push(|| CampaignEvent::Outcome {
                 outcome: outcome.clone(),
             });
-            self.emit_opt(fan, &OptEvent::ObserveBegin { id: outcome.id });
-            let t0 = timer.now_ns();
-            source.report(&outcome);
-            let wall_ns = timer.now_ns().saturating_sub(t0);
-            self.emit_opt(
-                fan,
-                &OptEvent::ObserveEnd {
-                    id: outcome.id,
-                    wall_ns,
-                },
-            );
-            self.poll_model_counters(&*source, fan, outcome.id);
+            self.emit_opt(&OptEvent::ObserveBegin { id: outcome.id });
+            let t0 = self.timer.now_ns();
+            self.source.report(&outcome);
+            let wall_ns = self.timer.now_ns().saturating_sub(t0);
+            self.emit_opt(&OptEvent::ObserveEnd {
+                id: outcome.id,
+                wall_ns,
+            });
+            self.poll_model_counters(outcome.id);
             self.machine_seconds += outcome.elapsed_s;
             self.n_trials += 1;
             self.n_retried += s.retries as usize;
@@ -664,8 +854,8 @@ impl CampaignState {
                     elapsed_s: outcome.elapsed_s,
                 },
             };
-            self.emit_trial(fan, self.clock, ev);
-            fan.outcome(self.clock, &outcome);
+            self.emit_trial(self.clock, ev);
+            self.fan.outcome(self.clock, &outcome);
             let mut trial = match status {
                 TrialStatus::Aborted => {
                     Trial::aborted(outcome.config, outcome.cost, outcome.elapsed_s)
@@ -687,294 +877,37 @@ impl CampaignState {
             if let Some(m) = outcome.machine_id {
                 trial = trial.on_machine(m);
             }
-            storage.record(trial);
+            self.storage.record(trial);
         }
 
         // Drain middleware lifecycle events (quarantines, releases).
-        for mw in middleware.iter_mut() {
-            for ev in mw.take_events() {
-                if let TrialEvent::Quarantined { machine_id } = ev {
-                    self.quarantined.insert(machine_id);
-                }
-                self.emit_trial(fan, self.clock, ev);
+        let lifecycle: Vec<TrialEvent> = self
+            .middleware
+            .iter_mut()
+            .flat_map(|mw| mw.take_events())
+            .collect();
+        for ev in lifecycle {
+            if let TrialEvent::Quarantined { machine_id } = ev {
+                self.quarantined.insert(machine_id);
             }
+            self.emit_trial(self.clock, ev);
         }
     }
 
-    fn report_fields(&self, metrics: MetricsSnapshot, events: Vec<TrialEvent>) -> ExecReport {
-        ExecReport {
-            events,
-            wall_clock_s: self.clock,
-            machine_seconds: self.machine_seconds,
-            n_trials: self.n_trials,
-            n_aborted: self.n_aborted,
-            n_transient: self.n_transient,
-            n_retried: self.n_retried,
-            n_quarantined_machines: self.quarantined.len(),
-            saved_s: self.saved_s,
-            metrics,
-        }
-    }
-
-    /// Builds a report, cloning the event stream.
-    pub(crate) fn report(&self, metrics: MetricsSnapshot) -> ExecReport {
-        self.report_fields(metrics, self.events.clone())
-    }
-
-    /// Builds a report, consuming the state.
-    pub(crate) fn into_report(mut self, metrics: MetricsSnapshot) -> ExecReport {
-        let events = std::mem::take(&mut self.events);
-        self.report_fields(metrics, events)
-    }
-}
-
-/// An owned, resumable tuning campaign.
-///
-/// Unlike [`super::Executor`] (which borrows its target and is driven in
-/// one blocking `run` call), a `Campaign` owns its whole world behind an
-/// [`Arc<Target>`] and advances in discrete ticks, so thousands can be
-/// interleaved by a scheduler. With `'static` collaborators (an owned
-/// source, owned middleware) the campaign itself is `'static` and can be
-/// parked in a registry indefinitely.
-///
-/// ```
-/// use autotune::executor::{Campaign, OptimizerSource, SchedulePolicy};
-/// use autotune::{Objective, Target};
-/// use autotune_optimizer::RandomSearch;
-/// use autotune_sim::{Environment, RedisSim, Workload};
-///
-/// let target = Target::simulated(
-///     Box::new(RedisSim::new()),
-///     Workload::kv_cache(10_000.0),
-///     Environment::medium(),
-///     Objective::MinimizeLatencyP95,
-/// );
-/// let mut opt = RandomSearch::new(target.space().clone());
-/// let mut campaign = Campaign::new(
-///     target,
-///     Box::new(OptimizerSource::new(&mut opt, 8)),
-///     SchedulePolicy::AsyncSlots { k: 4 },
-///     1,
-/// );
-/// let report = campaign.run();
-/// assert_eq!(report.n_trials, 8);
-/// let snapshot = campaign.snapshot().expect("log is on by default");
-/// assert!(!snapshot.log.is_empty());
-/// ```
-pub struct Campaign<'a> {
-    target: Arc<Target>,
-    noise_strategy: NoiseStrategy,
-    source: Box<dyn TrialSource + 'a>,
-    middleware: Vec<Box<dyn Middleware + 'a>>,
-    fan: FanOut<'a>,
-    timer: Box<dyn WallTimer + 'a>,
-    storage: TrialStorage,
-    state: CampaignState,
-}
-
-impl<'a> Campaign<'a> {
-    /// A campaign over `target` drawing trials from `source` under the
-    /// given scheduling policy and campaign seed. The event log is
-    /// enabled by default ([`Campaign::with_event_log`] turns it off for
-    /// fleets that never snapshot).
-    pub fn new(
-        target: impl Into<Arc<Target>>,
-        source: Box<dyn TrialSource + 'a>,
-        policy: SchedulePolicy,
-        seed: u64,
-    ) -> Self {
-        let target = target.into();
-        let cost_is_elapsed = matches!(target.objective(), Objective::MinimizeElapsed);
-        Campaign {
-            target,
-            noise_strategy: NoiseStrategy::Single,
-            source,
-            middleware: Vec::new(),
-            fan: FanOut {
-                collector: MetricsCollector::new(),
-                subs: Vec::new(),
-            },
-            timer: Box::new(NullTimer),
-            storage: TrialStorage::new(),
-            state: CampaignState::new(seed, policy, cost_is_elapsed, true),
-        }
-    }
-
-    /// Sets the measurement policy per trial (default: one raw run).
-    pub fn with_noise_strategy(mut self, strategy: NoiseStrategy) -> Self {
-        self.noise_strategy = strategy;
-        self
-    }
-
-    /// Appends a middleware to the chain (applied in insertion order).
-    pub fn with_middleware(mut self, mw: Box<dyn Middleware + 'a>) -> Self {
-        self.middleware.push(mw);
-        self
-    }
-
-    /// Attaches a telemetry subscriber (pure observer; see
-    /// [`super::Executor::with_subscriber`]).
-    pub fn with_subscriber(mut self, sub: Box<dyn Subscriber + 'a>) -> Self {
-        self.fan.subs.push(sub);
-        self
-    }
-
-    /// Injects a real-time source for optimizer overhead attribution
-    /// (default: [`NullTimer`]). Readings flow only into subscriber-side
-    /// metrics — the event log records them as 0.
-    pub fn with_timer(mut self, timer: Box<dyn WallTimer + 'a>) -> Self {
-        self.timer = timer;
-        self
-    }
-
-    /// Enables or disables the append-only event log (default: on).
-    /// Snapshots require it; a fleet that never snapshots can turn it
-    /// off to drop the bookkeeping.
-    pub fn with_event_log(mut self, enabled: bool) -> Self {
-        self.state.log = enabled.then(Vec::new);
-        self
-    }
-
-    /// The target under tuning.
-    pub fn target(&self) -> &Arc<Target> {
-        &self.target
-    }
-
-    /// The per-trial measurement policy.
-    pub fn noise_strategy(&self) -> &NoiseStrategy {
-        &self.noise_strategy
-    }
-
-    /// The campaign seed.
-    pub fn seed(&self) -> u64 {
-        self.state.seed
-    }
-
-    /// The scheduling policy.
-    pub fn policy(&self) -> SchedulePolicy {
-        self.state.policy
-    }
-
-    /// Whether the campaign has drained.
-    pub fn is_done(&self) -> bool {
-        self.state.done
-    }
-
-    /// Ticks completed so far.
-    pub fn n_ticks(&self) -> u64 {
-        self.state.n_ticks
-    }
-
-    /// The trial history so far.
-    pub fn storage(&self) -> &TrialStorage {
-        &self.storage
-    }
-
-    /// Consumes the campaign, returning its trial history.
-    pub fn into_storage(self) -> TrialStorage {
-        self.storage
-    }
-
-    /// The rolled-up telemetry so far (`wall_clock_s` is final once the
-    /// campaign is done).
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.fan.collector.snapshot()
-    }
-
-    /// The event log, when enabled.
-    pub fn log(&self) -> Option<&[CampaignEvent]> {
-        self.state.log.as_deref()
-    }
-
-    fn log_len(&self) -> usize {
-        self.state.log.as_ref().map_or(0, Vec::len)
-    }
-
-    /// Accounting report of the campaign so far (clones the event
-    /// stream; final once [`Campaign::is_done`]).
-    pub fn report(&self) -> ExecReport {
-        self.state.report(self.fan.collector.snapshot())
-    }
-
-    /// Stages the next wave and returns the items needing a **live**
-    /// measurement (replayed items are filled internally). The caller
-    /// measures them — in any order, on any thread, via
-    /// [`measure_request`](super::measure_request) with each item's
-    /// `eval_seed` — and hands the results back to
-    /// [`Campaign::complete_wave`] in the returned order. Idempotent
-    /// until the wave completes; empty when the campaign is done or the
-    /// tick needs no live measurement.
-    pub fn ready_wave(&mut self) -> Vec<WorkItem> {
-        self.stage_synced();
-        self.state.staged_live().into_iter().cloned().collect()
-    }
-
-    /// Stages the next wave and fast-forwards the target's drift clock
-    /// past any measurements served from the replay queue, so a
-    /// partially replayed wave's remaining items measure live from the
-    /// recorded trajectory. A no-op outside replay (the queue is empty
-    /// and stamped clocks never run ahead of a live target's).
-    fn stage_synced(&mut self) {
-        self.state.stage(
-            self.source.as_mut(),
-            &mut self.middleware,
-            &mut self.fan,
-            self.timer.as_mut(),
-        );
-        let replayed = self.state.staged_replayed_clock();
-        if replayed > self.target.noise_clock() {
-            self.target.set_noise_clock(replayed);
-        }
-    }
-
-    /// Completes the staged wave with the live measurements for
-    /// [`Campaign::ready_wave`]'s items, in that order. Returns whether
-    /// the campaign is done.
-    pub fn complete_wave(&mut self, live: Vec<Measurement>) -> Result<bool, CampaignError> {
-        let expected = self.state.staged_live().len();
-        if live.len() != expected {
-            return Err(CampaignError::WaveSizeMismatch {
-                expected,
-                got: live.len(),
-            });
-        }
-        self.apply_wave(live);
-        Ok(self.state.done)
-    }
-
-    fn apply_wave(&mut self, live: Vec<Measurement>) {
-        let merged = self.state.merge_staged(live);
-        self.state.finish_tick(
-            &self.target,
-            &self.noise_strategy,
-            self.source.as_mut(),
-            &mut self.middleware,
-            &mut self.fan,
-            self.timer.as_mut(),
-            &mut self.storage,
-            merged,
-        );
-    }
-
-    /// Advances one tick inline (stage, measure, absorb), measuring the
-    /// wave on scoped worker threads exactly like [`super::Executor`].
-    /// Returns whether the campaign is done.
+    /// Advances one tick inline: stage the wave, measure it with
+    /// [`measure_wave`] (in wave order, on this thread), absorb the
+    /// results. Returns whether the campaign is done.
     pub fn tick(&mut self) -> bool {
-        if self.state.done {
+        if self.done {
             return true;
         }
-        self.stage_synced();
-        let live = measure_wave(
-            &self.target,
-            &self.noise_strategy,
-            &self.state.staged_live(),
-        );
+        let wave = self.ready_wave();
+        let live = measure_wave(&self.target, &self.noise_strategy, &wave);
         self.apply_wave(live);
-        self.state.done
+        self.done
     }
 
-    /// Drives the campaign to exhaustion and reports. Byte-identical to
-    /// [`super::Executor::run`] over the same collaborators and seed.
+    /// Drives the campaign to exhaustion and reports.
     pub fn run(&mut self) -> ExecReport {
         while !self.tick() {}
         self.report()
@@ -984,18 +917,57 @@ impl<'a> Campaign<'a> {
     /// the event log and a tick boundary (no wave staged via
     /// [`Campaign::ready_wave`] awaiting completion).
     pub fn snapshot(&self) -> Result<CampaignSnapshot, CampaignError> {
-        let log = self.state.log.as_ref().ok_or(CampaignError::LogDisabled)?;
-        if !self.state.staged.is_empty() {
+        let log = self.log.as_ref().ok_or(CampaignError::LogDisabled)?;
+        if !self.staged.is_empty() {
             return Err(CampaignError::MidTick);
         }
         Ok(CampaignSnapshot {
             version: SNAPSHOT_VERSION,
-            seed: self.state.seed,
-            policy: self.state.policy,
-            n_ticks: self.state.n_ticks,
+            seed: self.seed,
+            policy: self.policy,
+            n_ticks: self.n_ticks,
             target_clock: self.target.noise_clock(),
             log: log.clone(),
         })
+    }
+
+    /// Header compatibility checks plus loading the snapshot's recorded
+    /// measurements into the replay queue.
+    fn prepare_replay(&mut self, snapshot: &CampaignSnapshot) -> Result<(), CampaignError> {
+        if snapshot.version != SNAPSHOT_VERSION {
+            return Err(CampaignError::SnapshotMismatch {
+                reason: format!(
+                    "snapshot version {} != supported {}",
+                    snapshot.version, SNAPSHOT_VERSION
+                ),
+            });
+        }
+        if self.policy != snapshot.policy {
+            return Err(CampaignError::SnapshotMismatch {
+                reason: format!(
+                    "policy {} != snapshot {}",
+                    self.policy.label(),
+                    snapshot.policy.label()
+                ),
+            });
+        }
+        if self.seed != snapshot.seed {
+            return Err(CampaignError::SnapshotMismatch {
+                reason: format!("seed {} != snapshot {}", self.seed, snapshot.seed),
+            });
+        }
+        if self.n_ticks != 0 || self.next_id != 0 {
+            return Err(CampaignError::NotPristine);
+        }
+        if self.log.is_none() {
+            return Err(CampaignError::LogDisabled);
+        }
+        for ev in &snapshot.log {
+            if let CampaignEvent::Measured { id, attempt, m } = ev {
+                self.replay.insert((*id, *attempt), m.clone());
+            }
+        }
+        Ok(())
     }
 
     /// Rebuilds a snapshotted campaign into `fresh` — a pristine campaign
@@ -1006,103 +978,30 @@ impl<'a> Campaign<'a> {
     /// for the target. The rebuilt log is verified byte-identical to the
     /// snapshot before the campaign is handed back; continuing it then
     /// produces exactly what the original campaign would have produced.
-    /// Shared front half of [`Campaign::resume`] and
-    /// [`Campaign::resume_prefix`]: header compatibility checks plus
-    /// loading the snapshot's recorded measurements into the replay
-    /// queue.
-    fn prepare_replay(&mut self, snapshot: &CampaignSnapshot) -> Result<(), CampaignError> {
-        if snapshot.version != SNAPSHOT_VERSION {
-            return Err(CampaignError::SnapshotMismatch {
-                reason: format!(
-                    "snapshot version {} != supported {}",
-                    snapshot.version, SNAPSHOT_VERSION
-                ),
-            });
-        }
-        if self.state.policy != snapshot.policy {
-            return Err(CampaignError::SnapshotMismatch {
-                reason: format!(
-                    "policy {} != snapshot {}",
-                    self.state.policy.label(),
-                    snapshot.policy.label()
-                ),
-            });
-        }
-        if self.state.seed != snapshot.seed {
-            return Err(CampaignError::SnapshotMismatch {
-                reason: format!("seed {} != snapshot {}", self.state.seed, snapshot.seed),
-            });
-        }
-        if self.state.n_ticks != 0 || self.state.next_id != 0 {
-            return Err(CampaignError::NotPristine);
-        }
-        if self.state.log.is_none() {
-            return Err(CampaignError::LogDisabled);
-        }
-        for ev in &snapshot.log {
-            if let CampaignEvent::Measured { id, attempt, m } = ev {
-                self.state.replay.insert((*id, *attempt), m.clone());
-            }
-        }
-        Ok(())
-    }
-
+    ///
+    /// This is the strict form of [`Campaign::resume_prefix`]: snapshots
+    /// are taken at tick boundaries, so a healthy replay lands exactly on
+    /// the snapshot length and never needs a live measurement; anything
+    /// else is an error.
     pub fn resume(
         snapshot: &CampaignSnapshot,
         fresh: Campaign<'a>,
     ) -> Result<Campaign<'a>, CampaignError> {
-        let mut c = fresh;
-        c.prepare_replay(snapshot)?;
-        // Drive whole ticks until the rebuilt log catches up with the
-        // snapshot. Snapshots are taken at tick boundaries, so a healthy
-        // replay lands exactly on the snapshot length and never needs a
-        // live measurement.
-        let target_len = snapshot.log.len();
-        while c.log_len() < target_len && !c.state.done {
-            let before = c.log_len();
-            let wave = c.ready_wave();
-            if let Some(w) = wave.first() {
-                return Err(CampaignError::MissingMeasurement {
-                    id: w.id,
-                    attempt: 0,
-                });
-            }
-            c.complete_wave(Vec::new())?;
-            if c.log_len() == before && !c.state.done {
-                return Err(CampaignError::ReplayDiverged {
-                    reason: "replay stalled without appending events".into(),
-                });
-            }
+        let (c, report) = Self::resume_prefix(snapshot, fresh)?;
+        if let Some(w) = c.staged_live().next() {
+            return Err(CampaignError::MissingMeasurement {
+                id: w.id,
+                attempt: 0,
+            });
         }
-        if !c.state.replay.is_empty() {
+        if report.rebuilt_events != report.snapshot_events {
             return Err(CampaignError::ReplayDiverged {
                 reason: format!(
-                    "{} recorded measurements were never consumed",
-                    c.state.replay.len()
+                    "rebuilt log has {} events, snapshot has {}",
+                    report.rebuilt_events, report.snapshot_events
                 ),
             });
         }
-        if c.log_len() != target_len {
-            return Err(CampaignError::ReplayDiverged {
-                reason: format!(
-                    "rebuilt log has {} events, snapshot has {target_len}",
-                    c.log_len()
-                ),
-            });
-        }
-        let rebuilt = serde_json::to_string(&c.state.log).unwrap_or_default();
-        let original = serde_json::to_string(&Some(snapshot.log.clone())).unwrap_or_default();
-        if rebuilt != original {
-            return Err(CampaignError::ReplayDiverged {
-                reason: "replayed log differs from the snapshot (different target, source \
-                         or middleware than the original campaign)"
-                    .into(),
-            });
-        }
-        // Replay served recorded measurements without evaluating, so the
-        // fresh target's drift clock lags the original's; fast-forward it
-        // so the continuation sees the same drift trajectory.
-        c.target.set_noise_clock(snapshot.target_clock);
         Ok(c)
     }
 
@@ -1138,18 +1037,18 @@ impl<'a> Campaign<'a> {
         c.prepare_replay(snapshot)?;
         let target_len = snapshot.log.len();
         let mut mid_tick = false;
-        while c.log_len() < target_len && !c.state.done {
+        while c.log_len() < target_len && !c.done {
             let before = c.log_len();
-            let wave = c.ready_wave();
-            if !wave.is_empty() {
+            c.stage();
+            if c.staged_live().next().is_some() {
                 // The log ran out inside this tick: its wave needs live
                 // measurements the snapshot never recorded. Stop here
                 // and leave the wave staged for the caller.
                 mid_tick = true;
                 break;
             }
-            c.complete_wave(Vec::new())?;
-            if c.log_len() == before && !c.state.done {
+            c.apply_wave(Vec::new());
+            if c.log_len() == before && !c.done {
                 return Err(CampaignError::ReplayDiverged {
                     reason: "replay stalled without appending events".into(),
                 });
@@ -1162,7 +1061,7 @@ impl<'a> Campaign<'a> {
         // agree byte-for-byte.
         let rebuilt_len = c.log_len();
         let matched = rebuilt_len.min(target_len);
-        if let Some(log) = &c.state.log {
+        if let Some(log) = &c.log {
             for (i, (got, want)) in log.iter().zip(&snapshot.log).enumerate() {
                 let got = serde_json::to_string(got).unwrap_or_default();
                 let want = serde_json::to_string(want).unwrap_or_default();
@@ -1176,14 +1075,14 @@ impl<'a> Campaign<'a> {
                 }
             }
         }
-        if !mid_tick && !c.state.replay.is_empty() {
+        if !mid_tick && !c.replay.is_empty() {
             // Leftover measurements are only legitimate mid-tick (they
             // belong to the staged wave's retries and will be consumed
             // as the caller completes it).
             return Err(CampaignError::ReplayDiverged {
                 reason: format!(
                     "{} recorded measurements were never consumed",
-                    c.state.replay.len()
+                    c.replay.len()
                 ),
             });
         }
@@ -1193,16 +1092,16 @@ impl<'a> Campaign<'a> {
             // generate (e.g. a larger budget than the fresh build's).
             return Err(CampaignError::ReplayDiverged {
                 reason: format!(
-                    "campaign drained after {rebuilt_events} events but the snapshot \
-                     holds {target_len}",
-                    rebuilt_events = rebuilt_len
+                    "campaign drained after {rebuilt_len} events but the snapshot \
+                     holds {target_len}"
                 ),
             });
         }
-        // The per-measurement clock stamps already fast-forwarded the
-        // drift clock through everything replayed; the snapshot's
-        // boundary clock only ever adds information for legacy logs
-        // without stamps.
+        // Replay served recorded measurements without evaluating, so the
+        // fresh target's drift clock lags the original's. The
+        // per-measurement stamps already fast-forwarded it through
+        // everything replayed; the snapshot's boundary clock covers the
+        // rest (and legacy logs without stamps).
         if snapshot.target_clock > c.target.noise_clock() {
             c.target.set_noise_clock(snapshot.target_clock);
         }
@@ -1236,7 +1135,7 @@ pub struct ResumeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{EarlyAbortMw, Executor, OptimizerSource, OwnedOptimizerSource, RetryMw};
+    use crate::executor::{EarlyAbortMw, OptimizerSource, RetryMw};
     use crate::test_fixtures::redis_target;
     use autotune_optimizer::RandomSearch;
 
@@ -1245,55 +1144,22 @@ mod tests {
         let opt = RandomSearch::new(target.space().clone());
         Campaign::new(
             target,
-            Box::new(OwnedOptimizerSource::new(Box::new(opt), budget)),
+            Box::new(OptimizerSource::new(Box::new(opt), budget)),
             policy,
             seed,
         )
     }
 
-    fn exec_run(policy: SchedulePolicy, budget: usize, seed: u64) -> (String, ExecReport) {
-        let target = redis_target();
-        let mut opt = RandomSearch::new(target.space().clone());
-        let mut source = OptimizerSource::new(&mut opt, budget);
-        let mut storage = TrialStorage::new();
-        let report = Executor::new(&target, policy).run(&mut source, &mut storage, seed);
-        (storage.to_json(), report)
-    }
-
-    #[test]
-    fn campaign_run_matches_executor_byte_for_byte() {
-        for policy in [
-            SchedulePolicy::Sequential,
-            SchedulePolicy::SyncBatch { k: 3 },
-            SchedulePolicy::AsyncSlots { k: 3 },
-        ] {
-            let (exec_json, exec_report) = exec_run(policy, 14, 33);
-            let mut campaign = campaign_for(policy, 14, 33);
-            let report = campaign.run();
-            assert_eq!(campaign.storage().to_json(), exec_json, "{policy:?}");
-            assert_eq!(
-                report.wall_clock_s.to_bits(),
-                exec_report.wall_clock_s.to_bits()
-            );
-            assert_eq!(report.n_trials, exec_report.n_trials);
-        }
-    }
-
     #[test]
     fn wave_api_matches_inline_ticks() {
-        // Driving via ready_wave/complete_wave (what a registry does)
-        // must equal the inline tick path byte for byte.
+        // Driving via ready_wave/measure_wave/complete_wave (what a
+        // registry does) must equal the inline tick path byte for byte.
         let mut inline = campaign_for(SchedulePolicy::AsyncSlots { k: 2 }, 10, 9);
         let inline_report = inline.run();
         let mut waved = campaign_for(SchedulePolicy::AsyncSlots { k: 2 }, 10, 9);
         loop {
             let wave = waved.ready_wave();
-            let live: Vec<Measurement> = wave
-                .iter()
-                .map(|w| {
-                    measure_request(waved.target(), waved.noise_strategy(), &w.req, w.eval_seed)
-                })
-                .collect();
+            let live = measure_wave(waved.target(), waved.noise_strategy(), &wave);
             if waved.complete_wave(live).expect("sizes match") {
                 break;
             }
@@ -1426,7 +1292,7 @@ mod tests {
             let opt = RandomSearch::new(target.space().clone());
             Campaign::new(
                 target,
-                Box::new(OwnedOptimizerSource::new(Box::new(opt), 16)),
+                Box::new(OptimizerSource::new(Box::new(opt), 16)),
                 SchedulePolicy::Sequential,
                 5,
             )

@@ -4,19 +4,23 @@
 //! A campaign is a [`TrialSource`] (where configurations come from), a
 //! [`SchedulePolicy`] (how many run at once and where the barriers sit),
 //! and a [`Middleware`] chain (cross-cutting machinery: early abort,
-//! crash penalties, machine assignment). The [`Executor`] drives them
-//! with a virtual-clock slot pool: trials are measured on real crossbeam
-//! worker threads the moment they are dispatched, but their *results* are
-//! sealed until the virtual clock reaches each trial's finish time, so
-//! observation order matches what a real cluster would deliver —
-//! including out-of-order completion under asynchronous policies.
+//! crash penalties, machine assignment). [`Campaign`] — the only engine —
+//! drives them with a virtual-clock slot pool: a wave of trials is
+//! measured the moment it is dispatched ([`measure_wave`]), but the
+//! *results* are sealed until the virtual clock reaches each trial's
+//! finish time, so observation order matches what a real cluster would
+//! deliver — including out-of-order completion under asynchronous
+//! policies.
 //!
 //! Determinism contract: the suggestion stream (`StdRng` from the
 //! campaign seed) is consumed only by the source and `before_dispatch`
 //! middleware; every trial's measurement draws from its own stream
-//! derived from `(seed, trial_id)`. Thread scheduling therefore cannot
-//! perturb results, and `Sequential`, `SyncBatch{k:1}` and
-//! `AsyncSlots{k:1}` produce byte-identical trial histories.
+//! derived from `(seed, trial_id)`; and one campaign's wave is measured
+//! in wave order on one thread, so the target's drift clock is never
+//! advanced by two threads. `Sequential`, `SyncBatch{k:1}` and
+//! `AsyncSlots{k:1}` therefore produce byte-identical trial histories,
+//! and any campaign's history is the same standalone, ticked, or
+//! interleaved with others by a registry.
 
 mod campaign;
 mod event;
@@ -33,14 +37,11 @@ pub use middleware::{
     CrashPenaltyMw, EarlyAbortMw, MachineAssignMw, Middleware, QuarantineMw, RetryMw, TimeoutMw,
 };
 pub use policy::SchedulePolicy;
-pub use source::{OptimizerSource, OwnedOptimizerSource, RungSource, SourceStep, TrialSource};
+pub use source::{OptimizerSource, RungSource, SourceStep, TrialSource};
 
-use crate::telemetry::{
-    MetricsCollector, MetricsSnapshot, NullTimer, OptEvent, Subscriber, WallTimer,
-};
-use crate::{NoiseStrategy, Objective, Target, TrialStorage};
+use crate::telemetry::{MetricsCollector, MetricsSnapshot, OptEvent, Subscriber};
+use crate::{NoiseStrategy, Target};
 use autotune_sim::{FailureKind, Fault};
-use campaign::CampaignState;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -53,8 +54,8 @@ fn trial_seed(seed: u64, id: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Accounting and event log of one executor run. Trials themselves land
-/// in the caller-provided [`TrialStorage`].
+/// Accounting and event log of one campaign run. Trials themselves land
+/// in the campaign's [`TrialStorage`](crate::TrialStorage).
 #[derive(Debug, Clone)]
 pub struct ExecReport {
     /// Lifecycle event stream, in emission order.
@@ -79,117 +80,6 @@ pub struct ExecReport {
     /// histograms, per-machine utilization) — collected by the always-on
     /// internal [`MetricsCollector`].
     pub metrics: MetricsSnapshot,
-}
-
-/// The event-driven trial executor.
-///
-/// ```
-/// use autotune::executor::{Executor, OptimizerSource, SchedulePolicy};
-/// use autotune::{Objective, Target, TrialStorage};
-/// use autotune_optimizer::RandomSearch;
-/// use autotune_sim::{Environment, RedisSim, Workload};
-///
-/// let target = Target::simulated(
-///     Box::new(RedisSim::new()),
-///     Workload::kv_cache(10_000.0),
-///     Environment::medium(),
-///     Objective::MinimizeLatencyP95,
-/// );
-/// let mut opt = RandomSearch::new(target.space().clone());
-/// let mut source = OptimizerSource::new(&mut opt, 8);
-/// let mut storage = TrialStorage::new();
-/// let report = Executor::new(&target, SchedulePolicy::AsyncSlots { k: 4 })
-///     .run(&mut source, &mut storage, 1);
-/// assert_eq!(report.n_trials, 8);
-/// assert!(report.wall_clock_s < report.machine_seconds);
-/// ```
-pub struct Executor<'a> {
-    target: &'a Target,
-    policy: SchedulePolicy,
-    noise_strategy: NoiseStrategy,
-    middleware: Vec<Box<dyn Middleware + 'a>>,
-    subscribers: Vec<Box<dyn Subscriber + 'a>>,
-    timer: Box<dyn WallTimer + 'a>,
-}
-
-impl<'a> Executor<'a> {
-    /// An executor over `target` with the given scheduling policy.
-    pub fn new(target: &'a Target, policy: SchedulePolicy) -> Self {
-        Executor {
-            target,
-            policy,
-            noise_strategy: NoiseStrategy::Single,
-            middleware: Vec::new(),
-            subscribers: Vec::new(),
-            timer: Box::new(NullTimer),
-        }
-    }
-
-    /// Sets the measurement policy per trial (default: one raw run).
-    pub fn with_noise_strategy(mut self, strategy: NoiseStrategy) -> Self {
-        self.noise_strategy = strategy;
-        self
-    }
-
-    /// Appends a middleware to the chain (applied in insertion order).
-    pub fn with_middleware(mut self, mw: Box<dyn Middleware + 'a>) -> Self {
-        self.middleware.push(mw);
-        self
-    }
-
-    /// Attaches a telemetry subscriber (notified in attachment order, on
-    /// the driver thread, with virtual-clock timestamps). Subscribers are
-    /// pure observers: attaching any combination leaves campaign results
-    /// byte-identical.
-    pub fn with_subscriber(mut self, sub: Box<dyn Subscriber + 'a>) -> Self {
-        self.subscribers.push(sub);
-        self
-    }
-
-    /// Injects a real-time source for optimizer overhead attribution
-    /// (default: [`NullTimer`], every reading 0). Readings flow only into
-    /// subscriber-side metrics, never into the clock or the event log.
-    pub fn with_timer(mut self, timer: Box<dyn WallTimer + 'a>) -> Self {
-        self.timer = timer;
-        self
-    }
-
-    /// Drives the source to exhaustion, appending trials to `storage`.
-    pub fn run(
-        &mut self,
-        source: &mut dyn TrialSource,
-        storage: &mut TrialStorage,
-        seed: u64,
-    ) -> ExecReport {
-        let cost_is_elapsed = matches!(self.target.objective(), Objective::MinimizeElapsed);
-        let mut fan = FanOut {
-            collector: MetricsCollector::new(),
-            subs: std::mem::take(&mut self.subscribers),
-        };
-        let mut timer = std::mem::replace(&mut self.timer, Box::new(NullTimer));
-        // The executor never snapshots, so the campaign event log stays
-        // off; everything else is the shared per-campaign state machine.
-        let mut state = CampaignState::new(seed, self.policy, cost_is_elapsed, false);
-        while !state.is_done() {
-            state.stage(source, &mut self.middleware, &mut fan, timer.as_mut());
-            let live = measure_wave(self.target, &self.noise_strategy, &state.staged_live());
-            let merged = state.merge_staged(live);
-            state.finish_tick(
-                self.target,
-                &self.noise_strategy,
-                source,
-                &mut self.middleware,
-                &mut fan,
-                timer.as_mut(),
-                storage,
-                merged,
-            );
-        }
-        let metrics = fan.collector.snapshot();
-        self.subscribers = fan.subs;
-        self.timer = timer;
-        state.into_report(metrics)
-    }
 }
 
 /// Fans every event out to the internal metrics collector and the
@@ -305,31 +195,38 @@ pub fn measure_request(
     m
 }
 
-/// Evaluates a wave of dispatched trials, on scoped worker threads when
-/// the wave has genuine parallelism (shared [`autotune_linalg::par_map`]
-/// machinery). Per-trial RNG streams make the result independent of
-/// thread scheduling.
-fn measure_wave(target: &Target, strategy: &NoiseStrategy, wave: &[&WorkItem]) -> Vec<Measurement> {
-    autotune_linalg::par_map(wave, 2, |_, p| {
-        measure_request(target, strategy, &p.req, p.eval_seed)
-    })
+/// Measures one campaign's wave: [`measure_request`] per item, in wave
+/// order, on the calling thread. The one way a wave is measured —
+/// [`Campaign::tick`] and the serve registry's per-campaign worker both
+/// call it. A noisy target's drift clock advances per evaluation, so
+/// splitting a wave across threads would make the clock stamps
+/// scheduling-dependent; parallelism comes from servicing *different*
+/// campaigns (disjoint targets) concurrently.
+pub fn measure_wave(
+    target: &Target,
+    strategy: &NoiseStrategy,
+    wave: &[WorkItem],
+) -> Vec<Measurement> {
+    wave.iter()
+        .map(|w| measure_request(target, strategy, &w.req, w.eval_seed))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::test_fixtures::redis_target;
-    use crate::TrialStatus;
+    use crate::{Objective, TrialStatus, TrialStorage};
     use autotune_optimizer::{BayesianOptimizer, Optimizer, RandomSearch};
     use autotune_space::Config;
 
     fn run_policy(policy: SchedulePolicy, budget: usize, seed: u64) -> (TrialStorage, ExecReport) {
         let target = redis_target();
         let mut opt = RandomSearch::new(target.space().clone());
-        let mut source = OptimizerSource::new(&mut opt, budget);
-        let mut storage = TrialStorage::new();
-        let report = Executor::new(&target, policy).run(&mut source, &mut storage, seed);
-        (storage, report)
+        let source = OptimizerSource::new(&mut opt, budget);
+        let mut campaign = Campaign::over(&target, Box::new(source), policy, seed);
+        let report = campaign.run();
+        (campaign.into_storage(), report)
     }
 
     #[test]
@@ -385,9 +282,8 @@ mod tests {
         let run = |policy| {
             let target = crate::test_fixtures::spark_target();
             let mut opt = RandomSearch::new(target.space().clone());
-            let mut source = OptimizerSource::new(&mut opt, 24);
-            let mut storage = TrialStorage::new();
-            let report = Executor::new(&target, policy).run(&mut source, &mut storage, 19);
+            let source = OptimizerSource::new(&mut opt, 24);
+            let report = Campaign::over(&target, Box::new(source), policy, 19).run();
             report
         };
         let sync = run(SchedulePolicy::SyncBatch { k: 4 });
@@ -403,6 +299,58 @@ mod tests {
         );
     }
 
+    /// `n_batches` synchronous batches of `k` GP-BO trials on the Redis
+    /// target.
+    fn run_bo_batches(n_batches: usize, k: usize, seed: u64) -> (TrialStorage, ExecReport) {
+        let target = redis_target();
+        let mut opt = BayesianOptimizer::gp(target.space().clone());
+        let source = OptimizerSource::new(&mut opt, n_batches * k);
+        let mut campaign = Campaign::over(
+            &target,
+            Box::new(source),
+            SchedulePolicy::SyncBatch { k },
+            seed,
+        );
+        let report = campaign.run();
+        (campaign.into_storage(), report)
+    }
+
+    #[test]
+    fn parallel_campaign_finds_good_config() {
+        let (storage, report) = run_bo_batches(8, 4, 3);
+        assert_eq!(storage.len(), 32);
+        assert!(storage.best().expect("a finite trial").cost.is_finite());
+        // Machine seconds = sum; wall clock = sum of per-batch maxima, so
+        // parallelism must buy roughly batch_size x wall-clock reduction.
+        assert!(
+            report.wall_clock_s < report.machine_seconds / 3.0,
+            "wall {} vs machine {}",
+            report.wall_clock_s,
+            report.machine_seconds
+        );
+    }
+
+    #[test]
+    fn deterministic_given_seed() {
+        let (a, _) = run_bo_batches(4, 4, 9);
+        let (b, _) = run_bo_batches(4, 4, 9);
+        assert_eq!(a.to_json(), b.to_json());
+    }
+
+    #[test]
+    fn larger_batches_reach_quality_in_less_wall_clock() {
+        // Same total trial count; batch=4 should use ~1/3 the wall clock
+        // of batch=1 while finding a comparable optimum.
+        let (serial_s, serial_r) = run_bo_batches(24, 1, 13);
+        let (par_s, par_r) = run_bo_batches(6, 4, 13);
+        assert!(par_r.wall_clock_s < serial_r.wall_clock_s * 0.5);
+        assert!(
+            par_s.best().expect("a finite trial").cost
+                < serial_s.best().expect("a finite trial").cost * 2.0,
+            "parallel quality collapsed"
+        );
+    }
+
     #[test]
     fn async_never_suggests_a_duplicate_of_an_in_flight_config() {
         // With a model-based optimizer past its init phase, every
@@ -411,13 +359,14 @@ mod tests {
         let target = redis_target();
         let mut opt = BayesianOptimizer::gp(target.space().clone());
         let budget = 28;
-        let mut source = OptimizerSource::new(&mut opt, budget);
-        let mut storage = TrialStorage::new();
-        let report = Executor::new(&target, SchedulePolicy::AsyncSlots { k: 4 }).run(
-            &mut source,
-            &mut storage,
+        let source = OptimizerSource::new(&mut opt, budget);
+        let mut campaign = Campaign::over(
+            &target,
+            Box::new(source),
+            SchedulePolicy::AsyncSlots { k: 4 },
             31,
         );
+        let report = campaign.run();
         let mut in_flight: Vec<(u64, Config)> = Vec::new();
         for event in &report.events {
             match event {
@@ -440,7 +389,7 @@ mod tests {
                 _ => {}
             }
         }
-        assert_eq!(storage.len(), budget);
+        assert_eq!(campaign.storage().len(), budget);
     }
 
     #[test]
@@ -448,14 +397,14 @@ mod tests {
         let target = crate::test_fixtures::spark_target();
         let run = |abort: bool, seed: u64| {
             let mut opt = RandomSearch::new(target.space().clone());
-            let mut source = OptimizerSource::new(&mut opt, 30);
-            let mut storage = TrialStorage::new();
-            let mut exec = Executor::new(&target, SchedulePolicy::Sequential);
+            let source = OptimizerSource::new(&mut opt, 30);
+            let mut campaign =
+                Campaign::over(&target, Box::new(source), SchedulePolicy::Sequential, seed);
             if abort {
-                exec = exec.with_middleware(Box::new(EarlyAbortMw::new(1.3)));
+                campaign = campaign.with_middleware(Box::new(EarlyAbortMw::new(1.3)));
             }
-            let report = exec.run(&mut source, &mut storage, seed);
-            (storage, report)
+            let report = campaign.run();
+            (campaign.into_storage(), report)
         };
         let (plain_s, plain_r) = run(false, 5);
         let (abort_s, abort_r) = run(true, 5);
@@ -475,12 +424,13 @@ mod tests {
         use autotune_sim::{CloudNoise, NoiseConfig};
         let target = redis_target().with_noise(CloudNoise::new_fleet(4, NoiseConfig::default(), 3));
         let mut opt = RandomSearch::new(target.space().clone());
-        let mut source = OptimizerSource::new(&mut opt, 8);
-        let mut storage = TrialStorage::new();
-        Executor::new(&target, SchedulePolicy::Sequential)
-            .with_middleware(Box::new(MachineAssignMw::round_robin(4)))
-            .run(&mut source, &mut storage, 11);
-        let machines: Vec<usize> = storage
+        let source = OptimizerSource::new(&mut opt, 8);
+        let mut campaign =
+            Campaign::over(&target, Box::new(source), SchedulePolicy::Sequential, 11)
+                .with_middleware(Box::new(MachineAssignMw::round_robin(4)));
+        campaign.run();
+        let machines: Vec<usize> = campaign
+            .storage()
             .trials()
             .iter()
             .map(|t| t.machine_id.expect("assigned"))
@@ -521,10 +471,15 @@ mod tests {
             opt: RandomSearch::new(space),
             learned: Vec::new(),
         };
-        let mut storage = TrialStorage::new();
-        Executor::new(&target, SchedulePolicy::Sequential)
-            .with_middleware(Box::new(CrashPenaltyMw::new(1e9)))
-            .run(&mut source, &mut storage, 13);
+        let mut campaign = Campaign::over(
+            &target,
+            Box::new(&mut source),
+            SchedulePolicy::Sequential,
+            13,
+        )
+        .with_middleware(Box::new(CrashPenaltyMw::new(1e9)));
+        campaign.run();
+        let storage = campaign.into_storage();
         assert!(storage.n_crashed() > 0, "expected some crashes");
         // Every learner-visible cost is finite; crashed trials stay NaN in
         // storage.
@@ -543,8 +498,13 @@ mod tests {
             .with_faults(FaultPlan::aggressive(seed))
     }
 
-    fn resilient_exec(target: &Target, policy: SchedulePolicy) -> Executor<'_> {
-        Executor::new(target, policy)
+    fn resilient<'a>(
+        target: &'a Target,
+        source: Box<dyn TrialSource + 'a>,
+        policy: SchedulePolicy,
+        seed: u64,
+    ) -> Campaign<'a> {
+        Campaign::over(target, source, policy, seed)
             .with_middleware(Box::new(MachineAssignMw::round_robin(4)))
             .with_middleware(Box::new(QuarantineMw::with_defaults(4)))
             .with_middleware(Box::new(RetryMw::new(3, 5.0)))
@@ -560,10 +520,10 @@ mod tests {
         let run = |policy| {
             let target = faulty_target(5);
             let mut opt = RandomSearch::new(target.space().clone());
-            let mut source = OptimizerSource::new(&mut opt, 16);
-            let mut storage = TrialStorage::new();
-            let report = resilient_exec(&target, policy).run(&mut source, &mut storage, 5);
-            (storage.to_json(), report)
+            let source = OptimizerSource::new(&mut opt, 16);
+            let mut campaign = resilient(&target, Box::new(source), policy, 5);
+            let report = campaign.run();
+            (campaign.storage().to_json(), report)
         };
         let (seq_j, seq_r) = run(SchedulePolicy::Sequential);
         let (sync_j, _) = run(SchedulePolicy::SyncBatch { k: 1 });
@@ -579,14 +539,14 @@ mod tests {
         let run = |retry: bool| {
             let target = faulty_target(21);
             let mut opt = RandomSearch::new(target.space().clone());
-            let mut source = OptimizerSource::new(&mut opt, 40);
-            let mut storage = TrialStorage::new();
-            let mut exec = Executor::new(&target, SchedulePolicy::Sequential);
+            let source = OptimizerSource::new(&mut opt, 40);
+            let mut campaign =
+                Campaign::over(&target, Box::new(source), SchedulePolicy::Sequential, 21);
             if retry {
-                exec = exec.with_middleware(Box::new(RetryMw::new(3, 5.0)));
+                campaign = campaign.with_middleware(Box::new(RetryMw::new(3, 5.0)));
             }
-            let report = exec.run(&mut source, &mut storage, 21);
-            (storage, report)
+            let report = campaign.run();
+            (campaign.into_storage(), report)
         };
         let (naive_s, naive_r) = run(false);
         let (retry_s, retry_r) = run(true);
@@ -616,14 +576,14 @@ mod tests {
         let budget_s = 400.0;
         let run = |timeout: bool| {
             let mut opt = RandomSearch::new(target.space().clone());
-            let mut source = OptimizerSource::new(&mut opt, 30);
-            let mut storage = TrialStorage::new();
-            let mut exec = Executor::new(&target, SchedulePolicy::Sequential);
+            let source = OptimizerSource::new(&mut opt, 30);
+            let mut campaign =
+                Campaign::over(&target, Box::new(source), SchedulePolicy::Sequential, 9);
             if timeout {
-                exec = exec.with_middleware(Box::new(TimeoutMw::new(budget_s)));
+                campaign = campaign.with_middleware(Box::new(TimeoutMw::new(budget_s)));
             }
-            let report = exec.run(&mut source, &mut storage, 9);
-            (storage, report)
+            let report = campaign.run();
+            (campaign.into_storage(), report)
         };
         let (hang_s, hang_r) = run(false);
         let (cut_s, cut_r) = run(true);
@@ -651,12 +611,12 @@ mod tests {
             .with_noise(CloudNoise::new_fleet(4, NoiseConfig::default(), 7))
             .with_faults(FaultPlan::new(7).with_sick_machine(0, 20.0));
         let mut opt = RandomSearch::new(target.space().clone());
-        let mut source = OptimizerSource::new(&mut opt, 60);
-        let mut storage = TrialStorage::new();
-        let report = Executor::new(&target, SchedulePolicy::Sequential)
+        let source = OptimizerSource::new(&mut opt, 60);
+        let mut campaign = Campaign::over(&target, Box::new(source), SchedulePolicy::Sequential, 7)
             .with_middleware(Box::new(MachineAssignMw::round_robin(4)))
-            .with_middleware(Box::new(QuarantineMw::with_defaults(4)))
-            .run(&mut source, &mut storage, 7);
+            .with_middleware(Box::new(QuarantineMw::with_defaults(4)));
+        let report = campaign.run();
+        let storage = campaign.storage();
         assert!(
             report.n_quarantined_machines >= 1,
             "the sick machine should get quarantined"
@@ -708,15 +668,19 @@ mod tests {
                 n: 0,
                 learned: Vec::new(),
             };
-            let mut storage = TrialStorage::new();
             let mw: Box<dyn Middleware> = if naive {
                 Box::new(CrashPenaltyMw::naive(1e9))
             } else {
                 Box::new(CrashPenaltyMw::new(1e9))
             };
-            Executor::new(&target, SchedulePolicy::Sequential)
-                .with_middleware(mw)
-                .run(&mut source, &mut storage, 13);
+            Campaign::over(
+                &target,
+                Box::new(&mut source),
+                SchedulePolicy::Sequential,
+                13,
+            )
+            .with_middleware(mw)
+            .run();
             source.learned
         };
         let strict = run(false);

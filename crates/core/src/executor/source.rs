@@ -11,6 +11,7 @@ use crate::multifid::FidelityLevel;
 use autotune_optimizer::Optimizer;
 use autotune_space::Config;
 use rand::RngCore;
+use std::ops::DerefMut;
 
 /// What a source answers when asked for the next trial.
 #[derive(Debug)]
@@ -56,22 +57,55 @@ pub trait TrialSource {
     }
 }
 
+/// A borrowed source is a source: a caller that wants to read its source
+/// back after the run hands the campaign `Box::new(&mut source)`.
+impl<S: TrialSource + ?Sized> TrialSource for &mut S {
+    fn next(&mut self, rng: &mut dyn RngCore) -> SourceStep {
+        (**self).next(rng)
+    }
+
+    fn report(&mut self, outcome: &TrialOutcome) {
+        (**self).report(outcome)
+    }
+
+    fn take_promotions(&mut self) -> Vec<(Config, usize)> {
+        (**self).take_promotions()
+    }
+
+    fn n_refits(&self) -> usize {
+        (**self).n_refits()
+    }
+
+    fn n_model_updates(&self) -> usize {
+        (**self).n_model_updates()
+    }
+}
+
 /// Adapts an ask/tell [`Optimizer`] into a [`TrialSource`] with a fixed
 /// trial budget.
+///
+/// Generic over how the optimizer is held: a `&mut` borrow for a one-shot
+/// run over a caller-owned optimizer, or a `Box<dyn Optimizer>` so a
+/// [`Campaign`](super::Campaign) built over it is `'static` and can be
+/// parked in a long-lived registry (the serve layer's normal case).
 ///
 /// Every suggestion is marked pending on the optimizer
 /// ([`Optimizer::mark_pending`]), so model-based optimizers give in-flight
 /// configurations constant-liar treatment: asynchronous slots never pile
 /// onto the same optimum that another slot is already measuring.
-pub struct OptimizerSource<'a> {
-    optimizer: &'a mut dyn Optimizer,
+pub struct OptimizerSource<O> {
+    optimizer: O,
     budget: usize,
     suggested: usize,
 }
 
-impl<'a> OptimizerSource<'a> {
+impl<O> OptimizerSource<O>
+where
+    O: DerefMut,
+    O::Target: Optimizer,
+{
     /// Wraps `optimizer` with a budget of `budget` trials.
-    pub fn new(optimizer: &'a mut dyn Optimizer, budget: usize) -> Self {
+    pub fn new(optimizer: O, budget: usize) -> Self {
         OptimizerSource {
             optimizer,
             budget,
@@ -80,7 +114,11 @@ impl<'a> OptimizerSource<'a> {
     }
 }
 
-impl TrialSource for OptimizerSource<'_> {
+impl<O> TrialSource for OptimizerSource<O>
+where
+    O: DerefMut,
+    O::Target: Optimizer,
+{
     fn next(&mut self, rng: &mut dyn RngCore) -> SourceStep {
         if self.suggested >= self.budget {
             return SourceStep::Exhausted;
@@ -98,62 +136,6 @@ impl TrialSource for OptimizerSource<'_> {
         // Unless middleware substituted a finite learn cost, just release
         // the pending mark and move on. Covers both exhausted retries
         // (`TransientFailure`) and hangs censored to NaN by `TimeoutMw`.
-        if outcome.learn_cost.is_nan() && outcome.fault.is_some_and(|f| f.is_transient()) {
-            self.optimizer.unmark_pending(&outcome.config);
-            return;
-        }
-        self.optimizer.observe(&outcome.config, outcome.learn_cost);
-    }
-
-    fn n_refits(&self) -> usize {
-        self.optimizer.n_refits()
-    }
-
-    fn n_model_updates(&self) -> usize {
-        self.optimizer.n_model_updates()
-    }
-}
-
-/// The owning twin of [`OptimizerSource`]: same budgeted ask/tell
-/// adapter, but it owns its optimizer, so a
-/// [`Campaign`](super::Campaign) built over it is `'static` and can be
-/// parked in a long-lived registry (the serve layer's normal case).
-pub struct OwnedOptimizerSource {
-    optimizer: Box<dyn Optimizer>,
-    budget: usize,
-    suggested: usize,
-}
-
-impl OwnedOptimizerSource {
-    /// Wraps `optimizer` with a budget of `budget` trials.
-    pub fn new(optimizer: Box<dyn Optimizer>, budget: usize) -> Self {
-        OwnedOptimizerSource {
-            optimizer,
-            budget,
-            suggested: 0,
-        }
-    }
-
-    /// The wrapped optimizer (e.g. to export observations for transfer).
-    pub fn optimizer(&self) -> &dyn Optimizer {
-        self.optimizer.as_ref()
-    }
-}
-
-impl TrialSource for OwnedOptimizerSource {
-    // Keep in lockstep with OptimizerSource above: the two adapters must
-    // produce identical suggestion/report behaviour.
-    fn next(&mut self, rng: &mut dyn RngCore) -> SourceStep {
-        if self.suggested >= self.budget {
-            return SourceStep::Exhausted;
-        }
-        self.suggested += 1;
-        let config = self.optimizer.suggest(rng);
-        self.optimizer.mark_pending(&config);
-        SourceStep::Dispatch(TrialRequest::new(config))
-    }
-
-    fn report(&mut self, outcome: &TrialOutcome) {
         if outcome.learn_cost.is_nan() && outcome.fault.is_some_and(|f| f.is_transient()) {
             self.optimizer.unmark_pending(&outcome.config);
             return;

@@ -11,19 +11,21 @@
 //! # Architecture
 //!
 //! Every execution path — sequential sessions, batch/async parallel
-//! runners, successive halving, the online tuner — drives the same
-//! event-driven [`executor::Executor`]. A [`executor::TrialSource`]
-//! proposes trials (an optimizer adapter, a rung ladder, a bandit menu),
-//! a [`executor::SchedulePolicy`] decides how many run concurrently and
-//! where the barriers are, and a chain of [`executor::Middleware`]
-//! handles the cross-cutting systems machinery:
+//! campaigns, successive halving, the online tuner, the serve registry —
+//! drives the same engine, [`executor::Campaign`]. A
+//! [`executor::TrialSource`] proposes trials (an optimizer adapter, a
+//! rung ladder, a bandit menu), a [`executor::SchedulePolicy`] decides
+//! how many run concurrently and where the barriers are, a chain of
+//! [`executor::Middleware`] handles the cross-cutting systems machinery,
+//! and every wave of dispatched trials is measured by one function,
+//! [`measure_wave`], in wave order on the calling thread:
 //!
 //! ```text
 //!  ┌───────────────┐ next()  ┌─────────────────────────────────────────┐
-//!  │ TrialSource    │───────▶│ Executor                                │
-//!  │  Optimizer-    │        │  SchedulePolicy: Sequential │ SyncBatch │
-//!  │  Source,       │◀───────│    │ AsyncSlots │ Rungs  (virtual clock │
-//!  │  RungSource,   │ report │    + crossbeam worker threads)          │
+//!  │ TrialSource    │───────▶│ Campaign  (tick = stage → measure_wave  │
+//!  │  Optimizer-    │        │            → absorb, on a virtual clock)│
+//!  │  Source,       │◀───────│  SchedulePolicy: Sequential │ SyncBatch │
+//!  │  RungSource,   │ report │    │ AsyncSlots │ Rungs                 │
 //!  │  OnlineSource  │        │  Middleware: EarlyAbortMw,              │
 //!  └───────────────┘        │    CrashPenaltyMw, MachineAssignMw,     │
 //!                           │    RetryMw, TimeoutMw, QuarantineMw     │
@@ -45,9 +47,10 @@
 //!
 //! High-level entry points are thin bindings over that loop:
 //! [`TuningSession`] (sequential + noise strategy + early abort),
-//! [`run_parallel`] / [`run_async_parallel`] (batch vs. slot
-//! scheduling), [`SuccessiveHalving`] / [`Hyperband`] (rung barriers),
-//! and [`OnlineTuner`] (bandit over a candidate menu with guardrails).
+//! [`SuccessiveHalving`] / [`Hyperband`] (rung barriers), and
+//! [`OnlineTuner`] (bandit over a candidate menu with guardrails).
+//! Batch vs. slot scheduling is a `Campaign` built with
+//! `SchedulePolicy::SyncBatch { k }` or `SchedulePolicy::AsyncSlots { k }`.
 //!
 //! # Quick start
 //!
@@ -79,7 +82,6 @@ mod multifid;
 mod noise_strategy;
 mod objective;
 mod online;
-mod parallel;
 mod profile_guided;
 mod session;
 mod target;
@@ -91,10 +93,10 @@ mod test_fixtures;
 
 pub use early_abort::EarlyAbort;
 pub use executor::{
-    measure_request, Campaign, CampaignError, CampaignEvent, CampaignSnapshot, CrashPenaltyMw,
-    EarlyAbortMw, ExecReport, Executor, MachineAssignMw, Measurement, Middleware, OptimizerSource,
-    OwnedOptimizerSource, QuarantineMw, ResumeReport, RetryMw, RungSource, SchedulePolicy,
-    SourceStep, TimeoutMw, TrialEvent, TrialOutcome, TrialRequest, TrialSource, WorkItem,
+    measure_request, measure_wave, Campaign, CampaignError, CampaignEvent, CampaignSnapshot,
+    CrashPenaltyMw, EarlyAbortMw, ExecReport, MachineAssignMw, Measurement, Middleware,
+    OptimizerSource, QuarantineMw, ResumeReport, RetryMw, RungSource, SchedulePolicy, SourceStep,
+    TimeoutMw, TrialEvent, TrialOutcome, TrialRequest, TrialSource, WorkItem,
 };
 pub use importance::{lasso_path, permutation_importance, KnobImportance};
 pub use llamatune::{LlamaTune, LlamaTuneConfig};
@@ -104,7 +106,6 @@ pub use objective::Objective;
 pub use online::{
     static_config_cost, ContextualOnlineTuner, OnlineStep, OnlineTuner, OnlineTunerConfig,
 };
-pub use parallel::{run_async_parallel, run_parallel, ParallelSummary};
 pub use profile_guided::KnobComponentMap;
 pub use session::{SessionConfig, SessionSummary, TuningSession};
 pub use sync::{pwait, PoisonFree, PoisonFreeMutex};

@@ -7,8 +7,8 @@
 //! that wins in-memory may not win I/O-bound — which is exactly why the
 //! *final* ranking always comes from the top fidelity.
 
-use crate::executor::{Executor, RungSource, SchedulePolicy};
-use crate::{Target, TrialStorage};
+use crate::executor::{Campaign, RungSource, SchedulePolicy};
+use crate::Target;
 use autotune_sim::Workload;
 use autotune_space::Config;
 use rand::rngs::StdRng;
@@ -89,12 +89,14 @@ impl SuccessiveHalving {
             .map(|_| target.space().sample(&mut rng))
             .collect();
         let mut source = RungSource::new(&self.levels, self.config.eta, pool);
-        let mut storage = TrialStorage::new();
-        let report = Executor::new(target, SchedulePolicy::Rungs { k: slots }).run(
-            &mut source,
-            &mut storage,
+        let report = Campaign::over(
+            target,
+            Box::new(&mut source),
+            SchedulePolicy::Rungs { k: slots },
             seed,
-        );
+        )
+        .with_event_log(false) // one-shot campaign, never snapshotted
+        .run();
         let (best_config, best_cost) = source
             .final_scores()
             .first()

@@ -7,10 +7,10 @@
 //! shift detector that resets exploration when the traffic changes.
 
 use crate::executor::{
-    CrashPenaltyMw, Executor, SchedulePolicy, SourceStep, TrialOutcome, TrialRequest, TrialSource,
+    Campaign, CrashPenaltyMw, SchedulePolicy, SourceStep, TrialOutcome, TrialRequest, TrialSource,
 };
 use crate::telemetry::Subscriber;
-use crate::{Target, TrialStorage};
+use crate::Target;
 use autotune_optimizer::bandit::BanditPolicy;
 use autotune_rl::{ContextKey, HybridBandit, SafeTuner, SafeTunerConfig};
 use autotune_sim::WorkloadSchedule;
@@ -113,7 +113,7 @@ impl OnlineTuner {
     /// Runs the agent against a target whose workload follows `schedule`
     /// for `steps` steps. Returns the per-step records.
     ///
-    /// Internally this drives the shared [`Executor`] with an
+    /// Internally this drives a [`Campaign`] with an
     /// `OnlineSource` wrapping the bandit/guardrail/detector state; a
     /// [`CrashPenaltyMw`] turns crashed intervals into a large finite
     /// learning penalty so arm statistics stay well-defined while the
@@ -139,7 +139,7 @@ impl OnlineTuner {
         seed: u64,
         subscribers: &mut [&mut dyn Subscriber],
     ) -> &[OnlineStep] {
-        let mut source = OnlineSource {
+        let source = OnlineSource {
             candidates: &self.candidates,
             bandit: &mut self.bandit,
             safety: &mut self.safety,
@@ -152,13 +152,15 @@ impl OnlineTuner {
             pending: Vec::new(),
             next_id: 0,
         };
-        let mut storage = TrialStorage::new();
-        let mut exec = Executor::new(target, SchedulePolicy::Sequential)
-            .with_middleware(Box::new(CrashPenaltyMw::new(1e9)));
+        let mut campaign =
+            Campaign::over(target, Box::new(source), SchedulePolicy::Sequential, seed)
+                .with_middleware(Box::new(CrashPenaltyMw::new(1e9)))
+                .with_event_log(false); // one-shot campaign, never snapshotted
         for sub in subscribers.iter_mut() {
-            exec = exec.with_subscriber(Box::new(&mut **sub));
+            campaign = campaign.with_subscriber(Box::new(&mut **sub));
         }
-        exec.run(&mut source, &mut storage, seed);
+        campaign.run();
+        drop(campaign); // releases the source's borrow of `self.history`
         &self.history
     }
 }

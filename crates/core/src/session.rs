@@ -10,9 +10,8 @@
 
 use crate::executor::{Campaign, EarlyAbortMw, OptimizerSource, SchedulePolicy};
 use crate::telemetry::{MetricsSnapshot, Subscriber};
-use crate::{EarlyAbort, NoiseStrategy, Objective, Target, Trial, TrialStatus, TrialStorage};
+use crate::{EarlyAbort, NoiseStrategy, Target, TrialStatus, TrialStorage};
 use autotune_optimizer::Optimizer;
-use rand::rngs::StdRng;
 use std::sync::Arc;
 
 /// Session-level options.
@@ -39,7 +38,7 @@ pub struct SessionSummary {
     /// Best configuration found.
     pub best_config: autotune_space::Config,
     /// Its cost (minimization convention; see
-    /// [`Objective::display_value`] for the natural reading).
+    /// [`crate::Objective::display_value`] for the natural reading).
     pub best_cost: f64,
     /// Best-so-far cost after each logical trial.
     pub convergence: Vec<f64>,
@@ -57,9 +56,7 @@ pub struct SessionSummary {
     pub n_quarantined_machines: usize,
     /// Benchmark seconds saved by early abort.
     pub saved_s: f64,
-    /// Rolled-up telemetry across everything this session ran — campaign
-    /// runs and legacy [`TuningSession::step`] calls alike contribute
-    /// uniformly.
+    /// Rolled-up telemetry across every campaign this session ran.
     pub metrics: MetricsSnapshot,
 }
 
@@ -108,54 +105,6 @@ impl TuningSession {
     /// Mutable optimizer access (warm starting).
     pub fn optimizer_mut(&mut self) -> &mut dyn Optimizer {
         self.optimizer.as_mut()
-    }
-
-    /// Runs one logical trial with a caller-owned RNG; returns the
-    /// recorded [`Trial`] id.
-    ///
-    /// This is the legacy incremental path (interactive loops that thread
-    /// their own RNG). Whole campaigns go through [`TuningSession::run`],
-    /// which drives the shared executor and keeps suggestion and
-    /// evaluation streams separate.
-    pub fn step(&mut self, rng: &mut StdRng) -> u64 {
-        let config = self.optimizer.suggest(rng);
-        let baseline = self.target.space().default_config();
-        let (raw_cost, elapsed) =
-            self.config
-                .noise_strategy
-                .measure(&self.target, &config, &baseline, rng);
-
-        let cost_is_elapsed = matches!(self.target.objective(), Objective::MinimizeElapsed);
-        let (cost, charged_elapsed, aborted) = match &mut self.early_abort {
-            Some(ea) => ea.process(raw_cost, elapsed, cost_is_elapsed),
-            None => (raw_cost, elapsed, false),
-        };
-
-        self.optimizer.observe(&config, cost);
-
-        // Roll the step into the session metrics exactly as a campaign
-        // tick would, so step-driven and run-driven sessions report
-        // through one uniform MetricsSnapshot.
-        self.metrics.n_suggested += 1;
-        self.metrics.n_started += 1;
-        if aborted {
-            self.metrics.n_aborted += 1;
-        } else if cost.is_finite() {
-            self.metrics.n_finished += 1;
-        } else {
-            self.metrics.n_crashed += 1;
-        }
-        self.metrics.trial_latency_s.record(charged_elapsed);
-        self.metrics.queue_wait_s.record(0.0);
-        self.metrics.wall_clock_s += charged_elapsed;
-
-        if aborted {
-            self.storage
-                .record(Trial::aborted(config, cost, charged_elapsed))
-        } else {
-            self.storage
-                .record_eval(config, cost, charged_elapsed, 1.0, None)
-        }
     }
 
     /// Runs `budget` logical trials through the executor and summarizes.
@@ -230,9 +179,10 @@ impl TuningSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Objective;
     use autotune_optimizer::{BayesianOptimizer, RandomSearch};
     use autotune_sim::{DbmsSim, Environment, RedisSim, Workload};
-    use rand::SeedableRng;
+    use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
     fn bo_session_tunes_redis_example() {
@@ -372,51 +322,5 @@ mod tests {
             repeat.total_elapsed_s,
             single.total_elapsed_s
         );
-    }
-
-    #[test]
-    fn step_sessions_report_metrics_uniformly() {
-        // Regression: `summary().metrics` used to stay empty for sessions
-        // driven only through the legacy `step` path, splitting consumers
-        // into legacy/observed cases. Steps now roll up like campaign
-        // ticks do.
-        let target = crate::test_fixtures::redis_target();
-        let opt = RandomSearch::new(target.space().clone());
-        let mut session = TuningSession::new(target, Box::new(opt), SessionConfig::default());
-        let mut rng = StdRng::seed_from_u64(29);
-        for _ in 0..4 {
-            session.step(&mut rng);
-        }
-        let summary = session.summary().expect("trials");
-        assert_eq!(summary.metrics.n_suggested, 4);
-        assert_eq!(summary.metrics.n_started, 4);
-        assert_eq!(
-            summary.metrics.n_finished + summary.metrics.n_crashed + summary.metrics.n_aborted,
-            4
-        );
-        assert_eq!(summary.metrics.trial_latency_s.count(), 4);
-        assert!(summary.metrics.wall_clock_s > 0.0);
-        // A subsequent campaign run merges on top instead of replacing.
-        session.run(5, 29).expect("trials");
-        let summary = session.summary().expect("trials");
-        assert_eq!(summary.metrics.n_suggested, 9);
-        assert_eq!(summary.metrics.trial_latency_s.count(), 9);
-    }
-
-    #[test]
-    fn step_and_run_share_storage_and_status_derivation() {
-        let target = crate::test_fixtures::redis_target();
-        let opt = RandomSearch::new(target.space().clone());
-        let mut session = TuningSession::new(target, Box::new(opt), SessionConfig::default());
-        let mut rng = StdRng::seed_from_u64(23);
-        let id = session.step(&mut rng);
-        assert_eq!(id, 0);
-        session.run(5, 23).expect("trials");
-        assert_eq!(session.storage().len(), 6);
-        assert!(session
-            .storage()
-            .trials()
-            .iter()
-            .all(|t| t.status != TrialStatus::Aborted));
     }
 }

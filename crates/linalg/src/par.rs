@@ -1,14 +1,16 @@
 //! Deterministic wave-parallel map over a slice.
 //!
 //! The autotuning hot paths (acquisition candidate scoring, marginal-
-//! likelihood restarts, wave measurement in the executor) all share the
-//! same shape: a batch of independent, pure computations whose *results*
+//! likelihood restarts, the serve registry's one worker per campaign)
+//! all share the same shape: a batch of independent, pure computations whose *results*
 //! must not depend on thread count or interleaving. [`par_map`] encodes
 //! that contract once: items are split into contiguous chunks, one scoped
 //! thread per chunk, and outputs are concatenated in chunk order, so the
 //! returned vector is always exactly `items.iter().map(f)` regardless of
 //! scheduling. Callers that need a reduction (e.g. argmax) fold the
 //! returned vector sequentially in index order.
+
+use std::panic::resume_unwind;
 
 /// Maps `f` over `items` on scoped threads, returning outputs in input
 /// order.
@@ -42,7 +44,9 @@ where
 /// Output is bitwise identical for every `threads` value, including 1.
 ///
 /// # Panics
-/// Propagates a panic from any worker thread.
+/// Propagates a panic from any worker thread with its original payload
+/// (the first panicking chunk in chunk order), so a `catch_unwind` at the
+/// call site reads the worker's own message.
 pub fn par_map_threads<T, R, F>(items: &[T], min_parallel: usize, threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -70,10 +74,10 @@ where
             .collect();
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("par_map worker panicked")) // lint: allow(D5) worker panics are propagated deliberately
+            .flat_map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
             .collect()
     })
-    .expect("par_map scope panicked") // lint: allow(D5) scope panics are propagated deliberately
+    .unwrap_or_else(|payload| resume_unwind(payload))
 }
 
 /// Sums floats strictly left-to-right in index order.

@@ -359,20 +359,7 @@ impl DurableRegistry {
     /// only the unacknowledged round, which re-executes identically).
     pub fn step_round(&mut self) -> Result<DurableRound, ServeError> {
         self.check_alive()?;
-        // With chaos armed, injected worker panics are expected control
-        // flow; silence the default hook's backtrace spray for the
-        // duration of the guarded call.
-        let silence = self.chaos.is_some();
-        let prev_hook = silence.then(std::panic::take_hook);
-        if silence {
-            std::panic::set_hook(Box::new(|_| {}));
-        }
-        let caught =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.registry.step_round()));
-        if let Some(hook) = prev_hook {
-            std::panic::set_hook(hook);
-        }
-        match caught {
+        match self.guarded_round() {
             Ok(report) => {
                 let report = report?;
                 self.flush_events()?;
@@ -393,6 +380,26 @@ impl DurableRegistry {
                 })
             }
         }
+    }
+
+    /// One registry round with worker panics caught at the pool
+    /// boundary; `Err` carries the worker's own panic payload
+    /// (`par_map_threads` re-raises it unchanged).
+    fn guarded_round(&mut self) -> std::thread::Result<Result<RoundReport, ServeError>> {
+        // With chaos armed, injected worker panics are expected control
+        // flow; silence the default hook's backtrace spray for the
+        // duration of the guarded call.
+        let silence = self.chaos.is_some();
+        let prev_hook = silence.then(std::panic::take_hook);
+        if silence {
+            std::panic::set_hook(Box::new(|_| {}));
+        }
+        let caught =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.registry.step_round()));
+        if let Some(hook) = prev_hook {
+            std::panic::set_hook(hook);
+        }
+        caught
     }
 
     /// Runs rounds until the fleet drains; returns rounds executed
@@ -1143,7 +1150,28 @@ mod tests {
             .map(|s| durable.register_spec(s).unwrap())
             .collect();
         durable.set_chaos(ChaosPlan::new(77).with_worker_panics(0.15));
-        let mut recoveries = 0;
+        // The first injected panic, caught by hand at the boundary
+        // `step_round` guards: the payload is the worker's own message,
+        // not an opaque `Any` from the pool.
+        let payload = loop {
+            assert!(durable.registry().has_runnable(), "panic plan never fired");
+            match durable.guarded_round() {
+                Ok(round) => {
+                    round.unwrap();
+                    durable.flush_events().unwrap();
+                }
+                Err(payload) => break payload,
+            }
+        };
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert!(
+            msg.starts_with("chaos: injected worker panic (round ") && msg.contains(", campaign "),
+            "payload lost its message: {msg}"
+        );
+        durable.recover_in_place().unwrap();
+        let mut recoveries = 1;
         let mut guard = 0;
         while durable.registry().has_runnable() {
             let round = durable.step_round().unwrap();

@@ -11,14 +11,14 @@
 //!
 //! Each campaign owns its target, so the only cross-campaign coupling is
 //! *which* waves get measured in a round — a pure function of credits and
-//! policies. Within a wave, measurements run sequentially in wave order
-//! on a single worker, because a noisy target's drift clock advances per
-//! evaluation: splitting one campaign's wave across threads would make
-//! the clock order scheduling-dependent. Parallelism therefore comes
-//! from servicing *different* campaigns concurrently, which touches
-//! disjoint targets. The result: every campaign's history is
-//! byte-identical to running it alone, for any worker count and any
-//! fleet composition.
+//! policies. Each worker measures its wave with [`measure_wave`], the
+//! same in-order function a standalone [`Campaign::tick`] uses: a noisy
+//! target's drift clock advances per evaluation, so splitting one
+//! campaign's wave across threads would make the clock order
+//! scheduling-dependent. Parallelism therefore comes from servicing
+//! *different* campaigns concurrently, which touches disjoint targets.
+//! The result: every campaign's history is byte-identical to running it
+//! alone, for any worker count and any fleet composition.
 //!
 //! # Virtual pool accounting
 //!
@@ -32,7 +32,7 @@
 
 use crate::chaos::ChaosPlan;
 use crate::spec::CampaignSpec;
-use autotune::{measure_request, Campaign, CampaignError, CampaignSnapshot, MetricsSnapshot};
+use autotune::{measure_wave, Campaign, CampaignError, CampaignSnapshot, MetricsSnapshot};
 use autotune_linalg::par_map_threads;
 use std::collections::BTreeMap;
 
@@ -570,18 +570,13 @@ impl CampaignRegistry {
             }
         }
         // Phase 2: measure all staged waves on the pool — one worker
-        // per wave, sequential in wave order within a wave (see module
-        // docs for why splitting a wave would break determinism).
+        // per wave, each through `measure_wave` (see module docs for why
+        // splitting a wave would break determinism).
         let jobs: Vec<_> = staged
             .iter()
             .map(|(idx, wave)| {
                 let e = &self.entries[*idx];
-                (
-                    e.id,
-                    std::sync::Arc::clone(e.campaign.target()),
-                    e.campaign.noise_strategy().clone(),
-                    wave.clone(),
-                )
+                (e.id, e.campaign.target(), e.campaign.noise_strategy(), wave)
             })
             .collect();
         let round = self.rounds;
@@ -594,9 +589,7 @@ impl CampaignRegistry {
                 if panic_plan.is_some_and(|p| p.worker_panics(round, *id)) {
                     chaos_worker_panic(round, *id);
                 }
-                wave.iter()
-                    .map(|w| measure_request(target, strategy, &w.req, w.eval_seed))
-                    .collect()
+                measure_wave(target, strategy, wave)
             },
         );
         // Phase 3: virtual-pool accounting, then absorb results in
@@ -820,28 +813,49 @@ mod tests {
             .collect()
     }
 
-    fn sequential_histories(specs: &[CampaignSpec]) -> Vec<String> {
+    fn standalone_runs(specs: &[CampaignSpec]) -> Vec<Campaign<'static>> {
         specs
             .iter()
             .map(|s| {
                 let mut c = s.build();
                 c.run();
-                c.storage().to_json()
+                c
             })
             .collect()
+    }
+
+    fn sequential_histories(specs: &[CampaignSpec]) -> Vec<String> {
+        standalone_runs(specs)
+            .iter()
+            .map(|c| c.storage().to_json())
+            .collect()
+    }
+
+    /// The full event log, `Measurement.clock` drift stamps included.
+    fn event_log(c: &Campaign<'_>) -> String {
+        serde_json::to_string(c.log().expect("log is on by default")).unwrap()
     }
 
     #[test]
     fn interleaved_serving_determinism_matches_standalone_runs() {
         let specs = mixed_specs(12);
-        let want = sequential_histories(&specs);
+        let want = standalone_runs(&specs);
         for workers in [1, 4] {
             let mut reg = CampaignRegistry::new(workers);
             let ids: Vec<u64> = specs.iter().map(|s| reg.register_spec(s)).collect();
             reg.run_all().unwrap();
             for (id, want) in ids.iter().zip(&want) {
-                let got = reg.campaign(*id).unwrap().storage().to_json();
-                assert_eq!(&got, want, "campaign {id} diverged (workers={workers})");
+                let got = reg.campaign(*id).unwrap();
+                assert_eq!(
+                    got.storage().to_json(),
+                    want.storage().to_json(),
+                    "campaign {id} diverged (workers={workers})"
+                );
+                assert_eq!(
+                    event_log(got),
+                    event_log(want),
+                    "campaign {id} event log diverged (workers={workers})"
+                );
             }
         }
     }

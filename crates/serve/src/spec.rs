@@ -12,7 +12,7 @@
 //!
 //! [`CampaignSnapshot`]: autotune::CampaignSnapshot
 
-use autotune::{Campaign, NoiseStrategy, Objective, OwnedOptimizerSource, SchedulePolicy, Target};
+use autotune::{Campaign, NoiseStrategy, Objective, OptimizerSource, SchedulePolicy, Target};
 use autotune_optimizer::{BayesianOptimizer, Optimizer, RandomSearch};
 use autotune_sim::{
     CloudNoise, DbmsSim, Environment, FaultPlan, NginxSim, NoiseConfig, RedisSim, SimSystem,
@@ -195,7 +195,7 @@ impl CampaignSpec {
             OptimizerKind::BoGp => Box::new(BayesianOptimizer::gp(target.space().clone())),
             OptimizerKind::BoSmac => Box::new(BayesianOptimizer::smac(target.space().clone())),
         };
-        let source = OwnedOptimizerSource::new(optimizer, self.budget);
+        let source = OptimizerSource::new(optimizer, self.budget);
         let mut campaign = Campaign::new(target, Box::new(source), self.policy, self.seed);
         if let Some(strategy) = &self.measurement {
             campaign = campaign.with_noise_strategy(strategy.clone());

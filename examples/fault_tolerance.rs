@@ -17,10 +17,10 @@
 //! ```
 
 use autotune::executor::{
-    CrashPenaltyMw, Executor, MachineAssignMw, OptimizerSource, QuarantineMw, RetryMw,
+    Campaign, CrashPenaltyMw, MachineAssignMw, OptimizerSource, QuarantineMw, RetryMw,
     SchedulePolicy, TimeoutMw, TrialEvent,
 };
-use autotune::{Objective, Target, TrialStorage};
+use autotune::{Objective, Target};
 use autotune_optimizer::BayesianOptimizer;
 use autotune_sim::{CloudNoise, Environment, FaultPlan, NoiseConfig, RedisSim, Workload};
 
@@ -63,12 +63,12 @@ fn main() {
     ] {
         let target = target(faults);
         let mut opt = BayesianOptimizer::gp(target.space().clone());
-        let mut source = OptimizerSource::new(&mut opt, BUDGET);
-        let mut storage = TrialStorage::new();
-        let mut exec = Executor::new(&target, SchedulePolicy::AsyncSlots { k: 3 })
+        let source = OptimizerSource::new(&mut opt, BUDGET);
+        let policy = SchedulePolicy::AsyncSlots { k: 3 };
+        let mut campaign = Campaign::over(&target, Box::new(source), policy, SEED)
             .with_middleware(Box::new(MachineAssignMw::round_robin(N_MACHINES)));
         if resilient {
-            exec = exec
+            campaign = campaign
                 .with_middleware(Box::new(QuarantineMw::with_defaults(N_MACHINES)))
                 .with_middleware(Box::new(RetryMw::new(3, 5.0)))
                 .with_middleware(Box::new(TimeoutMw::new(150.0)));
@@ -78,9 +78,9 @@ fn main() {
         } else {
             CrashPenaltyMw::new(1e9)
         };
-        let report = exec
-            .with_middleware(Box::new(penalty))
-            .run(&mut source, &mut storage, SEED);
+        let mut campaign = campaign.with_middleware(Box::new(penalty));
+        let report = campaign.run();
+        let storage = campaign.storage();
 
         println!("-- {label} --");
         println!(

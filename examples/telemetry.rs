@@ -9,7 +9,7 @@
 //!   → running attempts → retry backoffs → observed — and exporting them
 //!   as Chrome `trace_event` JSON;
 //! * a [`MetricsCollector`](autotune::telemetry::MetricsCollector) (one
-//!   is always on inside the executor; its
+//!   is always on inside the campaign; its
 //!   snapshot rides on the `ExecReport`) rolling up counters, latency and
 //!   queue-wait histograms, and real tuner overhead measured through an
 //!   injected wall timer.
@@ -25,11 +25,11 @@
 //! <https://ui.perfetto.dev>.
 
 use autotune::executor::{
-    CrashPenaltyMw, Executor, MachineAssignMw, OptimizerSource, QuarantineMw, RetryMw,
+    Campaign, CrashPenaltyMw, MachineAssignMw, OptimizerSource, QuarantineMw, RetryMw,
     SchedulePolicy, TimeoutMw,
 };
 use autotune::telemetry::{ProgressReporter, SpanRecorder, WallTimer};
-use autotune::{Objective, Target, TrialStorage};
+use autotune::{Objective, Target};
 use autotune_optimizer::BayesianOptimizer;
 use autotune_sim::{CloudNoise, Environment, FaultPlan, NoiseConfig, RedisSim, Workload};
 use std::time::Instant;
@@ -66,13 +66,13 @@ fn main() {
     .with_faults(FaultPlan::aggressive(SEED).with_sick_machine(1, 6.0));
 
     let mut opt = BayesianOptimizer::gp(target.space().clone());
-    let mut source = OptimizerSource::new(&mut opt, BUDGET);
-    let mut storage = TrialStorage::new();
+    let source = OptimizerSource::new(&mut opt, BUDGET);
     let mut spans = SpanRecorder::new();
     let mut progress = ProgressReporter::new(std::io::stdout(), 500.0).with_budget(BUDGET);
 
-    let report = {
-        let mut exec = Executor::new(&target, SchedulePolicy::AsyncSlots { k: 3 })
+    let (report, storage) = {
+        let policy = SchedulePolicy::AsyncSlots { k: 3 };
+        let mut campaign = Campaign::over(&target, Box::new(source), policy, SEED)
             .with_middleware(Box::new(MachineAssignMw::round_robin(N_MACHINES)))
             .with_middleware(Box::new(QuarantineMw::with_defaults(N_MACHINES)))
             .with_middleware(Box::new(RetryMw::new(3, 5.0)))
@@ -81,7 +81,7 @@ fn main() {
             .with_subscriber(Box::new(&mut progress))
             .with_subscriber(Box::new(&mut spans))
             .with_timer(Box::new(StdTimer(Instant::now())));
-        exec.run(&mut source, &mut storage, SEED)
+        (campaign.run(), campaign.into_storage())
     };
 
     println!(

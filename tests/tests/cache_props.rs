@@ -19,7 +19,7 @@ use autotune_space::Config;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -144,10 +144,15 @@ fn concurrent_lookups_never_observe_torn_entries() {
     cache.insert(fam, &anchor(0), Config::new().with("v", 5000i64), 0.0);
 
     let stop = Arc::new(AtomicU64::new(0));
+    // The writer starts only once every reader has checked one hit: on
+    // a loaded two-core host it could otherwise finish all its inserts
+    // before a reader is first scheduled, and nothing would have raced.
+    let racing = Arc::new(Barrier::new(READERS + 1));
     let readers: Vec<_> = (0..READERS)
         .map(|_| {
             let cache = Arc::clone(&cache);
             let stop = Arc::clone(&stop);
+            let racing = Arc::clone(&racing);
             std::thread::spawn(move || {
                 let mut checked = 0u64;
                 while stop.load(Ordering::Relaxed) == 0 {
@@ -161,6 +166,9 @@ fn concurrent_lookups_never_observe_torn_entries() {
                                 hit.cost
                             );
                             checked += 1;
+                            if checked == 1 {
+                                racing.wait();
+                            }
                         }
                         CacheLookup::Miss { .. } => panic!("family vanished mid-race"),
                     }
@@ -171,6 +179,7 @@ fn concurrent_lookups_never_observe_torn_entries() {
         .collect();
     // Writer: successively better incumbents (cost 5000-v falls as v
     // rises), each under a distinct key, racing the readers above.
+    racing.wait();
     for i in 1..=WRITES {
         let v = i as i64;
         cache.insert(

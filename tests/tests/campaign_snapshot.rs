@@ -5,8 +5,8 @@
 //! SyncBatch, AsyncSlots, Rungs).
 
 use autotune::{
-    Campaign, CampaignSnapshot, FidelityLevel, Objective, OwnedOptimizerSource, RetryMw,
-    RungSource, SchedulePolicy, Target,
+    Campaign, CampaignSnapshot, FidelityLevel, Objective, OptimizerSource, RetryMw, RungSource,
+    SchedulePolicy, Target,
 };
 use autotune_optimizer::RandomSearch;
 use autotune_sim::{CloudNoise, Environment, FaultPlan, NoiseConfig, RedisSim, Workload};
@@ -40,7 +40,7 @@ fn opt_campaign(
 ) -> Campaign<'static> {
     let target = redis_target(hostile);
     let opt = RandomSearch::new(target.space().clone());
-    let source = OwnedOptimizerSource::new(Box::new(opt), budget);
+    let source = OptimizerSource::new(Box::new(opt), budget);
     let mut c = Campaign::new(target, Box::new(source), policy, seed);
     if hostile {
         c = c.with_middleware(Box::new(RetryMw::new(2, 5.0)));

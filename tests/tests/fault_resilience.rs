@@ -1,5 +1,5 @@
 //! Cross-crate integration: fault injection (`autotune_sim::FaultPlan`)
-//! composed with the resilient executor stack (`RetryMw`, `TimeoutMw`,
+//! composed with the resilient campaign stack (`RetryMw`, `TimeoutMw`,
 //! `QuarantineMw`).
 //!
 //! The determinism test here is the CI gate for the fault layer: the PR 1
@@ -9,7 +9,7 @@
 //! thread timing.
 
 use autotune::executor::{
-    CrashPenaltyMw, Executor, MachineAssignMw, OptimizerSource, QuarantineMw, RetryMw,
+    Campaign, CrashPenaltyMw, MachineAssignMw, OptimizerSource, QuarantineMw, RetryMw,
     SchedulePolicy, TimeoutMw,
 };
 use autotune::{Target, TrialStatus, TrialStorage};
@@ -36,16 +36,15 @@ fn faulty_target(seed: u64) -> Target {
 fn run_resilient(seed: u64, policy: SchedulePolicy, budget: usize) -> (TrialStorage, usize) {
     let target = faulty_target(seed);
     let mut opt = BayesianOptimizer::gp(target.space().clone());
-    let mut source = OptimizerSource::new(&mut opt, budget);
-    let mut storage = TrialStorage::new();
-    let report = Executor::new(&target, policy)
+    let source = OptimizerSource::new(&mut opt, budget);
+    let mut campaign = Campaign::over(&target, Box::new(source), policy, seed)
         .with_middleware(Box::new(MachineAssignMw::round_robin(N_MACHINES)))
         .with_middleware(Box::new(QuarantineMw::with_defaults(N_MACHINES)))
         .with_middleware(Box::new(RetryMw::new(3, 5.0)))
         .with_middleware(Box::new(TimeoutMw::new(150.0)))
-        .with_middleware(Box::new(CrashPenaltyMw::new(1e9)))
-        .run(&mut source, &mut storage, seed);
-    (storage, report.n_retried)
+        .with_middleware(Box::new(CrashPenaltyMw::new(1e9)));
+    let report = campaign.run();
+    (campaign.into_storage(), report.n_retried)
 }
 
 /// The fault-determinism regression test CI runs in `--release`:

@@ -8,7 +8,7 @@
 //! release-mode CI gate for the ISSUE 3 acceptance criterion.
 
 use autotune::executor::{
-    CrashPenaltyMw, ExecReport, Executor, MachineAssignMw, OptimizerSource, QuarantineMw, RetryMw,
+    Campaign, CrashPenaltyMw, ExecReport, MachineAssignMw, OptimizerSource, QuarantineMw, RetryMw,
     SchedulePolicy, TimeoutMw,
 };
 use autotune::telemetry::{MetricsCollector, ProgressReporter, SpanRecorder, Subscriber};
@@ -38,21 +38,18 @@ fn run_observed(
 ) -> (TrialStorage, ExecReport) {
     let target = faulty_target(seed);
     let mut opt = BayesianOptimizer::gp(target.space().clone());
-    let mut source = OptimizerSource::new(&mut opt, budget);
-    let mut storage = TrialStorage::new();
-    let report = {
-        let mut exec = Executor::new(&target, policy)
-            .with_middleware(Box::new(MachineAssignMw::round_robin(N_MACHINES)))
-            .with_middleware(Box::new(QuarantineMw::with_defaults(N_MACHINES)))
-            .with_middleware(Box::new(RetryMw::new(3, 5.0)))
-            .with_middleware(Box::new(TimeoutMw::new(150.0)))
-            .with_middleware(Box::new(CrashPenaltyMw::new(1e9)));
-        for sub in subscribers.iter_mut() {
-            exec = exec.with_subscriber(Box::new(&mut **sub));
-        }
-        exec.run(&mut source, &mut storage, seed)
-    };
-    (storage, report)
+    let source = OptimizerSource::new(&mut opt, budget);
+    let mut campaign = Campaign::over(&target, Box::new(source), policy, seed)
+        .with_middleware(Box::new(MachineAssignMw::round_robin(N_MACHINES)))
+        .with_middleware(Box::new(QuarantineMw::with_defaults(N_MACHINES)))
+        .with_middleware(Box::new(RetryMw::new(3, 5.0)))
+        .with_middleware(Box::new(TimeoutMw::new(150.0)))
+        .with_middleware(Box::new(CrashPenaltyMw::new(1e9)));
+    for sub in subscribers.iter_mut() {
+        campaign = campaign.with_subscriber(Box::new(&mut **sub));
+    }
+    let report = campaign.run();
+    (campaign.into_storage(), report)
 }
 
 /// The ISSUE 3 acceptance criterion, run in `--release` by the CI
@@ -174,15 +171,12 @@ fn spans_are_well_formed_under_all_policies() {
 fn chrome_trace_export_matches_golden() {
     let target = redis_target().with_faults(FaultPlan::aggressive(5));
     let mut opt = RandomSearch::new(target.space().clone());
-    let mut source = OptimizerSource::new(&mut opt, 6);
-    let mut storage = TrialStorage::new();
+    let source = OptimizerSource::new(&mut opt, 6);
     let mut spans = SpanRecorder::new();
-    {
-        Executor::new(&target, SchedulePolicy::Sequential)
-            .with_middleware(Box::new(RetryMw::new(3, 5.0)))
-            .with_subscriber(Box::new(&mut spans))
-            .run(&mut source, &mut storage, 5);
-    }
+    Campaign::over(&target, Box::new(source), SchedulePolicy::Sequential, 5)
+        .with_middleware(Box::new(RetryMw::new(3, 5.0)))
+        .with_subscriber(Box::new(&mut spans))
+        .run();
     spans.validate_all().expect("well-formed");
     let trace = spans.to_chrome_trace();
     assert!(trace.contains("\"traceEvents\""));

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # The tier-1 gate, runnable locally; CI runs the same steps split across
-# the build-test / lint / determinism / perf-trajectory matrix jobs in
+# the build-test / lint / stress / determinism / perf-trajectory jobs in
 # .github/workflows/ci.yml. Everything must pass before a change lands.
 #
 #   tools/ci.sh          # the full gate, release determinism + perf included
 #   tools/ci.sh --fast   # inner-loop subset: skips the release-build gates
-#                        # (release tests, chaos/E34, perf trajectory)
+#                        # (release tests, chaos/E34, perf trajectory) and
+#                        # the determinism-under-load stress loop
 #
 # Every step runs even after a failure, so one invocation reports the
 # whole picture; the trailing summary table shows pass/fail per step and
@@ -81,6 +82,7 @@ run_step "static invariants (autotune-lint)" \
 if [ "$FAST" -eq 1 ]; then
   # The "tests" step above already ran the interleaving harness at its
   # 8-seed debug default; only the 64-seed release sweep is skipped.
+  skip_step "determinism under load (stress, 50 runs)"
   skip_step "race interleavings (release, 64 seeds)"
   skip_step "fault determinism (release)"
   skip_step "serve determinism (release)"
@@ -89,6 +91,11 @@ if [ "$FAST" -eq 1 ]; then
   skip_step "telemetry purity (release)"
   skip_step "perf trajectory (bench_record)"
 else
+  # The byte-identical contracts must hold on a busy machine, not only
+  # an idle one: rerun the registry, campaign-snapshot and cache-race
+  # suites 50 times with the CPUs oversubscribed. See tools/stress.sh.
+  run_step "determinism under load (stress, 50 runs)" tools/stress.sh 50
+
   # Seeded two-thread interleavings over the sharded cache and the
   # tenant router: every schedule must produce byte-identical snapshots
   # and hit/miss sequences, match its serial replay, and keep
