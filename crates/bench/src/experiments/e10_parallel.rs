@@ -25,7 +25,7 @@ pub fn run() -> Report {
             let policy = SchedulePolicy::SyncBatch { k };
             let (s, best_cost) = run_bo_policy(&redis_target(), policy, total, 77 + seed);
             wall += s.wall_clock_s / n_seeds as f64;
-            machine += s.machine_seconds / n_seeds as f64;
+            machine += s.machine_seconds() / n_seeds as f64;
             best += best_cost / n_seeds as f64;
         }
         rows.push(vec![

@@ -47,12 +47,12 @@ pub fn run() -> Report {
             "abort @1.3x".into(),
             format!("{} s", f(abort.best_cost, 1)),
             format!("{:.0} s", abort.total_elapsed_s),
-            abort.n_aborted.to_string(),
+            abort.metrics.n_aborted.to_string(),
         ],
         vec![
             "time saved".into(),
             format!("{saved_pct:.0}%"),
-            format!("{:.0} s", abort.saved_s),
+            format!("{:.0} s", abort.metrics.saved_s),
             String::new(),
         ],
     ];
@@ -65,7 +65,7 @@ pub fn run() -> Report {
         paper_claim: "report bad scores sooner on elapsed-time benchmarks; same winner, less time",
         measured: format!(
             "saved {saved_pct:.0}% of benchmark time ({} aborted), identical winner",
-            abort.n_aborted
+            abort.metrics.n_aborted
         ),
         shape_holds,
     }

@@ -68,8 +68,8 @@ fn run_variant(variant: &Variant, seed: u64, policy: SchedulePolicy) -> (TrialSt
         CrashPenaltyMw::new(PENALTY)
     };
     let mut campaign = campaign.with_middleware(Box::new(mw));
-    let report = campaign.run();
-    (campaign.into_storage(), report.n_quarantined_machines)
+    let metrics = campaign.run();
+    (campaign.into_storage(), metrics.quarantined_machines.len())
 }
 
 /// Runs the experiment.

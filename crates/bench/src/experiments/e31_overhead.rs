@@ -30,7 +30,7 @@ fn run_instrumented(mut opt: Box<dyn Optimizer>, record_spans: bool) -> (Metrics
     let target = super::dbms_target();
     let source = OptimizerSource::new(opt.as_mut(), BUDGET);
     let mut spans = SpanRecorder::new();
-    let report = {
+    let metrics = {
         let mut campaign =
             Campaign::over(&target, Box::new(source), SchedulePolicy::Sequential, 3_100)
                 .with_event_log(false)
@@ -46,7 +46,7 @@ fn run_instrumented(mut opt: Box<dyn Optimizer>, record_spans: bool) -> (Metrics
     } else {
         String::new()
     };
-    (report.metrics, trace)
+    (metrics, trace)
 }
 
 fn row(label: &str, m: &MetricsSnapshot) -> Vec<String> {

@@ -80,11 +80,11 @@ fn warm_history(n: usize, seed: u64) -> Vec<Observation> {
 fn run_instrumented(opt: &mut BayesianOptimizer, budget: usize, seed: u64) -> MetricsSnapshot {
     let target = super::dbms_target();
     let source = OptimizerSource::new(opt, budget);
-    let report = Campaign::over(&target, Box::new(source), SchedulePolicy::Sequential, seed)
+    let metrics = Campaign::over(&target, Box::new(source), SchedulePolicy::Sequential, seed)
         .with_event_log(false)
         .with_timer(Box::new(StdTimer(Instant::now())))
         .run();
-    report.metrics
+    metrics
 }
 
 /// One A/B arm: warm-start to [`WARM_N`] observations, then run
@@ -96,14 +96,6 @@ fn ab_arm(incremental: bool, history: &[Observation]) -> MetricsSnapshot {
     );
     opt.warm_start(history);
     run_instrumented(&mut opt, AB_BUDGET, 3_201)
-}
-
-/// Mean incremental suggest nanoseconds per trial at n = 500 warm-start
-/// observations; the quantity the CI perf-smoke gate tracks against a
-/// committed baseline.
-pub fn incremental_suggest_ns_at_n500() -> f64 {
-    let history = warm_history(WARM_N, 3_202);
-    ab_arm(true, &history).suggest_ns.mean()
 }
 
 fn scaling_arm(budget: usize) -> MetricsSnapshot {

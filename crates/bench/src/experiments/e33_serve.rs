@@ -21,7 +21,7 @@ use autotune::{Campaign, Objective, SchedulePolicy};
 use autotune_serve::{CampaignRegistry, CampaignSpec, NoiseSpec, OptimizerKind, SystemKind};
 use autotune_sim::{Environment, FaultPlan, NoiseConfig, Workload};
 
-/// Fleet size for the headline experiment (and the `serve_fleet` bin).
+/// Fleet size for the headline experiment.
 pub const FLEET_N: usize = 256;
 
 /// A deterministic mixed fleet: four simulated systems, three schedule

@@ -17,8 +17,7 @@
 //! * **Recovery** — replaying the WAL-journaled op stream rebuilds the
 //!   cache byte-identically (hit/miss behavior survives a crash).
 //! * **Throughput** — concurrent lookups on the sharded read path
-//!   sustain ≥ 1 M/s (measured only in release builds; the `cache_fleet`
-//!   bin records the trajectory).
+//!   sustain ≥ 1 M/s (measured only in release builds).
 
 use crate::report::Report;
 use autotune::{measure_request, NoiseStrategy, Objective, Target, TrialRequest};
@@ -31,7 +30,7 @@ use autotune_wid::{Tenant, TenantFleet, TenantFleetConfig};
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
 
-/// Fleet shape shared with the `cache_fleet` bin.
+/// Fleet shape of the experiment.
 pub fn fleet_config() -> TenantFleetConfig {
     TenantFleetConfig {
         n_families: 12,

@@ -14,10 +14,6 @@
 //! * **Scaling** — grown to n = 100k, the sparse and trust-region
 //!   surrogates' suggest latency must stay roughly flat in n and land
 //!   ≥ 10× below the dense GP's extrapolated cost at the same n.
-//!
-//! The scaling arm's per-n latencies are exported through
-//! [`scale_points`] and recorded into `BENCH_bo.json` by the `bo_scale`
-//! bin so CI tracks them as trajectory metrics.
 
 use crate::report::{f, Report};
 use autotune_optimizer::BayesianOptimizer;
@@ -217,8 +213,7 @@ fn dense_arm() -> Vec<ScalePoint> {
 
 /// All scaling-arm latency samples: sparse and trust-region surrogates
 /// measured at n ∈ {1k, 10k, 100k}, dense GP measured at {1k, 2k} and
-/// extrapolated to 100k. This is what `bo_scale` records into
-/// `BENCH_bo.json`.
+/// extrapolated to 100k.
 pub fn scale_points() -> Vec<ScalePoint> {
     let mut points = dense_arm();
     points.extend(scale_arm("sparse_gp", sparse_model(), 100_000));

@@ -36,8 +36,8 @@ pub mod e34_chaos;
 pub mod e35_cache;
 pub mod e36_scale;
 
-use autotune::executor::{Campaign, ExecReport, OptimizerSource, SchedulePolicy};
-use autotune::{Objective, Target};
+use autotune::executor::{Campaign, OptimizerSource, SchedulePolicy};
+use autotune::{MetricsSnapshot, Objective, Target};
 use autotune_optimizer::{BayesianOptimizer, Optimizer};
 use autotune_sim::{DbmsSim, Environment, RedisSim, Workload};
 use rand::rngs::StdRng;
@@ -67,19 +67,19 @@ pub(crate) fn dbms_target() -> Target {
 
 /// Runs `budget` GP-BO trials over `target` under `policy` (slide 57:
 /// `SyncBatch` barriers vs `AsyncSlots` refilling); returns the campaign
-/// report and the best cost found.
+/// metrics and the best cost found.
 pub(crate) fn run_bo_policy(
     target: &Target,
     policy: SchedulePolicy,
     budget: usize,
     seed: u64,
-) -> (ExecReport, f64) {
+) -> (MetricsSnapshot, f64) {
     let mut opt = BayesianOptimizer::gp(target.space().clone());
     let source = OptimizerSource::new(&mut opt, budget);
     let mut campaign = Campaign::over(target, Box::new(source), policy, seed).with_event_log(false);
-    let report = campaign.run();
+    let metrics = campaign.run();
     let best = campaign.storage().best().expect("a successful trial");
-    (report, best.cost)
+    (metrics, best.cost)
 }
 
 /// Runs an ask/tell campaign and returns the best-so-far curve.

@@ -2,7 +2,7 @@
 //! 2025 autotuning tutorial.
 //!
 //! Each experiment in [`all_experiments`] corresponds to one slide-level
-//! claim (see `DESIGN.md`'s experiment index E1-E26) and produces a
+//! claim (see `DESIGN.md`'s experiment index E1-E36) and produces a
 //! [`Report`]: the table/series the tutorial shows, the paper's expected
 //! shape, and a pass/fail check of that shape against our measurement.
 //!

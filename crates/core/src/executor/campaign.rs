@@ -34,7 +34,7 @@
 use super::event::{Measurement, TrialEvent, TrialOutcome, TrialRequest};
 use super::policy::SchedulePolicy;
 use super::source::{SourceStep, TrialSource};
-use super::{apply_fault, measure_request, measure_wave, trial_seed, ExecReport, FanOut};
+use super::{apply_fault, measure_request, measure_wave, trial_seed, FanOut};
 use crate::telemetry::{
     MetricsCollector, MetricsSnapshot, NullTimer, OptEvent, Subscriber, WallTimer,
 };
@@ -43,7 +43,7 @@ use autotune_sim::FailureKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -265,9 +265,9 @@ impl std::ops::Deref for TargetRef<'_> {
 ///     SchedulePolicy::AsyncSlots { k: 4 },
 ///     1,
 /// );
-/// let report = campaign.run();
-/// assert_eq!(report.n_trials, 8);
-/// assert!(report.wall_clock_s < report.machine_seconds);
+/// let metrics = campaign.run();
+/// assert_eq!(metrics.n_trials(), 8);
+/// assert!(metrics.wall_clock_s < metrics.machine_seconds());
 /// let snapshot = campaign.snapshot().expect("log is on by default");
 /// assert!(!snapshot.log.is_empty());
 /// ```
@@ -284,13 +284,6 @@ pub struct Campaign<'a> {
     cost_is_elapsed: bool,
     suggest_rng: StdRng,
     clock: f64,
-    machine_seconds: f64,
-    n_trials: usize,
-    n_aborted: usize,
-    n_transient: usize,
-    n_retried: usize,
-    quarantined: BTreeSet<usize>,
-    saved_s: f64,
     next_id: u64,
     in_flight: Vec<Scheduled>,
     exhausted: bool,
@@ -298,7 +291,6 @@ pub struct Campaign<'a> {
     primed: bool,
     last_refits: usize,
     last_updates: usize,
-    events: Vec<TrialEvent>,
     log: Option<Vec<CampaignEvent>>,
     replay: BTreeMap<(u64, u32), Measurement>,
     staged: Vec<(WorkItem, Option<Measurement>)>,
@@ -354,13 +346,6 @@ impl<'a> Campaign<'a> {
             cost_is_elapsed,
             suggest_rng: StdRng::seed_from_u64(seed),
             clock: 0.0,
-            machine_seconds: 0.0,
-            n_trials: 0,
-            n_aborted: 0,
-            n_transient: 0,
-            n_retried: 0,
-            quarantined: BTreeSet::new(),
-            saved_s: 0.0,
             next_id: 0,
             in_flight: Vec::new(),
             exhausted: false,
@@ -368,7 +353,6 @@ impl<'a> Campaign<'a> {
             primed: false,
             last_refits: 0,
             last_updates: 0,
-            events: Vec::new(),
             log: Some(Vec::new()),
             replay: BTreeMap::new(),
             staged: Vec::new(),
@@ -454,8 +438,9 @@ impl<'a> Campaign<'a> {
         self.storage
     }
 
-    /// The rolled-up telemetry so far (`wall_clock_s` is final once the
-    /// campaign is done).
+    /// The campaign's accounting so far: counters, machine-seconds,
+    /// latency/queue/overhead histograms, per-machine utilization
+    /// (`wall_clock_s` is final once the campaign is done).
     pub fn metrics(&self) -> MetricsSnapshot {
         self.fan.collector.snapshot()
     }
@@ -469,32 +454,10 @@ impl<'a> Campaign<'a> {
         self.log.as_ref().map_or(0, Vec::len)
     }
 
-    /// Accounting report of the campaign so far (clones the event
-    /// stream; final once [`Campaign::is_done`]).
-    pub fn report(&self) -> ExecReport {
-        ExecReport {
-            events: self.events.clone(),
-            wall_clock_s: self.clock,
-            machine_seconds: self.machine_seconds,
-            n_trials: self.n_trials,
-            n_aborted: self.n_aborted,
-            n_transient: self.n_transient,
-            n_retried: self.n_retried,
-            n_quarantined_machines: self.quarantined.len(),
-            saved_s: self.saved_s,
-            metrics: self.metrics(),
-        }
-    }
-
     fn log_push(&mut self, f: impl FnOnce() -> CampaignEvent) {
         if let Some(log) = &mut self.log {
             log.push(f());
         }
-    }
-
-    fn emit_trial(&mut self, at_s: f64, ev: TrialEvent) {
-        self.fan.trial(at_s, &ev);
-        self.events.push(ev);
     }
 
     /// Fans an optimizer-side event out and logs it with `wall_ns`
@@ -577,7 +540,7 @@ impl<'a> Campaign<'a> {
                         id,
                         config: req.config.clone(),
                     };
-                    self.emit_trial(self.clock, ev);
+                    self.fan.trial(self.clock, &ev);
                     self.log_push(|| CampaignEvent::Suggested {
                         id,
                         request: req.clone(),
@@ -596,7 +559,8 @@ impl<'a> Campaign<'a> {
             }
         }
         for (config, rung) in self.source.take_promotions() {
-            self.emit_trial(self.clock, TrialEvent::Promoted { config, rung });
+            self.fan
+                .trial(self.clock, &TrialEvent::Promoted { config, rung });
         }
         self.staged = Vec::with_capacity(wave.len());
         for w in wave {
@@ -684,7 +648,7 @@ impl<'a> Campaign<'a> {
                 at_s: self.clock,
                 machine_id: m.machine_id.or(p.req.machine_id),
             };
-            self.emit_trial(self.clock, ev);
+            self.fan.trial(self.clock, &ev);
             let mut attempt: u32 = 0;
             let mut carried_s = 0.0_f64;
             loop {
@@ -715,7 +679,7 @@ impl<'a> Campaign<'a> {
                             backoff_s,
                             at_s: self.clock + carried_s,
                         };
-                        self.emit_trial(self.clock + carried_s, ev);
+                        self.fan.trial(self.clock + carried_s, &ev);
                         m = match self.replay.remove(&(p.id, attempt)) {
                             Some(m) => {
                                 // A replayed re-measurement advanced the
@@ -823,38 +787,29 @@ impl<'a> Campaign<'a> {
                 wall_ns,
             });
             self.poll_model_counters(outcome.id);
-            self.machine_seconds += outcome.elapsed_s;
-            self.n_trials += 1;
-            self.n_retried += s.retries as usize;
-            self.saved_s += s.m.saved_s;
             let ev = match status {
                 TrialStatus::Crashed => TrialEvent::Crashed {
                     id: outcome.id,
                     elapsed_s: outcome.elapsed_s,
                 },
-                TrialStatus::Aborted => {
-                    self.n_aborted += 1;
-                    TrialEvent::Aborted {
-                        id: outcome.id,
-                        cost: outcome.cost,
-                        elapsed_s: outcome.elapsed_s,
-                    }
-                }
-                TrialStatus::TransientFailure => {
-                    self.n_transient += 1;
-                    TrialEvent::FailedTransient {
-                        id: outcome.id,
-                        kind: outcome.fault.unwrap_or(FailureKind::Transient),
-                        elapsed_s: outcome.elapsed_s,
-                    }
-                }
+                TrialStatus::Aborted => TrialEvent::Aborted {
+                    id: outcome.id,
+                    cost: outcome.cost,
+                    elapsed_s: outcome.elapsed_s,
+                    saved_s: s.m.saved_s,
+                },
+                TrialStatus::TransientFailure => TrialEvent::FailedTransient {
+                    id: outcome.id,
+                    kind: outcome.fault.unwrap_or(FailureKind::Transient),
+                    elapsed_s: outcome.elapsed_s,
+                },
                 TrialStatus::Complete => TrialEvent::Finished {
                     id: outcome.id,
                     cost: outcome.cost,
                     elapsed_s: outcome.elapsed_s,
                 },
             };
-            self.emit_trial(self.clock, ev);
+            self.fan.trial(self.clock, &ev);
             self.fan.outcome(self.clock, &outcome);
             let mut trial = match status {
                 TrialStatus::Aborted => {
@@ -881,16 +836,10 @@ impl<'a> Campaign<'a> {
         }
 
         // Drain middleware lifecycle events (quarantines, releases).
-        let lifecycle: Vec<TrialEvent> = self
-            .middleware
-            .iter_mut()
-            .flat_map(|mw| mw.take_events())
-            .collect();
-        for ev in lifecycle {
-            if let TrialEvent::Quarantined { machine_id } = ev {
-                self.quarantined.insert(machine_id);
+        for mw in &mut self.middleware {
+            for ev in mw.take_events() {
+                self.fan.trial(self.clock, &ev);
             }
-            self.emit_trial(self.clock, ev);
         }
     }
 
@@ -907,10 +856,11 @@ impl<'a> Campaign<'a> {
         self.done
     }
 
-    /// Drives the campaign to exhaustion and reports.
-    pub fn run(&mut self) -> ExecReport {
+    /// Drives the campaign to exhaustion and returns its final
+    /// [`Campaign::metrics`].
+    pub fn run(&mut self) -> MetricsSnapshot {
         while !self.tick() {}
-        self.report()
+        self.metrics()
     }
 
     /// Captures the campaign as `(seed, policy, event log)`. Requires
@@ -1155,7 +1105,7 @@ mod tests {
         // Driving via ready_wave/measure_wave/complete_wave (what a
         // registry does) must equal the inline tick path byte for byte.
         let mut inline = campaign_for(SchedulePolicy::AsyncSlots { k: 2 }, 10, 9);
-        let inline_report = inline.run();
+        let inline_metrics = inline.run();
         let mut waved = campaign_for(SchedulePolicy::AsyncSlots { k: 2 }, 10, 9);
         loop {
             let wave = waved.ready_wave();
@@ -1166,8 +1116,8 @@ mod tests {
         }
         assert_eq!(inline.storage().to_json(), waved.storage().to_json());
         assert_eq!(
-            inline_report.wall_clock_s.to_bits(),
-            waved.report().wall_clock_s.to_bits()
+            inline_metrics.wall_clock_s.to_bits(),
+            waved.metrics().wall_clock_s.to_bits()
         );
     }
 
@@ -1191,8 +1141,8 @@ mod tests {
         resumed.run();
         assert_eq!(resumed.storage().to_json(), straight.storage().to_json());
         assert_eq!(
-            resumed.report().wall_clock_s.to_bits(),
-            straight.report().wall_clock_s.to_bits()
+            resumed.metrics().wall_clock_s.to_bits(),
+            straight.metrics().wall_clock_s.to_bits()
         );
     }
 
@@ -1220,8 +1170,8 @@ mod tests {
                 "cut at {cut}"
             );
             assert_eq!(
-                resumed.report().wall_clock_s.to_bits(),
-                straight.report().wall_clock_s.to_bits(),
+                resumed.metrics().wall_clock_s.to_bits(),
+                straight.metrics().wall_clock_s.to_bits(),
                 "cut at {cut}"
             );
         }
@@ -1300,8 +1250,8 @@ mod tests {
             .with_middleware(Box::new(EarlyAbortMw::new(1.3)))
         };
         let mut straight = build();
-        let report = straight.run();
-        assert!(report.n_retried > 0, "aggressive plan should retry");
+        let metrics = straight.run();
+        assert!(metrics.n_retries > 0, "aggressive plan should retry");
         // Retry re-measurements land in the log with attempt > 0.
         assert!(straight
             .log()

@@ -158,6 +158,8 @@ pub enum TrialEvent {
         cost: f64,
         /// Benchmark seconds charged up to the abort.
         elapsed_s: f64,
+        /// Benchmark seconds the censoring shaved off.
+        saved_s: f64,
     },
     /// The trial was lost to infrastructure with every retry exhausted.
     FailedTransient {

@@ -39,7 +39,7 @@ pub use middleware::{
 pub use policy::SchedulePolicy;
 pub use source::{OptimizerSource, RungSource, SourceStep, TrialSource};
 
-use crate::telemetry::{MetricsCollector, MetricsSnapshot, OptEvent, Subscriber};
+use crate::telemetry::{MetricsCollector, OptEvent, Subscriber};
 use crate::{NoiseStrategy, Target};
 use autotune_sim::{FailureKind, Fault};
 use rand::rngs::StdRng;
@@ -52,34 +52,6 @@ fn trial_seed(seed: u64, id: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Accounting and event log of one campaign run. Trials themselves land
-/// in the campaign's [`TrialStorage`](crate::TrialStorage).
-#[derive(Debug, Clone)]
-pub struct ExecReport {
-    /// Lifecycle event stream, in emission order.
-    pub events: Vec<TrialEvent>,
-    /// Virtual wall-clock of the campaign, seconds.
-    pub wall_clock_s: f64,
-    /// Total machine-seconds consumed (the bill).
-    pub machine_seconds: f64,
-    /// Trials executed in this run.
-    pub n_trials: usize,
-    /// Trials cut short by censoring middleware.
-    pub n_aborted: usize,
-    /// Trials lost to infrastructure with retries exhausted.
-    pub n_transient: usize,
-    /// Retry attempts consumed across all trials.
-    pub n_retried: usize,
-    /// Distinct machines quarantined at least once during the run.
-    pub n_quarantined_machines: usize,
-    /// Benchmark seconds saved by censoring middleware.
-    pub saved_s: f64,
-    /// Rolled-up telemetry of the run (counters, latency/queue/overhead
-    /// histograms, per-machine utilization) — collected by the always-on
-    /// internal [`MetricsCollector`].
-    pub metrics: MetricsSnapshot,
 }
 
 /// Fans every event out to the internal metrics collector and the
@@ -215,12 +187,17 @@ pub fn measure_wave(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::MetricsSnapshot;
     use crate::test_fixtures::redis_target;
     use crate::{Objective, TrialStatus, TrialStorage};
     use autotune_optimizer::{BayesianOptimizer, Optimizer, RandomSearch};
     use autotune_space::Config;
 
-    fn run_policy(policy: SchedulePolicy, budget: usize, seed: u64) -> (TrialStorage, ExecReport) {
+    fn run_policy(
+        policy: SchedulePolicy,
+        budget: usize,
+        seed: u64,
+    ) -> (TrialStorage, MetricsSnapshot) {
         let target = redis_target();
         let mut opt = RandomSearch::new(target.space().clone());
         let source = OptimizerSource::new(&mut opt, budget);
@@ -241,7 +218,7 @@ mod tests {
         // With one slot there is no parallelism to exploit: wall clock
         // equals machine seconds, bit-for-bit.
         for r in [&seq_r, &sync_r, &async_r] {
-            assert_eq!(r.wall_clock_s.to_bits(), r.machine_seconds.to_bits());
+            assert_eq!(r.wall_clock_s.to_bits(), r.machine_seconds().to_bits());
         }
         assert_eq!(seq_r.wall_clock_s.to_bits(), async_r.wall_clock_s.to_bits());
         assert_eq!(seq_r.wall_clock_s.to_bits(), sync_r.wall_clock_s.to_bits());
@@ -249,32 +226,11 @@ mod tests {
 
     #[test]
     fn event_stream_covers_every_trial() {
-        let (storage, report) = run_policy(SchedulePolicy::AsyncSlots { k: 3 }, 9, 7);
+        let (storage, m) = run_policy(SchedulePolicy::AsyncSlots { k: 3 }, 9, 7);
         assert_eq!(storage.len(), 9);
-        assert_eq!(report.n_trials, 9);
-        let suggested = report
-            .events
-            .iter()
-            .filter(|e| matches!(e, TrialEvent::Suggested { .. }))
-            .count();
-        let started = report
-            .events
-            .iter()
-            .filter(|e| matches!(e, TrialEvent::Started { .. }))
-            .count();
-        let terminal = report
-            .events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    TrialEvent::Finished { .. }
-                        | TrialEvent::Crashed { .. }
-                        | TrialEvent::Aborted { .. }
-                )
-            })
-            .count();
-        assert_eq!((suggested, started, terminal), (9, 9, 9));
+        assert_eq!(m.n_trials(), 9);
+        let terminal = m.n_finished + m.n_crashed + m.n_aborted;
+        assert_eq!((m.n_suggested, m.n_started, terminal), (9, 9, 9));
     }
 
     #[test]
@@ -290,7 +246,7 @@ mod tests {
         let asyn = run(SchedulePolicy::AsyncSlots { k: 4 });
         // Identical per-trial seeds => identical machine seconds; the
         // barrier only changes how much wall clock that work spans.
-        assert!((sync.machine_seconds - asyn.machine_seconds).abs() < 1e-9);
+        assert!((sync.machine_seconds() - asyn.machine_seconds()).abs() < 1e-9);
         assert!(
             asyn.wall_clock_s < sync.wall_clock_s,
             "async wall {} should beat sync {}",
@@ -301,7 +257,7 @@ mod tests {
 
     /// `n_batches` synchronous batches of `k` GP-BO trials on the Redis
     /// target.
-    fn run_bo_batches(n_batches: usize, k: usize, seed: u64) -> (TrialStorage, ExecReport) {
+    fn run_bo_batches(n_batches: usize, k: usize, seed: u64) -> (TrialStorage, MetricsSnapshot) {
         let target = redis_target();
         let mut opt = BayesianOptimizer::gp(target.space().clone());
         let source = OptimizerSource::new(&mut opt, n_batches * k);
@@ -323,10 +279,10 @@ mod tests {
         // Machine seconds = sum; wall clock = sum of per-batch maxima, so
         // parallelism must buy roughly batch_size x wall-clock reduction.
         assert!(
-            report.wall_clock_s < report.machine_seconds / 3.0,
+            report.wall_clock_s < report.machine_seconds() / 3.0,
             "wall {} vs machine {}",
             report.wall_clock_s,
-            report.machine_seconds
+            report.machine_seconds()
         );
     }
 
@@ -366,25 +322,22 @@ mod tests {
             SchedulePolicy::AsyncSlots { k: 4 },
             31,
         );
-        let report = campaign.run();
+        campaign.run();
         let mut in_flight: Vec<(u64, Config)> = Vec::new();
-        for event in &report.events {
+        for event in campaign.log().expect("log is on by default") {
             match event {
-                TrialEvent::Suggested { id, config } => {
+                CampaignEvent::Suggested { id, request } => {
                     for (other, c) in &in_flight {
                         assert_ne!(
                             c.render(),
-                            config.render(),
+                            request.config.render(),
                             "trial {id} duplicates in-flight trial {other}"
                         );
                     }
-                    in_flight.push((*id, config.clone()));
+                    in_flight.push((*id, request.config.clone()));
                 }
-                TrialEvent::Finished { id, .. }
-                | TrialEvent::Crashed { id, .. }
-                | TrialEvent::Aborted { id, .. }
-                | TrialEvent::FailedTransient { id, .. } => {
-                    in_flight.retain(|(other, _)| other != id);
+                CampaignEvent::Outcome { outcome } => {
+                    in_flight.retain(|(other, _)| *other != outcome.id);
                 }
                 _ => {}
             }
@@ -410,7 +363,7 @@ mod tests {
         let (abort_s, abort_r) = run(true, 5);
         assert!(abort_r.n_aborted > 0);
         assert!(abort_r.saved_s > 0.0);
-        assert!(abort_r.machine_seconds < plain_r.machine_seconds);
+        assert!(abort_r.machine_seconds() < plain_r.machine_seconds());
         // Censoring never changes the winner: the best trial is below the
         // threshold by construction.
         assert_eq!(
@@ -531,7 +484,7 @@ mod tests {
         assert_eq!(seq_j, sync_j);
         assert_eq!(seq_j, async_j);
         assert_eq!(seq_r.wall_clock_s.to_bits(), async_r.wall_clock_s.to_bits());
-        assert_eq!(seq_r.n_retried, async_r.n_retried);
+        assert_eq!(seq_r.n_retries, async_r.n_retries);
     }
 
     #[test]
@@ -550,9 +503,9 @@ mod tests {
         };
         let (naive_s, naive_r) = run(false);
         let (retry_s, retry_r) = run(true);
-        assert_eq!(naive_r.n_retried, 0);
+        assert_eq!(naive_r.n_retries, 0);
         assert!(
-            retry_r.n_retried > 0,
+            retry_r.n_retries > 0,
             "aggressive plan should trigger retries"
         );
         // Retrying transient losses converts most of them back into
@@ -594,7 +547,7 @@ mod tests {
             .all(|t| t.elapsed_s <= budget_s + 1e-9));
         // Without the timeout the hangs burn their full inflated runtime.
         assert!(hang_s.trials().iter().any(|t| t.elapsed_s > budget_s));
-        assert!(cut_r.machine_seconds < hang_r.machine_seconds);
+        assert!(cut_r.machine_seconds() < hang_r.machine_seconds());
         // A timed-out hang is an abort, not a crash: the learner is not
         // told the configuration was bad.
         assert_eq!(hang_r.n_aborted, 0);
@@ -618,13 +571,9 @@ mod tests {
         let report = campaign.run();
         let storage = campaign.storage();
         assert!(
-            report.n_quarantined_machines >= 1,
+            report.quarantined_machines.contains(&0),
             "the sick machine should get quarantined"
         );
-        assert!(report
-            .events
-            .iter()
-            .any(|e| matches!(e, TrialEvent::Quarantined { machine_id: 0 })));
         // While quarantined, machine 0 receives no trials: round-robin
         // would land every 4th trial there, so it must see fewer.
         let on_sick = storage

@@ -94,9 +94,9 @@ mod test_fixtures;
 pub use early_abort::EarlyAbort;
 pub use executor::{
     measure_request, measure_wave, Campaign, CampaignError, CampaignEvent, CampaignSnapshot,
-    CrashPenaltyMw, EarlyAbortMw, ExecReport, MachineAssignMw, Measurement, Middleware,
-    OptimizerSource, QuarantineMw, ResumeReport, RetryMw, RungSource, SchedulePolicy, SourceStep,
-    TimeoutMw, TrialEvent, TrialOutcome, TrialRequest, TrialSource, WorkItem,
+    CrashPenaltyMw, EarlyAbortMw, MachineAssignMw, Measurement, Middleware, OptimizerSource,
+    QuarantineMw, ResumeReport, RetryMw, RungSource, SchedulePolicy, SourceStep, TimeoutMw,
+    TrialEvent, TrialOutcome, TrialRequest, TrialSource, WorkItem,
 };
 pub use importance::{lasso_path, permutation_importance, KnobImportance};
 pub use llamatune::{LlamaTune, LlamaTuneConfig};

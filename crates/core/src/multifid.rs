@@ -89,7 +89,7 @@ impl SuccessiveHalving {
             .map(|_| target.space().sample(&mut rng))
             .collect();
         let mut source = RungSource::new(&self.levels, self.config.eta, pool);
-        let report = Campaign::over(
+        let metrics = Campaign::over(
             target,
             Box::new(&mut source),
             SchedulePolicy::Rungs { k: slots },
@@ -105,7 +105,7 @@ impl SuccessiveHalving {
         HalvingOutcome {
             best_config,
             best_cost,
-            total_elapsed_s: report.machine_seconds,
+            total_elapsed_s: metrics.machine_seconds(),
             rung_sizes: source.rung_sizes().to_vec(),
         }
     }

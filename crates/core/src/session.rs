@@ -10,7 +10,7 @@
 
 use crate::executor::{Campaign, EarlyAbortMw, OptimizerSource, SchedulePolicy};
 use crate::telemetry::{MetricsSnapshot, Subscriber};
-use crate::{EarlyAbort, NoiseStrategy, Target, TrialStatus, TrialStorage};
+use crate::{EarlyAbort, NoiseStrategy, Target, TrialStorage};
 use autotune_optimizer::Optimizer;
 use std::sync::Arc;
 
@@ -44,19 +44,9 @@ pub struct SessionSummary {
     pub convergence: Vec<f64>,
     /// Total benchmark seconds consumed.
     pub total_elapsed_s: f64,
-    /// Crashed trials.
-    pub n_crashed: usize,
-    /// Early-aborted trials.
-    pub n_aborted: usize,
-    /// Trials lost to infrastructure with retries exhausted.
-    pub n_transient: usize,
-    /// Retry attempts consumed across all trials.
-    pub n_retried: usize,
-    /// Distinct machines quarantined at least once.
-    pub n_quarantined_machines: usize,
-    /// Benchmark seconds saved by early abort.
-    pub saved_s: f64,
-    /// Rolled-up telemetry across every campaign this session ran.
+    /// Accounting across every campaign this session ran: crash, abort,
+    /// transient and retry counts, seconds saved by early abort,
+    /// quarantined machines, latency and overhead histograms.
     pub metrics: MetricsSnapshot,
 }
 
@@ -67,7 +57,6 @@ pub struct TuningSession {
     storage: TrialStorage,
     config: SessionConfig,
     early_abort: Option<EarlyAbort>,
-    n_quarantined_machines: usize,
     metrics: MetricsSnapshot,
 }
 
@@ -81,7 +70,6 @@ impl TuningSession {
             storage: TrialStorage::new(),
             config,
             early_abort,
-            n_quarantined_machines: 0,
             metrics: MetricsSnapshot::default(),
         }
     }
@@ -138,12 +126,10 @@ impl TuningSession {
             for sub in subscribers.iter_mut() {
                 campaign = campaign.with_subscriber(Box::new(&mut **sub));
             }
-            let report = campaign.run();
+            self.metrics.merge(&campaign.run());
             for trial in campaign.into_storage().into_trials() {
                 self.storage.record(trial);
             }
-            self.n_quarantined_machines += report.n_quarantined_machines;
-            self.metrics.merge(&report.metrics);
         }
         self.summary()
     }
@@ -157,20 +143,6 @@ impl TuningSession {
             best_cost: best.cost,
             convergence: self.storage.convergence_curve(),
             total_elapsed_s: self.storage.total_elapsed_s(),
-            n_crashed: self.storage.n_crashed(),
-            n_aborted: self
-                .storage
-                .trials()
-                .iter()
-                .filter(|t| t.status == TrialStatus::Aborted)
-                .count(),
-            n_transient: self.storage.n_transient_failures(),
-            n_retried: self.storage.n_retried(),
-            n_quarantined_machines: self.n_quarantined_machines,
-            saved_s: self
-                .early_abort
-                .as_ref()
-                .map_or(0.0, |ea| ea.total_saved_s()),
             metrics: self.metrics.clone(),
         })
     }
@@ -234,7 +206,7 @@ mod tests {
         let mut session = TuningSession::new(target, Box::new(opt), SessionConfig::default());
         let summary = session.run(60, 11).expect("some trials survive");
         assert!(
-            summary.n_crashed > 0,
+            summary.metrics.n_crashed > 0,
             "expected some OOM crashes on a small VM"
         );
         assert!(summary.best_cost.is_finite());
@@ -276,9 +248,9 @@ mod tests {
         let plain = run(None, 13);
         let abort = run(Some(1.3), 13);
         assert!(
-            abort.n_aborted > 5,
+            abort.metrics.n_aborted > 5,
             "expected aborted trials, got {}",
-            abort.n_aborted
+            abort.metrics.n_aborted
         );
         assert!(
             abort.total_elapsed_s < plain.total_elapsed_s * 0.9,

@@ -2,7 +2,7 @@
 
 use super::{OptEvent, Subscriber};
 use crate::executor::{TrialEvent, TrialOutcome};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Number of power-of-two buckets a [`LogHistogram`] keeps.
@@ -122,9 +122,10 @@ impl LogHistogram {
     }
 }
 
-/// The rolled-up measurement of one (or several merged) campaign runs.
-/// Produced by [`MetricsCollector::snapshot`]; also carried on
-/// [`ExecReport`](crate::executor::ExecReport) and
+/// The rolled-up measurement of one (or several merged) campaign runs:
+/// a campaign's whole accounting. Produced by
+/// [`MetricsCollector::snapshot`]; returned by
+/// [`Campaign::run`](crate::executor::Campaign::run) and carried on
 /// [`SessionSummary`](crate::SessionSummary).
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
@@ -168,27 +169,23 @@ pub struct MetricsSnapshot {
     pub machine_busy_s: BTreeMap<usize, f64>,
     /// Virtual wall clock covered by this snapshot, seconds.
     pub wall_clock_s: f64,
-    /// Records appended to a durable write-ahead log (serving layer).
-    pub wal_appends: u64,
-    /// Bytes discarded as torn WAL tails during recovery.
-    pub wal_truncated_bytes: u64,
-    /// Crash/panic recoveries that rebuilt state from the WAL.
-    pub recoveries: u64,
-    /// Requests shed by admission control (`Response::Overloaded`).
-    pub shed_requests: u64,
-    /// Idempotent request retries absorbed without duplicating work.
-    pub retried_requests: u64,
-    /// Lookups answered from the serve-time config cache.
-    pub cache_hits: u64,
-    /// Lookups that missed the config cache (campaign enqueued).
-    pub cache_misses: u64,
-    /// Config-cache entries evicted by the LRU + quality policy.
-    pub cache_evictions: u64,
-    /// Config-cache entries backfilled from completed campaigns.
-    pub cache_backfills: u64,
+    /// Benchmark seconds saved by censoring middleware.
+    pub saved_s: f64,
+    /// Distinct machines quarantined at least once.
+    pub quarantined_machines: BTreeSet<usize>,
 }
 
 impl MetricsSnapshot {
+    /// Trials finalized (one latency sample each).
+    pub fn n_trials(&self) -> u64 {
+        self.trial_latency_s.count()
+    }
+
+    /// Total machine-seconds consumed (the bill).
+    pub fn machine_seconds(&self) -> f64 {
+        self.trial_latency_s.sum()
+    }
+
     /// Busy fraction of one machine over the campaign's wall clock.
     pub fn machine_utilization(&self, machine_id: usize) -> f64 {
         if self.wall_clock_s <= 0.0 {
@@ -231,15 +228,9 @@ impl MetricsSnapshot {
             *self.machine_busy_s.entry(*m).or_insert(0.0) += s;
         }
         self.wall_clock_s += other.wall_clock_s;
-        self.wal_appends += other.wal_appends;
-        self.wal_truncated_bytes += other.wal_truncated_bytes;
-        self.recoveries += other.recoveries;
-        self.shed_requests += other.shed_requests;
-        self.retried_requests += other.retried_requests;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_evictions += other.cache_evictions;
-        self.cache_backfills += other.cache_backfills;
+        self.saved_s += other.saved_s;
+        self.quarantined_machines
+            .extend(&other.quarantined_machines);
     }
 }
 
@@ -298,8 +289,9 @@ impl fmt::Display for MetricsSnapshot {
 
 /// A [`Subscriber`] rolling the event stream up into a
 /// [`MetricsSnapshot`]. One instance is always attached inside the
-/// executor (its snapshot lands on the `ExecReport`); attach your own to
-/// aggregate across runs or to inspect metrics mid-campaign.
+/// campaign ([`Campaign::metrics`](crate::executor::Campaign::metrics)
+/// reads it); attach your own to aggregate across runs or to inspect
+/// metrics mid-campaign.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsCollector {
     snap: MetricsSnapshot,
@@ -344,10 +336,16 @@ impl Subscriber for MetricsCollector {
             }
             TrialEvent::Finished { .. } => self.snap.n_finished += 1,
             TrialEvent::Crashed { .. } => self.snap.n_crashed += 1,
-            TrialEvent::Aborted { .. } => self.snap.n_aborted += 1,
+            TrialEvent::Aborted { saved_s, .. } => {
+                self.snap.n_aborted += 1;
+                self.snap.saved_s += saved_s;
+            }
             TrialEvent::FailedTransient { .. } => self.snap.n_transient += 1,
             TrialEvent::Retried { .. } => self.snap.n_retries += 1,
-            TrialEvent::Quarantined { .. } => self.snap.n_quarantines += 1,
+            TrialEvent::Quarantined { machine_id } => {
+                self.snap.n_quarantines += 1;
+                self.snap.quarantined_machines.insert(*machine_id);
+            }
             TrialEvent::Released { .. } => self.snap.n_releases += 1,
             TrialEvent::Promoted { .. } => self.snap.n_promotions += 1,
         }

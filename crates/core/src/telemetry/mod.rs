@@ -11,9 +11,10 @@
 //!
 //! * [`MetricsCollector`] — counters and log-bucketed histograms (trial
 //!   latency, queue wait, retries, suggest/observe overhead, per-machine
-//!   utilization), rolled up into a [`MetricsSnapshot`] that also rides
-//!   on [`ExecReport`](crate::executor::ExecReport) and
-//!   [`SessionSummary`](crate::SessionSummary).
+//!   utilization), rolled up into a [`MetricsSnapshot`]. One is always
+//!   attached inside the campaign: its snapshot is the campaign's
+//!   accounting, returned by [`Campaign::run`](crate::executor::Campaign::run)
+//!   and merged into [`SessionSummary`](crate::SessionSummary).
 //! * [`SpanRecorder`] — per-trial spans on the **virtual clock**
 //!   (suggest → queued → running attempts → retry backoffs → observed),
 //!   exportable as Chrome `trace_event` JSON so a campaign opens directly
@@ -46,12 +47,10 @@ use crate::executor::{TrialEvent, TrialOutcome};
 use serde::{Deserialize, Serialize};
 
 /// Optimizer-side lifecycle events, delivered to subscribers alongside
-/// the trial stream. They are *not* recorded in
-/// [`ExecReport::events`](crate::executor::ExecReport::events): the
-/// `wall_ns` payloads come from an injected [`WallTimer`] and would make
-/// the event log non-deterministic. (The resumable
-/// [`Campaign`](crate::executor::Campaign) event log *does* record them,
-/// with `wall_ns` zeroed for the same reason.)
+/// the trial stream. Their `wall_ns` payloads come from an injected
+/// [`WallTimer`], so the resumable
+/// [`Campaign`](crate::executor::Campaign) event log records them with
+/// `wall_ns` zeroed to stay deterministic.
 ///
 /// Suggestion and observation are instantaneous on the virtual clock
 /// (the simulated cluster never waits for the tuner), so a begin/end

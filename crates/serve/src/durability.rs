@@ -90,6 +90,9 @@ enum WalRecord {
     /// the owner in append order on recovery; the WAL itself does not
     /// interpret `json`.
     Aux { key: String, json: String },
+    /// The whole auxiliary journal as of a checkpoint: supersedes every
+    /// earlier `Aux` record, as `Checkpoint` does a campaign's.
+    AuxCheckpoint { log: Vec<(String, String)> },
 }
 
 /// WAL sizing and cadence knobs.
@@ -162,7 +165,7 @@ pub struct DurableRegistry {
     /// Per-campaign registration info, for checkpoints.
     specs: BTreeMap<u64, (String, CampaignSpec, Option<u64>)>,
     /// Every auxiliary record in append order, kept in memory so
-    /// checkpoint compaction can re-emit the journal into the fresh
+    /// checkpoint compaction can carry the journal into the fresh
     /// segment before older segments are deleted.
     aux_log: Vec<(String, String)>,
     rounds_since_checkpoint: u64,
@@ -460,10 +463,14 @@ impl DurableRegistry {
             self.registry.note_wal_appends(id, 1);
             self.durable_len.insert(id, len);
         }
-        // Re-emit the aux journal into the fresh segment so compaction
-        // never drops layered-subsystem state.
-        for (key, json) in self.aux_log.clone() {
-            self.append(&WalRecord::Aux { key, json })?;
+        // Carry the aux journal into the fresh segment so compaction
+        // never drops layered-subsystem state — as one record that
+        // replaces what recovery has read so far, so a crash before the
+        // older segments are gone cannot leave the journal doubled.
+        if !self.aux_log.is_empty() {
+            self.append(&WalRecord::AuxCheckpoint {
+                log: self.aux_log.clone(),
+            })?;
         }
         // Checkpoints are durable; older segments are now redundant.
         for (idx, path) in list_segments(&self.dir)? {
@@ -733,6 +740,7 @@ fn recover_dir(
                 WalRecord::Aux { key, json } => {
                     aux_log.push((key, json));
                 }
+                WalRecord::AuxCheckpoint { log } => aux_log = log,
             }
         }
     }
@@ -1128,7 +1136,7 @@ mod tests {
         durable
             .append_aux("router", "{\"op\":2}".to_string())
             .unwrap();
-        // Force checkpoint compaction: aux records must be re-emitted.
+        // Force checkpoint compaction: the aux journal must carry over.
         durable.run_all().unwrap();
         durable.checkpoint().unwrap();
         assert_eq!(durable.aux_log("router"), vec!["{\"op\":1}", "{\"op\":2}"]);
@@ -1193,5 +1201,61 @@ mod tests {
             assert_eq!(got, want[i], "campaign {i} diverged across panic recovery");
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A plan whose first crash is `point`, at append `op`.
+    fn crash_plan(op: u64, point: CrashPoint) -> ChaosPlan {
+        (0..)
+            .map(|seed| ChaosPlan::new(seed).with_crashes(0.05))
+            .find(|p| (0..op).all(|i| p.crash_at(i).is_none()) && p.crash_at(op) == Some(point))
+            .expect("some seed qualifies")
+    }
+
+    #[test]
+    fn crash_at_any_checkpoint_append_keeps_the_aux_journal_single() {
+        let specs: Vec<CampaignSpec> = (0..2).map(spec).collect();
+        let journal = vec!["0", "1", "2"];
+        for point in [
+            CrashPoint::PreAppend,
+            CrashPoint::MidAppend,
+            CrashPoint::PostAppendPreAck,
+        ] {
+            // Crash at the checkpoint's first append, then its second, …
+            // until a checkpoint gets through uncrashed.
+            for k in 0.. {
+                let dir = temp_dir(&format!("ckpt-crash-{}-{k}", point.label()));
+                let mut durable = DurableRegistry::create(&dir, 2, WalConfig::default()).unwrap();
+                let ids: Vec<u64> = specs
+                    .iter()
+                    .map(|s| durable.register_spec(s).unwrap())
+                    .collect();
+                durable.step_round().unwrap();
+                for j in &journal {
+                    durable.append_aux("k", j.to_string()).unwrap();
+                }
+                let history = |d: &DurableRegistry, id: u64| {
+                    d.registry().campaign(id).unwrap().storage().to_json()
+                };
+                let live: Vec<String> = ids.iter().map(|id| history(&durable, *id)).collect();
+                durable.set_chaos(crash_plan(durable.ops + k, point));
+                let crashed = durable.checkpoint().is_err();
+                drop(durable);
+                let (mut reopened, _) =
+                    DurableRegistry::open(&dir, 2, WalConfig::default()).unwrap();
+                assert_eq!(reopened.aux_log("k"), journal, "{} at +{k}", point.label());
+                for (id, want) in ids.iter().zip(&live) {
+                    assert_eq!(&history(&reopened, *id), want, "{} at +{k}", point.label());
+                }
+                // The recovered handle compacts to the same journal.
+                reopened.checkpoint().unwrap();
+                drop(reopened);
+                let (again, _) = DurableRegistry::open(&dir, 2, WalConfig::default()).unwrap();
+                assert_eq!(again.aux_log("k"), journal);
+                std::fs::remove_dir_all(&dir).unwrap();
+                if !crashed {
+                    break;
+                }
+            }
+        }
     }
 }

@@ -688,18 +688,13 @@ impl CampaignRegistry {
     }
 
     /// Merged telemetry across every registered campaign (wall clocks
-    /// add, as for sequential concatenation), plus the registry's own
-    /// durability and overload counters.
+    /// add, as for sequential concatenation). The registry's own
+    /// durability and overload counters are on [`FleetStats`].
     pub fn merged_metrics(&self) -> MetricsSnapshot {
         let mut merged = MetricsSnapshot::default();
         for entry in &self.entries {
             merged.merge(&entry.campaign.metrics());
         }
-        merged.wal_appends = self.entries.iter().map(|e| e.wal_appends).sum();
-        merged.wal_truncated_bytes = self.wal_truncated_bytes;
-        merged.recoveries = self.fleet_recoveries;
-        merged.shed_requests = self.shed_requests;
-        merged.retried_requests = self.retried_requests;
         merged
     }
 
@@ -725,9 +720,9 @@ impl CampaignRegistry {
             n_pending: self.n_pending(),
             shed_requests: self.shed_requests,
             retried_requests: self.retried_requests,
-            wal_appends: merged.wal_appends,
+            wal_appends: self.entries.iter().map(|e| e.wal_appends).sum(),
             wal_truncated_bytes: self.wal_truncated_bytes,
-            recoveries: merged.recoveries,
+            recoveries: self.fleet_recoveries,
         }
     }
 

@@ -25,8 +25,9 @@
 //! Because the cache is a pure function of its operation sequence
 //! (seeded clustering, logical-tick LRU, `BTreeMap` shards), replay
 //! rebuilds the exact pre-crash hit/miss behavior — including tick
-//! counters and eviction decisions — as long as hits are journaled
-//! ([`RouterConfig::journal_hits`], the default).
+//! counters and eviction decisions — which is why hits are journaled
+//! too (they advance the LRU clock and entry heat that eviction
+//! decisions depend on).
 //!
 //! Crash windows are safe by ordering: the `Lookup` op lands before the
 //! admission write (so a shed request replays as the same clustering
@@ -42,7 +43,6 @@ use crate::protocol::{
 };
 use crate::registry::{AdmissionConfig, CampaignRegistry, FleetStats, ServeError};
 use crate::spec::CampaignSpec;
-use autotune::MetricsSnapshot;
 use autotune_cache::{fingerprint_key, CacheHit, CacheLookup, CacheStats, ShardedCache};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -61,26 +61,12 @@ const CONFIG_KEY: &str = "router-config";
 const REQUEST_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// Shape and policy of a [`TenantRouter`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RouterConfig {
     /// The config cache's shape (clustering threshold, shards, capacity,
     /// eviction policy). Pinned into the WAL at create time; `open`
     /// reads it back, so a recovered router cannot silently diverge.
     pub cache: CacheConfig,
-    /// Journal cache hits too, not just misses. Required for byte-exact
-    /// replay (hits advance the LRU clock and entry heat, which eviction
-    /// decisions depend on); turn off only when recovery fidelity of
-    /// *eviction order* does not matter and journal volume does.
-    pub journal_hits: bool,
-}
-
-impl Default for RouterConfig {
-    fn default() -> Self {
-        RouterConfig {
-            cache: CacheConfig::default(),
-            journal_hits: true,
-        }
-    }
 }
 
 /// One journaled routing operation. Replayed in append order by
@@ -237,17 +223,6 @@ impl TenantRouter {
         self.pending.len()
     }
 
-    /// Merged campaign telemetry with the cache counters folded in.
-    pub fn merged_metrics(&self) -> MetricsSnapshot {
-        let mut merged = self.durable.registry().merged_metrics();
-        let stats = self.cache.stats();
-        merged.cache_hits = stats.hits;
-        merged.cache_misses = stats.misses;
-        merged.cache_evictions = stats.evictions;
-        merged.cache_backfills = stats.backfills;
-        merged
-    }
-
     fn journal_op(&mut self, op: &RouterOp) -> Result<(), ServeError> {
         let json = serde_json::to_string(op)
             .map_err(|e| ServeError::Storage(format!("encode router op: {e}")))?;
@@ -266,17 +241,13 @@ impl TenantRouter {
         features: &[f64],
         spec: &CampaignSpec,
     ) -> Result<RouterLookup, ServeError> {
-        if let CacheLookup::Hit(hit) = self.cache.lookup(features) {
-            if self.config.journal_hits {
-                self.journal_op(&RouterOp::Lookup {
-                    features: features.to_vec(),
-                })?;
-            }
-            return Ok(RouterLookup::Hit(hit));
-        }
+        let looked = self.cache.lookup(features);
         self.journal_op(&RouterOp::Lookup {
             features: features.to_vec(),
         })?;
+        if let CacheLookup::Hit(hit) = looked {
+            return Ok(RouterLookup::Hit(hit));
+        }
         let assignment = self.cache.admit_family(features);
         let family = assignment.family as u64;
         if let Some(&campaign) = self.inflight.get(&family) {
@@ -527,7 +498,6 @@ mod tests {
                 capacity_per_shard: 8,
                 hot_window: 1000,
             },
-            journal_hits: true,
         }
     }
 
@@ -552,10 +522,8 @@ mod tests {
             }
             other => panic!("expected hit, got {other:?}"),
         }
-        let m = router.merged_metrics();
-        assert_eq!(m.cache_hits, 1);
-        assert_eq!(m.cache_misses, 1);
-        assert_eq!(m.cache_backfills, 1);
+        let stats = router.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.backfills), (1, 1, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

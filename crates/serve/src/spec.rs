@@ -119,8 +119,8 @@ impl NoiseSpec {
 ///     measurement: None,
 /// };
 /// let mut campaign = spec.build();
-/// let report = campaign.run();
-/// assert_eq!(report.metrics.n_suggested, 8);
+/// let metrics = campaign.run();
+/// assert_eq!(metrics.n_suggested, 8);
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CampaignSpec {
@@ -218,8 +218,8 @@ mod tests {
 
     fn run_to_history(s: &CampaignSpec) -> (u64, String) {
         let mut c = s.build();
-        let report = c.run();
-        (report.metrics.n_suggested, c.storage().to_json())
+        let metrics = c.run();
+        (metrics.n_suggested, c.storage().to_json())
     }
 
     #[test]
@@ -249,7 +249,7 @@ mod tests {
             seed: 7,
         });
         s.faults = Some(FaultPlan::new(11));
-        let report = s.build().run();
-        assert_eq!(report.metrics.n_suggested, 6);
+        let metrics = s.build().run();
+        assert_eq!(metrics.n_suggested, 6);
     }
 }

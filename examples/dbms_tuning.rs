@@ -96,7 +96,7 @@ fn main() {
             name,
             tuned_thr,
             tuned_thr / default_thr,
-            summary.n_crashed
+            summary.metrics.n_crashed
         );
         if tuned_thr > best_tps {
             best_tps = tuned_thr;

@@ -18,8 +18,9 @@
 
 use autotune::executor::{
     Campaign, CrashPenaltyMw, MachineAssignMw, OptimizerSource, QuarantineMw, RetryMw,
-    SchedulePolicy, TimeoutMw, TrialEvent,
+    SchedulePolicy, TimeoutMw,
 };
+use autotune::telemetry::SpanRecorder;
 use autotune::{Objective, Target};
 use autotune_optimizer::BayesianOptimizer;
 use autotune_sim::{CloudNoise, Environment, FaultPlan, NoiseConfig, RedisSim, Workload};
@@ -65,7 +66,9 @@ fn main() {
         let mut opt = BayesianOptimizer::gp(target.space().clone());
         let source = OptimizerSource::new(&mut opt, BUDGET);
         let policy = SchedulePolicy::AsyncSlots { k: 3 };
+        let mut spans = SpanRecorder::new();
         let mut campaign = Campaign::over(&target, Box::new(source), policy, SEED)
+            .with_subscriber(Box::new(&mut spans))
             .with_middleware(Box::new(MachineAssignMw::round_robin(N_MACHINES)));
         if resilient {
             campaign = campaign
@@ -79,8 +82,8 @@ fn main() {
             CrashPenaltyMw::new(1e9)
         };
         let mut campaign = campaign.with_middleware(Box::new(penalty));
-        let report = campaign.run();
-        let storage = campaign.storage();
+        let metrics = campaign.run();
+        let storage = campaign.into_storage();
 
         println!("-- {label} --");
         println!(
@@ -88,23 +91,20 @@ fn main() {
             storage.best().map_or(f64::NAN, |t| t.cost),
             storage.len(),
             storage.n_transient_failures(),
-            report.n_retried,
-            report.n_aborted,
+            metrics.n_retries,
+            metrics.n_aborted,
         );
-        for e in &report.events {
-            match e {
-                TrialEvent::Quarantined { machine_id } => {
-                    println!("   quarantined machine {machine_id}");
-                }
-                TrialEvent::Released { machine_id } => {
-                    println!("   released machine {machine_id} on probation");
-                }
-                _ => {}
+        for mark in spans.machine_marks() {
+            if mark.quarantined {
+                println!("   quarantined machine {}", mark.machine_id);
+            } else {
+                println!("   released machine {} on probation", mark.machine_id);
             }
         }
         println!(
             "   wall clock {:.0} s, machine seconds {:.0}\n",
-            report.wall_clock_s, report.machine_seconds
+            metrics.wall_clock_s,
+            metrics.machine_seconds()
         );
     }
 

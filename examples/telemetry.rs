@@ -9,10 +9,9 @@
 //!   → running attempts → retry backoffs → observed — and exporting them
 //!   as Chrome `trace_event` JSON;
 //! * a [`MetricsCollector`](autotune::telemetry::MetricsCollector) (one
-//!   is always on inside the campaign; its
-//!   snapshot rides on the `ExecReport`) rolling up counters, latency and
-//!   queue-wait histograms, and real tuner overhead measured through an
-//!   injected wall timer.
+//!   is always on inside the campaign; `Campaign::run` returns its
+//!   snapshot) rolling up counters, latency and queue-wait histograms,
+//!   and real tuner overhead measured through an injected wall timer.
 //!
 //! The subscribers are pure observers on the virtual clock: attach all of
 //! them or none and the campaign's results are byte-identical.
@@ -70,7 +69,7 @@ fn main() {
     let mut spans = SpanRecorder::new();
     let mut progress = ProgressReporter::new(std::io::stdout(), 500.0).with_budget(BUDGET);
 
-    let (report, storage) = {
+    let (metrics, storage) = {
         let policy = SchedulePolicy::AsyncSlots { k: 3 };
         let mut campaign = Campaign::over(&target, Box::new(source), policy, SEED)
             .with_middleware(Box::new(MachineAssignMw::round_robin(N_MACHINES)))
@@ -90,7 +89,7 @@ fn main() {
         storage.len()
     );
 
-    println!("-- metrics snapshot --\n{}\n", report.metrics);
+    println!("-- metrics snapshot --\n{metrics}\n");
 
     spans.validate_all().expect("spans are well-formed");
     println!("-- spans --");

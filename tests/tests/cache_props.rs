@@ -228,7 +228,6 @@ fn stream_router_config() -> RouterConfig {
             capacity_per_shard: 8,
             hot_window: 4096,
         },
-        journal_hits: true,
     }
 }
 

@@ -33,7 +33,7 @@ fn faulty_target(seed: u64) -> Target {
         )
 }
 
-fn run_resilient(seed: u64, policy: SchedulePolicy, budget: usize) -> (TrialStorage, usize) {
+fn run_resilient(seed: u64, policy: SchedulePolicy, budget: usize) -> (TrialStorage, u64) {
     let target = faulty_target(seed);
     let mut opt = BayesianOptimizer::gp(target.space().clone());
     let source = OptimizerSource::new(&mut opt, budget);
@@ -43,8 +43,8 @@ fn run_resilient(seed: u64, policy: SchedulePolicy, budget: usize) -> (TrialStor
         .with_middleware(Box::new(RetryMw::new(3, 5.0)))
         .with_middleware(Box::new(TimeoutMw::new(150.0)))
         .with_middleware(Box::new(CrashPenaltyMw::new(1e9)));
-    let report = campaign.run();
-    (campaign.into_storage(), report.n_retried)
+    let metrics = campaign.run();
+    (campaign.into_storage(), metrics.n_retries)
 }
 
 /// The fault-determinism regression test CI runs in `--release`:
@@ -112,8 +112,8 @@ fn session_summary_reports_fault_counters() {
     let summary = session.run(40, 17).expect("some trials survive");
     // No retry middleware in a plain session: transient losses surface
     // directly, with zero retries and zero quarantines.
-    assert!(summary.n_transient > 0);
-    assert_eq!(summary.n_retried, 0);
-    assert_eq!(summary.n_quarantined_machines, 0);
+    assert!(summary.metrics.n_transient > 0);
+    assert_eq!(summary.metrics.n_retries, 0);
+    assert!(summary.metrics.quarantined_machines.is_empty());
     assert!(summary.best_cost.is_finite());
 }

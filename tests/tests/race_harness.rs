@@ -336,7 +336,6 @@ fn mini_spec(name: &str, seed: u64) -> CampaignSpec {
 fn single_flight_admission_is_schedule_invariant() {
     let router_config = RouterConfig {
         cache: tight_cache(),
-        journal_hits: true,
     };
     let mut projections: Vec<String> = Vec::new();
     for seed in seeds() {

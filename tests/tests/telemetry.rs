@@ -1,21 +1,25 @@
 //! Cross-crate integration: the telemetry subsystem against the real
 //! executor — subscriber purity (byte-identical campaigns with any
 //! subscriber combination, in any order), span well-formedness under
-//! every schedule policy with the full fault/resilience stack, and a
-//! golden Chrome-trace export.
+//! every schedule policy with the full fault/resilience stack, the
+//! campaign's accounting re-derived from its history, and a golden
+//! Chrome-trace export.
 //!
 //! `campaign_is_byte_identical_with_all_subscribers_attached` is the
 //! release-mode CI gate for the ISSUE 3 acceptance criterion.
 
 use autotune::executor::{
-    Campaign, CrashPenaltyMw, ExecReport, MachineAssignMw, OptimizerSource, QuarantineMw, RetryMw,
-    SchedulePolicy, TimeoutMw,
+    Campaign, CampaignEvent, CrashPenaltyMw, MachineAssignMw, OptimizerSource, QuarantineMw,
+    RetryMw, RungSource, SchedulePolicy, TimeoutMw, TrialSource,
 };
-use autotune::telemetry::{MetricsCollector, ProgressReporter, SpanRecorder, Subscriber};
-use autotune::{Target, TrialStorage};
+use autotune::telemetry::{
+    MetricsCollector, MetricsSnapshot, ProgressReporter, SpanRecorder, Subscriber,
+};
+use autotune::{FidelityLevel, Objective, Target, Trial, TrialStatus, TrialStorage};
 use autotune_optimizer::{BayesianOptimizer, RandomSearch};
-use autotune_sim::{CloudNoise, FaultPlan, NoiseConfig};
+use autotune_sim::{CloudNoise, DbmsSim, Environment, FaultPlan, NoiseConfig, Workload};
 use autotune_tests::redis_target;
+use std::collections::BTreeMap;
 
 const N_MACHINES: usize = 4;
 
@@ -29,27 +33,37 @@ fn faulty_target(seed: u64) -> Target {
         .with_faults(FaultPlan::aggressive(seed).with_sick_machine(1, 6.0))
 }
 
+/// A campaign over `source` with the full resilience stack.
+fn resilient<'a>(
+    target: &'a Target,
+    source: Box<dyn TrialSource + 'a>,
+    policy: SchedulePolicy,
+    seed: u64,
+) -> Campaign<'a> {
+    Campaign::over(target, source, policy, seed)
+        .with_middleware(Box::new(MachineAssignMw::round_robin(N_MACHINES)))
+        .with_middleware(Box::new(QuarantineMw::with_defaults(N_MACHINES)))
+        .with_middleware(Box::new(RetryMw::new(3, 5.0)))
+        .with_middleware(Box::new(TimeoutMw::new(150.0)))
+        .with_middleware(Box::new(CrashPenaltyMw::new(1e9)))
+}
+
 /// Runs a resilient BO campaign with the given subscribers attached.
 fn run_observed(
     seed: u64,
     policy: SchedulePolicy,
     budget: usize,
     subscribers: &mut [&mut dyn Subscriber],
-) -> (TrialStorage, ExecReport) {
+) -> (TrialStorage, MetricsSnapshot) {
     let target = faulty_target(seed);
     let mut opt = BayesianOptimizer::gp(target.space().clone());
     let source = OptimizerSource::new(&mut opt, budget);
-    let mut campaign = Campaign::over(&target, Box::new(source), policy, seed)
-        .with_middleware(Box::new(MachineAssignMw::round_robin(N_MACHINES)))
-        .with_middleware(Box::new(QuarantineMw::with_defaults(N_MACHINES)))
-        .with_middleware(Box::new(RetryMw::new(3, 5.0)))
-        .with_middleware(Box::new(TimeoutMw::new(150.0)))
-        .with_middleware(Box::new(CrashPenaltyMw::new(1e9)));
+    let mut campaign = resilient(&target, Box::new(source), policy, seed);
     for sub in subscribers.iter_mut() {
         campaign = campaign.with_subscriber(Box::new(&mut **sub));
     }
-    let report = campaign.run();
-    (campaign.into_storage(), report)
+    let metrics = campaign.run();
+    (campaign.into_storage(), metrics)
 }
 
 /// The ISSUE 3 acceptance criterion, run in `--release` by the CI
@@ -88,8 +102,8 @@ fn campaign_is_byte_identical_with_all_subscribers_attached() {
 }
 
 /// Subscribers see the same stream regardless of attachment order, and
-/// an externally attached collector agrees with the executor's internal
-/// one (the `ExecReport.metrics` snapshot).
+/// an externally attached collector agrees with the campaign's internal
+/// one (the snapshot `Campaign::run` returns).
 #[test]
 fn subscriber_order_does_not_change_what_subscribers_see() {
     let run = |flip: bool| {
@@ -117,10 +131,128 @@ fn subscriber_order_does_not_change_what_subscribers_see() {
     let (m_ba, t_ba, _) = run(true);
     assert_eq!(t_ab, t_ba, "span recorder must be order-independent");
     assert_eq!(format!("{m_ab}"), format!("{m_ba}"));
-    // The external collector and the internal ExecReport one match.
-    assert_eq!(format!("{m_ab}"), format!("{}", r_ab.metrics));
+    // The external collector and the campaign's internal one match.
+    assert_eq!(format!("{m_ab}"), format!("{r_ab}"));
+    assert_eq!(m_ab.saved_s.to_bits(), r_ab.saved_s.to_bits());
+    assert_eq!(m_ab.quarantined_machines, r_ab.quarantined_machines);
     assert_eq!(m_ab.n_suggested, 18);
-    assert_eq!(r_ab.metrics.n_retries as usize, r_ab.n_retried);
+}
+
+/// The counters of `m` re-derived from the trial history.
+fn assert_counts_match_history(history: &TrialStorage, m: &MetricsSnapshot, ctx: &str) {
+    let n_with = |status| {
+        history
+            .trials()
+            .iter()
+            .filter(|t| t.status == status)
+            .count() as u64
+    };
+    assert_eq!(m.n_trials(), history.len() as u64, "{ctx}");
+    assert_eq!(m.n_finished, n_with(TrialStatus::Complete), "{ctx}");
+    assert_eq!(m.n_crashed, history.n_crashed() as u64, "{ctx}");
+    assert_eq!(m.n_aborted, n_with(TrialStatus::Aborted), "{ctx}");
+    assert_eq!(
+        m.n_transient,
+        history.n_transient_failures() as u64,
+        "{ctx}"
+    );
+    assert_eq!(m.n_retries, history.n_retried() as u64, "{ctx}");
+}
+
+/// The virtual wall clock re-derived from the event log: a trial starts
+/// at the clock of its suggestion, and each outcome, in log order,
+/// advances the clock to that trial's finish time.
+fn wall_clock_from_log(log: &[CampaignEvent]) -> f64 {
+    let mut clock = 0.0_f64;
+    let mut started = BTreeMap::new();
+    for event in log {
+        match event {
+            CampaignEvent::Suggested { id, .. } => {
+                started.insert(*id, clock);
+            }
+            CampaignEvent::Outcome { outcome } => {
+                clock = clock.max(started[&outcome.id] + outcome.elapsed_s);
+            }
+            _ => {}
+        }
+    }
+    clock
+}
+
+/// A campaign's accounting has one home, `Campaign::metrics()`, and it
+/// carries no information the history lacks: statuses, retries and
+/// machine-seconds re-derive from the trial storage and the wall clock
+/// from the event log, bit for bit, under every schedule policy with the
+/// fault plan and the resilience stack in play. A two-run session covers
+/// `MetricsSnapshot::merge` the same way.
+#[test]
+fn metrics_agree_with_the_history_under_every_policy() {
+    let target = faulty_target(3);
+    let levels = [5_000.0, 20_000.0].map(|ops| FidelityLevel {
+        label: format!("{ops} ops/s"),
+        workload: Workload::kv_cache(ops),
+    });
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
+    let pool: Vec<_> = (0..18).map(|_| target.space().sample(&mut rng)).collect();
+    let mut seen = MetricsSnapshot::default();
+    for policy in [
+        SchedulePolicy::Sequential,
+        SchedulePolicy::SyncBatch { k: 3 },
+        SchedulePolicy::AsyncSlots { k: 3 },
+        SchedulePolicy::Rungs { k: 3 },
+    ] {
+        let ctx = policy.label();
+        let mut opt = RandomSearch::new(target.space().clone());
+        let source: Box<dyn TrialSource> = match policy {
+            SchedulePolicy::Rungs { .. } => Box::new(RungSource::new(&levels, 3, pool.clone())),
+            _ => Box::new(OptimizerSource::new(&mut opt, 30)),
+        };
+        let mut campaign = resilient(&target, source, policy, 3);
+        let m = campaign.run();
+        assert_counts_match_history(campaign.storage(), &m, &ctx);
+        assert_eq!(
+            m.machine_seconds().to_bits(),
+            campaign.storage().total_elapsed_s().to_bits(),
+            "{ctx}"
+        );
+        let log = campaign.log().expect("log is on by default");
+        assert_eq!(
+            m.wall_clock_s.to_bits(),
+            wall_clock_from_log(log).to_bits(),
+            "{ctx}"
+        );
+        seen.merge(&m);
+    }
+    // The comparisons above were not all 0 == 0.
+    assert!(seen.n_retries > 0 && seen.n_aborted > 0);
+
+    use autotune::{SessionConfig, TuningSession};
+    // A DBMS on a small VM (OOM crashes) with an elapsed-time objective
+    // (early aborts) and a fault plan without retries (transient losses).
+    let target = Target::simulated(
+        Box::new(DbmsSim::new()),
+        Workload::tpch(10.0),
+        Environment::small(),
+        Objective::MinimizeElapsed,
+    )
+    .with_faults(FaultPlan::aggressive(17));
+    let opt = RandomSearch::new(target.space().clone());
+    let config = SessionConfig {
+        early_abort_ratio: Some(1.3),
+        ..Default::default()
+    };
+    let mut session = TuningSession::new(target, Box::new(opt), config);
+    session.run(20, 17);
+    let m = session.run(20, 18).expect("successful trials").metrics;
+    assert_counts_match_history(session.storage(), &m, "session");
+    let trials = session.storage().trials();
+    assert!(m.n_crashed > 0 && m.n_transient > 0 && m.n_aborted > 0 && m.saved_s > 0.0);
+    // Merged sums add run by run; a sequential run's wall clock is its
+    // machine-seconds.
+    let run_s = |run: &[Trial]| run.iter().fold(0.0, |sum, t| sum + t.elapsed_s);
+    let by_run = run_s(&trials[..20]) + run_s(&trials[20..]);
+    assert_eq!(m.machine_seconds().to_bits(), by_run.to_bits());
+    assert_eq!(m.wall_clock_s.to_bits(), by_run.to_bits());
 }
 
 /// Span well-formedness under every schedule policy, with faults,
@@ -136,7 +268,7 @@ fn spans_are_well_formed_under_all_policies() {
         SchedulePolicy::AsyncSlots { k: 3 },
     ] {
         let mut spans = SpanRecorder::new();
-        let (storage, report) = run_observed(3, policy, 30, &mut [&mut spans]);
+        let (storage, metrics) = run_observed(3, policy, 30, &mut [&mut spans]);
         spans
             .validate_all()
             .unwrap_or_else(|e| panic!("{policy:?}: {e}"));
@@ -149,8 +281,8 @@ fn spans_are_well_formed_under_all_policies() {
             .flat_map(|s| &s.segments)
             .filter(|seg| matches!(seg, autotune::telemetry::SpanSegment::Backoff { .. }))
             .count();
-        assert_eq!(backoffs, report.n_retried, "{policy:?}");
-        if report.n_quarantined_machines > 0 {
+        assert_eq!(backoffs as u64, metrics.n_retries, "{policy:?}");
+        if !metrics.quarantined_machines.is_empty() {
             assert!(spans.machine_marks().iter().any(|m| m.quarantined));
         }
         // Under a batch barrier, early finishers wait for the wave: some

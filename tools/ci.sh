@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # The tier-1 gate, runnable locally; CI runs the same steps split across
-# the build-test / lint / stress / determinism / perf-trajectory jobs in
+# the build-test / lint / stress / determinism / benchmark-crate jobs in
 # .github/workflows/ci.yml. Everything must pass before a change lands.
 #
-#   tools/ci.sh          # the full gate, release determinism + perf included
+#   tools/ci.sh          # the full gate, release determinism included
 #   tools/ci.sh --fast   # inner-loop subset: skips the release-build gates
-#                        # (release tests, chaos/E34, perf trajectory) and
-#                        # the determinism-under-load stress loop
+#                        # (release tests, chaos/E34, the benchmark crate)
+#                        # and the determinism-under-load stress loop
 #
 # Every step runs even after a failure, so one invocation reports the
 # whole picture; the trailing summary table shows pass/fail per step and
@@ -89,7 +89,7 @@ if [ "$FAST" -eq 1 ]; then
   skip_step "chaos recovery determinism (release)"
   skip_step "chaos recovery E34 (release)"
   skip_step "telemetry purity (release)"
-  skip_step "perf trajectory (bench_record)"
+  skip_step "benchmark crate (build + tests)"
 else
   # The byte-identical contracts must hold on a busy machine, not only
   # an idle one: rerun the registry, campaign-snapshot and cache-race
@@ -141,11 +141,15 @@ else
   run_step "telemetry purity (release)" \
     cargo test -q --release -p autotune-tests --test telemetry
 
-  # Perf trajectory: perf_smoke (ISSUE 4's 2x suggest-path tripwire) +
-  # serve_fleet + cache_fleet, appending {commit, date, metrics} rows to
-  # the BENCH_*.json trajectories and failing on a >20% regression vs
-  # the committed baseline. See tools/bench_record.sh.
-  run_step "perf trajectory (bench_record)" tools/bench_record.sh
+  # benchmark/ is its own workspace, so the build and test steps above
+  # never see it: build it and run its tests against the crates as they
+  # are now, or an API change under crates/ breaks BENCHMARK.json's
+  # command unnoticed.
+  benchmark_step() {
+    cargo build --release --offline --manifest-path benchmark/Cargo.toml &&
+      cargo test -q --offline --manifest-path benchmark/Cargo.toml
+  }
+  run_step "benchmark crate (build + tests)" benchmark_step
 fi
 
 echo
