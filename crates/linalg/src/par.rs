@@ -57,13 +57,13 @@ where
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     let chunk = items.len().div_ceil(threads.min(items.len()));
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let f = &f;
         let handles: Vec<_> = items
             .chunks(chunk)
             .enumerate()
             .map(|(ci, slice)| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     slice
                         .iter()
                         .enumerate()
@@ -77,7 +77,6 @@ where
             .flat_map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
             .collect()
     })
-    .unwrap_or_else(|payload| resume_unwind(payload))
 }
 
 /// Sums floats strictly left-to-right in index order.

@@ -1,12 +1,14 @@
-//! Durable write-ahead log + snapshot store for the campaign fleet.
+//! Durable, append-only write-ahead log for the campaign fleet.
 //!
 //! PR 6 made campaigns *resumable* (snapshot → byte-verified replay);
 //! this module makes the whole serving layer *crash-safe*: every
 //! [`CampaignEvent`] a campaign emits is appended to an on-disk WAL
-//! before the round is acknowledged, periodic [`CampaignSnapshot`]
-//! checkpoints bound replay time, and [`DurableRegistry::open`] rebuilds
-//! the exact fleet from whatever the filesystem holds — including a
-//! torn final record from a crash mid-write.
+//! before the round is acknowledged, and [`DurableRegistry::open`]
+//! rebuilds the exact fleet from whatever the filesystem holds —
+//! including a torn final record from a crash mid-write. Every event
+//! is written once: nothing is rewritten, superseded or deleted. (A
+//! campaign's snapshot *is* its event log, so a checkpoint would only
+//! be a second copy of it and would shorten no replay.)
 //!
 //! # Record format
 //!
@@ -20,16 +22,19 @@
 //! ```
 //!
 //! The payload is a [`WalRecord`]: a campaign registration (spec +
-//! assigned id), a batch of events, a self-contained checkpoint, or an
-//! administrative stop. Recovery reads segments in order and stops at
-//! the first record whose header or CRC fails *in the final segment* —
-//! that tail is a torn write from the crash and is truncated, not
-//! fatal. The same failure in an earlier segment means real corruption
-//! and is reported as [`ServeError::Storage`].
+//! assigned id), a batch of events, an administrative stop, or an
+//! auxiliary journal record. A campaign is persisted one way
+//! (`Register`, then `Events` deltas, then possibly `Stop`) and a
+//! layered subsystem one way (`Aux` records). Recovery reads segments
+//! in order, front to back, and stops at the first record whose header
+//! or CRC fails *in the final segment* — that tail is a torn write from
+//! the crash and is truncated, not fatal. The same failure in an
+//! earlier segment means real corruption and is reported as
+//! [`ServeError::Storage`].
 //!
 //! # Recovery invariant
 //!
-//! For every campaign, `checkpoint snapshot + logged events` is a
+//! For every campaign, the concatenation of its logged `Events` is a
 //! (possibly mid-tick) prefix of its deterministic history, so
 //! [`Campaign::resume_prefix`] rebuilds it byte-identically and live
 //! measurement takes over exactly where the durable log ends. If replay
@@ -68,21 +73,11 @@ enum WalRecord {
     Register {
         id: u64,
         name: String,
-        spec: CampaignSpec,
+        spec: Box<CampaignSpec>,
         request_id: Option<u64>,
     },
     /// Events appended to a campaign's log since its last record.
     Events { id: u64, events: Vec<CampaignEvent> },
-    /// A self-contained checkpoint: spec + snapshot supersede all
-    /// earlier records for this campaign.
-    Checkpoint {
-        id: u64,
-        name: String,
-        spec: CampaignSpec,
-        request_id: Option<u64>,
-        stopped: bool,
-        snapshot: CampaignSnapshot,
-    },
     /// The campaign was stopped administratively.
     Stop { id: u64 },
     /// An auxiliary journal record for a subsystem layered on the
@@ -90,25 +85,19 @@ enum WalRecord {
     /// the owner in append order on recovery; the WAL itself does not
     /// interpret `json`.
     Aux { key: String, json: String },
-    /// The whole auxiliary journal as of a checkpoint: supersedes every
-    /// earlier `Aux` record, as `Checkpoint` does a campaign's.
-    AuxCheckpoint { log: Vec<(String, String)> },
 }
 
-/// WAL sizing and cadence knobs.
+/// WAL sizing.
 #[derive(Debug, Clone, Copy)]
 pub struct WalConfig {
     /// Rotate to a new segment once the current one exceeds this.
     pub segment_bytes: u64,
-    /// Checkpoint + compact every this many scheduling rounds.
-    pub checkpoint_every_rounds: u64,
 }
 
 impl Default for WalConfig {
     fn default() -> Self {
         WalConfig {
             segment_bytes: 4 * 1024 * 1024,
-            checkpoint_every_rounds: 32,
         }
     }
 }
@@ -162,13 +151,10 @@ pub struct DurableRegistry {
     seg_bytes: u64,
     /// Per-campaign count of events already durable.
     durable_len: BTreeMap<u64, usize>,
-    /// Per-campaign registration info, for checkpoints.
-    specs: BTreeMap<u64, (String, CampaignSpec, Option<u64>)>,
-    /// Every auxiliary record in append order, kept in memory so
-    /// checkpoint compaction can carry the journal into the fresh
-    /// segment before older segments are deleted.
-    aux_log: Vec<(String, String)>,
-    rounds_since_checkpoint: u64,
+    /// The auxiliary journal [`DurableRegistry::open`] read, held until
+    /// its owner collects it with [`DurableRegistry::take_aux_log`].
+    /// Live appends never land here.
+    recovered_aux: Vec<(String, String)>,
     /// Set once a simulated crash fires; every later call fails.
     crashed: Option<CrashPoint>,
 }
@@ -189,24 +175,14 @@ impl DurableRegistry {
                 dir.display()
             )));
         }
-        let mut s = DurableRegistry {
+        let empty = Recovered {
             registry: CampaignRegistry::new(workers),
-            dir,
-            config,
-            admission: AdmissionConfig::default(),
-            chaos: None,
-            ops: 0,
-            seg_index: 0,
-            seg: None,
-            seg_bytes: 0,
             durable_len: BTreeMap::new(),
-            specs: BTreeMap::new(),
             aux_log: Vec::new(),
-            rounds_since_checkpoint: 0,
-            crashed: None,
+            max_seg: 0,
+            report: RecoveryReport::default(),
         };
-        s.rotate_segment()?;
-        Ok(s)
+        Self::over(dir, config, empty)
     }
 
     /// Rebuilds the fleet from the WAL in `dir`: reads every segment,
@@ -219,34 +195,37 @@ impl DurableRegistry {
         config: WalConfig,
     ) -> Result<(Self, RecoveryReport), ServeError> {
         let dir = dir.into();
-        let (registry, durable_len, specs, aux_log, seg_index, report) =
-            recover_dir(&dir, workers)?;
+        let recovered = recover_dir(&dir, workers)?;
+        let report = recovered.report;
+        let mut s = Self::over(dir, config, recovered)?;
+        s.registry.note_fleet_recovery();
+        s.registry.note_wal_truncated(report.truncated_bytes);
+        // Heal: any events replay regenerated past the durable frontier
+        // become durable now, so the next crash recovers to this exact
+        // state.
+        s.flush_events()?;
+        Ok((s, report))
+    }
+
+    /// A handle over `recovered`, appending to a fresh segment after the
+    /// ones it was read from.
+    fn over(dir: PathBuf, config: WalConfig, recovered: Recovered) -> Result<Self, ServeError> {
         let mut s = DurableRegistry {
-            registry,
+            registry: recovered.registry,
             dir,
             config,
             admission: AdmissionConfig::default(),
             chaos: None,
             ops: 0,
-            seg_index,
+            seg_index: recovered.max_seg,
             seg: None,
             seg_bytes: 0,
-            durable_len,
-            specs,
-            aux_log,
-            rounds_since_checkpoint: 0,
+            durable_len: recovered.durable_len,
+            recovered_aux: recovered.aux_log,
             crashed: None,
         };
-        s.registry.note_fleet_recovery();
-        s.registry.note_wal_truncated(report.truncated_bytes);
         s.rotate_segment()?;
-        // Heal: any events replay regenerated past the durable frontier
-        // become durable now, so the next crash recovers to this exact
-        // state.
-        s.flush_events()?;
-        let mut healed_report = report;
-        healed_report.healed_events = report.healed_events;
-        Ok((s, healed_report))
+        Ok(s)
     }
 
     /// Applies admission limits (also re-applied after panic recovery).
@@ -304,13 +283,11 @@ impl DurableRegistry {
             // new to persist.
             return Ok(id);
         }
-        self.specs
-            .insert(id, (spec.name.clone(), spec.clone(), request_id));
         self.durable_len.insert(id, 0);
         self.append(&WalRecord::Register {
             id,
             name: spec.name.clone(),
-            spec: spec.clone(),
+            spec: Box::new(spec.clone()),
             request_id,
         })?;
         self.registry.note_wal_appends(id, 1);
@@ -325,25 +302,22 @@ impl DurableRegistry {
     /// Appends one auxiliary journal record under `key`, durable before
     /// return. Subsystems layered on the registry (the config-cache
     /// router) journal their operations here and replay them in order
-    /// after [`DurableRegistry::open`] via [`DurableRegistry::aux_log`].
+    /// after [`DurableRegistry::open`] via
+    /// [`DurableRegistry::take_aux_log`]. Nothing is retained in memory.
     pub fn append_aux(&mut self, key: &str, json: String) -> Result<(), ServeError> {
         self.check_alive()?;
         self.append(&WalRecord::Aux {
             key: key.to_string(),
-            json: json.clone(),
-        })?;
-        self.aux_log.push((key.to_string(), json));
-        Ok(())
+            json,
+        })
     }
 
-    /// All auxiliary records appended under `key`, in append order
-    /// (surviving crashes, recoveries, and checkpoint compaction).
-    pub fn aux_log(&self, key: &str) -> Vec<&str> {
-        self.aux_log
-            .iter()
-            .filter(|(k, _)| k == key)
-            .map(|(_, j)| j.as_str())
-            .collect()
+    /// Hands over every `(key, json)` auxiliary record
+    /// [`DurableRegistry::open`] read from the WAL, in append order. The
+    /// journal is moved out: a second call (and any call on a handle
+    /// made by [`DurableRegistry::create`]) returns an empty list.
+    pub fn take_aux_log(&mut self) -> Vec<(String, String)> {
+        std::mem::take(&mut self.recovered_aux)
     }
 
     /// Stops a campaign, durably.
@@ -366,10 +340,6 @@ impl DurableRegistry {
             Ok(report) => {
                 let report = report?;
                 self.flush_events()?;
-                self.rounds_since_checkpoint += 1;
-                if self.rounds_since_checkpoint >= self.config.checkpoint_every_rounds {
-                    self.checkpoint()?;
-                }
                 Ok(DurableRound {
                     report,
                     recovered: false,
@@ -416,69 +386,12 @@ impl DurableRegistry {
         Ok(rounds)
     }
 
-    /// Forces a checkpoint + compaction: every campaign's spec and
-    /// snapshot-at-boundary is written to a fresh segment, then older
-    /// segments are deleted. Mid-tick campaigns (between `ready_wave`
-    /// and `complete_wave`) cannot snapshot and keep their event-log
-    /// representation instead.
+    /// Seals the open segment: later appends go to a fresh one. Nothing
+    /// is rewritten or deleted (the log already holds every event once),
+    /// so this is a rotation and nothing else.
     pub fn checkpoint(&mut self) -> Result<(), ServeError> {
         self.check_alive()?;
-        self.rounds_since_checkpoint = 0;
-        self.rotate_segment()?;
-        let keep_from = self.seg_index;
-        for id in self.registry.ids() {
-            let Some((name, spec, request_id)) = self.specs.get(&id).cloned() else {
-                continue;
-            };
-            let campaign = self.registry.campaign(id)?;
-            let Ok(snapshot) = campaign.snapshot() else {
-                // Mid-tick or log-disabled: re-register + replay events
-                // instead of checkpointing this one.
-                let events = campaign.log().unwrap_or_default().to_vec();
-                let stopped_len = events.len();
-                self.append(&WalRecord::Register {
-                    id,
-                    name,
-                    spec,
-                    request_id,
-                })?;
-                self.append(&WalRecord::Events { id, events })?;
-                self.registry.note_wal_appends(id, 2);
-                self.durable_len.insert(id, stopped_len);
-                continue;
-            };
-            let stopped = {
-                let stats = self.registry.stats(id)?;
-                stats.stopped
-            };
-            let len = snapshot.log.len();
-            self.append(&WalRecord::Checkpoint {
-                id,
-                name,
-                spec,
-                request_id,
-                stopped,
-                snapshot,
-            })?;
-            self.registry.note_wal_appends(id, 1);
-            self.durable_len.insert(id, len);
-        }
-        // Carry the aux journal into the fresh segment so compaction
-        // never drops layered-subsystem state — as one record that
-        // replaces what recovery has read so far, so a crash before the
-        // older segments are gone cannot leave the journal doubled.
-        if !self.aux_log.is_empty() {
-            self.append(&WalRecord::AuxCheckpoint {
-                log: self.aux_log.clone(),
-            })?;
-        }
-        // Checkpoints are durable; older segments are now redundant.
-        for (idx, path) in list_segments(&self.dir)? {
-            if idx < keep_from {
-                std::fs::remove_file(&path).map_err(io_err)?;
-            }
-        }
-        Ok(())
+        self.rotate_segment()
     }
 
     /// Appends every campaign's events past its durable frontier.
@@ -529,14 +442,14 @@ impl DurableRegistry {
             None => Vec::new(),
         };
         let workers = self.registry.workers();
-        let (mut rebuilt, durable_len, specs, aux_log, _, report) =
-            recover_dir(&self.dir, workers)?;
+        let recovered = recover_dir(&self.dir, workers)?;
+        let mut rebuilt = recovered.registry;
         rebuilt.set_rounds(rounds);
         rebuilt.set_admission(self.admission);
         rebuilt.set_robustness_counters(
             shed,
             retried,
-            truncated + report.truncated_bytes,
+            truncated + recovered.report.truncated_bytes,
             recoveries + 1,
         );
         if let Some(plan) = self.chaos {
@@ -551,9 +464,7 @@ impl DurableRegistry {
             rebuilt.note_campaign_recovery(id);
         }
         self.registry = rebuilt;
-        self.durable_len = durable_len;
-        self.specs = specs;
-        self.aux_log = aux_log;
+        self.durable_len = recovered.durable_len;
         // The open segment handle survived the panic; keep appending to
         // it. Heal any regenerated tail so disk matches memory.
         self.flush_events()
@@ -564,27 +475,15 @@ impl DurableRegistry {
         let op = self.ops;
         self.ops += 1;
         let encoded = encode_record(record)?;
-        let crash = self.chaos.and_then(|p| p.crash_at(op));
-        match crash {
-            Some(CrashPoint::PreAppend) => {
-                self.crashed = Some(CrashPoint::PreAppend);
-                return self.check_alive();
-            }
-            Some(CrashPoint::MidAppend) => {
-                let torn = self
-                    .chaos
-                    .map(|p| p.torn_len(op, encoded.len()))
-                    .unwrap_or(1);
-                self.write_bytes(&encoded[..torn])?;
-                self.crashed = Some(CrashPoint::MidAppend);
-                return self.check_alive();
-            }
-            Some(CrashPoint::PostAppendPreAck) => {
-                self.write_bytes(&encoded)?;
-                self.crashed = Some(CrashPoint::PostAppendPreAck);
-                return self.check_alive();
-            }
-            None => {}
+        if let Some((plan, point)) = self.chaos.and_then(|p| Some((p, p.crash_at(op)?))) {
+            let landed = match point {
+                CrashPoint::PreAppend => 0,
+                CrashPoint::MidAppend => plan.torn_len(op, encoded.len()),
+                CrashPoint::PostAppendPreAck => encoded.len(),
+            };
+            self.write_bytes(&encoded[..landed])?;
+            self.crashed = Some(point);
+            return self.check_alive();
         }
         self.write_bytes(&encoded)?;
         if self.seg_bytes >= self.config.segment_bytes {
@@ -618,25 +517,20 @@ impl DurableRegistry {
     }
 }
 
-/// Reads the WAL in `dir` and rebuilds the registry. Returns the
-/// registry, per-campaign durable event counts, registration info, the
-/// auxiliary journal in append order, the highest segment index seen,
-/// and the recovery report.
-#[allow(clippy::type_complexity)]
-fn recover_dir(
-    dir: &Path,
-    workers: usize,
-) -> Result<
-    (
-        CampaignRegistry,
-        BTreeMap<u64, usize>,
-        BTreeMap<u64, (String, CampaignSpec, Option<u64>)>,
-        Vec<(String, String)>,
-        u64,
-        RecoveryReport,
-    ),
-    ServeError,
-> {
+/// What [`recover_dir`] rebuilt from the WAL.
+struct Recovered {
+    registry: CampaignRegistry,
+    /// Per-campaign durable event counts.
+    durable_len: BTreeMap<u64, usize>,
+    /// The auxiliary journal in append order.
+    aux_log: Vec<(String, String)>,
+    /// The highest segment index seen.
+    max_seg: u64,
+    report: RecoveryReport,
+}
+
+/// Reads the WAL in `dir` front to back and rebuilds the registry.
+fn recover_dir(dir: &Path, workers: usize) -> Result<Recovered, ServeError> {
     let segments = list_segments(dir)?;
     if segments.is_empty() {
         return Err(ServeError::Storage(format!(
@@ -649,9 +543,8 @@ fn recover_dir(
     // Accumulated per-campaign durable state.
     struct Rebuild {
         name: String,
-        spec: CampaignSpec,
+        spec: Box<CampaignSpec>,
         request_id: Option<u64>,
-        base: Option<CampaignSnapshot>,
         events: Vec<CampaignEvent>,
         stopped: bool,
         records: u64,
@@ -696,7 +589,6 @@ fn recover_dir(
                             name,
                             spec,
                             request_id,
-                            base: None,
                             events: Vec::new(),
                             stopped: false,
                             records: 1,
@@ -709,54 +601,29 @@ fn recover_dir(
                         r.records += 1;
                     }
                 }
-                WalRecord::Checkpoint {
-                    id,
-                    name,
-                    spec,
-                    request_id,
-                    stopped,
-                    snapshot,
-                } => {
-                    let records = fleet.get(&id).map(|r| r.records + 1).unwrap_or(1);
-                    fleet.insert(
-                        id,
-                        Rebuild {
-                            name,
-                            spec,
-                            request_id,
-                            base: Some(snapshot),
-                            events: Vec::new(),
-                            stopped,
-                            records,
-                        },
-                    );
-                }
                 WalRecord::Stop { id } => {
                     if let Some(r) = fleet.get_mut(&id) {
                         r.stopped = true;
                         r.records += 1;
                     }
                 }
-                WalRecord::Aux { key, json } => {
-                    aux_log.push((key, json));
-                }
-                WalRecord::AuxCheckpoint { log } => aux_log = log,
+                WalRecord::Aux { key, json } => aux_log.push((key, json)),
             }
         }
     }
     let mut registry = CampaignRegistry::new(workers);
     let mut durable_len = BTreeMap::new();
-    let mut specs = BTreeMap::new();
     for (id, r) in fleet {
-        let mut snapshot = r.base.unwrap_or(CampaignSnapshot {
+        // The stamped `Measurement::clock` values carry the drift clock,
+        // so the boundary fields of the snapshot stay zero.
+        let snapshot = CampaignSnapshot {
             version: SNAPSHOT_VERSION,
             seed: r.spec.seed,
             policy: r.spec.policy,
             n_ticks: 0,
             target_clock: 0,
-            log: Vec::new(),
-        });
-        snapshot.log.extend(r.events);
+            log: r.events,
+        };
         let durable_events = snapshot.log.len();
         let fresh = r.spec.build();
         let (campaign, resume) = Campaign::resume_prefix(&snapshot, fresh)?;
@@ -773,14 +640,19 @@ fn recover_dir(
         if resume.mid_tick {
             durable_len.insert(id, durable_events);
         }
-        registry.restore_entry(id, r.name.clone(), campaign, r.stopped, r.records, 0);
+        registry.restore_entry(id, r.name, campaign, r.stopped, r.records, 0);
         if let Some(rid) = r.request_id {
             registry.restore_request_id(rid, id);
         }
-        specs.insert(id, (r.name, r.spec, r.request_id));
         report.campaigns += 1;
     }
-    Ok((registry, durable_len, specs, aux_log, max_seg, report))
+    Ok(Recovered {
+        registry,
+        durable_len,
+        aux_log,
+        max_seg,
+        report,
+    })
 }
 
 /// Decodes records until the bytes run out or a record fails its
@@ -920,6 +792,51 @@ mod tests {
         c.storage().to_json()
     }
 
+    fn history(d: &DurableRegistry, id: u64) -> String {
+        d.registry().campaign(id).unwrap().storage().to_json()
+    }
+
+    const SMALL_SEGMENTS: WalConfig = WalConfig {
+        segment_bytes: 16 * 1024,
+    };
+
+    /// Registers `specs` and runs the fleet dry or until an append
+    /// crashes; `arm` runs before every call that appends.
+    fn drive(
+        dir: &Path,
+        specs: &[CampaignSpec],
+        config: WalConfig,
+        arm: impl Fn(&mut DurableRegistry),
+    ) -> DurableRegistry {
+        let mut durable = DurableRegistry::create(dir, 2, config).unwrap();
+        for s in specs {
+            arm(&mut durable);
+            if durable.register_spec(s).is_err() {
+                return durable;
+            }
+        }
+        while durable.registry().has_runnable() {
+            arm(&mut durable);
+            if durable.step_round().is_err() {
+                break;
+            }
+        }
+        durable
+    }
+
+    /// Reopens `dir` with chaos off, retries the registrations that never
+    /// became durable, runs the fleet dry and returns every history in
+    /// spec order.
+    fn recover_and_finish(dir: &Path, specs: &[CampaignSpec], config: WalConfig) -> Vec<String> {
+        let (mut recovered, _) = DurableRegistry::open(dir, 2, config).unwrap();
+        for s in &specs[recovered.registry().len()..] {
+            recovered.register_spec(s).unwrap();
+        }
+        recovered.run_all().unwrap();
+        let ids = recovered.registry().ids();
+        ids.into_iter().map(|id| history(&recovered, id)).collect()
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         assert_eq!(crc32(b""), 0x0000_0000);
@@ -938,44 +855,25 @@ mod tests {
         for _ in 0..5 {
             durable.step_round().unwrap();
         }
-        let live: Vec<String> = ids
-            .iter()
-            .map(|id| {
-                durable
-                    .registry()
-                    .campaign(*id)
-                    .unwrap()
-                    .storage()
-                    .to_json()
-            })
-            .collect();
+        let live: Vec<String> = ids.iter().map(|id| history(&durable, *id)).collect();
         drop(durable);
-        let (recovered, report) = DurableRegistry::open(&dir, 2, WalConfig::default()).unwrap();
+        let (mut recovered, report) = DurableRegistry::open(&dir, 2, WalConfig::default()).unwrap();
         assert_eq!(report.campaigns, 4);
         assert_eq!(report.truncated_bytes, 0);
         for (id, want) in ids.iter().zip(&live) {
-            let got = recovered
-                .registry()
-                .campaign(*id)
-                .unwrap()
-                .storage()
-                .to_json();
-            assert_eq!(&got, want, "campaign {id} diverged across reopen");
+            assert_eq!(
+                &history(&recovered, *id),
+                want,
+                "campaign {id} diverged across reopen"
+            );
         }
         // And the recovered fleet finishes to the straight-run history.
-        let mut recovered = recovered;
         recovered.run_all().unwrap();
-        for (i, id) in ids.iter().enumerate() {
-            let got = recovered
-                .registry()
-                .campaign(*id)
-                .unwrap()
-                .storage()
-                .to_json();
+        for (id, s) in ids.iter().zip(&specs) {
             assert_eq!(
-                got,
-                straight_history(&specs[i]),
-                "campaign {i} final history"
+                history(&recovered, *id),
+                straight_history(s),
+                "campaign {id} final history"
             );
         }
         assert!(recovered.registry().fleet_stats().recoveries >= 1);
@@ -1014,41 +912,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_compacts_segments_and_preserves_history() {
-        let dir = temp_dir("ckpt");
-        let specs: Vec<CampaignSpec> = (0..3).map(spec).collect();
-        let config = WalConfig {
-            segment_bytes: 16 * 1024,
-            checkpoint_every_rounds: 2,
-        };
-        let mut durable = DurableRegistry::create(&dir, 2, config).unwrap();
-        let ids: Vec<u64> = specs
-            .iter()
-            .map(|s| durable.register_spec(s).unwrap())
-            .collect();
-        durable.run_all().unwrap();
-        // Compaction ran (cadence 2): early segments are gone.
-        let segments = list_segments(&dir).unwrap();
-        assert!(segments[0].0 > 1, "expected first segments compacted away");
-        drop(durable);
-        let (recovered, _) = DurableRegistry::open(&dir, 2, config).unwrap();
-        for (i, id) in ids.iter().enumerate() {
-            let got = recovered
-                .registry()
-                .campaign(*id)
-                .unwrap()
-                .storage()
-                .to_json();
-            assert_eq!(
-                got,
-                straight_history(&specs[i]),
-                "campaign {i} after compaction"
-            );
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn chaos_crash_points_all_recover_byte_identically() {
         // For each crash window, run with an aggressive chaos plan until
         // a crash fires, recover, finish, and compare to straight runs.
@@ -1056,94 +919,46 @@ mod tests {
         let want: Vec<String> = specs.iter().map(straight_history).collect();
         for seed in [1u64, 2, 3, 4, 5, 6] {
             let dir = temp_dir(&format!("chaos{seed}"));
-            let mut durable = DurableRegistry::create(&dir, 2, WalConfig::default()).unwrap();
-            durable.set_chaos(ChaosPlan::new(seed).with_crashes(0.02));
-            let mut crashed = None;
-            for s in &specs {
-                match durable.register_spec(s) {
-                    Ok(_) => {}
-                    Err(_) => {
-                        crashed = durable.crashed();
-                        break;
-                    }
-                }
-            }
-            while crashed.is_none() && durable.registry().has_runnable() {
-                if durable.step_round().is_err() {
-                    crashed = durable.crashed();
-                }
-            }
-            drop(durable);
-            let (mut recovered, _) = DurableRegistry::open(&dir, 2, WalConfig::default()).unwrap();
-            // Re-register anything that never became durable, then run
-            // to completion with chaos off.
-            for s in &specs {
-                let present = recovered.registry().ids().iter().any(|id| {
-                    recovered
-                        .registry()
-                        .stats(*id)
-                        .map(|st| st.name == s.name)
-                        .unwrap_or(false)
-                });
-                if !present {
-                    recovered.register_spec(s).unwrap();
-                }
-            }
-            recovered.run_all().unwrap();
-            for (i, s) in specs.iter().enumerate() {
-                let id = recovered
-                    .registry()
-                    .ids()
-                    .into_iter()
-                    .find(|id| {
-                        recovered
-                            .registry()
-                            .stats(*id)
-                            .map(|st| st.name == s.name)
-                            .unwrap_or(false)
-                    })
-                    .expect("campaign present after recovery");
-                let got = recovered
-                    .registry()
-                    .campaign(id)
-                    .unwrap()
-                    .storage()
-                    .to_json();
-                assert_eq!(
-                    got, want[i],
-                    "seed {seed} campaign {i} diverged after crash recovery"
-                );
-            }
+            let plan = ChaosPlan::new(seed).with_crashes(0.02);
+            drop(drive(&dir, &specs, WalConfig::default(), |d| {
+                d.set_chaos(plan)
+            }));
+            assert_eq!(
+                recover_and_finish(&dir, &specs, WalConfig::default()),
+                want,
+                "seed {seed} diverged after crash recovery"
+            );
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 
     #[test]
-    fn aux_journal_survives_reopen_and_compaction() {
+    fn aux_journal_survives_reopen_and_rotation() {
         let dir = temp_dir("aux");
-        let config = WalConfig {
-            segment_bytes: 16 * 1024,
-            checkpoint_every_rounds: 2,
-        };
-        let mut durable = DurableRegistry::create(&dir, 1, config).unwrap();
+        let mut durable = DurableRegistry::create(&dir, 1, SMALL_SEGMENTS).unwrap();
         durable.register_spec(&spec(0)).unwrap();
-        durable
-            .append_aux("router", "{\"op\":1}".to_string())
-            .unwrap();
-        durable
-            .append_aux("other", "{\"x\":true}".to_string())
-            .unwrap();
-        durable
-            .append_aux("router", "{\"op\":2}".to_string())
-            .unwrap();
-        // Force checkpoint compaction: the aux journal must carry over.
-        durable.run_all().unwrap();
-        durable.checkpoint().unwrap();
-        assert_eq!(durable.aux_log("router"), vec!["{\"op\":1}", "{\"op\":2}"]);
+        let journal = [
+            ("router", "{\"op\":1}"),
+            ("other", "{}"),
+            ("router", "{\"op\":2}"),
+        ]
+        .map(|(key, json)| (key.to_string(), json.to_string()));
+        for (i, (key, json)) in journal.iter().enumerate() {
+            if i == 2 {
+                // The campaign's events roll the log over before the last op.
+                durable.run_all().unwrap();
+                assert!(durable.seg_index > 2, "the log never rotated");
+            }
+            durable.append_aux(key, json.clone()).unwrap();
+        }
+        assert!(
+            durable.take_aux_log().is_empty(),
+            "appends are not retained"
+        );
         drop(durable);
-        let (reopened, _) = DurableRegistry::open(&dir, 1, config).unwrap();
-        assert_eq!(reopened.aux_log("router"), vec!["{\"op\":1}", "{\"op\":2}"]);
-        assert_eq!(reopened.aux_log("other"), vec!["{\"x\":true}"]);
+        let (mut reopened, _) = DurableRegistry::open(&dir, 1, SMALL_SEGMENTS).unwrap();
+        assert_eq!(reopened.take_aux_log(), journal);
+        assert!(reopened.take_aux_log().is_empty(), "handed over once");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1191,70 +1006,99 @@ mod tests {
         }
         assert!(recoveries > 0, "panic plan at 15% never fired");
         assert_eq!(durable.registry().fleet_stats().recoveries, recoveries);
-        for (i, id) in ids.iter().enumerate() {
-            let got = durable
-                .registry()
-                .campaign(*id)
-                .unwrap()
-                .storage()
-                .to_json();
-            assert_eq!(got, want[i], "campaign {i} diverged across panic recovery");
+        for (id, want) in ids.iter().zip(&want) {
+            assert_eq!(
+                &history(&durable, *id),
+                want,
+                "campaign {id} diverged across panic recovery"
+            );
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A plan whose first crash is `point`, at append `op`.
-    fn crash_plan(op: u64, point: CrashPoint) -> ChaosPlan {
+    /// A plan that leaves appends `from..op` alone and crashes append
+    /// `op` at `point`.
+    fn crash_plan(from: u64, op: u64, point: CrashPoint) -> ChaosPlan {
         (0..)
             .map(|seed| ChaosPlan::new(seed).with_crashes(0.05))
-            .find(|p| (0..op).all(|i| p.crash_at(i).is_none()) && p.crash_at(op) == Some(point))
+            .find(|p| (from..op).all(|i| p.crash_at(i).is_none()) && p.crash_at(op) == Some(point))
             .expect("some seed qualifies")
     }
 
+    /// Three sequential campaigns, the longest of `budget` trials (one
+    /// trial a round).
+    fn fleet_of(budget: usize) -> Vec<CampaignSpec> {
+        (0..3)
+            .map(|i| {
+                let name = format!("fleet{i}");
+                CampaignSpec::minimal(name, SystemKind::Redis, budget - 2 * i, 500 + i as u64)
+            })
+            .collect()
+    }
+
     #[test]
-    fn crash_at_any_checkpoint_append_keeps_the_aux_journal_single() {
-        let specs: Vec<CampaignSpec> = (0..2).map(spec).collect();
-        let journal = vec!["0", "1", "2"];
+    fn every_event_is_written_once() {
+        let dir = temp_dir("once");
+        let specs = fleet_of(66);
+        let durable = drive(&dir, &specs, SMALL_SEGMENTS, |_| {});
+        assert!(durable.registry().rounds() > 64, "the run was too short");
+        let segments = list_segments(&dir).unwrap();
+        assert_eq!(segments[0].0, 1, "segment 1 was deleted");
+        assert!(segments.len() > 2, "the run never rotated");
+        let (mut records, mut events, mut disk_bytes, mut record_bytes) = (0, 0, 0, 0);
+        for (_, path) in &segments {
+            let bytes = std::fs::read(path).unwrap();
+            disk_bytes += bytes.len();
+            for record in &decode_segment(&bytes).0 {
+                records += 1;
+                record_bytes += encode_record(record).unwrap().len();
+                if let WalRecord::Events { events: batch, .. } = record {
+                    events += batch.len();
+                }
+            }
+        }
+        let reg = durable.registry();
+        let logged = |id| reg.campaign(id).unwrap().log().unwrap().len();
+        let logged: usize = reg.ids().into_iter().map(logged).sum();
+        assert_eq!(events, logged, "an event was written twice or not at all");
+        // Every append this handle made is on disk, and nothing else is
+        // (no torn tail, no bytes outside a record).
+        assert_eq!(records, durable.ops, "a record was rewritten or deleted");
+        assert_eq!(disk_bytes, record_bytes);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn crash_at_any_append_recovers_byte_identically() {
+        // A short fleet: the sweep reruns it once per append and crash
+        // point, and a trial's events are ~13 KB, so every second append
+        // still rolls a 16 KiB segment.
+        let specs = fleet_of(10);
+        let want: Vec<String> = specs.iter().map(straight_history).collect();
+        let dir = temp_dir("sweep-clean");
+        let clean = drive(&dir, &specs, SMALL_SEGMENTS, |_| {});
+        let appends = clean.ops;
+        assert!(clean.seg_index > 4, "the swept run never rotated");
+        std::fs::remove_dir_all(&dir).unwrap();
         for point in [
             CrashPoint::PreAppend,
             CrashPoint::MidAppend,
             CrashPoint::PostAppendPreAck,
         ] {
-            // Crash at the checkpoint's first append, then its second, …
-            // until a checkpoint gets through uncrashed.
-            for k in 0.. {
-                let dir = temp_dir(&format!("ckpt-crash-{}-{k}", point.label()));
-                let mut durable = DurableRegistry::create(&dir, 2, WalConfig::default()).unwrap();
-                let ids: Vec<u64> = specs
-                    .iter()
-                    .map(|s| durable.register_spec(s).unwrap())
-                    .collect();
-                durable.step_round().unwrap();
-                for j in &journal {
-                    durable.append_aux("k", j.to_string()).unwrap();
-                }
-                let history = |d: &DurableRegistry, id: u64| {
-                    d.registry().campaign(id).unwrap().storage().to_json()
+            for k in 0..appends {
+                let dir = temp_dir(&format!("sweep-{}-{k}", point.label()));
+                // A call appends at most one record per campaign, so the
+                // plan is armed (and searched for) only this close to `k`.
+                let arm = |d: &mut DurableRegistry| {
+                    if (d.ops..d.ops + specs.len() as u64).contains(&k) {
+                        d.set_chaos(crash_plan(d.ops, k, point));
+                    }
                 };
-                let live: Vec<String> = ids.iter().map(|id| history(&durable, *id)).collect();
-                durable.set_chaos(crash_plan(durable.ops + k, point));
-                let crashed = durable.checkpoint().is_err();
-                drop(durable);
-                let (mut reopened, _) =
-                    DurableRegistry::open(&dir, 2, WalConfig::default()).unwrap();
-                assert_eq!(reopened.aux_log("k"), journal, "{} at +{k}", point.label());
-                for (id, want) in ids.iter().zip(&live) {
-                    assert_eq!(&history(&reopened, *id), want, "{} at +{k}", point.label());
-                }
-                // The recovered handle compacts to the same journal.
-                reopened.checkpoint().unwrap();
-                drop(reopened);
-                let (again, _) = DurableRegistry::open(&dir, 2, WalConfig::default()).unwrap();
-                assert_eq!(again.aux_log("k"), journal);
+                let crashed = drive(&dir, &specs, SMALL_SEGMENTS, arm).crashed();
+                assert_eq!(crashed, Some(point), "append {k} never crashed");
+                let got = recover_and_finish(&dir, &specs, SMALL_SEGMENTS);
+                assert_eq!(got, want, "{} at append {k}", point.label());
                 std::fs::remove_dir_all(&dir).unwrap();
-                if !crashed {
-                    break;
-                }
             }
         }
     }

@@ -183,11 +183,19 @@ pub fn read_frame<T: for<'de> Deserialize<'de>>(
     r: &mut impl Read,
 ) -> Result<Option<T>, ServeError> {
     let mut len = [0u8; 4];
-    match r.read_exact(&mut len) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(ServeError::Protocol(e.to_string())),
+    let got = loop {
+        match r.read(&mut len) {
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            other => break other.map_err(|e| ServeError::Protocol(e.to_string()))?,
+        }
+    };
+    if got == 0 {
+        return Ok(None);
     }
+    // Only zero bytes is a frame boundary: a peer that dies inside the
+    // prefix tore a frame.
+    r.read_exact(&mut len[got..])
+        .map_err(|e| ServeError::Protocol(format!("torn length prefix: {e}")))?;
     let len = u32::from_le_bytes(len) as usize;
     if len > MAX_FRAME_LEN {
         return Err(ServeError::FrameTooLarge {

@@ -491,6 +491,13 @@ impl CampaignRegistry {
         Ok(&self.entry(id)?.campaign)
     }
 
+    /// Whether a campaign will never tick again (done or stopped);
+    /// false for an unknown id.
+    pub(crate) fn is_finished(&self, id: u64) -> bool {
+        self.entry(id)
+            .is_ok_and(|e| e.stopped || e.campaign.is_done())
+    }
+
     /// Stops serving a campaign (its state is kept and can still be
     /// snapshotted). Returns whether it was previously active.
     pub fn stop(&mut self, id: u64) -> Result<bool, ServeError> {

@@ -89,7 +89,7 @@ if [ "$FAST" -eq 1 ]; then
   skip_step "chaos recovery determinism (release)"
   skip_step "chaos recovery E34 (release)"
   skip_step "telemetry purity (release)"
-  skip_step "benchmark crate (build + tests)"
+  skip_step "benchmark crate (build, tests, smoke run)"
 else
   # The byte-identical contracts must hold on a busy machine, not only
   # an idle one: rerun the registry, campaign-snapshot and cache-race
@@ -144,12 +144,17 @@ else
   # benchmark/ is its own workspace, so the build and test steps above
   # never see it: build it and run its tests against the crates as they
   # are now, or an API change under crates/ breaks BENCHMARK.json's
-  # command unnoticed.
+  # command unnoticed. Then one short traced run (exit code only): the
+  # per-layer pass is the only outside caller of
+  # `DurableRegistry::{checkpoint, append_aux}`, so a failed output check
+  # or a panic there shows here before the benchmark pipeline does.
   benchmark_step() {
     cargo build --release --offline --manifest-path benchmark/Cargo.toml &&
-      cargo test -q --offline --manifest-path benchmark/Cargo.toml
+      cargo test -q --offline --manifest-path benchmark/Cargo.toml &&
+      cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+        --workload tune_fleet --seed 1 --seconds 2 --trace 1 >/dev/null
   }
-  run_step "benchmark crate (build + tests)" benchmark_step
+  run_step "benchmark crate (build, tests, smoke run)" benchmark_step
 fi
 
 echo
