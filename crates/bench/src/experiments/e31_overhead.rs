@@ -10,21 +10,10 @@
 
 use crate::report::{f, Report};
 use autotune::executor::{Campaign, OptimizerSource, SchedulePolicy};
-use autotune::telemetry::{MetricsSnapshot, SpanRecorder, WallTimer};
+use autotune::telemetry::{MetricsSnapshot, SpanRecorder};
 use autotune_optimizer::{BayesianOptimizer, Optimizer, RandomSearch};
-use std::time::Instant;
 
 const BUDGET: usize = 40;
-
-/// A real wall timer for overhead attribution (core itself never reads
-/// real time; the bench harness injects this).
-struct StdTimer(Instant);
-
-impl WallTimer for StdTimer {
-    fn now_ns(&mut self) -> u64 {
-        self.0.elapsed().as_nanos() as u64
-    }
-}
 
 fn run_instrumented(mut opt: Box<dyn Optimizer>, record_spans: bool) -> (MetricsSnapshot, String) {
     let target = super::dbms_target();
@@ -34,7 +23,7 @@ fn run_instrumented(mut opt: Box<dyn Optimizer>, record_spans: bool) -> (Metrics
         let mut campaign =
             Campaign::over(&target, Box::new(source), SchedulePolicy::Sequential, 3_100)
                 .with_event_log(false)
-                .with_timer(Box::new(StdTimer(Instant::now())));
+                .with_timer(Box::new(super::StdTimer::start()));
         if record_spans {
             campaign = campaign.with_subscriber(Box::new(&mut spans));
         }

@@ -22,13 +22,12 @@
 
 use crate::report::{f, Report};
 use autotune::executor::{Campaign, OptimizerSource, SchedulePolicy};
-use autotune::telemetry::{MetricsSnapshot, WallTimer};
+use autotune::telemetry::MetricsSnapshot;
 use autotune_optimizer::{
     AcquisitionFunction, BayesianOptimizer, BoConfig, Observation, SurrogateChoice,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
 
 /// Warm-start history size for the A/B comparison.
 const WARM_N: usize = 500;
@@ -37,16 +36,6 @@ const AB_BUDGET: usize = 20;
 /// Budgets of the two scaling campaigns (2x apart, so the observe-time
 /// ratio pins the per-observe exponent).
 const SCALE_BUDGETS: [usize; 2] = [1_000, 2_000];
-
-/// A real wall timer for overhead attribution (core itself never reads
-/// real time; the bench harness injects this).
-struct StdTimer(Instant);
-
-impl WallTimer for StdTimer {
-    fn now_ns(&mut self) -> u64 {
-        self.0.elapsed().as_nanos() as u64
-    }
-}
 
 /// BO tuned for overhead measurement: hyperparameter refits off so the
 /// A/B isolates fit-vs-extend, and a small candidate batch so posterior
@@ -82,7 +71,7 @@ fn run_instrumented(opt: &mut BayesianOptimizer, budget: usize, seed: u64) -> Me
     let source = OptimizerSource::new(opt, budget);
     let metrics = Campaign::over(&target, Box::new(source), SchedulePolicy::Sequential, seed)
         .with_event_log(false)
-        .with_timer(Box::new(StdTimer(Instant::now())))
+        .with_timer(Box::new(super::StdTimer::start()))
         .run();
     metrics
 }

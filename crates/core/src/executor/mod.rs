@@ -29,8 +29,7 @@ mod policy;
 mod source;
 
 pub use campaign::{
-    Campaign, CampaignError, CampaignEvent, CampaignSnapshot, ResumeReport, WorkItem,
-    SNAPSHOT_VERSION,
+    Campaign, CampaignError, CampaignEvent, CampaignSnapshot, WorkItem, SNAPSHOT_VERSION,
 };
 pub use event::{Measurement, TrialEvent, TrialOutcome, TrialRequest};
 pub use middleware::{

@@ -95,8 +95,8 @@ pub use early_abort::EarlyAbort;
 pub use executor::{
     measure_request, measure_wave, Campaign, CampaignError, CampaignEvent, CampaignSnapshot,
     CrashPenaltyMw, EarlyAbortMw, MachineAssignMw, Measurement, Middleware, OptimizerSource,
-    QuarantineMw, ResumeReport, RetryMw, RungSource, SchedulePolicy, SourceStep, TimeoutMw,
-    TrialEvent, TrialOutcome, TrialRequest, TrialSource, WorkItem,
+    QuarantineMw, RetryMw, RungSource, SchedulePolicy, SourceStep, TimeoutMw, TrialEvent,
+    TrialOutcome, TrialRequest, TrialSource, WorkItem,
 };
 pub use importance::{lasso_path, permutation_importance, KnobImportance};
 pub use llamatune::{LlamaTune, LlamaTuneConfig};

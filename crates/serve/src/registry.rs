@@ -29,6 +29,15 @@
 //! least-loaded of `workers` virtual workers; the round's makespan is
 //! the maximum worker load. Serial seconds divided by summed makespans
 //! gives the pool speedup a real fleet of that size would see.
+//!
+//! # Worker panics
+//!
+//! A panic inside the pool unwinds out of
+//! [`CampaignRegistry::step_round`] with the round's counter, queue
+//! activations and credit booked and none of its measurements. The
+//! durability layer catches it and swaps in each campaign's rebuild from
+//! the WAL; the registry and the rest of every entry stay, so admission,
+//! queue positions and accounting read the same after a recovery.
 
 use crate::chaos::ChaosPlan;
 use crate::spec::CampaignSpec;
@@ -287,8 +296,8 @@ impl CampaignRegistry {
     /// Arms deterministic worker-panic injection: each (round, campaign)
     /// measurement job consults `plan` and may panic inside the pool.
     /// The panic propagates out of [`CampaignRegistry::step_round`]; a
-    /// durability layer catches it at that boundary and rebuilds from
-    /// the WAL.
+    /// durability layer catches it at that boundary and swaps in
+    /// campaigns rebuilt from the WAL.
     pub fn inject_worker_panics(&mut self, plan: ChaosPlan) {
         self.worker_panic_plan = Some(plan);
     }
@@ -307,8 +316,7 @@ impl CampaignRegistry {
         self
     }
 
-    /// Replaces the admission limits in place (recovery re-applies the
-    /// pre-crash configuration to a rebuilt registry).
+    /// Replaces the admission limits in place.
     pub fn set_admission(&mut self, admission: AdmissionConfig) {
         self.admission = admission;
     }
@@ -318,14 +326,8 @@ impl CampaignRegistry {
         self.rounds
     }
 
-    /// Restores the round counter on a rebuilt registry, so stats stay
-    /// monotone across a recovery and chaos rolls keyed on the round
-    /// number never re-roll a round that already fired.
-    pub(crate) fn set_rounds(&mut self, rounds: u64) {
-        self.rounds = rounds;
-    }
-
-    /// Re-inserts a campaign under its original id during recovery.
+    /// Re-inserts a campaign under its original id when a fleet is
+    /// reopened from its WAL.
     pub(crate) fn restore_entry(
         &mut self,
         id: u64,
@@ -333,7 +335,6 @@ impl CampaignRegistry {
         campaign: Campaign<'static>,
         stopped: bool,
         wal_appends: u64,
-        recoveries: u64,
     ) {
         self.next_id = self.next_id.max(id + 1);
         self.entries.push(Entry {
@@ -347,33 +348,19 @@ impl CampaignRegistry {
             live_measurements: 0,
             virtual_busy_s: 0.0,
             wal_appends,
-            recoveries,
+            recoveries: 0,
         });
     }
 
-    /// Fleet-level robustness counters, for carrying across a rebuild:
-    /// `(shed, retried, wal_truncated_bytes, fleet_recoveries)`.
-    pub(crate) fn robustness_counters(&self) -> (u64, u64, u64, u64) {
-        (
-            self.shed_requests,
-            self.retried_requests,
-            self.wal_truncated_bytes,
-            self.fleet_recoveries,
-        )
-    }
-
-    /// Restores fleet-level robustness counters on a rebuilt registry.
-    pub(crate) fn set_robustness_counters(
+    /// Swaps in the rebuild of a live campaign after a worker panic;
+    /// the rest of its entry (queue position, credit, accounting) stays.
+    pub(crate) fn replace_campaign(
         &mut self,
-        shed: u64,
-        retried: u64,
-        truncated: u64,
-        recoveries: u64,
-    ) {
-        self.shed_requests = shed;
-        self.retried_requests = retried;
-        self.wal_truncated_bytes = truncated;
-        self.fleet_recoveries = recoveries;
+        id: u64,
+        campaign: Campaign<'static>,
+    ) -> Result<(), ServeError> {
+        self.entry_mut(id)?.campaign = campaign;
+        Ok(())
     }
 
     /// Registers an owned campaign under `name`; returns its id. This
@@ -465,11 +452,6 @@ impl CampaignRegistry {
     /// queued and eligible for activation).
     pub fn has_runnable(&self) -> bool {
         self.n_active() > 0 || (self.n_pending() > 0 && self.admission.max_active > 0)
-    }
-
-    /// Pool size this registry schedules for.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     fn entry(&self, id: u64) -> Result<&Entry, ServeError> {
@@ -640,14 +622,11 @@ impl CampaignRegistry {
         }
     }
 
-    /// Records torn-tail bytes discarded during WAL recovery.
-    pub fn note_wal_truncated(&mut self, bytes: u64) {
-        self.wal_truncated_bytes += bytes;
-    }
-
-    /// Records a whole-process recovery (WAL replay after a crash).
-    pub fn note_fleet_recovery(&mut self) {
+    /// Records one WAL replay (a reopen after a crash, or a rebuild
+    /// after a worker panic) and the torn-tail bytes it discarded.
+    pub fn note_fleet_recovery(&mut self, truncated_bytes: u64) {
         self.fleet_recoveries += 1;
+        self.wal_truncated_bytes += truncated_bytes;
     }
 
     /// Records a per-campaign rebuild (e.g. after a worker panic).
@@ -742,7 +721,7 @@ impl CampaignRegistry {
 /// Deterministic chaos injection for the measurement pool: rolled by
 /// the armed [`ChaosPlan`] on (round, campaign id), and caught at the
 /// `step_round` boundary by the durability layer, which quarantines the
-/// in-memory fleet and rebuilds it from the WAL.
+/// in-memory campaigns and swaps in their rebuilds from the WAL.
 fn chaos_worker_panic(round: u64, id: u64) -> ! {
     panic!("chaos: injected worker panic (round {round}, campaign {id})") // lint: allow(D5) seeded chaos, caught at the pool boundary
 }

@@ -3,8 +3,9 @@
 # contracts once held only on an idle machine, with the CPUs
 # oversubscribed — three busy-loop siblings next to the test harness and
 # more test threads than cores. A wave measured in any order but wave
-# order (drift-clock stamps), or a race test that never raced, shows up
-# here as a failure count; the bar is 0 everywhere.
+# order (drift-clock stamps), a race test that never raced, or a crash
+# or worker-panic recovery that is not byte-identical shows up here as a
+# failure count; the bar is 0 everywhere.
 #
 #   tools/stress.sh <runs>     # e.g. 200 (ROADMAP item 0), 50 in ci.sh
 set -uo pipefail
@@ -38,10 +39,14 @@ for _ in 1 2 3; do
   SIBLINGS+=("$!")
 done
 
+# name|cargo test arguments, up to and including the `--` that starts
+# the harness's own. The recovery suite leaves out the sweep that
+# reruns a fleet once per append index (quadratic; `cargo test` has it).
 SUITES=(
-  "serve registry::tests|-p autotune-serve --lib registry::tests"
-  "tests/campaign_snapshot|-p autotune-tests --test campaign_snapshot"
-  "tests/cache_props|-p autotune-tests --test cache_props"
+  "serve registry::tests|-p autotune-serve --lib registry::tests --"
+  "tests/campaign_snapshot|-p autotune-tests --test campaign_snapshot --"
+  "tests/cache_props|-p autotune-tests --test cache_props --"
+  "serve durability::tests|-p autotune-serve --lib durability::tests -- --skip crash_at_any_append"
 )
 
 echo "stress: $RUNS runs per suite, $THREADS test threads on $CORES cores, 3 busy siblings"
@@ -51,7 +56,7 @@ for suite in "${SUITES[@]}"; do
   read -r -a args <<<"${suite#*|}"
   failures=0
   for _ in $(seq "$RUNS"); do
-    if ! cargo test -q "${args[@]}" -- --test-threads "$THREADS" >/dev/null 2>&1; then
+    if ! cargo test -q "${args[@]}" --test-threads "$THREADS" >/dev/null 2>&1; then
       failures=$((failures + 1))
     fi
   done
