@@ -17,20 +17,26 @@
 //!
 //! ```text
 //! ┌──────────┬──────────┬───────────────────┐
-//! │ len: u32 │ crc: u32 │ payload (JSON)    │   little-endian header,
+//! │ len: u32 │ crc: u32 │ payload (CBOR)    │   little-endian header,
 //! └──────────┴──────────┴───────────────────┘   crc32(payload)
 //! ```
 //!
-//! The payload is a [`WalRecord`]: a campaign registration (spec +
-//! assigned id), a batch of events, an administrative stop, or an
-//! auxiliary journal record. A campaign is persisted one way
+//! The payload is a [`WalRecord`] in the deterministic CBOR subset the
+//! `ciborium` stub writes (the encoding of protocol frames too): a
+//! campaign registration (spec + assigned id), a batch of events, an
+//! administrative stop, or an auxiliary journal record whose own
+//! payload is opaque bytes. A campaign is persisted one way
 //! (`Register`, then `Events` deltas, then possibly `Stop`) and a
 //! layered subsystem one way (`Aux` records). Recovery reads segments
 //! in order, front to back, and stops at the first record whose header
 //! or CRC fails *in the final segment* — that tail is a torn write from
 //! the crash and is truncated, not fatal. The same failure in an
 //! earlier segment means real corruption and is reported as
-//! [`ServeError::Storage`].
+//! [`ServeError::Storage`]. So is, in any segment, a record whose length
+//! and CRC hold but whose payload does not decode: a torn write cannot
+//! produce one, so it is corruption or a foreign format (a log from the
+//! JSON era, say), and nothing is truncated for it. The `wal_dump`
+//! example prints a log as JSON lines ([`crate::dump_wal`]).
 //!
 //! # Recovery invariant
 //!
@@ -59,6 +65,7 @@
 //! inside the registry that was serving them.
 
 use crate::chaos::{ChaosPlan, CrashPoint};
+use crate::protocol::ENCODE_RESERVE;
 use crate::registry::{AdmissionConfig, CampaignRegistry, RoundReport, ServeError};
 use crate::spec::CampaignSpec;
 use autotune::executor::SNAPSHOT_VERSION;
@@ -70,7 +77,7 @@ use std::path::{Path, PathBuf};
 
 /// One durable WAL record.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-enum WalRecord {
+pub(crate) enum WalRecord {
     /// A campaign was admitted: everything needed to rebuild it from
     /// scratch plus the idempotency key that created it.
     Register {
@@ -86,8 +93,12 @@ enum WalRecord {
     /// An auxiliary journal record for a subsystem layered on the
     /// registry (e.g. the config-cache router). Records are replayed to
     /// the owner in append order on recovery; the WAL itself does not
-    /// interpret `json`.
-    Aux { key: String, json: String },
+    /// interpret `payload`.
+    Aux {
+        key: String,
+        #[serde(with = "serde_bytes")]
+        payload: Vec<u8>,
+    },
 }
 
 /// WAL sizing.
@@ -150,7 +161,7 @@ pub struct DurableRegistry {
     /// The auxiliary journal [`DurableRegistry::open`] read, held until
     /// its owner collects it with [`DurableRegistry::take_aux_log`].
     /// Live appends never land here.
-    recovered_aux: Vec<(String, String)>,
+    recovered_aux: Vec<(String, Vec<u8>)>,
     /// Set once a simulated crash fires; every later call fails.
     crashed: Option<CrashPoint>,
 }
@@ -302,19 +313,22 @@ impl DurableRegistry {
     /// router) journal their operations here and replay them in order
     /// after [`DurableRegistry::open`] via
     /// [`DurableRegistry::take_aux_log`]. Nothing is retained in memory.
-    pub fn append_aux(&mut self, key: &str, json: String) -> Result<(), ServeError> {
+    pub fn append_aux(&mut self, key: &str, payload: impl Into<Vec<u8>>) -> Result<(), ServeError> {
         self.check_alive()?;
         self.append(&WalRecord::Aux {
             key: key.to_string(),
-            json,
+            payload: payload.into(),
         })
     }
 
-    /// Hands over every `(key, json)` auxiliary record
-    /// [`DurableRegistry::open`] read from the WAL, in append order. The
-    /// journal is moved out: a second call (and any call on a handle
-    /// made by [`DurableRegistry::create`]) returns an empty list.
-    pub fn take_aux_log(&mut self) -> Vec<(String, String)> {
+    /// Hands over every `(key, payload)` auxiliary record
+    /// [`DurableRegistry::open`] read from the WAL, in append order, each
+    /// payload the bytes its owner appended (the owner decodes them one
+    /// at a time as it replays: held decoded, a long journal would cost
+    /// several times its size on disk). The journal is moved out: a
+    /// second call (and any call on a handle made by
+    /// [`DurableRegistry::create`]) returns an empty list.
+    pub fn take_aux_log(&mut self) -> Vec<(String, Vec<u8>)> {
         std::mem::take(&mut self.recovered_aux)
     }
 
@@ -498,7 +512,7 @@ struct Durable {
 struct Recovered {
     fleet: BTreeMap<u64, Durable>,
     /// The auxiliary journal in append order (empty unless asked for).
-    aux_log: Vec<(String, String)>,
+    aux_log: Vec<(String, Vec<u8>)>,
     /// The highest segment index seen.
     max_seg: u64,
     report: RecoveryReport,
@@ -526,23 +540,20 @@ fn rebuild(
 /// Reads the WAL in `dir` front to back. The auxiliary journal is
 /// decoded either way but kept only with `keep_aux`.
 fn recover_dir(dir: &Path, keep_aux: bool) -> Result<Recovered, ServeError> {
-    let segments = list_segments(dir)?;
-    if segments.is_empty() {
-        return Err(ServeError::Storage(format!(
-            "no WAL segments in {}",
-            dir.display()
-        )));
-    }
+    let segments = written_segments(dir)?;
     let mut report = RecoveryReport::default();
     let last_idx = segments.len() - 1;
     let mut fleet: BTreeMap<u64, Durable> = BTreeMap::new();
-    let mut aux_log: Vec<(String, String)> = Vec::new();
+    let mut aux_log: Vec<(String, Vec<u8>)> = Vec::new();
     let mut max_seg = 0;
     for (i, (seg_no, path)) in segments.iter().enumerate() {
         max_seg = max_seg.max(*seg_no);
         report.segments_read += 1;
         let bytes = std::fs::read(path).map_err(io_err)?;
-        let (records, consumed) = decode_segment(&bytes);
+        // Before anything is truncated: an undecodable record is no torn
+        // tail, and its file stays as it was found.
+        let (records, consumed) =
+            decode_segment(&bytes).map_err(|(at, why)| undecodable(path, at, &why))?;
         let torn = bytes.len() as u64 - consumed;
         if torn > 0 {
             if i != last_idx {
@@ -593,9 +604,9 @@ fn recover_dir(dir: &Path, keep_aux: bool) -> Result<Recovered, ServeError> {
                         r.records += 1;
                     }
                 }
-                WalRecord::Aux { key, json } => {
+                WalRecord::Aux { key, payload } => {
                     if keep_aux {
-                        aux_log.push((key, json));
+                        aux_log.push((key, payload));
                     }
                 }
             }
@@ -610,46 +621,86 @@ fn recover_dir(dir: &Path, keep_aux: bool) -> Result<Recovered, ServeError> {
     })
 }
 
-/// Decodes records until the bytes run out or a record fails its
-/// header/CRC check. Returns the records and the clean byte count.
-fn decode_segment(bytes: &[u8]) -> (Vec<WalRecord>, u64) {
-    let mut records = Vec::new();
-    let mut at = 0usize;
-    while at + 8 <= bytes.len() {
-        let len =
-            u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]) as usize;
-        let crc = u32::from_le_bytes([bytes[at + 4], bytes[at + 5], bytes[at + 6], bytes[at + 7]]);
-        let start = at + 8;
-        let end = match start.checked_add(len) {
-            Some(e) if e <= bytes.len() => e,
-            _ => break, // short body: torn tail
-        };
-        let payload = &bytes[start..end];
-        if crc32(payload) != crc {
-            break; // corrupt body: torn tail
-        }
-        let Ok(text) = std::str::from_utf8(payload) else {
-            break; // CRC passed but payload unreadable: treat as torn
-        };
-        match serde_json::from_str::<WalRecord>(text) {
-            Ok(r) => records.push(r),
-            Err(_) => break, // CRC passed but JSON broken: treat as torn
-        }
-        at = end;
-    }
-    (records, at as u64)
+/// The record that starts at byte `at`: its payload and where it ends.
+/// `None` when the bytes from `at` on are not a whole record whose CRC
+/// holds, which is the clean end of the segment when `at` is its length
+/// and a torn tail otherwise.
+fn record_at(bytes: &[u8], at: usize) -> Option<(&[u8], usize)> {
+    let header = bytes.get(at..at.checked_add(8)?)?;
+    let (len, crc) = header.split_at(4);
+    let len = u32::from_le_bytes(len.try_into().ok()?) as usize;
+    let crc = u32::from_le_bytes(crc.try_into().ok()?);
+    let end = (at + 8).checked_add(len)?;
+    let payload = bytes.get(at + 8..end)?;
+    (crc32(payload) == crc).then_some((payload, end))
 }
 
+fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
+    ciborium::from_reader(payload).map_err(|e| e.to_string())
+}
+
+/// Decodes records until the bytes run out or a record fails its
+/// header/CRC check (a torn tail). Returns the records and the clean
+/// byte count, or the offset and reason of a record whose CRC holds but
+/// whose payload does not decode.
+fn decode_segment(bytes: &[u8]) -> Result<(Vec<WalRecord>, u64), (usize, String)> {
+    let mut records = Vec::new();
+    let mut at = 0usize;
+    while let Some((payload, end)) = record_at(bytes, at) {
+        records.push(decode_payload(payload).map_err(|why| (at, why))?);
+        at = end;
+    }
+    Ok((records, at as u64))
+}
+
+fn undecodable(path: &Path, at: usize, why: &str) -> ServeError {
+    ServeError::Storage(format!(
+        "undecodable record in {} at offset {at}: its length and CRC hold, so this is \
+         corruption or a foreign format (a JSON-era log?), not a torn write, and nothing \
+         was truncated: {why}",
+        path.display()
+    ))
+}
+
+/// Reads the WAL in `dir` front to back for inspection, handing `each`
+/// every record with its segment number, byte offset in the segment and
+/// payload length. Unlike recovery it heals nothing: the first record
+/// that is torn, fails its CRC or does not decode ends the scan with
+/// [`ServeError::Storage`], wherever it sits, and no file is written.
+pub(crate) fn scan_wal(
+    dir: &Path,
+    mut each: impl FnMut(u64, usize, usize, WalRecord) -> Result<(), ServeError>,
+) -> Result<(), ServeError> {
+    for (seg_no, path) in written_segments(dir)? {
+        let bytes = std::fs::read(&path).map_err(io_err)?;
+        let mut at = 0usize;
+        while let Some((payload, end)) = record_at(&bytes, at) {
+            let record = decode_payload(payload).map_err(|why| undecodable(&path, at, &why))?;
+            each(seg_no, at, payload.len(), record)?;
+            at = end;
+        }
+        if at != bytes.len() {
+            return Err(ServeError::Storage(format!(
+                "torn or corrupt record in {} at offset {at}",
+                path.display()
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// One record as it lies on disk: the payload is encoded behind a
+/// placeholder header and the header patched, so the caller writes one
+/// buffer.
 fn encode_record(record: &WalRecord) -> Result<Vec<u8>, ServeError> {
-    let payload = serde_json::to_string(record)
-        .map_err(|e| ServeError::Storage(e.to_string()))?
-        .into_bytes();
+    let mut out = Vec::with_capacity(ENCODE_RESERVE);
+    out.extend_from_slice(&[0; 8]);
+    ciborium::into_writer(record, &mut out).map_err(|e| ServeError::Storage(e.to_string()))?;
+    let (header, payload) = out.split_at_mut(8);
     let len = u32::try_from(payload.len())
         .map_err(|_| ServeError::Storage("WAL record over 4 GiB".into()))?;
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
     Ok(out)
 }
 
@@ -683,12 +734,28 @@ fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, ServeError> {
     Ok(out)
 }
 
+/// The segments of a WAL that must exist: a directory without any is
+/// not a log.
+fn written_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, ServeError> {
+    let segments = list_segments(dir)?;
+    if segments.is_empty() {
+        return Err(ServeError::Storage(format!(
+            "no WAL segments in {}",
+            dir.display()
+        )));
+    }
+    Ok(segments)
+}
+
 fn io_err(e: std::io::Error) -> ServeError {
     ServeError::Storage(e.to_string())
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// The slicing-by-8 tables: `[0]` is the bytewise table, and `[k][b]` is
+/// the CRC of byte `b` followed by `k` zero bytes, so eight table
+/// lookups advance the CRC over eight input bytes at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -701,21 +768,47 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-const CRC_TABLE: [u32; 256] = crc32_table();
+const CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// CRC-32 (IEEE 802.3), the WAL's record integrity check.
+fn crc32_step(c: u32, b: u8) -> u32 {
+    CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8)
+}
+
+/// CRC-32 (IEEE 802.3), the WAL's record integrity check, eight bytes a
+/// step (slicing-by-8).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for w in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
     }
-    c ^ 0xFFFF_FFFF
+    chunks.remainder().iter().fold(c, |c, &b| crc32_step(c, b)) ^ 0xFFFF_FFFF
 }
 
 #[cfg(test)]
@@ -752,7 +845,7 @@ mod tests {
     }
 
     const SMALL_SEGMENTS: WalConfig = WalConfig {
-        segment_bytes: 16 * 1024,
+        segment_bytes: 12 * 1024,
     };
 
     /// Registers `specs` and runs the fleet dry or until an append
@@ -796,6 +889,20 @@ mod tests {
     fn crc32_matches_known_vectors() {
         assert_eq!(crc32(b""), 0x0000_0000);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    proptest::proptest! {
+        /// Slicing-by-8 against the byte-at-a-time definition, over every
+        /// length class (whole words, every remainder) and alignment.
+        #[test]
+        fn crc32_matches_the_bytewise_oracle(
+            bytes in proptest::collection::vec(0u8..=255, 0..4096usize),
+            skip in 0usize..16,
+        ) {
+            let bytes = &bytes[skip.min(bytes.len())..];
+            let bytewise = bytes.iter().fold(0xFFFF_FFFF, |c, &b| crc32_step(c, b)) ^ 0xFFFF_FFFF;
+            proptest::prop_assert_eq!(crc32(bytes), bytewise);
+        }
     }
 
     #[test]
@@ -867,6 +974,51 @@ mod tests {
     }
 
     #[test]
+    fn undecodable_record_is_refused_and_nothing_is_truncated() {
+        // A record whose length and CRC hold but whose payload is no
+        // `WalRecord` (here: a record of the JSON era) was not torn by a
+        // crash. Treated as a torn tail it would be cut off, and a whole
+        // JSON-era log would be cut to zero bytes; instead `open` fails
+        // and every file keeps its length.
+        let dir = temp_dir("foreign");
+        let mut durable = DurableRegistry::create(&dir, 1, WalConfig::default()).unwrap();
+        durable.register_spec(&spec(0)).unwrap();
+        durable.step_round().unwrap();
+        drop(durable);
+        let (_, last) = list_segments(&dir).unwrap().pop().unwrap();
+        let clean_len = std::fs::metadata(&last).unwrap().len();
+        let payload = b"{\"Stop\":{\"id\":0}}";
+        let mut record = (payload.len() as u32).to_le_bytes().to_vec();
+        record.extend_from_slice(&crc32(payload).to_le_bytes());
+        record.extend_from_slice(payload);
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&last)
+            .unwrap();
+        f.write_all(&record).unwrap();
+        drop(f);
+        let lengths = |dir: &Path| -> Vec<u64> {
+            let segments = list_segments(dir).unwrap();
+            let len = |(_, path): &(u64, PathBuf)| std::fs::metadata(path).unwrap().len();
+            segments.iter().map(len).collect()
+        };
+        let before = lengths(&dir);
+        match DurableRegistry::open(&dir, 1, WalConfig::default()) {
+            Err(ServeError::Storage(msg)) => {
+                let name = last.file_name().unwrap().to_str().unwrap();
+                assert!(
+                    msg.contains(name) && msg.contains(&format!("offset {clean_len}")),
+                    "the error does not say where: {msg}"
+                );
+            }
+            Err(e) => panic!("not a storage error: {e}"),
+            Ok(_) => panic!("a log with an undecodable record opened"),
+        }
+        assert_eq!(lengths(&dir), before, "open wrote to a log it refused");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn chaos_crash_points_all_recover_byte_identically() {
         // For each crash window, run with an aggressive chaos plan until
         // a crash fires, recover, finish, and compare to straight runs.
@@ -892,19 +1044,20 @@ mod tests {
         let dir = temp_dir("aux");
         let mut durable = DurableRegistry::create(&dir, 1, SMALL_SEGMENTS).unwrap();
         durable.register_spec(&spec(0)).unwrap();
+        // Payloads are the owner's bytes, text or not.
         let journal = [
-            ("router", "{\"op\":1}"),
-            ("other", "{}"),
-            ("router", "{\"op\":2}"),
+            ("router", &b"{\"op\":1}"[..]),
+            ("other", &[]),
+            ("router", &[0xff, 0x00, 0xc3, 0x28]),
         ]
-        .map(|(key, json)| (key.to_string(), json.to_string()));
-        for (i, (key, json)) in journal.iter().enumerate() {
+        .map(|(key, payload)| (key.to_string(), payload.to_vec()));
+        for (i, (key, payload)) in journal.iter().enumerate() {
             if i == 2 {
                 // The campaign's events roll the log over before the last op.
                 durable.run_all().unwrap();
                 assert!(durable.seg_index > 2, "the log never rotated");
             }
-            durable.append_aux(key, json.clone()).unwrap();
+            durable.append_aux(key, payload.clone()).unwrap();
         }
         assert!(
             durable.take_aux_log().is_empty(),
@@ -1062,7 +1215,7 @@ mod tests {
         for (_, path) in &segments {
             let bytes = std::fs::read(path).unwrap();
             disk_bytes += bytes.len();
-            for record in &decode_segment(&bytes).0 {
+            for record in &decode_segment(&bytes).unwrap().0 {
                 records += 1;
                 record_bytes += encode_record(record).unwrap().len();
                 if let WalRecord::Events { id, events: batch } = record {
@@ -1091,8 +1244,8 @@ mod tests {
     #[test]
     fn crash_at_any_append_recovers_byte_identically() {
         // A short fleet: the sweep reruns it once per append and crash
-        // point, and a trial's events are ~13 KB, so every second append
-        // still rolls a 16 KiB segment.
+        // point, and a trial's events are ~8 KB, so every second append
+        // still rolls a 12 KiB segment.
         let specs = fleet_of(10);
         let want: Vec<String> = specs.iter().map(straight_history).collect();
         let dir = temp_dir("sweep-clean");
@@ -1120,6 +1273,38 @@ mod tests {
                 assert_eq!(got, want, "{} at append {k}", point.label());
                 std::fs::remove_dir_all(&dir).unwrap();
             }
+        }
+    }
+
+    #[test]
+    fn wal_records_and_a_real_event_log_decode_alike_from_cbor_and_json() {
+        use crate::protocol::tests::codecs_agree;
+        let mut tenant = spec(0);
+        (tenant.name, tenant.budget) = ("tenant-é".into(), 32);
+        let mut campaign = tenant.build();
+        assert_eq!(campaign.run().n_finished, 32);
+        let events = campaign.log().unwrap().to_vec();
+        codecs_agree(&events);
+        for record in [
+            WalRecord::Register {
+                id: 0,
+                name: tenant.name.clone(),
+                spec: Box::new(tenant),
+                request_id: Some(9),
+            },
+            WalRecord::Events { id: 0, events },
+            WalRecord::Stop { id: 0 },
+            // Opaque bytes: through JSON they travel as an array of numbers.
+            WalRecord::Aux {
+                key: "router-ops".into(),
+                payload: vec![0x00, 0xff, 0xc3, 0x28, b'{'],
+            },
+            WalRecord::Aux {
+                key: String::new(),
+                payload: Vec::new(),
+            },
+        ] {
+            codecs_agree(&record);
         }
     }
 }

@@ -54,5 +54,7 @@ pub use protocol::{
 pub use registry::{
     AdmissionConfig, CampaignRegistry, CampaignStats, FleetStats, RoundReport, ServeError,
 };
-pub use router::{spawn_router_server, RouterConfig, RouterLookup, TenantRouter};
+pub use router::{
+    dump_wal, spawn_router_server, RouterConfig, RouterLookup, TenantRouter, WalDumpLine,
+};
 pub use spec::{CampaignSpec, NoiseSpec, OptimizerKind, SystemKind};

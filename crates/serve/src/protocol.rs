@@ -1,11 +1,13 @@
 //! Typed request/response control protocol for a campaign server.
 //!
 //! The serving layer exposes the registry over a byte stream: requests
-//! and responses are JSON documents framed by a little-endian `u32`
-//! length prefix, so any ordered transport works. This module provides
-//! the message types, the framing ([`write_frame`] / [`read_frame`]),
-//! an in-process duplex [`pipe`] built on a pair of blocking byte
-//! queues, and a [`Server`] loop plus [`Client`] handle.
+//! and responses are CBOR documents (the deterministic subset the
+//! `ciborium` stub writes, the one encoding the WAL and the router's
+//! journal also use) framed by a little-endian `u32` length prefix, so
+//! any ordered transport works. This module provides the message types,
+//! the framing ([`write_frame`] / [`read_frame`]), an in-process duplex
+//! [`pipe`] built on a pair of blocking byte queues, and a [`Server`]
+//! loop plus [`Client`] handle.
 //!
 //! [`Campaign`](autotune::Campaign) is deliberately not `Send` (it may
 //! borrow thread-local subscribers), so the registry is constructed
@@ -158,27 +160,37 @@ pub enum Response {
 /// 4 GiB; honest frames (specs, snapshots, stats) sit far below this.
 pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
 
-/// Writes one length-prefixed JSON frame.
+/// Bytes reserved for a message before it is encoded: most frames and
+/// journal records (a `Lookup` is under 600 bytes) then never regrow
+/// their buffer, and the rest double it as usual.
+pub(crate) const ENCODE_RESERVE: usize = 1024;
+
+/// Writes one length-prefixed CBOR frame: the body is encoded behind a
+/// placeholder prefix, the prefix patched, and the whole frame handed
+/// to the stream in one write.
 pub fn write_frame<T: Serialize>(w: &mut impl Write, msg: &T) -> Result<(), ServeError> {
-    let body = serde_json::to_string(msg).map_err(|e| ServeError::Protocol(e.to_string()))?;
-    let bytes = body.as_bytes();
-    let len =
-        u32::try_from(bytes.len()).map_err(|_| ServeError::Protocol("frame over 4 GiB".into()))?;
-    w.write_all(&len.to_le_bytes())
-        .and_then(|()| w.write_all(bytes))
+    let mut frame = Vec::with_capacity(ENCODE_RESERVE);
+    frame.extend_from_slice(&[0; 4]);
+    ciborium::into_writer(msg, &mut frame).map_err(|e| ServeError::Protocol(e.to_string()))?;
+    let len = u32::try_from(frame.len() - 4)
+        .map_err(|_| ServeError::Protocol("frame over 4 GiB".into()))?;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    w.write_all(&frame)
         .and_then(|()| w.flush())
         .map_err(|e| ServeError::Protocol(e.to_string()))
 }
 
-/// Reads one length-prefixed JSON frame; `Ok(None)` on clean EOF at a
+/// Reads one length-prefixed CBOR frame; `Ok(None)` on clean EOF at a
 /// frame boundary.
 ///
 /// Error taxonomy matters for connection reuse: a prefix over
 /// [`MAX_FRAME_LEN`] or a short read is [`ServeError::FrameTooLarge`] /
 /// [`ServeError::Protocol`] — the stream position is lost and the
-/// connection is dead. A fully read body that fails UTF-8 or JSON
-/// decoding is [`ServeError::Decode`] — the stream is still at a frame
-/// boundary and the next frame can be read normally.
+/// connection is dead. A fully read body that fails to decode (the
+/// decoder checks every declared length against the body, bounds the
+/// nesting, validates UTF-8 and refuses trailing bytes) is
+/// [`ServeError::Decode`] — the stream is still at a frame boundary and
+/// the next frame can be read normally.
 pub fn read_frame<T: for<'de> Deserialize<'de>>(
     r: &mut impl Read,
 ) -> Result<Option<T>, ServeError> {
@@ -206,8 +218,7 @@ pub fn read_frame<T: for<'de> Deserialize<'de>>(
     let mut body = vec![0u8; len];
     r.read_exact(&mut body)
         .map_err(|e| ServeError::Protocol(e.to_string()))?;
-    let text = std::str::from_utf8(&body).map_err(|e| ServeError::Decode(e.to_string()))?;
-    serde_json::from_str(text)
+    ciborium::from_reader(&body[..])
         .map(Some)
         .map_err(|e| ServeError::Decode(e.to_string()))
 }
@@ -781,15 +792,61 @@ pub fn spawn_server(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::spec::{CampaignSpec, SystemKind};
     use autotune::SchedulePolicy;
+    use serde::de::DeserializeOwned;
+    use std::fmt::Debug;
 
     fn spec(i: u64) -> CampaignSpec {
         let mut s = CampaignSpec::minimal(format!("p{i}"), SystemKind::Redis, 5, 100 + i);
         s.policy = SchedulePolicy::AsyncSlots { k: 2 };
         s
+    }
+
+    fn cbor<T: Serialize>(value: &T) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        ciborium::into_writer(value, &mut bytes).unwrap();
+        bytes
+    }
+
+    /// Through either encoding and back, `value` is the same value (by its
+    /// `Debug` form, which tells `-0.0` from `0.0` and prints every NaN
+    /// alike) and encodes to the same bytes.
+    pub(crate) fn codecs_agree<T: Serialize + DeserializeOwned + Debug>(value: &T) {
+        let (bytes, json) = (cbor(value), serde_json::to_string(value).unwrap());
+        let from_cbor: T = ciborium::from_reader(&bytes[..]).unwrap();
+        let from_json: T = serde_json::from_str(&json).unwrap();
+        for back in [&from_cbor, &from_json] {
+            assert_eq!(format!("{back:?}"), format!("{value:?}"));
+            assert_eq!(cbor(back), bytes, "{value:?}");
+            assert_eq!(serde_json::to_string(back).unwrap(), json);
+        }
+    }
+
+    /// A finished campaign in a registry, under id 0.
+    fn served() -> CampaignRegistry {
+        let mut registry = CampaignRegistry::new(2);
+        let mut tenant = spec(0);
+        tenant.name = "tenant-é".into();
+        registry.register_spec(&tenant);
+        registry.run_all().unwrap();
+        registry
+    }
+
+    /// `body` behind an honest length prefix.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(body);
+        frame
+    }
+
+    fn lookup() -> Request {
+        Request::Lookup {
+            features: vec![0.0, -0.0, 1.5, f64::MIN_POSITIVE, -3.25e300, 5e-324],
+            spec: spec(6),
+        }
     }
 
     #[test]
@@ -816,13 +873,19 @@ mod tests {
 
     #[test]
     fn garbage_payload_is_a_decode_error() {
-        let mut buf = Vec::new();
-        let body = b"{\"NotARequest\":true}";
-        buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        buf.extend_from_slice(body);
+        // A frame from a JSON-era peer, then well-formed CBOR that is no
+        // request: both are `Decode`, and both leave the stream at a
+        // frame boundary, so the real request behind them still reads.
+        let mut buf = framed(b"{\"NotARequest\":true}");
+        write_frame(&mut buf, &Response::Bye).unwrap();
+        write_frame(&mut buf, &Request::Shutdown).unwrap();
         let mut r = &buf[..];
-        let got: Result<Option<Request>, _> = read_frame(&mut r);
-        assert!(matches!(got, Err(ServeError::Decode(_))));
+        for _ in 0..2 {
+            let got: Result<Option<Request>, _> = read_frame(&mut r);
+            assert!(matches!(got, Err(ServeError::Decode(_))), "{got:?}");
+        }
+        let got: Option<Request> = read_frame(&mut r).unwrap();
+        assert!(matches!(got, Some(Request::Shutdown)));
     }
 
     #[test]
@@ -1028,5 +1091,111 @@ mod tests {
         let (client, handle) = spawn_server(|| CampaignRegistry::new(1));
         drop(client);
         assert!(handle.join().unwrap().is_ok());
+    }
+
+    #[test]
+    fn every_request_decodes_alike_from_cbor_and_json() {
+        for request in [
+            Request::Register {
+                spec: spec(6),
+                request_id: Some(u64::MAX),
+            },
+            Request::Register {
+                spec: spec(6),
+                request_id: None,
+            },
+            Request::Step { rounds: u32::MAX },
+            Request::RunAll,
+            Request::Snapshot { id: 0 },
+            Request::Stats { id: 1 << 40 },
+            Request::FleetStats,
+            Request::Stop { id: 7 },
+            lookup(),
+            Request::Shutdown,
+        ] {
+            codecs_agree(&request);
+        }
+    }
+
+    #[test]
+    fn every_response_decodes_alike_from_cbor_and_json() {
+        let registry = served();
+        let best = registry.campaign(0).unwrap().storage().best().unwrap();
+        for response in [
+            Response::Registered { id: 3 },
+            Response::Stepped {
+                rounds: 12,
+                n_active: 0,
+            },
+            Response::Snapshot {
+                snapshot: registry.snapshot(0).unwrap(),
+            },
+            Response::Stats {
+                stats: registry.stats(0).unwrap(),
+            },
+            Response::Fleet {
+                stats: registry.fleet_stats(),
+            },
+            Response::Stopped { was_active: true },
+            Response::CacheHit {
+                family: 11,
+                config: best.config.clone(),
+                cost: best.cost,
+                borrowed: true,
+            },
+            Response::CacheMiss {
+                campaign: 5,
+                enqueued: false,
+            },
+            Response::Bye,
+            Response::Overloaded {
+                retry_after_rounds: 2,
+            },
+            Response::Error {
+                message: "unknown campaign id 99 — \"quoted\"\n".into(),
+            },
+        ] {
+            codecs_agree(&response);
+        }
+    }
+
+    #[test]
+    fn hostile_bodies_are_decode_errors_at_a_frame_boundary() {
+        let mut lookup_frame = Vec::new();
+        write_frame(&mut lookup_frame, &lookup()).unwrap();
+        let body = &lookup_frame[4..];
+        let mut hostile: Vec<Vec<u8>> = vec![
+            vec![0x9a, 0xff, 0xff, 0xff, 0xff], // an array of 2^32 - 1 items
+            vec![0x81; 10_000],                 // 10 000 nested arrays
+            vec![0xa1, 0x01, 0x02],             // a map keyed by an integer
+            vec![0x9f, 0x01, 0xff],             // an indefinite-length array
+            vec![0xbf, 0xff],                   // an indefinite-length map
+            [body, &[0x00]].concat(),           // a request, then a stray byte
+        ];
+        // The document cut at every byte, each cut honestly framed.
+        hostile.extend((0..body.len()).map(|cut| body[..cut].to_vec()));
+        for body in &hostile {
+            let mut stream = framed(body);
+            stream.extend_from_slice(&lookup_frame);
+            let mut r = &stream[..];
+            match read_frame::<Request>(&mut r) {
+                Err(ServeError::Decode(_)) => {}
+                other => panic!("{} hostile bytes: {other:?}", body.len()),
+            }
+            let next: Option<Request> = read_frame(&mut r).unwrap();
+            assert!(matches!(next, Some(Request::Lookup { .. })));
+        }
+    }
+
+    #[test]
+    fn a_frame_cut_anywhere_is_a_protocol_error() {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &lookup()).unwrap();
+        for cut in 1..frame.len() {
+            match read_frame::<Request>(&mut &frame[..cut]) {
+                Err(ServeError::Protocol(_)) => {}
+                other => panic!("cut at {cut}: {other:?}"),
+            }
+        }
     }
 }

@@ -63,7 +63,7 @@ pub enum ServeError {
         /// The cap it violated.
         max: u64,
     },
-    /// A complete, well-framed payload failed to decode (garbage JSON,
+    /// A complete, well-framed payload failed to decode (garbage bytes,
     /// unknown variant). The stream is still at a frame boundary, so the
     /// connection remains usable.
     Decode(String),

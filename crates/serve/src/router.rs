@@ -23,7 +23,9 @@
 //! auxiliary stream ([`DurableRegistry::append_aux`]; written through,
 //! no copy kept in memory), and [`TenantRouter::open`] takes the journal
 //! the recovery read ([`DurableRegistry::take_aux_log`]) and replays the
-//! ops in order against a fresh cache.
+//! ops in order against a fresh cache. An op travels as the bytes of its
+//! CBOR encoding (the `ciborium` stub's, as frames and WAL records do),
+//! opaque to the WAL, and is decoded only as it is replayed.
 //! Because the cache is a pure function of its operation sequence
 //! (seeded clustering, logical-tick LRU, `BTreeMap` shards), replay
 //! rebuilds the exact pre-crash hit/miss behavior — including tick
@@ -39,16 +41,18 @@
 //! journaled only after the campaign's completion is durable (a finished
 //! campaign's best trial is stable, so replay at any position agrees).
 
-use crate::durability::{DurableRegistry, DurableRound, RecoveryReport, WalConfig};
+use crate::durability::{
+    scan_wal, DurableRegistry, DurableRound, RecoveryReport, WalConfig, WalRecord,
+};
 use crate::protocol::{
-    pipe, Client, PipeEnd, Request, Response, ServeBackend, Server, ServerConfig,
+    pipe, Client, PipeEnd, Request, Response, ServeBackend, Server, ServerConfig, ENCODE_RESERVE,
 };
 use crate::registry::{AdmissionConfig, CampaignRegistry, FleetStats, ServeError};
 use crate::spec::CampaignSpec;
 use autotune_cache::{fingerprint_key, CacheHit, CacheLookup, CacheStats, ShardedCache};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 pub use autotune_cache::CacheConfig;
@@ -88,6 +92,20 @@ enum RouterOp {
     },
     /// A completed campaign's best trial was folded into the cache.
     Backfill { campaign: u64 },
+}
+
+/// The bytes a journal record carries for `value`.
+fn encode_aux<T: Serialize>(value: &T) -> Result<Vec<u8>, ServeError> {
+    let mut payload = Vec::with_capacity(ENCODE_RESERVE);
+    ciborium::into_writer(value, &mut payload)
+        .map_err(|e| ServeError::Storage(format!("encode router journal record: {e}")))?;
+    Ok(payload)
+}
+
+/// The value a journal record under `key` carries.
+fn decode_aux<T: for<'de> Deserialize<'de>>(key: &str, payload: &[u8]) -> Result<T, ServeError> {
+    ciborium::from_reader(payload)
+        .map_err(|e| ServeError::Storage(format!("decode {key} journal record: {e}")))
 }
 
 /// A pending cache fill: the family and exact fingerprint a campaign
@@ -136,9 +154,7 @@ impl TenantRouter {
         config: RouterConfig,
     ) -> Result<Self, ServeError> {
         let mut durable = DurableRegistry::create(dir, workers, wal)?;
-        let json = serde_json::to_string(&config)
-            .map_err(|e| ServeError::Storage(format!("encode router config: {e}")))?;
-        durable.append_aux(CONFIG_KEY, json)?;
+        durable.append_aux(CONFIG_KEY, encode_aux(&config)?)?;
         let cache = Arc::new(ShardedCache::new(config.cache.clone()));
         Ok(TenantRouter {
             durable,
@@ -161,12 +177,11 @@ impl TenantRouter {
         let (mut durable, report) = DurableRegistry::open(dir, workers, wal)?;
         let mut journal = durable.take_aux_log().into_iter();
         // `create` pins the config as the journal's first record.
-        let Some((_, json)) = journal.next().filter(|(key, _)| key == CONFIG_KEY) else {
+        let Some((_, payload)) = journal.next().filter(|(key, _)| key == CONFIG_KEY) else {
             let why = "WAL holds no router config record; not a router WAL";
             return Err(ServeError::Storage(why.into()));
         };
-        let config: RouterConfig = serde_json::from_str(&json)
-            .map_err(|e| ServeError::Storage(format!("decode router config: {e}")))?;
+        let config: RouterConfig = decode_aux(CONFIG_KEY, &payload)?;
         let cache = Arc::new(ShardedCache::new(config.cache.clone()));
         let mut router = TenantRouter {
             durable,
@@ -175,10 +190,8 @@ impl TenantRouter {
             pending: BTreeMap::new(),
             inflight: BTreeMap::new(),
         };
-        for (_, json) in journal.filter(|(key, _)| key == OPS_KEY) {
-            let op = serde_json::from_str(&json)
-                .map_err(|e| ServeError::Storage(format!("decode router op: {e}")))?;
-            router.replay(op)?;
+        for (_, payload) in journal.filter(|(key, _)| key == OPS_KEY) {
+            router.replay(decode_aux(OPS_KEY, &payload)?)?;
         }
         Ok((router, report))
     }
@@ -220,9 +233,7 @@ impl TenantRouter {
     }
 
     fn journal_op(&mut self, op: &RouterOp) -> Result<(), ServeError> {
-        let json = serde_json::to_string(op)
-            .map_err(|e| ServeError::Storage(format!("encode router op: {e}")))?;
-        self.durable.append_aux(OPS_KEY, json)
+        self.durable.append_aux(OPS_KEY, encode_aux(op)?)
     }
 
     /// Serves one tenant request: a cache hit answers instantly; a miss
@@ -427,6 +438,66 @@ impl ServeBackend for TenantRouter {
             Request::Shutdown => Response::Bye,
         })
     }
+}
+
+/// One WAL record as the `wal_dump` example prints it: where it lies
+/// and what it holds, serializable as JSON (the one place the log's old
+/// text form survives).
+#[derive(Debug, Serialize)]
+pub struct WalDumpLine {
+    /// Number of the segment file (`wal-<segment>.seg`).
+    pub segment: u64,
+    /// Byte offset of the record's header in its segment.
+    pub offset: u64,
+    /// Payload length in bytes (the record is 8 header bytes longer).
+    pub len: u64,
+    record: DumpedRecord,
+}
+
+/// A record's content, with the router's own journal records decoded.
+#[derive(Debug, Serialize)]
+enum DumpedRecord {
+    /// The router's pinned configuration (`Aux` under `router-config`).
+    RouterConfig(RouterConfig),
+    /// One routing operation (`Aux` under `router-ops`).
+    RouterOp(RouterOp),
+    /// Any other record as logged; an `Aux` payload nobody here owns
+    /// stays bytes.
+    Wal(WalRecord),
+}
+
+/// Reads the WAL in `dir` front to back without touching it and hands
+/// `each` one [`WalDumpLine`] per record. The first record that is torn,
+/// fails its CRC or does not decode (a router journal payload included)
+/// ends the dump with [`ServeError::Storage`] naming segment and offset,
+/// and so does an error from `each`; the lines before it have been
+/// handed over. Returns the record count.
+pub fn dump_wal(
+    dir: &Path,
+    mut each: impl FnMut(&WalDumpLine) -> Result<(), ServeError>,
+) -> Result<u64, ServeError> {
+    let mut records = 0;
+    scan_wal(dir, |segment, offset, len, record| {
+        let located =
+            |e: ServeError| ServeError::Storage(format!("segment {segment} offset {offset}: {e}"));
+        let record = match record {
+            WalRecord::Aux { key, payload } if key == CONFIG_KEY => {
+                DumpedRecord::RouterConfig(decode_aux(&key, &payload).map_err(located)?)
+            }
+            WalRecord::Aux { key, payload } if key == OPS_KEY => {
+                DumpedRecord::RouterOp(decode_aux(&key, &payload).map_err(located)?)
+            }
+            other => DumpedRecord::Wal(other),
+        };
+        records += 1;
+        each(&WalDumpLine {
+            segment,
+            offset: offset as u64,
+            len: len as u64,
+            record,
+        })
+    })?;
+    Ok(records)
 }
 
 /// What [`spawn_router_server`]'s thread yields on join: the final fleet
@@ -681,6 +752,47 @@ mod tests {
         let (fleet, cache) = handle.join().unwrap().unwrap();
         assert_eq!(fleet.n_done, 1);
         assert_eq!((cache.hits, cache.misses), (1, 1));
+    }
+
+    #[test]
+    fn a_served_hit_stays_within_its_byte_budgets() {
+        // The benchmark's shapes (`benchmark/src/gen.rs`): a 12-feature
+        // fingerprint and the tenant's own random-search Redis campaign.
+        // The budgets sit just above today's sizes (576, 166 and 157
+        // bytes), so an encoding that quietly fattens fails here first.
+        let dir = temp_dir("budget");
+        let mut router =
+            TenantRouter::create(&dir, 2, WalConfig::default(), tight_config()).unwrap();
+        let mut tenant = CampaignSpec::minimal("tenant-217", SystemKind::Redis, 8, 35_007);
+        tenant.workload = autotune_sim::Workload::kv_cache(50_000.0 * 1.0173);
+        let request = Request::Lookup {
+            features: (0..12).map(|i| 9.87 * i as f64 - 31.4).collect(),
+            spec: tenant,
+        };
+        fn frame_len<T: Serialize>(msg: &T) -> usize {
+            let mut frame = Vec::new();
+            crate::protocol::write_frame(&mut frame, msg).unwrap();
+            frame.len()
+        }
+        let request_len = frame_len(&request);
+        assert!(request_len <= 600, "a Lookup frame is {request_len} bytes");
+
+        let config = ServerConfig::default();
+        let miss = router.handle_request(request.clone(), &config).unwrap();
+        assert!(matches!(miss, Response::CacheMiss { .. }), "{miss:?}");
+        router.run_all().unwrap();
+        let on_disk = || -> u64 {
+            let files = std::fs::read_dir(&dir).unwrap();
+            files.map(|f| f.unwrap().metadata().unwrap().len()).sum()
+        };
+        let before = on_disk();
+        let hit = router.handle_request(request, &config).unwrap();
+        assert!(matches!(hit, Response::CacheHit { .. }), "{hit:?}");
+        let journaled = on_disk() - before;
+        assert!(journaled <= 200, "a hit journals {journaled} bytes");
+        let reply_len = frame_len(&hit);
+        assert!(reply_len <= 170, "a CacheHit frame is {reply_len} bytes");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -88,6 +88,7 @@ if [ "$FAST" -eq 1 ]; then
   skip_step "serve determinism (release)"
   skip_step "chaos recovery determinism (release)"
   skip_step "chaos recovery E34 (release)"
+  skip_step "wal_dump over a durable run (release)"
   skip_step "telemetry purity (release)"
   skip_step "benchmark crate (build, tests, smoke run)"
 else
@@ -136,6 +137,18 @@ else
   # byte-identical, with torn WAL tails truncated, not fatal.
   run_step "chaos recovery E34 (release)" \
     cargo run -q --release -p autotune-bench --bin repro -- e34
+
+  # The log is binary; the `wal_dump` example is how a person reads
+  # one. Build it by name (a `--test` selection alone would not), then
+  # crates/serve/tests/wal_dump.rs runs it over a directory a short
+  # durable run wrote: every line parses with serde_json, the lines
+  # tile each segment, their count is RecoveryReport::records_read, and
+  # a record that fails its CRC costs exit code 1.
+  wal_dump_step() {
+    cargo build -q --release -p autotune-serve --example wal_dump &&
+      cargo test -q --release -p autotune-serve --test wal_dump
+  }
+  run_step "wal_dump over a durable run (release)" wal_dump_step
 
   # ISSUE 3 acceptance: enabling every telemetry subscriber leaves k=1
   # campaigns byte-identical.
