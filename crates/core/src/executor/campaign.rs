@@ -925,8 +925,10 @@ impl<'a> Campaign<'a> {
     /// fault rolls and middleware transforms are recomputed live under
     /// the determinism contract while recorded measurements substitute
     /// for the target. The rebuilt log is verified byte-identical to the
-    /// snapshot before the campaign is handed back; continuing it then
-    /// produces exactly what the original campaign would have produced.
+    /// snapshot, event by event through the binary encoding a write-ahead
+    /// log stores them in (so bit-exactly: `-0.0` is not `0.0`), before
+    /// the campaign is handed back; continuing it then produces exactly
+    /// what the original campaign would have produced.
     ///
     /// The log must end on a tick boundary, which is where snapshots are
     /// taken and where a write-ahead log of whole ticks stops. A log that
@@ -958,10 +960,23 @@ impl<'a> Campaign<'a> {
             }
         }
         if let Some(log) = &c.log {
+            // Both sides through the log's own binary encoding, into two
+            // buffers that every event reuses. A float is its eight
+            // bytes there, so the last bit and the sign of a zero count,
+            // and a crashed trial's NaN cost (`nan_as_null` writes null
+            // on both sides) equals itself.
+            let (mut got_bytes, mut want_bytes) = (Vec::new(), Vec::new());
             for (i, (got, want)) in log.iter().zip(&snapshot.log).enumerate() {
-                let got = serde_json::to_string(got).unwrap_or_default();
-                let want = serde_json::to_string(want).unwrap_or_default();
-                if got != want {
+                got_bytes.clear();
+                want_bytes.clear();
+                let encoded = ciborium::into_writer(got, &mut got_bytes)
+                    .and_then(|()| ciborium::into_writer(want, &mut want_bytes));
+                if let Err(e) = encoded {
+                    return Err(CampaignError::ReplayDiverged {
+                        reason: format!("event {i} cannot be encoded: {e}"),
+                    });
+                }
+                if got_bytes != want_bytes {
                     return Err(CampaignError::ReplayDiverged {
                         reason: format!(
                             "event {i} differs from the snapshot (different target, source \
@@ -1162,6 +1177,64 @@ mod tests {
             Campaign::resume(&snap, stale),
             Err(CampaignError::NotPristine)
         ));
+    }
+
+    #[test]
+    fn resume_compares_floats_bit_for_bit() {
+        let build = || campaign_for(SchedulePolicy::Sequential, 6, 3);
+        let mut c = build();
+        c.run();
+        let snap = c.snapshot().expect("log enabled");
+        assert!(Campaign::resume(&snap, build()).is_ok());
+        // An outcome is recomputed by replay, never read back from the
+        // log, so a lie in one is a divergence. Telemetry shares are
+        // clamped at zero, which gives the log zeros to flip the sign of.
+        let (at, sample) = snap
+            .log
+            .iter()
+            .enumerate()
+            .find_map(|(i, e)| match e {
+                CampaignEvent::Outcome { outcome } => {
+                    let zero = outcome.telemetry.iter().position(|s| s.scan_share == 0.0);
+                    zero.map(|j| (i, j))
+                }
+                _ => None,
+            })
+            .expect("an outcome with a clamped telemetry share");
+        let lies: [fn(&mut TrialOutcome, usize); 3] = [
+            |o, _| o.elapsed_s = f64::from_bits(o.elapsed_s.to_bits() ^ 1),
+            |o, j| o.telemetry[j].scan_share = -0.0,
+            // No encoding at all, which is a difference too.
+            |o, _| o.elapsed_s = f64::INFINITY,
+        ];
+        for lie in lies {
+            let mut lied = snap.clone();
+            let CampaignEvent::Outcome { outcome } = &mut lied.log[at] else {
+                unreachable!()
+            };
+            lie(outcome, sample);
+            match Campaign::resume(&lied, build()) {
+                Err(CampaignError::ReplayDiverged { reason }) => {
+                    assert!(reason.starts_with(&format!("event {at} ")), "{reason}")
+                }
+                other => panic!("a lie resumed: {:?}", other.err()),
+            }
+        }
+    }
+
+    #[test]
+    fn resume_accepts_a_crashed_trial() {
+        let build = || faulty_campaign(SchedulePolicy::Sequential);
+        let mut c = build();
+        c.run();
+        let snap = c.snapshot().expect("log enabled");
+        // NaN is unequal to itself as a float; as the null both sides
+        // encode it to, it is equal.
+        assert!(snap
+            .log
+            .iter()
+            .any(|e| matches!(e, CampaignEvent::Outcome { outcome } if outcome.cost.is_nan())));
+        assert!(Campaign::resume(&snap, build()).is_ok());
     }
 
     #[test]

@@ -165,19 +165,29 @@ pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
 /// their buffer, and the rest double it as usual.
 pub(crate) const ENCODE_RESERVE: usize = 1024;
 
-/// Writes one length-prefixed CBOR frame: the body is encoded behind a
-/// placeholder prefix, the prefix patched, and the whole frame handed
-/// to the stream in one write.
-pub fn write_frame<T: Serialize>(w: &mut impl Write, msg: &T) -> Result<(), ServeError> {
+/// The frame of `msg`: the body encoded behind a placeholder length
+/// prefix, then the prefix patched.
+fn encode_frame<T: Serialize>(msg: &T) -> Result<Vec<u8>, ServeError> {
     let mut frame = Vec::with_capacity(ENCODE_RESERVE);
     frame.extend_from_slice(&[0; 4]);
     ciborium::into_writer(msg, &mut frame).map_err(|e| ServeError::Protocol(e.to_string()))?;
     let len = u32::try_from(frame.len() - 4)
         .map_err(|_| ServeError::Protocol("frame over 4 GiB".into()))?;
     frame[..4].copy_from_slice(&len.to_le_bytes());
-    w.write_all(&frame)
+    Ok(frame)
+}
+
+/// Hands a whole frame to the stream in one write.
+fn send_frame(w: &mut impl Write, frame: &[u8]) -> Result<(), ServeError> {
+    w.write_all(frame)
         .and_then(|()| w.flush())
         .map_err(|e| ServeError::Protocol(e.to_string()))
+}
+
+/// Writes one length-prefixed CBOR frame. Nothing reaches the stream
+/// unless the whole message encodes.
+pub fn write_frame<T: Serialize>(w: &mut impl Write, msg: &T) -> Result<(), ServeError> {
+    send_frame(w, &encode_frame(msg)?)
 }
 
 /// Reads one length-prefixed CBOR frame; `Ok(None)` on clean EOF at a
@@ -215,12 +225,18 @@ pub fn read_frame<T: for<'de> Deserialize<'de>>(
             max: MAX_FRAME_LEN as u64,
         });
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)
-        .map_err(|e| ServeError::Protocol(e.to_string()))?;
-    ciborium::from_reader(&body[..])
-        .map(Some)
-        .map_err(|e| ServeError::Decode(e.to_string()))
+    // The decoder reads the body itself, into the one buffer it decodes
+    // from; a body that ends early leaves some of `len` unread.
+    let mut body = r.take(len as u64);
+    let decoded = ciborium::from_reader(&mut body);
+    if body.limit() > 0 {
+        return Err(ServeError::Protocol("torn frame body".into()));
+    }
+    match decoded {
+        Ok(msg) => Ok(Some(msg)),
+        Err(ciborium::de::Error::Io(e)) => Err(ServeError::Protocol(e.to_string())),
+        Err(e) => Err(ServeError::Decode(e.to_string())),
+    }
 }
 
 /// One direction of the in-process pipe: a blocking bounded-by-nothing
@@ -451,7 +467,15 @@ impl<S: Read + Write, B: ServeBackend> Server<S, B> {
             };
             let shutdown = matches!(req, Request::Shutdown);
             let resp = self.handle(req);
-            write_frame(&mut self.stream, &resp)?;
+            // A reply that cannot be encoded (a non-finite float) has put
+            // nothing on the stream: the client is told, and the
+            // connection, still at a frame boundary, goes on serving.
+            let frame = encode_frame(&resp).or_else(|e| {
+                encode_frame(&Response::Error {
+                    message: format!("unencodable response: {e}"),
+                })
+            })?;
+            send_frame(&mut self.stream, &frame)?;
             if shutdown {
                 break;
             }
@@ -1084,6 +1108,56 @@ pub(crate) mod tests {
         assert!(client.stats(id).unwrap().done);
         client.shutdown().unwrap();
         handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn stats_before_the_first_finite_trial_is_answered() {
+        let (mut client, handle) = spawn_server(|| CampaignRegistry::new(1));
+        let id = client.register(&spec(0)).unwrap();
+        // No trial yet: the best cost is an infinity, which no codec
+        // writes; it crosses as null and is an infinity again here.
+        let before = client.stats(id).unwrap();
+        assert_eq!((before.n_trials, before.best_cost), (0, f64::INFINITY));
+        client.step(3).unwrap();
+        let after = client.stats(id).unwrap();
+        assert!(after.n_trials > 0 && after.best_cost.is_finite());
+        client.shutdown().unwrap();
+        handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn an_unencodable_reply_is_answered_as_an_error() {
+        /// Answers everything with a cost no codec can write.
+        struct Liar;
+        impl ServeBackend for Liar {
+            fn handle_request(
+                &mut self,
+                req: Request,
+                _: &ServerConfig,
+            ) -> Result<Response, ServeError> {
+                Ok(match req {
+                    Request::Shutdown => Response::Bye,
+                    _ => Response::CacheHit {
+                        family: 0,
+                        config: Config::default(),
+                        cost: f64::NAN,
+                        borrowed: false,
+                    },
+                })
+            }
+        }
+        let (client_end, server_end) = pipe();
+        let server = std::thread::spawn(move || Server::new(server_end, Liar).serve().map(drop));
+        let mut client = Client::new(client_end);
+        for _ in 0..2 {
+            let reply = client.request(&Request::FleetStats).unwrap();
+            assert!(
+                matches!(&reply, Response::Error { message } if message.contains("non-finite")),
+                "{reply:?}"
+            );
+        }
+        client.shutdown().unwrap();
+        server.join().unwrap().unwrap();
     }
 
     #[test]

@@ -103,6 +103,24 @@ impl From<CampaignError> for ServeError {
     }
 }
 
+/// Serializes "no finite best yet" as null and back to `+inf`, as
+/// core's `nan_as_null` does for a crashed trial's cost.
+mod infinity_as_null {
+    use serde::{Deserialize, Deserializer, Serializer};
+
+    pub fn serialize<S: Serializer>(v: &f64, s: S) -> Result<S::Ok, S::Error> {
+        if v.is_finite() {
+            s.serialize_some(v)
+        } else {
+            s.serialize_none()
+        }
+    }
+
+    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<f64, D::Error> {
+        Ok(Option::<f64>::deserialize(d)?.unwrap_or(f64::INFINITY))
+    }
+}
+
 /// Point-in-time stats for one registered campaign. Flat and
 /// serializable so it can cross the serving protocol.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -125,7 +143,9 @@ pub struct CampaignStats {
     pub n_ticks: u64,
     /// Trials recorded in storage.
     pub n_trials: usize,
-    /// Best finite cost so far (infinity if none).
+    /// Best finite cost so far (infinity if none; neither codec has an
+    /// infinity, so that one is encoded as null).
+    #[serde(with = "infinity_as_null")]
     pub best_cost: f64,
     /// Waves serviced by the registry.
     pub waves_served: u64,

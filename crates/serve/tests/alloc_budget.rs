@@ -1,0 +1,390 @@
+//! The second fence around a served hit, beside the byte budgets of
+//! `a_served_hit_stays_within_its_byte_budgets`: how many allocations
+//! its frames cost. Decoding goes straight into the message type and
+//! encoding straight out of it, so a frame that fits the decoder's
+//! stack buffer costs what the message itself owns, and writing a
+//! message into a buffer with room costs nothing. A codec that builds
+//! a value tree on the way (one node per value, one `String` per map
+//! key; 41 allocations for this `Lookup`) is several times over these
+//! counts.
+//!
+//! The same meter then holds hostile input to a bound in bytes: the
+//! hostile suite of `third_party/ciborium/tests/typed.rs` once more, with
+//! `Request`, `Response` and the WAL's record type as what is decoded,
+//! each carrying a field its type does not have, through `read_frame`
+//! and through a CRC-valid record on disk.
+
+use autotune_serve::{
+    dump_wal, read_frame, write_frame, CampaignSpec, DurableRegistry, Request, Response,
+    ServeError, SystemKind, WalConfig,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::path::{Path, PathBuf};
+
+/// Counts the current thread's allocations (`realloc` included) and the
+/// bytes it holds, so the tests can run beside each other.
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static LIVE: Cell<usize> = const { Cell::new(0) };
+    static PEAK: Cell<usize> = const { Cell::new(0) };
+}
+
+/// One `alloc` (nothing freed), `dealloc` (nothing taken) or `realloc`.
+fn account(freed: usize, taken: usize) {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    if taken > 0 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+    let _ = LIVE.try_with(|live| {
+        let now = live.get().saturating_sub(freed) + taken;
+        live.set(now);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+    });
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter touches no allocation.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        account(0, layout.size());
+        // SAFETY: the caller's contract is `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        account(layout.size(), 0);
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        account(layout.size(), new_size);
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `f` and returns its result with the allocations it made.
+fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// Runs `f` and returns its result with the most bytes it held at once.
+fn peak_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LIVE.with(|live| live.set(0));
+    PEAK.with(|peak| peak.set(0));
+    let out = f();
+    (out, PEAK.with(Cell::get))
+}
+
+/// `protocol::ENCODE_RESERVE`: what `write_frame` and the journal
+/// reserve before they encode.
+const ENCODE_RESERVE: usize = 1024;
+
+/// The benchmark's request (`benchmark/src/gen.rs`): a 12-feature
+/// fingerprint and the tenant's own random-search Redis campaign.
+fn lookup() -> Request {
+    let mut tenant = CampaignSpec::minimal("tenant-217", SystemKind::Redis, 8, 35_007);
+    tenant.workload = autotune_sim::Workload::kv_cache(50_000.0 * 1.0173);
+    Request::Lookup {
+        features: (0..12).map(|i| 9.87 * i as f64 - 31.4).collect(),
+        spec: tenant,
+    }
+}
+
+/// The reply to it: the best of a short run of that campaign.
+fn cache_hit() -> Response {
+    let Request::Lookup { spec, .. } = lookup() else {
+        unreachable!()
+    };
+    let mut campaign = spec.build();
+    campaign.run();
+    let best = campaign.storage().best().unwrap();
+    Response::CacheHit {
+        family: 3,
+        config: best.config.clone(),
+        cost: best.cost,
+        borrowed: false,
+    }
+}
+
+fn framed<T: serde::Serialize>(msg: &T) -> Vec<u8> {
+    let mut frame = Vec::new();
+    write_frame(&mut frame, msg).unwrap();
+    frame
+}
+
+#[test]
+fn the_allocation_counter_counts() {
+    let (v, n) = allocations_during(|| {
+        let mut v = vec![0u8; 16];
+        v.reserve(4096);
+        v
+    });
+    assert_eq!(n, 2);
+    drop(v);
+}
+
+#[test]
+fn decoding_a_lookup_allocates_what_a_request_owns() {
+    let frame = framed(&lookup());
+    let (request, n) = allocations_during(|| read_frame::<Request>(&mut &frame[..]));
+    assert!(matches!(request, Ok(Some(Request::Lookup { .. }))));
+    // Today 2: the features and the spec's name.
+    assert!(n <= 10, "decoding a Lookup frame made {n} allocations");
+}
+
+#[test]
+fn decoding_a_cache_hit_allocates_what_a_config_owns() {
+    let hit = cache_hit();
+    let Response::CacheHit { config, .. } = &hit else {
+        unreachable!()
+    };
+    let knobs = config.len();
+    let frame = framed(&hit);
+    let (response, n) = allocations_during(|| read_frame::<Response>(&mut &frame[..]));
+    assert!(matches!(response, Ok(Some(Response::CacheHit { .. }))));
+    // Today 5: the map's node, a key per knob, a categorical's value.
+    assert!(
+        n <= 6,
+        "decoding a CacheHit frame ({knobs} knobs) made {n} allocations"
+    );
+}
+
+#[test]
+fn encoding_into_a_buffer_with_room_allocates_nothing() {
+    let (request, reply) = (lookup(), cache_hit());
+    let mut buffer = Vec::with_capacity(ENCODE_RESERVE);
+    let ((), n) = allocations_during(|| ciborium::into_writer(&request, &mut buffer).unwrap());
+    assert!(buffer.len() > 500 && buffer.capacity() == ENCODE_RESERVE);
+    assert_eq!(n, 0, "encoding a Lookup");
+    buffer.clear();
+    let ((), n) = allocations_during(|| ciborium::into_writer(&reply, &mut buffer).unwrap());
+    assert!(buffer.len() > 100 && buffer.capacity() == ENCODE_RESERVE);
+    assert_eq!(n, 0, "encoding a CacheHit");
+}
+
+// ------------------------------------------------------------ hostile input
+
+/// An encoded struct variant, `{"Name": {fields..}}`, with one more
+/// field behind its own: `"zz"` holding `value`. Returns the bytes and
+/// the offset `value` starts at.
+fn with_unknown_field(message: &[u8], value: &[u8]) -> (Vec<u8>, usize) {
+    let mut bytes = message.to_vec();
+    assert_eq!(bytes[0], 0xa1, "a one-entry map");
+    let fields = 2 + usize::from(bytes[1] - 0x60);
+    assert!((0xa0..0xb7).contains(&bytes[fields]), "a short map head");
+    bytes[fields] += 1;
+    bytes.extend_from_slice(&[0x62, b'z', b'z']);
+    let at = bytes.len();
+    bytes.extend_from_slice(value);
+    (bytes, at)
+}
+
+/// What the decoder may hold for `len` bytes of input: the heap copy of
+/// a body past its stack buffer, and what the message type owns of it so
+/// far, a `BTreeMap` node for a three-byte entry at the worst.
+fn bound(len: usize) -> usize {
+    256 * len + 4096
+}
+
+/// Reads `body` as one frame of `T` under the bound; `Ok` is how the
+/// value prints.
+fn read_bounded<T: serde::de::DeserializeOwned + std::fmt::Debug>(
+    body: &[u8],
+) -> Result<String, String> {
+    let frame = [&(body.len() as u32).to_le_bytes()[..], body].concat();
+    let (out, peak) = peak_during(|| read_frame::<T>(&mut &frame[..]));
+    assert!(
+        peak <= bound(body.len()),
+        "a {}-byte body made read_frame hold {peak} bytes",
+        body.len()
+    );
+    match out {
+        Ok(Some(value)) => Ok(format!("{value:?}")),
+        // A whole body that does not decode leaves the stream usable.
+        Err(ServeError::Decode(why)) => Err(why),
+        other => panic!("neither a value nor a decode error: {other:?}"),
+    }
+}
+
+/// Values no message should survive holding, and what the refusal says.
+fn hostile_values() -> Vec<(Vec<u8>, &'static str)> {
+    let deep = [vec![0x81; 10_000], vec![0x00]].concat();
+    let deep_maps = [[0xa1, 0x61, 0x6b].repeat(10_000), vec![0xf6]].concat();
+    vec![
+        (deep, "nesting deeper than"),
+        (deep_maps, "nesting deeper than"),
+        (vec![0x62, 0xc3, 0x28], "not UTF-8"),
+        (vec![0x81, 0xa1, 0x62, 0xc3, 0x28, 0x01], "not UTF-8"),
+        (
+            vec![0x9b, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff],
+            "declared length",
+        ),
+        (vec![0x7a, 0xff, 0xff, 0xff, 0xff], "declared length"),
+        (vec![0xb7, 0x61, 0x61], "declared length"),
+        (vec![0x9f, 0x01, 0xff], "indefinite length"),
+        (vec![0xc0, 0x60], "tags are not supported"),
+        (vec![0xfb, 0x7f, 0xf8, 0, 0, 0, 0, 0, 0], "non-finite float"),
+        (vec![0xf9, 0x3c, 0x00], "only 64-bit floats"),
+        (vec![0xa1, 0x01, 0x02], "map key is not a text string"),
+        (vec![0x00, 0x00], "trailing bytes"),
+        (vec![], "malformed or truncated"),
+    ]
+}
+
+fn body<T: serde::Serialize>(msg: &T) -> Vec<u8> {
+    framed(msg)[4..].to_vec()
+}
+
+fn hostile_frames_are_refused<T: serde::de::DeserializeOwned + std::fmt::Debug>(honest: &[u8]) {
+    // The extra field alone is skipped: the message is what it was.
+    let (padded, _) = with_unknown_field(honest, &[0x82, 0xf6, 0xa1, 0x61, 0x6b, 0x60]);
+    assert_eq!(read_bounded::<T>(&padded), read_bounded::<T>(honest));
+    assert!(read_bounded::<T>(honest).is_ok());
+    // Cut anywhere, it is an error, never a shorter message.
+    for cut in 0..padded.len() {
+        assert!(read_bounded::<T>(&padded[..cut]).is_err(), "cut at {cut}");
+    }
+    for (value, why) in hostile_values() {
+        let (bytes, _) = with_unknown_field(honest, &value);
+        let refusal = read_bounded::<T>(&bytes).expect_err("a hostile value was skipped");
+        assert!(refusal.contains(why), "{why}: {refusal}");
+    }
+    // Overwritten bytes are a value or an error, never a panic.
+    for at in 0..padded.len() {
+        for byte in [0x00, 0x7f, 0x9b, 0xbb, 0xff] {
+            let mut bytes = padded.clone();
+            bytes[at] = byte;
+            let _ = read_bounded::<T>(&bytes);
+        }
+    }
+}
+
+#[test]
+fn hostile_frames_cost_no_more_than_their_bytes() {
+    hostile_frames_are_refused::<Request>(&body(&lookup()));
+    hostile_frames_are_refused::<Response>(&body(&cache_hit()));
+    let stats = Response::Stats {
+        stats: {
+            let mut registry = autotune_serve::CampaignRegistry::new(1);
+            let id = registry.register_spec(&CampaignSpec::minimal("s", SystemKind::Redis, 2, 1));
+            registry.stats(id).unwrap()
+        },
+    };
+    hostile_frames_are_refused::<Response>(&body(&stats));
+}
+
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("autotune-hostile-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// CRC-32 (IEEE 802.3), a bit at a time.
+fn crc32(bytes: &[u8]) -> u32 {
+    !bytes.iter().fold(!0u32, |c, &b| {
+        (0..8).fold(c ^ u32::from(b), |c, _| {
+            (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg())
+        })
+    })
+}
+
+/// Reads a log holding the one record `payload` under the bound: the
+/// record's kind, or why it does not decode.
+fn dump_bounded(dir: &Path, segment: &str, payload: &[u8]) -> Result<String, String> {
+    let header = [
+        (payload.len() as u32).to_le_bytes(),
+        crc32(payload).to_le_bytes(),
+    ]
+    .concat();
+    std::fs::write(dir.join(segment), [&header[..], payload].concat()).unwrap();
+    let mut seen = Vec::new();
+    let (out, peak) = peak_during(|| {
+        dump_wal(dir, |line| {
+            // `Wal(Register { .. })` and so on: the record as it prints.
+            let line = format!("{line:?}");
+            seen.push(line.split_once("record: ").unwrap().1.to_string());
+            Ok(())
+        })
+    });
+    // `dump_wal` holds the file, the record and the line it prints from.
+    assert!(
+        peak <= bound(payload.len()) + 3 * payload.len(),
+        "a {}-byte record made dump_wal hold {peak} bytes",
+        payload.len()
+    );
+    match out {
+        Ok(1) => Ok(seen.remove(0)),
+        Err(ServeError::Storage(why)) => Err(why),
+        other => panic!("neither one record nor a storage error: {other:?}"),
+    }
+}
+
+#[test]
+fn hostile_wal_records_cost_no_more_than_their_bytes() {
+    // A short durable run, for one record of each kind the log holds.
+    let dir = temp_dir("live");
+    let mut durable = DurableRegistry::create(&dir, 1, WalConfig::default()).unwrap();
+    let id = durable
+        .register_spec(&CampaignSpec::minimal("w", SystemKind::Redis, 2, 9))
+        .unwrap();
+    durable.run_all().unwrap();
+    durable.append_aux("notes", vec![1, 2, 3]).unwrap();
+    durable.stop(id).unwrap();
+    drop(durable);
+    let mut files = std::fs::read_dir(&dir).unwrap().map(|f| f.unwrap().path());
+    let (Some(path), None) = (files.next(), files.next()) else {
+        panic!("the run rotated its log");
+    };
+    let segment = path.file_name().unwrap().to_str().unwrap().to_string();
+    let log = std::fs::read(&path).unwrap();
+    let mut records = Vec::new();
+    dump_wal(&dir, |line| {
+        let (at, len) = (line.offset as usize + 8, line.len as usize);
+        records.push(log[at..at + len].to_vec());
+        Ok(())
+    })
+    .unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let dir = temp_dir("hostile");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut kinds = Vec::new();
+    for honest in &records {
+        let kind = dump_bounded(&dir, &segment, honest).expect("an honest record");
+        let (padded, _) = with_unknown_field(honest, &[0x82, 0xf6, 0xa1, 0x61, 0x6b, 0x60]);
+        assert_eq!(dump_bounded(&dir, &segment, &padded), Ok(kind.clone()));
+        kinds.push(
+            kind.split([' ', '(', '{'])
+                .nth(1)
+                .unwrap_or_default()
+                .to_string(),
+        );
+        // The CRC holds over every cut and every hostile value, so each
+        // is refused by the decoder, not as a torn write.
+        let step = (padded.len() / 200).max(1);
+        for cut in (0..padded.len()).step_by(step) {
+            let refusal = dump_bounded(&dir, &segment, &padded[..cut]).expect_err("a cut record");
+            assert!(
+                refusal.contains("undecodable record"),
+                "cut at {cut}: {refusal}"
+            );
+        }
+        for (value, why) in hostile_values() {
+            let (bytes, _) = with_unknown_field(honest, &value);
+            let refusal = dump_bounded(&dir, &segment, &bytes).expect_err("a hostile record");
+            assert!(refusal.contains(why), "{why}: {refusal}");
+        }
+    }
+    kinds.sort();
+    kinds.dedup();
+    assert_eq!(kinds, ["Aux", "Events", "Register", "Stop"]);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

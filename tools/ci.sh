@@ -86,6 +86,7 @@ if [ "$FAST" -eq 1 ]; then
   skip_step "race interleavings (release, 64 seeds)"
   skip_step "fault determinism (release)"
   skip_step "serve determinism (release)"
+  skip_step "stub codecs (release)"
   skip_step "chaos recovery determinism (release)"
   skip_step "chaos recovery E34 (release)"
   skip_step "wal_dump over a durable run (release)"
@@ -121,6 +122,13 @@ else
   # byte-identical to running it alone.
   run_step "serve determinism (release)" \
     cargo test -q --release -p autotune-serve -- determinism
+
+  # A decoder is where a debug_assertions-only overflow check hides a
+  # wrapped length: the debug "tests" step alone would pass such a bug,
+  # so the hostile-input suites of the serde, CBOR and JSON stubs run
+  # against the optimized build too.
+  run_step "stub codecs (release)" \
+    cargo test -q --release -p serde -p ciborium -p serde_json
 
   # ISSUE 7 acceptance: crash the durable fleet at chaos-chosen WAL
   # appends, inject worker panics, recover from the log, and demand
