@@ -137,8 +137,8 @@ pub fn chaos_drive(specs: &[CampaignSpec], seed: u64, p_crash: f64, p_panic: f64
             break;
         }
         match durable.step_round() {
-            Ok(round) if round.recovered => panic_recoveries += 1,
-            Ok(_) => {}
+            Ok(true) => panic_recoveries += 1,
+            Ok(false) => {}
             Err(_) => {} // crashed; handled at loop top
         }
     }

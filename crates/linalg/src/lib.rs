@@ -2,15 +2,17 @@
 //!
 //! The autotuning stack needs a small but trustworthy set of numerical
 //! kernels — Gaussian-process regression needs Cholesky factorizations and
-//! triangular solves, CMA-ES needs symmetric eigendecompositions, workload
-//! embeddings need PCA, and knob-importance analysis needs least squares.
-//! None of the sanctioned dependency set provides these, so this crate
-//! implements them from scratch on a simple row-major [`Matrix`] type.
+//! triangular solves, CMA-ES needs symmetric eigendecompositions, and
+//! workload embeddings need PCA. None of the sanctioned dependency set
+//! provides these, so this crate implements them from scratch on a simple
+//! row-major [`Matrix`] type. It holds what a surrogate, an optimizer,
+//! `wid` or the benchmark calls and nothing kept for completeness: a
+//! general (LU) or least-squares (QR) solver has no caller here.
 //!
 //! Everything here is sized for the autotuning regime: matrices of a few
 //! hundred rows (one per trial), not BLAS-scale workloads. Algorithms are
-//! chosen for numerical robustness first (partial pivoting, jittered
-//! Cholesky, cyclic Jacobi) and asymptotic cleverness second.
+//! chosen for numerical robustness first (jittered Cholesky, cyclic
+//! Jacobi) and asymptotic cleverness second.
 //!
 //! # Example
 //!
@@ -28,31 +30,25 @@
 mod blocked;
 mod cholesky;
 mod eigen;
-mod lu;
 mod matrix;
 mod par;
 mod pca;
-mod qr;
 pub mod stats;
 mod vector;
 
 pub use blocked::DEFAULT_BLOCK;
 pub use cholesky::Cholesky;
 pub use eigen::{symmetric_eigen, SymmetricEigen};
-pub use lu::Lu;
 pub use matrix::Matrix;
 pub use par::{ordered_mean, ordered_sum, par_map, par_map_threads};
 pub use pca::Pca;
-pub use qr::{least_squares, Qr};
-pub use vector::{axpy, dot, norm2, normalize, scaled_add, squared_distance};
+pub use vector::{axpy, dot, norm2, squared_distance};
 
 /// Errors produced by the numerical kernels in this crate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LinalgError {
     /// Matrix is not positive-definite (Cholesky failed even with jitter).
     NotPositiveDefinite,
-    /// Matrix is singular to working precision.
-    Singular,
     /// Operand shapes are incompatible for the requested operation.
     ShapeMismatch {
         /// Human-readable description of the expected/actual shapes.
@@ -66,7 +62,6 @@ impl std::fmt::Display for LinalgError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LinalgError::NotPositiveDefinite => write!(f, "matrix is not positive definite"),
-            LinalgError::Singular => write!(f, "matrix is singular to working precision"),
             LinalgError::ShapeMismatch { context } => write!(f, "shape mismatch: {context}"),
             LinalgError::NoConvergence => write!(f, "iterative routine failed to converge"),
         }

@@ -43,24 +43,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// Returns `a + alpha * b` as a new vector.
-#[inline]
-pub fn scaled_add(a: &[f64], alpha: f64, b: &[f64]) -> Vec<f64> {
-    debug_assert_eq!(a.len(), b.len(), "scaled_add: length mismatch");
-    a.iter().zip(b).map(|(&x, &y)| x + alpha * y).collect()
-}
-
-/// Normalizes `v` to unit Euclidean norm in place. A zero vector is left
-/// unchanged (there is no meaningful direction to preserve).
-pub fn normalize(v: &mut [f64]) {
-    let n = norm2(v);
-    if n > 0.0 {
-        for x in v.iter_mut() {
-            *x /= n;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,26 +70,5 @@ mod tests {
         let mut y = vec![1.0, 1.0];
         axpy(2.0, &[3.0, 4.0], &mut y);
         assert_eq!(y, vec![7.0, 9.0]);
-    }
-
-    #[test]
-    fn scaled_add_matches_axpy() {
-        let a = [1.0, 2.0];
-        let b = [10.0, 20.0];
-        assert_eq!(scaled_add(&a, 0.5, &b), vec![6.0, 12.0]);
-    }
-
-    #[test]
-    fn normalize_unit_norm() {
-        let mut v = vec![3.0, 4.0];
-        normalize(&mut v);
-        assert!((norm2(&v) - 1.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn normalize_zero_vector_is_noop() {
-        let mut v = vec![0.0, 0.0];
-        normalize(&mut v);
-        assert_eq!(v, vec![0.0, 0.0]);
     }
 }

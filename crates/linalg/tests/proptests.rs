@@ -1,6 +1,6 @@
 //! Property-based tests for the linear-algebra kernels.
 
-use autotune_linalg::{stats, symmetric_eigen, Cholesky, Lu, Matrix};
+use autotune_linalg::{stats, symmetric_eigen, Cholesky, Matrix};
 use proptest::prelude::*;
 
 /// Strategy: a random matrix with entries in [-10, 10].
@@ -37,12 +37,11 @@ proptest! {
     }
 
     #[test]
-    fn cholesky_log_det_matches_lu_det(a in spd_strategy(3)) {
+    fn cholesky_log_det_matches_eigenvalues(a in spd_strategy(3)) {
         let c = Cholesky::new(&a).unwrap();
-        let lu = Lu::new(&a).unwrap();
-        let det = lu.det();
-        prop_assert!(det > 0.0);
-        prop_assert!((c.log_det() - det.ln()).abs() < 1e-6);
+        let e = symmetric_eigen(&a).unwrap();
+        let log_det: f64 = e.values.iter().map(|v| v.ln()).sum();
+        prop_assert!((c.log_det() - log_det).abs() < 1e-6);
     }
 
     #[test]
@@ -72,16 +71,6 @@ proptest! {
             prop_assert!(w[0] >= w[1] - 1e-9);
         }
         prop_assert!(e.values.iter().all(|&v| v > 0.0));
-    }
-
-    #[test]
-    fn lu_solve_roundtrip(a in spd_strategy(4), x in proptest::collection::vec(-5.0..5.0f64, 4)) {
-        let b = a.matvec(&x).unwrap();
-        let lu = Lu::new(&a).unwrap();
-        let got = lu.solve(&b).unwrap();
-        for (g, w) in got.iter().zip(&x) {
-            prop_assert!((g - w).abs() < 1e-6);
-        }
     }
 
     #[test]

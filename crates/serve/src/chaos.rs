@@ -2,21 +2,22 @@
 //!
 //! The durability story (`durability.rs`) only counts if it survives
 //! failures *at every byte boundary*: a process killed before, during,
-//! or after a WAL append; a worker thread panicking mid-round; a peer
-//! feeding the protocol corrupt, truncated, or oversized frames. This
-//! module is the fault schedule for all of it, built on the same
-//! discipline as [`autotune_sim::FaultPlan`]: every decision is a pure
-//! splitmix hash of `(seed, domain, index)`, so a chaos run replays
-//! byte-for-byte — which is exactly what lets CI assert that recovery
-//! from an injected crash reproduces the uninterrupted history.
+//! or after a WAL append, and a worker thread panicking mid-round. This
+//! module is the fault schedule for both, built on the same discipline
+//! as [`autotune_sim::FaultPlan`]: every decision is a pure splitmix
+//! hash of `(seed, domain, index)`, so a chaos run replays byte-for-byte
+//! — which is exactly what lets CI assert that recovery from an injected
+//! crash reproduces the uninterrupted history.
 //!
-//! Crashes are *simulated*, not real `abort()`s: the WAL consults
-//! [`ChaosPlan::crash_at`] per append and, when a crash fires, leaves
-//! the file in the matching state (nothing written / a torn half-record
-//! / the full record) and reports [`Crashed`](crate::ServeError) so the
-//! harness can drop every in-memory structure and recover from disk —
-//! the same observable sequence as `kill -9` at that instant, but
-//! testable in-process.
+//! The plan only *decides*; the failure itself takes the path a real one
+//! takes. The WAL consults [`ChaosPlan::crash_at`] per append and, when
+//! a crash fires, hands its one write path the bytes that land (none / a
+//! torn prefix / the whole record) and then dies exactly as it does when
+//! the disk refuses a write: every later call on the handle fails with
+//! the same [`ServeError::Storage`](crate::ServeError) and only
+//! [`DurableRegistry::open`](crate::DurableRegistry::open) brings the
+//! fleet back — the same observable sequence as `kill -9` at that
+//! instant, but testable in-process.
 
 use serde::{Deserialize, Serialize};
 
@@ -47,25 +48,6 @@ impl CrashPoint {
     }
 }
 
-/// What chaos does to one protocol frame in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameFault {
-    /// Flip one byte of the encoded frame body.
-    CorruptByte {
-        /// Hash driving which byte flips (reduced modulo the body len).
-        roll: u64,
-    },
-    /// Drop the tail of the frame after the length prefix went out.
-    Truncate {
-        /// Hash driving how much of the body survives.
-        roll: u64,
-    },
-    /// Rewrite the length prefix to an absurd value.
-    OversizePrefix,
-    /// The read side stalls; surfaces as a timeout-kind transport error.
-    Stall,
-}
-
 /// A seeded schedule of serving-layer faults. All-zero probabilities
 /// (the [`ChaosPlan::new`] default) inject nothing; builders switch on
 /// each fault family. Decisions are pure functions of `(seed, domain,
@@ -83,21 +65,11 @@ pub struct ChaosPlan {
     pub p_crash_post_append: f64,
     /// Probability a (round, campaign) measurement worker panics.
     pub p_worker_panic: f64,
-    /// Probability a frame gets one byte corrupted.
-    pub p_frame_corrupt: f64,
-    /// Probability a frame is truncated.
-    pub p_frame_truncate: f64,
-    /// Probability a frame's length prefix is rewritten oversized.
-    pub p_frame_oversize: f64,
-    /// Probability a read stalls (surfaces as a timeout error).
-    pub p_stall: f64,
 }
 
 /// Hash domains, so the same index rolls independently per fault family.
 const D_CRASH: u64 = 1;
 const D_PANIC: u64 = 2;
-const D_FRAME: u64 = 3;
-const D_STALL: u64 = 4;
 const D_AUX: u64 = 5;
 
 impl ChaosPlan {
@@ -109,10 +81,6 @@ impl ChaosPlan {
             p_crash_mid_append: 0.0,
             p_crash_post_append: 0.0,
             p_worker_panic: 0.0,
-            p_frame_corrupt: 0.0,
-            p_frame_truncate: 0.0,
-            p_frame_oversize: 0.0,
-            p_stall: 0.0,
         }
     }
 
@@ -127,16 +95,6 @@ impl ChaosPlan {
     /// Enables worker panics with probability `p` per (round, campaign).
     pub fn with_worker_panics(mut self, p: f64) -> Self {
         self.p_worker_panic = p;
-        self
-    }
-
-    /// Enables frame corruption/truncation/oversizing, `p` each, and
-    /// read stalls at `p`.
-    pub fn with_frame_faults(mut self, p: f64) -> Self {
-        self.p_frame_corrupt = p;
-        self.p_frame_truncate = p;
-        self.p_frame_oversize = p;
-        self.p_stall = p;
         self
     }
 
@@ -190,113 +148,6 @@ impl ChaosPlan {
     /// scheduling round `round` panics.
     pub fn worker_panics(&self, round: u64, campaign_id: u64) -> bool {
         self.unit_roll(D_PANIC, round, campaign_id) < self.p_worker_panic
-    }
-
-    /// What happens to outbound frame number `frame_index`.
-    pub fn frame_fault(&self, frame_index: u64) -> Option<FrameFault> {
-        let r = self.unit_roll(D_FRAME, frame_index, 0);
-        if r < self.p_frame_corrupt {
-            return Some(FrameFault::CorruptByte {
-                roll: self.hash(D_AUX, frame_index, 2),
-            });
-        }
-        if r < self.p_frame_corrupt + self.p_frame_truncate {
-            return Some(FrameFault::Truncate {
-                roll: self.hash(D_AUX, frame_index, 3),
-            });
-        }
-        if r < self.p_frame_corrupt + self.p_frame_truncate + self.p_frame_oversize {
-            return Some(FrameFault::OversizePrefix);
-        }
-        None
-    }
-
-    /// Whether inbound read number `read_index` stalls.
-    pub fn read_stalls(&self, read_index: u64) -> bool {
-        self.unit_roll(D_STALL, read_index, 0) < self.p_stall
-    }
-}
-
-/// A stream wrapper injecting [`ChaosPlan`] protocol faults. Writes are
-/// buffered until `flush` — the framing layer flushes exactly once per
-/// frame, so each flush is one frame and gets one fault roll. Faulted
-/// frames still go out (mangled); the *peer's* decoder is what the
-/// fault exercises. Reads pass through except for injected stalls,
-/// which surface as `TimedOut` errors without consuming bytes.
-pub struct ChaosStream<S> {
-    inner: S,
-    plan: ChaosPlan,
-    pending: Vec<u8>,
-    frames_out: u64,
-    reads_in: u64,
-    /// Frames mangled so far (for test assertions).
-    pub faults_injected: u64,
-}
-
-impl<S> ChaosStream<S> {
-    /// Wraps `inner`, mangling traffic according to `plan`.
-    pub fn new(inner: S, plan: ChaosPlan) -> Self {
-        ChaosStream {
-            inner,
-            plan,
-            pending: Vec::new(),
-            frames_out: 0,
-            reads_in: 0,
-            faults_injected: 0,
-        }
-    }
-
-    /// Unwraps the inner stream.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: std::io::Write> std::io::Write for ChaosStream<S> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.pending.extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        let mut frame = std::mem::take(&mut self.pending);
-        let fault = self.plan.frame_fault(self.frames_out);
-        self.frames_out += 1;
-        match fault {
-            Some(FrameFault::CorruptByte { roll }) if frame.len() > 4 => {
-                // Flip a body byte (never the prefix: a corrupt prefix
-                // is the oversize case below).
-                let i = 4 + (roll as usize) % (frame.len() - 4);
-                frame[i] ^= 0x40;
-                self.faults_injected += 1;
-            }
-            Some(FrameFault::Truncate { roll }) if frame.len() > 5 => {
-                let keep = 5 + (roll as usize) % (frame.len() - 5);
-                frame.truncate(keep);
-                self.faults_injected += 1;
-            }
-            Some(FrameFault::OversizePrefix) if frame.len() >= 4 => {
-                frame[..4].copy_from_slice(&u32::MAX.to_le_bytes());
-                self.faults_injected += 1;
-            }
-            _ => {}
-        }
-        self.inner.write_all(&frame)?;
-        self.inner.flush()
-    }
-}
-
-impl<S: std::io::Read> std::io::Read for ChaosStream<S> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let idx = self.reads_in;
-        self.reads_in += 1;
-        if self.plan.read_stalls(idx) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "chaos: stalled read",
-            ));
-        }
-        self.inner.read(buf)
     }
 }
 
@@ -363,9 +214,7 @@ mod tests {
         let plan = ChaosPlan::new(9);
         for i in 0..500 {
             assert!(plan.crash_at(i).is_none());
-            assert!(plan.frame_fault(i).is_none());
             assert!(!plan.worker_panics(i, 0));
-            assert!(!plan.read_stalls(i));
         }
     }
 }

@@ -50,23 +50,35 @@
 //! writes: a log that stops inside a tick was not written by this
 //! module, and `resume` refuses it.
 //!
-//! # Chaos
+//! # Failure model
 //!
-//! Arm a [`ChaosPlan`] with [`DurableRegistry::set_chaos`] and every
-//! append consults [`ChaosPlan::crash_at`] on a monotone operation
-//! counter: `PreAppend` kills the process before any byte lands,
-//! `MidAppend` leaves a torn record, `PostAppendPreAck` persists the
-//! record but loses the acknowledgement. A fired crash poisons the
-//! handle (every later call returns the same error) — the in-process
-//! analogue of being dead — and the harness recovers with
-//! [`DurableRegistry::open`]. Worker panics are injected inside the
-//! measurement pool and caught here at the `step_round` boundary: the
+//! **A handle that could not finish a write is dead.** An `io::Error`
+//! from writing a record or opening the next segment, and a crash point
+//! of an armed [`ChaosPlan`] ([`DurableRegistry::set_chaos`]), end in the
+//! same private `die`: the first reason is kept, every later call that
+//! could append returns it as the same [`ServeError::Storage`] *before*
+//! it touches the registry, nothing is acknowledged, and only
+//! [`DurableRegistry::open`] brings the fleet back. So memory never runs
+//! ahead of the acknowledged log, and no record lands behind a torn one.
+//! The plan consults [`ChaosPlan::crash_at`] on a monotone operation
+//! counter and only decides how many bytes the one write path is handed:
+//! `PreAppend` none, `MidAppend` a torn prefix, `PostAppendPreAck` the
+//! whole record (its acknowledgement is what is lost).
+//! [`DurableRegistry::crashed`] names the point for both kinds; a real
+//! failure reports the one it cannot be told from on disk (`MidAppend`
+//! for a failed write, of which an unknown prefix landed; `PreAppend` for
+//! a segment that would not open) and carries the `io::Error` in its
+//! text.
+//!
+//! **A worker panic** is caught at the `step_round` boundary: the
 //! suspect in-memory campaigns are discarded and rebuilt from the WAL,
-//! inside the registry that was serving them.
+//! inside the registry that was serving them. The injected one is raised
+//! with `resume_unwind`, which never runs the panic hook, so no
+//! process-global hook is swapped to keep it quiet.
 
 use crate::chaos::{ChaosPlan, CrashPoint};
 use crate::protocol::ENCODE_RESERVE;
-use crate::registry::{AdmissionConfig, CampaignRegistry, RoundReport, ServeError};
+use crate::registry::{AdmissionConfig, CampaignRegistry, ServeError};
 use crate::spec::CampaignSpec;
 use autotune::executor::SNAPSHOT_VERSION;
 use autotune::{Campaign, CampaignError, CampaignEvent, CampaignSnapshot};
@@ -129,17 +141,6 @@ pub struct RecoveryReport {
     pub campaigns: usize,
 }
 
-/// Outcome of one [`DurableRegistry::step_round`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DurableRound {
-    /// The scheduling round's report (zeroed when the round was lost to
-    /// a recovery).
-    pub report: RoundReport,
-    /// Whether a worker panic forced a rebuild from the WAL instead of
-    /// a normal round.
-    pub recovered: bool,
-}
-
 /// A [`CampaignRegistry`] whose state survives `kill -9`: every event
 /// is WAL-appended before the round is acknowledged, worker panics are
 /// caught and recovered at this boundary, and [`DurableRegistry::open`]
@@ -154,7 +155,7 @@ pub struct DurableRegistry {
     /// does not re-roll the crash that killed it.
     ops: u64,
     seg_index: u64,
-    seg: Option<std::fs::File>,
+    seg: std::fs::File,
     seg_bytes: u64,
     /// Per-campaign count of events already durable.
     durable_len: BTreeMap<u64, usize>,
@@ -162,8 +163,9 @@ pub struct DurableRegistry {
     /// its owner collects it with [`DurableRegistry::take_aux_log`].
     /// Live appends never land here.
     recovered_aux: Vec<(String, Vec<u8>)>,
-    /// Set once a simulated crash fires; every later call fails.
-    crashed: Option<CrashPoint>,
+    /// Why this handle is dead (written by `die` only): the crash point
+    /// and the error every later call repeats.
+    crashed: Option<(CrashPoint, String)>,
 }
 
 impl DurableRegistry {
@@ -194,7 +196,8 @@ impl DurableRegistry {
         config: WalConfig,
     ) -> Result<(Self, RecoveryReport), ServeError> {
         let dir = dir.into();
-        let recovered = recover_dir(&dir, true)?;
+        let mut aux_log = Vec::new();
+        let recovered = recover_dir(&dir, |key, payload| aux_log.push((key, payload)))?;
         let mut registry = CampaignRegistry::new(workers);
         let mut durable_len = BTreeMap::new();
         for (id, d) in recovered.fleet {
@@ -209,7 +212,7 @@ impl DurableRegistry {
         // Only now, so a log that `resume` refuses leaves no new segment.
         let mut s = Self::over(dir, config, registry, recovered.max_seg)?;
         s.durable_len = durable_len;
-        s.recovered_aux = recovered.aux_log;
+        s.recovered_aux = aux_log;
         Ok((s, recovered.report))
     }
 
@@ -221,21 +224,21 @@ impl DurableRegistry {
         registry: CampaignRegistry,
         max_seg: u64,
     ) -> Result<Self, ServeError> {
-        let mut s = DurableRegistry {
+        let seg_index = max_seg + 1;
+        let seg = open_segment(&dir, seg_index).map_err(io_err)?;
+        Ok(DurableRegistry {
             registry,
             dir,
             config,
             chaos: None,
             ops: 0,
-            seg_index: max_seg,
-            seg: None,
+            seg_index,
+            seg,
             seg_bytes: 0,
             durable_len: BTreeMap::new(),
             recovered_aux: Vec::new(),
             crashed: None,
-        };
-        s.rotate_segment()?;
-        Ok(s)
+        })
     }
 
     /// Applies admission limits.
@@ -255,30 +258,35 @@ impl DurableRegistry {
         &self.registry
     }
 
-    /// The WAL directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The crash point that poisoned this handle, if any.
+    /// The crash point that killed this handle, if it is dead (for a
+    /// real failure, the one it cannot be told from on disk).
     pub fn crashed(&self) -> Option<CrashPoint> {
-        self.crashed
+        self.crashed.as_ref().map(|(point, _)| *point)
     }
 
-    fn check_alive(&self) -> Result<(), ServeError> {
-        match self.crashed {
-            Some(p) => Err(ServeError::Storage(format!(
-                "simulated crash ({}); reopen from the WAL",
-                p.label()
-            ))),
+    /// The error every call repeats once the handle is dead. Checked
+    /// before a call changes anything in memory.
+    pub(crate) fn check_alive(&self) -> Result<(), ServeError> {
+        match &self.crashed {
+            Some((_, reason)) => Err(ServeError::Storage(reason.clone())),
             None => Ok(()),
         }
     }
 
+    /// Kills the handle: a write did not land and get acknowledged, so
+    /// nothing more is until [`DurableRegistry::open`]. The first reason
+    /// is kept; the error returned is the one `check_alive` repeats.
+    fn die(&mut self, point: CrashPoint, why: String) -> ServeError {
+        let (_, reason) = self
+            .crashed
+            .get_or_insert_with(|| (point, why + "; reopen from the WAL"));
+        ServeError::Storage(reason.clone())
+    }
+
     /// Admission-controlled, WAL-backed registration. The campaign is
-    /// durable before the id is returned; a crash in between poisons
-    /// the handle and the client's idempotent retry lands on the
-    /// recovered fleet without double-creating.
+    /// durable before the id is returned; a crash or failed write in
+    /// between kills the handle and the client's idempotent retry lands
+    /// on the recovered fleet without double-creating.
     pub fn admit_spec(
         &mut self,
         spec: &CampaignSpec,
@@ -346,24 +354,19 @@ impl DurableRegistry {
     /// acknowledged. A worker panic is caught here; the suspect
     /// in-memory campaigns are discarded and rebuilt from the WAL
     /// (losing only the unacknowledged round, whose ticks re-execute
-    /// identically).
-    pub fn step_round(&mut self) -> Result<DurableRound, ServeError> {
+    /// identically). Returns whether the round was lost to such a
+    /// recovery. A dead handle refuses before the round runs.
+    pub fn step_round(&mut self) -> Result<bool, ServeError> {
         self.check_alive()?;
         match self.guarded_round() {
-            Ok(report) => {
-                let report = report?;
+            Ok(round) => {
+                round?;
                 self.flush_events()?;
-                Ok(DurableRound {
-                    report,
-                    recovered: false,
-                })
+                Ok(false)
             }
             Err(_) => {
                 self.recover_in_place()?;
-                Ok(DurableRound {
-                    report: RoundReport::default(),
-                    recovered: true,
-                })
+                Ok(true)
             }
         }
     }
@@ -371,26 +374,14 @@ impl DurableRegistry {
     /// One registry round with worker panics caught at the pool
     /// boundary; `Err` carries the worker's own panic payload
     /// (`par_map_threads` re-raises it unchanged).
-    fn guarded_round(&mut self) -> std::thread::Result<Result<RoundReport, ServeError>> {
-        // With chaos armed, injected worker panics are expected control
-        // flow; silence the default hook's backtrace spray for the
-        // duration of the guarded call.
-        let silence = self.chaos.is_some();
-        let prev_hook = silence.then(std::panic::take_hook);
-        if silence {
-            std::panic::set_hook(Box::new(|_| {}));
-        }
-        let caught =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.registry.step_round()));
-        if let Some(hook) = prev_hook {
-            std::panic::set_hook(hook);
-        }
-        caught
+    fn guarded_round(&mut self) -> std::thread::Result<Result<(), ServeError>> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.registry.step_round()))
     }
 
     /// Runs rounds until the fleet drains; returns rounds executed
     /// (recoveries count as rounds).
     pub fn run_all(&mut self) -> Result<u64, ServeError> {
+        self.check_alive()?;
         let mut rounds = 0;
         while self.registry.has_runnable() {
             self.step_round()?;
@@ -432,7 +423,7 @@ impl DurableRegistry {
     /// and accounting. The panicked round was never acknowledged, so the
     /// rebuilt campaigns re-execute its ticks identically.
     fn recover_in_place(&mut self) -> Result<(), ServeError> {
-        let recovered = recover_dir(&self.dir, false)?;
+        let recovered = recover_dir(&self.dir, |_, _| {})?;
         for (id, d) in recovered.fleet {
             self.durable_len.insert(id, d.events.len());
             self.registry
@@ -451,48 +442,44 @@ impl DurableRegistry {
         Ok(())
     }
 
-    /// Appends one record, consulting the chaos plan for crash points.
+    /// Appends one record. `Err` means the handle is dead: the record
+    /// did not land whole and acknowledged, whether the chaos plan or the
+    /// disk cut it. A chaos crash point only decides how many bytes the
+    /// one write is handed; a write that fails leaves an unknown prefix
+    /// in the file, which nothing may land behind.
     fn append(&mut self, record: &WalRecord) -> Result<(), ServeError> {
         let op = self.ops;
         self.ops += 1;
-        let encoded = encode_record(record)?;
-        if let Some((plan, point)) = self.chaos.and_then(|p| Some((p, p.crash_at(op)?))) {
-            let landed = match point {
-                CrashPoint::PreAppend => 0,
-                CrashPoint::MidAppend => plan.torn_len(op, encoded.len()),
-                CrashPoint::PostAppendPreAck => encoded.len(),
-            };
-            self.write_bytes(&encoded[..landed])?;
-            self.crashed = Some(point);
-            return self.check_alive();
+        let encoded = encode_record(record).map_err(|why| {
+            let why = format!("WAL record did not encode: {why}");
+            self.die(CrashPoint::PreAppend, why)
+        })?;
+        let crash = self.chaos.and_then(|plan| Some((plan, plan.crash_at(op)?)));
+        let landed = match crash {
+            Some((_, CrashPoint::PreAppend)) => 0,
+            Some((plan, CrashPoint::MidAppend)) => plan.torn_len(op, encoded.len()),
+            Some((_, CrashPoint::PostAppendPreAck)) | None => encoded.len(),
+        };
+        let bytes = &encoded[..landed];
+        let written = self.seg.write_all(bytes).and_then(|()| self.seg.flush());
+        written.map_err(|e| self.die(CrashPoint::MidAppend, format!("WAL write failed: {e}")))?;
+        self.seg_bytes += landed as u64;
+        if let Some((_, point)) = crash {
+            return Err(self.die(point, format!("simulated crash ({})", point.label())));
         }
-        self.write_bytes(&encoded)?;
         if self.seg_bytes >= self.config.segment_bytes {
             self.rotate_segment()?;
         }
         Ok(())
     }
 
-    fn write_bytes(&mut self, bytes: &[u8]) -> Result<(), ServeError> {
-        let seg = self
-            .seg
-            .as_mut()
-            .ok_or_else(|| ServeError::Storage("no open segment".into()))?;
-        seg.write_all(bytes).map_err(io_err)?;
-        seg.flush().map_err(io_err)?;
-        self.seg_bytes += bytes.len() as u64;
-        Ok(())
-    }
-
     fn rotate_segment(&mut self) -> Result<(), ServeError> {
-        self.seg_index += 1;
-        let path = segment_path(&self.dir, self.seg_index);
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(io_err)?;
-        self.seg = Some(file);
+        let next = self.seg_index + 1;
+        self.seg = open_segment(&self.dir, next).map_err(|e| {
+            let why = format!("WAL segment {next} would not open: {e}");
+            self.die(CrashPoint::PreAppend, why)
+        })?;
+        self.seg_index = next;
         self.seg_bytes = 0;
         Ok(())
     }
@@ -511,8 +498,6 @@ struct Durable {
 /// What [`recover_dir`] read from the WAL.
 struct Recovered {
     fleet: BTreeMap<u64, Durable>,
-    /// The auxiliary journal in append order (empty unless asked for).
-    aux_log: Vec<(String, Vec<u8>)>,
     /// The highest segment index seen.
     max_seg: u64,
     report: RecoveryReport,
@@ -537,41 +522,22 @@ fn rebuild(
     Campaign::resume(&snapshot, spec.build())
 }
 
-/// Reads the WAL in `dir` front to back. The auxiliary journal is
-/// decoded either way but kept only with `keep_aux`.
-fn recover_dir(dir: &Path, keep_aux: bool) -> Result<Recovered, ServeError> {
+/// Reads the WAL in `dir` front to back, handing `aux` every auxiliary
+/// journal record in append order. A torn tail is truncated from the
+/// final segment (so future appends start at a clean record boundary);
+/// anywhere else it is corruption and refused.
+fn recover_dir(dir: &Path, mut aux: impl FnMut(String, Vec<u8>)) -> Result<Recovered, ServeError> {
     let segments = written_segments(dir)?;
-    let mut report = RecoveryReport::default();
+    let mut report = RecoveryReport {
+        segments_read: segments.len(),
+        ..RecoveryReport::default()
+    };
+    // Sorted by index and not empty.
     let last_idx = segments.len() - 1;
+    let max_seg = segments[last_idx].0;
     let mut fleet: BTreeMap<u64, Durable> = BTreeMap::new();
-    let mut aux_log: Vec<(String, Vec<u8>)> = Vec::new();
-    let mut max_seg = 0;
-    for (i, (seg_no, path)) in segments.iter().enumerate() {
-        max_seg = max_seg.max(*seg_no);
-        report.segments_read += 1;
-        let bytes = std::fs::read(path).map_err(io_err)?;
-        // Before anything is truncated: an undecodable record is no torn
-        // tail, and its file stays as it was found.
-        let (records, consumed) =
-            decode_segment(&bytes).map_err(|(at, why)| undecodable(path, at, &why))?;
-        let torn = bytes.len() as u64 - consumed;
-        if torn > 0 {
-            if i != last_idx {
-                return Err(ServeError::Storage(format!(
-                    "corrupt record mid-WAL in {} (not the final segment)",
-                    path.display()
-                )));
-            }
-            // Torn tail from the crash: truncate it so future appends
-            // start at a clean record boundary.
-            report.truncated_bytes += torn;
-            let file = std::fs::OpenOptions::new()
-                .write(true)
-                .open(path)
-                .map_err(io_err)?;
-            file.set_len(consumed).map_err(io_err)?;
-        }
-        for record in records {
+    for (i, (_, path)) in segments.iter().enumerate() {
+        let (clean, torn) = read_segment(path, |_, _, record| {
             report.records_read += 1;
             match record {
                 WalRecord::Register {
@@ -604,18 +570,28 @@ fn recover_dir(dir: &Path, keep_aux: bool) -> Result<Recovered, ServeError> {
                         r.records += 1;
                     }
                 }
-                WalRecord::Aux { key, payload } => {
-                    if keep_aux {
-                        aux_log.push((key, payload));
-                    }
-                }
+                WalRecord::Aux { key, payload } => aux(key, payload),
             }
+            Ok(())
+        })?;
+        if torn > 0 {
+            if i != last_idx {
+                return Err(ServeError::Storage(format!(
+                    "corrupt record mid-WAL in {} (not the final segment)",
+                    path.display()
+                )));
+            }
+            report.truncated_bytes += torn;
+            let file = std::fs::OpenOptions::new()
+                .write(true)
+                .open(path)
+                .map_err(io_err)?;
+            file.set_len(clean).map_err(io_err)?;
         }
     }
     report.campaigns = fleet.len();
     Ok(Recovered {
         fleet,
-        aux_log,
         max_seg,
         report,
     })
@@ -635,31 +611,32 @@ fn record_at(bytes: &[u8], at: usize) -> Option<(&[u8], usize)> {
     (crc32(payload) == crc).then_some((payload, end))
 }
 
-fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
-    ciborium::from_reader(payload).map_err(|e| e.to_string())
-}
-
-/// Decodes records until the bytes run out or a record fails its
-/// header/CRC check (a torn tail). Returns the records and the clean
-/// byte count, or the offset and reason of a record whose CRC holds but
-/// whose payload does not decode.
-fn decode_segment(bytes: &[u8]) -> Result<(Vec<WalRecord>, u64), (usize, String)> {
-    let mut records = Vec::new();
+/// The one WAL reader: decodes the segment at `path` front to back and
+/// hands `each` every record with its byte offset and payload length,
+/// until the bytes run out or a record fails its header/CRC check.
+/// Returns the clean byte count and how many bytes follow it; what such
+/// a tail means is the caller's call, and nothing is written here. A
+/// record whose CRC holds but whose payload does not decode ends the
+/// walk with [`ServeError::Storage`] (see the module docs).
+fn read_segment(
+    path: &Path,
+    mut each: impl FnMut(usize, usize, WalRecord) -> Result<(), ServeError>,
+) -> Result<(u64, u64), ServeError> {
+    let bytes = std::fs::read(path).map_err(io_err)?;
     let mut at = 0usize;
-    while let Some((payload, end)) = record_at(bytes, at) {
-        records.push(decode_payload(payload).map_err(|why| (at, why))?);
+    while let Some((payload, end)) = record_at(&bytes, at) {
+        let record: WalRecord = ciborium::from_reader(payload).map_err(|why| {
+            ServeError::Storage(format!(
+                "undecodable record in {} at offset {at}: its length and CRC hold, so this is \
+                 corruption or a foreign format (a JSON-era log?), not a torn write, and nothing \
+                 was truncated: {why}",
+                path.display()
+            ))
+        })?;
+        each(at, payload.len(), record)?;
         at = end;
     }
-    Ok((records, at as u64))
-}
-
-fn undecodable(path: &Path, at: usize, why: &str) -> ServeError {
-    ServeError::Storage(format!(
-        "undecodable record in {} at offset {at}: its length and CRC hold, so this is \
-         corruption or a foreign format (a JSON-era log?), not a torn write, and nothing \
-         was truncated: {why}",
-        path.display()
-    ))
+    Ok((at as u64, (bytes.len() - at) as u64))
 }
 
 /// Reads the WAL in `dir` front to back for inspection, handing `each`
@@ -672,16 +649,10 @@ pub(crate) fn scan_wal(
     mut each: impl FnMut(u64, usize, usize, WalRecord) -> Result<(), ServeError>,
 ) -> Result<(), ServeError> {
     for (seg_no, path) in written_segments(dir)? {
-        let bytes = std::fs::read(&path).map_err(io_err)?;
-        let mut at = 0usize;
-        while let Some((payload, end)) = record_at(&bytes, at) {
-            let record = decode_payload(payload).map_err(|why| undecodable(&path, at, &why))?;
-            each(seg_no, at, payload.len(), record)?;
-            at = end;
-        }
-        if at != bytes.len() {
+        let (clean, torn) = read_segment(&path, |at, len, record| each(seg_no, at, len, record))?;
+        if torn > 0 {
             return Err(ServeError::Storage(format!(
-                "torn or corrupt record in {} at offset {at}",
+                "torn or corrupt record in {} at offset {clean}",
                 path.display()
             )));
         }
@@ -692,13 +663,12 @@ pub(crate) fn scan_wal(
 /// One record as it lies on disk: the payload is encoded behind a
 /// placeholder header and the header patched, so the caller writes one
 /// buffer.
-fn encode_record(record: &WalRecord) -> Result<Vec<u8>, ServeError> {
+fn encode_record(record: &WalRecord) -> Result<Vec<u8>, String> {
     let mut out = Vec::with_capacity(ENCODE_RESERVE);
     out.extend_from_slice(&[0; 8]);
-    ciborium::into_writer(record, &mut out).map_err(|e| ServeError::Storage(e.to_string()))?;
+    ciborium::into_writer(record, &mut out).map_err(|e| e.to_string())?;
     let (header, payload) = out.split_at_mut(8);
-    let len = u32::try_from(payload.len())
-        .map_err(|_| ServeError::Storage("WAL record over 4 GiB".into()))?;
+    let len = u32::try_from(payload.len()).map_err(|_| "over 4 GiB".to_string())?;
     header[..4].copy_from_slice(&len.to_le_bytes());
     header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
     Ok(out)
@@ -706,6 +676,14 @@ fn encode_record(record: &WalRecord) -> Result<Vec<u8>, ServeError> {
 
 fn segment_path(dir: &Path, index: u64) -> PathBuf {
     dir.join(format!("wal-{index:06}.seg"))
+}
+
+/// Opens segment `index` of the WAL in `dir` for appending, creating it.
+fn open_segment(dir: &Path, index: u64) -> std::io::Result<std::fs::File> {
+    std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(segment_path(dir, index))
 }
 
 /// Numbered WAL segments in `dir`, sorted by index.
@@ -1105,8 +1083,7 @@ mod tests {
         let mut recoveries = 1;
         let mut guard = 0;
         while durable.registry().has_runnable() {
-            let round = durable.step_round().unwrap();
-            if round.recovered {
+            if durable.step_round().unwrap() {
                 recoveries += 1;
             }
             guard += 1;
@@ -1213,22 +1190,23 @@ mod tests {
         let (mut records, mut events, mut disk_bytes, mut record_bytes) = (0, 0, 0, 0);
         let mut logs = vec![Vec::new(); specs.len()];
         for (_, path) in &segments {
-            let bytes = std::fs::read(path).unwrap();
-            disk_bytes += bytes.len();
-            for record in &decode_segment(&bytes).unwrap().0 {
+            let each = |_, _, record: WalRecord| {
                 records += 1;
-                record_bytes += encode_record(record).unwrap().len();
+                record_bytes += encode_record(&record).unwrap().len() as u64;
                 if let WalRecord::Events { id, events: batch } = record {
                     events += batch.len();
                     // Every record ends on a tick boundary: the log so
                     // far resumes without asking for a measurement.
-                    let i = *id as usize;
-                    logs[i].extend(batch.iter().cloned());
+                    let i = id as usize;
+                    logs[i].extend(batch);
                     if let Err(e) = rebuild(&specs[i], logs[i].clone()) {
                         panic!("campaign {id} record {records} ends inside a tick: {e}");
                     }
                 }
-            }
+                Ok(())
+            };
+            let (clean, torn) = read_segment(path, each).unwrap();
+            disk_bytes += clean + torn;
         }
         let reg = durable.registry();
         let logged = |id| reg.campaign(id).unwrap().log().unwrap().len();
@@ -1274,6 +1252,93 @@ mod tests {
                 std::fs::remove_dir_all(&dir).unwrap();
             }
         }
+    }
+
+    /// What a refused call must leave alone: everything the registry
+    /// reports, campaign by campaign.
+    fn books(d: &DurableRegistry) -> String {
+        let reg = d.registry();
+        let stats = |id| serde_json::to_string(&reg.stats(id).unwrap()).unwrap();
+        let campaigns: Vec<String> = reg.ids().into_iter().map(stats).collect();
+        let fleet = serde_json::to_string(&reg.fleet_stats()).unwrap();
+        format!("{fleet} {campaigns:?}")
+    }
+
+    /// The `Storage` text of a refused call.
+    fn refusal<T: std::fmt::Debug>(result: Result<T, ServeError>) -> String {
+        match result {
+            Err(ServeError::Storage(msg)) => msg,
+            other => panic!("not refused with a storage error: {other:?}"),
+        }
+    }
+
+    /// Every public call that could append, on a dead handle: the same
+    /// error each time and nothing in memory moves.
+    fn assert_dead(durable: &mut DurableRegistry, reason: &str) {
+        let before = books(durable);
+        assert_eq!(refusal(durable.admit_spec(&spec(1), Some(8))), reason);
+        assert_eq!(refusal(durable.register_spec(&spec(1))), reason);
+        assert_eq!(refusal(durable.append_aux("k", vec![1])), reason);
+        assert_eq!(refusal(durable.stop(0)), reason);
+        assert_eq!(refusal(durable.step_round()), reason);
+        assert_eq!(refusal(durable.run_all()), reason);
+        assert_eq!(refusal(durable.checkpoint()), reason);
+        assert_eq!(books(durable), before, "a refused call changed memory");
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_write_the_disk_refuses_kills_the_handle() {
+        if !Path::new("/dev/full").exists() {
+            return;
+        }
+        // The next segment is a device that is always full: it opens, and
+        // every write to it is ENOSPC.
+        let dir = temp_dir("enospc");
+        let mut durable = DurableRegistry::create(&dir, 1, WalConfig::default()).unwrap();
+        let full = segment_path(&dir, durable.seg_index + 1);
+        std::os::unix::fs::symlink("/dev/full", &full).unwrap();
+        durable.checkpoint().unwrap();
+        let reason = refusal(durable.admit_spec(&spec(0), Some(7)));
+        assert!(reason.contains("No space left on device"), "{reason}");
+        // The retry is no "idempotent replay" of a campaign no record holds.
+        assert_eq!(refusal(durable.admit_spec(&spec(0), Some(7))), reason);
+        // Some unknown prefix of the record landed, as far as anyone knows.
+        assert_eq!(durable.crashed(), Some(CrashPoint::MidAppend));
+        assert_dead(&mut durable, &reason);
+        drop(durable);
+        std::fs::remove_file(&full).unwrap();
+        // Reopened, the fleet is exactly what was acknowledged (nothing),
+        // and the retry lands once.
+        let (mut reopened, report) = DurableRegistry::open(&dir, 1, WalConfig::default()).unwrap();
+        assert_eq!((report.campaigns, reopened.registry().len()), (0, 0));
+        let id = reopened.admit_spec(&spec(0), Some(7)).unwrap();
+        assert_eq!(reopened.admit_spec(&spec(0), Some(7)).unwrap(), id);
+        reopened.run_all().unwrap();
+        assert_eq!(history(&reopened, id), straight_history(&spec(0)));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_segment_that_will_not_open_kills_the_handle() {
+        let dir = temp_dir("noseg");
+        let mut durable = DurableRegistry::create(&dir, 1, WalConfig::default()).unwrap();
+        let id = durable.register_spec(&spec(0)).unwrap();
+        durable.step_round().unwrap();
+        let acknowledged = history(&durable, id);
+        // A directory sits where the next segment goes.
+        let blocked = segment_path(&dir, durable.seg_index + 1);
+        std::fs::create_dir(&blocked).unwrap();
+        let reason = refusal(durable.checkpoint());
+        assert!(reason.contains("would not open"), "{reason}");
+        // Nothing of a next record landed anywhere.
+        assert_eq!(durable.crashed(), Some(CrashPoint::PreAppend));
+        assert_dead(&mut durable, &reason);
+        drop(durable);
+        std::fs::remove_dir(&blocked).unwrap();
+        let (reopened, _) = DurableRegistry::open(&dir, 1, WalConfig::default()).unwrap();
+        assert_eq!(history(&reopened, id), acknowledged);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

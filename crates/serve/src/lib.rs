@@ -45,15 +45,13 @@ mod registry;
 mod router;
 mod spec;
 
-pub use chaos::{ChaosPlan, ChaosStream, CrashPoint, FrameFault};
-pub use durability::{DurableRegistry, DurableRound, RecoveryReport, WalConfig};
+pub use chaos::{ChaosPlan, CrashPoint};
+pub use durability::{DurableRegistry, RecoveryReport, WalConfig};
 pub use protocol::{
-    pipe, read_frame, spawn_server, write_frame, Backoff, Client, LookupReply, PipeEnd,
-    ReconnectClient, Request, Response, ServeBackend, Server, ServerConfig, MAX_FRAME_LEN,
+    pipe, read_frame, spawn_server, write_frame, Client, LookupReply, PipeEnd, Request, Response,
+    ServeBackend, Server, ServerConfig, MAX_FRAME_LEN,
 };
-pub use registry::{
-    AdmissionConfig, CampaignRegistry, CampaignStats, FleetStats, RoundReport, ServeError,
-};
+pub use registry::{AdmissionConfig, CampaignRegistry, CampaignStats, FleetStats, ServeError};
 pub use router::{
     dump_wal, spawn_router_server, RouterConfig, RouterLookup, TenantRouter, WalDumpLine,
 };

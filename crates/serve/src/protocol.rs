@@ -539,20 +539,9 @@ impl<S: Read + Write> Client<S> {
 
     /// Registers a spec, returning the assigned id.
     pub fn register(&mut self, spec: &CampaignSpec) -> Result<u64, ServeError> {
-        self.register_idempotent(spec, None)
-    }
-
-    /// Registers a spec under an idempotency key: resending the same
-    /// `request_id` (after a timeout or reconnect) returns the
-    /// originally assigned id instead of creating a second campaign.
-    pub fn register_idempotent(
-        &mut self,
-        spec: &CampaignSpec,
-        request_id: Option<u64>,
-    ) -> Result<u64, ServeError> {
         match self.request(&Request::Register {
             spec: spec.clone(),
-            request_id,
+            request_id: None,
         })? {
             Response::Registered { id } => Ok(id),
             other => Err(unexpected(&other)),
@@ -655,143 +644,6 @@ fn unexpected(resp: &Response) -> ServeError {
             retry_after_rounds: *retry_after_rounds,
         },
         other => ServeError::Protocol(format!("unexpected response: {other:?}")),
-    }
-}
-
-/// Deterministic exponential backoff schedule. Delays are *virtual*
-/// seconds — this crate never touches the wall clock; a real transport
-/// binding decides whether a delay becomes an actual sleep.
-#[derive(Debug, Clone)]
-pub struct Backoff {
-    base_s: f64,
-    factor: f64,
-    cap_s: f64,
-    attempt: u32,
-}
-
-impl Backoff {
-    /// A schedule starting at `base_s`, multiplying by `factor` per
-    /// attempt, clamped at `cap_s`.
-    pub fn new(base_s: f64, factor: f64, cap_s: f64) -> Self {
-        Backoff {
-            base_s,
-            factor,
-            cap_s,
-            attempt: 0,
-        }
-    }
-
-    /// The delay before the next attempt; advances the schedule. The
-    /// sequence is a pure function of the constructor arguments, so
-    /// every rebuilt client backs off identically.
-    pub fn next_delay_s(&mut self) -> f64 {
-        let d = (self.base_s * self.factor.powi(self.attempt.min(62) as i32)).min(self.cap_s);
-        self.attempt += 1;
-        d
-    }
-
-    /// Attempts consumed so far.
-    pub fn attempts(&self) -> u32 {
-        self.attempt
-    }
-
-    /// Starts the schedule over (after a successful request).
-    pub fn reset(&mut self) {
-        self.attempt = 0;
-    }
-}
-
-impl Default for Backoff {
-    fn default() -> Self {
-        Backoff::new(0.5, 2.0, 30.0)
-    }
-}
-
-/// A [`Client`] that survives transport failures: on a broken stream it
-/// redials via the supplied connector and re-sends the request after a
-/// deterministic exponential [`Backoff`]. Pair re-sent `Register`s with
-/// [`Client::register_idempotent`]-style request ids so a retry never
-/// double-creates a campaign.
-pub struct ReconnectClient<S: Read + Write, F: FnMut() -> Option<S>> {
-    connect: F,
-    session: Option<Client<S>>,
-    backoff: Backoff,
-    max_attempts: u32,
-    backoff_total_s: f64,
-    retried_requests: u64,
-}
-
-impl<S: Read + Write, F: FnMut() -> Option<S>> ReconnectClient<S, F> {
-    /// A reconnecting client redialing through `connect`, giving up on a
-    /// single request after `max_attempts` transport failures.
-    pub fn new(connect: F, backoff: Backoff, max_attempts: u32) -> Self {
-        ReconnectClient {
-            connect,
-            session: None,
-            backoff,
-            max_attempts: max_attempts.max(1),
-            backoff_total_s: 0.0,
-            retried_requests: 0,
-        }
-    }
-
-    /// Virtual seconds spent backing off across all reconnects.
-    pub fn backoff_total_s(&self) -> f64 {
-        self.backoff_total_s
-    }
-
-    /// Requests that were re-sent after a transport failure.
-    pub fn retried_requests(&self) -> u64 {
-        self.retried_requests
-    }
-
-    /// Sends `req`, redialing and re-sending on transport failure.
-    /// Request-level outcomes ([`Response::Error`],
-    /// [`Response::Overloaded`], decode failures) are returned to the
-    /// caller, not retried — only a broken stream triggers the loop.
-    pub fn request(&mut self, req: &Request) -> Result<Response, ServeError> {
-        let mut last_err = ServeError::Protocol("no connection attempts made".into());
-        for attempt in 0..self.max_attempts {
-            if attempt > 0 {
-                self.backoff_total_s += self.backoff.next_delay_s();
-                self.retried_requests += 1;
-            }
-            if self.session.is_none() {
-                self.session = (self.connect)().map(Client::new);
-            }
-            let Some(client) = self.session.as_mut() else {
-                last_err = ServeError::Protocol("reconnect failed".into());
-                continue;
-            };
-            match client.request(req) {
-                Ok(resp) => {
-                    self.backoff.reset();
-                    return Ok(resp);
-                }
-                Err(e @ (ServeError::Decode(_) | ServeError::Overloaded { .. })) => {
-                    // The connection is fine; the outcome is the
-                    // caller's to handle.
-                    return Err(e);
-                }
-                Err(e) => {
-                    self.session = None;
-                    last_err = e;
-                }
-            }
-        }
-        Err(last_err)
-    }
-
-    /// Registers a spec under an idempotency key, retrying across
-    /// reconnects without ever double-creating the campaign.
-    pub fn register(&mut self, spec: &CampaignSpec, request_id: u64) -> Result<u64, ServeError> {
-        match self.request(&Request::Register {
-            spec: spec.clone(),
-            request_id: Some(request_id),
-        })? {
-            Response::Registered { id } => Ok(id),
-            other => Err(unexpected(&other)),
-        }
     }
 }
 
@@ -973,48 +825,90 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn reconnect_client_retries_idempotently_across_broken_streams() {
-        use crate::registry::AdmissionConfig;
-        use std::sync::mpsc;
-        // A "flaky dialer": the first connection is already closed, the
-        // second works. Registers with a fixed request id must land
-        // exactly one campaign.
-        let (tx, rx) = mpsc::channel::<PipeEnd>();
-        let handle = std::thread::spawn(move || {
-            let registry = CampaignRegistry::new(1).with_admission(AdmissionConfig::default());
-            let end = rx.recv().expect("a live connection");
-            Server::new(end, registry).serve().map(|r| r.fleet_stats())
-        });
-        let mut dials = 0;
-        let mut client = ReconnectClient::new(
-            move || {
-                dials += 1;
-                let (a, b) = pipe();
-                if dials == 1 {
-                    // Dead on arrival: the peer end drops immediately.
-                    drop(b);
-                } else {
-                    tx.send(b).expect("server accepts");
-                }
-                Some(a)
-            },
-            Backoff::new(0.5, 2.0, 8.0),
-            4,
-        );
-        let id = client.register(&spec(0), 42).unwrap();
-        let id_again = client.register(&spec(0), 42).unwrap();
-        assert_eq!(id, id_again);
-        assert!(client.retried_requests() >= 1);
-        assert!(client.backoff_total_s() > 0.0);
-        match client.request(&Request::FleetStats).unwrap() {
-            Response::Fleet { stats } => {
-                assert_eq!(stats.n_campaigns, 1, "retry double-created a campaign");
-                assert_eq!(stats.retried_requests, 1);
+    fn a_register_retried_on_a_second_connection_lands_one_campaign() {
+        // The server's half of an idempotent retry: the connection breaks
+        // after the first reply, the client dials the same backend again
+        // (the one `Server::serve` hands back) and re-sends.
+        let mut backend = CampaignRegistry::new(1);
+        let mut ids = Vec::new();
+        for _ in 0..2 {
+            let (client_end, server_end) = pipe();
+            let client = std::thread::spawn(move || {
+                Client::new(client_end).request(&Request::Register {
+                    spec: spec(0),
+                    request_id: Some(9),
+                })
+            });
+            backend = Server::new(server_end, backend).serve().unwrap();
+            match client.join().unwrap().unwrap() {
+                Response::Registered { id } => ids.push(id),
+                other => panic!("unexpected response: {other:?}"),
             }
-            other => panic!("unexpected response: {other:?}"),
         }
-        client.request(&Request::Shutdown).unwrap();
-        handle.join().unwrap().unwrap();
+        assert_eq!(ids[0], ids[1]);
+        let stats = backend.fleet_stats();
+        assert_eq!(stats.n_campaigns, 1, "retry double-created a campaign");
+        assert_eq!(stats.retried_requests, 1);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_router_whose_wal_died_answers_errors_and_keeps_the_connection() {
+        use crate::router::{spawn_router_server, RouterConfig, TenantRouter};
+        use crate::WalConfig;
+        if !std::path::Path::new("/dev/full").exists() {
+            return;
+        }
+        let dir = std::env::temp_dir().join(format!("autotune-proto-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let fingerprint = [2.0, 2.0];
+        let wal_dir = dir.clone();
+        let (mut client, handle) = spawn_router_server(move || {
+            // A one-byte segment limit: every append rotates the log.
+            let wal = WalConfig { segment_bytes: 1 };
+            let mut router = TenantRouter::create(&wal_dir, 1, wal, RouterConfig::default())?;
+            router.lookup(&fingerprint, &spec(0))?;
+            router.run_all()?;
+            // The segment after the open (empty) one is a device that is
+            // always full: the hit below is journaled and rotates onto it,
+            // and the next append is the first to meet ENOSPC.
+            let segments = std::fs::read_dir(&wal_dir).unwrap().count();
+            let full = wal_dir.join(format!("wal-{:06}.seg", segments + 1));
+            std::os::unix::fs::symlink("/dev/full", full).unwrap();
+            router.lookup(&fingerprint, &spec(0))?;
+            Ok(router)
+        });
+        let register = Request::Register {
+            spec: spec(1),
+            request_id: Some(7),
+        };
+        let lookup = Request::Lookup {
+            features: fingerprint.to_vec(),
+            spec: spec(0),
+        };
+        // The write that fails, its retry, and a lookup that would have hit.
+        let mut messages = Vec::new();
+        for request in [&register, &register, &lookup] {
+            match client.request(request).unwrap() {
+                Response::Error { message } => messages.push(message),
+                other => panic!("a dead router answered {other:?}"),
+            }
+        }
+        assert!(
+            messages[0].contains("No space left on device"),
+            "{}",
+            messages[0]
+        );
+        assert!(messages.iter().all(|m| m == &messages[0]), "{messages:?}");
+        assert_eq!(client.fleet_stats().unwrap().n_done, 1);
+        client.shutdown().unwrap();
+        let (_, cache) = handle.join().unwrap().unwrap();
+        assert_eq!(
+            (cache.hits, cache.misses),
+            (1, 1),
+            "the refused lookup moved the cache"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1022,7 +916,8 @@ pub(crate) mod tests {
         use crate::registry::AdmissionConfig;
         let (client_end, server_end) = pipe();
         let handle = std::thread::spawn(move || {
-            let registry = CampaignRegistry::new(1).with_admission(AdmissionConfig {
+            let mut registry = CampaignRegistry::new(1);
+            registry.set_admission(AdmissionConfig {
                 max_active: 1,
                 max_pending: 0,
             });
@@ -1044,17 +939,6 @@ pub(crate) mod tests {
         let fleet = handle.join().unwrap().unwrap();
         assert_eq!(fleet.shed_requests, 1);
         assert_eq!(fleet.n_done, 1);
-    }
-
-    #[test]
-    fn backoff_schedule_is_deterministic_and_capped() {
-        let mut a = Backoff::new(0.5, 2.0, 4.0);
-        let got: Vec<f64> = (0..6).map(|_| a.next_delay_s()).collect();
-        assert_eq!(got, vec![0.5, 1.0, 2.0, 4.0, 4.0, 4.0]);
-        let mut b = Backoff::new(0.5, 2.0, 4.0);
-        assert_eq!(b.next_delay_s().to_bits(), 0.5f64.to_bits());
-        a.reset();
-        assert_eq!(a.next_delay_s().to_bits(), 0.5f64.to_bits());
     }
 
     #[test]

@@ -260,25 +260,15 @@ impl Entry {
     }
 }
 
-/// Outcome of one [`CampaignRegistry::step_round`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RoundReport {
-    /// Campaigns whose waves were measured this round.
-    pub campaigns_serviced: usize,
-    /// Live measurements performed this round.
-    pub live_measurements: usize,
-    /// Drain ticks (no live work) absorbed this round.
-    pub drain_ticks: usize,
-    /// Virtual makespan of this round's measurements on the pool.
-    pub makespan_s: f64,
-}
+/// Credit every active campaign accrues per round. The value only
+/// shifts interleaving order, never any campaign's own history.
+const QUANTUM: f64 = 1.0;
 
 /// Owns and fairly advances a fleet of campaigns. See the module docs
 /// for the scheduling and determinism story.
 pub struct CampaignRegistry {
     entries: Vec<Entry>,
     workers: usize,
-    quantum: f64,
     next_id: u64,
     rounds: u64,
     virtual_serial_s: f64,
@@ -298,7 +288,6 @@ impl CampaignRegistry {
         CampaignRegistry {
             entries: Vec::new(),
             workers: workers.max(1),
-            quantum: 1.0,
             next_id: 0,
             rounds: 0,
             virtual_serial_s: 0.0,
@@ -318,25 +307,11 @@ impl CampaignRegistry {
     /// The panic propagates out of [`CampaignRegistry::step_round`]; a
     /// durability layer catches it at that boundary and swaps in
     /// campaigns rebuilt from the WAL.
-    pub fn inject_worker_panics(&mut self, plan: ChaosPlan) {
+    pub(crate) fn inject_worker_panics(&mut self, plan: ChaosPlan) {
         self.worker_panic_plan = Some(plan);
     }
 
-    /// Credit accrued per campaign per round (default 1.0). Larger
-    /// quanta service wide-wave campaigns more eagerly; the value only
-    /// shifts interleaving order, never any campaign's own history.
-    pub fn with_quantum(mut self, quantum: f64) -> Self {
-        self.quantum = quantum.max(f64::MIN_POSITIVE);
-        self
-    }
-
     /// Caps concurrent and queued admissions (see [`AdmissionConfig`]).
-    pub fn with_admission(mut self, admission: AdmissionConfig) -> Self {
-        self.admission = admission;
-        self
-    }
-
-    /// Replaces the admission limits in place.
     pub fn set_admission(&mut self, admission: AdmissionConfig) {
         self.admission = admission;
     }
@@ -356,20 +331,9 @@ impl CampaignRegistry {
         stopped: bool,
         wal_appends: u64,
     ) {
-        self.next_id = self.next_id.max(id + 1);
-        self.entries.push(Entry {
-            id,
-            name,
-            campaign,
-            credit: 0.0,
-            stopped,
-            queued: false,
-            waves_served: 0,
-            live_measurements: 0,
-            virtual_busy_s: 0.0,
-            wal_appends,
-            recoveries: 0,
-        });
+        let entry = self.push_entry(id, name, campaign);
+        entry.stopped = stopped;
+        entry.wal_appends = wal_appends;
     }
 
     /// Swaps in the rebuild of a live campaign after a worker panic;
@@ -387,26 +351,28 @@ impl CampaignRegistry {
     /// low-level path bypasses admission control — servers route
     /// registrations through [`CampaignRegistry::admit_spec`] instead.
     pub fn register(&mut self, name: impl Into<String>, campaign: Campaign<'static>) -> u64 {
-        self.push_entry(name.into(), campaign, false)
+        self.push_entry(self.next_id, name.into(), campaign).id
     }
 
-    fn push_entry(&mut self, name: String, campaign: Campaign<'static>, queued: bool) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
+    /// Appends a running entry with empty books under `id`; the caller
+    /// adjusts what differs (queued, or stopped and already logged).
+    fn push_entry(&mut self, id: u64, name: String, campaign: Campaign<'static>) -> &mut Entry {
+        self.next_id = self.next_id.max(id + 1);
         self.entries.push(Entry {
             id,
             name,
             campaign,
             credit: 0.0,
             stopped: false,
-            queued,
+            queued: false,
             waves_served: 0,
             live_measurements: 0,
             virtual_busy_s: 0.0,
             wal_appends: 0,
             recoveries: 0,
         });
-        id
+        let last = self.entries.len() - 1;
+        &mut self.entries[last]
     }
 
     /// Builds and registers a campaign from a declarative spec.
@@ -438,7 +404,8 @@ impl CampaignRegistry {
             });
         }
         let queued = n_running >= self.admission.max_active;
-        let id = self.push_entry(spec.name.clone(), spec.build(), queued);
+        let id = self.next_id;
+        self.push_entry(id, spec.name.clone(), spec.build()).queued = queued;
         if let Some(rid) = request_id {
             self.request_ids.insert(rid, id);
         }
@@ -514,16 +481,6 @@ impl CampaignRegistry {
         Ok(self.entry(id)?.campaign.snapshot()?)
     }
 
-    /// Removes a campaign from the registry, returning it.
-    pub fn deregister(&mut self, id: u64) -> Result<Campaign<'static>, ServeError> {
-        let idx = self
-            .entries
-            .iter()
-            .position(|e| e.id == id)
-            .ok_or(ServeError::UnknownCampaign(id))?;
-        Ok(self.entries.remove(idx).campaign)
-    }
-
     /// Executes one deficit-round-robin round: accrues credit, stages
     /// ready waves of every campaign whose credit covers its wave
     /// capacity, measures all staged waves on the worker pool (one
@@ -531,9 +488,8 @@ impl CampaignRegistry {
     /// with no live measurement, e.g. barrier completions or replay
     /// fills — are absorbed for free so a stalled campaign never blocks
     /// the fleet.
-    pub fn step_round(&mut self) -> Result<RoundReport, ServeError> {
+    pub fn step_round(&mut self) -> Result<(), ServeError> {
         self.rounds += 1;
-        let mut report = RoundReport::default();
         // Phase 0: activate queued admissions FIFO as capacity frees up
         // (registration order, so activation is deterministic).
         let mut n_running = self.n_active();
@@ -549,12 +505,11 @@ impl CampaignRegistry {
         // Phase 1: accrue credit and stage waves.
         let mut staged: Vec<(usize, Vec<autotune::WorkItem>)> = Vec::new();
         for idx in 0..self.entries.len() {
-            let quantum = self.quantum;
             let entry = &mut self.entries[idx];
             if !entry.active() {
                 continue;
             }
-            entry.credit += quantum;
+            entry.credit += QUANTUM;
             let capacity = entry.campaign.policy().capacity() as f64;
             if entry.credit < capacity {
                 continue;
@@ -562,20 +517,14 @@ impl CampaignRegistry {
             // Absorb drain ticks for free until live work (or done).
             loop {
                 let wave = entry.campaign.ready_wave();
-                if wave.is_empty() {
-                    if entry.campaign.is_done() {
-                        break;
-                    }
-                    entry.campaign.complete_wave(Vec::new())?;
-                    report.drain_ticks += 1;
-                    if entry.campaign.is_done() {
-                        break;
-                    }
-                    continue;
+                if !wave.is_empty() {
+                    entry.credit -= (wave.len() as f64).max(1.0);
+                    staged.push((idx, wave));
+                    break;
                 }
-                entry.credit -= (wave.len() as f64).max(1.0);
-                staged.push((idx, wave));
-                break;
+                if entry.campaign.is_done() || entry.campaign.complete_wave(Vec::new())? {
+                    break;
+                }
             }
         }
         // Phase 2: measure all staged waves on the pool — one worker
@@ -609,19 +558,16 @@ impl CampaignRegistry {
             loads[slot] += m.elapsed_s;
             self.virtual_serial_s += m.elapsed_s;
         }
-        report.makespan_s = loads.iter().fold(0.0f64, |a, &b| a.max(b));
-        self.virtual_makespan_s += report.makespan_s;
+        self.virtual_makespan_s += loads.iter().fold(0.0f64, |a, &b| a.max(b));
         for ((idx, _), live) in staged.iter().zip(measured) {
             let entry = &mut self.entries[*idx];
             let elapsed: f64 = live.iter().map(|m| m.elapsed_s).sum();
             entry.waves_served += 1;
             entry.live_measurements += live.len() as u64;
             entry.virtual_busy_s += elapsed;
-            report.live_measurements += live.len();
-            report.campaigns_serviced += 1;
             entry.campaign.complete_wave(live)?;
         }
-        Ok(report)
+        Ok(())
     }
 
     /// Runs rounds until every campaign is done or stopped; returns the
@@ -636,7 +582,7 @@ impl CampaignRegistry {
 
     /// Attributes `n` durable WAL appends to campaign `id` (hook for
     /// the durability layer; unknown ids count fleet-wide only).
-    pub fn note_wal_appends(&mut self, id: u64, n: u64) {
+    pub(crate) fn note_wal_appends(&mut self, id: u64, n: u64) {
         if let Ok(entry) = self.entry_mut(id) {
             entry.wal_appends += n;
         }
@@ -644,13 +590,13 @@ impl CampaignRegistry {
 
     /// Records one WAL replay (a reopen after a crash, or a rebuild
     /// after a worker panic) and the torn-tail bytes it discarded.
-    pub fn note_fleet_recovery(&mut self, truncated_bytes: u64) {
+    pub(crate) fn note_fleet_recovery(&mut self, truncated_bytes: u64) {
         self.fleet_recoveries += 1;
         self.wal_truncated_bytes += truncated_bytes;
     }
 
     /// Records a per-campaign rebuild (e.g. after a worker panic).
-    pub fn note_campaign_recovery(&mut self, id: u64) {
+    pub(crate) fn note_campaign_recovery(&mut self, id: u64) {
         if let Ok(entry) = self.entry_mut(id) {
             entry.recoveries += 1;
         }
@@ -658,7 +604,7 @@ impl CampaignRegistry {
 
     /// Restores the idempotency table after recovery, so retried
     /// `Register`s from before the crash still map to their campaigns.
-    pub fn restore_request_id(&mut self, request_id: u64, campaign_id: u64) {
+    pub(crate) fn restore_request_id(&mut self, request_id: u64, campaign_id: u64) {
         self.request_ids.insert(request_id, campaign_id);
     }
 
@@ -693,20 +639,14 @@ impl CampaignRegistry {
         })
     }
 
-    /// Merged telemetry across every registered campaign (wall clocks
-    /// add, as for sequential concatenation). The registry's own
-    /// durability and overload counters are on [`FleetStats`].
-    pub fn merged_metrics(&self) -> MetricsSnapshot {
+    /// Aggregate fleet stats.
+    pub fn fleet_stats(&self) -> FleetStats {
+        // Campaign telemetry merged across the fleet; the registry's own
+        // durability and overload counters are fields of `self`.
         let mut merged = MetricsSnapshot::default();
         for entry in &self.entries {
             merged.merge(&entry.campaign.metrics());
         }
-        merged
-    }
-
-    /// Aggregate fleet stats.
-    pub fn fleet_stats(&self) -> FleetStats {
-        let merged = self.merged_metrics();
         FleetStats {
             workers: self.workers,
             rounds: self.rounds,
@@ -741,9 +681,13 @@ impl CampaignRegistry {
 /// Deterministic chaos injection for the measurement pool: rolled by
 /// the armed [`ChaosPlan`] on (round, campaign id), and caught at the
 /// `step_round` boundary by the durability layer, which quarantines the
-/// in-memory campaigns and swaps in their rebuilds from the WAL.
+/// in-memory campaigns and swaps in their rebuilds from the WAL. Raised
+/// with `resume_unwind`, as [`par_map_threads`] re-raises a worker's
+/// payload: that never runs the panic hook, so nothing has to silence it.
 fn chaos_worker_panic(round: u64, id: u64) -> ! {
-    panic!("chaos: injected worker panic (round {round}, campaign {id})") // lint: allow(D5) seeded chaos, caught at the pool boundary
+    std::panic::resume_unwind(Box::new(format!(
+        "chaos: injected worker panic (round {round}, campaign {id})"
+    )))
 }
 
 /// Index of the least-loaded virtual worker (first wins ties, so the
@@ -864,6 +808,7 @@ mod tests {
     #[test]
     fn round_determinism_same_fleet_same_round_reports() {
         let specs = mixed_specs(6);
+        // Everything the registry reports, after every round.
         let run = |workers| {
             let mut reg = CampaignRegistry::new(workers);
             for s in &specs {
@@ -871,7 +816,8 @@ mod tests {
             }
             let mut reports = Vec::new();
             while reg.n_active() > 0 {
-                reports.push(reg.step_round().unwrap());
+                reg.step_round().unwrap();
+                reports.push(serde_json::to_string(&reg.fleet_stats()).unwrap());
             }
             (reports, reg.fleet_stats().virtual_serial_s)
         };
@@ -969,7 +915,8 @@ mod tests {
     fn admission_queues_then_sheds_and_stays_deterministic() {
         let specs = mixed_specs(6);
         let want = sequential_histories(&specs);
-        let mut reg = CampaignRegistry::new(2).with_admission(AdmissionConfig {
+        let mut reg = CampaignRegistry::new(2);
+        reg.set_admission(AdmissionConfig {
             max_active: 2,
             max_pending: 2,
         });
@@ -1018,6 +965,5 @@ mod tests {
         assert!(matches!(reg.stats(7), Err(ServeError::UnknownCampaign(7))));
         assert!(reg.stop(0).is_err());
         assert!(reg.snapshot(0).is_err());
-        assert!(reg.deregister(0).is_err());
     }
 }

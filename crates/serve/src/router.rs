@@ -41,9 +41,7 @@
 //! journaled only after the campaign's completion is durable (a finished
 //! campaign's best trial is stable, so replay at any position agrees).
 
-use crate::durability::{
-    scan_wal, DurableRegistry, DurableRound, RecoveryReport, WalConfig, WalRecord,
-};
+use crate::durability::{scan_wal, DurableRegistry, RecoveryReport, WalConfig, WalRecord};
 use crate::protocol::{
     pipe, Client, PipeEnd, Request, Response, ServeBackend, Server, ServerConfig, ENCODE_RESERVE,
 };
@@ -136,7 +134,6 @@ pub enum RouterLookup {
 pub struct TenantRouter {
     durable: DurableRegistry,
     cache: Arc<ShardedCache>,
-    config: RouterConfig,
     /// campaign id → the fill it owes the cache.
     pending: BTreeMap<u64, PendingFill>,
     /// family → campaign currently tuning it (single-flight).
@@ -155,11 +152,10 @@ impl TenantRouter {
     ) -> Result<Self, ServeError> {
         let mut durable = DurableRegistry::create(dir, workers, wal)?;
         durable.append_aux(CONFIG_KEY, encode_aux(&config)?)?;
-        let cache = Arc::new(ShardedCache::new(config.cache.clone()));
+        let cache = Arc::new(ShardedCache::new(config.cache));
         Ok(TenantRouter {
             durable,
             cache,
-            config,
             pending: BTreeMap::new(),
             inflight: BTreeMap::new(),
         })
@@ -182,11 +178,10 @@ impl TenantRouter {
             return Err(ServeError::Storage(why.into()));
         };
         let config: RouterConfig = decode_aux(CONFIG_KEY, &payload)?;
-        let cache = Arc::new(ShardedCache::new(config.cache.clone()));
+        let cache = Arc::new(ShardedCache::new(config.cache));
         let mut router = TenantRouter {
             durable,
             cache,
-            config,
             pending: BTreeMap::new(),
             inflight: BTreeMap::new(),
         };
@@ -205,16 +200,6 @@ impl TenantRouter {
     /// other threads while this handle drives campaigns.
     pub fn cache(&self) -> &Arc<ShardedCache> {
         &self.cache
-    }
-
-    /// The router's pinned configuration.
-    pub fn config(&self) -> &RouterConfig {
-        &self.config
-    }
-
-    /// The underlying durable registry.
-    pub fn durable(&self) -> &DurableRegistry {
-        &self.durable
     }
 
     /// The wrapped campaign registry (stats, snapshots).
@@ -242,12 +227,15 @@ impl TenantRouter {
     ///
     /// Admission sheds surface as [`ServeError::Overloaded`]; the
     /// clustering mutation is journaled before admission, so a shed
-    /// request still replays identically.
+    /// request still replays identically. A router whose WAL handle is
+    /// dead answers no hits and mutates nothing: a lookup it could not
+    /// journal must not advance the cache's LRU clock either.
     pub fn lookup(
         &mut self,
         features: &[f64],
         spec: &CampaignSpec,
     ) -> Result<RouterLookup, ServeError> {
+        self.durable.check_alive()?;
         let looked = self.cache.lookup(features);
         self.journal_op(&RouterOp::Lookup {
             features: features.to_vec(),
@@ -289,15 +277,17 @@ impl TenantRouter {
     }
 
     /// One durable scheduling round, then backfills the cache from every
-    /// pending campaign that completed during it.
-    pub fn step_round(&mut self) -> Result<DurableRound, ServeError> {
-        let round = self.durable.step_round()?;
+    /// pending campaign that completed during it. Returns whether the
+    /// round was lost to a worker-panic recovery.
+    pub fn step_round(&mut self) -> Result<bool, ServeError> {
+        let recovered = self.durable.step_round()?;
         self.backfill_completed()?;
-        Ok(round)
+        Ok(recovered)
     }
 
     /// Runs rounds until the fleet drains; returns rounds executed.
     pub fn run_all(&mut self) -> Result<u64, ServeError> {
+        self.durable.check_alive()?;
         let mut rounds = 0;
         while self.durable.registry().has_runnable() {
             self.step_round()?;
@@ -307,30 +297,27 @@ impl TenantRouter {
     }
 
     /// Folds every completed-but-pending campaign's best trial into the
-    /// cache; returns how many fills landed.
-    fn backfill_completed(&mut self) -> Result<u64, ServeError> {
+    /// cache.
+    fn backfill_completed(&mut self) -> Result<(), ServeError> {
         let completed: Vec<u64> = self
             .pending
             .keys()
             .copied()
             .filter(|&id| self.durable.registry().is_finished(id))
             .collect();
-        let mut filled = 0;
         for id in completed {
-            if self.apply_backfill(id, true)? {
-                filled += 1;
-            }
+            self.apply_backfill(id, true)?;
         }
-        Ok(filled)
+        Ok(())
     }
 
     /// Applies one backfill. When `journal` is set the op is made
     /// durable *before* the cache mutation: a completed campaign's best
     /// trial is stable, so replaying the op at any later position
     /// re-derives the same fill.
-    fn apply_backfill(&mut self, campaign: u64, journal: bool) -> Result<bool, ServeError> {
+    fn apply_backfill(&mut self, campaign: u64, journal: bool) -> Result<(), ServeError> {
         let Some(fill) = self.pending.get(&campaign).cloned() else {
-            return Ok(false);
+            return Ok(());
         };
         let best = self
             .durable
@@ -342,21 +329,18 @@ impl TenantRouter {
         if journal {
             self.journal_op(&RouterOp::Backfill { campaign })?;
         }
-        let filled = if let Some((config, cost)) = best {
+        // No best trial (every one crashed, or the campaign was stopped
+        // empty) means nothing to cache, but the family's single-flight
+        // slot below must still free so a later miss can retry.
+        if let Some((config, cost)) = best {
             self.cache
                 .insert(fill.family as usize, &fill.features, config, cost);
-            true
-        } else {
-            // Every trial crashed or the campaign was stopped empty:
-            // nothing to cache, but the family's single-flight slot must
-            // free so a later miss can retry.
-            false
-        };
+        }
         self.pending.remove(&campaign);
         if self.inflight.get(&fill.family) == Some(&campaign) {
             self.inflight.remove(&fill.family);
         }
-        Ok(filled)
+        Ok(())
     }
 
     /// Re-applies one recovered journal op. Mirrors the live paths with
@@ -377,9 +361,7 @@ impl TenantRouter {
                     .insert(campaign, PendingFill { family, features });
                 self.inflight.insert(family, campaign);
             }
-            RouterOp::Backfill { campaign } => {
-                self.apply_backfill(campaign, false)?;
-            }
+            RouterOp::Backfill { campaign } => self.apply_backfill(campaign, false)?,
         }
         Ok(())
     }

@@ -179,6 +179,12 @@ else
   run_step "benchmark crate (build, tests, smoke run)" benchmark_step
 fi
 
+# The two size figures ROADMAP.md tracks (`.rs` lines per crate, public
+# type count), counted one way for the PR to quote. Never a gate.
+echo
+echo "== surface (informational) =="
+tools/surface.sh || true
+
 echo
 echo "== summary =="
 for i in "${!STEP_NAMES[@]}"; do

@@ -1,0 +1,45 @@
+#!/usr/bin/env bash
+# The two size figures ROADMAP.md tracks, counted one way so a PR quotes
+# them instead of recounting by hand:
+#
+#   * `.rs` lines per crate under crates/: every file, the files under
+#     src/, and src/ with each file cut at its first `#[cfg(test)]` line
+#     (the code that ships, without the unit-test modules);
+#   * public types: `grep -rE "^\s*pub (struct|enum|trait) " crates`.
+#
+#   tools/surface.sh           # the table and the count
+#   tools/surface.sh <dir>     # the same for another checkout
+#
+# Informational: it reads, prints and exits 0.
+set -uo pipefail
+cd "${1:-$(dirname "$0")/..}" || exit 0
+
+# Lines of the given files, whole (`cut=0`) or up to each file's first
+# `#[cfg(test)]` line (`cut=1`).
+count() {
+  local cut="$1"
+  shift
+  [ "$#" -eq 0 ] && echo 0 && return
+  awk -v cut="$cut" '
+    FNR == 1 { skip = 0 }
+    cut && /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1 }
+    !skip { n++ }
+    END { print n + 0 }
+  ' "$@"
+}
+
+printf '%-12s %8s %8s %14s\n' crate all src "src-no-tests"
+sum_all=0 sum_src=0 sum_code=0
+for dir in crates/*/; do
+  crate="$(basename "$dir")"
+  mapfile -t all < <(find "$dir" -name '*.rs' | sort)
+  mapfile -t src < <(find "$dir/src" -name '*.rs' 2>/dev/null | sort)
+  n_all="$(count 0 "${all[@]}")"
+  n_src="$(count 0 "${src[@]}")"
+  n_code="$(count 1 "${src[@]}")"
+  printf '%-12s %8d %8d %14d\n' "$crate" "$n_all" "$n_src" "$n_code"
+  sum_all=$((sum_all + n_all)) sum_src=$((sum_src + n_src)) sum_code=$((sum_code + n_code))
+done
+printf '%-12s %8d %8d %14d\n' total "$sum_all" "$sum_src" "$sum_code"
+echo
+echo "public struct/enum/trait: $(grep -rE '^\s*pub (struct|enum|trait) ' crates | wc -l)"
