@@ -2,7 +2,7 @@
 //! engineering decisions `DESIGN.md` calls out, each isolated and
 //! measured. These are not tutorial claims; they justify defaults.
 
-use crate::experiments::{mean_curve, redis_target};
+use crate::experiments::{mean_curve, redis_target, run_campaign, run_on_target};
 use crate::report::{f, Report};
 use autotune::{transfer_observations, TransferPolicy, Trial};
 use autotune_optimizer::{BayesianOptimizer, BoConfig, Optimizer};
@@ -11,7 +11,7 @@ use rand::SeedableRng;
 
 /// A1: BO random-initialization budget. Too few random points starve the
 /// surrogate; too many waste model-driven trials.
-pub fn a01_bo_init() -> Report {
+fn a01_bo_init() -> Report {
     let budget = 24;
     let seeds = 0..12u64;
     let mut rows = Vec::new();
@@ -59,16 +59,14 @@ pub fn a01_bo_init() -> Report {
 
 /// A2: constant liar vs naive batch suggestion — does the liar actually
 /// buy batch diversity?
-pub fn a02_constant_liar() -> Report {
+fn a02_constant_liar() -> Report {
     let target = redis_target();
     let min_batch_distance = |use_liar: bool, seed: u64| -> f64 {
         let mut opt = BayesianOptimizer::gp(target.space().clone());
         let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..12 {
-            let c = opt.suggest(&mut rng);
-            let e = target.evaluate(&c, &mut rng);
-            opt.observe(&c, e.cost);
-        }
+        run_campaign(&mut opt, 12, &mut rng, |c, rng| {
+            target.evaluate(c, rng).cost
+        });
         let batch = if use_liar {
             opt.suggest_batch(6, &mut rng)
         } else {
@@ -118,7 +116,7 @@ pub fn a02_constant_liar() -> Report {
 
 /// A3: crash-penalty transfer on/off — does importing crash knowledge
 /// actually keep the recipient out of the OOM region?
-pub fn a03_crash_transfer() -> Report {
+fn a03_crash_transfer() -> Report {
     use autotune::{Objective, Target};
     use autotune_sim::{DbmsSim, Environment, Workload};
     let make_target = || {
@@ -153,17 +151,8 @@ pub fn a03_crash_transfer() -> Report {
         if transfer_crashes {
             opt.warm_start(&transfer_observations(&donor_trials, &policy, false));
         }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut crashes = 0;
-        for _ in 0..25 {
-            let cfg = opt.suggest(&mut rng);
-            let e = target.evaluate(&cfg, &mut rng);
-            opt.observe(&cfg, e.cost);
-            if e.cost.is_nan() {
-                crashes += 1;
-            }
-        }
-        crashes
+        let costs = run_on_target(&mut opt, &target, 25, seed);
+        costs.iter().filter(|c| c.is_nan()).count()
     };
     let n_seeds = 6;
     let with: usize = (0..n_seeds).map(|s| run(true, 910 + s)).sum();
@@ -192,7 +181,7 @@ pub fn a03_crash_transfer() -> Report {
 
 /// A4: GP hyperparameter refitting cadence — is the marginal-likelihood
 /// refit worth its cost?
-pub fn a04_gp_refit() -> Report {
+fn a04_gp_refit() -> Report {
     let budget = 24;
     let seeds = 0..12u64;
     let mut rows = Vec::new();

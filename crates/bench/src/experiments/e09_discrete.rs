@@ -3,6 +3,7 @@
 //! multi-armed bandit over the six flush methods (all other knobs fixed at
 //! a tuned base).
 
+use crate::experiments::run_campaign;
 use crate::report::{f, Report};
 use autotune::{Objective, Target};
 use autotune_optimizer::bandit::{Bandit, BanditPolicy};
@@ -80,8 +81,7 @@ pub fn run() -> Report {
         .expect("valid space");
     let run_opt = |mut opt: Box<dyn Optimizer>, seed: u64| -> String {
         let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..budget {
-            let c = opt.suggest(&mut rng);
+        run_campaign(opt.as_mut(), budget, &mut rng, |c, rng| {
             let full = target
                 .space()
                 .default_config()
@@ -93,9 +93,8 @@ pub fn run() -> Report {
                     "flush_method",
                     c.get_str("flush_method").expect("knob present"),
                 );
-            let cost = target.evaluate(&full, &mut rng).cost;
-            opt.observe(&c, cost);
-        }
+            target.evaluate(&full, rng).cost
+        });
         opt.best()
             .expect("budget > 0")
             .config

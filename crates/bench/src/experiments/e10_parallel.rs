@@ -3,7 +3,7 @@
 //! drops with batch size while solution quality stays comparable, and the
 //! batches remain diverse.
 
-use crate::experiments::{redis_target, run_bo_policy};
+use crate::experiments::{redis_target, run_bo_policy, run_campaign};
 use crate::report::{f, Report};
 use autotune::SchedulePolicy;
 use autotune_optimizer::{BayesianOptimizer, Optimizer};
@@ -40,11 +40,9 @@ pub fn run() -> Report {
     let target = redis_target();
     let mut opt = BayesianOptimizer::gp(target.space().clone());
     let mut rng = StdRng::seed_from_u64(5);
-    for _ in 0..10 {
-        let c = opt.suggest(&mut rng);
-        let e = target.evaluate(&c, &mut rng);
-        opt.observe(&c, e.cost);
-    }
+    run_campaign(&mut opt, 10, &mut rng, |c, rng| {
+        target.evaluate(c, rng).cost
+    });
     let batch = opt.suggest_batch(8, &mut rng);
     let mut min_dist = f64::INFINITY;
     for i in 0..batch.len() {

@@ -3,7 +3,7 @@
 //! The sampler must never propose infeasible configurations, and BO must
 //! still find the feasible optimum.
 
-use crate::experiments::dbms_target;
+use crate::experiments::{best_of, dbms_target, run_campaign};
 use crate::report::{f, Report};
 use autotune_optimizer::{BayesianOptimizer, Optimizer};
 use rand::rngs::StdRng;
@@ -19,18 +19,13 @@ pub fn run() -> Report {
     let mut rng = StdRng::seed_from_u64(1);
     let budget = 40;
     let mut infeasible = 0;
-    let mut best = f64::INFINITY;
-    for _ in 0..budget {
-        let cfg = opt.suggest(&mut rng);
-        if !space.is_feasible(&cfg) {
+    let costs = run_campaign(&mut opt, budget, &mut rng, |cfg, rng| {
+        if !space.is_feasible(cfg) {
             infeasible += 1;
         }
-        let e = target.evaluate(&cfg, &mut rng);
-        opt.observe(&cfg, e.cost);
-        if e.cost.is_finite() {
-            best = best.min(e.cost);
-        }
-    }
+        target.evaluate(cfg, rng).cost
+    });
+    let best = best_of(&costs);
 
     // 2. The best config respects the constraint with margin data shown.
     let best_cfg = opt.best().expect("campaign ran").config.clone();

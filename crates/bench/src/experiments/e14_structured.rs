@@ -6,8 +6,9 @@
 //! of 14; a flat space smears the same information across every dead
 //! dimension.
 
+use crate::experiments::{best_of, run_campaign};
 use crate::report::{f, Report};
-use autotune_optimizer::{BayesianOptimizer, Optimizer};
+use autotune_optimizer::BayesianOptimizer;
 use autotune_space::{Condition, Config, Param, Space, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -64,14 +65,9 @@ pub fn run() -> Report {
     let run_space = |conditional: bool, seed: u64| -> f64 {
         let mut opt = BayesianOptimizer::smac(build_space(conditional));
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut best = f64::INFINITY;
-        for _ in 0..budget {
-            let c = opt.suggest(&mut rng);
-            let v = objective(&c);
-            opt.observe(&c, v);
-            best = best.min(v);
-        }
-        best
+        best_of(&run_campaign(&mut opt, budget, &mut rng, |c, _| {
+            objective(c)
+        }))
     };
     let mut cond_best = Vec::new();
     let mut flat_best = Vec::new();

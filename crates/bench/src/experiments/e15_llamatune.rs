@@ -4,6 +4,7 @@
 //! equal-budget quality on a 40-knob DBMS-like space with few influential
 //! knobs, averaged over seeds.
 
+use crate::experiments::{best_of, best_so_far, run_campaign, trials_to_reach};
 use crate::report::{f, Report};
 use autotune::{LlamaTune, LlamaTuneConfig};
 use autotune_optimizer::{BayesianOptimizer, Optimizer};
@@ -43,18 +44,11 @@ pub fn run() -> Report {
 
     let run = |mut opt: Box<dyn Optimizer>, seed: u64| -> (Option<usize>, f64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut best = f64::INFINITY;
-        let mut reached = None;
-        for i in 0..budget {
-            let c = opt.suggest(&mut rng);
-            let v = objective(&c);
-            opt.observe(&c, v);
-            best = best.min(v);
-            if reached.is_none() && best <= target_cost {
-                reached = Some(i + 1);
-            }
-        }
-        (reached, best)
+        let costs = run_campaign(opt.as_mut(), budget, &mut rng, |c, _| objective(c));
+        (
+            trials_to_reach(&best_so_far(&costs), target_cost),
+            best_of(&costs),
+        )
     };
 
     let mut lt_trials = Vec::new();

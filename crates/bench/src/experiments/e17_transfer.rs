@@ -2,9 +2,10 @@
 //! similar workload's history, and import crash knowledge everywhere
 //! ("if it crashes the system, probably always does").
 
+use crate::experiments::{best_of, run_campaign, run_on_target};
 use crate::report::{f, Report};
 use autotune::{transfer_observations, Objective, Target, TransferPolicy, Trial};
-use autotune_optimizer::{BayesianOptimizer, Optimizer};
+use autotune_optimizer::BayesianOptimizer;
 use autotune_sim::{DbmsSim, Environment, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -26,16 +27,15 @@ pub fn run() -> Report {
     {
         let mut opt = BayesianOptimizer::gp(donor_target.space().clone());
         let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..50 {
-            let cfg = opt.suggest(&mut rng);
-            let e = donor_target.evaluate(&cfg, &mut rng);
-            opt.observe(&cfg, e.cost);
+        run_campaign(&mut opt, 50, &mut rng, |cfg, rng| {
+            let e = donor_target.evaluate(cfg, rng);
             donor_trials.push(if e.cost.is_nan() {
-                Trial::crashed(cfg, e.result.elapsed_s)
+                Trial::crashed(cfg.clone(), e.result.elapsed_s)
             } else {
-                Trial::complete(cfg, e.cost, e.result.elapsed_s)
+                Trial::complete(cfg.clone(), e.cost, e.result.elapsed_s)
             });
-        }
+            e.cost
+        });
     }
     let n_donor_crashes = donor_trials
         .iter()
@@ -54,20 +54,9 @@ pub fn run() -> Report {
         if warm {
             opt.warm_start(&transfer_observations(&donor_trials, &policy, true));
         }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut best = f64::INFINITY;
-        let mut crashes = 0;
-        for _ in 0..budget {
-            let cfg = opt.suggest(&mut rng);
-            let e = target.evaluate(&cfg, &mut rng);
-            opt.observe(&cfg, e.cost);
-            if e.cost.is_finite() {
-                best = best.min(e.cost);
-            } else {
-                crashes += 1;
-            }
-        }
-        (best, crashes)
+        let costs = run_on_target(&mut opt, &target, budget, seed);
+        let crashes = costs.iter().filter(|c| !c.is_finite()).count();
+        (best_of(&costs), crashes)
     };
     let n_seeds = 6;
     let mut warm_best = Vec::new();

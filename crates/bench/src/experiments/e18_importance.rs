@@ -49,28 +49,22 @@ pub fn run() -> Report {
             Some(s) => Box::new(BayesianOptimizer::smac(s.clone())),
             None => Box::new(BayesianOptimizer::smac(space.clone())),
         };
-        for _ in 0..budget {
-            let c = opt.suggest(&mut rng);
+        super::run_campaign(opt.as_mut(), budget, &mut rng, |c, rng| {
             // Fill non-tuned knobs with defaults.
             let mut full = space.default_config();
             for (name, value) in c.iter() {
                 full.set(name.clone(), value.clone());
             }
-            let e = target.evaluate(&full, &mut rng);
+            let e = target.evaluate(&full, rng);
             // Observe log-cost: latencies span orders of magnitude and a
             // raw-scale surrogate is dominated by the overload region.
-            opt.observe(
-                &c,
-                if e.cost.is_finite() {
-                    e.cost.ln()
-                } else {
-                    f64::NAN
-                },
-            );
             if e.cost.is_finite() {
                 best = best.min(e.cost);
+                e.cost.ln()
+            } else {
+                f64::NAN
             }
-        }
+        });
         best
     };
     // The contrast subset: the three LEAST important knobs.

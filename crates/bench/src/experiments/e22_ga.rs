@@ -3,7 +3,7 @@
 //! HUNTER-style trick of evaluating offspring on a *cloned* instance so
 //! production never sees a crashing individual.
 
-use crate::experiments::{dbms_target, mean_curve};
+use crate::experiments::{dbms_target, mean_curve, run_campaign};
 use crate::report::{f, Report};
 use autotune_optimizer::{GaConfig, GeneticAlgorithm, Optimizer, RandomSearch};
 use rand::rngs::StdRng;
@@ -53,13 +53,15 @@ pub fn run() -> Report {
     let mut prod_crashes = 0;
     let mut verified_best: Option<autotune_space::Config> = None;
     for _ in 0..budget {
-        let cfg = opt.suggest(&mut rng);
-        let e = target.evaluate(&cfg, &mut rng); // clone evaluation
-        if e.cost.is_nan() {
+        // One trial against the clone; production's draw follows it on the
+        // same RNG, so the loop stays out here.
+        let cost = run_campaign(&mut opt, 1, &mut rng, |cfg, rng| {
+            target.evaluate(cfg, rng).cost
+        })[0];
+        if cost.is_nan() {
             direct_crashes += 1;
         }
-        opt.observe(&cfg, e.cost);
-        if e.cost.is_finite() {
+        if cost.is_finite() {
             verified_best = Some(opt.best().expect("finite obs").config.clone());
         }
         // Production serves only the verified incumbent.

@@ -3,13 +3,11 @@
 //! the curated "manual-derived" hint table (`autotune_sim::priors`), which
 //! is exactly the artifact an LLM pass produces.
 
-use crate::experiments::dbms_target;
+use crate::experiments::{best_so_far, dbms_target, run_on_target};
 use crate::report::{f, Report};
-use autotune_optimizer::{BayesianOptimizer, Optimizer};
+use autotune_optimizer::BayesianOptimizer;
 use autotune_sim::priors::{apply_hints, dbms_manual_hints};
 use autotune_sim::Environment;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Runs the experiment.
 pub fn run() -> Report {
@@ -25,21 +23,8 @@ pub fn run() -> Report {
             target.space().clone()
         };
         let mut opt = BayesianOptimizer::gp(space);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut best = f64::INFINITY;
-        let mut best_at_10 = f64::INFINITY;
-        for i in 0..budget {
-            let c = opt.suggest(&mut rng);
-            let e = target.evaluate(&c, &mut rng);
-            opt.observe(&c, e.cost);
-            if e.cost.is_finite() {
-                best = best.min(e.cost);
-            }
-            if i == 9 {
-                best_at_10 = best;
-            }
-        }
-        (best_at_10, best)
+        let curve = best_so_far(&run_on_target(&mut opt, &target, budget, seed));
+        (curve[9], curve[budget - 1])
     };
 
     let mut hinted10 = Vec::new();

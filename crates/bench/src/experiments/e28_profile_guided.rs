@@ -7,10 +7,10 @@
 //! unrelated knob subset and against tuning everything, at equal budget.
 //! Unlike Lasso/SHAP importance (E18), this needs zero tuning history.
 
-use crate::experiments::dbms_target;
+use crate::experiments::{dbms_target, run_campaign};
 use crate::report::{f, Report};
 use autotune::KnobComponentMap;
-use autotune_optimizer::{BayesianOptimizer, Optimizer};
+use autotune_optimizer::BayesianOptimizer;
 use autotune_sim::{DbmsSim, Environment, SimSystem, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -56,25 +56,19 @@ pub fn run() -> Report {
         let mut opt = BayesianOptimizer::gp(sub);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut best = f64::INFINITY;
-        for _ in 0..budget {
-            let c = opt.suggest(&mut rng);
+        run_campaign(&mut opt, budget, &mut rng, |c, rng| {
             let mut full = space.default_config();
             for (name, value) in c.iter() {
                 full.set(name.clone(), value.clone());
             }
-            let e = target.evaluate(&full, &mut rng);
-            opt.observe(
-                &c,
-                if e.cost.is_finite() {
-                    e.cost.ln()
-                } else {
-                    f64::NAN
-                },
-            );
+            let e = target.evaluate(&full, rng);
             if e.cost.is_finite() {
                 best = best.min(e.cost);
+                e.cost.ln()
+            } else {
+                f64::NAN
             }
-        }
+        });
         best
     };
     let n_seeds = 8;

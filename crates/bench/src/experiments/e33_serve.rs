@@ -22,12 +22,12 @@ use autotune_serve::{CampaignRegistry, CampaignSpec, NoiseSpec, OptimizerKind, S
 use autotune_sim::{Environment, FaultPlan, NoiseConfig, Workload};
 
 /// Fleet size for the headline experiment.
-pub const FLEET_N: usize = 256;
+const FLEET_N: usize = 256;
 
 /// A deterministic mixed fleet: four simulated systems, three schedule
 /// policies, random + BO optimizers, and a third of the campaigns on
 /// noisy machine fleets with fault injection.
-pub fn fleet_specs(n: usize) -> Vec<CampaignSpec> {
+pub(crate) fn fleet_specs(n: usize) -> Vec<CampaignSpec> {
     (0..n)
         .map(|i| {
             let mut s = CampaignSpec::minimal(

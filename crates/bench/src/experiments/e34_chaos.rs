@@ -29,7 +29,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 /// Fleet size for the chaos-recovery arm.
-pub const CHAOS_N: usize = 128;
+const CHAOS_N: usize = 128;
 
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("autotune-e34-{}-{tag}", std::process::id()))
@@ -57,28 +57,26 @@ fn find_by_name(durable: &DurableRegistry, name: &str) -> Option<u64> {
 }
 
 /// Outcome of one chaotic drive-to-completion.
-pub struct ChaosOutcome {
+struct ChaosOutcome {
     /// Final per-campaign histories, in spec order.
-    pub histories: Vec<String>,
+    histories: Vec<String>,
     /// Simulated process crashes that fired.
-    pub crashes: u64,
-    /// WAL reopens (one per crash).
-    pub reopens: u64,
+    crashes: u64,
     /// Worker-panic recoveries caught at the pool boundary.
-    pub panic_recoveries: u64,
+    panic_recoveries: u64,
     /// Torn-tail bytes truncated across all reopens.
-    pub torn_bytes: u64,
+    torn_bytes: u64,
     /// Mean wall milliseconds per `DurableRegistry::open`.
-    pub mean_open_ms: f64,
+    mean_open_ms: f64,
     /// Total WAL appends acknowledged.
-    pub wal_appends: u64,
+    wal_appends: u64,
 }
 
 /// Drives `specs` through a durable registry under chaos until every
 /// campaign completes; each simulated crash is followed by recovery
 /// from the WAL with a re-derived chaos seed (same plan would re-roll
 /// the same crash — a real restart is a new process).
-pub fn chaos_drive(specs: &[CampaignSpec], seed: u64, p_crash: f64, p_panic: f64) -> ChaosOutcome {
+fn chaos_drive(specs: &[CampaignSpec], seed: u64, p_crash: f64, p_panic: f64) -> ChaosOutcome {
     let dir = temp_dir(&format!("chaos-{seed}"));
     let _ = std::fs::remove_dir_all(&dir);
     let config = WalConfig::default();
@@ -93,7 +91,6 @@ pub fn chaos_drive(specs: &[CampaignSpec], seed: u64, p_crash: f64, p_panic: f64
     };
     arm(&mut durable, incarnation);
     let mut crashes = 0u64;
-    let mut reopens = 0u64;
     let mut panic_recoveries = 0u64;
     let mut torn_bytes = 0u64;
     let mut open_ms = Vec::new();
@@ -111,7 +108,6 @@ pub fn chaos_drive(specs: &[CampaignSpec], seed: u64, p_crash: f64, p_panic: f64
                 DurableRegistry::open(&dir, 8, config).expect("reopen after crash");
             open_ms.push(t.elapsed().as_secs_f64() * 1_000.0);
             durable = reopened;
-            reopens += 1;
             torn_bytes += report.truncated_bytes;
             arm(&mut durable, incarnation);
         }
@@ -159,7 +155,6 @@ pub fn chaos_drive(specs: &[CampaignSpec], seed: u64, p_crash: f64, p_panic: f64
     ChaosOutcome {
         histories,
         crashes,
-        reopens,
         panic_recoveries,
         torn_bytes,
         mean_open_ms: if open_ms.is_empty() {
@@ -172,20 +167,20 @@ pub fn chaos_drive(specs: &[CampaignSpec], seed: u64, p_crash: f64, p_panic: f64
 }
 
 /// Outcome of the overload arm.
-pub struct OverloadOutcome {
+struct OverloadOutcome {
     /// Registrations offered.
-    pub offered: usize,
+    offered: usize,
     /// Registrations accepted (ran to completion).
-    pub accepted: usize,
+    accepted: usize,
     /// Registrations shed with `Overloaded`.
-    pub shed: usize,
+    shed: usize,
     /// Accepted campaigns whose history matches standalone.
-    pub identical: usize,
+    identical: usize,
 }
 
 /// Offers `specs` to a registry bounded by `admission`; sheds the
 /// excess and verifies the accepted campaigns stay byte-deterministic.
-pub fn overload_drive(
+fn overload_drive(
     specs: &[CampaignSpec],
     want: &[String],
     admission: AdmissionConfig,

@@ -31,7 +31,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
 
 /// Fleet shape of the experiment.
-pub fn fleet_config() -> TenantFleetConfig {
+fn fleet_config() -> TenantFleetConfig {
     TenantFleetConfig {
         n_families: 12,
         n_tenants: 300,
@@ -45,7 +45,7 @@ pub fn fleet_config() -> TenantFleetConfig {
 }
 
 /// Requests in the Zipf stream.
-pub const N_REQUESTS: usize = 4_000;
+const N_REQUESTS: usize = 4_000;
 /// Fixed seed for regret evaluations (same seed for served and tuned
 /// configs, so the comparison is noise-free).
 const EVAL_SEED: u64 = 0xE35;
@@ -54,7 +54,7 @@ const EVAL_SEED: u64 = 0xE35;
 /// workload (offered rate scaled by its intensity). Same-family tenants
 /// produce nearly identical specs, which is exactly why the family
 /// incumbent serves them all well.
-pub fn tenant_spec(t: &Tenant) -> CampaignSpec {
+fn tenant_spec(t: &Tenant) -> CampaignSpec {
     let mut s = CampaignSpec::minimal(
         format!("tenant-{}", t.id),
         SystemKind::Redis,
@@ -69,7 +69,7 @@ pub fn tenant_spec(t: &Tenant) -> CampaignSpec {
 
 /// Router shape for the fleet: spawn threshold from the fleet's own
 /// geometry, everything else default.
-pub fn router_config(fleet_cfg: &TenantFleetConfig) -> RouterConfig {
+fn router_config(fleet_cfg: &TenantFleetConfig) -> RouterConfig {
     let mut rc = RouterConfig::default();
     rc.cache.threshold = TenantFleet::recommended_threshold(fleet_cfg);
     rc
@@ -111,7 +111,7 @@ fn tuned_cost(t: &Tenant) -> f64 {
 
 /// Drives the Zipf stream through a fresh router in `dir`; returns the
 /// router plus (hits, misses) observed.
-pub fn drive_stream(
+fn drive_stream(
     dir: &std::path::Path,
     fleet: &TenantFleet,
     config: RouterConfig,

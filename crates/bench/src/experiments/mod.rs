@@ -41,6 +41,7 @@ use autotune::telemetry::WallTimer;
 use autotune::{MetricsSnapshot, Objective, Target};
 use autotune_optimizer::{BayesianOptimizer, Optimizer};
 use autotune_sim::{DbmsSim, Environment, RedisSim, Workload};
+use autotune_space::Config;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -100,26 +101,60 @@ pub(crate) fn run_bo_policy(
     (metrics, best.cost)
 }
 
-/// Runs an ask/tell campaign and returns the best-so-far curve.
+/// The ask/tell loop every experiment shares: `budget` rounds of suggest
+/// → `evaluate` → observe, with the optimizer's draws and the
+/// evaluation's noise interleaved on the one `rng`. `evaluate` returns the
+/// cost the optimizer is told (NaN = crash) and may record whatever else
+/// the experiment reads. Returns those costs in trial order.
 pub(crate) fn run_campaign(
+    opt: &mut dyn Optimizer,
+    budget: usize,
+    rng: &mut StdRng,
+    mut evaluate: impl FnMut(&Config, &mut StdRng) -> f64,
+) -> Vec<f64> {
+    (0..budget)
+        .map(|_| {
+            let cfg = opt.suggest(rng);
+            let cost = evaluate(&cfg, rng);
+            opt.observe(&cfg, cost);
+            cost
+        })
+        .collect()
+}
+
+/// [`run_campaign`] against `target` itself, on a fresh RNG from `seed`.
+pub(crate) fn run_on_target(
     opt: &mut dyn Optimizer,
     target: &Target,
     budget: usize,
     seed: u64,
 ) -> Vec<f64> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut best = f64::INFINITY;
-    let mut curve = Vec::with_capacity(budget);
-    for _ in 0..budget {
-        let cfg = opt.suggest(&mut rng);
-        let e = target.evaluate(&cfg, &mut rng);
-        opt.observe(&cfg, e.cost);
-        if e.cost.is_finite() {
-            best = best.min(e.cost);
-        }
-        curve.push(best);
-    }
-    curve
+    run_campaign(opt, budget, &mut rng, |cfg, rng| {
+        target.evaluate(cfg, rng).cost
+    })
+}
+
+/// The best finite cost after each trial (infinite until the first).
+pub(crate) fn best_so_far(costs: &[f64]) -> Vec<f64> {
+    costs
+        .iter()
+        .scan(f64::INFINITY, |best, &cost| {
+            if cost.is_finite() {
+                *best = best.min(cost);
+            }
+            Some(*best)
+        })
+        .collect()
+}
+
+/// The best finite cost of a campaign (infinite when every trial crashed).
+pub(crate) fn best_of(costs: &[f64]) -> f64 {
+    costs
+        .iter()
+        .copied()
+        .filter(|cost| cost.is_finite())
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// Mean best-so-far curve over seeds.
@@ -134,7 +169,7 @@ pub(crate) fn mean_curve(
     for seed in seeds {
         let mut opt = make_opt();
         let target = make_target();
-        let curve = run_campaign(opt.as_mut(), &target, budget, seed);
+        let curve = best_so_far(&run_on_target(opt.as_mut(), &target, budget, seed));
         for (a, c) in acc.iter_mut().zip(&curve) {
             *a += c / n;
         }

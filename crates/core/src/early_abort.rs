@@ -35,11 +35,6 @@ impl EarlyAbort {
         self.best_cost.map(|b| b * self.ratio)
     }
 
-    /// Total benchmark seconds saved by aborting.
-    pub fn total_saved_s(&self) -> f64 {
-        self.total_saved_s
-    }
-
     /// Number of trials aborted so far.
     pub fn n_aborted(&self) -> usize {
         self.n_aborted
@@ -109,7 +104,7 @@ mod tests {
         assert!(aborted);
         assert_eq!(cost, 150.0);
         assert!((elapsed - 150.0).abs() < 1e-9);
-        assert!((ea.total_saved_s() - 250.0).abs() < 1e-9);
+        assert!((ea.total_saved_s - 250.0).abs() < 1e-9);
         assert_eq!(ea.n_aborted(), 1);
     }
 

@@ -10,7 +10,6 @@ use crate::{EarlyAbort, TrialStatus};
 use autotune_sim::FailureKind;
 use rand::{Rng, RngCore};
 use std::borrow::BorrowMut;
-use std::collections::BTreeSet;
 
 /// A cross-cutting hook on the trial lifecycle.
 pub trait Middleware {
@@ -235,22 +234,13 @@ impl Middleware for RetryMw {
 /// unknown at the cut and reported NaN so the source drops it.
 pub struct TimeoutMw {
     budget_s: f64,
-    n_timeouts: usize,
 }
 
 impl TimeoutMw {
     /// Kill any attempt that exceeds `budget_s` virtual seconds.
     pub fn new(budget_s: f64) -> Self {
         assert!(budget_s > 0.0, "timeout budget must be positive");
-        TimeoutMw {
-            budget_s,
-            n_timeouts: 0,
-        }
-    }
-
-    /// How many attempts this middleware has cut.
-    pub fn n_timeouts(&self) -> usize {
-        self.n_timeouts
+        TimeoutMw { budget_s }
     }
 }
 
@@ -261,7 +251,6 @@ impl Middleware for TimeoutMw {
 
     fn after_measure(&mut self, m: &mut Measurement, cost_is_elapsed: bool) {
         if m.elapsed_s > self.budget_s {
-            self.n_timeouts += 1;
             m.saved_s += m.elapsed_s - self.budget_s;
             m.elapsed_s = self.budget_s;
             m.aborted = true;
@@ -287,7 +276,6 @@ pub struct QuarantineMw {
     cooldown: usize,
     ewma: Vec<f64>,
     down: Vec<Option<usize>>,
-    ever: BTreeSet<usize>,
     events: Vec<TrialEvent>,
 }
 
@@ -307,7 +295,6 @@ impl QuarantineMw {
             cooldown: cooldown.max(1),
             ewma: vec![0.0; n_machines],
             down: vec![None; n_machines],
-            ever: BTreeSet::new(),
             events: Vec::new(),
         }
     }
@@ -316,16 +303,6 @@ impl QuarantineMw {
     /// cooldown 8 outcomes.
     pub fn with_defaults(n_machines: usize) -> Self {
         QuarantineMw::new(n_machines, 0.3, 0.5, 8)
-    }
-
-    /// Machines ever quarantined during this run.
-    pub fn n_quarantined(&self) -> usize {
-        self.ever.len()
-    }
-
-    /// Whether `machine_id` is currently quarantined.
-    pub fn is_quarantined(&self, machine_id: usize) -> bool {
-        machine_id < self.n_machines && self.down[machine_id].is_some()
     }
 }
 
@@ -367,7 +344,6 @@ impl Middleware for QuarantineMw {
         self.ewma[id] = (1.0 - self.alpha) * self.ewma[id] + self.alpha * x;
         if self.ewma[id] > self.threshold && self.down[id].is_none() {
             self.down[id] = Some(self.cooldown);
-            self.ever.insert(id);
             self.events.push(TrialEvent::Quarantined { machine_id: id });
         }
     }

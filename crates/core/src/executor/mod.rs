@@ -168,11 +168,11 @@ pub fn measure_request(
 
 /// Measures one campaign's wave: [`measure_request`] per item, in wave
 /// order, on the calling thread. The one way a wave is measured —
-/// [`Campaign::tick`] and the serve registry's per-campaign worker both
-/// call it. A noisy target's drift clock advances per evaluation, so
-/// splitting a wave across threads would make the clock stamps
-/// scheduling-dependent; parallelism comes from servicing *different*
-/// campaigns (disjoint targets) concurrently.
+/// [`Campaign::tick`] and the serve registry's round both call it. A
+/// noisy target's drift clock advances per evaluation, so splitting a
+/// wave across threads would make the clock stamps scheduling-dependent;
+/// only waves of *different* campaigns (disjoint targets) may ever be
+/// measured concurrently, and today nothing does.
 pub fn measure_wave(
     target: &Target,
     strategy: &NoiseStrategy,

@@ -76,14 +76,6 @@ impl SuccessiveHalving {
     /// Runs the bracket against `target` (whose own workload is ignored in
     /// favour of each rung's) on a single execution slot.
     pub fn run(&self, target: &Target, seed: u64) -> HalvingOutcome {
-        self.run_on_slots(target, 1, seed)
-    }
-
-    /// Runs the bracket with `slots` trials in flight at once. Rungs are
-    /// barriers — the ranking needs every score — so parallelism only
-    /// compresses wall clock within a rung, never across one.
-    pub fn run_on_slots(&self, target: &Target, slots: usize, seed: u64) -> HalvingOutcome {
-        assert!(slots >= 1, "need at least one execution slot");
         let mut rng = StdRng::seed_from_u64(seed);
         let pool: Vec<Config> = (0..self.config.initial_configs)
             .map(|_| target.space().sample(&mut rng))
@@ -92,7 +84,7 @@ impl SuccessiveHalving {
         let metrics = Campaign::over(
             target,
             Box::new(&mut source),
-            SchedulePolicy::Rungs { k: slots },
+            SchedulePolicy::Rungs { k: 1 },
             seed,
         )
         .with_event_log(false) // one-shot campaign, never snapshotted
@@ -149,7 +141,7 @@ impl Hyperband {
     /// The brackets this ladder supports: bracket `s` starts with
     /// `eta^s` configs at rung `len-1-s` of the ladder (so the most
     /// aggressive bracket enters at the cheapest fidelity).
-    pub fn brackets(&self) -> Vec<SuccessiveHalving> {
+    fn brackets(&self) -> Vec<SuccessiveHalving> {
         let max_s = self.levels.len() - 1;
         (0..=max_s)
             .rev()

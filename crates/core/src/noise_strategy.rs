@@ -48,16 +48,6 @@ pub enum NoiseStrategy {
 }
 
 impl NoiseStrategy {
-    /// Number of benchmark executions one logical trial costs.
-    pub fn runs_per_trial(&self) -> usize {
-        match self {
-            NoiseStrategy::Single => 1,
-            NoiseStrategy::Repeat { n, .. } => (*n).max(1),
-            NoiseStrategy::Duet => 2,
-            NoiseStrategy::Tuna { replicas, .. } => (*replicas).max(1),
-        }
-    }
-
     /// Measures `config` on `target`, returning `(cost, total_elapsed_s)`.
     ///
     /// `baseline` is the incumbent configuration used by the duet
@@ -266,24 +256,6 @@ mod tests {
         assert!(
             tuna < naive,
             "TUNA CV {tuna} should beat naive repeat CV {naive} under heavy spikes"
-        );
-    }
-
-    #[test]
-    fn runs_per_trial_accounting() {
-        assert_eq!(NoiseStrategy::Single.runs_per_trial(), 1);
-        assert_eq!(
-            NoiseStrategy::Repeat { n: 7, median: true }.runs_per_trial(),
-            7
-        );
-        assert_eq!(NoiseStrategy::Duet.runs_per_trial(), 2);
-        assert_eq!(
-            NoiseStrategy::Tuna {
-                replicas: 3,
-                outlier_sigmas: 2.0
-            }
-            .runs_per_trial(),
-            3
         );
     }
 

@@ -90,11 +90,6 @@ impl TuningSession {
         self.optimizer.as_ref()
     }
 
-    /// Mutable optimizer access (warm starting).
-    pub fn optimizer_mut(&mut self) -> &mut dyn Optimizer {
-        self.optimizer.as_mut()
-    }
-
     /// Runs `budget` logical trials through the executor and summarizes.
     /// Returns `None` when every trial crashed.
     pub fn run(&mut self, budget: usize, seed: u64) -> Option<SessionSummary> {

@@ -187,7 +187,7 @@ impl MetricsSnapshot {
     }
 
     /// Busy fraction of one machine over the campaign's wall clock.
-    pub fn machine_utilization(&self, machine_id: usize) -> f64 {
+    fn machine_utilization(&self, machine_id: usize) -> f64 {
         if self.wall_clock_s <= 0.0 {
             return 0.0;
         }
@@ -195,7 +195,7 @@ impl MetricsSnapshot {
     }
 
     /// Mean busy fraction across all machines that ran at least one trial.
-    pub fn fleet_utilization(&self) -> f64 {
+    fn fleet_utilization(&self) -> f64 {
         if self.machine_busy_s.is_empty() || self.wall_clock_s <= 0.0 {
             return 0.0;
         }

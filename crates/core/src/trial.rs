@@ -91,37 +91,6 @@ impl TrialStorage {
         id
     }
 
-    /// Records an evaluation, deriving the [`TrialStatus`] from the cost
-    /// in one place: any non-finite cost (NaN *or* a diverging ±inf)
-    /// means the configuration crashed the system and must not enter the
-    /// learner as a real observation; anything else completed. (Censored
-    /// trials go through [`Trial::aborted`], infrastructure losses
-    /// through [`Trial::transient_failure`].) Returns the id.
-    pub fn record_eval(
-        &mut self,
-        config: Config,
-        cost: f64,
-        elapsed_s: f64,
-        fidelity: f64,
-        machine_id: Option<usize>,
-    ) -> u64 {
-        let status = if cost.is_finite() {
-            TrialStatus::Complete
-        } else {
-            TrialStatus::Crashed
-        };
-        self.record(Trial {
-            id: 0,
-            config,
-            cost,
-            elapsed_s,
-            fidelity,
-            machine_id,
-            status,
-            retries: 0,
-        })
-    }
-
     /// All trials in execution order.
     pub fn trials(&self) -> &[Trial] {
         &self.trials
@@ -205,13 +174,6 @@ impl TrialStorage {
     /// Total retry attempts consumed across all trials.
     pub fn n_retried(&self) -> usize {
         self.trials.iter().map(|t| t.retries as usize).sum()
-    }
-
-    /// Whether a configuration was already evaluated (exact match on the
-    /// rendered form).
-    pub fn contains_config(&self, config: &Config) -> bool {
-        let key = config.render();
-        self.trials.iter().any(|t| t.config.render() == key)
     }
 
     /// Exports the history as JSON (the transfer format).
@@ -361,14 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn contains_config_matches_rendered_form() {
-        let mut s = TrialStorage::new();
-        s.record(Trial::complete(cfg(1.5), 1.0, 1.0));
-        assert!(s.contains_config(&cfg(1.5)));
-        assert!(!s.contains_config(&cfg(2.5)));
-    }
-
-    #[test]
     fn json_roundtrip() {
         let mut s = TrialStorage::new();
         s.record(
@@ -397,23 +351,6 @@ mod tests {
             retries: 0,
         });
         assert!(s.best().is_none());
-    }
-
-    #[test]
-    fn infinite_cost_is_classified_as_crash() {
-        // A diverging simulated cost must not enter the history as a real
-        // observation (regression: only NaN used to count as a crash).
-        let mut s = TrialStorage::new();
-        s.record_eval(cfg(1.0), f64::INFINITY, 1.0, 1.0, None);
-        s.record_eval(cfg(2.0), f64::NEG_INFINITY, 1.0, 1.0, None);
-        s.record_eval(cfg(3.0), 2.0, 1.0, 1.0, None);
-        assert_eq!(s.n_crashed(), 2);
-        assert_eq!(s.best().unwrap().cost, 2.0);
-        assert!(s
-            .trials()
-            .iter()
-            .filter(|t| !t.cost.is_finite())
-            .all(|t| t.status == TrialStatus::Crashed));
     }
 
     #[test]

@@ -5,62 +5,26 @@
 //! hundred rows a short campaign accumulates but falls off a cliff once
 //! kernel matrices reach a few thousand rows (the 100k-observation
 //! service-campaign regime). These variants partition the iteration space
-//! into `block`-sized tiles so each tile of the operands is reused from
-//! cache many times before being evicted — the standard GEMM/SYRK/POTRF
-//! tiling every BLAS uses, sized here for L1/L2 rather than registers.
+//! into [`DEFAULT_BLOCK`]-sized tiles so each tile of the operands is
+//! reused from cache many times before being evicted — the standard
+//! SYRK/POTRF tiling every BLAS uses, sized here for L1/L2 rather than
+//! registers. (A tiled general product is not here: nothing multiplies
+//! two large general matrices, and [`Matrix::matmul`] serves the rest.)
 //!
-//! Determinism contract: for every output element the floating-point
-//! accumulation order of [`Matrix::matmul_blocked`] and
-//! [`Matrix::syrk_blocked`] is identical to the naive ikj reference, so
-//! on finite inputs the results are **bitwise equal** to
-//! [`Matrix::matmul`]. The blocked Cholesky regroups its trailing updates
-//! per panel, so its factor agrees with the naive one only to rounding —
-//! equivalence is tolerance-verified by the test suite.
+//! Determinism contract: every output element of
+//! [`Matrix::syrk_blocked`] is one dot product accumulated in ascending
+//! column order, so on finite inputs the result is **bitwise equal** to
+//! `a.matmul(&a.transpose())`. The blocked Cholesky regroups its trailing
+//! updates per panel, so its factor agrees with the naive one only to
+//! rounding — equivalence is tolerance-verified by the test suite.
 
-use crate::{LinalgError, Matrix, Result};
+use crate::Matrix;
 
-/// Default tile edge for the blocked kernels: 64×64 f64 tiles are 32 KiB,
-/// sized so the two operand tiles of a GEMM inner kernel sit in L1/L2.
-pub const DEFAULT_BLOCK: usize = 64;
+/// Tile edge of the blocked kernels: 64×64 f64 tiles are 32 KiB, sized so
+/// the two operand tiles of an inner kernel sit in L1/L2.
+pub(crate) const DEFAULT_BLOCK: usize = 64;
 
 impl Matrix {
-    /// Tiled matrix product `self * other` with `block`-sized tiles.
-    ///
-    /// Bitwise-identical to [`Matrix::matmul`] on finite inputs: for each
-    /// output element, contributions accumulate in ascending-`k` order
-    /// exactly like the naive ikj loop. Use this for operands past a few
-    /// hundred rows; below that the naive loop's lower overhead wins.
-    pub fn matmul_blocked(&self, other: &Matrix, block: usize) -> Result<Matrix> {
-        if self.cols() != other.rows() {
-            return Err(LinalgError::ShapeMismatch {
-                context: "matmul_blocked: self.cols must equal other.rows",
-            });
-        }
-        let block = block.max(1);
-        let (n, kdim, m) = (self.rows(), self.cols(), other.cols());
-        let mut out = Matrix::zeros(n, m);
-        for ii in (0..n).step_by(block) {
-            let ie = (ii + block).min(n);
-            for kk in (0..kdim).step_by(block) {
-                let ke = (kk + block).min(kdim);
-                for jj in (0..m).step_by(block) {
-                    let je = (jj + block).min(m);
-                    for i in ii..ie {
-                        for k in kk..ke {
-                            let aik = self[(i, k)];
-                            let brow = &other.row(k)[jj..je];
-                            let orow = &mut out.row_mut(i)[jj..je];
-                            for (o, &b) in orow.iter_mut().zip(brow) {
-                                *o += aik * b;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Tiled symmetric rank-k product `self * selfᵀ` (SYRK).
     ///
     /// Computes only the lower triangle tile-by-tile and mirrors it, so it
@@ -68,7 +32,13 @@ impl Matrix {
     /// element is a dot product of two rows of `self` accumulated in
     /// ascending column order — bitwise identical to
     /// `self.matmul(&self.transpose())` on finite inputs.
-    pub fn syrk_blocked(&self, block: usize) -> Matrix {
+    pub fn syrk_blocked(&self) -> Matrix {
+        self.syrk_tiled(DEFAULT_BLOCK)
+    }
+
+    /// [`Matrix::syrk_blocked`] with `block`-sized tiles; the tests sweep
+    /// the tile edge, callers get [`DEFAULT_BLOCK`].
+    fn syrk_tiled(&self, block: usize) -> Matrix {
         let block = block.max(1);
         let n = self.rows();
         let mut out = Matrix::zeros(n, n);
@@ -105,50 +75,12 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matmul_bitwise_matches_naive() {
-        // Random (non-zero) data: the accumulation orders are identical,
-        // so the results must agree exactly, not just within tolerance —
-        // across block sizes, including ones that don't divide the dims.
-        for (r, k, c) in [(17, 23, 11), (64, 64, 64), (65, 3, 130), (1, 40, 1)] {
-            let a = random_matrix(r, k, 1000 + r as u64);
-            let b = random_matrix(k, c, 2000 + c as u64);
-            let naive = a.matmul(&b).unwrap();
-            for block in [1, 3, 8, 64, 1024] {
-                let blocked = a.matmul_blocked(&b, block).unwrap();
-                assert_eq!(
-                    naive.as_slice(),
-                    blocked.as_slice(),
-                    "({r}x{k})*({k}x{c}) block {block} diverged from naive"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_matmul_shape_mismatch_is_error() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        assert!(matches!(
-            a.matmul_blocked(&b, 8),
-            Err(LinalgError::ShapeMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn blocked_matmul_propagates_nonfinite() {
-        let a = Matrix::from_rows(&[&[0.0, 1.0]]);
-        let b = Matrix::from_rows(&[&[f64::NAN], &[2.0]]);
-        let c = a.matmul_blocked(&b, 8).unwrap();
-        assert!(c[(0, 0)].is_nan(), "0*NaN + 1*2 must be NaN");
-    }
-
-    #[test]
     fn syrk_matches_explicit_product() {
         for (r, k) in [(13, 7), (40, 40), (33, 2), (1, 5)] {
             let a = random_matrix(r, k, 77 + r as u64);
             let explicit = a.matmul(&a.transpose()).unwrap();
             for block in [1, 4, 16, 256] {
-                let s = a.syrk_blocked(block);
+                let s = a.syrk_tiled(block);
                 assert_eq!(
                     explicit.as_slice(),
                     s.as_slice(),
@@ -162,10 +94,9 @@ mod tests {
     #[test]
     fn degenerate_shapes() {
         let empty = Matrix::zeros(0, 0);
-        assert_eq!(empty.matmul_blocked(&empty, 8).unwrap().rows(), 0);
-        assert_eq!(empty.syrk_blocked(8).rows(), 0);
+        assert_eq!(empty.syrk_blocked().rows(), 0);
         let row = Matrix::from_rows(&[&[2.0, 3.0]]);
-        let s = row.syrk_blocked(64);
+        let s = row.syrk_blocked();
         assert_eq!(s.rows(), 1);
         assert!((s[(0, 0)] - 13.0).abs() < 1e-15);
     }

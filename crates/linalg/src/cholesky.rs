@@ -6,6 +6,7 @@
 //! log-determinant, which falls out of the factor's diagonal for free.
 
 #![allow(clippy::needless_range_loop)] // offset-indexed triangular loops
+use crate::blocked::DEFAULT_BLOCK;
 use crate::{LinalgError, Matrix, Result};
 
 /// Lower-triangular Cholesky factor `L` with `A = L * L^T`.
@@ -26,28 +27,7 @@ impl Cholesky {
     /// to `1e-4 * mean(diag)`. The jitter actually used is reported by
     /// [`Cholesky::jitter`].
     pub fn new(a: &Matrix) -> Result<Self> {
-        if !a.is_square() {
-            return Err(LinalgError::ShapeMismatch {
-                context: "cholesky: matrix must be square",
-            });
-        }
-        let n = a.rows();
-        let mean_diag = if n == 0 {
-            1.0
-        } else {
-            a.diag().iter().map(|d| d.abs()).sum::<f64>() / n as f64
-        };
-        let mut jitter = 0.0;
-        // 1e-12 .. 1e-4 of the mean diagonal, one decade per retry.
-        for attempt in 0..=9 {
-            if attempt > 0 {
-                jitter = mean_diag.max(1e-300) * 1e-12 * 10f64.powi(attempt - 1);
-            }
-            if let Some(l) = Self::try_factor(a, jitter) {
-                return Ok(Cholesky { l, jitter });
-            }
-        }
-        Err(LinalgError::NotPositiveDefinite)
+        Self::with_jitter_ladder(a, Self::try_factor)
     }
 
     /// Factorizes a symmetric positive-definite matrix with a cache-blocked
@@ -55,13 +35,28 @@ impl Cholesky {
     ///
     /// Identical contract to [`Cholesky::new`] — same jitter-retry ladder,
     /// same error — but the O(n³) work is organized as block-column panels:
-    /// factor a `block`×`block` diagonal tile, triangular-solve the panel
-    /// below it, then apply the trailing SYRK update tile-by-tile so every
-    /// tile is reused from cache. At a few thousand rows this runs several
-    /// times faster than the naive loop; the factor agrees with the naive
-    /// one to rounding (the trailing updates are regrouped per panel, so
+    /// factor a diagonal tile, triangular-solve the panel below it, then
+    /// apply the trailing SYRK update tile-by-tile so every tile is reused
+    /// from cache. At a few thousand rows this runs several times faster
+    /// than the naive loop; the factor agrees with the naive one to
+    /// rounding (the trailing updates are regrouped per panel, so
     /// agreement is tolerance-level, not bitwise).
-    pub fn new_blocked(a: &Matrix, block: usize) -> Result<Self> {
+    pub fn new_blocked(a: &Matrix) -> Result<Self> {
+        Self::new_tiled(a, DEFAULT_BLOCK)
+    }
+
+    /// [`Cholesky::new_blocked`] with `block`-sized tiles; the tests sweep
+    /// the tile edge, callers get [`DEFAULT_BLOCK`].
+    fn new_tiled(a: &Matrix, block: usize) -> Result<Self> {
+        Self::with_jitter_ladder(a, |a, jitter| Self::try_factor_blocked(a, jitter, block))
+    }
+
+    /// Runs `try_factor(a, jitter)` with no jitter first, then with
+    /// 1e-12 .. 1e-4 of the mean diagonal, one decade per retry.
+    fn with_jitter_ladder(
+        a: &Matrix,
+        try_factor: impl Fn(&Matrix, f64) -> Option<Matrix>,
+    ) -> Result<Self> {
         if !a.is_square() {
             return Err(LinalgError::ShapeMismatch {
                 context: "cholesky: matrix must be square",
@@ -78,7 +73,7 @@ impl Cholesky {
             if attempt > 0 {
                 jitter = mean_diag.max(1e-300) * 1e-12 * 10f64.powi(attempt - 1);
             }
-            if let Some(l) = Self::try_factor_blocked(a, jitter, block) {
+            if let Some(l) = try_factor(a, jitter) {
                 return Ok(Cholesky { l, jitter });
             }
         }
@@ -196,7 +191,7 @@ impl Cholesky {
     }
 
     /// Solves `L^T x = y` (back substitution).
-    pub fn solve_upper(&self, y: &[f64]) -> Vec<f64> {
+    fn solve_upper(&self, y: &[f64]) -> Vec<f64> {
         let n = self.dim();
         assert_eq!(y.len(), n, "solve_upper: rhs length mismatch");
         let mut x = vec![0.0; n];
@@ -216,7 +211,7 @@ impl Cholesky {
     }
 
     /// Solves `A X = B` column by column.
-    pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
+    fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
         if b.rows() != self.dim() {
             return Err(LinalgError::ShapeMismatch {
                 context: "cholesky solve: rhs rows must match dimension",
@@ -481,7 +476,7 @@ mod tests {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
         let b = Matrix::from_fn(n, n, |_, _| rng.gen_range(-1.0..1.0));
-        let mut a = b.syrk_blocked(32);
+        let mut a = b.syrk_blocked();
         a.add_diag(n as f64);
         a
     }
@@ -494,7 +489,7 @@ mod tests {
             let a = random_spd(n, 500 + n as u64);
             let naive = Cholesky::new(&a).unwrap();
             for block in [1, 5, 16, 64, 256] {
-                let blocked = Cholesky::new_blocked(&a, block).unwrap();
+                let blocked = Cholesky::new_tiled(&a, block).unwrap();
                 assert_eq!(blocked.jitter(), 0.0, "n={n} block={block}");
                 assert!(
                     blocked.l().approx_eq(naive.l(), 1e-9 * n as f64),
@@ -507,7 +502,7 @@ mod tests {
     #[test]
     fn blocked_factor_reconstructs_and_solves() {
         let a = random_spd(50, 9);
-        let c = Cholesky::new_blocked(&a, 16).unwrap();
+        let c = Cholesky::new_tiled(&a, 16).unwrap();
         let back = c.l().matmul(&c.l().transpose()).unwrap();
         assert!(back.approx_eq(&a, 1e-8));
         let x_true: Vec<f64> = (0..50).map(|i| (i as f64 * 0.7).sin()).collect();
@@ -522,15 +517,15 @@ mod tests {
     fn blocked_factor_rejects_indefinite_and_rescues_semidefinite() {
         let indef = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]);
         assert_eq!(
-            Cholesky::new_blocked(&indef, 8).unwrap_err(),
+            Cholesky::new_tiled(&indef, 8).unwrap_err(),
             LinalgError::NotPositiveDefinite
         );
         let psd = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]);
-        let c = Cholesky::new_blocked(&psd, 8).unwrap();
+        let c = Cholesky::new_tiled(&psd, 8).unwrap();
         assert!(c.jitter() > 0.0);
         let non_square = Matrix::zeros(2, 3);
         assert!(matches!(
-            Cholesky::new_blocked(&non_square, 8),
+            Cholesky::new_tiled(&non_square, 8),
             Err(LinalgError::ShapeMismatch { .. })
         ));
     }
@@ -541,7 +536,7 @@ mod tests {
         // extension the incremental GP path uses.
         let a = random_spd(20, 31);
         let lead = Matrix::from_fn(19, 19, |i, j| a[(i, j)]);
-        let mut inc = Cholesky::new_blocked(&lead, 7).unwrap();
+        let mut inc = Cholesky::new_tiled(&lead, 7).unwrap();
         let col: Vec<f64> = (0..19).map(|i| a[(i, 19)]).collect();
         inc.extend(&col, a[(19, 19)]).unwrap();
         let full = Cholesky::new(&a).unwrap();

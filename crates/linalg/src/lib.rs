@@ -36,11 +36,10 @@ mod pca;
 pub mod stats;
 mod vector;
 
-pub use blocked::DEFAULT_BLOCK;
 pub use cholesky::Cholesky;
 pub use eigen::{symmetric_eigen, SymmetricEigen};
 pub use matrix::Matrix;
-pub use par::{ordered_mean, ordered_sum, par_map, par_map_threads};
+pub use par::{ordered_mean, ordered_sum, par_map};
 pub use pca::Pca;
 pub use vector::{axpy, dot, norm2, squared_distance};
 

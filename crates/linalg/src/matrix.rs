@@ -114,12 +114,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Mutable borrow of the flat row-major buffer.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Borrow of row `i` as a slice.
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {

@@ -1,9 +1,9 @@
 //! Deterministic wave-parallel map over a slice.
 //!
 //! The autotuning hot paths (acquisition candidate scoring, marginal-
-//! likelihood restarts, the serve registry's one worker per campaign)
-//! all share the same shape: a batch of independent, pure computations whose *results*
-//! must not depend on thread count or interleaving. [`par_map`] encodes
+//! likelihood restarts) share the same shape: a batch of independent,
+//! pure computations whose *results* must not depend on thread count or
+//! interleaving. [`par_map`] encodes
 //! that contract once: items are split into contiguous chunks, one scoped
 //! thread per chunk, and outputs are concatenated in chunk order, so the
 //! returned vector is always exactly `items.iter().map(f)` regardless of
@@ -38,16 +38,12 @@ where
     par_map_threads(items, min_parallel, threads, f)
 }
 
-/// [`par_map`] with an explicit worker-thread cap instead of the host's
-/// reported parallelism — for callers that own a sized worker pool (e.g.
-/// a campaign registry multiplexing many campaigns over `w` workers).
-/// Output is bitwise identical for every `threads` value, including 1.
-///
-/// # Panics
-/// Propagates a panic from any worker thread with its original payload
-/// (the first panicking chunk in chunk order), so a `catch_unwind` at the
-/// call site reads the worker's own message.
-pub fn par_map_threads<T, R, F>(items: &[T], min_parallel: usize, threads: usize, f: F) -> Vec<R>
+/// [`par_map`] with an explicit thread count instead of the host's
+/// reported parallelism, so the tests can hold the output bitwise
+/// identical for every `threads` value, including 1. A worker's panic is
+/// re-raised with its original payload (the first panicking chunk in
+/// chunk order).
+fn par_map_threads<T, R, F>(items: &[T], min_parallel: usize, threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,

@@ -12,10 +12,6 @@ pub struct Pca {
     mean: Vec<f64>,
     /// `k x d` matrix; row `i` is the i-th principal axis.
     components: Matrix,
-    /// Variance explained by each retained component.
-    explained_variance: Vec<f64>,
-    /// Total variance of the training data (sum over all components).
-    total_variance: f64,
 }
 
 impl Pca {
@@ -58,36 +54,14 @@ impl Pca {
             }
         }
         let eig = symmetric_eigen(&cov)?;
-        let total_variance: f64 = eig.values.iter().map(|v| v.max(0.0)).sum();
-        let explained_variance: Vec<f64> = eig.values[..k].iter().map(|v| v.max(0.0)).collect();
         // Components as rows: transpose of the leading eigenvector columns.
         let components = Matrix::from_fn(k, d, |i, j| eig.vectors[(j, i)]);
-        Ok(Pca {
-            mean,
-            components,
-            explained_variance,
-            total_variance,
-        })
+        Ok(Pca { mean, components })
     }
 
     /// Number of retained components.
-    pub fn n_components(&self) -> usize {
+    fn n_components(&self) -> usize {
         self.components.rows()
-    }
-
-    /// Variance explained by each retained component, descending.
-    pub fn explained_variance(&self) -> &[f64] {
-        &self.explained_variance
-    }
-
-    /// Fraction of total variance captured by the retained components.
-    pub fn explained_variance_ratio(&self) -> f64 {
-        if self.total_variance <= 0.0 {
-            // Degenerate constant data: all (zero) variance is captured.
-            1.0
-        } else {
-            self.explained_variance.iter().sum::<f64>() / self.total_variance
-        }
     }
 
     /// Projects one sample into the component space.
@@ -116,8 +90,8 @@ impl Pca {
 mod tests {
     use super::*;
 
-    /// Data lying exactly on a line in 2-D: one component explains all
-    /// variance.
+    /// Data lying exactly on a line in 2-D: the first component carries
+    /// all of it, so every sample's second coordinate is zero.
     #[test]
     fn line_data_one_component() {
         let data = Matrix::from_fn(10, 2, |i, j| {
@@ -128,8 +102,11 @@ mod tests {
                 2.0 * t + 3.0
             }
         });
-        let pca = Pca::fit(&data, 1).unwrap();
-        assert!(pca.explained_variance_ratio() > 0.999);
+        let projected = Pca::fit(&data, 2).unwrap().transform(&data);
+        for i in 0..10 {
+            assert!(projected[(i, 1)].abs() < 1e-6, "row {i} leaves the line");
+        }
+        assert!((projected[(9, 0)] - projected[(0, 0)]).abs() > 9.0);
     }
 
     #[test]
@@ -159,15 +136,23 @@ mod tests {
             &[0.5, 2.5, 0.9],
             &[1.5, 1.0, 0.2],
         ]);
-        let pca = Pca::fit(&data, 3).unwrap();
-        assert!((pca.explained_variance_ratio() - 1.0).abs() < 1e-9);
+        // Keeping every component is a rotation about the mean: distances
+        // between samples survive it.
+        let projected = Pca::fit(&data, 3).unwrap().transform(&data);
+        for (i, j) in [(0, 1), (1, 2), (0, 3)] {
+            let before = crate::vector::squared_distance(data.row(i), data.row(j));
+            let after = crate::vector::squared_distance(projected.row(i), projected.row(j));
+            assert!(
+                (before - after).abs() < 1e-9,
+                "rows {i},{j}: {before} vs {after}"
+            );
+        }
     }
 
     #[test]
     fn constant_data_degenerate_ratio() {
         let data = Matrix::from_fn(5, 3, |_, _| 7.0);
         let pca = Pca::fit(&data, 2).unwrap();
-        assert_eq!(pca.explained_variance_ratio(), 1.0);
         assert_eq!(pca.transform_one(&[7.0, 7.0, 7.0]), vec![0.0, 0.0]);
     }
 

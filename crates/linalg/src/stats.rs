@@ -61,29 +61,6 @@ pub fn p95(xs: &[f64]) -> f64 {
     quantile(xs, 0.95)
 }
 
-/// Pearson correlation coefficient; 0.0 when either side is constant.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "pearson: length mismatch");
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let mx = mean(xs);
-    let my = mean(ys);
-    let mut cov = 0.0;
-    let mut vx = 0.0;
-    let mut vy = 0.0;
-    for (&x, &y) in xs.iter().zip(ys) {
-        cov += (x - mx) * (y - my);
-        vx += (x - mx) * (x - mx);
-        vy += (y - my) * (y - my);
-    }
-    if vx <= 0.0 || vy <= 0.0 {
-        0.0
-    } else {
-        cov / (vx * vy).sqrt()
-    }
-}
-
 /// Standard normal probability density.
 #[inline]
 pub fn normal_pdf(z: f64) -> f64 {
@@ -236,16 +213,6 @@ mod tests {
     fn p95_of_uniform_grid() {
         let xs: Vec<f64> = (0..101).map(|i| i as f64).collect();
         assert!((p95(&xs) - 95.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pearson_perfect_and_inverse() {
-        let x = [1.0, 2.0, 3.0];
-        let y_pos = [2.0, 4.0, 6.0];
-        let y_neg = [6.0, 4.0, 2.0];
-        assert!((pearson(&x, &y_pos) - 1.0).abs() < 1e-12);
-        assert!((pearson(&x, &y_neg) + 1.0).abs() < 1e-12);
-        assert_eq!(pearson(&x, &[5.0, 5.0, 5.0]), 0.0);
     }
 
     #[test]

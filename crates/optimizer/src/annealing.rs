@@ -10,6 +10,9 @@ use crate::{BestTracker, Observation, Optimizer};
 use autotune_space::{Config, Space};
 use rand::RngCore;
 
+/// Neighbourhood scale in unit-cube space.
+const STEP_SCALE: f64 = 0.15;
+
 /// Simulated-annealing optimizer.
 #[derive(Debug)]
 pub struct SimulatedAnnealing {
@@ -25,8 +28,6 @@ pub struct SimulatedAnnealing {
     cooling: f64,
     /// Current temperature.
     temperature: f64,
-    /// Neighbourhood scale in unit-cube space.
-    step_scale: f64,
     /// Internal state for accept/reject draws, so `observe` stays
     /// deterministic without threading an RNG through the trait.
     accept_state: u64,
@@ -46,22 +47,9 @@ impl SimulatedAnnealing {
             t0,
             cooling,
             temperature: t0,
-            step_scale: 0.15,
             accept_state: 0x9E37_79B9_7F4A_7C15,
             tracker: BestTracker::default(),
         }
-    }
-
-    /// Overrides the neighbourhood step scale (unit-cube units).
-    pub fn with_step_scale(mut self, scale: f64) -> Self {
-        assert!(scale > 0.0, "step scale must be positive");
-        self.step_scale = scale;
-        self
-    }
-
-    /// Current temperature (decays as observations arrive).
-    pub fn temperature(&self) -> f64 {
-        self.temperature
     }
 }
 
@@ -69,7 +57,7 @@ impl Optimizer for SimulatedAnnealing {
     fn suggest(&mut self, mut rng: &mut dyn RngCore) -> Config {
         let cfg = match &self.current {
             None => self.space.sample(&mut rng),
-            Some((cur, _)) => self.space.neighbor(cur, self.step_scale, &mut rng),
+            Some((cur, _)) => self.space.neighbor(cur, STEP_SCALE, &mut rng),
         };
         self.pending = Some(cfg.clone());
         cfg
@@ -146,13 +134,13 @@ mod tests {
     fn temperature_decays() {
         let space = sphere_space();
         let mut opt = SimulatedAnnealing::new(space.clone(), 2.0, 0.9);
-        let t_start = opt.temperature();
+        let t_start = opt.temperature;
         let mut rng = rand::rngs::mock::StepRng::new(3, 0x9E3779B97F4A7C15);
         for _ in 0..10 {
             let c = opt.suggest(&mut rng);
             opt.observe(&c, 1.0);
         }
-        assert!(opt.temperature() < t_start * 0.5);
+        assert!(opt.temperature < t_start * 0.5);
     }
 
     #[test]

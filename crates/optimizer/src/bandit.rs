@@ -81,16 +81,6 @@ impl Bandit {
         self.total_pulls
     }
 
-    /// Empirical mean cost of an arm (0.0 when unpulled).
-    pub fn arm_mean(&self, arm: usize) -> f64 {
-        self.arms[arm].mean
-    }
-
-    /// Pull count of an arm.
-    pub fn arm_pulls(&self, arm: usize) -> u64 {
-        self.arms[arm].n
-    }
-
     /// Selects the next arm to pull.
     pub fn select(&self, rng: &mut (impl Rng + ?Sized)) -> usize {
         // Any never-pulled arm is tried first (uniform among them).
@@ -176,7 +166,7 @@ mod tests {
             let cost = means[arm] + rng.gen::<f64>();
             bandit.update(arm, cost);
         }
-        (0..means.len()).map(|i| bandit.arm_pulls(i)).collect()
+        bandit.arms.iter().map(|a| a.n).collect()
     }
 
     #[test]
@@ -224,7 +214,7 @@ mod tests {
     fn nan_update_ignored() {
         let mut bandit = Bandit::new(2, BanditPolicy::Thompson);
         bandit.update(0, f64::NAN);
-        assert_eq!(bandit.arm_pulls(0), 0);
+        assert_eq!(bandit.arms[0].n, 0);
         assert_eq!(bandit.total_pulls(), 0);
     }
 
@@ -235,7 +225,7 @@ mod tests {
         bandit.update(1, 2.0);
         bandit.update(2, 8.0);
         assert_eq!(bandit.greedy_arm(), 1);
-        assert_eq!(bandit.arm_mean(1), 2.0);
+        assert_eq!(bandit.arms[1].mean, 2.0);
     }
 
     #[test]

@@ -55,11 +55,6 @@ pub struct BoConfig {
     pub refit_every: usize,
     /// Surrogate family.
     pub surrogate: SurrogateChoice,
-    /// Absorb observations into the surrogate with O(n²) in-place updates
-    /// ([`Surrogate::observe`]) when possible, instead of refitting from
-    /// scratch before every suggestion. Off reproduces the historical
-    /// fit-per-suggest behavior (kept for A/B measurement; see bench E32).
-    pub incremental: bool,
 }
 
 impl Default for BoConfig {
@@ -71,7 +66,6 @@ impl Default for BoConfig {
             n_local_steps: 20,
             refit_every: 5,
             surrogate: SurrogateChoice::GaussianProcess,
-            incremental: true,
         }
     }
 }
@@ -102,6 +96,11 @@ pub struct BayesianOptimizer {
     model_liars: bool,
     /// In-place surrogate updates performed (vs. full refits).
     n_model_updates: usize,
+    /// Absorb observations into the surrogate with O(n²) in-place updates
+    /// ([`Surrogate::observe`]) when possible. Always true outside this
+    /// module's tests, which clear it to get the refit-before-every-
+    /// suggestion reference the in-place path is held bitwise equal to.
+    incremental: bool,
     /// Finite-valued observations seen (crashes excluded): the random-init
     /// phase must collect this many *informative* points. A warm start
     /// consisting purely of crash penalties gives the surrogate no
@@ -171,6 +170,7 @@ impl BayesianOptimizer {
             model_n: 0,
             model_liars: false,
             n_model_updates: 0,
+            incremental: true,
             n_finite: 0,
             tracker: BestTracker::default(),
         }
@@ -243,7 +243,7 @@ impl BayesianOptimizer {
     /// Whether the surrogate can absorb the next data point in place: the
     /// model must hold exactly a liar-free prefix of the real data.
     fn can_extend_model(&self) -> bool {
-        self.config.incremental && self.liars.is_empty() && !self.model_liars && self.model_n > 0
+        self.incremental && self.liars.is_empty() && !self.model_liars && self.model_n > 0
     }
 
     /// Refits the surrogate if new data arrived since the last fit.
@@ -589,11 +589,9 @@ mod tests {
     #[test]
     fn forest_fallback_refits_are_counted() {
         // Satellite regression: RandomForest has no incremental `observe`,
-        // so with incremental=true every post-init model sync is silently
-        // a full refit. That cost must surface in `n_refits` instead of
-        // hiding behind the incremental flag.
+        // so every post-init model sync is silently a full refit. That
+        // cost must surface in `n_refits` instead of hiding.
         let mut opt = BayesianOptimizer::smac(sphere_space());
-        assert!(opt.config.incremental);
         let mut rng = StdRng::seed_from_u64(23);
         let n_init = opt.config.n_init;
         for _ in 0..n_init + 10 {
@@ -714,13 +712,8 @@ mod tests {
         // bitwise, so the entire suggestion trajectory must match the
         // fit-per-suggest seed path while doing O(n²) updates instead.
         let run = |incremental: bool| {
-            let mut opt = BayesianOptimizer::new(
-                sphere_space(),
-                BoConfig {
-                    incremental,
-                    ..BoConfig::default()
-                },
-            );
+            let mut opt = BayesianOptimizer::gp(sphere_space());
+            opt.incremental = incremental;
             let mut rng = StdRng::seed_from_u64(77);
             let mut trace = Vec::new();
             for _ in 0..25 {

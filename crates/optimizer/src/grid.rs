@@ -17,7 +17,6 @@ use rand::RngCore;
 pub struct GridSearch {
     space: Space,
     queue: std::collections::VecDeque<Config>,
-    grid_size: usize,
     tracker: BestTracker,
 }
 
@@ -25,12 +24,9 @@ impl GridSearch {
     /// Creates a grid search with `per_dim` points per parameter axis
     /// (categoricals contribute their exact cardinality).
     pub fn new(space: Space, per_dim: usize) -> Self {
-        let grid = space.grid(per_dim);
-        let grid_size = grid.len();
         GridSearch {
+            queue: space.grid(per_dim).into(),
             space,
-            queue: grid.into(),
-            grid_size,
             tracker: BestTracker::default(),
         }
     }
@@ -42,11 +38,6 @@ impl GridSearch {
         // per_dim^d <= budget  =>  per_dim = floor(budget^(1/d))
         let per_dim = (budget.max(1) as f64).powf(1.0 / d).floor() as usize;
         GridSearch::new(space, per_dim.max(1))
-    }
-
-    /// Total number of grid points.
-    pub fn grid_size(&self) -> usize {
-        self.grid_size
     }
 
     /// Points remaining in the sweep.
@@ -92,7 +83,7 @@ mod tests {
     fn sweeps_every_grid_point_once() {
         let space = sphere_space();
         let mut opt = GridSearch::new(space, 5);
-        assert_eq!(opt.grid_size(), 25);
+        assert_eq!(opt.remaining(), 25);
         let mut rng = rand::rngs::mock::StepRng::new(0, 1);
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..25 {
@@ -126,16 +117,16 @@ mod tests {
     fn with_budget_caps_grid() {
         let opt = GridSearch::with_budget(sphere_space(), 30);
         assert!(
-            opt.grid_size() <= 30,
+            opt.remaining() <= 30,
             "grid {} exceeds budget",
-            opt.grid_size()
+            opt.remaining()
         );
-        assert!(opt.grid_size() >= 25); // 5x5 fits
+        assert!(opt.remaining() >= 25); // 5x5 fits
     }
 
     #[test]
     fn budget_smaller_than_axes_still_works() {
         let opt = GridSearch::with_budget(sphere_space(), 1);
-        assert!(opt.grid_size() >= 1);
+        assert!(opt.remaining() >= 1);
     }
 }

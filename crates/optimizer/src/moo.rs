@@ -247,13 +247,6 @@ impl ParEgo {
     }
 }
 
-/// Linear scalarization helper (tutorial slide 58's simplest option):
-/// `g(y) = Σ w_i y_i` with positive weights.
-pub fn linear_scalarize(objectives: &[f64], weights: &[f64]) -> f64 {
-    assert_eq!(objectives.len(), weights.len(), "weights must align");
-    objectives.iter().zip(weights).map(|(&o, &w)| o * w).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,11 +342,6 @@ mod tests {
         // Hypervolume should cover a solid share of the ideal front's.
         let hv = pe.front().hypervolume_2d((4.0, 4.0));
         assert!(hv > 12.0, "hypervolume {hv} too small");
-    }
-
-    #[test]
-    fn linear_scalarization() {
-        assert_eq!(linear_scalarize(&[2.0, 3.0], &[1.0, 2.0]), 8.0);
     }
 
     #[test]

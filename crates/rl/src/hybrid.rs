@@ -59,11 +59,6 @@ impl HybridBandit {
         }
     }
 
-    /// Number of distinct contexts observed so far.
-    pub fn n_scopes(&self) -> usize {
-        self.scopes.len()
-    }
-
     /// Number of arms.
     pub fn n_arms(&self) -> usize {
         self.n_arms
@@ -147,7 +142,7 @@ mod tests {
         }
         assert_eq!(hb.greedy(&oltp), 0);
         assert_eq!(hb.greedy(&etl), 1);
-        assert_eq!(hb.n_scopes(), 2);
+        assert_eq!(hb.scopes.len(), 2);
     }
 
     #[test]

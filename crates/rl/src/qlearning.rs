@@ -141,11 +141,6 @@ impl QLearning {
         self.table.config.epsilon
     }
 
-    /// Q-value accessor.
-    pub fn q_value(&self, state: usize, action: usize) -> f64 {
-        self.table.q(state, action)
-    }
-
     /// Q-learning update:
     /// `Q(s,a) += α (r + γ max_a' Q(s',a') − Q(s,a))`.
     pub fn update(
@@ -196,11 +191,6 @@ impl Sarsa {
     /// Greedy (deployment) action.
     pub fn greedy_action(&self, state: usize) -> usize {
         self.table.greedy(state)
-    }
-
-    /// Q-value accessor.
-    pub fn q_value(&self, state: usize, action: usize) -> f64 {
-        self.table.q(state, action)
     }
 
     /// SARSA update:
@@ -274,7 +264,7 @@ mod tests {
     fn q_values_respect_discounting() {
         let agent = run_chain_qlearning(500, 2);
         // Value of "right" grows as we approach the goal.
-        let q: Vec<f64> = (0..4).map(|s| agent.q_value(s, 1)).collect();
+        let q: Vec<f64> = (0..4).map(|s| agent.table.q(s, 1)).collect();
         for w in q.windows(2) {
             assert!(w[0] < w[1] + 1e-9, "Q should increase toward goal: {q:?}");
         }
@@ -350,7 +340,7 @@ mod tests {
         let after: Vec<usize> = (0..5).map(|s| agent.greedy_action(s)).collect();
         assert_eq!(before, after, "NaN reward must not change the policy");
         assert!(
-            (0..5).all(|s| (0..2).all(|a| agent.q_value(s, a).is_finite())),
+            (0..5).all(|s| (0..2).all(|a| agent.table.q(s, a).is_finite())),
             "Q table must stay finite after a NaN reward"
         );
     }
@@ -359,11 +349,11 @@ mod tests {
     fn nan_reward_is_noop_for_sarsa() {
         let mut agent = Sarsa::new(5, 2, QLearningConfig::default());
         agent.update(0, 1, 1.0, 1, 1).expect("indices in range");
-        let q = agent.q_value(0, 1);
+        let q = agent.table.q(0, 1);
         agent
             .update(0, 1, f64::NAN, 1, 1)
             .expect("indices in range");
-        assert_eq!(agent.q_value(0, 1), q);
+        assert_eq!(agent.table.q(0, 1), q);
         assert_eq!(agent.greedy_action(0), 1);
     }
 

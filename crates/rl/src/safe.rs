@@ -68,7 +68,6 @@ pub struct SafeTuner {
     /// Guardrail violations per candidate key.
     violations: BTreeMap<String, usize>,
     blacklist: std::collections::BTreeSet<String>,
-    regressions_served: usize,
 }
 
 impl SafeTuner {
@@ -80,7 +79,6 @@ impl SafeTuner {
             candidate: None,
             violations: BTreeMap::new(),
             blacklist: std::collections::BTreeSet::new(),
-            regressions_served: 0,
         }
     }
 
@@ -99,17 +97,6 @@ impl SafeTuner {
     /// The guardrail threshold candidates must stay under.
     pub fn guardrail(&self) -> f64 {
         self.baseline_cost() * (1.0 + self.config.tolerance)
-    }
-
-    /// Whether a candidate key is blacklisted.
-    pub fn is_blacklisted(&self, key: &str) -> bool {
-        self.blacklist.contains(key)
-    }
-
-    /// Total measurements that breached the guardrail (the "regressions
-    /// served to users" count reported in E24).
-    pub fn regressions_served(&self) -> usize {
-        self.regressions_served
     }
 
     /// Asks whether `key` may be evaluated at all. Admission registers the
@@ -143,7 +130,6 @@ impl SafeTuner {
         assert_eq!(current, key, "observation for a non-admitted candidate");
         let breach = !cost.is_finite() || (self.baseline.count() > 0 && cost > self.guardrail());
         if breach {
-            self.regressions_served += 1;
             let v = self.violations.entry(key.to_string()).or_insert(0);
             *v += 1;
             self.candidate = None;
@@ -199,7 +185,6 @@ mod tests {
         assert_eq!(t.observe_candidate("cfg_a", 8.2), SafeDecision::Promoted);
         // Baseline moved to the candidate's level.
         assert!(t.baseline_cost() < 9.0);
-        assert_eq!(t.regressions_served(), 0);
     }
 
     #[test]
@@ -209,9 +194,8 @@ mod tests {
         assert_eq!(t.observe_candidate("bad", 20.0), SafeDecision::Reverted);
         assert!(t.admit("bad")); // second chance
         assert_eq!(t.observe_candidate("bad", 25.0), SafeDecision::Blacklisted);
-        assert!(t.is_blacklisted("bad"));
+        assert!(t.blacklist.contains("bad"));
         assert!(!t.admit("bad"));
-        assert_eq!(t.regressions_served(), 2);
     }
 
     #[test]
@@ -230,7 +214,6 @@ mod tests {
             t.observe_candidate("crashy", f64::NAN),
             SafeDecision::Reverted
         );
-        assert_eq!(t.regressions_served(), 1);
     }
 
     #[test]

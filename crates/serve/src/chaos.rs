@@ -2,7 +2,7 @@
 //!
 //! The durability story (`durability.rs`) only counts if it survives
 //! failures *at every byte boundary*: a process killed before, during,
-//! or after a WAL append, and a worker thread panicking mid-round. This
+//! or after a WAL append, and a panic while a wave is measured. This
 //! module is the fault schedule for both, built on the same discipline
 //! as [`autotune_sim::FaultPlan`]: every decision is a pure splitmix
 //! hash of `(seed, domain, index)`, so a chaos run replays byte-for-byte
@@ -63,7 +63,7 @@ pub struct ChaosPlan {
     pub p_crash_mid_append: f64,
     /// Probability an append dies after writing, before the ack.
     pub p_crash_post_append: f64,
-    /// Probability a (round, campaign) measurement worker panics.
+    /// Probability a (round, campaign) wave measurement panics.
     pub p_worker_panic: f64,
 }
 
@@ -144,8 +144,8 @@ impl ChaosPlan {
         1 + (h as usize) % (record_len - 1)
     }
 
-    /// Whether the measurement worker servicing `campaign_id` in
-    /// scheduling round `round` panics.
+    /// Whether measuring `campaign_id`'s wave in scheduling round
+    /// `round` panics.
     pub fn worker_panics(&self, round: u64, campaign_id: u64) -> bool {
         self.unit_roll(D_PANIC, round, campaign_id) < self.p_worker_panic
     }

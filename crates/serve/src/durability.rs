@@ -70,7 +70,9 @@
 //! a segment that would not open) and carries the `io::Error` in its
 //! text.
 //!
-//! **A worker panic** is caught at the `step_round` boundary: the
+//! **A worker panic** — a panic while a campaign's wave is measured, on
+//! the thread that called `step_round`; the pool is virtual and there is
+//! no other thread — is caught at the `step_round` boundary: the
 //! suspect in-memory campaigns are discarded and rebuilt from the WAL,
 //! inside the registry that was serving them. The injected one is raised
 //! with `resume_unwind`, which never runs the panic hook, so no
@@ -247,7 +249,7 @@ impl DurableRegistry {
     }
 
     /// Arms chaos injection: WAL crash points on this handle's append
-    /// counter and worker panics inside the measurement pool.
+    /// counter and worker panics while a wave is measured.
     pub fn set_chaos(&mut self, plan: ChaosPlan) {
         self.chaos = Some(plan);
         self.registry.inject_worker_panics(plan);
@@ -371,9 +373,8 @@ impl DurableRegistry {
         }
     }
 
-    /// One registry round with worker panics caught at the pool
-    /// boundary; `Err` carries the worker's own panic payload
-    /// (`par_map_threads` re-raises it unchanged).
+    /// One registry round with worker panics caught at the round
+    /// boundary; `Err` carries the panic's own payload.
     fn guarded_round(&mut self) -> std::thread::Result<Result<(), ServeError>> {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.registry.step_round()))
     }
@@ -418,7 +419,7 @@ impl DurableRegistry {
 
     /// Discards every in-memory campaign after a worker panic and swaps
     /// in its rebuild from the WAL — quarantine-and-restart-from-snapshot
-    /// at the pool boundary. The registry stays, and with it the round
+    /// at the round boundary. The registry stays, and with it the round
     /// counter (round-keyed chaos rolls never re-fire), admission, credit
     /// and accounting. The panicked round was never acknowledged, so the
     /// rebuilt campaigns re-execute its ticks identically.
@@ -431,8 +432,8 @@ impl DurableRegistry {
         }
         self.registry
             .note_fleet_recovery(recovered.report.truncated_bytes);
-        // The campaigns whose workers panicked this round (a pure
-        // re-roll of the same chaos decision).
+        // The campaigns whose waves panicked this round (a pure re-roll
+        // of the same chaos decision).
         let round = self.registry.rounds();
         for id in self.registry.ids() {
             if self.chaos.is_some_and(|p| p.worker_panics(round, id)) {

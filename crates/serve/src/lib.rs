@@ -6,7 +6,7 @@
 //! and byte-identically resume. This crate is the layer above it, for
 //! the "autotuning as a service" deployments the tutorial surveys
 //! (SageDB-style fleets, per-tenant database tuners): many campaigns,
-//! one bounded measurement pool, fair progress for all of them.
+//! one fair scheduler, progress for all of them.
 //!
 //! Three pieces:
 //!
@@ -15,9 +15,10 @@
 //!   builds an owned `'static` campaign. Spec + snapshot is the durable
 //!   representation of a tenant's tuner.
 //! * [`CampaignRegistry`] — owns N campaigns and advances them in
-//!   deficit-round-robin rounds over a worker pool; each campaign's
-//!   history is byte-identical to running it alone, for any worker
-//!   count (see the `registry` module docs for the argument).
+//!   deficit-round-robin rounds on the calling thread (`workers` sizes
+//!   the virtual pool its makespans are booked on); each campaign's
+//!   history is byte-identical to running it alone (see the `registry`
+//!   module docs for the argument).
 //! * [`Server`]/[`Client`] — a typed request/response control protocol
 //!   (register, step, snapshot, stats, stop) over any framed byte
 //!   stream; [`pipe`] and [`spawn_server`] give an in-process deployment.

@@ -438,7 +438,7 @@ impl<S: Read + Write, B: ServeBackend> Server<S, B> {
     }
 
     /// A server with explicit per-request limits.
-    pub fn with_config(stream: S, backend: B, config: ServerConfig) -> Self {
+    fn with_config(stream: S, backend: B, config: ServerConfig) -> Self {
         Server {
             stream,
             backend,

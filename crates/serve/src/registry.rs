@@ -1,48 +1,50 @@
-//! Multi-campaign registry with fair scheduling over a bounded pool.
+//! Multi-campaign registry with fair scheduling over a virtual pool.
 //!
 //! A [`CampaignRegistry`] owns many [`Campaign`]s and advances them in
 //! *rounds* of deficit round-robin: each active campaign accrues credit
 //! every round, and once its credit covers its policy's wave capacity it
-//! is serviced — its ready wave is staged, measured, and absorbed. Waves
-//! from all serviced campaigns in a round are measured together on a
-//! bounded worker pool ([`par_map_threads`]), one worker per wave.
+//! is serviced — its ready wave is staged, measured, and absorbed. The
+//! staged waves of a round are measured one after another, in staging
+//! order, on the thread that called [`CampaignRegistry::step_round`]:
+//! the registry starts no threads.
 //!
 //! # Determinism
 //!
 //! Each campaign owns its target, so the only cross-campaign coupling is
 //! *which* waves get measured in a round — a pure function of credits and
-//! policies. Each worker measures its wave with [`measure_wave`], the
-//! same in-order function a standalone [`Campaign::tick`] uses: a noisy
-//! target's drift clock advances per evaluation, so splitting one
-//! campaign's wave across threads would make the clock order
-//! scheduling-dependent. Parallelism therefore comes from servicing
-//! *different* campaigns concurrently, which touches disjoint targets.
-//! The result: every campaign's history is byte-identical to running it
-//! alone, for any worker count and any fleet composition.
+//! policies. Each wave is measured with [`measure_wave`], the same
+//! in-order function a standalone [`Campaign::tick`] uses, and waves of
+//! different campaigns touch disjoint targets. The result: every
+//! campaign's history is byte-identical to running it alone, for any
+//! `workers` value and any fleet composition, by construction.
 //!
 //! # Virtual pool accounting
 //!
 //! Real wall-clock on the test host says little about serving capacity
 //! (and reading it is banned in library code). Instead the registry
-//! keeps a deterministic *virtual* pool model: each round, the benchmark
-//! seconds of every measured trial are assigned greedily to the
-//! least-loaded of `workers` virtual workers; the round's makespan is
-//! the maximum worker load. Serial seconds divided by summed makespans
-//! gives the pool speedup a real fleet of that size would see.
+//! keeps a deterministic *virtual* pool model, and `workers` is the size
+//! of that pool and nothing else: each round, the benchmark seconds of
+//! every measured trial are assigned greedily to the least-loaded of
+//! `workers` virtual workers; the round's makespan is the maximum worker
+//! load. Serial seconds divided by summed makespans gives the pool
+//! speedup a real fleet of that size would see. (A measurement is a
+//! simulator call of about a microsecond while `suggest`/`observe` are
+//! the milliseconds, so a real pool belongs on the seam where it can run
+//! `suggest`: ROADMAP item 4.)
 //!
 //! # Worker panics
 //!
-//! A panic inside the pool unwinds out of
-//! [`CampaignRegistry::step_round`] with the round's counter, queue
-//! activations and credit booked and none of its measurements. The
-//! durability layer catches it and swaps in each campaign's rebuild from
-//! the WAL; the registry and the rest of every entry stay, so admission,
-//! queue positions and accounting read the same after a recovery.
+//! A "worker panic" is a panic while one campaign's wave is measured. It
+//! unwinds out of [`CampaignRegistry::step_round`] with the round's
+//! counter, queue activations and credit booked and none of its
+//! measurements. The durability layer catches it and swaps in each
+//! campaign's rebuild from the WAL; the registry and the rest of every
+//! entry stay, so admission, queue positions and accounting read the
+//! same after a recovery.
 
 use crate::chaos::ChaosPlan;
 use crate::spec::CampaignSpec;
 use autotune::{measure_wave, Campaign, CampaignError, CampaignSnapshot, MetricsSnapshot};
-use autotune_linalg::par_map_threads;
 use std::collections::BTreeMap;
 
 /// Errors from registry operations.
@@ -175,7 +177,7 @@ pub struct CampaignStats {
 /// Aggregate stats for the whole registry.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct FleetStats {
-    /// Worker-pool size the registry schedules for.
+    /// Size of the virtual pool the registry books makespans on.
     pub workers: usize,
     /// Scheduling rounds executed.
     pub rounds: u64,
@@ -283,7 +285,8 @@ pub struct CampaignRegistry {
 }
 
 impl CampaignRegistry {
-    /// A registry scheduling for a pool of `workers` (clamped to ≥ 1).
+    /// A registry booking its rounds on a virtual pool of `workers`
+    /// (clamped to ≥ 1).
     pub fn new(workers: usize) -> Self {
         CampaignRegistry {
             entries: Vec::new(),
@@ -303,7 +306,7 @@ impl CampaignRegistry {
     }
 
     /// Arms deterministic worker-panic injection: each (round, campaign)
-    /// measurement job consults `plan` and may panic inside the pool.
+    /// wave consults `plan` and may panic in place of being measured.
     /// The panic propagates out of [`CampaignRegistry::step_round`]; a
     /// durability layer catches it at that boundary and swaps in
     /// campaigns rebuilt from the WAL.
@@ -483,8 +486,8 @@ impl CampaignRegistry {
 
     /// Executes one deficit-round-robin round: accrues credit, stages
     /// ready waves of every campaign whose credit covers its wave
-    /// capacity, measures all staged waves on the worker pool (one
-    /// worker per wave), and absorbs the results. Drain ticks — ticks
+    /// capacity, measures the staged waves in staging order on this
+    /// thread, and absorbs the results. Drain ticks — ticks
     /// with no live measurement, e.g. barrier completions or replay
     /// fills — are absorbed for free so a stalled campaign never blocks
     /// the fleet.
@@ -527,29 +530,21 @@ impl CampaignRegistry {
                 }
             }
         }
-        // Phase 2: measure all staged waves on the pool — one worker
-        // per wave, each through `measure_wave` (see module docs for why
-        // splitting a wave would break determinism).
-        let jobs: Vec<_> = staged
+        // Phase 2: measure the staged waves in staging order, each
+        // through `measure_wave`. Nothing is absorbed before every wave
+        // is measured, so a panic here loses the whole round.
+        let measured: Vec<Vec<autotune::Measurement>> = staged
             .iter()
             .map(|(idx, wave)| {
                 let e = &self.entries[*idx];
-                (e.id, e.campaign.target(), e.campaign.noise_strategy(), wave)
+                if let Some(plan) = self.worker_panic_plan {
+                    if plan.worker_panics(self.rounds, e.id) {
+                        chaos_worker_panic(self.rounds, e.id);
+                    }
+                }
+                measure_wave(e.campaign.target(), e.campaign.noise_strategy(), wave)
             })
             .collect();
-        let round = self.rounds;
-        let panic_plan = self.worker_panic_plan;
-        let measured: Vec<Vec<autotune::Measurement>> = par_map_threads(
-            &jobs,
-            2,
-            self.workers,
-            move |_, (id, target, strategy, wave)| {
-                if panic_plan.is_some_and(|p| p.worker_panics(round, *id)) {
-                    chaos_worker_panic(round, *id);
-                }
-                measure_wave(target, strategy, wave)
-            },
-        );
         // Phase 3: virtual-pool accounting, then absorb results in
         // staging order.
         let mut loads = vec![0.0f64; self.workers];
@@ -678,12 +673,12 @@ impl CampaignRegistry {
     }
 }
 
-/// Deterministic chaos injection for the measurement pool: rolled by
+/// Deterministic chaos injection for a wave's measurement: rolled by
 /// the armed [`ChaosPlan`] on (round, campaign id), and caught at the
 /// `step_round` boundary by the durability layer, which quarantines the
 /// in-memory campaigns and swaps in their rebuilds from the WAL. Raised
-/// with `resume_unwind`, as [`par_map_threads`] re-raises a worker's
-/// payload: that never runs the panic hook, so nothing has to silence it.
+/// with `resume_unwind`, which never runs the panic hook, so nothing has
+/// to silence it.
 fn chaos_worker_panic(round: u64, id: u64) -> ! {
     std::panic::resume_unwind(Box::new(format!(
         "chaos: injected worker panic (round {round}, campaign {id})"
@@ -828,6 +823,43 @@ mod tests {
         // A bigger pool changes makespans but not the work done.
         let (_, serial_c) = run(8);
         assert_eq!(serial_a.to_bits(), serial_c.to_bits());
+    }
+
+    #[test]
+    fn step_round_measures_on_the_callers_thread() {
+        use autotune::{OptimizerSource, Target};
+        use autotune_optimizer::RandomSearch;
+        use autotune_space::{Param, Space};
+        use std::collections::BTreeSet;
+        use std::sync::{Arc, Mutex};
+
+        let seen = Arc::new(Mutex::new(BTreeSet::new()));
+        let mut reg = CampaignRegistry::new(4);
+        for seed in 0..4 {
+            let space = Space::builder()
+                .add(Param::float("x", 0.0, 1.0))
+                .build()
+                .unwrap();
+            let seen = Arc::clone(&seen);
+            let target =
+                Target::black_box(space.clone(), Objective::MinimizeLatencyAvg, move |c| {
+                    let id = format!("{:?}", std::thread::current().id());
+                    seen.lock().unwrap().insert(id);
+                    c.get_f64("x").unwrap()
+                });
+            let source = OptimizerSource::new(Box::new(RandomSearch::new(space)), 5);
+            let campaign =
+                Campaign::new(target, Box::new(source), SchedulePolicy::Sequential, seed);
+            reg.register(format!("c{seed}"), campaign);
+        }
+        reg.run_all().unwrap();
+        assert_eq!(reg.fleet_stats().live_measurements, 20);
+        let me = format!("{:?}", std::thread::current().id());
+        assert_eq!(
+            seen.lock().unwrap().iter().collect::<Vec<_>>(),
+            [&me],
+            "a wave was measured off the thread that called step_round"
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   the cache when it completes;
 //! * misses are **single-flight per family**: concurrent tenants of the
 //!   same family share one in-flight campaign instead of stampeding the
-//!   worker pool.
+//!   registry.
 //!
 //! # Durability and replay
 //!
@@ -210,11 +210,6 @@ impl TenantRouter {
     /// Current cache counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// Campaigns admitted but not yet backfilled into the cache.
-    pub fn pending_backfills(&self) -> usize {
-        self.pending.len()
     }
 
     fn journal_op(&mut self, op: &RouterOp) -> Result<(), ServeError> {
@@ -484,7 +479,7 @@ pub fn dump_wal(
 
 /// What [`spawn_router_server`]'s thread yields on join: the final fleet
 /// and cache stats, or the error that stopped the server.
-pub type RouterServerHandle = std::thread::JoinHandle<Result<(FleetStats, CacheStats), ServeError>>;
+type RouterServerHandle = std::thread::JoinHandle<Result<(FleetStats, CacheStats), ServeError>>;
 
 /// Spawns a router server thread over an in-process pipe; the join
 /// handle yields the final fleet and cache stats. `builder` runs inside
@@ -556,7 +551,7 @@ mod tests {
         };
         assert!(enqueued);
         router.run_all().unwrap();
-        assert_eq!(router.pending_backfills(), 0);
+        assert_eq!(router.pending.len(), 0);
         let best = router.registry().stats(campaign).unwrap().best_cost;
         match router.lookup(&fp, &spec("t0", 7)).unwrap() {
             RouterLookup::Hit(hit) => {
@@ -630,7 +625,7 @@ mod tests {
             router.step_round().unwrap();
             lookups(&mut router);
         }
-        assert_eq!(router.pending_backfills(), 1);
+        assert_eq!(router.pending.len(), 1);
         let state = |r: &TenantRouter| {
             (
                 serde_json::to_string(&r.cache.snapshot()).unwrap(),
@@ -659,10 +654,10 @@ mod tests {
         router.lookup(&fp, &spec("t0", 3)).unwrap();
         // One round only: the campaign is still live, the fill pending.
         router.step_round().unwrap();
-        assert_eq!(router.pending_backfills(), 1);
+        assert_eq!(router.pending.len(), 1);
         drop(router);
         let (mut reopened, _) = TenantRouter::open(&dir, 1, WalConfig::default()).unwrap();
-        assert_eq!(reopened.pending_backfills(), 1);
+        assert_eq!(reopened.pending.len(), 1);
         // A repeat miss joins the recovered in-flight campaign.
         assert!(matches!(
             reopened.lookup(&fp, &spec("t0", 3)).unwrap(),
@@ -672,7 +667,7 @@ mod tests {
             }
         ));
         reopened.run_all().unwrap();
-        assert_eq!(reopened.pending_backfills(), 0);
+        assert_eq!(reopened.pending.len(), 0);
         assert!(matches!(
             reopened.lookup(&fp, &spec("t0", 3)).unwrap(),
             RouterLookup::Hit(_)
@@ -705,7 +700,7 @@ mod tests {
         // admission, so the replayed model matches the live one.
         let (reopened, _) = TenantRouter::open(&dir, 1, WalConfig::default()).unwrap();
         assert_eq!(reopened.cache_stats().families, families_live);
-        assert_eq!(reopened.pending_backfills(), 1, "only the admitted miss");
+        assert_eq!(reopened.pending.len(), 1, "only the admitted miss");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -130,20 +130,6 @@ impl CloudNoise {
         };
         machine.base_factor * drift * spike
     }
-
-    /// Identifies statistical outlier machines (factor beyond
-    /// `threshold` standard deviations of the fleet). TUNA's outlier
-    /// filtering step.
-    pub fn outlier_machines(&self, threshold: f64) -> Vec<usize> {
-        let factors: Vec<f64> = self.machines.iter().map(|m| m.base_factor).collect();
-        let mean = autotune_linalg::stats::mean(&factors);
-        let sd = autotune_linalg::stats::std_dev(&factors).max(1e-12);
-        self.machines
-            .iter()
-            .filter(|m| ((m.base_factor - mean) / sd).abs() > threshold)
-            .map(|m| m.id)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -222,21 +208,6 @@ mod tests {
         assert!(
             (50..600).contains(&spiked),
             "spike frequency off: {spiked}/2000"
-        );
-    }
-
-    #[test]
-    fn outlier_detection_finds_planted_outlier() {
-        let mut fleet = CloudNoise::new_fleet(20, NoiseConfig::default(), 8);
-        fleet.machines[7].base_factor = 3.0; // plant a lemon
-        let outliers = fleet.outlier_machines(2.5);
-        assert!(
-            outliers.contains(&7),
-            "planted outlier not found: {outliers:?}"
-        );
-        assert!(
-            outliers.len() <= 3,
-            "too many false positives: {outliers:?}"
         );
     }
 }

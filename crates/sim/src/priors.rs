@@ -76,27 +76,6 @@ pub fn dbms_manual_hints(env: &Environment) -> Vec<KnobHint> {
     ]
 }
 
-/// Hints for the Redis simulator (the scheduler-knob running example).
-pub fn redis_manual_hints() -> Vec<KnobHint> {
-    vec![
-        KnobHint {
-            knob: "sched_migration_cost_ns".into(),
-            // Community wisdom: well below the kernel default of 500µs.
-            range01: (0.1, 0.7),
-            prior01: Some((0.4, 0.2)),
-            importance_rank: 1,
-            rationale: "raising migration cost pins the event loop; the sweet spot is 10-100µs",
-        },
-        KnobHint {
-            knob: "io_threads".into(),
-            range01: (0.0, 0.6),
-            prior01: None,
-            importance_rank: 2,
-            rationale: "io-threads up to the core count; more threads thrash",
-        },
-    ]
-}
-
 /// Applies hints to a space: narrows numeric ranges to the biased
 /// sub-range and installs the priors. Unhinted knobs pass through
 /// untouched, so the tuner can still correct a wrong manual.
@@ -166,7 +145,7 @@ fn narrow_param(mut param: Param, hint: &KnobHint) -> Param {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DbmsSim, RedisSim, SimSystem};
+    use crate::{DbmsSim, SimSystem};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -215,23 +194,6 @@ mod tests {
         let orig_qc = orig.space().param("query_cache").expect("exists");
         let new_qc = space.param("query_cache").expect("exists");
         assert_eq!(orig_qc.domain, new_qc.domain);
-    }
-
-    #[test]
-    fn redis_hint_excludes_kernel_default_region() {
-        let hints = redis_manual_hints();
-        let space = apply_hints(RedisSim::new().space(), &hints);
-        let p = space.param("sched_migration_cost_ns").expect("exists");
-        // The hinted range caps well below the 1e6 upper bound.
-        match &p.domain {
-            autotune_space::Domain::Float { high, .. } => {
-                assert!(
-                    *high < 500_000.0,
-                    "hint should exclude the slow region: {high}"
-                )
-            }
-            other => panic!("unexpected domain {other:?}"),
-        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use autotune_space::{Config, Param, Space};
 use rand::RngCore;
 
 /// The kernel default for `sched_migration_cost_ns`.
-pub const KERNEL_DEFAULT_MIGRATION_COST: f64 = 500_000.0;
+const KERNEL_DEFAULT_MIGRATION_COST: f64 = 500_000.0;
 
 /// Simulated Redis + Linux scheduler.
 #[derive(Debug)]
@@ -51,11 +51,6 @@ impl RedisSim {
             space,
             optimum_ns: 25_000.0,
         }
-    }
-
-    /// The knob value the surface is calibrated to favour.
-    pub fn optimum_ns(&self) -> f64 {
-        self.optimum_ns
     }
 
     /// Analytic P95 penalty multiplier from the scheduler knob: a smooth
@@ -171,7 +166,7 @@ mod tests {
     fn optimum_beats_default_by_tutorial_margin() {
         let sim = RedisSim::new();
         let default = p95_at(&sim, KERNEL_DEFAULT_MIGRATION_COST, 1);
-        let tuned = p95_at(&sim, sim.optimum_ns(), 2);
+        let tuned = p95_at(&sim, sim.optimum_ns, 2);
         let reduction = 1.0 - tuned / default;
         // Slide 10: "68 % reduction in P95 latency". Accept 40-85 %.
         assert!(
@@ -184,7 +179,7 @@ mod tests {
     fn surface_is_a_valley_in_log_space() {
         let sim = RedisSim::new();
         let low = p95_at(&sim, 2_000.0, 3);
-        let opt = p95_at(&sim, sim.optimum_ns(), 4);
+        let opt = p95_at(&sim, sim.optimum_ns, 4);
         let high = p95_at(&sim, 900_000.0, 5);
         assert!(opt < low, "optimum {opt} should beat too-low {low}");
         assert!(opt < high, "optimum {opt} should beat too-high {high}");
@@ -194,7 +189,7 @@ mod tests {
     fn zero_special_value_is_pathological() {
         let sim = RedisSim::new();
         let zero = p95_at(&sim, 0.0, 6);
-        let opt = p95_at(&sim, sim.optimum_ns(), 7);
+        let opt = p95_at(&sim, sim.optimum_ns, 7);
         assert!(
             zero > 2.0 * opt,
             "always-migrate {zero} should be awful vs {opt}"

@@ -160,12 +160,6 @@ impl Workload {
         self
     }
 
-    /// Builder-style offered-load override.
-    pub fn at_rate(mut self, offered_ops: f64) -> Self {
-        self.offered_ops = offered_ops;
-        self
-    }
-
     /// Effective working-set size after scaling, GiB.
     pub fn effective_working_set_gb(&self) -> f64 {
         self.working_set_gb * self.scale_factor
@@ -223,17 +217,6 @@ impl WorkloadSchedule {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Step indices at which the workload changes.
-    pub fn shift_points(&self) -> Vec<usize> {
-        let mut points = Vec::new();
-        let mut acc = 0;
-        for (n, _) in &self.phases[..self.phases.len() - 1] {
-            acc += n;
-            points.push(acc);
-        }
-        points
-    }
 }
 
 #[cfg(test)]
@@ -275,7 +258,6 @@ mod tests {
         assert_eq!(s.at(15).kind, WorkloadKind::Tpch);
         // Past the end: final phase persists.
         assert_eq!(s.at(999).kind, WorkloadKind::Tpch);
-        assert_eq!(s.shift_points(), vec![10, 15]);
     }
 
     #[test]

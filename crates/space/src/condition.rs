@@ -33,19 +33,6 @@ impl Condition {
         }
     }
 
-    /// `child` is active when `parent` is any of `values`.
-    pub fn any_of(
-        child: impl Into<String>,
-        parent: impl Into<String>,
-        values: impl IntoIterator<Item = Value>,
-    ) -> Self {
-        Condition {
-            child: child.into(),
-            parent: parent.into(),
-            active_when: values.into_iter().collect(),
-        }
-    }
-
     /// Whether this condition is satisfied under `config` (i.e. whether the
     /// child should be active). A missing parent counts as inactive: the
     /// parent itself may be a deactivated conditional.
@@ -73,17 +60,5 @@ mod tests {
     fn missing_parent_is_inactive() {
         let c = Condition::equals("child", "parent", "x");
         assert!(!c.is_active(&Config::new()));
-    }
-
-    #[test]
-    fn any_of_activation() {
-        let c = Condition::any_of(
-            "sync_knob",
-            "flush",
-            [Value::Cat("fsync".into()), Value::Cat("O_DSYNC".into())],
-        );
-        assert!(c.is_active(&Config::new().with("flush", "fsync")));
-        assert!(c.is_active(&Config::new().with("flush", "O_DSYNC")));
-        assert!(!c.is_active(&Config::new().with("flush", "O_DIRECT")));
     }
 }

@@ -42,7 +42,7 @@ impl Value {
     }
 
     /// The boolean, if this is a boolean value.
-    pub fn as_bool(&self) -> Option<bool> {
+    fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),
             _ => None,

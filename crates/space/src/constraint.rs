@@ -3,18 +3,17 @@
 //! Two flavours, matching the tutorial's taxonomy:
 //!
 //! * *algebraic* constraints with a known closed form (linear combinations
-//!   and ratios of numeric knobs) — these are serializable, cheap, and the
-//!   sampler can reject against them before a trial is ever scheduled;
+//!   and ratios of numeric knobs) — cheap, and the sampler can reject
+//!   against them before a trial is ever scheduled;
 //! * *black-box* constraints evaluated by arbitrary user code (SCBO-style),
-//!   carried as an `Arc<dyn Fn>` — not serializable, but clonable.
+//!   carried as an `Arc<dyn Fn>`.
 
 use crate::Config;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// An algebraic constraint over numeric parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum AlgebraicConstraint {
+/// A constraint attached to a [`crate::Space`].
+#[derive(Clone)]
+pub enum Constraint {
     /// `sum_i coeff_i * value(param_i) <= bound`.
     LinearLe {
         /// `(parameter name, coefficient)` pairs.
@@ -34,41 +33,6 @@ pub enum AlgebraicConstraint {
         /// Allowed ratio.
         bound: f64,
     },
-}
-
-impl AlgebraicConstraint {
-    /// Evaluates the constraint under `config`. Parameters that are missing
-    /// or non-numeric make the constraint pass vacuously: an inactive
-    /// conditional knob cannot violate a constraint about it.
-    pub fn is_satisfied(&self, config: &Config) -> bool {
-        match self {
-            AlgebraicConstraint::LinearLe { terms, bound } => {
-                let mut total = 0.0;
-                for (name, coeff) in terms {
-                    match config.get_f64(name) {
-                        Some(v) => total += coeff * v,
-                        None => return true,
-                    }
-                }
-                total <= *bound + 1e-12
-            }
-            AlgebraicConstraint::RatioLe {
-                numerator,
-                denominator,
-                bound,
-            } => match (config.get_f64(numerator), config.get_f64(denominator)) {
-                (Some(n), Some(d)) => n <= bound * d + 1e-12,
-                _ => true,
-            },
-        }
-    }
-}
-
-/// A constraint attached to a [`crate::Space`].
-#[derive(Clone)]
-pub enum Constraint {
-    /// Closed-form constraint (serializable, sampler-visible).
-    Algebraic(AlgebraicConstraint),
     /// Arbitrary predicate; `true` means feasible. The label is used in
     /// diagnostics.
     BlackBox {
@@ -82,19 +46,19 @@ pub enum Constraint {
 impl Constraint {
     /// `sum_i coeff_i * param_i <= bound`.
     pub fn linear_le(terms: &[(&str, f64)], bound: f64) -> Self {
-        Constraint::Algebraic(AlgebraicConstraint::LinearLe {
+        Constraint::LinearLe {
             terms: terms.iter().map(|(n, c)| (n.to_string(), *c)).collect(),
             bound,
-        })
+        }
     }
 
     /// `numerator <= bound * denominator`.
     pub fn ratio_le(numerator: &str, denominator: &str, bound: f64) -> Self {
-        Constraint::Algebraic(AlgebraicConstraint::RatioLe {
+        Constraint::RatioLe {
             numerator: numerator.to_string(),
             denominator: denominator.to_string(),
             bound,
-        })
+        }
     }
 
     /// A black-box feasibility predicate.
@@ -108,10 +72,29 @@ impl Constraint {
         }
     }
 
-    /// Evaluates the constraint under `config`.
+    /// Evaluates the constraint under `config`. Parameters of a closed-form
+    /// constraint that are missing or non-numeric make it pass vacuously:
+    /// an inactive conditional knob cannot violate a constraint about it.
     pub fn is_satisfied(&self, config: &Config) -> bool {
         match self {
-            Constraint::Algebraic(a) => a.is_satisfied(config),
+            Constraint::LinearLe { terms, bound } => {
+                let mut total = 0.0;
+                for (name, coeff) in terms {
+                    match config.get_f64(name) {
+                        Some(v) => total += coeff * v,
+                        None => return true,
+                    }
+                }
+                total <= *bound + 1e-12
+            }
+            Constraint::RatioLe {
+                numerator,
+                denominator,
+                bound,
+            } => match (config.get_f64(numerator), config.get_f64(denominator)) {
+                (Some(n), Some(d)) => n <= bound * d + 1e-12,
+                _ => true,
+            },
             Constraint::BlackBox { predicate, .. } => predicate(config),
         }
     }
@@ -119,15 +102,15 @@ impl Constraint {
     /// Diagnostic label.
     pub fn label(&self) -> String {
         match self {
-            Constraint::Algebraic(AlgebraicConstraint::LinearLe { terms, bound }) => {
+            Constraint::LinearLe { terms, bound } => {
                 let lhs: Vec<String> = terms.iter().map(|(n, c)| format!("{c}*{n}")).collect();
                 format!("{} <= {bound}", lhs.join(" + "))
             }
-            Constraint::Algebraic(AlgebraicConstraint::RatioLe {
+            Constraint::RatioLe {
                 numerator,
                 denominator,
                 bound,
-            }) => format!("{numerator} <= {bound}*{denominator}"),
+            } => format!("{numerator} <= {bound}*{denominator}"),
             Constraint::BlackBox { label, .. } => label.clone(),
         }
     }

@@ -57,12 +57,15 @@ impl Domain {
         }
     }
 
-    /// Number of distinct values, if finite.
+    /// Number of distinct values, if finite and small enough to count in
+    /// a `u64` (the full `i64` range holds one more than `u64::MAX`).
     pub fn cardinality(&self) -> Option<u64> {
         match self {
             Domain::Float { .. } => None,
-            Domain::Int { low, high, .. } => Some((high - low + 1) as u64),
-            Domain::Quantized { low, high, step } => Some(((high - low) / step).floor() as u64 + 1),
+            Domain::Int { low, high, .. } => high.abs_diff(*low).checked_add(1),
+            Domain::Quantized { low, high, step } => {
+                (((high - low) / step).floor() as u64).checked_add(1)
+            }
             Domain::Categorical { choices } => Some(choices.len() as u64),
             Domain::Bool => Some(2),
         }
@@ -423,6 +426,12 @@ impl Param {
 
 /// Maps a numeric `x` in `[low, high]` to `[0,1]`, optionally via log space.
 fn numeric_to_unit(x: f64, low: f64, high: f64, log: bool) -> f64 {
+    if high <= low {
+        // A one-value domain (`Param::int(name, k, k)`) has one position,
+        // as a one-choice categorical does; dividing by its zero width
+        // would hand the surrogate a NaN.
+        return 0.0;
+    }
     if log {
         let (l, h, x) = (low.ln(), high.ln(), x.max(low).ln());
         (x - l) / (h - l)

@@ -1,7 +1,7 @@
 //! The configuration space: a validated set of parameters plus conditional
 //! structure and constraints, with the encodings optimizers consume.
 
-use crate::{Condition, Config, Constraint, Domain, Param, SpaceError, Value};
+use crate::{Condition, Config, Constraint, Domain, Param, SpaceError};
 use rand::Rng;
 use std::collections::BTreeMap;
 
@@ -173,14 +173,6 @@ impl Space {
             .all(|c| c.is_active(config) && self.is_active(&c.parent, config))
     }
 
-    /// Names of the parameters active under `config`, in declaration order.
-    pub fn active_params(&self, config: &Config) -> Vec<&Param> {
-        self.params
-            .iter()
-            .filter(|p| self.is_active(&p.name, config))
-            .collect()
-    }
-
     /// Validates a configuration: every *active* parameter must be present
     /// and in range; inactive or unknown assignments are rejected.
     pub fn validate_config(&self, config: &Config) -> crate::Result<()> {
@@ -206,15 +198,6 @@ impl Space {
         self.constraints.iter().all(|c| c.is_satisfied(config))
     }
 
-    /// Labels of the constraints `config` violates.
-    pub fn violated_constraints(&self, config: &Config) -> Vec<String> {
-        self.constraints
-            .iter()
-            .filter(|c| !c.is_satisfied(config))
-            .map(|c| c.label())
-            .collect()
-    }
-
     /// Samples a random configuration respecting priors and conditional
     /// structure. Constraints are enforced by rejection (up to 1000
     /// attempts), after which the last sample is returned regardless — a
@@ -231,7 +214,7 @@ impl Space {
 
     /// Samples ignoring constraints (but honouring conditional structure:
     /// inactive parameters are simply absent).
-    pub fn sample_unconstrained(&self, rng: &mut impl Rng) -> Config {
+    fn sample_unconstrained(&self, rng: &mut impl Rng) -> Config {
         let mut config = Config::new();
         for &i in &self.topo_order {
             let p = &self.params[i];
@@ -302,45 +285,6 @@ impl Space {
             }
         }
         Ok(out)
-    }
-
-    /// Decodes a one-hot vector (inverse of [`Space::encode_onehot`];
-    /// categorical groups decode by argmax).
-    pub fn decode_onehot(&self, x: &[f64]) -> crate::Result<Config> {
-        if x.len() != self.onehot_dim() {
-            return Err(SpaceError::EncodingLength {
-                expected: self.onehot_dim(),
-                actual: x.len(),
-            });
-        }
-        let mut config = Config::new();
-        let mut offset = 0;
-        for p in &self.params {
-            match &p.domain {
-                Domain::Categorical { choices } => {
-                    let group = &x[offset..offset + choices.len()];
-                    let best = group
-                        .iter()
-                        .enumerate()
-                        .max_by(|a, b| a.1.total_cmp(b.1))
-                        .map(|(i, _)| i)
-                        .unwrap_or(0);
-                    config.set(p.name.clone(), Value::Cat(choices[best].clone()));
-                    offset += choices.len();
-                }
-                _ => {
-                    config.set(p.name.clone(), p.from_unit(x[offset]));
-                    offset += 1;
-                }
-            }
-        }
-        for &i in &self.topo_order {
-            let name = &self.params[i].name;
-            if !self.is_active(name, &config) {
-                config.remove(name);
-            }
-        }
-        Ok(config)
     }
 
     /// A full-factorial grid with `per_dim` points per parameter
@@ -550,9 +494,6 @@ mod tests {
         let x = space.encode_onehot(&c).unwrap();
         assert_eq!(x.len(), 6);
         assert_eq!(&x[3..], &[0.0, 0.0, 1.0]);
-        let back = space.decode_onehot(&x).unwrap();
-        assert_eq!(back.get_str("wal_sync"), Some("open_sync"));
-        assert_eq!(back.get_bool("jit"), Some(true));
     }
 
     #[test]
@@ -624,6 +565,53 @@ mod tests {
     }
 
     #[test]
+    fn cardinality_and_grid_survive_the_full_integer_range() {
+        let whole = Domain::Int {
+            low: i64::MIN,
+            high: i64::MAX,
+            log: false,
+        };
+        assert_eq!(whole.cardinality(), None, "2^64 values do not fit a u64");
+        let almost = Domain::Int {
+            low: i64::MIN + 1,
+            high: i64::MAX,
+            log: false,
+        };
+        assert_eq!(almost.cardinality(), Some(u64::MAX));
+        let tiny_steps = Domain::Quantized {
+            low: 0.0,
+            high: 1e300,
+            step: 1e-300,
+        };
+        assert_eq!(tiny_steps.cardinality(), None);
+        let space = Space::builder()
+            .add(Param::int("n", i64::MIN, i64::MAX))
+            .build()
+            .unwrap();
+        let grid = space.grid(3);
+        let ns: Vec<i64> = grid.iter().map(|c| c.get_i64("n").unwrap()).collect();
+        assert_eq!(ns, [i64::MIN, 0, i64::MAX]);
+    }
+
+    #[test]
+    fn one_value_numeric_domain_encodes_to_zero_not_nan() {
+        let space = Space::builder()
+            .add(Param::int("fixed", 7, 7))
+            .add(Param::int("fixed_log", 3, 3).log_scale())
+            .add(Param::float("x", 0.0, 1.0))
+            .build()
+            .unwrap();
+        let d = space.default_config();
+        assert_eq!(space.encode_unit(&d).unwrap(), [0.0, 0.0, 0.5]);
+        assert_eq!(space.encode_onehot(&d).unwrap(), [0.0, 0.0, 0.5]);
+        for u in [0.0, 0.3, 1.0] {
+            let back = space.decode_unit(&[u, u, 0.5]).unwrap();
+            assert_eq!(back, d, "decoded from {u}");
+            assert_eq!(space.encode_unit(&back).unwrap(), [0.0, 0.0, 0.5]);
+        }
+    }
+
+    #[test]
     fn neighbor_changes_something_and_stays_feasible() {
         let space = pg_like_space();
         let mut rng = StdRng::seed_from_u64(9);
@@ -655,10 +643,6 @@ mod tests {
         let space = pg_like_space();
         assert!(matches!(
             space.decode_unit(&[0.5]),
-            Err(SpaceError::EncodingLength { .. })
-        ));
-        assert!(matches!(
-            space.decode_onehot(&[0.5; 2]),
             Err(SpaceError::EncodingLength { .. })
         ));
     }

@@ -240,12 +240,6 @@ impl RandomForest {
     pub fn default_forest() -> Self {
         RandomForest::new(RandomForestConfig::default())
     }
-
-    /// Per-tree predictions at `x` (useful for Thompson-style sampling:
-    /// pick one tree's opinion at random).
-    pub fn tree_predictions(&self, x: &[f64]) -> Vec<f64> {
-        self.trees.iter().map(|t| t.predict(x).0).collect()
-    }
 }
 
 impl Surrogate for RandomForest {
@@ -382,18 +376,6 @@ mod tests {
         let p = rf.predict(&[4.5]);
         assert!((p.mean - 3.0).abs() < 1e-9);
         assert!(p.variance < 1e-9);
-    }
-
-    #[test]
-    fn tree_predictions_expose_ensemble_spread() {
-        let (xs, ys) = step_data();
-        let mut rf = RandomForest::default_forest();
-        rf.fit(&xs, &ys).unwrap();
-        let preds = rf.tree_predictions(&[0.5]);
-        assert_eq!(preds.len(), rf.config.n_trees);
-        // Boundary point: trees should disagree.
-        let spread = autotune_linalg::stats::std_dev(&preds);
-        assert!(spread > 0.0);
     }
 
     #[test]

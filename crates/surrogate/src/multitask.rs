@@ -68,11 +68,6 @@ impl MultiTaskGp {
         self.rho
     }
 
-    /// Number of observations in the fit.
-    pub fn n_obs(&self) -> usize {
-        self.obs.len()
-    }
-
     /// Task-similarity entry `B[i,j]`.
     fn b(&self, i: usize, j: usize) -> f64 {
         if i == j {
@@ -408,7 +403,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(inc.n_obs(), full.n_obs());
+        assert_eq!(inc.obs.len(), full.obs.len());
     }
 
     #[test]
@@ -420,7 +415,7 @@ mod tests {
             y: 3.0,
         })
         .unwrap();
-        assert_eq!(mt.n_obs(), 1);
+        assert_eq!(mt.obs.len(), 1);
         let p = mt.predict(0, &[0.2]);
         assert!((p.mean - 3.0).abs() < 0.1, "mean {}", p.mean);
     }
@@ -436,7 +431,7 @@ mod tests {
             })
             .unwrap();
         }
-        assert_eq!(mt.n_obs(), 3);
+        assert_eq!(mt.obs.len(), 3);
         let p = mt.predict(0, &[0.5]);
         assert!((p.mean - 1.0).abs() < 0.1);
     }
@@ -468,7 +463,7 @@ mod tests {
                 y: f64::NAN,
             })
             .is_err());
-        assert_eq!(mt.n_obs(), obs.len());
+        assert_eq!(mt.obs.len(), obs.len());
         assert_eq!(mt.predict(1, &[0.4]), before);
     }
 

@@ -27,7 +27,7 @@
 //! as running sums — no O(n) pass per observe.
 
 use crate::{check_training_set, Kernel, Prediction, Result, Surrogate, SurrogateError};
-use autotune_linalg::{Cholesky, Matrix, DEFAULT_BLOCK};
+use autotune_linalg::{Cholesky, Matrix};
 
 /// Configuration for [`SparseGaussianProcess`].
 #[derive(Debug, Clone)]
@@ -124,11 +124,6 @@ impl SparseGaussianProcess {
     /// The kernel currently in use.
     pub fn kernel(&self) -> &dyn Kernel {
         self.kernel.as_ref()
-    }
-
-    /// Number of inducing points in the current fit.
-    pub fn n_inducing(&self) -> usize {
-        self.fit.as_ref().map_or(0, |fit| fit.z.len())
     }
 
     /// Standardization moments from the running sums. With fewer than two
@@ -232,8 +227,7 @@ impl SparseGaussianProcess {
             }
         }
         kmm.add_diag(self.config.jitter.max(1e-12));
-        let kmm_chol = Cholesky::new_blocked(&kmm, DEFAULT_BLOCK)
-            .map_err(|_| SurrogateError::NumericalFailure)?;
+        let kmm_chol = Cholesky::new_blocked(&kmm).map_err(|_| SurrogateError::NumericalFailure)?;
         // A starts as σ²(K_mm + jitter·I); the data term streams in chunks
         // so a 100k-point rebuild never materializes an m×n matrix.
         let mut a = kmm.scale(self.config.noise.max(1e-12));
@@ -246,7 +240,7 @@ impl SparseGaussianProcess {
                 self.kernel.eval(&z[p], &self.xs[start + r])
             });
             a = a
-                .add(&g.syrk_blocked(DEFAULT_BLOCK))
+                .add(&g.syrk_blocked())
                 .map_err(|_| SurrogateError::NumericalFailure)?;
             for r in 0..end - start {
                 let y = self.y_raw[start + r];
@@ -256,8 +250,7 @@ impl SparseGaussianProcess {
                 }
             }
         }
-        let a_chol = Cholesky::new_blocked(&a, DEFAULT_BLOCK)
-            .map_err(|_| SurrogateError::NumericalFailure)?;
+        let a_chol = Cholesky::new_blocked(&a).map_err(|_| SurrogateError::NumericalFailure)?;
         let (mean, std) = self.moments();
         let b_std: Vec<f64> = b_raw
             .iter()
@@ -455,7 +448,7 @@ mod tests {
         let (xs, ys) = grid_data(200);
         let mut sp = sparse(24);
         sp.fit(&xs, &ys).unwrap();
-        assert_eq!(sp.n_inducing(), 24);
+        assert_eq!(sp.fit.as_ref().map_or(0, |fit| fit.z.len()), 24);
         for q in [[0.25f64, 0.3], [0.6, 0.8]] {
             let truth = (4.0 * q[0]).sin() + 0.5 * q[1] + 2.0;
             let p = sp.predict(&q);
@@ -512,7 +505,7 @@ mod tests {
         assert_eq!(sp.n_train(), 0);
         sp.observe(&[0.5, 0.5], 3.0).unwrap();
         assert_eq!(sp.n_train(), 1);
-        assert_eq!(sp.n_inducing(), 1);
+        assert_eq!(sp.fit.as_ref().map_or(0, |fit| fit.z.len()), 1);
         let p = sp.predict(&[0.5, 0.5]);
         assert!((p.mean - 3.0).abs() < 0.5, "mean {}", p.mean);
     }

@@ -123,11 +123,6 @@ impl TrustRegionSurrogate {
         self.radius
     }
 
-    /// Number of points in the current local model.
-    pub fn n_local(&self) -> usize {
-        self.local.n_train()
-    }
-
     /// L∞ distance between two points.
     fn linf(a: &[f64], b: &[f64]) -> f64 {
         a.iter()
@@ -424,9 +419,9 @@ mod tests {
         }
         assert_eq!(s.n_train(), 200);
         assert!(
-            s.n_local() <= 16,
+            s.local.n_train() <= 16,
             "local model has {} points (cap 16)",
-            s.n_local()
+            s.local.n_train()
         );
     }
 
@@ -447,7 +442,7 @@ mod tests {
         // The local model now centers on (0.1, 0.1); the old cluster is
         // outside the 0.1-radius region, so the local set collapses to the
         // new incumbent.
-        assert_eq!(s.n_local(), 1);
+        assert_eq!(s.local.n_train(), 1);
         let p = s.predict(&[0.1, 0.1]);
         assert!((p.mean - 1.0).abs() < 0.2, "mean {}", p.mean);
     }
@@ -509,6 +504,6 @@ mod tests {
         let ys: Vec<f64> = xs.iter().map(|x| sphere(x)).collect();
         s.fit(&xs, &ys).unwrap();
         assert_eq!(s.n_train(), 5);
-        assert!(s.n_local() <= 5);
+        assert!(s.local.n_train() <= 5);
     }
 }

@@ -29,7 +29,6 @@ pub enum EmbedderKind {
 #[derive(Debug)]
 pub struct Embedder {
     kind: EmbedderKind,
-    out_dim: usize,
     /// Per-feature mean for standardization.
     mean: Vec<f64>,
     /// Per-feature standard deviation (>= epsilon).
@@ -110,17 +109,11 @@ impl Embedder {
         };
         Ok(Embedder {
             kind,
-            out_dim,
             mean,
             std,
             pca,
             projection,
         })
-    }
-
-    /// The embedding dimensionality.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
     }
 
     /// Which method backs this embedder.
@@ -261,6 +254,6 @@ mod tests {
     fn out_dim_clamped_to_features() {
         let (corpus, _) = two_family_corpus(5, 5);
         let emb = Embedder::fit(&corpus, 100, EmbedderKind::Pca).unwrap();
-        assert_eq!(emb.out_dim(), 6);
+        assert_eq!(emb.embed(&corpus[0]).unwrap().len(), 6);
     }
 }

@@ -47,26 +47,6 @@ impl Fingerprint {
         autotune_linalg::squared_distance(&self.features, &other.features).sqrt()
     }
 
-    /// Cosine similarity to another fingerprint (1 = identical direction).
-    pub fn cosine_similarity(&self, other: &Fingerprint) -> f64 {
-        assert_eq!(self.dim(), other.dim(), "fingerprint dimension mismatch");
-        let dot = autotune_linalg::dot(&self.features, &other.features);
-        let na = autotune_linalg::norm2(&self.features);
-        let nb = autotune_linalg::norm2(&other.features);
-        if na <= 0.0 || nb <= 0.0 {
-            0.0
-        } else {
-            dot / (na * nb)
-        }
-    }
-
-    /// RBF kernel similarity `exp(-d² / 2l²)` — the "kernel function"
-    /// between workloads the tutorial mentions (slide 89).
-    pub fn kernel_similarity(&self, other: &Fingerprint, lengthscale: f64) -> f64 {
-        let d2 = autotune_linalg::squared_distance(&self.features, &other.features);
-        (-d2 / (2.0 * lengthscale * lengthscale)).exp()
-    }
-
     /// Averages several fingerprints (centroid of repeated observations of
     /// the same workload).
     pub fn mean_of(prints: &[Fingerprint]) -> Option<Fingerprint> {
@@ -99,27 +79,6 @@ mod tests {
         assert_eq!(a.distance(&b), 5.0);
         assert_eq!(b.distance(&a), 5.0);
         assert_eq!(a.distance(&a), 0.0);
-    }
-
-    #[test]
-    fn cosine_similarity_bounds() {
-        let a = fp(&[1.0, 0.0]);
-        let b = fp(&[2.0, 0.0]);
-        let c = fp(&[0.0, 1.0]);
-        let d = fp(&[-1.0, 0.0]);
-        assert!((a.cosine_similarity(&b) - 1.0).abs() < 1e-12);
-        assert!(a.cosine_similarity(&c).abs() < 1e-12);
-        assert!((a.cosine_similarity(&d) + 1.0).abs() < 1e-12);
-        assert_eq!(a.cosine_similarity(&fp(&[0.0, 0.0])), 0.0);
-    }
-
-    #[test]
-    fn kernel_similarity_decays() {
-        let a = fp(&[0.0]);
-        assert!((a.kernel_similarity(&fp(&[0.0]), 1.0) - 1.0).abs() < 1e-12);
-        let near = a.kernel_similarity(&fp(&[0.5]), 1.0);
-        let far = a.kernel_similarity(&fp(&[3.0]), 1.0);
-        assert!(near > far && far > 0.0);
     }
 
     #[test]

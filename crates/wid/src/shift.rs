@@ -68,11 +68,6 @@ impl ShiftDetector {
         &self.shifts
     }
 
-    /// Current CUSUM statistic (diagnostic).
-    pub fn cusum(&self) -> f64 {
-        self.cusum
-    }
-
     /// Feeds one embedding; returns `true` when a shift is declared at
     /// this step.
     pub fn observe(&mut self, embedding: &[f64]) -> bool {

@@ -65,30 +65,6 @@ impl ConfigStore {
             })
             .min_by(|a, b| a.1.total_cmp(&b.1))
     }
-
-    /// Recommends a configuration for a new workload: `Some` when the
-    /// nearest stored workload is within `max_distance`.
-    pub fn recommend(&self, embedding: &[f64], max_distance: f64) -> Option<&StoredConfig> {
-        self.nearest(embedding)
-            .filter(|(_, d)| *d <= max_distance)
-            .map(|(e, _)| e)
-    }
-
-    /// The `k` nearest entries, closest first — warm-start donors for a
-    /// fresh optimization.
-    pub fn k_nearest(&self, embedding: &[f64], k: usize) -> Vec<(&StoredConfig, f64)> {
-        let mut scored: Vec<(&StoredConfig, f64)> = self
-            .entries
-            .iter()
-            .map(|e| {
-                let d = autotune_linalg::squared_distance(&e.embedding, embedding).sqrt();
-                (e, d)
-            })
-            .collect();
-        scored.sort_by(|a, b| a.1.total_cmp(&b.1));
-        scored.truncate(k);
-        scored
-    }
 }
 
 #[cfg(test)]
@@ -115,32 +91,9 @@ mod tests {
     }
 
     #[test]
-    fn recommend_respects_distance_gate() {
-        let mut store = ConfigStore::new();
-        store.insert(entry("oltp", &[0.0, 0.0], 1.0));
-        assert!(store.recommend(&[0.5, 0.0], 1.0).is_some());
-        assert!(store.recommend(&[5.0, 0.0], 1.0).is_none());
-    }
-
-    #[test]
-    fn k_nearest_ordered() {
-        let mut store = ConfigStore::new();
-        store.insert(entry("a", &[0.0], 1.0));
-        store.insert(entry("b", &[2.0], 1.0));
-        store.insert(entry("c", &[5.0], 1.0));
-        let near = store.k_nearest(&[1.0], 2);
-        assert_eq!(near.len(), 2);
-        assert_eq!(near[0].0.label, "a");
-        assert_eq!(near[1].0.label, "b");
-        // k larger than store size: everything, still ordered.
-        assert_eq!(store.k_nearest(&[1.0], 10).len(), 3);
-    }
-
-    #[test]
     fn empty_store_recommends_nothing() {
         let store = ConfigStore::new();
         assert!(store.nearest(&[0.0]).is_none());
-        assert!(store.recommend(&[0.0], 1e9).is_none());
         assert!(store.is_empty());
     }
 

@@ -1,9 +1,10 @@
 //! Property-based tests for the blocked linalg kernels: across arbitrary
-//! shapes and block sizes (including blocks larger than the matrix and
-//! non-multiple-of-block dims), the cache-blocked paths must agree with
+//! shapes on both sides of the tile edge (one partial tile, several
+//! tiles, non-multiple dims), the cache-blocked paths must agree with
 //! the naive references, non-finite inputs must propagate instead of
 //! vanishing, and the incremental factor updates must stay atomic on
-//! failure.
+//! failure. The tile edge itself is swept by the linalg crate's own
+//! unit tests, where it is a parameter.
 
 use autotune_linalg::{Cholesky, Matrix};
 use proptest::prelude::*;
@@ -17,7 +18,7 @@ fn rand_matrix(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
 /// A well-conditioned random SPD matrix: G·Gᵀ + n·I.
 fn rand_spd(rng: &mut StdRng, n: usize) -> Matrix {
     let g = rand_matrix(rng, n, n);
-    let mut a = g.syrk_blocked(16);
+    let mut a = g.syrk_blocked();
     a.add_diag(n as f64);
     a
 }
@@ -25,60 +26,38 @@ fn rand_spd(rng: &mut StdRng, n: usize) -> Matrix {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Tiled matmul visits k in the same ascending order as the naive
-    /// loop, so on finite inputs the result is bitwise identical for
-    /// every block size — including blocks of 1 and blocks larger than
-    /// any dimension.
-    #[test]
-    fn blocked_matmul_is_bitwise_equal_to_naive(
-        seed in 0u64..1000,
-        m in 1usize..28,
-        k in 1usize..28,
-        n in 1usize..28,
-        block in 1usize..70,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = rand_matrix(&mut rng, m, k);
-        let b = rand_matrix(&mut rng, k, n);
-        let naive = a.matmul(&b).expect("shapes agree");
-        let blocked = a.matmul_blocked(&b, block).expect("shapes agree");
-        prop_assert_eq!(naive.as_slice(), blocked.as_slice());
-    }
-
     /// Blocked syrk computes X·Xᵀ like matmul-with-transpose does (up to
     /// float association inside a tile).
     #[test]
     fn blocked_syrk_matches_matmul_with_transpose(
         seed in 0u64..1000,
-        n in 1usize..24,
+        n in 1usize..150,
         d in 1usize..24,
-        block in 1usize..40,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let x = rand_matrix(&mut rng, n, d);
         let reference = x.matmul(&x.transpose()).expect("shapes agree");
-        let syrk = x.syrk_blocked(block);
+        let syrk = x.syrk_blocked();
         prop_assert!(
             syrk.approx_eq(&reference, 1e-10 * d as f64),
-            "syrk diverges from X·Xᵀ at n={} d={} block={}", n, d, block
+            "syrk diverges from X·Xᵀ at n={} d={}", n, d
         );
     }
 
     /// Blocked Cholesky factors random SPD matrices to the same factor as
-    /// the naive right-looking loop, for every block size.
+    /// the naive right-looking loop, below and above one tile.
     #[test]
     fn blocked_cholesky_matches_naive_on_random_spd(
         seed in 0u64..1000,
-        n in 1usize..40,
-        block in 1usize..70,
+        n in 1usize..150,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = rand_spd(&mut rng, n);
         let naive = Cholesky::new(&a).expect("SPD by construction");
-        let blocked = Cholesky::new_blocked(&a, block).expect("SPD by construction");
+        let blocked = Cholesky::new_blocked(&a).expect("SPD by construction");
         prop_assert!(
             blocked.l().approx_eq(naive.l(), 1e-9 * n as f64),
-            "blocked factor diverges at n={} block={}", n, block
+            "blocked factor diverges at n={}", n
         );
         let back = blocked
             .l()
@@ -88,15 +67,14 @@ proptest! {
     }
 
     /// A non-finite entry anywhere in the right operand must poison its
-    /// whole output column — on the naive path (whose zero-skip fast path
-    /// once swallowed it) and identically on the blocked path.
+    /// whole output column (matmul's zero-skip fast path once swallowed
+    /// it).
     #[test]
     fn matmul_propagates_non_finite_operands(
         seed in 0u64..1000,
         m in 1usize..16,
         k in 1usize..16,
         n in 1usize..16,
-        block in 1usize..20,
     ) {
         let use_inf = seed % 2 == 0;
         let mut rng = StdRng::seed_from_u64(seed);
@@ -105,17 +83,11 @@ proptest! {
         let k0 = rng.gen_range(0..k);
         let j0 = rng.gen_range(0..n);
         b[(k0, j0)] = if use_inf { f64::INFINITY } else { f64::NAN };
-        let naive = a.matmul(&b).expect("shapes agree");
-        let blocked = a.matmul_blocked(&b, block).expect("shapes agree");
+        let product = a.matmul(&b).expect("shapes agree");
         for i in 0..m {
             prop_assert!(
-                !naive[(i, j0)].is_finite(),
-                "naive matmul swallowed a non-finite operand at ({}, {})", i, j0
-            );
-            prop_assert_eq!(
-                naive[(i, j0)].to_bits(),
-                blocked[(i, j0)].to_bits(),
-                "blocked path disagrees with naive on the poisoned column"
+                !product[(i, j0)].is_finite(),
+                "matmul swallowed a non-finite operand at ({}, {})", i, j0
             );
         }
     }
@@ -128,7 +100,7 @@ proptest! {
         let n = 300;
         let mut rng = StdRng::seed_from_u64(seed);
         let a = rand_spd(&mut rng, n);
-        let mut chol = Cholesky::new_blocked(&a, 64).expect("SPD by construction");
+        let mut chol = Cholesky::new_blocked(&a).expect("SPD by construction");
         let before: Vec<u64> = chol.l().as_slice().iter().map(|v| v.to_bits()).collect();
 
         let k0 = rng.gen_range(0..n);
@@ -154,13 +126,12 @@ proptest! {
     #[test]
     fn rank_one_update_matches_fresh_factorization(
         seed in 0u64..1000,
-        n in 1usize..24,
-        block in 1usize..40,
+        n in 1usize..100,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = rand_spd(&mut rng, n);
         let v: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut chol = Cholesky::new_blocked(&a, block).expect("SPD by construction");
+        let mut chol = Cholesky::new_blocked(&a).expect("SPD by construction");
         chol.rank_one_update(&v).expect("SPD + v·vᵀ stays SPD");
         let updated = a.add(&Matrix::from_fn(n, n, |i, j| v[i] * v[j])).expect("same shape");
         let fresh = Cholesky::new(&updated).expect("still SPD");

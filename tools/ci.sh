@@ -179,8 +179,9 @@ else
   run_step "benchmark crate (build, tests, smoke run)" benchmark_step
 fi
 
-# The two size figures ROADMAP.md tracks (`.rs` lines per crate, public
-# type count), counted one way for the PR to quote. Never a gate.
+# The three size figures ROADMAP.md tracks (`.rs` lines per crate, public
+# type count, public items named only in their defining file), counted
+# one way for the PR to quote. Never a gate.
 echo
 echo "== surface (informational) =="
 tools/surface.sh || true

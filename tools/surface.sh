@@ -1,11 +1,18 @@
 #!/usr/bin/env bash
-# The two size figures ROADMAP.md tracks, counted one way so a PR quotes
-# them instead of recounting by hand:
+# The three size figures ROADMAP.md tracks, counted one way so a PR
+# quotes them instead of recounting by hand:
 #
 #   * `.rs` lines per crate under crates/: every file, the files under
 #     src/, and src/ with each file cut at its first `#[cfg(test)]` line
 #     (the code that ships, without the unit-test modules);
-#   * public types: `grep -rE "^\s*pub (struct|enum|trait) " crates`.
+#   * public types: `grep -rE "^\s*pub (struct|enum|trait) " crates`;
+#   * public items named only in their defining file: every
+#     `pub fn|struct|enum|trait|type|const|static` under crates/ whose
+#     name, as a whole word, appears in no other `.rs` file under crates/,
+#     benchmark/, examples/, tests/ or tools/ — nothing outside the file
+#     can be calling it. A name that is also an ordinary word (`new`,
+#     `len`) is never listed; a survivor is a return or field type its
+#     callers never spell.
 #
 #   tools/surface.sh           # the table and the count
 #   tools/surface.sh <dir>     # the same for another checkout
@@ -43,3 +50,23 @@ done
 printf '%-12s %8d %8d %14d\n' total "$sum_all" "$sum_src" "$sum_code"
 echo
 echo "public struct/enum/trait: $(grep -rE '^\s*pub (struct|enum|trait) ' crates | wc -l)"
+
+# Pass 1 counts, per word, the files it occurs in; pass 2 keeps the `pub`
+# items of crates/ whose name occurs in one file (their own).
+mapfile -t scanned < <(find crates benchmark examples tests tools -name '*.rs' -not -path '*/target/*' 2>/dev/null | sort)
+mapfile -t own < <(find crates -name '*.rs' | sort)
+only="$(awk '
+  FNR == 1 { nfile++ }
+  nfile <= n_scanned {
+    n = split($0, w, /[^A-Za-z0-9_]+/)
+    for (i = 1; i <= n; i++)
+      if (w[i] != "" && !((FILENAME, w[i]) in seen)) { seen[FILENAME, w[i]] = 1; files[w[i]]++ }
+    next
+  }
+  match($0, /^[[:space:]]*pub (const |unsafe )?(fn|struct|enum|trait|type|const|static) [A-Za-z_][A-Za-z0-9_]*/) {
+    n = split(substr($0, RSTART, RLENGTH), w, " ")
+    if (files[w[n]] == 1) printf "  %s:%d %s %s\n", FILENAME, FNR, w[n - 1], w[n]
+  }
+' n_scanned="${#scanned[@]}" "${scanned[@]}" "${own[@]}")"
+echo "public items named only in their defining file: $(printf '%s' "$only" | grep -c .)"
+[ -n "$only" ] && echo "$only"
