@@ -880,55 +880,17 @@ impl<'a> Campaign<'a> {
         })
     }
 
-    /// Header compatibility checks plus loading the snapshot's recorded
-    /// measurements into the replay queue.
-    fn prepare_replay(&mut self, snapshot: &CampaignSnapshot) -> Result<(), CampaignError> {
-        if snapshot.version != SNAPSHOT_VERSION {
-            return Err(CampaignError::SnapshotMismatch {
-                reason: format!(
-                    "snapshot version {} != supported {}",
-                    snapshot.version, SNAPSHOT_VERSION
-                ),
-            });
-        }
-        if self.policy != snapshot.policy {
-            return Err(CampaignError::SnapshotMismatch {
-                reason: format!(
-                    "policy {} != snapshot {}",
-                    self.policy.label(),
-                    snapshot.policy.label()
-                ),
-            });
-        }
-        if self.seed != snapshot.seed {
-            return Err(CampaignError::SnapshotMismatch {
-                reason: format!("seed {} != snapshot {}", self.seed, snapshot.seed),
-            });
-        }
-        if self.n_ticks != 0 || self.next_id != 0 {
-            return Err(CampaignError::NotPristine);
-        }
-        if self.log.is_none() {
-            return Err(CampaignError::LogDisabled);
-        }
-        for ev in &snapshot.log {
-            if let CampaignEvent::Measured { id, attempt, m } = ev {
-                self.replay.insert((*id, *attempt), m.clone());
-            }
-        }
-        Ok(())
-    }
-
     /// Rebuilds a snapshotted campaign into `fresh` — a pristine campaign
     /// constructed over the *same* target, source, middleware and seed as
-    /// the original — by replaying the snapshot's event log: suggestions,
-    /// fault rolls and middleware transforms are recomputed live under
-    /// the determinism contract while recorded measurements substitute
-    /// for the target. The rebuilt log is verified byte-identical to the
-    /// snapshot, event by event through the binary encoding a write-ahead
-    /// log stores them in (so bit-exactly: `-0.0` is not `0.0`), before
-    /// the campaign is handed back; continuing it then produces exactly
-    /// what the original campaign would have produced.
+    /// the original — by replaying the snapshot's event log
+    /// ([`Campaign::replay`]): suggestions, fault rolls and middleware
+    /// transforms are recomputed live under the determinism contract
+    /// while recorded measurements substitute for the target. The rebuilt
+    /// log is verified byte-identical to the snapshot, event by event
+    /// through the log's binary encoding ([`same_encoding`], so
+    /// bit-exactly: `-0.0` is not `0.0`), before the campaign is handed
+    /// back; continuing it then produces exactly what the original
+    /// campaign would have produced.
     ///
     /// The log must end on a tick boundary, which is where snapshots are
     /// taken and where a write-ahead log of whole ticks stops. A log that
@@ -940,10 +902,71 @@ impl<'a> Campaign<'a> {
         snapshot: &CampaignSnapshot,
         fresh: Campaign<'a>,
     ) -> Result<Campaign<'a>, CampaignError> {
+        let mismatch = |reason: String| Err(CampaignError::SnapshotMismatch { reason });
+        if snapshot.version != SNAPSHOT_VERSION {
+            return mismatch(format!(
+                "snapshot version {} != supported {}",
+                snapshot.version, SNAPSHOT_VERSION
+            ));
+        }
+        if fresh.policy != snapshot.policy {
+            return mismatch(format!(
+                "policy {} != snapshot {}",
+                fresh.policy.label(),
+                snapshot.policy.label()
+            ));
+        }
+        if fresh.seed != snapshot.seed {
+            return mismatch(format!("seed {} != snapshot {}", fresh.seed, snapshot.seed));
+        }
+        let measured = snapshot.log.iter().filter_map(|ev| match ev {
+            CampaignEvent::Measured { id, attempt, m } => Some((*id, *attempt, m.clone())),
+            _ => None,
+        });
+        let mut scratch = Default::default();
+        let c = Self::replay(fresh, measured, snapshot.log.len(), |i, got| {
+            same_encoding(got, &snapshot.log[i], &mut scratch)
+        })?;
+        // Replay served recorded measurements without evaluating, so the
+        // fresh target's drift clock lags the original's. The
+        // per-measurement stamps already fast-forwarded it through
+        // everything replayed; the snapshot's boundary clock covers the
+        // rest (and legacy logs without stamps).
+        if snapshot.target_clock > c.target.noise_clock() {
+            c.target.set_noise_clock(snapshot.target_clock);
+        }
+        Ok(c)
+    }
+
+    /// The one replay: feeds `measured`, a log's raw measurements as
+    /// `(trial, attempt, measurement)`, to the pristine `fresh` in place
+    /// of its target and runs whole ticks until its own log holds
+    /// `n_events` events, recomputing every other event live. Each
+    /// rebuilt event is then shown to `same` with its index, and a
+    /// reason it returns (the event is not the recorded one) refuses the
+    /// rebuild as [`CampaignError::ReplayDiverged`]; so does a
+    /// measurement left over, and a log that is not `n_events` long when
+    /// the last whole tick ends. What `same` compares against is the
+    /// caller's: [`Campaign::resume`] holds a snapshot's full events, a
+    /// write-ahead log only what a replay cannot recompute.
+    pub fn replay(
+        fresh: Campaign<'a>,
+        measured: impl IntoIterator<Item = (u64, u32, Measurement)>,
+        n_events: usize,
+        mut same: impl FnMut(usize, &CampaignEvent) -> Result<(), String>,
+    ) -> Result<Campaign<'a>, CampaignError> {
         let mut c = fresh;
-        c.prepare_replay(snapshot)?;
-        let target_len = snapshot.log.len();
-        while c.log_len() < target_len && !c.done {
+        if c.n_ticks != 0 || c.next_id != 0 {
+            return Err(CampaignError::NotPristine);
+        }
+        if c.log.is_none() {
+            return Err(CampaignError::LogDisabled);
+        }
+        c.replay = measured
+            .into_iter()
+            .map(|(id, attempt, m)| ((id, attempt), m))
+            .collect();
+        while c.log_len() < n_events && !c.done {
             let before = c.log_len();
             c.stage();
             if let Some(w) = c.staged_live().next() {
@@ -959,31 +982,11 @@ impl<'a> Campaign<'a> {
                 });
             }
         }
-        if let Some(log) = &c.log {
-            // Both sides through the log's own binary encoding, into two
-            // buffers that every event reuses. A float is its eight
-            // bytes there, so the last bit and the sign of a zero count,
-            // and a crashed trial's NaN cost (`nan_as_null` writes null
-            // on both sides) equals itself.
-            let (mut got_bytes, mut want_bytes) = (Vec::new(), Vec::new());
-            for (i, (got, want)) in log.iter().zip(&snapshot.log).enumerate() {
-                got_bytes.clear();
-                want_bytes.clear();
-                let encoded = ciborium::into_writer(got, &mut got_bytes)
-                    .and_then(|()| ciborium::into_writer(want, &mut want_bytes));
-                if let Err(e) = encoded {
-                    return Err(CampaignError::ReplayDiverged {
-                        reason: format!("event {i} cannot be encoded: {e}"),
-                    });
-                }
-                if got_bytes != want_bytes {
-                    return Err(CampaignError::ReplayDiverged {
-                        reason: format!(
-                            "event {i} differs from the snapshot (different target, source \
-                             or middleware than the original campaign)"
-                        ),
-                    });
-                }
+        for (i, got) in c.log().into_iter().flatten().take(n_events).enumerate() {
+            if let Err(why) = same(i, got) {
+                return Err(CampaignError::ReplayDiverged {
+                    reason: format!("event {i} {why}"),
+                });
             }
         }
         if !c.replay.is_empty() {
@@ -998,21 +1001,42 @@ impl<'a> Campaign<'a> {
         // (e.g. a larger budget than the fresh build's). Longer: the log
         // stops between a tick's last measurement and its outcomes.
         let rebuilt_len = c.log_len();
-        if rebuilt_len != target_len {
+        if rebuilt_len != n_events {
             return Err(CampaignError::ReplayDiverged {
-                reason: format!("rebuilt log has {rebuilt_len} events, snapshot has {target_len}"),
+                reason: format!(
+                    "rebuilt log has {rebuilt_len} events, the recorded one {n_events}"
+                ),
             });
-        }
-        // Replay served recorded measurements without evaluating, so the
-        // fresh target's drift clock lags the original's. The
-        // per-measurement stamps already fast-forwarded it through
-        // everything replayed; the snapshot's boundary clock covers the
-        // rest (and legacy logs without stamps).
-        if snapshot.target_clock > c.target.noise_clock() {
-            c.target.set_noise_clock(snapshot.target_clock);
         }
         Ok(c)
     }
+}
+
+/// Whether a rebuilt event is the recorded one, judged through the
+/// log's own binary encoding into the two `scratch` buffers, which every
+/// call reuses. A float is its eight bytes there, so the last bit and
+/// the sign of a zero count, and a crashed trial's NaN cost (written as
+/// null on both sides) equals itself. `Err` says why not, worded to
+/// follow "event {i} ".
+pub fn same_encoding(
+    got: &impl Serialize,
+    want: &impl Serialize,
+    scratch: &mut [Vec<u8>; 2],
+) -> Result<(), String> {
+    let [got_bytes, want_bytes] = scratch;
+    got_bytes.clear();
+    want_bytes.clear();
+    ciborium::into_writer(got, &mut *got_bytes)
+        .and_then(|()| ciborium::into_writer(want, &mut *want_bytes))
+        .map_err(|e| format!("cannot be encoded: {e}"))?;
+    if got_bytes != want_bytes {
+        return Err(
+            "differs from the recorded one (different target, source or middleware \
+                    than the original campaign)"
+                .into(),
+        );
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -29,7 +29,8 @@ mod policy;
 mod source;
 
 pub use campaign::{
-    Campaign, CampaignError, CampaignEvent, CampaignSnapshot, WorkItem, SNAPSHOT_VERSION,
+    same_encoding, Campaign, CampaignError, CampaignEvent, CampaignSnapshot, WorkItem,
+    SNAPSHOT_VERSION,
 };
 pub use event::{Measurement, TrialEvent, TrialOutcome, TrialRequest};
 pub use middleware::{

@@ -440,7 +440,7 @@ enum DumpedRecord {
     RouterOp(RouterOp),
     /// Any other record as logged; an `Aux` payload nobody here owns
     /// stays bytes.
-    Wal(WalRecord),
+    Wal(WalRecord<'static>),
 }
 
 /// Reads the WAL in `dir` front to back without touching it and hands
@@ -769,6 +769,30 @@ mod tests {
         assert!(journaled <= 200, "a hit journals {journaled} bytes");
         let reply_len = frame_len(&hit);
         assert!(reply_len <= 170, "a CacheHit frame is {reply_len} bytes");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_trial_stays_within_its_wal_byte_budget() {
+        // What the log holds of a trial is what a replay cannot recompute
+        // (the measurement, its 32-sample series packed: 1 792 bytes) and
+        // enough of the rest to tell a divergence by. The budget sits
+        // just above today's size (2 407 bytes), so a field that
+        // quietly fattens a record fails here and not only in the
+        // benchmark's `durability.bytes_per_trial`.
+        let dir = temp_dir("trial-budget");
+        let mut durable = DurableRegistry::create(&dir, 1, WalConfig::default()).unwrap();
+        let spec = CampaignSpec::minimal("tenant-217", SystemKind::Redis, 8, 35_007);
+        let id = durable.register_spec(&spec).unwrap();
+        let on_disk = || -> u64 {
+            let files = std::fs::read_dir(&dir).unwrap();
+            files.map(|f| f.unwrap().metadata().unwrap().len()).sum()
+        };
+        let before = on_disk();
+        durable.run_all().unwrap();
+        assert_eq!(durable.registry().stats(id).unwrap().n_trials, 8);
+        let per_trial = (on_disk() - before) / 8;
+        assert!(per_trial <= 2600, "a trial logs {per_trial} bytes");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -385,6 +385,6 @@ fn hostile_wal_records_cost_no_more_than_their_bytes() {
     }
     kinds.sort();
     kinds.dedup();
-    assert_eq!(kinds, ["Aux", "Events", "Register", "Stop"]);
+    assert_eq!(kinds, ["Aux", "Register", "Stop", "Ticks"]);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -2,7 +2,7 @@
 //! holds, as hex, the frames of a benchmark-shaped `Lookup`, its
 //! `CacheHit` and a `Stats` reply, and every record of the WAL a short
 //! durable router run writes: the pinned router config, `Register`,
-//! `Events`, and the journaled `Lookup`/`Admit`/`Backfill` ops inside
+//! `Ticks`, and the journaled `Lookup`/`Admit`/`Backfill` ops inside
 //! their `Aux` records. The run is re-done here and must produce those
 //! bytes again; the fixture is then decoded and must print (`Debug`) as
 //! the live values do. A change to the serde or CBOR stubs that moves a
@@ -11,16 +11,24 @@
 //!
 //! Intentional format changes regenerate the fixture with
 //! `UPDATE_GOLDEN=1 cargo test -p autotune-serve --test golden_bytes`.
+//!
+//! `tests/golden/pr21_events_segment.hex` is a segment of the format
+//! before this one (an `Events` record of full `CampaignEvent`s): it
+//! must be refused where it lies, and left as it is.
 
 use autotune::SchedulePolicy;
 use autotune_serve::{
-    dump_wal, read_frame, write_frame, CampaignSpec, Request, Response, RouterConfig, ServeBackend,
-    ServerConfig, SystemKind, TenantRouter, WalConfig,
+    dump_wal, read_frame, write_frame, CampaignSpec, DurableRegistry, Request, Response,
+    RouterConfig, ServeBackend, ServeError, ServerConfig, SystemKind, TenantRouter, WalConfig,
 };
 use std::fmt::Debug;
 use std::path::{Path, PathBuf};
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/wire_and_wal.hex");
+const PR21_SEGMENT: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/pr21_events_segment.hex"
+);
 
 /// One pinned byte string: what it is, the bytes, and how the value
 /// they decode to prints.
@@ -83,7 +91,7 @@ fn wal_entries(dir: &Path) -> Vec<Entry> {
 
 /// The run behind the fixture: the benchmark's tenant (a 12-feature
 /// fingerprint and its own random-search Redis campaign, here two
-/// trials in one batch, so one `Events` record) misses, is tuned, and
+/// trials in one batch, so one `Ticks` record) misses, is tuned, and
 /// hits. Returns the entries and the name of the log's segment file.
 fn live() -> (Vec<Entry>, PathBuf) {
     let dir = temp_dir("live");
@@ -136,7 +144,7 @@ fn to_hex(entries: &[Entry]) -> String {
 
 fn from_hex(text: &str) -> Vec<(String, Vec<u8>)> {
     let mut entries: Vec<(String, Vec<u8>)> = Vec::new();
-    // The two header lines end at the first blank line.
+    // The header lines end at the first blank line.
     for paragraph in text.split("\n\n").skip(1) {
         let (what, hex) = paragraph.split_once('\n').unwrap();
         let digits: Vec<u8> = hex.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
@@ -164,7 +172,7 @@ fn wire_and_wal_bytes_match_the_fixture() {
         "Response::CacheHit",
         "Response::Stats",
         "Wal(Register",
-        "Wal(Events",
+        "Wal(Ticks",
         "RouterConfig(",
         "RouterOp(Lookup",
         "RouterOp(Admit",
@@ -202,5 +210,45 @@ fn wire_and_wal_bytes_match_the_fixture() {
     .unwrap();
     let want: Vec<&str> = live[3..].iter().map(|e| e.debug.as_str()).collect();
     assert_eq!(decoded, want);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_log_of_the_previous_format_is_refused_where_it_lies() {
+    let records = from_hex(&std::fs::read_to_string(PR21_SEGMENT).unwrap());
+    let [(_, register), (what, events)] = &records[..] else {
+        panic!("the fixture holds {} records", records.len());
+    };
+    assert!(what.contains("Wal(Events"), "{what}");
+    let dir = temp_dir("pr21");
+    std::fs::create_dir_all(&dir).unwrap();
+    let segment = dir.join("wal-000001.seg");
+    let log = [&register[..], &events[..]].concat();
+    std::fs::write(&segment, &log).unwrap();
+    // The `Register` before it still reads; the `Events` record's length
+    // and CRC hold, so it is no torn tail to cut off.
+    let mut dumped = 0;
+    let refusals = [
+        dump_wal(&dir, |_| {
+            dumped += 1;
+            Ok(())
+        })
+        .map(|_| ()),
+        DurableRegistry::open(&dir, 1, WalConfig::default()).map(|_| ()),
+    ];
+    assert_eq!(dumped, 1);
+    for refusal in refusals {
+        let Err(ServeError::Storage(why)) = refusal else {
+            panic!("not refused with a storage error: {refusal:?}");
+        };
+        let at = format!("offset {}", register.len());
+        assert!(
+            why.contains("wal-000001.seg") && why.contains(&at) && why.contains("Events"),
+            "{why}"
+        );
+    }
+    let mut files = std::fs::read_dir(&dir).unwrap();
+    assert!(files.next().is_some() && files.next().is_none());
+    assert_eq!(std::fs::read(&segment).unwrap(), log, "a byte was touched");
     std::fs::remove_dir_all(&dir).unwrap();
 }

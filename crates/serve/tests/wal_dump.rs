@@ -69,7 +69,7 @@ fn wal_dump_prints_one_parsable_line_per_record() {
     // The short durable run: misses that admit, a join, rounds, backfills
     // and hits, over segments small enough to rotate.
     let wal = WalConfig {
-        segment_bytes: 32 * 1024,
+        segment_bytes: 8 * 1024,
     };
     let mut config = RouterConfig::default();
     config.cache.threshold = 1.0;
@@ -115,13 +115,20 @@ fn wal_dump_prints_one_parsable_line_per_record() {
             "no {op} op was dumped"
         );
     }
-    for record in ["Register", "Events"] {
+    for record in ["Register", "Ticks"] {
         let tag = format!("{{\"Wal\":{{\"{record}\":");
         assert!(
             printed.iter().any(|l| l.contains(&tag)),
             "no {record} record was dumped"
         );
     }
+    // The series the log packs into a byte string reads as numbers here.
+    assert!(
+        printed
+            .iter()
+            .any(|l| l.contains("\"telemetry\":[{\"cpu\":0.")),
+        "no telemetry sample was spelled out"
+    );
 
     // A record whose CRC fails, mid-log: the lines before it, then exit 1.
     let victim = segments(&dir).swap_remove(1);
