@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
-use autotune_wid::{Fingerprint, StreamAssignment, StreamingClusters};
+use autotune_wid::{StreamAssignment, StreamingClusters};
 use serde::{Deserialize, Serialize};
 
 /// Snapshot format version, bumped on incompatible layout changes.
@@ -119,6 +119,26 @@ struct ShardInner {
     heat: BTreeMap<u64, AtomicU64>,
 }
 
+/// The order a family's incumbent is chosen by: lowest cost, then lowest
+/// key. Total, so the incumbent is a function of the entries a family
+/// holds and not of the order they went in.
+fn incumbent_order(a: (u64, f64), b: (u64, f64)) -> std::cmp::Ordering {
+    a.1.total_cmp(&b.1).then(a.0.cmp(&b.0))
+}
+
+impl ShardInner {
+    /// Makes `(key, cost)` the incumbent of `family` if it comes before
+    /// the current one in [`incumbent_order`].
+    fn offer_incumbent(&mut self, family: u64, key: u64, cost: f64) {
+        match self.incumbent.get(&family) {
+            Some(&best) if incumbent_order(best, (key, cost)).is_le() => {}
+            _ => {
+                self.incumbent.insert(family, (key, cost));
+            }
+        }
+    }
+}
+
 /// The fingerprint-keyed config cache. See the crate docs for the design;
 /// all methods take `&self` and the structure is `Sync`, so one instance
 /// can be shared across server threads behind an `Arc`.
@@ -184,8 +204,7 @@ impl ShardedCache {
     /// [`ShardedCache::admit_family`], keeping this path read-only.
     pub fn lookup(&self, features: &[f64]) -> CacheLookup {
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let fp = Fingerprint::from_features(features.to_vec());
-        let family = self.clusters.pread().classify(&fp).map(|(f, _)| f);
+        let family = self.clusters.pread().classify(features).map(|(f, _)| f);
         let Some(family) = family else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return CacheLookup::Miss { family: None };
@@ -242,8 +261,7 @@ impl ShardedCache {
     /// miss (the router does) so replaying the same lookup sequence
     /// rebuilds identical centroids.
     pub fn admit_family(&self, features: &[f64]) -> StreamAssignment {
-        let fp = Fingerprint::from_features(features.to_vec());
-        self.clusters.pwrite().assign(&fp)
+        self.clusters.pwrite().assign(features)
     }
 
     /// Backfills a tuned config for `(family, exact fingerprint)` at the
@@ -264,12 +282,7 @@ impl ShardedCache {
         };
         inner.entries.insert((f, key), entry);
         inner.heat.entry(f).or_insert_with(|| AtomicU64::new(tick));
-        match inner.incumbent.get(&f) {
-            Some(&(_, best)) if best.total_cmp(&cost).is_le() => {}
-            _ => {
-                inner.incumbent.insert(f, (key, cost));
-            }
-        }
+        inner.offer_incumbent(f, key, cost);
         self.backfills.fetch_add(1, Ordering::Relaxed);
         self.evict_over_capacity(&mut inner, tick);
     }
@@ -332,8 +345,8 @@ impl ShardedCache {
                 let next = inner
                     .entries
                     .range((f, 0)..=(f, u64::MAX))
-                    .min_by(|(_, a), (_, b)| a.cost.total_cmp(&b.cost))
-                    .map(|(&(_, k), e)| (k, e.cost));
+                    .map(|(&(_, k), e)| (k, e.cost))
+                    .min_by(|&a, &b| incumbent_order(a, b));
                 match next {
                     Some((k, c)) => {
                         inner.incumbent.insert(f, (k, c));
@@ -362,6 +375,89 @@ impl ShardedCache {
             entries,
             tick: self.tick.load(Ordering::Acquire),
         }
+    }
+
+    /// The logical clock: lookups made so far.
+    pub fn tick(&self) -> u64 {
+        self.tick.load(Ordering::Acquire)
+    }
+
+    /// What the hits after `tick` left behind, provided every lookup
+    /// between `tick` and the last of them was a hit (the run then holds
+    /// one hit per tick, so its length is the newest LRU stamp minus
+    /// `tick`). Entries are in shard then key order, so equal states
+    /// read out equal. A miss that followed the run is not part of it.
+    pub fn hits_since(&self, tick: u64) -> HitRun {
+        let mut run = HitRun::default();
+        let mut newest = tick;
+        for shard in &self.shards {
+            let inner = shard.pread();
+            for (&(family, key), e) in inner.entries.iter() {
+                let last_used = e.last_used.load(Ordering::Acquire);
+                if last_used > tick {
+                    let hits = e.hits.load(Ordering::Acquire);
+                    run.entries.push((family, key, hits, last_used));
+                    newest = newest.max(last_used);
+                }
+            }
+            for (&family, heat) in inner.heat.iter() {
+                let heat = heat.load(Ordering::Acquire);
+                if heat > tick {
+                    run.heat.push((family, heat));
+                }
+            }
+        }
+        run.hits = newest - tick;
+        run
+    }
+
+    /// Puts a cache that is where [`ShardedCache::hits_since`]'s `tick`
+    /// was into the state the run left: `tick` and the hit counter move
+    /// on by `run.hits` and every named stamp is stored. A run that names
+    /// an entry or family this cache does not hold, takes hits away from
+    /// an entry, stamps outside its own ticks, or whose entries did not
+    /// gain `run.hits` hits between them is refused; the cache may be
+    /// partly stamped by then and is to be discarded.
+    pub fn apply_hits(&self, run: &HitRun) -> Result<()> {
+        let refuse = |why: String| Err(CacheError::BadHitRun(why));
+        let tick = self.tick.load(Ordering::Acquire);
+        let Some(end) = tick.checked_add(run.hits) else {
+            return refuse(format!("{} hits overflow tick {tick}", run.hits));
+        };
+        let in_run = |stamp: u64| tick < stamp && stamp <= end;
+        let mut gained = 0u64;
+        for &(family, key, hits, last_used) in &run.entries {
+            let inner = self.shard_of(family).pread();
+            let Some(entry) = inner.entries.get(&(family, key)) else {
+                return refuse(format!("no entry {key:#x} in family {family}"));
+            };
+            let before = entry.hits.load(Ordering::Acquire);
+            if hits < before || !in_run(last_used) {
+                return refuse(format!(
+                    "entry {key:#x} of family {family} at {hits} hits, last used at \
+                     {last_used}: it holds {before} and the run is ticks {tick}..={end}"
+                ));
+            }
+            gained = gained.saturating_add(hits - before);
+            entry.hits.store(hits, Ordering::Release);
+            entry.last_used.store(last_used, Ordering::Release);
+        }
+        for &(family, heat) in &run.heat {
+            let inner = self.shard_of(family).pread();
+            match inner.heat.get(&family) {
+                Some(h) if in_run(heat) => h.store(heat, Ordering::Release),
+                _ => return refuse(format!("no family {family} to be hot at {heat}")),
+            }
+        }
+        if gained != run.hits {
+            return refuse(format!(
+                "{} hits, but its entries gained {gained}",
+                run.hits
+            ));
+        }
+        self.tick.store(end, Ordering::Release);
+        self.hits.fetch_add(run.hits, Ordering::Relaxed);
+        Ok(())
     }
 
     /// A copy of the clustering model (for inspection and tests).
@@ -445,18 +541,28 @@ impl ShardedCache {
                     inserted_at: e.inserted_at,
                 },
             );
-            match inner.incumbent.get(&e.family) {
-                Some(&(_, best)) if best.total_cmp(&e.cost).is_le() => {}
-                _ => {
-                    inner.incumbent.insert(e.family, (e.key, e.cost));
-                }
-            }
+            inner.offer_incumbent(e.family, e.key, e.cost);
         }
         for &(f, h) in &snap.heat {
             cache.shard_of(f).pwrite().heat.insert(f, AtomicU64::new(h));
         }
         Ok(cache)
     }
+}
+
+/// The soft state a run of hits leaves behind: how many there were and,
+/// for every entry and family they touched, the absolute counters the
+/// cache keeps for it. Read out by [`ShardedCache::hits_since`] and put
+/// back by [`ShardedCache::apply_hits`], so a journal can hold one of
+/// these in place of the hits themselves.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct HitRun {
+    /// Hits in the run; each took one tick.
+    pub hits: u64,
+    /// `(family, key, hits, last_used)` of every entry that served one.
+    pub entries: Vec<(u64, u64, u64, u64)>,
+    /// `(family, heat)` of every family one was served from.
+    pub heat: Vec<(u64, u64)>,
 }
 
 /// One entry of a [`CacheSnapshot`].
@@ -675,6 +781,104 @@ mod tests {
             let fp = [i as f64 * 5.0];
             assert_eq!(cache.lookup(&fp), restored.lookup(&fp));
         }
+    }
+
+    #[test]
+    fn a_cost_tie_keeps_its_incumbent_across_restore_and_eviction() {
+        let cache = ShardedCache::new(CacheConfig {
+            threshold: 2.0,
+            n_shards: 1,
+            capacity_per_shard: 2,
+            hot_window: 100,
+        });
+        // Two tenants of one family at the same cost; the higher key goes
+        // in first, so insertion order and key order disagree.
+        let (mut first, mut second) = ([0.0], [0.5]);
+        if fingerprint_key(&first) < fingerprint_key(&second) {
+            std::mem::swap(&mut first, &mut second);
+        }
+        cache.lookup(&first);
+        let fam = cache.admit_family(&first).family;
+        cache.insert(fam, &first, config_with(1), 5.0);
+        cache.insert(fam, &second, config_with(2), 5.0);
+        let restored = ShardedCache::restore(&cache.snapshot()).unwrap();
+        let sibling = [0.2];
+        let served = cache.lookup(&sibling);
+        assert_eq!(restored.lookup(&sibling), served);
+        match served {
+            CacheLookup::Hit(h) => assert_eq!(h.key, fingerprint_key(&second)),
+            other => panic!("expected a borrowed hit, got {other:?}"),
+        }
+        // Over capacity, the tie's loser is the underperformer that goes,
+        // in the cache and in its restored copy.
+        for c in [&cache, &restored] {
+            c.insert(fam, &[0.9], config_with(3), 7.0);
+            assert_eq!(c.stats().evictions, 1);
+        }
+        assert_eq!(cache.snapshot(), restored.snapshot());
+        assert!(matches!(cache.lookup(&second), CacheLookup::Hit(h) if !h.borrowed));
+    }
+
+    /// Three families with an entry each (one with two), looked up once.
+    fn warmed() -> ShardedCache {
+        let cache = ShardedCache::new(cfg(1.0, 4));
+        for i in 0..3 {
+            let fp = [i as f64 * 5.0];
+            cache.lookup(&fp);
+            let fam = cache.admit_family(&fp).family;
+            cache.insert(fam, &fp, config_with(i), 10.0 - i as f64);
+        }
+        cache.insert(0, &[0.3], config_with(9), 20.0);
+        cache
+    }
+
+    #[test]
+    fn a_run_of_hits_applies_back_to_the_same_bytes() {
+        let live = warmed();
+        let before = ShardedCache::restore(&live.snapshot()).unwrap();
+        let since = live.tick();
+        assert_eq!(live.hits_since(since), HitRun::default());
+        // Exact, borrowed and repeated hits; family 2 is left alone.
+        for fp in [[0.0], [0.3], [5.0], [0.1], [0.0]] {
+            assert!(matches!(live.lookup(&fp), CacheLookup::Hit(_)));
+        }
+        let run = live.hits_since(since);
+        assert_eq!((run.hits, run.entries.len(), run.heat.len()), (5, 3, 2));
+        before.apply_hits(&run).unwrap();
+        assert_eq!(before.snapshot(), live.snapshot());
+        // A miss after the run's last hit is not part of it.
+        live.lookup(&[40.0]);
+        assert_eq!(live.hits_since(since), run);
+        assert_eq!(live.hits_since(live.tick()), HitRun::default());
+    }
+
+    #[test]
+    fn a_run_that_does_not_continue_the_cache_is_refused() {
+        let live = warmed();
+        let since = live.tick();
+        live.lookup(&[0.0]);
+        live.lookup(&[5.0]);
+        let run = live.hits_since(since);
+        let lies: [fn(&mut HitRun); 6] = [
+            |r| r.entries[0].1 ^= 1,  // an entry nobody inserted
+            |r| r.heat[0].0 = 77,     // a family nobody spawned
+            |r| r.hits += 1,          // more hits than the entries gained
+            |r| r.entries[0].2 += 1,  // more gained than there were hits
+            |r| r.entries[1].2 = 0,   // hits taken away
+            |r| r.entries[1].3 += 40, // a stamp past the run's last tick
+        ];
+        for (i, lie) in lies.iter().enumerate() {
+            let mut run = run.clone();
+            lie(&mut run);
+            let cache = warmed();
+            let refused = cache.apply_hits(&run);
+            assert!(
+                matches!(refused, Err(CacheError::BadHitRun(_))),
+                "lie {i}: {refused:?}"
+            );
+            assert_eq!(cache.tick(), since, "lie {i} moved the clock");
+        }
+        warmed().apply_hits(&run).unwrap();
     }
 
     #[test]

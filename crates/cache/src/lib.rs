@@ -23,13 +23,15 @@
 //! clock is a logical tick — replaying the same operation sequence
 //! rebuilds byte-identical state ([`CacheSnapshot`]). The serve layer
 //! leans on this to journal cache operations in its WAL and recover the
-//! exact hit/miss behavior after a crash.
+//! exact hit/miss behavior after a crash; a run of hits it journals as
+//! the soft state they left ([`HitRun`]) and not one by one.
 
 mod cache;
 mod key;
 
 pub use cache::{
-    CacheConfig, CacheHit, CacheLookup, CacheSnapshot, CacheStats, ShardedCache, SnapshotEntry,
+    CacheConfig, CacheHit, CacheLookup, CacheSnapshot, CacheStats, HitRun, ShardedCache,
+    SnapshotEntry,
 };
 pub use key::fingerprint_key;
 
@@ -43,6 +45,8 @@ pub enum CacheError {
         /// Version found in the snapshot.
         got: u32,
     },
+    /// A [`HitRun`] does not continue the cache it was applied to.
+    BadHitRun(String),
 }
 
 impl std::fmt::Display for CacheError {
@@ -51,6 +55,7 @@ impl std::fmt::Display for CacheError {
             CacheError::VersionMismatch { expected, got } => {
                 write!(f, "cache snapshot version {got} (expected {expected})")
             }
+            CacheError::BadHitRun(why) => write!(f, "hit run does not apply: {why}"),
         }
     }
 }

@@ -869,13 +869,17 @@ pub(crate) mod tests {
             let mut router = TenantRouter::create(&wal_dir, 1, wal, RouterConfig::default())?;
             router.lookup(&fingerprint, &spec(0))?;
             router.run_all()?;
-            // The segment after the open (empty) one is a device that is
-            // always full: the hit below is journaled and rotates onto it,
-            // and the next append is the first to meet ENOSPC.
-            let segments = std::fs::read_dir(&wal_dir).unwrap().count();
-            let full = wal_dir.join(format!("wal-{:06}.seg", segments + 1));
-            std::os::unix::fs::symlink("/dev/full", full).unwrap();
+            // A hit writes nothing; the miss behind it writes four
+            // records (the summary of that hit, its `Lookup`, the
+            // campaign's `Register`, its `Admit`), each into the open
+            // (empty) segment and rotating onto the next. The segment the
+            // `Admit` rotates onto is a device that is always full, so
+            // the next append is the first to meet ENOSPC.
             router.lookup(&fingerprint, &spec(0))?;
+            let segments = std::fs::read_dir(&wal_dir).unwrap().count();
+            let full = wal_dir.join(format!("wal-{:06}.seg", segments + 4));
+            std::os::unix::fs::symlink("/dev/full", full).unwrap();
+            router.lookup(&[40.0, 40.0], &spec(2))?;
             Ok(router)
         });
         let register = Request::Register {
@@ -905,7 +909,7 @@ pub(crate) mod tests {
         let (_, cache) = handle.join().unwrap().unwrap();
         assert_eq!(
             (cache.hits, cache.misses),
-            (1, 1),
+            (1, 2),
             "the refused lookup moved the cache"
         );
         std::fs::remove_dir_all(&dir).unwrap();

@@ -19,19 +19,43 @@
 //! # Durability and replay
 //!
 //! Cache state is not stored — it is *re-derived*. Every routing
-//! operation is journaled as a compact [`RouterOp`] in the registry WAL's
-//! auxiliary stream ([`DurableRegistry::append_aux`]; written through,
-//! no copy kept in memory), and [`TenantRouter::open`] takes the journal
-//! the recovery read ([`DurableRegistry::take_aux_log`]) and replays the
-//! ops in order against a fresh cache. An op travels as the bytes of its
-//! CBOR encoding (the `ciborium` stub's, as frames and WAL records do),
-//! opaque to the WAL, and is decoded only as it is replayed.
-//! Because the cache is a pure function of its operation sequence
-//! (seeded clustering, logical-tick LRU, `BTreeMap` shards), replay
-//! rebuilds the exact pre-crash hit/miss behavior — including tick
-//! counters and eviction decisions — which is why hits are journaled
-//! too (they advance the LRU clock and entry heat that eviction
-//! decisions depend on).
+//! operation that changes what the cache holds is journaled as a compact
+//! [`RouterOp`] in the registry WAL's auxiliary stream
+//! ([`DurableRegistry::append_aux`]; written through, no copy kept in
+//! memory), and [`TenantRouter::open`] takes the journal the recovery
+//! read ([`DurableRegistry::take_aux_log`]) and replays the ops in order
+//! against a fresh cache. An op travels as the bytes of its CBOR
+//! encoding (the `ciborium` stub's, as frames and WAL records do),
+//! opaque to the WAL, and is decoded only as it is replayed. Because the
+//! cache is a pure function of its operation sequence (seeded
+//! clustering, logical-tick LRU, `BTreeMap` shards), replay rebuilds the
+//! exact hit/miss behavior, tick counters and eviction decisions
+//! included.
+//!
+//! **A hit writes nothing.** It is a read: it changes no entry, family
+//! or campaign, only soft state (the LRU clock, the two hit counters,
+//! the serving entry's `hits`/`last_used`, its family's heat), and the
+//! cache already keeps that in its atomics. What a run of hits left
+//! there is journaled as *one* [`RouterOp::Hits`] (a
+//! [`HitRun`]: the run's length and the absolute stamps of every entry
+//! and family it touched) at three points: immediately before the next
+//! record the router journals anyway — a miss's `Lookup`, an `Admit`, a
+//! `Backfill` — and when a live router is dropped. Replay applies a
+//! summary by moving clock and counters on by its length and storing the
+//! stamps; it refuses the log ([`ServeError::Storage`], nothing
+//! truncated) if a summary names an entry or family the replayed cache
+//! does not hold or its counts do not add up.
+//!
+//! The contract: **a recovered cache is the live cache as of the last
+//! record in the log.** Hits served after that record were reads that
+//! promised nothing; a kill forgets them *together* — clock, counters,
+//! LRU stamps and heat rewind to one state the live router passed
+//! through — so every later eviction is still a pure function of the
+//! log. After a clean drop that state is the final one. No eviction can
+//! fall inside a run, where its victim would depend on stamps the log
+//! has not heard of: entries go in only under a `Backfill`, which
+//! flushes the run first. A log written while every hit was still
+//! journaled as a `Lookup` replays as it always did.
 //!
 //! Crash windows are safe by ordering: the `Lookup` op lands before the
 //! admission write (so a shed request replays as the same clustering
@@ -47,7 +71,7 @@ use crate::protocol::{
 };
 use crate::registry::{AdmissionConfig, CampaignRegistry, FleetStats, ServeError};
 use crate::spec::CampaignSpec;
-use autotune_cache::{fingerprint_key, CacheHit, CacheLookup, CacheStats, ShardedCache};
+use autotune_cache::{fingerprint_key, CacheHit, CacheLookup, CacheStats, HitRun, ShardedCache};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -77,9 +101,10 @@ pub struct RouterConfig {
 /// [`TenantRouter::open`] to rebuild cache + routing state.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 enum RouterOp {
-    /// A lookup was served (hit) or classified (miss). Replay re-runs
-    /// the cache lookup, which re-derives the same hit/miss and, on a
-    /// miss, the same clustering mutation.
+    /// A lookup missed. Replay re-runs the cache lookup, which re-derives
+    /// the miss and its clustering mutation. (Logs written before hits
+    /// stopped being journaled hold one of these per hit too; replay
+    /// re-derives those the same way.)
     Lookup { features: Vec<f64> },
     /// A miss admitted (or idempotently re-joined) a tuning campaign
     /// for a family.
@@ -90,6 +115,9 @@ enum RouterOp {
     },
     /// A completed campaign's best trial was folded into the cache.
     Backfill { campaign: u64 },
+    /// What the hits served since the record before this one left in
+    /// the cache. Replay applies it; it re-runs no lookup.
+    Hits(HitRun),
 }
 
 /// The bytes a journal record carries for `value`.
@@ -138,6 +166,10 @@ pub struct TenantRouter {
     pending: BTreeMap<u64, PendingFill>,
     /// family → campaign currently tuning it (single-flight).
     inflight: BTreeMap<u64, u64>,
+    /// The cache's tick as of the last record in the journal.
+    logged_tick: u64,
+    /// Whether a hit has been served since that record.
+    hits_unlogged: bool,
 }
 
 impl TenantRouter {
@@ -158,6 +190,8 @@ impl TenantRouter {
             cache,
             pending: BTreeMap::new(),
             inflight: BTreeMap::new(),
+            logged_tick: 0,
+            hits_unlogged: false,
         })
     }
 
@@ -184,10 +218,13 @@ impl TenantRouter {
             cache,
             pending: BTreeMap::new(),
             inflight: BTreeMap::new(),
+            logged_tick: 0,
+            hits_unlogged: false,
         };
         for (_, payload) in journal.filter(|(key, _)| key == OPS_KEY) {
             router.replay(decode_aux(OPS_KEY, &payload)?)?;
         }
+        router.logged_tick = router.cache.tick();
         Ok((router, report))
     }
 
@@ -197,7 +234,13 @@ impl TenantRouter {
     }
 
     /// The shared config cache. Clone the `Arc` to serve lookups from
-    /// other threads while this handle drives campaigns.
+    /// other threads while this handle drives campaigns. Such lookups
+    /// bypass the router's journal and are not replayed: hits among them
+    /// are at most swept into the next hit summary with the router's
+    /// own, and a miss among them takes a tick no record accounts for,
+    /// so a summary that spans it is one `open` refuses. A cache that
+    /// must reopen to the same bytes is read through
+    /// [`TenantRouter::lookup`] only.
     pub fn cache(&self) -> &Arc<ShardedCache> {
         &self.cache
     }
@@ -212,32 +255,51 @@ impl TenantRouter {
         self.cache.stats()
     }
 
+    /// Journals `op` behind a summary of the hits served since the
+    /// record before it, so the log's order is the cache's.
     fn journal_op(&mut self, op: &RouterOp) -> Result<(), ServeError> {
-        self.durable.append_aux(OPS_KEY, encode_aux(op)?)
+        self.flush_hits()?;
+        self.durable.append_aux(OPS_KEY, encode_aux(op)?)?;
+        self.logged_tick = self.cache.tick();
+        Ok(())
+    }
+
+    /// Journals what the unlogged hits left in the cache, if there are
+    /// any, as one [`RouterOp::Hits`].
+    fn flush_hits(&mut self) -> Result<(), ServeError> {
+        if !self.hits_unlogged {
+            return Ok(());
+        }
+        let run = self.cache.hits_since(self.logged_tick);
+        self.durable
+            .append_aux(OPS_KEY, encode_aux(&RouterOp::Hits(run))?)?;
+        self.hits_unlogged = false;
+        Ok(())
     }
 
     /// Serves one tenant request: a cache hit answers instantly; a miss
     /// admits `spec` through the durable registry (or joins the family's
     /// in-flight campaign) and the cache is backfilled when it completes.
     ///
-    /// Admission sheds surface as [`ServeError::Overloaded`]; the
-    /// clustering mutation is journaled before admission, so a shed
-    /// request still replays identically. A router whose WAL handle is
-    /// dead answers no hits and mutates nothing: a lookup it could not
-    /// journal must not advance the cache's LRU clock either.
+    /// A hit journals nothing (see the module docs); a miss journals the
+    /// hits before it and then itself. Admission sheds surface as
+    /// [`ServeError::Overloaded`]; the clustering mutation is journaled
+    /// before admission, so a shed request still replays identically. A
+    /// router whose WAL handle is dead answers no hits and mutates
+    /// nothing: soft state it can never journal must not move either.
     pub fn lookup(
         &mut self,
         features: &[f64],
         spec: &CampaignSpec,
     ) -> Result<RouterLookup, ServeError> {
         self.durable.check_alive()?;
-        let looked = self.cache.lookup(features);
+        if let CacheLookup::Hit(hit) = self.cache.lookup(features) {
+            self.hits_unlogged = true;
+            return Ok(RouterLookup::Hit(hit));
+        }
         self.journal_op(&RouterOp::Lookup {
             features: features.to_vec(),
         })?;
-        if let CacheLookup::Hit(hit) = looked {
-            return Ok(RouterLookup::Hit(hit));
-        }
         let assignment = self.cache.admit_family(features);
         let family = assignment.family as u64;
         if let Some(&campaign) = self.inflight.get(&family) {
@@ -357,6 +419,9 @@ impl TenantRouter {
                 self.inflight.insert(family, campaign);
             }
             RouterOp::Backfill { campaign } => self.apply_backfill(campaign, false)?,
+            RouterOp::Hits(run) => self.cache.apply_hits(&run).map_err(|e| {
+                ServeError::Storage(format!("{OPS_KEY} journal does not replay: {e}"))
+            })?,
         }
         Ok(())
     }
@@ -371,6 +436,16 @@ impl TenantRouter {
             rounds: run,
             n_active: self.durable.registry().n_active() as u64,
         })
+    }
+}
+
+/// A router that is let go journals the hits it has not yet: after a
+/// clean drop the log ends at the cache's final state. A dead handle
+/// writes nothing, and a summary that does not land leaves the log at
+/// its last record, which is a state `open` rebuilds.
+impl Drop for TenantRouter {
+    fn drop(&mut self) {
+        let _ = self.flush_hits();
     }
 }
 
@@ -526,6 +601,70 @@ mod tests {
         let mut s = CampaignSpec::minimal(name.to_string(), SystemKind::Redis, 6, seed);
         s.policy = SchedulePolicy::AsyncSlots { k: 2 };
         s
+    }
+
+    /// Bytes the WAL in `dir` holds, over all its segments.
+    fn wal_bytes(dir: &Path) -> u64 {
+        let files = std::fs::read_dir(dir).unwrap();
+        files.map(|f| f.unwrap().metadata().unwrap().len()).sum()
+    }
+
+    /// Every segment file of the WAL in `dir`, by name. A symlink (a
+    /// test's stand-in for a full disk) is no file of the log, and
+    /// `/dev/full` reads as zeros without end.
+    fn wal_files(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+        let files = std::fs::read_dir(dir).unwrap().map(|f| f.unwrap().path());
+        let files = files.filter(|p| !p.is_symlink());
+        files
+            .map(|p| (p.clone(), std::fs::read(p).unwrap()))
+            .collect()
+    }
+
+    /// The router's journal as it lies on disk: each op's kind, and the
+    /// length of the run a `Hits` holds.
+    fn journal(dir: &Path) -> Vec<(&'static str, u64)> {
+        let mut ops = Vec::new();
+        dump_wal(dir, |line| {
+            if let DumpedRecord::RouterOp(op) = &line.record {
+                ops.push(match op {
+                    RouterOp::Lookup { .. } => ("Lookup", 0),
+                    RouterOp::Admit { .. } => ("Admit", 0),
+                    RouterOp::Backfill { .. } => ("Backfill", 0),
+                    RouterOp::Hits(run) => ("Hits", run.hits),
+                });
+            }
+            Ok(())
+        })
+        .unwrap();
+        ops
+    }
+
+    fn cache_json(router: &TenantRouter) -> String {
+        serde_json::to_string(&router.cache.snapshot()).unwrap()
+    }
+
+    const TUNED: [f64; 2] = [3.0, 3.0];
+    /// Same family as `TUNED`, another key: a borrowed hit.
+    const SIBLING: [f64; 2] = [3.2, 3.0];
+    /// A family of its own.
+    const FAR: [f64; 2] = [9.0, 9.0];
+
+    /// A router in `dir` whose cache answers `TUNED` and `SIBLING`; the
+    /// last record of its log is the `Backfill`.
+    fn warmed(dir: &Path) -> TenantRouter {
+        let mut router =
+            TenantRouter::create(dir, 2, WalConfig::default(), tight_config()).unwrap();
+        router.lookup(&TUNED, &spec("t0", 7)).unwrap();
+        router.run_all().unwrap();
+        router
+    }
+
+    fn serve_hits(router: &mut TenantRouter, n: usize) {
+        for i in 0..n {
+            let fp = if i % 3 == 2 { &SIBLING } else { &TUNED };
+            let out = router.lookup(fp, &spec("t0", 7)).unwrap();
+            assert!(matches!(out, RouterLookup::Hit(_)), "{out:?}");
+        }
     }
 
     fn tight_config() -> RouterConfig {
@@ -735,8 +874,9 @@ mod tests {
     fn a_served_hit_stays_within_its_byte_budgets() {
         // The benchmark's shapes (`benchmark/src/gen.rs`): a 12-feature
         // fingerprint and the tenant's own random-search Redis campaign.
-        // The budgets sit just above today's sizes (576, 166 and 157
-        // bytes), so an encoding that quietly fattens fails here first.
+        // The budgets sit just above today's sizes (576 and 157 bytes),
+        // so an encoding that quietly fattens fails here first; a hit
+        // journals nothing.
         let dir = temp_dir("budget");
         let mut router =
             TenantRouter::create(&dir, 2, WalConfig::default(), tight_config()).unwrap();
@@ -758,15 +898,11 @@ mod tests {
         let miss = router.handle_request(request.clone(), &config).unwrap();
         assert!(matches!(miss, Response::CacheMiss { .. }), "{miss:?}");
         router.run_all().unwrap();
-        let on_disk = || -> u64 {
-            let files = std::fs::read_dir(&dir).unwrap();
-            files.map(|f| f.unwrap().metadata().unwrap().len()).sum()
-        };
-        let before = on_disk();
+        let before = wal_bytes(&dir);
         let hit = router.handle_request(request, &config).unwrap();
         assert!(matches!(hit, Response::CacheHit { .. }), "{hit:?}");
-        let journaled = on_disk() - before;
-        assert!(journaled <= 200, "a hit journals {journaled} bytes");
+        let journaled = wal_bytes(&dir) - before;
+        assert_eq!(journaled, 0, "a hit journals {journaled} bytes");
         let reply_len = frame_len(&hit);
         assert!(reply_len <= 170, "a CacheHit frame is {reply_len} bytes");
         let _ = std::fs::remove_dir_all(&dir);
@@ -784,15 +920,213 @@ mod tests {
         let mut durable = DurableRegistry::create(&dir, 1, WalConfig::default()).unwrap();
         let spec = CampaignSpec::minimal("tenant-217", SystemKind::Redis, 8, 35_007);
         let id = durable.register_spec(&spec).unwrap();
-        let on_disk = || -> u64 {
-            let files = std::fs::read_dir(&dir).unwrap();
-            files.map(|f| f.unwrap().metadata().unwrap().len()).sum()
-        };
-        let before = on_disk();
+        let before = wal_bytes(&dir);
         durable.run_all().unwrap();
         assert_eq!(durable.registry().stats(id).unwrap().n_trials, 8);
-        let per_trial = (on_disk() - before) / 8;
+        let per_trial = (wal_bytes(&dir) - before) / 8;
         assert!(per_trial <= 2600, "a trial logs {per_trial} bytes");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_hit_writes_nothing() {
+        let dir = temp_dir("hit-writes-nothing");
+        let mut router = warmed(&dir);
+        let warm = [("Lookup", 0), ("Admit", 0), ("Backfill", 0)];
+        assert_eq!(journal(&dir), warm);
+        let (bytes, appends) = (wal_bytes(&dir), router.registry().fleet_stats().wal_appends);
+        serve_hits(&mut router, 1000);
+        assert_eq!(wal_bytes(&dir), bytes);
+        assert_eq!(router.registry().fleet_stats().wal_appends, appends);
+        // The next record the router has to write takes the hits' one
+        // summary in ahead of it.
+        let miss = router.lookup(&FAR, &spec("t1", 8)).unwrap();
+        assert!(matches!(miss, RouterLookup::Miss { enqueued: true, .. }));
+        let mut want = warm.to_vec();
+        want.extend([("Hits", 1000), ("Lookup", 0), ("Admit", 0)]);
+        assert_eq!(journal(&dir), want);
+        // A drop with hits outstanding adds one more, a drop without none.
+        serve_hits(&mut router, 5);
+        let live = cache_json(&router);
+        drop(router);
+        want.push(("Hits", 5));
+        assert_eq!(journal(&dir), want);
+        let (reopened, _) = TenantRouter::open(&dir, 2, WalConfig::default()).unwrap();
+        assert_eq!(cache_json(&reopened), live);
+        drop(reopened);
+        assert_eq!(journal(&dir), want);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hits_since_the_last_record_are_forgotten_together() {
+        // A kill (no `Drop`) after hits the log never heard of: clock,
+        // counters, LRU stamps and heat all come back as of the last
+        // record, a state the live router passed through.
+        let killed_after_hits = |tag: &str| {
+            let dir = temp_dir(tag);
+            let mut router = warmed(&dir);
+            serve_hits(&mut router, 4);
+            router.lookup(&FAR, &spec("t1", 8)).unwrap();
+            let at_record = cache_json(&router);
+            serve_hits(&mut router, 7);
+            assert_ne!(cache_json(&router), at_record);
+            std::mem::forget(router);
+            let (reopened, _) = TenantRouter::open(&dir, 2, WalConfig::default()).unwrap();
+            let recovered = cache_json(&reopened);
+            drop(reopened);
+            let _ = std::fs::remove_dir_all(&dir);
+            (at_record, recovered)
+        };
+        let (at_record, recovered) = killed_after_hits("forgotten-a");
+        assert_eq!(recovered, at_record);
+        assert_eq!(killed_after_hits("forgotten-b").1, recovered);
+    }
+
+    /// Hits, then a miss on a handle that `kill` has set up to die at
+    /// its next append. Returns the cache as of the last record that
+    /// landed whole and as the reopened router holds it.
+    fn killed_by(tag: &str, kill: impl FnOnce(&mut TenantRouter, &Path)) -> (String, String) {
+        let dir = temp_dir(tag);
+        let mut router = warmed(&dir);
+        let at_backfill = cache_json(&router);
+        serve_hits(&mut router, 6);
+        let after_hits = cache_json(&router);
+        kill(&mut router, &dir);
+        let refused = router.lookup(&FAR, &spec("t1", 8));
+        assert!(
+            matches!(refused, Err(ServeError::Storage(_))),
+            "{refused:?}"
+        );
+        let post_ack = router.durable.crashed() == Some(crate::CrashPoint::PostAppendPreAck);
+        // Dead with hits it never logged (unless the summary is what
+        // landed): `Drop` leaves the directory as it is.
+        let before = wal_files(&dir);
+        drop(router);
+        assert_eq!(wal_files(&dir), before, "a dead handle wrote in Drop");
+        for file in std::fs::read_dir(&dir).unwrap() {
+            let path = file.unwrap().path();
+            if path.is_symlink() {
+                std::fs::remove_file(path).unwrap();
+            }
+        }
+        let (reopened, _) = TenantRouter::open(&dir, 2, WalConfig::default()).unwrap();
+        let recovered = cache_json(&reopened);
+        drop(reopened);
+        let _ = std::fs::remove_dir_all(&dir);
+        (if post_ack { after_hits } else { at_backfill }, recovered)
+    }
+
+    #[test]
+    fn a_crashed_handle_writes_nothing_in_drop_and_reopens_to_the_last_record() {
+        use crate::chaos::ChaosPlan;
+        let crash_at = |pre, mid, post| ChaosPlan {
+            p_crash_pre_append: pre,
+            p_crash_mid_append: mid,
+            p_crash_post_append: post,
+            ..ChaosPlan::new(1)
+        };
+        let plans = [
+            ("pre", crash_at(1.0, 0.0, 0.0)),
+            ("mid", crash_at(0.0, 1.0, 0.0)),
+            ("post", crash_at(0.0, 0.0, 1.0)),
+        ];
+        for (tag, plan) in plans {
+            let (last_record, recovered) = killed_by(&format!("chaos-{tag}"), |router, _| {
+                router.durable.set_chaos(plan);
+            });
+            assert_eq!(recovered, last_record, "crash point {tag}");
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_full_disk_kills_the_handle_and_it_reopens_to_the_last_record() {
+        if !Path::new("/dev/full").exists() {
+            return;
+        }
+        let (last_record, recovered) = killed_by("enospc", |router, dir| {
+            // The open segment becomes a device that is always full: the
+            // summary the miss forces is the write that meets ENOSPC.
+            let segments = std::fs::read_dir(dir).unwrap().count();
+            let full = dir.join(format!("wal-{:06}.seg", segments + 1));
+            std::os::unix::fs::symlink("/dev/full", full).unwrap();
+            router.durable.checkpoint().unwrap();
+        });
+        assert_eq!(recovered, last_record);
+    }
+
+    #[test]
+    fn a_summary_the_replay_cannot_account_for_is_refused_and_nothing_is_truncated() {
+        // A killed router's log, with a summary of its unlogged hits
+        // appended by hand (so the record's CRC holds): the honest one
+        // opens to the live cache, a lie is refused.
+        type Lie = fn(&mut HitRun);
+        let with_summary = |tag: &str, lie: Lie| {
+            let dir = temp_dir(tag);
+            let mut router = warmed(&dir);
+            serve_hits(&mut router, 6);
+            let live = cache_json(&router);
+            let mut run = router.cache.hits_since(router.logged_tick);
+            assert_eq!(run.hits, 6);
+            lie(&mut run);
+            std::mem::forget(router);
+            let (mut durable, _) = DurableRegistry::open(&dir, 2, WalConfig::default()).unwrap();
+            let record = encode_aux(&RouterOp::Hits(run)).unwrap();
+            durable.append_aux(OPS_KEY, record).unwrap();
+            drop(durable);
+            let before = wal_files(&dir);
+            let opened = TenantRouter::open(&dir, 2, WalConfig::default());
+            let opened = opened.map(|(router, _)| cache_json(&router));
+            // `open` starts a segment of its own and touches no other.
+            let mut after = wal_files(&dir);
+            after.retain(|path, _| before.contains_key(path));
+            assert_eq!(after, before, "{tag}: the log was touched");
+            let _ = std::fs::remove_dir_all(&dir);
+            (live, opened)
+        };
+        let (live, opened) = with_summary("summary-honest", |_| {});
+        assert_eq!(opened.unwrap(), live);
+        let lies: [(&str, Lie); 2] = [
+            ("summary-no-entry", |run| run.entries[0].1 ^= 1),
+            ("summary-miscounted", |run| run.hits += 1),
+        ];
+        for (tag, lie) in lies {
+            let (_, opened) = with_summary(tag, lie);
+            let Err(ServeError::Storage(why)) = opened else {
+                panic!("{tag}: not refused with a storage error: {opened:?}");
+            };
+            assert!(why.contains("hit run does not apply"), "{why}");
+        }
+    }
+
+    #[test]
+    fn a_log_with_a_record_per_hit_still_opens_to_the_same_cache() {
+        // `tests/golden/pr22_hit_journal.hex`: written by the build before
+        // hits stopped being journaled, with the snapshot its own `open`
+        // rebuilt.
+        let hex = include_str!("../tests/golden/pr22_hit_journal.hex");
+        let digits: Vec<u8> = hex
+            .lines()
+            .filter(|line| !line.starts_with('#'))
+            .flat_map(str::bytes)
+            .collect();
+        let segment: Vec<u8> = digits
+            .chunks(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect();
+        let dir = temp_dir("pr22-journal");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("wal-000001.seg"), &segment).unwrap();
+        let hits = journal(&dir).iter().filter(|op| op.0 == "Lookup").count();
+        assert_eq!(hits, 7, "five hits and two misses, a `Lookup` each");
+        let (reopened, report) = TenantRouter::open(&dir, 2, WalConfig::default()).unwrap();
+        assert_eq!(report.records_read, 15);
+        let want = include_str!("../tests/golden/pr22_hit_journal_snapshot.json");
+        assert_eq!(cache_json(&reopened), want.trim_end());
+        // Replayed hits are in the log already: nothing to summarise.
+        drop(reopened);
+        assert_eq!(wal_bytes(&dir), segment.len() as u64);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

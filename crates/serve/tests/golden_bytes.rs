@@ -2,8 +2,9 @@
 //! holds, as hex, the frames of a benchmark-shaped `Lookup`, its
 //! `CacheHit` and a `Stats` reply, and every record of the WAL a short
 //! durable router run writes: the pinned router config, `Register`,
-//! `Ticks`, and the journaled `Lookup`/`Admit`/`Backfill` ops inside
-//! their `Aux` records. The run is re-done here and must produce those
+//! `Ticks`, and the journaled `Lookup`/`Admit`/`Backfill` ops and the
+//! `Hits` summary the drop leaves, inside their `Aux` records. The run
+//! is re-done here and must produce those
 //! bytes again; the fixture is then decoded and must print (`Debug`) as
 //! the live values do. A change to the serde or CBOR stubs that moves a
 //! byte, or reads one differently, fails here before it meets a log
@@ -92,7 +93,8 @@ fn wal_entries(dir: &Path) -> Vec<Entry> {
 /// The run behind the fixture: the benchmark's tenant (a 12-feature
 /// fingerprint and its own random-search Redis campaign, here two
 /// trials in one batch, so one `Ticks` record) misses, is tuned, and
-/// hits. Returns the entries and the name of the log's segment file.
+/// hits, which the log hears of when the router is dropped. Returns the
+/// entries and the name of the log's segment file.
 fn live() -> (Vec<Entry>, PathBuf) {
     let dir = temp_dir("live");
     let mut router =
@@ -177,6 +179,7 @@ fn wire_and_wal_bytes_match_the_fixture() {
         "RouterOp(Lookup",
         "RouterOp(Admit",
         "RouterOp(Backfill",
+        "RouterOp(Hits",
     ] {
         assert!(kinds.contains(kind), "the fixture holds no {kind}");
     }

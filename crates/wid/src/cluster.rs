@@ -4,7 +4,7 @@
 //! whole cluster (slide 88: "optimize one system, reuse on similar ones").
 //! K-means++ seeding plus Lloyd iterations; deterministic under a seed.
 
-use crate::{Fingerprint, Result, WidError};
+use crate::{Result, WidError};
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
@@ -203,9 +203,10 @@ impl StreamingClusters {
     /// Non-mutating nearest-family query: `(family, distance)` of the
     /// closest centroid within the threshold, or `None` if the fingerprint
     /// would spawn a new family. Used by read-only cache lookups that must
-    /// not perturb the model.
-    pub fn classify(&self, fp: &Fingerprint) -> Option<(usize, f64)> {
-        let (family, d2) = nearest_checked(&self.centroids, fp.features())?;
+    /// not perturb the model. Takes a [`Fingerprint`](crate::Fingerprint) or the bare feature
+    /// slice, so a caller that holds only the slice copies nothing.
+    pub fn classify(&self, fp: &(impl AsRef<[f64]> + ?Sized)) -> Option<(usize, f64)> {
+        let (family, d2) = nearest_checked(&self.centroids, fp.as_ref())?;
         let dist = d2.sqrt();
         if dist <= self.threshold {
             Some((family, dist))
@@ -219,8 +220,8 @@ impl StreamingClusters {
     ///
     /// # Panics
     /// Panics if `fp`'s dimension disagrees with existing centroids.
-    pub fn assign(&mut self, fp: &Fingerprint) -> StreamAssignment {
-        let x = fp.features();
+    pub fn assign(&mut self, fp: &(impl AsRef<[f64]> + ?Sized)) -> StreamAssignment {
+        let x = fp.as_ref();
         match nearest_checked(&self.centroids, x) {
             Some((family, d2)) if d2.sqrt() <= self.threshold => {
                 let c = &mut self.centroids[family];
@@ -334,6 +335,7 @@ pub fn purity(assignments: &[usize], labels: &[usize]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fingerprint;
     use rand::rngs::StdRng;
 
     fn blobs(

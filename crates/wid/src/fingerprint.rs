@@ -64,6 +64,12 @@ impl Fingerprint {
     }
 }
 
+impl AsRef<[f64]> for Fingerprint {
+    fn as_ref(&self) -> &[f64] {
+        &self.features
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

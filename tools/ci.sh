@@ -94,9 +94,9 @@ if [ "$FAST" -eq 1 ]; then
   skip_step "benchmark crate (build, tests, smoke run)"
 else
   # The byte-identical contracts must hold on a busy machine, not only
-  # an idle one: rerun the registry, campaign-snapshot, cache-race and
-  # WAL-recovery suites 50 times with the CPUs oversubscribed. See
-  # tools/stress.sh.
+  # an idle one: rerun the registry, campaign-snapshot, cache-race,
+  # WAL-recovery and router-reopen suites 50 times with the CPUs
+  # oversubscribed. See tools/stress.sh.
   run_step "determinism under load (stress, 50 runs)" tools/stress.sh 50
 
   # Seeded two-thread interleavings over the sharded cache and the

@@ -157,6 +157,8 @@ const DURABLE_CALLS: [&str; 7] = [
     "admit_spec",
     "register_spec",
     "stop",
+    // `TenantRouter::lookup` journals on its miss path, the one that
+    // answers the `CacheMiss` ack; its hit path writes nothing.
     "lookup",
 ];
 

@@ -12,7 +12,7 @@
 //! | D7 | consistent lock order — nested acquisitions feed a cross-crate graph that must stay acyclic; re-acquiring a held lock is flagged at the site | bench, tests |
 //! | D8 | no lock guard held across `catch_unwind`, `par_map*`, or WAL `append`/`append_aux` | bench, tests |
 //! | D9 | no `Ordering::Relaxed` on non-counter atomics (`fetch_add`/`fetch_sub` are counters) without a happens-before argument | bench, tests |
-//! | D10 | in `crates/serve`, every durable-state ack (`Response::{Registered,Stopped,CacheHit,CacheMiss}`) must be dominated by a durable append/journal call | library, bench, tests |
+//! | D10 | in `crates/serve`, every durable-state ack (`Response::{Registered,Stopped,CacheMiss}`) must be dominated by a durable append/journal call; a `CacheHit` is a read and promises none | library, bench, tests |
 //! | D11 | no non-associative float reductions (`.sum()`, captured `+=`) inside `par_map*` closures — use the ordered-reduction helpers | bench, tests |
 //! | D12 | no poison-panicking `.lock()/.read()/.write()` adapters in library paths — go through `autotune::sync::PoisonFree` | bench, tests |
 //!
@@ -100,9 +100,11 @@ const RULES: [Rule; 12] = [
 
 /// Durable-state acks: the server must not send these before the
 /// corresponding WAL append. Read-only and terminal responses
-/// (`Stepped`, `Snapshot`, `Stats`, `Fleet`, `Error`, `Overloaded`,
-/// `Bye`) carry no new durable state.
-const ACK_VARIANTS: [&str; 4] = ["Registered", "Stopped", "CacheHit", "CacheMiss"];
+/// (`Stepped`, `Snapshot`, `Stats`, `Fleet`, `CacheHit`, `Error`,
+/// `Overloaded`, `Bye`) carry no new durable state: a hit journals
+/// nothing, and what it left in the cache is logged with the next
+/// record the router writes.
+const ACK_VARIANTS: [&str; 3] = ["Registered", "Stopped", "CacheMiss"];
 
 /// Receivers that make a bare `append(..)` a WAL call rather than
 /// `Vec::append`.
@@ -735,6 +737,17 @@ mod tests {
         let field_expr =
             "fn f() -> R { Ok(Response::Registered { id: self.admit_spec(&spec, rid)? }) }";
         assert!(run(CrateKind::Serve, field_expr).is_empty());
+    }
+
+    #[test]
+    fn d10_a_hit_is_a_read_and_a_miss_is_an_ack() {
+        let hit = "fn f() -> Response { Response::CacheHit { config: self.cache.get(&k) } }";
+        assert!(run(CrateKind::Serve, hit).is_empty());
+        let miss = "fn f() -> Response { Response::CacheMiss { campaign: 3, enqueued: true } }";
+        assert_eq!(codes(CrateKind::Serve, miss), vec!["D10"]);
+        let ok = "fn f() -> R { Ok(match self.lookup(&fp, &spec)? { Hit(h) => reply(h), \
+                  Miss { campaign, enqueued } => Response::CacheMiss { campaign, enqueued } }) }";
+        assert!(run(CrateKind::Serve, ok).is_empty());
     }
 
     #[test]

@@ -8,11 +8,15 @@ pub fn handle_register(&mut self, spec: CampaignSpec) -> Result<Response, ServeE
 }
 
 pub fn handle_lookup(&mut self, features: Vec<f64>) -> Result<Response, ServeError> {
+    // A hit is a read: it promises no durable state and journals nothing.
+    if let Some(hit) = self.cache.get(&features) {
+        return Ok(Response::CacheHit { config: hit });
+    }
     self.journal_op(&RouterOp::Lookup {
         features: features.clone(),
     })?;
-    match self.cache.lookup(&features) {
-        Some(hit) => Ok(Response::CacheHit { config: hit }),
-        None => Ok(Response::Stats { tick: 0 }),
-    }
+    Ok(Response::CacheMiss {
+        campaign: self.campaign_for(&features),
+        enqueued: false,
+    })
 }
