@@ -7,6 +7,7 @@
 
 #![allow(clippy::needless_range_loop)] // offset-indexed triangular loops
 use crate::blocked::DEFAULT_BLOCK;
+use crate::vector::{chained_dots, CHAINS};
 use crate::{LinalgError, Matrix, Result};
 
 /// Lower-triangular Cholesky factor `L` with `A = L * L^T`.
@@ -142,7 +143,50 @@ impl Cholesky {
 
     /// Single factorization attempt with the given diagonal jitter;
     /// returns `None` when a pivot is non-positive.
+    ///
+    /// Column by column: the pivot, then the entries below it as
+    /// [`CHAINS`] independent dot products that share the pivot row's
+    /// loads. Every entry is the same `sum_{k<j} L[i,k] * L[j,k]` the row
+    /// loop forms with [`crate::dot`], in the same order, and pivots are
+    /// checked in the same order, so the factor and the first failing
+    /// pivot are the row loop's bit for bit; the chains only stop each
+    /// add from waiting on the one before it.
     fn try_factor(a: &Matrix, jitter: f64) -> Option<Matrix> {
+        let n = a.rows();
+        // Row-major `L`, split at the pivot row so the rows below it can
+        // be written while the pivot row is read.
+        let mut l = vec![0.0; n * n];
+        for j in 0..n {
+            let (head, tail) = l.split_at_mut((j + 1) * n);
+            let pivot = &head[j * n..j * n + j];
+            let d = a[(j, j)] + jitter - crate::vector::dot(pivot, pivot);
+            if d <= 0.0 || !d.is_finite() {
+                return None;
+            }
+            let ljj = d.sqrt();
+            head[j * n + j] = ljj;
+            let pivot = &head[j * n..j * n + j];
+            let mut groups = tail.chunks_exact_mut(n * CHAINS);
+            let mut i = j + 1;
+            for group in groups.by_ref() {
+                let s = chained_dots(std::array::from_fn(|r| &group[r * n..r * n + j]), pivot);
+                for (r, s) in s.into_iter().enumerate() {
+                    group[r * n + j] = (a[(i + r, j)] - s) / ljj;
+                }
+                i += CHAINS;
+            }
+            for (i, row) in (i..).zip(groups.into_remainder().chunks_exact_mut(n)) {
+                let s = crate::vector::dot(&row[..j], pivot);
+                row[j] = (a[(i, j)] - s) / ljj;
+            }
+        }
+        Some(Matrix::from_vec(n, n, l))
+    }
+
+    /// The row loop [`Cholesky::try_factor`] replaced, kept as the oracle
+    /// its factor is held bitwise equal to.
+    #[cfg(test)]
+    fn try_factor_rows(a: &Matrix, jitter: f64) -> Option<Matrix> {
         let n = a.rows();
         let mut l = Matrix::zeros(n, n);
         for i in 0..n {
@@ -186,6 +230,47 @@ impl Cholesky {
         for i in 0..n {
             let s = crate::vector::dot(&self.l.row(i)[..i], &y[..i]);
             y[i] = (b[i] - s) / self.l[(i, i)];
+        }
+        y
+    }
+
+    /// Solves `L Y = B` for `m` right-hand sides at once.
+    ///
+    /// `b` holds them interleaved, entry `i` of right-hand side `c` at
+    /// `b[i * m + c]`, and the solutions come back in the same layout.
+    /// Each column is bit for bit [`Cholesky::solve_lower`] of that
+    /// column: groups of eight columns are substituted together, one
+    /// `dot`-order chain per column sharing the loads of `L`'s row, and
+    /// the columns left over go through `solve_lower` itself.
+    ///
+    /// # Panics
+    /// Panics if `b.len() != self.dim() * m`.
+    pub fn solve_lower_many(&self, b: &[f64], m: usize) -> Vec<f64> {
+        let n = self.dim();
+        assert_eq!(b.len(), n * m, "solve_lower_many: rhs length mismatch");
+        let mut y = b.to_vec();
+        let grouped = m / CHAINS * CHAINS;
+        for c in (0..grouped).step_by(CHAINS) {
+            for i in 0..n {
+                let li = &self.l.row(i)[..i];
+                let mut acc = [-0.0; CHAINS];
+                for (k, &lik) in li.iter().enumerate() {
+                    let yk = &y[k * m + c..k * m + c + CHAINS];
+                    for (a, &v) in acc.iter_mut().zip(yk) {
+                        *a += lik * v;
+                    }
+                }
+                let lii = self.l[(i, i)];
+                for (v, s) in y[i * m + c..i * m + c + CHAINS].iter_mut().zip(acc) {
+                    *v = (*v - s) / lii;
+                }
+            }
+        }
+        for c in grouped..m {
+            let col: Vec<f64> = (0..n).map(|i| b[i * m + c]).collect();
+            for (i, v) in self.solve_lower(&col).into_iter().enumerate() {
+                y[i * m + c] = v;
+            }
         }
         y
     }
@@ -241,20 +326,6 @@ impl Cholesky {
             .expect("identity always matches dimension") // lint: allow(D5) identity matches the factor dimension
     }
 
-    /// Rank-1 extension: given the factor of the leading n×n principal
-    /// submatrix, absorbs one bordering row/column in O(n²).
-    ///
-    /// `col` holds the off-diagonal covariances `A[0..n, n]` and `diag` the
-    /// new diagonal entry `A[n, n]`. The jitter chosen when this factor was
-    /// built is applied to the new diagonal entry too, so the extended
-    /// factor is exactly the factor of the bordered `A + jitter * I`.
-    ///
-    /// With `w = L⁻¹ col` and `d = diag + jitter − ‖w‖²`, the new factor row
-    /// is `[wᵀ, √d]`. When `d` is non-positive (the new point is linearly
-    /// dependent on the existing ones to working precision) the extension
-    /// is rejected with [`LinalgError::NotPositiveDefinite`] and the factor
-    /// is left untouched — callers should fall back to a full, re-jittered
-    /// factorization.
     /// Rank-1 *update*: replaces this factor of `A` with the factor of
     /// `A + v vᵀ` in O(n²) (the classic `cholupdate` Givens sweep).
     ///
@@ -294,6 +365,20 @@ impl Cholesky {
         Ok(())
     }
 
+    /// Rank-1 extension: given the factor of the leading n×n principal
+    /// submatrix, absorbs one bordering row/column in O(n²).
+    ///
+    /// `col` holds the off-diagonal covariances `A[0..n, n]` and `diag` the
+    /// new diagonal entry `A[n, n]`. The jitter chosen when this factor was
+    /// built is applied to the new diagonal entry too, so the extended
+    /// factor is exactly the factor of the bordered `A + jitter * I`.
+    ///
+    /// With `w = L⁻¹ col` and `d = diag + jitter − ‖w‖²`, the new factor row
+    /// is `[wᵀ, √d]`. When `d` is non-positive (the new point is linearly
+    /// dependent on the existing ones to working precision) the extension
+    /// is rejected with [`LinalgError::NotPositiveDefinite`] and the factor
+    /// is left untouched — callers should fall back to a full, re-jittered
+    /// factorization.
     pub fn extend(&mut self, col: &[f64], diag: f64) -> Result<()> {
         let n = self.dim();
         if col.len() != n {
@@ -585,6 +670,36 @@ mod tests {
             &before,
             "failed update must leave the factor untouched"
         );
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn chained_factor_is_the_row_loop_bit_for_bit() {
+        // Around every multiple of the chain width: a well-conditioned
+        // matrix, the all-ones matrix (every rung but the first fails
+        // before it, so the ladder must land on the same one) and an
+        // indefinite matrix (the same error).
+        for n in (0..=33).chain([127, 128, 129]) {
+            let mut a = random_spd(n, 77 + n as u64);
+            let ones = Matrix::from_fn(n, n, |_, _| 1.0);
+            for (a, jittered) in [(&a, false), (&ones, n >= 2)] {
+                let want = Cholesky::with_jitter_ladder(a, Cholesky::try_factor_rows).unwrap();
+                let got = Cholesky::new(a).unwrap();
+                assert_eq!(got.jitter() > 0.0, jittered, "n={n}");
+                assert_eq!(got.jitter().to_bits(), want.jitter().to_bits(), "n={n}");
+                assert_eq!(bits(got.l()), bits(want.l()), "n={n}");
+            }
+            if n >= 1 {
+                a.add_diag(-2.0 * n as f64);
+                assert_eq!(
+                    Cholesky::new(&a).unwrap_err(),
+                    Cholesky::with_jitter_ladder(&a, Cholesky::try_factor_rows).unwrap_err()
+                );
+            }
+        }
     }
 
     #[test]

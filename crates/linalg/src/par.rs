@@ -4,21 +4,24 @@
 //! likelihood restarts) share the same shape: a batch of independent,
 //! pure computations whose *results* must not depend on thread count or
 //! interleaving. [`par_map`] encodes
-//! that contract once: items are split into contiguous chunks, one scoped
-//! thread per chunk, and outputs are concatenated in chunk order, so the
-//! returned vector is always exactly `items.iter().map(f)` regardless of
-//! scheduling. Callers that need a reduction (e.g. argmax) fold the
-//! returned vector sequentially in index order.
+//! that contract once: items are split into contiguous chunks, the caller
+//! works the first chunk while one scoped thread works each of the others,
+//! and outputs are concatenated in chunk order, so the returned vector is
+//! always exactly `items.iter().map(f)` regardless of scheduling. Callers
+//! that need a reduction (e.g. argmax) fold the returned vector
+//! sequentially in index order.
 
 use std::panic::resume_unwind;
 
-/// Maps `f` over `items` on scoped threads, returning outputs in input
-/// order.
+/// Maps `f` over `items` on the calling thread and scoped threads,
+/// returning outputs in input order.
 ///
-/// `f` is called with `(index, &item)` exactly once per item. Falls back
-/// to a plain sequential map when there are fewer than `min_parallel`
-/// items or the host reports a single hardware thread, so tiny batches
-/// don't pay thread spawn costs.
+/// `f` is called with `(index, &item)` exactly once per item. The items
+/// are cut into one contiguous chunk per hardware thread; the caller maps
+/// the first chunk itself and a scoped thread maps each other one. Falls
+/// back to a plain sequential map when there are fewer than
+/// `min_parallel` items or the host reports a single hardware thread, so
+/// tiny batches don't pay thread spawn costs.
 ///
 /// # Determinism
 /// `f` must be pure with respect to ordering: it may not mutate shared
@@ -27,7 +30,7 @@ use std::panic::resume_unwind;
 /// thread count.
 ///
 /// # Panics
-/// Propagates a panic from any worker thread.
+/// Propagates a panic from any chunk, the caller's included.
 pub fn par_map<T, R, F>(items: &[T], min_parallel: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -53,25 +56,29 @@ where
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     let chunk = items.len().div_ceil(threads.min(items.len()));
+    let run = |ci: usize, slice: &[T]| -> Vec<R> {
+        slice
+            .iter()
+            .enumerate()
+            .map(|(j, t)| f(ci * chunk + j, t))
+            .collect()
+    };
     std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = items
+        let run = &run;
+        let (first, rest) = items.split_at(chunk);
+        let handles: Vec<_> = rest
             .chunks(chunk)
             .enumerate()
-            .map(|(ci, slice)| {
-                scope.spawn(move || {
-                    slice
-                        .iter()
-                        .enumerate()
-                        .map(|(j, t)| f(ci * chunk + j, t))
-                        .collect::<Vec<R>>()
-                })
-            })
+            .map(|(ci, slice)| scope.spawn(move || run(ci + 1, slice)))
             .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
-            .collect()
+        // The caller works the first chunk instead of idling in `join`; a
+        // panic here leaves the scope after it has joined the others, so
+        // the first panicking chunk in chunk order is still the one raised.
+        let mut out = run(0, first);
+        for h in handles {
+            out.extend(h.join().unwrap_or_else(|payload| resume_unwind(payload)));
+        }
+        out
     })
 }
 
@@ -176,6 +183,28 @@ mod tests {
             let got = par_map_threads(&items, 2, threads, |i, x| x.wrapping_mul(31) ^ i as u64);
             assert_eq!(got, want, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn the_caller_maps_the_first_chunk() {
+        let items: Vec<u32> = (0..10).collect();
+        let ids = par_map_threads(&items, 2, 3, |_, _| std::thread::current().id());
+        let me = std::thread::current().id();
+        // Chunks of 4, 4 and 2: the caller's, then two scoped threads'.
+        assert!(ids[..4].iter().all(|id| *id == me));
+        assert!(ids[4..].iter().all(|id| *id != me));
+        assert_ne!(ids[4], ids[8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "first")]
+    fn a_panic_in_the_callers_chunk_wins() {
+        let items: Vec<u32> = (0..64).collect();
+        let _ = par_map_threads(&items, 2, 4, |_, x| {
+            assert!(*x != 0, "first");
+            assert!(*x != 63, "last");
+            *x
+        });
     }
 
     #[test]

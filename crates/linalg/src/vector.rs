@@ -15,6 +15,26 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(&x, &y)| x * y).sum()
 }
 
+/// How many independent dot products the chained kernels run side by side.
+pub(crate) const CHAINS: usize = 8;
+
+/// `dot(rows[r], shared)` for every `r` at once, each bit for bit what
+/// [`dot`] returns: its own accumulator starting at `-0.0` (where
+/// `f64::sum` starts), ascending `k`, `acc + rows[r][k] * shared[k]` with
+/// no fused multiply-add. The chains are independent, so their adds
+/// overlap instead of each waiting on the one before it.
+#[inline]
+pub(crate) fn chained_dots(rows: [&[f64]; CHAINS], shared: &[f64]) -> [f64; CHAINS] {
+    let rows = rows.map(|r| &r[..shared.len()]);
+    let mut acc = [-0.0; CHAINS];
+    for (k, &s) in shared.iter().enumerate() {
+        for (a, row) in acc.iter_mut().zip(&rows) {
+            *a += row[k] * s;
+        }
+    }
+    acc
+}
+
 /// Euclidean norm.
 #[inline]
 pub fn norm2(a: &[f64]) -> f64 {
@@ -50,6 +70,31 @@ mod tests {
     #[test]
     fn dot_orthogonal_is_zero() {
         assert_eq!(dot(&[1.0, 0.0], &[0.0, 1.0]), 0.0);
+    }
+
+    #[test]
+    fn dot_starts_from_negative_zero() {
+        // The chained kernels copy this start value; a toolchain whose
+        // `f64::sum` starts elsewhere fails here first.
+        assert_eq!(dot(&[], &[]).to_bits(), (-0.0f64).to_bits());
+        let empty = chained_dots([&[]; CHAINS], &[]).map(f64::to_bits);
+        assert_eq!(empty, [(-0.0f64).to_bits(); CHAINS]);
+    }
+
+    #[test]
+    fn chained_dots_are_dot_bit_for_bit() {
+        let shared: Vec<f64> = (0..37).map(|k| (k as f64 * 0.37).sin() * 1e3).collect();
+        let rows: Vec<Vec<f64>> = (0..CHAINS)
+            .map(|r| (0..40).map(|k| ((r * 40 + k) as f64).cos() / 3.0).collect())
+            .collect();
+        let got = chained_dots(std::array::from_fn(|r| &rows[r][..]), &shared);
+        for (r, row) in rows.iter().enumerate() {
+            assert_eq!(
+                got[r].to_bits(),
+                dot(&row[..37], &shared).to_bits(),
+                "chain {r}"
+            );
+        }
     }
 
     #[test]

@@ -70,8 +70,13 @@ impl Default for BoConfig {
     }
 }
 
-/// Candidate batches at or above this size are scored on parallel threads.
-const MIN_PAR_CANDIDATES: usize = 16;
+/// Candidates are scored this many at a time through
+/// [`Surrogate::predict_many`].
+const CANDIDATE_BLOCK: usize = 32;
+
+/// At or above this many candidate blocks, the blocks are scored on
+/// parallel threads.
+const MIN_PAR_BLOCKS: usize = 2;
 
 /// Bayesian optimizer over a configuration space.
 pub struct BayesianOptimizer {
@@ -344,12 +349,13 @@ impl BayesianOptimizer {
     ///
     /// Candidate configurations are all drawn from `rng` *before* any
     /// scoring, so deterministic acquisitions (EI/PI/LCB) can be scored on
-    /// parallel threads as pure functions of the frozen model; the winner
-    /// is picked by an index-ordered strictly-greater argmax, making the
-    /// result independent of thread count and interleaving (and bitwise
-    /// equal to the historical sequential loop). Thompson sampling's score
-    /// is itself a posterior draw, so it keeps the sequential
-    /// sample-then-score interleaving.
+    /// parallel threads as pure functions of the frozen model, in blocks
+    /// of [`CANDIDATE_BLOCK`] through [`Surrogate::predict_many`]; the
+    /// winner is picked by an index-ordered strictly-greater argmax over
+    /// the scores in candidate order, making the result independent of
+    /// thread count and interleaving (and bitwise equal to the historical
+    /// sequential loop). Thompson sampling's score is itself a posterior
+    /// draw, so it keeps the sequential sample-then-score interleaving.
     fn propose(&mut self, rng: &mut dyn RngCore) -> Config {
         self.ensure_fitted();
         // No incumbent means nothing to "improve on": every trial so far
@@ -388,28 +394,39 @@ impl BayesianOptimizer {
             }
             best_cfg.expect("n_candidates >= 1 guarantees a candidate") // lint: allow(D5) loop above clamps to at least one draw
         } else {
-            let mut cands: Vec<(Config, Vec<f64>)> = Vec::with_capacity(self.config.n_candidates);
-            for i in 0..self.config.n_candidates {
+            // Clamped like the sequential path: a zero budget still draws one.
+            let n_candidates = self.config.n_candidates.max(1);
+            let mut cands: Vec<Config> = Vec::with_capacity(n_candidates);
+            let mut xs: Vec<Vec<f64>> = Vec::with_capacity(n_candidates);
+            for i in 0..n_candidates {
                 let cand = match &local_anchor {
                     Some(anchor) if i % 2 == 1 => self.space.neighbor(anchor, 0.2, &mut rng),
                     _ => self.space.sample(&mut rng),
                 };
-                let cx = self.encode(&cand);
-                cands.push((cand, cx));
+                xs.push(self.encode(&cand));
+                cands.push(cand);
             }
             let model = self.model.as_ref();
-            let scores = autotune_linalg::par_map(&cands, MIN_PAR_CANDIDATES, |_, (_, cx)| {
-                acquisition.score_pure(&model.predict(cx), best_val)
-            });
+            let blocks: Vec<&[Vec<f64>]> = xs.chunks(CANDIDATE_BLOCK).collect();
+            let scores: Vec<f64> = autotune_linalg::par_map(&blocks, MIN_PAR_BLOCKS, |_, block| {
+                model
+                    .predict_many(block)
+                    .iter()
+                    .map(|p| acquisition.score_pure(p, best_val))
+                    .collect::<Vec<f64>>()
+            })
+            .concat();
             let mut best_i = 0;
             for (i, s) in scores.iter().enumerate() {
                 if *s > scores[best_i] {
                     best_i = i;
                 }
             }
-            let (cand, cx) = cands.swap_remove(best_i);
-            let s = scores[best_i];
-            (cand, cx, s)
+            (
+                cands.swap_remove(best_i),
+                xs.swap_remove(best_i),
+                scores[best_i],
+            )
         };
         // Local refinement: perturb the winner, keep improvements.
         for step in 0..self.config.n_local_steps {
@@ -780,6 +797,32 @@ mod tests {
             format!("{:?}", opt.suggest(&mut rng))
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn a_zero_candidate_budget_still_suggests() {
+        // EI scores in parallel blocks, Thompson sampling sequentially;
+        // both clamp an empty candidate budget to one draw.
+        for acquisition in [
+            AcquisitionFunction::ExpectedImprovement,
+            AcquisitionFunction::ThompsonSample,
+        ] {
+            let space = sphere_space();
+            let mut opt = BayesianOptimizer::new(
+                space.clone(),
+                BoConfig {
+                    acquisition,
+                    n_candidates: 0,
+                    ..BoConfig::default()
+                },
+            );
+            let mut rng = StdRng::seed_from_u64(31);
+            for _ in 0..opt.config.n_init + 3 {
+                let c = opt.suggest(&mut rng);
+                assert!(space.validate_config(&c).is_ok(), "{acquisition:?}");
+                opt.observe(&c, sphere(&c));
+            }
+        }
     }
 
     #[test]

@@ -77,12 +77,77 @@ impl KCache {
     }
 }
 
+/// Training inputs stored dimension-major, the layout
+/// [`Kernel::eval_many`] reads: coordinate `d` of point `j` at
+/// `data[d * n + j]`.
+#[derive(Debug, Clone, Default)]
+struct Inputs {
+    dim: usize,
+    n: usize,
+    data: Vec<f64>,
+}
+
+impl Inputs {
+    fn from_rows(xs: &[Vec<f64>]) -> Self {
+        let dim = xs.first().map_or(0, Vec::len);
+        let data = (0..dim)
+            .flat_map(|d| xs.iter().map(move |x| x[d]))
+            .collect();
+        Inputs {
+            dim,
+            n: xs.len(),
+            data,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.n
+    }
+
+    fn is_empty(&self) -> bool {
+        self.n == 0
+    }
+
+    /// Point `j`, gathered.
+    fn point(&self, j: usize) -> Vec<f64> {
+        (0..self.dim).map(|d| self.data[d * self.n + j]).collect()
+    }
+
+    /// `out[j] = k(x_j, b)` for the first `out.len()` points.
+    fn kernel_row(&self, kernel: &dyn Kernel, b: &[f64], out: &mut [f64]) {
+        kernel.eval_many(&self.data, self.n, b, out);
+    }
+
+    /// Appends `x` (of this set's dimension). Every dimension is laid out
+    /// again: O(n·d), below the O(n²) factor extension it rides with.
+    fn push(&mut self, x: &[f64]) {
+        let n = self.n;
+        let mut data = Vec::with_capacity(self.dim * (n + 1));
+        for (d, &v) in x.iter().enumerate() {
+            data.extend_from_slice(&self.data[d * n..(d + 1) * n]);
+            data.push(v);
+        }
+        self.data = data;
+        self.n = n + 1;
+    }
+
+    /// Drops the last point.
+    fn pop(&mut self) {
+        let n = self.n;
+        self.data = (0..self.dim)
+            .flat_map(|d| &self.data[d * n..(d + 1) * n - 1])
+            .copied()
+            .collect();
+        self.n = n - 1;
+    }
+}
+
 /// A Gaussian-process regressor with a pluggable kernel.
 pub struct GaussianProcess {
     kernel: Box<dyn Kernel>,
     /// Observation-noise *variance* added to the kernel diagonal.
     noise: f64,
-    x_train: Vec<Vec<f64>>,
+    x_train: Inputs,
     /// Raw targets, kept so incremental observes can re-standardize.
     y_raw: Vec<f64>,
     /// Standardized targets.
@@ -114,7 +179,7 @@ impl GaussianProcess {
         GaussianProcess {
             kernel,
             noise,
-            x_train: Vec::new(),
+            x_train: Inputs::default(),
             y_raw: Vec::new(),
             y_std: Vec::new(),
             y_shift: (0.0, 1.0),
@@ -135,18 +200,18 @@ impl GaussianProcess {
     }
 
     /// Builds the noiseless kernel matrix over `xs` with the given kernel.
-    fn noiseless_matrix(kernel: &dyn Kernel, xs: &[Vec<f64>]) -> Matrix {
+    ///
+    /// Row `i` of the lower triangle is one batched kernel row,
+    /// `k(x_j, x_i)` for `j <= i`, and is mirrored into the upper one.
+    fn noiseless_matrix(kernel: &dyn Kernel, xs: &Inputs) -> Matrix {
         let n = xs.len();
-        let mut k = Matrix::from_fn(n, n, |i, j| {
-            if j < i {
-                0.0 // filled by symmetry below
-            } else {
-                kernel.eval(&xs[i], &xs[j])
-            }
-        });
+        let mut k = Matrix::zeros(n, n);
+        for i in 0..n {
+            xs.kernel_row(kernel, &xs.point(i), &mut k.row_mut(i)[..=i]);
+        }
         for i in 0..n {
             for j in 0..i {
-                k[(i, j)] = k[(j, i)];
+                k[(j, i)] = k[(i, j)];
             }
         }
         k
@@ -340,10 +405,9 @@ impl GaussianProcess {
 
     /// Cross-covariance vector `k(X, x)`.
     fn k_vec(&self, x: &[f64]) -> Vec<f64> {
-        self.x_train
-            .iter()
-            .map(|xi| self.kernel.eval(xi, x))
-            .collect()
+        let mut k = vec![0.0; self.x_train.len()];
+        self.x_train.kernel_row(self.kernel.as_ref(), x, &mut k);
+        k
     }
 
     /// Draws one sample path of the posterior evaluated at `points`
@@ -399,19 +463,61 @@ impl GaussianProcess {
             .collect()
     }
 
-    /// Predictive distribution at `x` in the *standardized* target space.
-    fn predict_std(&self, x: &[f64]) -> Prediction {
-        let Some(chol) = &self.chol else {
-            return Prediction {
-                mean: 0.0,
-                variance: self.kernel.diag(x),
-            };
+    /// Predictive distribution at each of `points`; `predict` is the
+    /// one-point case.
+    ///
+    /// In the standardized target space, point `c` has mean
+    /// `k_c · alpha` and variance `k(q_c, q_c) − ‖L⁻¹ k_c‖²` with
+    /// `k_c = k(X, q_c)`. The `k_c` are built as one block, interleaved
+    /// (`k(x_i, q_c)` at `i * m + c`), solved with one
+    /// [`Cholesky::solve_lower_many`], and every dot product runs as its
+    /// own chain in `dot`'s order (from `-0.0`, ascending `i`, multiply
+    /// then add), all `m` side by side.
+    fn posterior<P: AsRef<[f64]>>(&self, points: &[P]) -> Vec<Prediction> {
+        let (ym, ys) = self.y_shift;
+        let destandardize = |mean: f64, variance: f64| Prediction {
+            mean: ym + ys * mean,
+            variance: ys * ys * variance,
         };
-        let k = self.k_vec(x);
-        let mean = autotune_linalg::dot(&k, &self.alpha);
-        let v = chol.solve_lower(&k);
-        let variance = (self.kernel.diag(x) - autotune_linalg::dot(&v, &v)).max(0.0);
-        Prediction { mean, variance }
+        let Some(chol) = &self.chol else {
+            return points
+                .iter()
+                .map(|x| destandardize(0.0, self.kernel.diag(x.as_ref())))
+                .collect();
+        };
+        let (n, m) = (self.x_train.len(), points.len());
+        if m == 0 {
+            return Vec::new();
+        }
+        let mut block = vec![0.0; n * m];
+        let mut k = vec![0.0; n];
+        for (c, x) in points.iter().enumerate() {
+            self.x_train
+                .kernel_row(self.kernel.as_ref(), x.as_ref(), &mut k);
+            for (i, &v) in k.iter().enumerate() {
+                block[i * m + c] = v;
+            }
+        }
+        let mut means = vec![-0.0; m];
+        for (row, &a) in block.chunks_exact(m).zip(&self.alpha) {
+            for (s, &kc) in means.iter_mut().zip(row) {
+                *s += kc * a;
+            }
+        }
+        let v = chol.solve_lower_many(&block, m);
+        let mut vv = vec![-0.0; m];
+        for row in v.chunks_exact(m) {
+            for (s, &v) in vv.iter_mut().zip(row) {
+                *s += v * v;
+            }
+        }
+        points
+            .iter()
+            .zip(means.into_iter().zip(vv))
+            .map(|(x, (mean, vv))| {
+                destandardize(mean, (self.kernel.diag(x.as_ref()) - vv).max(0.0))
+            })
+            .collect()
     }
 }
 
@@ -420,18 +526,17 @@ impl Surrogate for GaussianProcess {
         check_training_set(xs, ys)?;
         self.y_raw = ys.to_vec();
         self.restandardize();
-        self.x_train = xs.to_vec();
+        self.x_train = Inputs::from_rows(xs);
         self.k_cache = None; // training inputs replaced wholesale
         self.refit()
     }
 
     fn predict(&self, x: &[f64]) -> Prediction {
-        let p = self.predict_std(x);
-        let (ym, ys) = self.y_shift;
-        Prediction {
-            mean: ym + ys * p.mean,
-            variance: ys * ys * p.variance,
-        }
+        self.posterior(&[x])[0]
+    }
+
+    fn predict_many(&self, xs: &[Vec<f64>]) -> Vec<Prediction> {
+        self.posterior(xs)
     }
 
     fn n_train(&self) -> usize {
@@ -451,12 +556,12 @@ impl Surrogate for GaussianProcess {
         if self.x_train.is_empty() {
             return self.fit(&[x.to_vec()], &[y]);
         }
-        if x.len() != self.x_train[0].len() {
+        if x.len() != self.x_train.dim {
             return Err(SurrogateError::DimensionMismatch {
                 context: format!(
                     "observe: point has dimension {} (expected {})",
                     x.len(),
-                    self.x_train[0].len()
+                    self.x_train.dim
                 ),
             });
         }
@@ -468,11 +573,7 @@ impl Surrogate for GaussianProcess {
         if !y.is_finite() {
             return Err(SurrogateError::NonFiniteTarget);
         }
-        let k_col: Vec<f64> = self
-            .x_train
-            .iter()
-            .map(|xi| self.kernel.eval(xi, x))
-            .collect();
+        let k_col = self.k_vec(x);
         let k_diag = self.kernel.diag(x);
         let extended = match &mut self.chol {
             Some(chol) => chol.extend(&k_col, k_diag + self.noise.max(1e-12)).is_ok(),
@@ -487,7 +588,7 @@ impl Surrogate for GaussianProcess {
                 _ => self.k_cache = None,
             }
         }
-        self.x_train.push(x.to_vec());
+        self.x_train.push(x);
         self.y_raw.push(y);
         let saved_shift = self.y_shift;
         self.restandardize();
@@ -533,6 +634,80 @@ mod tests {
             assert!((p.mean - y).abs() < 1e-3, "mean {} vs target {y}", p.mean);
             assert!(p.variance < 1e-4, "variance {} not collapsed", p.variance);
         }
+    }
+
+    fn prediction_bits(ps: &[Prediction]) -> Vec<(u64, u64)> {
+        ps.iter()
+            .map(|p| (p.mean.to_bits(), p.variance.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn predict_many_is_predict_bit_for_bit() {
+        // Every kernel, fitted (across the chain width, with a duplicate
+        // training point) and unfitted, at 0..=17 query points.
+        let dim = 3;
+        let point = |i: usize| -> Vec<f64> {
+            (0..dim)
+                .map(|d| ((i * 7 + d * 3) as f64 * 0.41).sin())
+                .collect()
+        };
+        let queries: Vec<Vec<f64>> = (100..117).map(point).collect();
+        let mut fitted = 0;
+        for kernel in crate::kernel::tests::kernel_zoo(dim) {
+            for n in [0, 1, 9, 20] {
+                let mut gp = GaussianProcess::new(kernel.clone_box(), 1e-6);
+                let mut xs: Vec<Vec<f64>> = (0..n).map(point).collect();
+                if n > 0 {
+                    xs.push(xs[0].clone());
+                    let ys: Vec<f64> = xs.iter().map(|x| x[0] * 3.0 - x[1]).collect();
+                    // The periodic kernel is not positive definite over
+                    // 3-D distances: nothing fitted to compare there.
+                    if gp.fit(&xs, &ys).is_err() {
+                        continue;
+                    }
+                    fitted += 1;
+                }
+                // `predict` itself is the textbook posterior, one `eval`,
+                // `dot` and `solve_lower` at a time.
+                for q in &queries {
+                    let (ym, ys) = gp.y_shift;
+                    let (mean, variance) = match &gp.chol {
+                        None => (0.0, kernel.diag(q)),
+                        Some(chol) => {
+                            let k: Vec<f64> = xs.iter().map(|x| kernel.eval(x, q)).collect();
+                            let v = chol.solve_lower(&k);
+                            let vv = autotune_linalg::dot(&v, &v);
+                            (
+                                autotune_linalg::dot(&k, &gp.alpha),
+                                (kernel.diag(q) - vv).max(0.0),
+                            )
+                        }
+                    };
+                    let want = Prediction {
+                        mean: ym + ys * mean,
+                        variance: ys * ys * variance,
+                    };
+                    let got = gp.predict(q);
+                    assert_eq!(
+                        prediction_bits(&[got]),
+                        prediction_bits(&[want]),
+                        "{kernel:?}"
+                    );
+                }
+                for m in 0..=queries.len() {
+                    let got = gp.predict_many(&queries[..m]);
+                    let want: Vec<Prediction> =
+                        queries[..m].iter().map(|q| gp.predict(q)).collect();
+                    assert_eq!(
+                        prediction_bits(&got),
+                        prediction_bits(&want),
+                        "{kernel:?} n={n} m={m}"
+                    );
+                }
+            }
+        }
+        assert!(fitted >= 25, "only {fitted} fits to compare");
     }
 
     #[test]

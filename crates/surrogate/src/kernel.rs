@@ -22,6 +22,23 @@ pub trait Kernel: Send + Sync + Debug {
         self.eval(x, x)
     }
 
+    /// `out[j] = k(x_j, b)` for `out.len()` points stored dimension-major
+    /// in `xs`: coordinate `d` of point `j` at `xs[d * stride + j]`, for
+    /// `d < b.len()`.
+    ///
+    /// Every value is bit for bit what [`Kernel::eval`] returns. The
+    /// default gathers each point and calls `eval`; the stationary kernels
+    /// run the same arithmetic across all points at once.
+    fn eval_many(&self, xs: &[f64], stride: usize, b: &[f64], out: &mut [f64]) {
+        let mut point = vec![0.0; b.len()];
+        for (j, o) in out.iter_mut().enumerate() {
+            for (d, p) in point.iter_mut().enumerate() {
+                *p = xs[d * stride + j];
+            }
+            *o = self.eval(&point, b);
+        }
+    }
+
     /// Hyperparameters in log space (e.g. `ln(lengthscale)`,
     /// `ln(signal_std)`), in a fixed documented order per kernel.
     fn params(&self) -> Vec<f64>;
@@ -68,6 +85,32 @@ fn scaled_distance(a: &[f64], b: &[f64], lengthscales: &[f64]) -> f64 {
     s.sqrt()
 }
 
+/// [`scaled_distance`] from each of the dimension-major points of
+/// [`Kernel::eval_many`] to `b`, with the same operations in the same
+/// order per point, one dimension at a time across all points.
+fn scaled_distances(xs: &[f64], stride: usize, b: &[f64], lengthscales: &[f64], out: &mut [f64]) {
+    out.fill(0.0);
+    let m = out.len();
+    let mut add = |d: usize, y: f64, l: f64| {
+        for (s, &x) in out.iter_mut().zip(&xs[d * stride..d * stride + m]) {
+            let t = (x - y) / l;
+            *s += t * t;
+        }
+    };
+    if lengthscales.len() == 1 {
+        for (d, &y) in b.iter().enumerate() {
+            add(d, y, lengthscales[0]);
+        }
+    } else {
+        for (d, (&y, &l)) in b.iter().zip(lengthscales).enumerate() {
+            add(d, y, l);
+        }
+    }
+    for s in out.iter_mut() {
+        *s = s.sqrt();
+    }
+}
+
 macro_rules! stationary_kernel {
     ($(#[$doc:meta])* $name:ident, $profile:expr) => {
         $(#[$doc])*
@@ -100,6 +143,14 @@ macro_rules! stationary_kernel {
                 let r = scaled_distance(a, b, &self.lengthscales);
                 let profile: fn(f64) -> f64 = $profile;
                 self.signal_std * self.signal_std * profile(r)
+            }
+
+            fn eval_many(&self, xs: &[f64], stride: usize, b: &[f64], out: &mut [f64]) {
+                scaled_distances(xs, stride, b, &self.lengthscales, out);
+                let profile: fn(f64) -> f64 = $profile;
+                for r in out.iter_mut() {
+                    *r = self.signal_std * self.signal_std * profile(*r);
+                }
             }
 
             fn params(&self) -> Vec<f64> {
@@ -351,7 +402,7 @@ impl Kernel for ProductKernel {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -451,6 +502,64 @@ mod tests {
     fn linear_kernel_dot_product() {
         let k = LinearKernel::new(2.0);
         assert!((k.eval(&[1.0, 2.0], &[3.0, 4.0]) - 4.0 * 11.0).abs() < 1e-12);
+    }
+
+    /// One of every kernel, each with a different non-unit scale.
+    pub(crate) fn kernel_zoo(dim: usize) -> Vec<Box<dyn Kernel>> {
+        let ard: Vec<f64> = (0..dim).map(|d| 0.3 + 0.45 * d as f64).collect();
+        vec![
+            Box::new(Matern12::isotropic(0.7, 1.3)),
+            Box::new(Matern32::isotropic(0.45, 0.9)),
+            Box::new(Matern52::isotropic(0.6, 1.1)),
+            Box::new(Matern52::ard(ard.clone(), 1.7)),
+            Box::new(Rbf::isotropic(0.35, 2.1)),
+            Box::new(Rbf::ard(ard.clone(), 0.8)),
+            Box::new(ConstantKernel::new(1.9)),
+            Box::new(LinearKernel::new(0.6)),
+            Box::new(PeriodicKernel::new(0.8, 0.5, 1.2)),
+            Box::new(SumKernel::new(
+                Box::new(Matern32::ard(ard.clone(), 1.0)),
+                Box::new(LinearKernel::new(0.4)),
+            )),
+            Box::new(ProductKernel::new(
+                Box::new(Rbf::isotropic(0.9, 1.4)),
+                Box::new(PeriodicKernel::new(1.1, 0.7, 0.9)),
+            )),
+        ]
+    }
+
+    #[test]
+    fn eval_many_is_eval_bit_for_bit() {
+        let dim = 3;
+        let m = 19;
+        // Dimension-major with padding past each dimension's points, so
+        // the stride is not the point count; ±0.0 on both sides.
+        let stride = m + 5;
+        let coord = |d: usize, j: usize| match (d + j) % 7 {
+            0 => 0.0,
+            1 => -0.0,
+            _ => ((d * 31 + j * 17) as f64 * 0.37).sin() * 1.5,
+        };
+        let xs: Vec<f64> = (0..dim * stride)
+            .map(|k| coord(k / stride, k % stride))
+            .collect();
+        for k in kernel_zoo(dim) {
+            for b in [
+                vec![0.0, -0.0, 0.25],
+                vec![-0.0, 0.3, -1.2],
+                vec![0.9, 0.0, -0.0],
+            ] {
+                for from in [0, 4] {
+                    let mut out = vec![f64::NAN; m - from];
+                    k.eval_many(&xs[from..], stride, &b, &mut out);
+                    for (j, got) in out.iter().enumerate() {
+                        let x: Vec<f64> = (0..dim).map(|d| coord(d, from + j)).collect();
+                        let want = k.eval(&x, &b);
+                        assert_eq!(got.to_bits(), want.to_bits(), "{k:?} point {j} b {b:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -122,6 +122,14 @@ pub trait Surrogate: Send + Sync {
     /// Predictive mean and variance at `x`.
     fn predict(&self, x: &[f64]) -> Prediction;
 
+    /// [`Surrogate::predict`] at each of `xs`, in order, bit for bit.
+    ///
+    /// The default maps `predict`; the dense GP answers a block of points
+    /// with one kernel block and one many-right-hand-side solve.
+    fn predict_many(&self, xs: &[Vec<f64>]) -> Vec<Prediction> {
+        xs.iter().map(|x| self.predict(x)).collect()
+    }
+
     /// Number of training points in the current fit (0 before fitting).
     fn n_train(&self) -> usize;
 
@@ -170,4 +178,39 @@ pub(crate) fn check_training_set(xs: &[Vec<f64>], ys: &[f64]) -> Result<usize> {
         return Err(SurrogateError::NonFiniteTarget);
     }
     Ok(d)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_default_predict_many_is_predict_bit_for_bit() {
+        let point = |i: usize| vec![(i as f64 * 0.37).sin().abs(), (i as f64 * 0.71).cos().abs()];
+        let xs: Vec<Vec<f64>> = (0..40).map(point).collect();
+        let ys: Vec<f64> = xs.iter().map(|x| (3.0 * x[0]).sin() + x[1]).collect();
+        let queries: Vec<Vec<f64>> = (100..117).map(point).collect();
+        let kernel = || Box::new(Matern52::isotropic(0.4, 1.0));
+        let models: Vec<Box<dyn Surrogate>> = vec![
+            Box::new(SparseGaussianProcess::new(
+                kernel(),
+                SparseGpConfig::default(),
+            )),
+            Box::new(TrustRegionSurrogate::new(
+                kernel(),
+                TrustRegionConfig::default(),
+            )),
+            Box::new(RandomForest::new(RandomForestConfig::default())),
+        ];
+        for mut model in models {
+            model.fit(&xs, &ys).unwrap();
+            let got = model.predict_many(&queries);
+            for (q, got) in queries.iter().zip(&got) {
+                let want = model.predict(q);
+                assert_eq!(got.mean.to_bits(), want.mean.to_bits());
+                assert_eq!(got.variance.to_bits(), want.variance.to_bits());
+            }
+            assert_eq!(got.len(), queries.len());
+        }
+    }
 }

@@ -5,8 +5,13 @@
 //! vanishing, and the incremental factor updates must stay atomic on
 //! failure. The tile edge itself is swept by the linalg crate's own
 //! unit tests, where it is a parameter.
+//!
+//! The chained kernels are held bit for bit, not to a tolerance: the
+//! factor of `Cholesky::new` against the row loop it replaced, and
+//! `solve_lower_many` against `solve_lower`. Vectorised loops exist only
+//! in optimised builds, so CI also runs this file with `--release`.
 
-use autotune_linalg::{Cholesky, Matrix};
+use autotune_linalg::{dot, Cholesky, LinalgError, Matrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -21,6 +26,119 @@ fn rand_spd(rng: &mut StdRng, n: usize) -> Matrix {
     let mut a = g.syrk_blocked();
     a.add_diag(n as f64);
     a
+}
+
+/// The row loop `Cholesky::new` ran before its factor went column by
+/// column in chains: the same jitter ladder around `L[i,j]` formed from
+/// `dot` row by row. The chained factor must be this one bit for bit.
+fn row_loop_cholesky(a: &Matrix) -> Result<(Matrix, f64), LinalgError> {
+    let n = a.rows();
+    let mean_diag = if n == 0 {
+        1.0
+    } else {
+        a.diag().iter().map(|d| d.abs()).sum::<f64>() / n as f64
+    };
+    let mut jitter = 0.0;
+    'ladder: for attempt in 0..=9 {
+        if attempt > 0 {
+            jitter = mean_diag.max(1e-300) * 1e-12 * 10f64.powi(attempt - 1);
+        }
+        let mut l = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let s = dot(&l.row(i)[..j], &l.row(j)[..j]);
+                if i == j {
+                    let d = a[(i, i)] + jitter - s;
+                    if d <= 0.0 || !d.is_finite() {
+                        continue 'ladder;
+                    }
+                    l[(i, j)] = d.sqrt();
+                } else {
+                    l[(i, j)] = (a[(i, j)] - s) / l[(j, j)];
+                }
+            }
+        }
+        return Ok((l, jitter));
+    }
+    Err(LinalgError::NotPositiveDefinite)
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|v| v.to_bits()).collect()
+}
+
+/// `Cholesky::new(a)` is the row loop's factor and jitter bit for bit, or
+/// the same error; returns whether the factor needed jitter.
+fn assert_row_loop_factor(a: &Matrix, what: &str) -> bool {
+    let n = a.rows();
+    match (Cholesky::new(a), row_loop_cholesky(a)) {
+        (Ok(got), Ok((l, jitter))) => {
+            assert_eq!(bits(got.l().as_slice()), bits(l.as_slice()), "{what} n={n}");
+            assert_eq!(got.jitter().to_bits(), jitter.to_bits(), "{what} n={n}");
+            jitter > 0.0
+        }
+        (Err(got), Err(want)) => {
+            assert_eq!(got, want, "{what} n={n}");
+            false
+        }
+        (got, want) => panic!("{what} n={n}: {:?} vs row loop {:?}", got.err(), want.err()),
+    }
+}
+
+#[test]
+fn chained_cholesky_is_the_row_loop_bit_for_bit() {
+    let mut jittered = 0;
+    for n in (0..=40).chain(127..=129) {
+        let mut rng = StdRng::seed_from_u64(4000 + n as u64);
+        let a = rand_spd(&mut rng, n);
+        assert!(!assert_row_loop_factor(&a, "well-conditioned"));
+        if n == 0 {
+            continue;
+        }
+        // Gram matrix of points with duplicates: rows repeat exactly, so
+        // pivots hit zero up to rounding and the ladder climbs.
+        let m = n.div_ceil(2);
+        let g = rand_matrix(&mut rng, m, 3.min(m));
+        let dup = Matrix::from_fn(n, g.cols(), |i, c| g[(i % m, c)]);
+        let mut gram = dup.matmul(&dup.transpose()).expect("shapes agree");
+        if assert_row_loop_factor(&gram, "duplicate rows") {
+            jittered += 1;
+        }
+        gram.add_diag(-1.0);
+        assert_row_loop_factor(&gram, "indefinite");
+        // A non-finite entry below the diagonal, on it, or above it (which
+        // neither loop reads).
+        for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let i = rng.gen_range(0..n);
+            let j = rng.gen_range(0..n);
+            let mut bad = a.clone();
+            bad[(i, j)] = value;
+            assert_row_loop_factor(&bad, "non-finite");
+        }
+    }
+    assert!(
+        jittered > 10,
+        "only {jittered} duplicate-row inputs needed jitter"
+    );
+}
+
+#[test]
+fn many_rhs_solve_is_solve_lower_bit_for_bit() {
+    for n in [0, 1, 7, 8, 9, 33, 128] {
+        let mut rng = StdRng::seed_from_u64(9000 + n as u64);
+        let chol = Cholesky::new(&rand_spd(&mut rng, n)).expect("SPD by construction");
+        for m in 0..=17 {
+            let b: Vec<f64> = (0..n * m).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            let got = chol.solve_lower_many(&b, m);
+            assert_eq!(got.len(), n * m);
+            for c in 0..m {
+                let col: Vec<f64> = (0..n).map(|i| b[i * m + c]).collect();
+                let want = chol.solve_lower(&col);
+                let got: Vec<f64> = (0..n).map(|i| got[i * m + c]).collect();
+                assert_eq!(bits(&got), bits(&want), "n={n} m={m} column {c}");
+            }
+        }
+    }
 }
 
 proptest! {

@@ -91,6 +91,7 @@ if [ "$FAST" -eq 1 ]; then
   skip_step "chaos recovery E34 (release)"
   skip_step "wal_dump over a durable run (release)"
   skip_step "telemetry purity (release)"
+  skip_step "kernel bitwise (release)"
   skip_step "benchmark crate (build, tests, smoke run)"
 else
   # The byte-identical contracts must hold on a busy machine, not only
@@ -162,6 +163,17 @@ else
   # campaigns byte-identical.
   run_step "telemetry purity (release)" \
     cargo test -q --release -p autotune-tests --test telemetry
+
+  # The GP's chained kernels (Cholesky factor, many-RHS solve, batched
+  # kernel rows, many-point predict) are held bit for bit to the loops
+  # they replaced, and two BO histories to files the parent's binary
+  # wrote. Vectorised loops exist only in optimised builds, so the
+  # bitwise gates run against the release build too.
+  kernel_bitwise_step() {
+    cargo test -q --release -p autotune-tests --test linalg_props --test bo_parent_fixture &&
+      cargo test -q --release -p autotune-surrogate
+  }
+  run_step "kernel bitwise (release)" kernel_bitwise_step
 
   # benchmark/ is its own workspace, so the build and test steps above
   # never see it: build it and run its tests against the crates as they
