@@ -1,12 +1,12 @@
 //! The sharded config cache.
 
-use crate::key::fingerprint_key;
+use crate::key::{fingerprint_key, folded_bits};
 use crate::{CacheError, Result};
 use autotune::sync::PoisonFree;
 use autotune_space::Config;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 
 use autotune_wid::{StreamAssignment, StreamingClusters};
 use serde::{Deserialize, Serialize};
@@ -48,14 +48,17 @@ impl Default for CacheConfig {
 pub struct CacheHit {
     /// Workload family that served the hit.
     pub family: usize,
-    /// Exact fingerprint key of the serving entry.
+    /// Exact fingerprint key of the serving entry (its identity).
     pub key: u64,
-    /// The cached configuration.
-    pub config: Config,
+    /// The cached configuration, shared with the entry that holds it.
+    pub config: Arc<Config>,
     /// Cost observed when the entry was tuned (lower is better).
     pub cost: f64,
-    /// True when the serving entry's key differs from the lookup's exact
-    /// key — the family incumbent answered for a sibling tenant.
+    /// True when no entry of the family holds the lookup's exact features
+    /// (bit for bit, `-0.0` as `0.0`) — the family incumbent answered for
+    /// a sibling tenant. This is `key != fingerprint_key(features)` except
+    /// for two distinct fingerprints whose keys collide in FNV-64: those
+    /// are two tenants, and the one without an entry borrows.
     pub borrowed: bool,
 }
 
@@ -99,19 +102,29 @@ pub struct CacheStats {
 #[derive(Debug)]
 struct Entry {
     features: Vec<f64>,
-    config: Config,
+    config: Arc<Config>,
     cost: f64,
     hits: AtomicU64,
     last_used: AtomicU64,
     inserted_at: u64,
 }
 
+/// One family's row of the exact-feature index: every entry's folded
+/// feature bits and key, sorted by the bits.
+type ExactRow = Vec<(Box<[u64]>, u64)>;
+
 /// Mutable interior of one shard. `entries` is keyed `(family, key)` so a
-/// family's entries are contiguous under range scans; `incumbent` caches
-/// the lowest-cost entry per family so a hit is two `BTreeMap` gets.
+/// family's entries are contiguous under range scans; `exact` finds the
+/// entry holding a lookup's features without hashing them, and
+/// `incumbent` caches the lowest-cost entry per family, so a hit is a
+/// binary search and two `BTreeMap` gets.
 #[derive(Debug, Default)]
 struct ShardInner {
     entries: BTreeMap<(u64, u64), Entry>,
+    /// family → its entries' features, folded as [`fingerprint_key`]
+    /// folds them, and their keys. Derived from `entries` (so never
+    /// snapshotted): every entry is in it exactly once.
+    exact: BTreeMap<u64, ExactRow>,
     /// family → (key, cost) of its lowest-cost entry.
     incumbent: BTreeMap<u64, (u64, f64)>,
     /// family → logical tick of its most recent hit. Atomic so the read
@@ -126,7 +139,69 @@ fn incumbent_order(a: (u64, f64), b: (u64, f64)) -> std::cmp::Ordering {
     a.1.total_cmp(&b.1).then(a.0.cmp(&b.0))
 }
 
+/// Where `features` sit in `row`: compared bit for bit, folded on the fly,
+/// so a probe builds nothing.
+fn probe(row: &[(Box<[u64]>, u64)], features: &[f64]) -> std::result::Result<usize, usize> {
+    row.binary_search_by(|(bits, _)| {
+        bits.iter()
+            .copied()
+            .cmp(features.iter().map(|&f| folded_bits(f)))
+    })
+}
+
 impl ShardInner {
+    /// Key of the entry of `family` holding exactly `features`.
+    fn exact_key(&self, family: u64, features: &[f64]) -> Option<u64> {
+        let row = self.exact.get(&family)?;
+        probe(row, features).ok().map(|i| row[i].1)
+    }
+
+    /// Holds `entry` under `(family, key)`. An entry it replaces leaves
+    /// the index, and if that one was the incumbent the family's
+    /// incumbent is chosen again: a re-inserted entry may have got worse.
+    fn put(&mut self, family: u64, key: u64, entry: Entry) {
+        let bits: Box<[u64]> = entry.features.iter().map(|&f| folded_bits(f)).collect();
+        let cost = entry.cost;
+        if let Some(old) = self.entries.insert((family, key), entry) {
+            self.unindex(family, &old.features);
+        }
+        // Equal bits mean an equal key, so no other entry holds these.
+        let row = self.exact.entry(family).or_default();
+        let at = row
+            .binary_search_by(|(b, _)| b.cmp(&bits))
+            .unwrap_or_else(|at| at);
+        row.insert(at, (bits, key));
+        if self.incumbent.get(&family).map(|&(k, _)| k) == Some(key) {
+            self.elect_incumbent(family);
+        } else {
+            self.offer_incumbent(family, key, cost);
+        }
+    }
+
+    /// Drops the entry under `(family, key)`, if any, from the entries,
+    /// the index and the incumbent.
+    fn remove(&mut self, family: u64, key: u64) {
+        let Some(old) = self.entries.remove(&(family, key)) else {
+            return;
+        };
+        self.unindex(family, &old.features);
+        if self.incumbent.get(&family).map(|&(k, _)| k) == Some(key) {
+            self.elect_incumbent(family);
+        }
+    }
+
+    fn unindex(&mut self, family: u64, features: &[f64]) {
+        let Some(row) = self.exact.get_mut(&family) else {
+            return;
+        };
+        if let Ok(i) = probe(row, features) {
+            row.remove(i);
+        }
+        if row.is_empty() {
+            self.exact.remove(&family);
+        }
+    }
+
     /// Makes `(key, cost)` the incumbent of `family` if it comes before
     /// the current one in [`incumbent_order`].
     fn offer_incumbent(&mut self, family: u64, key: u64, cost: f64) {
@@ -136,6 +211,19 @@ impl ShardInner {
                 self.incumbent.insert(family, (key, cost));
             }
         }
+    }
+
+    /// Chooses `family`'s incumbent afresh from the entries it holds.
+    fn elect_incumbent(&mut self, family: u64) {
+        let best = self
+            .entries
+            .range((family, 0)..=(family, u64::MAX))
+            .map(|(&(_, k), e)| (k, e.cost))
+            .min_by(|&a, &b| incumbent_order(a, b));
+        match best {
+            Some(best) => self.incumbent.insert(family, best),
+            None => self.incumbent.remove(&family),
+        };
     }
 }
 
@@ -197,11 +285,12 @@ impl ShardedCache {
     }
 
     /// Looks up a fingerprint. Advances the logical tick, routes to the
-    /// nearest family within the threshold, and serves the family
-    /// incumbent (preferring an exact-key entry when one exists). Hits
-    /// refresh the entry's LRU tick and the family's heat; the clustering
-    /// model is *not* updated here — misses feed it via
-    /// [`ShardedCache::admit_family`], keeping this path read-only.
+    /// nearest family within the threshold, and serves the entry holding
+    /// exactly these features, else the family incumbent. Hits refresh
+    /// the entry's LRU tick and the family's heat and hand out the
+    /// entry's config, not a copy of it; the clustering model is *not*
+    /// updated here — misses feed it via [`ShardedCache::admit_family`],
+    /// keeping this path read-only.
     pub fn lookup(&self, features: &[f64]) -> CacheLookup {
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let family = self.clusters.pread().classify(features).map(|(f, _)| f);
@@ -211,13 +300,8 @@ impl ShardedCache {
         };
         let f = family as u64;
         let inner = self.shard_of(f).pread();
-        let key = fingerprint_key(features);
-        // Exact entry first, else the family incumbent.
-        let serving = if inner.entries.contains_key(&(f, key)) {
-            Some(key)
-        } else {
-            inner.incumbent.get(&f).map(|&(k, _)| k)
-        };
+        let exact = inner.exact_key(f, features);
+        let serving = exact.or_else(|| inner.incumbent.get(&f).map(|&(k, _)| k));
         let Some(serve_key) = serving else {
             drop(inner);
             self.misses.fetch_add(1, Ordering::Relaxed);
@@ -247,9 +331,9 @@ impl ShardedCache {
         let hit = CacheHit {
             family,
             key: serve_key,
-            config: entry.config.clone(),
+            config: Arc::clone(&entry.config),
             cost: entry.cost,
-            borrowed: serve_key != key,
+            borrowed: exact.is_none(),
         };
         drop(inner);
         self.hits.fetch_add(1, Ordering::Relaxed);
@@ -265,24 +349,24 @@ impl ShardedCache {
     }
 
     /// Backfills a tuned config for `(family, exact fingerprint)` at the
-    /// given observed cost, then enforces the shard capacity via the
-    /// LRU + quality eviction policy.
+    /// given observed cost, replacing the entry that fingerprint held,
+    /// then enforces the shard capacity via the LRU + quality eviction
+    /// policy.
     pub fn insert(&self, family: usize, features: &[f64], config: Config, cost: f64) {
         let f = family as u64;
         let key = fingerprint_key(features);
         let tick = self.tick.load(Ordering::Acquire);
-        let mut inner = self.shard_of(f).pwrite();
         let entry = Entry {
             features: features.to_vec(),
-            config,
+            config: Arc::new(config),
             cost,
             hits: AtomicU64::new(0),
             last_used: AtomicU64::new(tick),
             inserted_at: tick,
         };
-        inner.entries.insert((f, key), entry);
+        let mut inner = self.shard_of(f).pwrite();
+        inner.put(f, key, entry);
         inner.heat.entry(f).or_insert_with(|| AtomicU64::new(tick));
-        inner.offer_incumbent(f, key, cost);
         self.backfills.fetch_add(1, Ordering::Relaxed);
         self.evict_over_capacity(&mut inner, tick);
     }
@@ -338,24 +422,8 @@ impl ShardedCache {
                 // accept the soft-capacity overflow.
                 return;
             };
-            inner.entries.remove(&(f, key));
+            inner.remove(f, key);
             self.evictions.fetch_add(1, Ordering::Relaxed);
-            // Repair the incumbent index if the victim held it.
-            if inner.incumbent.get(&f).map(|&(ik, _)| ik) == Some(key) {
-                let next = inner
-                    .entries
-                    .range((f, 0)..=(f, u64::MAX))
-                    .map(|(&(_, k), e)| (k, e.cost))
-                    .min_by(|&a, &b| incumbent_order(a, b));
-                match next {
-                    Some((k, c)) => {
-                        inner.incumbent.insert(f, (k, c));
-                    }
-                    None => {
-                        inner.incumbent.remove(&f);
-                    }
-                }
-            }
         }
     }
 
@@ -465,6 +533,26 @@ impl ShardedCache {
         self.clusters.pread().clone()
     }
 
+    /// What a lookup finds entries by: `(family, key, features)` of every
+    /// row of the exact-feature index, in shard, family and feature-bit
+    /// order, `-0.0` read back as `0.0` (for inspection and tests; every
+    /// entry is in it once and nothing else is).
+    pub fn exact_index(&self) -> Vec<(u64, u64, Vec<f64>)> {
+        let mut rows = Vec::new();
+        for shard in &self.shards {
+            for (&family, row) in &shard.pread().exact {
+                for (bits, key) in row {
+                    rows.push((
+                        family,
+                        *key,
+                        bits.iter().map(|&b| f64::from_bits(b)).collect(),
+                    ));
+                }
+            }
+        }
+        rows
+    }
+
     /// Total live entries.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.pread().entries.len()).sum()
@@ -487,7 +575,7 @@ impl ShardedCache {
                     family,
                     key,
                     features: e.features.clone(),
-                    config: e.config.clone(),
+                    config: Config::clone(&e.config),
                     cost: e.cost,
                     hits: e.hits.load(Ordering::Relaxed), // lint: allow(D9) monotone per-entry counter; serialized for reporting, ordered by the shard lock
                     last_used: e.last_used.load(Ordering::Acquire),
@@ -513,7 +601,8 @@ impl ShardedCache {
     }
 
     /// Rebuilds a cache from a snapshot, byte-identical to the original
-    /// (same counters, ticks, incumbents, and clustering state).
+    /// (same counters, ticks, incumbents, and clustering state; the
+    /// exact-feature index is rebuilt from the entries).
     pub fn restore(snap: &CacheSnapshot) -> Result<Self> {
         if snap.version != SNAPSHOT_VERSION {
             return Err(CacheError::VersionMismatch {
@@ -529,19 +618,18 @@ impl ShardedCache {
         cache.evictions.store(snap.evictions, Ordering::Relaxed); // lint: allow(D9) restore runs before the cache is shared; publication happens-before comes from handing out the Arc
         cache.backfills.store(snap.backfills, Ordering::Relaxed); // lint: allow(D9) restore runs before the cache is shared; publication happens-before comes from handing out the Arc
         for e in &snap.entries {
-            let mut inner = cache.shard_of(e.family).pwrite();
-            inner.entries.insert(
-                (e.family, e.key),
+            cache.shard_of(e.family).pwrite().put(
+                e.family,
+                e.key,
                 Entry {
                     features: e.features.clone(),
-                    config: e.config.clone(),
+                    config: Arc::new(e.config.clone()),
                     cost: e.cost,
                     hits: AtomicU64::new(e.hits),
                     last_used: AtomicU64::new(e.last_used),
                     inserted_at: e.inserted_at,
                 },
             );
-            inner.offer_incumbent(e.family, e.key, e.cost);
         }
         for &(f, h) in &snap.heat {
             cache.shard_of(f).pwrite().heat.insert(f, AtomicU64::new(h));
@@ -640,7 +728,7 @@ mod tests {
             CacheLookup::Hit(h) => {
                 assert_eq!(h.family, a.family);
                 assert!(!h.borrowed);
-                assert_eq!(h.config, config_with(1));
+                assert_eq!(*h.config, config_with(1));
             }
             other => panic!("expected hit, got {other:?}"),
         }
@@ -659,7 +747,7 @@ mod tests {
         match cache.lookup(&b) {
             CacheLookup::Hit(h) => {
                 assert!(h.borrowed);
-                assert_eq!(h.config, config_with(1));
+                assert_eq!(*h.config, config_with(1));
             }
             other => panic!("expected borrowed hit, got {other:?}"),
         }
@@ -676,7 +764,7 @@ mod tests {
         cache.insert(fam, &b, config_with(2), 5.0);
         // A third tenant in the family gets the cost-5 incumbent.
         match cache.lookup(&[0.2]) {
-            CacheLookup::Hit(h) => assert_eq!(h.config, config_with(2)),
+            CacheLookup::Hit(h) => assert_eq!(*h.config, config_with(2)),
             other => panic!("expected hit, got {other:?}"),
         }
     }
@@ -817,6 +905,67 @@ mod tests {
         }
         assert_eq!(cache.snapshot(), restored.snapshot());
         assert!(matches!(cache.lookup(&second), CacheLookup::Hit(h) if !h.borrowed));
+    }
+
+    #[test]
+    fn a_reinserted_incumbent_that_got_worse_is_replaced() {
+        let cache = ShardedCache::new(cfg(10.0, 8));
+        let (a, b, sibling) = ([0.0], [1.0], [0.5]);
+        cache.lookup(&a);
+        let fam = cache.admit_family(&a).family;
+        cache.insert(fam, &a, config_with(1), 1.0);
+        cache.insert(fam, &b, config_with(2), 2.0);
+        // `a` is tuned again and comes out worse than `b`.
+        cache.insert(fam, &a, config_with(3), 3.0);
+        let restored = ShardedCache::restore(&cache.snapshot()).unwrap();
+        let served = cache.lookup(&sibling);
+        assert_eq!(restored.lookup(&sibling), served);
+        match served {
+            CacheLookup::Hit(h) => assert_eq!((h.key, h.cost), (fingerprint_key(&b), 2.0)),
+            other => panic!("expected a borrowed hit, got {other:?}"),
+        }
+        assert_eq!(cache.snapshot(), restored.snapshot());
+    }
+
+    #[test]
+    fn an_entry_is_found_by_its_features_and_leaves_the_index_with_them() {
+        let cache = ShardedCache::new(CacheConfig {
+            threshold: 2.0,
+            n_shards: 1,
+            capacity_per_shard: 2,
+            hot_window: 100,
+        });
+        let (a, b) = ([0.0, 1.0], [0.5, 1.0]);
+        cache.lookup(&a);
+        let fam = cache.admit_family(&a).family;
+        cache.insert(fam, &a, config_with(1), 5.0);
+        cache.insert(fam, &b, config_with(2), 1.0);
+        // `-0.0` is the tenant `0.0` is: found exactly, not borrowed.
+        match cache.lookup(&[-0.0, 1.0]) {
+            CacheLookup::Hit(h) => {
+                assert!(!h.borrowed);
+                assert_eq!(h.key, fingerprint_key(&a));
+                assert_eq!(*h.config, config_with(1));
+            }
+            other => panic!("expected an exact hit, got {other:?}"),
+        }
+        // An overwrite leaves one row; an eviction takes its row along.
+        cache.insert(fam, &[-0.0, 1.0], config_with(3), 4.0);
+        let rows = |c: &ShardedCache| -> Vec<u64> { c.exact_index().iter().map(|r| r.1).collect() };
+        assert_eq!(rows(&cache).len(), 2);
+        cache.insert(fam, &[1.0, 1.0], config_with(4), 9.0);
+        assert_eq!(cache.stats().evictions, 1);
+        let mut keys: Vec<u64> = cache.snapshot().entries.iter().map(|e| e.key).collect();
+        let mut indexed = rows(&cache);
+        keys.sort_unstable();
+        indexed.sort_unstable();
+        assert_eq!(indexed, keys);
+        assert_eq!(
+            ShardedCache::restore(&cache.snapshot())
+                .unwrap()
+                .exact_index(),
+            cache.exact_index()
+        );
     }
 
     /// Three families with an entry each (one with two), looked up once.

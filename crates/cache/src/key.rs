@@ -1,11 +1,13 @@
 //! Exact fingerprint keys.
 //!
-//! Within a family the cache distinguishes entries by an exact 64-bit key
-//! over the fingerprint's feature bits. Two telemetry captures of the same
-//! tenant produce identical feature vectors in this codebase (featurization
-//! is deterministic), so bit-exact hashing is the right identity; nearby
-//!-but-different fingerprints intentionally get different keys and fall
-//! back to the family incumbent.
+//! Within a family the cache names entries by an exact 64-bit key over the
+//! fingerprint's feature bits. Two telemetry captures of the same tenant
+//! produce identical feature vectors in this codebase (featurization is
+//! deterministic), so bit-exact identity is the right one; nearby
+//!-but-different fingerprints intentionally are different tenants and
+//! fall back to the family incumbent. The key is computed once, when an
+//! entry goes in: a lookup finds its entry by the folded feature bits
+//! themselves (`folded_bits`), not by hashing them again.
 
 /// FNV-1a over the little-endian bit patterns of the features.
 ///
@@ -19,13 +21,24 @@ pub fn fingerprint_key(features: &[f64]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = OFFSET;
     for &f in features {
-        let bits = if f == 0.0 { 0u64 } else { f.to_bits() };
-        for b in bits.to_le_bytes() {
+        for b in folded_bits(f).to_le_bytes() {
             h ^= b as u64;
             h = h.wrapping_mul(PRIME);
         }
     }
     h
+}
+
+/// The bits [`fingerprint_key`] hashes for one feature: `-0.0` folded onto
+/// `0.0`, everything else as it is. Two fingerprints are the same tenant
+/// when these agree feature for feature.
+#[inline]
+pub(crate) fn folded_bits(f: f64) -> u64 {
+    if f == 0.0 {
+        0
+    } else {
+        f.to_bits()
+    }
 }
 
 #[cfg(test)]

@@ -7,12 +7,19 @@
 //! * incoming fingerprints are routed to a **workload family** by
 //!   [`autotune_wid::StreamingClusters`] — online nearest-centroid
 //!   assignment that spawns a new family past a distance threshold;
-//! * each family holds tuned configurations keyed by an exact
-//!   [`fingerprint_key`], with the **incumbent** (lowest observed cost)
-//!   served to any member of the family;
+//! * each family holds tuned configurations, one per tenant, named by an
+//!   exact [`fingerprint_key`] (the entry's identity in snapshots and
+//!   journals); a lookup finds its tenant's entry by the feature bits
+//!   themselves, without hashing, and the family's **incumbent** (lowest
+//!   observed cost) answers any member that has none;
 //! * the read path is **sharded** ([`ShardedCache`]): families map to
-//!   shards, lookups take only read locks and bump atomic LRU ticks, so
-//!   concurrent lookups scale and a hit costs well under a microsecond;
+//!   shards, lookups take only read locks and bump atomic LRU ticks, and
+//!   a hit hands out the entry's `Arc<Config>`, allocating nothing. On a
+//!   2-vCPU Xeon VM one thread serves 5-8 M hits a second (110-160 ns
+//!   each; the benchmark's `cache.lookup_ns`). Readers never block each
+//!   other, but they still share the logical clock, the clustering
+//!   model's lock and the entries' LRU stamps, so two threads together
+//!   manage 0.5-0.9× what one does (`cache.scaling`), not 2×;
 //! * eviction is **LRU + quality-aware**: when a shard exceeds capacity,
 //!   the least-recently-used entry whose config underperforms its family
 //!   incumbent goes first, and the sole entry of a family with live

@@ -123,8 +123,10 @@ pub enum Response {
     CacheHit {
         /// Workload family that answered.
         family: u64,
-        /// The cached configuration.
-        config: Config,
+        /// The cached configuration: the cache entry's own, shared, on
+        /// the serving side, and a fresh one when decoded (it encodes as
+        /// the config itself).
+        config: Arc<Config>,
         /// Cost observed when the config was tuned.
         cost: f64,
         /// True when a sibling tenant's incumbent answered (no entry for
@@ -568,7 +570,8 @@ impl<S: Read + Write> Client<S> {
                 borrowed,
             } => Ok(LookupReply::Hit {
                 family,
-                config,
+                // A decoded config is this reply's alone: a move.
+                config: Arc::unwrap_or_clone(config),
                 cost,
                 borrowed,
             }),
@@ -1027,7 +1030,7 @@ pub(crate) mod tests {
                     Request::Shutdown => Response::Bye,
                     _ => Response::CacheHit {
                         family: 0,
-                        config: Config::default(),
+                        config: Arc::default(),
                         cost: f64::NAN,
                         borrowed: false,
                     },
@@ -1101,7 +1104,7 @@ pub(crate) mod tests {
             Response::Stopped { was_active: true },
             Response::CacheHit {
                 family: 11,
-                config: best.config.clone(),
+                config: Arc::new(best.config.clone()),
                 cost: best.cost,
                 borrowed: true,
             },

@@ -1,12 +1,14 @@
 //! The second fence around a served hit, beside the byte budgets of
 //! `a_served_hit_stays_within_its_byte_budgets`: how many allocations
-//! its frames cost. Decoding goes straight into the message type and
-//! encoding straight out of it, so a frame that fits the decoder's
-//! stack buffer costs what the message itself owns, and writing a
-//! message into a buffer with room costs nothing. A codec that builds
-//! a value tree on the way (one node per value, one `String` per map
-//! key; 41 allocations for this `Lookup`) is several times over these
-//! counts.
+//! it costs. Finding it costs none: a warmed `ShardedCache` hands out
+//! the entry's own `Arc<Config>`, exact or borrowed, and the router
+//! moves that `Arc` into its `Response::CacheHit`. Decoding goes
+//! straight into the message type and encoding straight out of it, so
+//! a frame that fits the decoder's stack buffer costs what the message
+//! itself owns, and writing a message into a buffer with room costs
+//! nothing. A codec that builds a value tree on the way (one node per
+//! value, one `String` per map key; 41 allocations for this `Lookup`)
+//! is several times over these counts.
 //!
 //! The same meter then holds hostile input to a bound in bytes: the
 //! hostile suite of `third_party/ciborium/tests/typed.rs` once more, with
@@ -14,13 +16,17 @@
 //! each carrying a field its type does not have, through `read_frame`
 //! and through a CRC-valid record on disk.
 
+use autotune_cache::{CacheConfig, CacheLookup, ShardedCache};
 use autotune_serve::{
     dump_wal, read_frame, write_frame, CampaignSpec, DurableRegistry, Request, Response,
-    ServeError, SystemKind, WalConfig,
+    RouterConfig, RouterLookup, ServeBackend, ServeError, ServerConfig, SystemKind, TenantRouter,
+    WalConfig,
 };
+use autotune_space::Config;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Counts the current thread's allocations (`realloc` included) and the
 /// bytes it holds, so the tests can run beside each other.
@@ -108,7 +114,7 @@ fn cache_hit() -> Response {
     let best = campaign.storage().best().unwrap();
     Response::CacheHit {
         family: 3,
-        config: best.config.clone(),
+        config: Arc::new(best.config.clone()),
         cost: best.cost,
         borrowed: false,
     }
@@ -150,11 +156,76 @@ fn decoding_a_cache_hit_allocates_what_a_config_owns() {
     let frame = framed(&hit);
     let (response, n) = allocations_during(|| read_frame::<Response>(&mut &frame[..]));
     assert!(matches!(response, Ok(Some(Response::CacheHit { .. }))));
-    // Today 5: the map's node, a key per knob, a categorical's value.
+    // Today 6: the `Arc`, the map's node, a key per knob, a
+    // categorical's value.
     assert!(
         n <= 6,
         "decoding a CacheHit frame ({knobs} knobs) made {n} allocations"
     );
+}
+
+/// The benchmark's tenant fingerprint, and a sibling in its family.
+fn features() -> (Vec<f64>, Vec<f64>) {
+    let Request::Lookup { features, .. } = lookup() else {
+        unreachable!()
+    };
+    let mut sibling = features.clone();
+    sibling[0] += 0.25;
+    (features, sibling)
+}
+
+#[test]
+fn a_hit_on_a_warmed_cache_allocates_nothing() {
+    let (tenant, sibling) = features();
+    let cache = ShardedCache::new(CacheConfig::default());
+    let family = cache.admit_family(&tenant).family;
+    let Response::CacheHit { config, cost, .. } = cache_hit() else {
+        unreachable!()
+    };
+    cache.insert(family, &tenant, Config::clone(&config), cost);
+    for (features, borrowed) in [(&tenant, false), (&sibling, true)] {
+        // The first lookup warms whatever the thread sets up lazily.
+        cache.lookup(features);
+        let (hit, n) = allocations_during(|| cache.lookup(features));
+        let CacheLookup::Hit(hit) = hit else {
+            panic!("expected a hit, got {hit:?}")
+        };
+        assert_eq!(hit.borrowed, borrowed);
+        assert_eq!(n, 0, "a hit (borrowed: {borrowed}) made {n} allocations");
+    }
+}
+
+#[test]
+fn a_hit_through_the_router_allocates_nothing_and_shares_the_entrys_config() {
+    let dir = temp_dir("router-hit");
+    let mut router =
+        TenantRouter::create(&dir, 1, WalConfig::default(), RouterConfig::default()).unwrap();
+    let request = lookup();
+    let Request::Lookup { features, spec } = &request else {
+        unreachable!()
+    };
+    assert!(matches!(
+        router.lookup(features, spec),
+        Ok(RouterLookup::Miss { .. })
+    ));
+    router.run_all().unwrap();
+    router.lookup(features, spec).unwrap();
+    let (hit, n) = allocations_during(|| router.lookup(features, spec));
+    assert!(matches!(hit, Ok(RouterLookup::Hit(_))), "{hit:?}");
+    assert_eq!(
+        n, 0,
+        "a hit through TenantRouter::lookup made {n} allocations"
+    );
+    // What the server encodes is the entry's config, not a copy of it.
+    let config = ServerConfig::default();
+    let mut served = || match router.handle_request(request.clone(), &config) {
+        Ok(Response::CacheHit { config, .. }) => config,
+        other => panic!("expected a hit, got {other:?}"),
+    };
+    let (first, second) = (served(), served());
+    assert!(Arc::ptr_eq(&first, &second));
+    drop(router);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -222,7 +222,14 @@ impl StreamingClusters {
     /// Panics if `fp`'s dimension disagrees with existing centroids.
     pub fn assign(&mut self, fp: &(impl AsRef<[f64]> + ?Sized)) -> StreamAssignment {
         let x = fp.as_ref();
-        match nearest_checked(&self.centroids, x) {
+        let nearest = nearest_checked(&self.centroids, x);
+        self.absorb(x, nearest)
+    }
+
+    /// The rest of [`StreamingClusters::assign`], given `x`'s nearest
+    /// centroid.
+    fn absorb(&mut self, x: &[f64], nearest: Option<(usize, f64)>) -> StreamAssignment {
+        match nearest {
             Some((family, d2)) if d2.sqrt() <= self.threshold => {
                 let c = &mut self.centroids[family];
                 c.n += 1;
@@ -251,10 +258,69 @@ impl StreamingClusters {
     }
 }
 
+/// How many centroids' distances [`nearest_checked`] computes side by side.
+const CHAINS: usize = 4;
+
 /// Returns `(index, squared_distance)` of the nearest streaming centroid,
 /// or `None` when there are no centroids. Lowest index wins exact ties
 /// because the scan keeps the first strict minimum.
+///
+/// Centroids are taken [`CHAINS`] at a time ([`squared_distances`]), the
+/// rest one by one; every distance is `squared_distance`'s bit for bit and
+/// they are offered to the minimum in index order, so the answer is the
+/// one-at-a-time scan's. The chains only stop each add from waiting on
+/// the one before it.
 fn nearest_checked(centroids: &[StreamCentroid], x: &[f64]) -> Option<(usize, f64)> {
+    let check = |c: &StreamCentroid| {
+        assert_eq!(
+            c.mean.len(),
+            x.len(),
+            "fingerprint dimension mismatch against centroid"
+        );
+    };
+    let mut best: Option<(usize, f64)> = None;
+    let mut offer = |i: usize, d: f64| match best {
+        Some((_, bd)) if d >= bd => {}
+        _ => best = Some((i, d)),
+    };
+    let mut groups = centroids.chunks_exact(CHAINS);
+    let mut i = 0;
+    for group in groups.by_ref() {
+        group.iter().for_each(check);
+        let d = squared_distances(std::array::from_fn(|r| &group[r].mean[..]), x);
+        for (r, d) in d.into_iter().enumerate() {
+            offer(i + r, d);
+        }
+        i += CHAINS;
+    }
+    for (i, c) in (i..).zip(groups.remainder()) {
+        check(c);
+        offer(i, autotune_linalg::squared_distance(&c.mean, x));
+    }
+    best
+}
+
+/// `squared_distance(rows[r], x)` for every `r` at once, each bit for bit
+/// what it returns: its own accumulator starting at `-0.0` (where
+/// `f64::sum` starts), ascending `k`, `d = rows[r][k] - x[k]` and then
+/// `acc + d * d`, with no fused multiply-add.
+#[inline]
+fn squared_distances(rows: [&[f64]; CHAINS], x: &[f64]) -> [f64; CHAINS] {
+    let rows = rows.map(|r| &r[..x.len()]);
+    let mut acc = [-0.0; CHAINS];
+    for (k, &xk) in x.iter().enumerate() {
+        for (a, row) in acc.iter_mut().zip(&rows) {
+            let d = row[k] - xk;
+            *a += d * d;
+        }
+    }
+    acc
+}
+
+/// The one-at-a-time scan [`nearest_checked`] replaced, kept as the
+/// oracle it is held bitwise equal to.
+#[cfg(test)]
+fn nearest_checked_rows(centroids: &[StreamCentroid], x: &[f64]) -> Option<(usize, f64)> {
     let mut best: Option<(usize, f64)> = None;
     for (i, c) in centroids.iter().enumerate() {
         assert_eq!(
@@ -470,6 +536,119 @@ mod tests {
                                 // Equidistant point: family 0 must win.
         let a = sc.classify(&fp(&[0.4]));
         assert_eq!(a.map(|(f, _)| f), Some(0));
+    }
+
+    /// `n` centroids of dimension `dim`, every third a copy of the one
+    /// three before it, so exact ties are common.
+    fn centroids(n: usize, dim: usize, rng: &mut StdRng) -> Vec<StreamCentroid> {
+        let mut out: Vec<StreamCentroid> = Vec::with_capacity(n);
+        for i in 0..n {
+            let mean = if i >= 3 && i % 3 == 0 {
+                out[i - 3].mean.clone()
+            } else {
+                (0..dim).map(|_| rng.gen_range(-4.0..4.0)).collect()
+            };
+            out.push(StreamCentroid { mean, n: 1 });
+        }
+        out
+    }
+
+    fn bits(nearest: Option<(usize, f64)>) -> Option<(usize, u64)> {
+        nearest.map(|(i, d)| (i, d.to_bits()))
+    }
+
+    #[test]
+    fn the_chained_scan_is_the_row_loop_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(26);
+        let specials = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for n in 0..=17 {
+            for dim in 1..=33 {
+                let cs = centroids(n, dim, &mut rng);
+                let mut queries: Vec<Vec<f64>> = cs.iter().map(|c| c.mean.clone()).collect();
+                queries.push((0..dim).map(|_| rng.gen_range(-6.0..6.0)).collect());
+                for (s, &special) in specials.iter().enumerate() {
+                    let mut q: Vec<f64> = (0..dim).map(|_| rng.gen_range(-6.0..6.0)).collect();
+                    q[s % dim] = special;
+                    queries.push(q);
+                }
+                for q in &queries {
+                    assert_eq!(
+                        bits(nearest_checked(&cs, q)),
+                        bits(nearest_checked_rows(&cs, q)),
+                        "{n} centroids of dimension {dim}, query {q:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_lowest_of_equal_centroids_wins_in_every_lane() {
+        for n in 1..=17 {
+            let cs = vec![
+                StreamCentroid {
+                    mean: vec![1.0, -2.0, 0.5],
+                    n: 1
+                };
+                n
+            ];
+            let at_zero = nearest_checked(&cs, &[0.0, 0.0, 0.0]);
+            assert_eq!(at_zero.map(|(i, _)| i), Some(0), "{n} copies");
+            // A nearer copy in any lane beats the ones before it.
+            for better in 0..n {
+                let mut cs = cs.clone();
+                cs[better].mean = vec![0.5, -1.0, 0.25];
+                let got = nearest_checked(&cs, &[0.0, 0.0, 0.0]);
+                assert_eq!(got.map(|(i, _)| i), Some(better), "{n} copies");
+            }
+        }
+    }
+
+    #[test]
+    fn a_dimension_mismatch_panics_in_a_group_and_in_the_rest() {
+        for n in [1, 3, 4, 5, 9] {
+            let cs = vec![
+                StreamCentroid {
+                    mean: vec![0.0; 3],
+                    n: 1
+                };
+                n
+            ];
+            let caught = std::panic::catch_unwind(|| nearest_checked(&cs, &[0.0, 0.0]));
+            let why = caught.expect_err("a 2-feature query against 3-feature centroids");
+            let why = why
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default();
+            assert!(why.contains("fingerprint dimension mismatch"), "{n}: {why}");
+        }
+    }
+
+    #[test]
+    fn a_seeded_assign_sequence_leaves_the_oracles_model() {
+        let mut rng = StdRng::seed_from_u64(35);
+        let seq: Vec<Vec<f64>> = (0..600)
+            .map(|i| {
+                let center = (i % 13) as f64 * 3.0;
+                (0..12).map(|_| center + rng.gen_range(-1.0..1.0)).collect()
+            })
+            .collect();
+        let mut chained = StreamingClusters::new(2.5);
+        let mut oracle = StreamingClusters::new(2.5);
+        for x in &seq {
+            let a = chained.assign(x.as_slice());
+            let nearest = nearest_checked_rows(&oracle.centroids, x);
+            let b = oracle.absorb(x, nearest);
+            assert_eq!(
+                (a.family, a.distance.to_bits(), a.spawned),
+                (b.family, b.distance.to_bits(), b.spawned)
+            );
+        }
+        assert!(chained.len() > 8, "{} families", chained.len());
+        assert_eq!(
+            serde_json::to_string(&chained).unwrap(),
+            serde_json::to_string(&oracle).unwrap()
+        );
     }
 
     #[test]

@@ -10,13 +10,17 @@
 //! 3. Crashing a `TenantRouter` mid-stream and reopening from the WAL
 //!    reproduces the exact hit/miss sequence (and final cache state) of
 //!    an uninterrupted run, for arbitrary crash points and streams.
+//! 4. The exact-feature index a lookup finds entries by holds every
+//!    entry once and nothing else, through inserts, overwrites, evictions
+//!    and a restore, and a restored cache serves what the live one does.
 
-use autotune_cache::{CacheConfig, CacheLookup, ShardedCache};
+use autotune_cache::{fingerprint_key, CacheConfig, CacheLookup, ShardedCache};
 use autotune_serve::{
     CampaignSpec, RouterConfig, RouterLookup, SystemKind, TenantRouter, WalConfig,
 };
 use autotune_space::Config;
 use proptest::prelude::*;
+use proptest::TestCaseError;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -122,6 +126,149 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+#[derive(Debug, Clone)]
+enum IndexOp {
+    /// Backfill (or overwrite) one tenant's entry at `cost`.
+    Insert {
+        family: usize,
+        tenant: usize,
+        negative_zero: bool,
+        cost: u8,
+    },
+    /// Look one tenant up.
+    Lookup {
+        family: usize,
+        tenant: usize,
+        negative_zero: bool,
+    },
+}
+
+/// A tenant of `family`: few enough per family that inserts overwrite,
+/// and written with either zero, which are one tenant.
+fn tenant(family: usize, tenant: usize, negative_zero: bool) -> Vec<f64> {
+    let zero = if negative_zero { -0.0 } else { 0.0 };
+    vec![100.0 * family as f64 + tenant as f64 * 0.5, zero]
+}
+
+fn index_op_strategy() -> impl Strategy<Value = IndexOp> {
+    // `written` is the tenant and which zero it is written with.
+    (0..2u8, 0..3usize, 0..10usize, 0..6u8).prop_map(|(kind, family, written, cost)| {
+        let (tenant, negative_zero) = (written / 2, written % 2 == 1);
+        if kind == 0 {
+            IndexOp::Insert {
+                family,
+                tenant,
+                negative_zero,
+                cost,
+            }
+        } else {
+            IndexOp::Lookup {
+                family,
+                tenant,
+                negative_zero,
+            }
+        }
+    })
+}
+
+/// The exact-feature index holds every entry once and nothing else.
+fn index_is_exact(cache: &ShardedCache) -> Result<(), TestCaseError> {
+    let bits = |family: u64, key: u64, features: &[f64]| {
+        let folded: Vec<u64> = features
+            .iter()
+            .map(|&f| if f == 0.0 { 0 } else { f.to_bits() })
+            .collect();
+        (family, key, folded)
+    };
+    let mut entries: Vec<_> = cache
+        .snapshot()
+        .entries
+        .iter()
+        .map(|e| bits(e.family, e.key, &e.features))
+        .collect();
+    let mut indexed: Vec<_> = cache
+        .exact_index()
+        .iter()
+        .map(|(family, key, features)| bits(*family, *key, features))
+        .collect();
+    entries.sort();
+    indexed.sort();
+    prop_assert_eq!(indexed, entries);
+    Ok(())
+}
+
+/// What a lookup served: `(family, key, cost bits, borrowed)`, or the
+/// miss. Checks `borrowed` against the key on the way.
+fn served(cache: &ShardedCache, features: &[f64]) -> Result<String, TestCaseError> {
+    Ok(match cache.lookup(features) {
+        CacheLookup::Hit(h) => {
+            prop_assert_eq!(h.borrowed, h.key != fingerprint_key(features));
+            format!(
+                "{}:{:x}:{:x}:{}",
+                h.family,
+                h.key,
+                h.cost.to_bits(),
+                h.borrowed
+            )
+        }
+        CacheLookup::Miss { family } => format!("miss:{family:?}"),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Property 4: under any interleaving of inserts, overwrites,
+    /// lookups and the evictions they trigger, and after a snapshot and
+    /// restore, every entry's features are in the exact-feature index
+    /// once and nothing else is, a hit is `borrowed` exactly when it
+    /// served another key than the lookup's, and the restored cache
+    /// serves what the live one does to every tenant.
+    #[test]
+    fn the_exact_index_follows_every_entry(
+        ops in proptest::collection::vec(index_op_strategy(), 1..160),
+        capacity in 1usize..5,
+        hot_window in 1u64..40,
+    ) {
+        let cache = ShardedCache::new(CacheConfig {
+            threshold: 5.0,
+            n_shards: 2,
+            capacity_per_shard: capacity,
+            hot_window,
+        });
+        for op in &ops {
+            match *op {
+                IndexOp::Insert { family, tenant: t, negative_zero, cost } => {
+                    let features = tenant(family, t, negative_zero);
+                    let fam = match cache.lookup(&features) {
+                        CacheLookup::Hit(h) => h.family,
+                        CacheLookup::Miss { family: Some(f) } => f,
+                        CacheLookup::Miss { family: None } => cache.admit_family(&features).family,
+                    };
+                    let config = Config::new().with("v", i64::from(cost));
+                    cache.insert(fam, &features, config, f64::from(cost));
+                }
+                IndexOp::Lookup { family, tenant: t, negative_zero } => {
+                    served(&cache, &tenant(family, t, negative_zero))?;
+                }
+            }
+            index_is_exact(&cache)?;
+        }
+        let restored = ShardedCache::restore(&cache.snapshot()).expect("restore");
+        index_is_exact(&restored)?;
+        prop_assert_eq!(restored.exact_index(), cache.exact_index());
+        for family in 0..3 {
+            for t in 0..5 {
+                for negative_zero in [false, true] {
+                    let features = tenant(family, t, negative_zero);
+                    prop_assert_eq!(served(&cache, &features)?, served(&restored, &features)?);
+                }
+            }
+        }
+        prop_assert_eq!(cache.snapshot(), restored.snapshot());
     }
 }
 

@@ -92,6 +92,7 @@ if [ "$FAST" -eq 1 ]; then
   skip_step "wal_dump over a durable run (release)"
   skip_step "telemetry purity (release)"
   skip_step "kernel bitwise (release)"
+  skip_step "cache hit path (release)"
   skip_step "benchmark crate (build, tests, smoke run)"
 else
   # The byte-identical contracts must hold on a busy machine, not only
@@ -174,6 +175,17 @@ else
       cargo test -q --release -p autotune-surrogate
   }
   run_step "kernel bitwise (release)" kernel_bitwise_step
+
+  # The cache hit path: the chained centroid scan held bit for bit to the
+  # one-at-a-time loop it replaced, the exact-feature index to the
+  # entries it finds, and a warmed hit (cache and router) to zero
+  # allocations. Release, where the scan's loops are optimised.
+  cache_hit_step() {
+    cargo test -q --release -p autotune-wid -p autotune-cache &&
+      cargo test -q --release -p autotune-tests --test cache_props &&
+      cargo test -q --release -p autotune-serve --test alloc_budget
+  }
+  run_step "cache hit path (release)" cache_hit_step
 
   # benchmark/ is its own workspace, so the build and test steps above
   # never see it: build it and run its tests against the crates as they
