@@ -215,7 +215,7 @@ impl std::error::Error for CampaignError {}
 
 /// The live measurement for the next unreplayed staged item.
 fn next_live(live: &mut std::vec::IntoIter<Measurement>) -> Measurement {
-    live.next().expect("one live measurement per staged item") // lint: allow(D5) apply_wave callers measure exactly `ready_wave()`
+    live.next().expect("one live measurement per staged item") // lint: allow(D5) apply_wave callers measure exactly `staged_wave()`
 }
 
 /// How a campaign holds its target: shared (the registry's `'static`
@@ -423,6 +423,15 @@ impl<'a> Campaign<'a> {
         self.done
     }
 
+    /// Whether the source has reported a surrogate refit or an in-place
+    /// model update (what [`OptEvent::SurrogateRefit`] and
+    /// [`OptEvent::ModelUpdate`] announce): from then on its suggest and
+    /// observe cost milliseconds where a model-free one costs
+    /// microseconds.
+    pub fn has_model(&self) -> bool {
+        self.last_refits > 0 || self.last_updates > 0
+    }
+
     /// Ticks completed so far.
     pub fn n_ticks(&self) -> u64 {
         self.n_ticks
@@ -580,9 +589,12 @@ impl<'a> Campaign<'a> {
         }
     }
 
-    /// The staged items that still need a live measurement (in wave
-    /// order); the rest were served from the replay queue.
-    fn staged_live(&self) -> impl Iterator<Item = &WorkItem> {
+    /// The staged items that still need a live measurement, in wave
+    /// order (the rest were served from the replay queue): what
+    /// [`Campaign::ready_wave`] returned, borrowed again through `&self`
+    /// so it can be measured next to [`Campaign::target`]. Empty between
+    /// waves.
+    pub fn staged_wave(&self) -> impl Iterator<Item = &WorkItem> {
         self.staged
             .iter()
             .filter(|(_, m)| m.is_none())
@@ -590,23 +602,23 @@ impl<'a> Campaign<'a> {
     }
 
     /// Stages the next wave and returns the items needing a **live**
-    /// measurement (replayed items are filled internally). The caller
-    /// measures them with [`measure_wave`] — on any thread, but one
-    /// campaign's wave in wave order on one thread, because a noisy
+    /// measurement, borrowed (replayed items are filled internally). The
+    /// caller measures them with [`measure_wave`] — on any thread, but
+    /// one campaign's wave in wave order on one thread, because a noisy
     /// target's drift clock advances per evaluation — and hands the
-    /// results back to [`Campaign::complete_wave`] in the returned order.
+    /// results back to [`Campaign::complete_wave`] in that order.
     /// Idempotent until the wave completes; empty when the campaign is
     /// done or the tick needs no live measurement.
-    pub fn ready_wave(&mut self) -> Vec<WorkItem> {
+    pub fn ready_wave(&mut self) -> impl Iterator<Item = &WorkItem> {
         self.stage();
-        self.staged_live().cloned().collect()
+        self.staged_wave()
     }
 
     /// Completes the staged wave with the live measurements for
     /// [`Campaign::ready_wave`]'s items, in that order. Returns whether
     /// the campaign is done.
     pub fn complete_wave(&mut self, live: Vec<Measurement>) -> Result<bool, CampaignError> {
-        let expected = self.staged_live().count();
+        let expected = self.staged_wave().count();
         if live.len() != expected {
             return Err(CampaignError::WaveSizeMismatch {
                 expected,
@@ -849,8 +861,8 @@ impl<'a> Campaign<'a> {
         if self.done {
             return true;
         }
-        let wave = self.ready_wave();
-        let live = measure_wave(&self.target, &self.noise_strategy, &wave);
+        self.stage();
+        let live = measure_wave(&self.target, &self.noise_strategy, self.staged_wave());
         self.apply_wave(live);
         self.done
     }
@@ -969,7 +981,7 @@ impl<'a> Campaign<'a> {
         while c.log_len() < n_events && !c.done {
             let before = c.log_len();
             c.stage();
-            if let Some(w) = c.staged_live().next() {
+            if let Some(w) = c.staged_wave().next() {
                 return Err(CampaignError::MissingMeasurement {
                     id: w.id,
                     attempt: 0,
@@ -1083,8 +1095,9 @@ mod tests {
         let inline_metrics = inline.run();
         let mut waved = campaign_for(SchedulePolicy::AsyncSlots { k: 2 }, 10, 9);
         loop {
-            let wave = waved.ready_wave();
-            let live = measure_wave(waved.target(), waved.noise_strategy(), &wave);
+            let n_live = waved.ready_wave().count();
+            let live = measure_wave(waved.target(), waved.noise_strategy(), waved.staged_wave());
+            assert_eq!(live.len(), n_live);
             if waved.complete_wave(live).expect("sizes match") {
                 break;
             }

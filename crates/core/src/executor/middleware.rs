@@ -11,8 +11,9 @@ use autotune_sim::FailureKind;
 use rand::{Rng, RngCore};
 use std::borrow::BorrowMut;
 
-/// A cross-cutting hook on the trial lifecycle.
-pub trait Middleware {
+/// A cross-cutting hook on the trial lifecycle. `Send` for the reason
+/// [`super::TrialSource`] is.
+pub trait Middleware: Send {
     /// Name for diagnostics.
     fn name(&self) -> &str;
 
@@ -70,7 +71,7 @@ impl<'a> EarlyAbortMw<&'a mut EarlyAbort> {
     }
 }
 
-impl<P: BorrowMut<EarlyAbort>> Middleware for EarlyAbortMw<P> {
+impl<P: BorrowMut<EarlyAbort> + Send> Middleware for EarlyAbortMw<P> {
     fn name(&self) -> &str {
         "early-abort"
     }

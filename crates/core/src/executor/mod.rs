@@ -172,14 +172,17 @@ pub fn measure_request(
 /// [`Campaign::tick`] and the serve registry's round both call it. A
 /// noisy target's drift clock advances per evaluation, so splitting a
 /// wave across threads would make the clock stamps scheduling-dependent;
-/// only waves of *different* campaigns (disjoint targets) may ever be
-/// measured concurrently, and today nothing does.
-pub fn measure_wave(
+/// only *different* campaigns (disjoint targets) may ever be measured
+/// concurrently. The serve registry measures every wave on its caller;
+/// what it runs side by side is suggest and absorb, so only a retry's
+/// re-measurement (inside [`Campaign::complete_wave`]) happens on the
+/// one thread absorbing that campaign.
+pub fn measure_wave<'w>(
     target: &Target,
     strategy: &NoiseStrategy,
-    wave: &[WorkItem],
+    wave: impl IntoIterator<Item = &'w WorkItem>,
 ) -> Vec<Measurement> {
-    wave.iter()
+    wave.into_iter()
         .map(|w| measure_request(target, strategy, &w.req, w.eval_seed))
         .collect()
 }

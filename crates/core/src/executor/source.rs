@@ -24,8 +24,10 @@ pub enum SourceStep {
     Exhausted,
 }
 
-/// The suggestion side of the executor loop.
-pub trait TrialSource {
+/// The suggestion side of the executor loop. `Send`, like the
+/// [`Optimizer`] it usually wraps: a serving registry may suggest and
+/// observe a campaign on a worker thread, one thread at a time.
+pub trait TrialSource: Send {
     /// Asks for the next trial. `rng` is the campaign's *suggestion*
     /// stream, distinct from the per-trial evaluation streams.
     fn next(&mut self, rng: &mut dyn RngCore) -> SourceStep;
@@ -116,7 +118,7 @@ where
 
 impl<O> TrialSource for OptimizerSource<O>
 where
-    O: DerefMut,
+    O: DerefMut + Send,
     O::Target: Optimizer,
 {
     fn next(&mut self, rng: &mut dyn RngCore) -> SourceStep {

@@ -136,7 +136,7 @@ impl Target {
     /// [`Campaign::snapshot`](crate::Campaign::snapshot) so a resumed
     /// campaign's continuation sees the same drift trajectory.
     pub fn noise_clock(&self) -> u64 {
-        self.clock.load(Ordering::Relaxed) // lint: allow(D9) monotone eval counter; snapshots run between waves, on the thread that measured them
+        self.clock.load(Ordering::Relaxed) // lint: allow(D9) monotone eval counter; one thread works a campaign at a time and a scoped join orders each handoff
     }
 
     /// Repositions the temporal-drift clock (used by

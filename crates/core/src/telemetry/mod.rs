@@ -109,8 +109,10 @@ pub enum OptEvent {
 /// A campaign observer. All hooks run on the executor's driver thread in
 /// registration order; `at_s` is always the virtual clock. Implementations
 /// must not feed anything back into the campaign (see the module-level
-/// determinism contract).
-pub trait Subscriber {
+/// determinism contract). `Send`, as every collaborator a campaign owns
+/// is: a serving registry drives a campaign from one thread at a time,
+/// not always the same one.
+pub trait Subscriber: Send {
     /// Name for diagnostics.
     fn name(&self) -> &str;
 
@@ -149,8 +151,9 @@ impl<S: Subscriber + ?Sized> Subscriber for &mut S {
 /// overhead attribution. Core never reads real time itself — callers who
 /// want overhead measured inject an implementation (examples and the
 /// bench harness ship one backed by `std::time::Instant`); everyone else
-/// gets [`NullTimer`] and deterministic zeros.
-pub trait WallTimer {
+/// gets [`NullTimer`] and deterministic zeros. `Send` for the reason
+/// [`Subscriber`] is.
+pub trait WallTimer: Send {
     /// Monotonic nanoseconds since an arbitrary origin.
     fn now_ns(&mut self) -> u64;
 }

@@ -116,7 +116,7 @@ impl<W: Write> ProgressReporter<W> {
     }
 }
 
-impl<W: Write> Subscriber for ProgressReporter<W> {
+impl<W: Write + Send> Subscriber for ProgressReporter<W> {
     fn name(&self) -> &str {
         "progress"
     }

@@ -39,7 +39,7 @@ mod vector;
 pub use cholesky::Cholesky;
 pub use eigen::{symmetric_eigen, SymmetricEigen};
 pub use matrix::Matrix;
-pub use par::{ordered_mean, ordered_sum, par_map};
+pub use par::{ordered_mean, ordered_sum, par_map, par_map_mut};
 pub use pca::Pca;
 pub use vector::{axpy, dot, norm2, squared_distance};
 

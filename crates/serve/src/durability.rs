@@ -99,10 +99,11 @@
 //! text.
 //!
 //! **A worker panic** — a panic while a campaign's wave is measured, on
-//! the thread that called `step_round`; the pool is virtual and there is
-//! no other thread — is caught at the `step_round` boundary: the
-//! suspect in-memory campaigns are discarded and rebuilt from the WAL,
-//! inside the registry that was serving them. The injected one is raised
+//! the thread that called `step_round` (the pool is virtual), or one a
+//! side-by-side suggest or observe task raised, which `step_round`
+//! re-raises on that thread with its own payload — is caught at the
+//! `step_round` boundary: the suspect in-memory campaigns are discarded
+//! and rebuilt from the WAL, inside the registry that was serving them. The injected one is raised
 //! with `resume_unwind`, which never runs the panic hook, so no
 //! process-global hook is swapped to keep it quiet.
 

@@ -15,10 +15,12 @@
 //!   builds an owned `'static` campaign. Spec + snapshot is the durable
 //!   representation of a tenant's tuner.
 //! * [`CampaignRegistry`] — owns N campaigns and advances them in
-//!   deficit-round-robin rounds on the calling thread (`workers` sizes
-//!   the virtual pool its makespans are booked on); each campaign's
-//!   history is byte-identical to running it alone (see the `registry`
-//!   module docs for the argument).
+//!   deficit-round-robin rounds: the campaigns with a surrogate model
+//!   suggest and observe side by side, one thread each, and every wave
+//!   is measured on the calling thread (`workers` sizes the virtual pool
+//!   its makespans are booked on); each campaign's history is
+//!   byte-identical to running it alone (see the `registry` module docs
+//!   for the argument).
 //! * [`Server`]/[`Client`] — a typed request/response control protocol
 //!   (register, step, snapshot, stats, stop) over any framed byte
 //!   stream; [`pipe`] and [`spawn_server`] give an in-process deployment.

@@ -9,11 +9,12 @@
 //! [`pipe`] built on a pair of blocking byte queues, and a [`Server`]
 //! loop plus [`Client`] handle.
 //!
-//! [`Campaign`](autotune::Campaign) is deliberately not `Send` (it may
-//! borrow thread-local subscribers), so the registry is constructed
-//! *inside* the server thread by a `Send` builder closure; only spec
-//! descriptions, snapshots and stats — plain serializable data — cross
-//! the pipe.
+//! The registry lives on the server thread: [`spawn_server`] constructs
+//! it *there* with a `Send` builder closure, and only spec descriptions,
+//! snapshots and stats — plain serializable data — cross the pipe. (A
+//! [`Campaign`](autotune::Campaign) is `Send`, so the registry can hand
+//! its model campaigns to worker threads for a phase at a time; what it
+//! never hands out is the registry itself.)
 
 use crate::registry::{CampaignRegistry, CampaignStats, FleetStats, ServeError};
 use crate::spec::CampaignSpec;
@@ -652,9 +653,9 @@ fn unexpected(resp: &Response) -> ServeError {
 
 /// Spawns a server thread over an in-process pipe and returns the
 /// connected client plus the server's join handle, which yields the
-/// final fleet stats (campaigns themselves are not `Send`, so the
-/// registry cannot cross back; `builder` runs inside the server thread
-/// for the same reason).
+/// final fleet stats. `builder` runs inside the server thread, so the
+/// registry is built where it is served and never crosses the pipe;
+/// only its stats come back.
 pub fn spawn_server(
     builder: impl FnOnce() -> CampaignRegistry + Send + 'static,
 ) -> (

@@ -3,20 +3,36 @@
 //! A [`CampaignRegistry`] owns many [`Campaign`]s and advances them in
 //! *rounds* of deficit round-robin: each active campaign accrues credit
 //! every round, and once its credit covers its policy's wave capacity it
-//! is serviced — its ready wave is staged, measured, and absorbed. The
-//! staged waves of a round are measured one after another, in staging
-//! order, on the thread that called [`CampaignRegistry::step_round`]:
-//! the registry starts no threads.
+//! is serviced. A round has three phases:
+//!
+//! 1. **stage** each serviced campaign's ready wave (`suggest`);
+//! 2. **measure** the staged waves one after another, in staging order,
+//!    on the thread that called [`CampaignRegistry::step_round`];
+//! 3. **absorb** the results (`observe`).
+//!
+//! Phases 1 and 3 are where the tuner spends its time, and for a
+//! campaign with a surrogate model ([`Campaign::has_model`]) that is
+//! milliseconds a call: those campaigns run the two phases side by side,
+//! each on one thread, through `autotune_linalg::par_map_mut` (and
+//! a GP's own `par_map` inside such a task stays on its thread, so two
+//! campaigns on two cores do not become four threads). A model-free
+//! campaign's suggest costs microseconds, less than a thread spawn, so
+//! those run on the caller in entry order, as does everything else: the
+//! credit books, phase 2, the virtual pool and the caller's WAL flush.
 //!
 //! # Determinism
 //!
-//! Each campaign owns its target, so the only cross-campaign coupling is
-//! *which* waves get measured in a round — a pure function of credits and
-//! policies. Each wave is measured with [`measure_wave`], the same
-//! in-order function a standalone [`Campaign::tick`] uses, and waves of
-//! different campaigns touch disjoint targets. The result: every
+//! Each campaign owns its target, RNG streams and optimizer, so the only
+//! cross-campaign coupling is *which* waves get measured in a round — a
+//! pure function of credits and policies. Within a phase one campaign is
+//! worked by one thread; each wave is measured with [`measure_wave`], the
+//! same in-order function a standalone [`Campaign::tick`] uses, and a
+//! retry re-measures inside [`Campaign::complete_wave`] on the one
+//! thread absorbing that campaign, in wave order. The result: every
 //! campaign's history is byte-identical to running it alone, for any
-//! `workers` value and any fleet composition, by construction.
+//! `workers` value, any thread count and any fleet composition, by
+//! construction. That is why campaigns registered here must not share a
+//! [`Target`](autotune::Target) (see [`CampaignRegistry::register`]).
 //!
 //! # Virtual pool accounting
 //!
@@ -28,23 +44,25 @@
 //! `workers` virtual workers; the round's makespan is the maximum worker
 //! load. Serial seconds divided by summed makespans gives the pool
 //! speedup a real fleet of that size would see. (A measurement is a
-//! simulator call of about a microsecond while `suggest`/`observe` are
-//! the milliseconds, so a real pool belongs on the seam where it can run
-//! `suggest`: ROADMAP item 4.)
+//! simulator call of about a microsecond, so the threads go where the
+//! milliseconds are, around `suggest` and `observe`, not around it.)
 //!
 //! # Worker panics
 //!
 //! A "worker panic" is a panic while one campaign's wave is measured. It
 //! unwinds out of [`CampaignRegistry::step_round`] with the round's
 //! counter, queue activations and credit booked and none of its
-//! measurements. The durability layer catches it and swaps in each
-//! campaign's rebuild from the WAL; the registry and the rest of every
-//! entry stay, so admission, queue positions and accounting read the
-//! same after a recovery.
+//! measurements. A panic inside a side-by-side task is re-raised on the
+//! caller with its own payload once the other tasks are joined, so it
+//! unwinds out of `step_round` the same way. The durability layer
+//! catches it and swaps in each campaign's rebuild from the WAL; the
+//! registry and the rest of every entry stay, so admission, queue
+//! positions and accounting read the same after a recovery.
 
 use crate::chaos::ChaosPlan;
 use crate::spec::CampaignSpec;
 use autotune::{measure_wave, Campaign, CampaignError, CampaignSnapshot, MetricsSnapshot};
+use autotune_linalg::par_map_mut;
 use std::collections::BTreeMap;
 
 /// Errors from registry operations.
@@ -353,6 +371,14 @@ impl CampaignRegistry {
     /// Registers an owned campaign under `name`; returns its id. This
     /// low-level path bypasses admission control — servers route
     /// registrations through [`CampaignRegistry::admit_spec`] instead.
+    ///
+    /// A registered campaign must not share its
+    /// [`Target`](autotune::Target) with another registered campaign
+    /// (two `Campaign::new` over clones of one `Arc<Target>`): campaigns
+    /// with a model are worked side by side, and two threads advancing
+    /// one target's drift clock would stamp its measurements in
+    /// scheduling order. A spec's [`CampaignSpec::build`] always owns its
+    /// target.
     pub fn register(&mut self, name: impl Into<String>, campaign: Campaign<'static>) -> u64 {
         self.push_entry(self.next_id, name.into(), campaign).id
     }
@@ -485,12 +511,14 @@ impl CampaignRegistry {
     }
 
     /// Executes one deficit-round-robin round: accrues credit, stages
-    /// ready waves of every campaign whose credit covers its wave
+    /// the ready wave of every campaign whose credit covers its wave
     /// capacity, measures the staged waves in staging order on this
-    /// thread, and absorbs the results. Drain ticks — ticks
-    /// with no live measurement, e.g. barrier completions or replay
-    /// fills — are absorbed for free so a stalled campaign never blocks
-    /// the fleet.
+    /// thread, and absorbs the results. Drain ticks — ticks with no live
+    /// measurement, e.g. barrier completions or replay fills — are
+    /// absorbed for free so a stalled campaign never blocks the fleet.
+    /// Staging and absorbing run side by side for the serviced campaigns
+    /// that have a model ([`Campaign::has_model`]), one thread per
+    /// campaign; everything else runs here, in entry order.
     pub fn step_round(&mut self) -> Result<(), ServeError> {
         self.rounds += 1;
         // Phase 0: activate queued admissions FIFO as capacity frees up
@@ -505,48 +533,49 @@ impl CampaignRegistry {
                 n_running += 1;
             }
         }
-        // Phase 1: accrue credit and stage waves.
-        let mut staged: Vec<(usize, Vec<autotune::WorkItem>)> = Vec::new();
-        for idx in 0..self.entries.len() {
-            let entry = &mut self.entries[idx];
+        // Accrue credit; the campaigns it covers are serviced.
+        let mut serviced = Vec::new();
+        for (idx, entry) in self.entries.iter_mut().enumerate() {
             if !entry.active() {
                 continue;
             }
             entry.credit += QUANTUM;
-            let capacity = entry.campaign.policy().capacity() as f64;
-            if entry.credit < capacity {
-                continue;
-            }
-            // Absorb drain ticks for free until live work (or done).
-            loop {
-                let wave = entry.campaign.ready_wave();
-                if !wave.is_empty() {
-                    entry.credit -= (wave.len() as f64).max(1.0);
-                    staged.push((idx, wave));
-                    break;
-                }
-                if entry.campaign.is_done() || entry.campaign.complete_wave(Vec::new())? {
-                    break;
-                }
+            if entry.credit >= entry.campaign.policy().capacity() as f64 {
+                serviced.push((idx, ()));
             }
         }
-        // Phase 2: measure the staged waves in staging order, each
-        // through `measure_wave`. Nothing is absorbed before every wave
-        // is measured, so a panic here loses the whole round.
+        // A round of credit alone (every other round of a `k = 2` fleet)
+        // has nothing to stage, measure or book.
+        if serviced.is_empty() {
+            return Ok(());
+        }
+        // Phase 1: stage each serviced campaign's wave, absorbing drain
+        // ticks for free until it has live work (or is done).
+        let mut staged = Vec::new();
+        for (idx, n) in side_by_side(&mut self.entries, serviced, |c, ()| stage(c)) {
+            let n = n?;
+            if n > 0 {
+                self.entries[idx].credit -= n as f64;
+                staged.push(idx);
+            }
+        }
+        // Phase 2: measure the staged waves in staging order on this
+        // thread, each through `measure_wave`. Nothing is absorbed before
+        // every wave is measured, so a panic here loses the whole round.
         let measured: Vec<Vec<autotune::Measurement>> = staged
             .iter()
-            .map(|(idx, wave)| {
-                let e = &self.entries[*idx];
+            .map(|&idx| {
+                let c = &self.entries[idx].campaign;
                 if let Some(plan) = self.worker_panic_plan {
-                    if plan.worker_panics(self.rounds, e.id) {
-                        chaos_worker_panic(self.rounds, e.id);
+                    if plan.worker_panics(self.rounds, self.entries[idx].id) {
+                        chaos_worker_panic(self.rounds, self.entries[idx].id);
                     }
                 }
-                measure_wave(e.campaign.target(), e.campaign.noise_strategy(), wave)
+                measure_wave(c.target(), c.noise_strategy(), c.staged_wave())
             })
             .collect();
-        // Phase 3: virtual-pool accounting, then absorb results in
-        // staging order.
+        // Phase 3: virtual-pool accounting and every entry's books here,
+        // in staging order; then absorb the results.
         let mut loads = vec![0.0f64; self.workers];
         for m in measured.iter().flatten() {
             let slot = least_loaded(&loads);
@@ -554,13 +583,17 @@ impl CampaignRegistry {
             self.virtual_serial_s += m.elapsed_s;
         }
         self.virtual_makespan_s += loads.iter().fold(0.0f64, |a, &b| a.max(b));
-        for ((idx, _), live) in staged.iter().zip(measured) {
-            let entry = &mut self.entries[*idx];
+        let mut absorb = Vec::with_capacity(staged.len());
+        for (idx, live) in staged.into_iter().zip(measured) {
+            let entry = &mut self.entries[idx];
             let elapsed: f64 = live.iter().map(|m| m.elapsed_s).sum();
             entry.waves_served += 1;
             entry.live_measurements += live.len() as u64;
             entry.virtual_busy_s += elapsed;
-            entry.campaign.complete_wave(live)?;
+            absorb.push((idx, live));
+        }
+        for (_, done) in side_by_side(&mut self.entries, absorb, |c, live| c.complete_wave(live)) {
+            done?;
         }
         Ok(())
     }
@@ -685,6 +718,49 @@ fn chaos_worker_panic(round: u64, id: u64) -> ! {
     )))
 }
 
+/// Stages a campaign's next wave, absorbing drain ticks for free until
+/// it has live work or is done; returns the live items staged (0: none).
+fn stage(c: &mut Campaign<'static>) -> Result<usize, CampaignError> {
+    loop {
+        let n = c.ready_wave().count();
+        if n > 0 || c.is_done() || c.complete_wave(Vec::new())? {
+            return Ok(n);
+        }
+    }
+}
+
+/// Calls `f` once per `(entry index, input)` of `work`, whose indices
+/// ascend, and returns each result with its index, in `work`'s order.
+/// The campaigns with a model go through `par_map_mut`, each on one
+/// thread (a GP suggest costs milliseconds, so they run side by side);
+/// the rest run here in order, where a microsecond suggest would not pay
+/// for a spawn.
+fn side_by_side<X, R, F>(entries: &mut [Entry], work: Vec<(usize, X)>, f: F) -> Vec<(usize, R)>
+where
+    X: Default + Send,
+    R: Send,
+    F: Fn(&mut Campaign<'static>, X) -> R + Sync,
+{
+    let mut out = Vec::with_capacity(work.len());
+    let mut model = Vec::new();
+    let mut work = work.into_iter().peekable();
+    for (idx, entry) in entries.iter_mut().enumerate() {
+        let Some((_, x)) = work.next_if(|&(i, _)| i == idx) else {
+            continue;
+        };
+        if entry.campaign.has_model() {
+            model.push((idx, &mut entry.campaign, x));
+        } else {
+            out.push((idx, f(&mut entry.campaign, x)));
+        }
+    }
+    out.extend(par_map_mut(&mut model, 2, |_, (idx, c, x)| {
+        (*idx, f(c, std::mem::take(x)))
+    }));
+    out.sort_unstable_by_key(|&(idx, _)| idx);
+    out
+}
+
 /// Index of the least-loaded virtual worker (first wins ties, so the
 /// assignment is deterministic).
 fn least_loaded(loads: &[f64]) -> usize {
@@ -701,8 +777,9 @@ fn least_loaded(loads: &[f64]) -> usize {
 mod tests {
     use super::*;
     use crate::spec::{CampaignSpec, NoiseSpec, OptimizerKind, SystemKind};
-    use autotune::{Objective, SchedulePolicy};
+    use autotune::{CampaignEvent, Objective, OptEvent, SchedulePolicy};
     use autotune_sim::{Environment, FaultPlan, NoiseConfig, Workload};
+    use std::collections::BTreeSet;
 
     fn mixed_specs(n: usize) -> Vec<CampaignSpec> {
         (0..n)
@@ -860,6 +937,136 @@ mod tests {
             [&me],
             "a wave was measured off the thread that called step_round"
         );
+    }
+
+    /// Records, per campaign name, the threads its suggests began on.
+    type SeenThreads = std::sync::Arc<std::sync::Mutex<BTreeMap<String, BTreeSet<String>>>>;
+
+    struct SuggestThreads {
+        name: String,
+        seen: SeenThreads,
+    }
+
+    impl autotune::Subscriber for SuggestThreads {
+        fn name(&self) -> &str {
+            "suggest-threads"
+        }
+
+        fn on_opt_event(&mut self, _at_s: f64, event: &OptEvent) {
+            if let OptEvent::SuggestBegin { .. } = event {
+                let id = format!("{:?}", std::thread::current().id());
+                let mut seen = self.seen.lock().unwrap();
+                seen.entry(self.name.clone()).or_default().insert(id);
+            }
+        }
+    }
+
+    #[test]
+    fn model_campaigns_side_by_side_determinism() {
+        // Three GP campaigns past `n_init`, two random-search ones, and
+        // a GP campaign behind `RetryMw` whose retries re-measure inside
+        // phase 3.
+        let mut specs = Vec::new();
+        for (i, policy) in [
+            SchedulePolicy::SyncBatch { k: 2 },
+            SchedulePolicy::AsyncSlots { k: 2 },
+            SchedulePolicy::SyncBatch { k: 2 },
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut s =
+                CampaignSpec::minimal(format!("gp{i}"), SystemKind::Redis, 16, 40 + i as u64);
+            s.optimizer = OptimizerKind::BoGp;
+            s.policy = policy;
+            specs.push(s);
+        }
+        for (i, mut s) in mixed_specs(3).into_iter().skip(1).enumerate() {
+            s.name = format!("random{i}");
+            s.optimizer = OptimizerKind::Random;
+            specs.push(s);
+        }
+        let mut faulty = CampaignSpec::minimal("gp-retried", SystemKind::Redis, 16, 47);
+        faulty.optimizer = OptimizerKind::BoGp;
+        faulty.policy = SchedulePolicy::AsyncSlots { k: 2 };
+        faulty.noise = Some(NoiseSpec {
+            n_machines: 4,
+            config: NoiseConfig::default(),
+            seed: 5,
+        });
+        faulty.faults = Some(FaultPlan::aggressive(3));
+        let build_retried = || {
+            faulty
+                .build()
+                .with_middleware(Box::new(autotune::RetryMw::new(3, 5.0)))
+        };
+
+        let mut want = standalone_runs(&specs);
+        let mut retried = build_retried();
+        retried.run();
+        // Some retry comes after the model is up, so it re-measures in a
+        // campaign task.
+        let log = retried.log().unwrap();
+        let model_at = log
+            .iter()
+            .position(|e| {
+                matches!(
+                    e,
+                    CampaignEvent::Opt {
+                        event: OptEvent::SurrogateRefit { .. } | OptEvent::ModelUpdate { .. }
+                    }
+                )
+            })
+            .expect("the GP fits a model");
+        assert!(log[model_at..]
+            .iter()
+            .any(|e| matches!(e, CampaignEvent::Measured { attempt, .. } if *attempt > 0)));
+        want.push(retried);
+
+        let seen = SeenThreads::default();
+        let watched = |name: &str, c: Campaign<'static>| {
+            c.with_subscriber(Box::new(SuggestThreads {
+                name: name.to_string(),
+                seen: std::sync::Arc::clone(&seen),
+            }))
+        };
+        let mut reg = CampaignRegistry::new(2);
+        let mut ids: Vec<u64> = specs
+            .iter()
+            .map(|s| reg.register(s.name.clone(), watched(&s.name, s.build())))
+            .collect();
+        ids.push(reg.register(faulty.name.clone(), watched(&faulty.name, build_retried())));
+        reg.run_all().unwrap();
+        for (id, want) in ids.iter().zip(&want) {
+            let got = reg.campaign(*id).unwrap();
+            assert_eq!(
+                got.storage().to_json(),
+                want.storage().to_json(),
+                "campaign {id}"
+            );
+            assert_eq!(event_log(got), event_log(want), "campaign {id} event log");
+        }
+
+        // On one hardware thread every `par_map*` runs sequentially.
+        if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
+            return;
+        }
+        let me = format!("{:?}", std::thread::current().id());
+        let seen = seen.lock().unwrap();
+        let gp_threads: BTreeSet<&String> = seen
+            .iter()
+            .filter(|(name, _)| name.starts_with("gp"))
+            .flat_map(|(_, threads)| threads)
+            .collect();
+        assert!(gp_threads.len() >= 2, "GP suggests ran on {gp_threads:?}");
+        let random: Vec<_> = seen
+            .iter()
+            .filter(|(name, _)| name.starts_with("random"))
+            .collect();
+        assert_eq!(random.len(), 2);
+        for (name, threads) in random {
+            assert_eq!(threads.iter().collect::<Vec<_>>(), [&me], "{name}");
+        }
     }
 
     #[test]

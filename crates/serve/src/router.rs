@@ -558,7 +558,7 @@ type RouterServerHandle = std::thread::JoinHandle<Result<(FleetStats, CacheStats
 
 /// Spawns a router server thread over an in-process pipe; the join
 /// handle yields the final fleet and cache stats. `builder` runs inside
-/// the server thread (campaigns are not `Send`) and may fail — e.g. a
+/// the server thread, where the router is served, and may fail — e.g. a
 /// WAL directory that refuses to open — which surfaces through the
 /// handle.
 pub fn spawn_router_server(

@@ -86,6 +86,7 @@ if [ "$FAST" -eq 1 ]; then
   skip_step "race interleavings (release, 64 seeds)"
   skip_step "fault determinism (release)"
   skip_step "serve determinism (release)"
+  skip_step "serve determinism, one CPU (release)"
   skip_step "stub codecs (release)"
   skip_step "chaos recovery determinism (release)"
   skip_step "chaos recovery E34 (release)"
@@ -124,6 +125,16 @@ else
   # byte-identical to running it alone.
   run_step "serve determinism (release)" \
     cargo test -q --release -p autotune-serve -- determinism
+
+  # The other side of the thread-count branch: available_parallelism
+  # honours the affinity mask, so pinned to one CPU every par_map* (the
+  # registry's side-by-side phases, the GP's scoring) runs sequentially
+  # and must give the same bytes, the BO histories the parent's fixtures.
+  one_cpu_step() {
+    taskset -c 0 cargo test -q --release -p autotune-serve -- determinism &&
+      taskset -c 0 cargo test -q --release -p autotune-tests --test bo_parent_fixture
+  }
+  run_step "serve determinism, one CPU (release)" one_cpu_step
 
   # A decoder is where a debug_assertions-only overflow check hides a
   # wrapped length: the debug "tests" step alone would pass such a bug,

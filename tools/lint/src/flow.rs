@@ -142,13 +142,15 @@ const ATOMIC_METHODS: [&str; 12] = [
     "fetch_max",
 ];
 
-const RISKY_CALLS: [&str; 5] = [
-    "catch_unwind",
+/// The `par_map*` family: every entry point of `autotune_linalg::par`.
+const PAR_MAPS: [&str; 4] = [
     "par_map",
     "par_map_threads",
-    "append",
-    "append_aux",
+    "par_map_mut",
+    "par_map_mut_threads",
 ];
+
+const RISKY_CALLS: [&str; 3] = ["catch_unwind", "append", "append_aux"];
 
 const DURABLE_CALLS: [&str; 7] = [
     "append",
@@ -672,7 +674,8 @@ pub fn analyze(toks: &[Tok], sig: &[usize], mask: &[bool]) -> Vec<FnFlow> {
 
             // Risky calls (D8) — `append` is disambiguated from
             // `Vec::append` by receiver name in the rules layer.
-            if called && RISKY_CALLS.contains(&t.text.as_str()) {
+            let par_map = PAR_MAPS.contains(&t.text.as_str());
+            if called && (par_map || RISKY_CALLS.contains(&t.text.as_str())) {
                 flow.events.push(Event {
                     kind: EventKind::Risky {
                         callee: t.text.clone(),
@@ -697,7 +700,7 @@ pub fn analyze(toks: &[Tok], sig: &[usize], mask: &[bool]) -> Vec<FnFlow> {
                 });
             }
             // par_map* argument lists: scan once for reductions (D11).
-            if called && (t.is_ident("par_map") || t.is_ident("par_map_threads")) {
+            if called && par_map {
                 if let Some(args_close) = match_forward(toks, sig, d + 1) {
                     scan_par_reductions(toks, sig, d + 1, args_close, &mut flow.events);
                 }

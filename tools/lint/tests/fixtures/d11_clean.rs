@@ -16,3 +16,8 @@ pub fn per_chunk_fold(chunks: &[Vec<f64>]) -> Vec<f64> {
         acc
     })
 }
+
+pub fn absorb(campaigns: &mut [Campaign]) -> f64 {
+    let elapsed = par_map_mut(campaigns, 2, |_, c| c.absorb());
+    ordered_sum(&elapsed)
+}

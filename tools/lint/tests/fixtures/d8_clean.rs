@@ -19,3 +19,8 @@ pub fn collect(m: &std::sync::Mutex<Vec<u32>>, out: &mut Vec<u32>) {
     let mut g = m.plock();
     out.append(&mut g);
 }
+
+pub fn step(&self, campaigns: &mut [Campaign]) -> Vec<bool> {
+    let quantum = { self.books.plock().quantum };
+    par_map_mut(campaigns, 2, |_, c| c.step(quantum))
+}

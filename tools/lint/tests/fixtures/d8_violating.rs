@@ -16,3 +16,8 @@ pub fn score_under_guard(&self, xs: &[f64]) -> Vec<f64> {
     let model = self.model.pread();
     par_map(xs, 2, |_, x| model.score(*x))
 }
+
+pub fn step_under_guard(&self, campaigns: &mut [Campaign]) -> Vec<bool> {
+    let books = self.books.plock();
+    par_map_mut(campaigns, 2, |_, c| c.step(books.quantum))
+}
