@@ -78,6 +78,15 @@
 //! event log and history included, and live measurement takes over with
 //! the next tick.
 //!
+//! Campaigns share nothing, so the order they are rebuilt in is free. The
+//! campaigns whose log holds an `Opt` `SurrogateRefit` or `ModelUpdate`
+//! (what [`Campaign::has_model`] reads, the split the registry runs its
+//! rounds on) replay side by side, one thread each; every other campaign
+//! replays on the caller in id order. Results are taken in id order, so
+//! the first refusal in id order is the error, and `open` opens no
+//! segment before every rebuild has succeeded (the one write recovery
+//! makes, cutting a torn tail, comes before any rebuild).
+//!
 //! # Failure model
 //!
 //! **A handle that could not finish a write is dead.** An `io::Error`
@@ -103,7 +112,9 @@
 //! side-by-side suggest or observe task raised, which `step_round`
 //! re-raises on that thread with its own payload — is caught at the
 //! `step_round` boundary: the suspect in-memory campaigns are discarded
-//! and rebuilt from the WAL, inside the registry that was serving them. The injected one is raised
+//! and rebuilt from the WAL, inside the registry that was serving them,
+//! through the same rebuild `open` runs (model campaigns side by side,
+//! the rest on the caller in id order). The injected one is raised
 //! with `resume_unwind`, which never runs the panic hook, so no
 //! process-global hook is swapped to keep it quiet.
 
@@ -114,6 +125,7 @@ use autotune::executor::same_encoding;
 use autotune::{
     Campaign, CampaignError, CampaignEvent, Measurement, OptEvent, TrialRequest, TrialStatus,
 };
+use autotune_linalg::par_map;
 use autotune_sim::{FailureKind, TelemetrySample};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -419,7 +431,11 @@ impl DurableRegistry {
 
     /// Rebuilds the fleet from the WAL in `dir`: reads every segment,
     /// truncates a torn tail and replays each campaign through
-    /// [`Campaign::resume`]. Chaos is disarmed on the recovered handle.
+    /// [`Campaign::replay`]. The campaigns whose log announces a surrogate
+    /// model replay side by side, one thread each; the rest replay on the
+    /// caller in id order. The error is the first refusal in id order,
+    /// and a refused log gets no new segment. Chaos is disarmed on the
+    /// recovered handle.
     pub fn open(
         dir: impl Into<PathBuf>,
         workers: usize,
@@ -430,16 +446,16 @@ impl DurableRegistry {
         let recovered = recover_dir(&dir, |key, payload| aux_log.push((key, payload)))?;
         let mut registry = CampaignRegistry::new(workers);
         let mut durable_len = BTreeMap::new();
-        for (id, d) in recovered.fleet {
+        rebuild_fleet(recovered.fleet, |id, d, campaign| {
             durable_len.insert(id, d.events.len());
-            let campaign = rebuild(&d.spec, &d.events)?;
             registry.restore_entry(id, d.name, campaign, d.stopped, d.records);
             if let Some(rid) = d.request_id {
                 registry.restore_request_id(rid, id);
             }
-        }
+            Ok(())
+        })?;
         registry.note_fleet_recovery(recovered.report.truncated_bytes);
-        // Only now, so a log that `resume` refuses leaves no new segment.
+        // Only now, so a log that replay refuses leaves no new segment.
         let mut s = Self::over(dir, config, registry, recovered.max_seg)?;
         s.durable_len = durable_len;
         s.recovered_aux = aux_log;
@@ -657,11 +673,10 @@ impl DurableRegistry {
     /// rebuilt campaigns re-execute its ticks identically.
     fn recover_in_place(&mut self) -> Result<(), ServeError> {
         let recovered = recover_dir(&self.dir, |_, _| {})?;
-        for (id, d) in recovered.fleet {
+        rebuild_fleet(recovered.fleet, |id, d, campaign| {
             self.durable_len.insert(id, d.events.len());
-            self.registry
-                .replace_campaign(id, rebuild(&d.spec, &d.events)?)?;
-        }
+            self.registry.replace_campaign(id, campaign)
+        })?;
         self.registry
             .note_fleet_recovery(recovered.report.truncated_bytes);
         // The campaigns whose waves panicked this round (a pure re-roll
@@ -755,6 +770,49 @@ fn rebuild(spec: &CampaignSpec, logged: &[WalEvent]) -> Result<Campaign<'static>
     Campaign::replay(spec.build(), measured, logged.len(), |i, rebuilt| {
         same_encoding(&WalEvent::from(rebuilt), &logged[i], &mut scratch)
     })
+}
+
+/// Whether a logged history announces a surrogate model: an `Opt`
+/// `SurrogateRefit` or `ModelUpdate`, the events whose counters
+/// [`Campaign::has_model`] reads once the campaign is rebuilt.
+fn announces_model(logged: &[WalEvent]) -> bool {
+    logged.iter().any(|e| {
+        matches!(
+            e,
+            WalEvent::Opt {
+                event: OptEvent::SurrogateRefit { .. } | OptEvent::ModelUpdate { .. }
+            }
+        )
+    })
+}
+
+/// Rebuilds every campaign of a recovered fleet ([`rebuild`]) and hands
+/// each, with its durable state, to `restore` in id order; the first
+/// refusal in id order ends the walk and is returned. A model campaign's
+/// replay re-runs every GP fit, milliseconds a trial, so the campaigns
+/// whose log [`announces_model`] replay first, side by side through
+/// `par_map`, one thread each (one alone stays on the caller, where its
+/// GP's own `par_map` keeps the second core). The rest replay on the
+/// caller as the walk reaches them: a random search replays in
+/// microseconds a trial, less than a spawn, and its durable state is
+/// released as it goes.
+fn rebuild_fleet(
+    fleet: BTreeMap<u64, Durable>,
+    mut restore: impl FnMut(u64, Durable, Campaign<'static>) -> Result<(), ServeError>,
+) -> Result<(), ServeError> {
+    let model: Vec<(&u64, &Durable)> = fleet
+        .iter()
+        .filter(|(_, d)| announces_model(&d.events))
+        .collect();
+    let replay = |d: &Durable| rebuild(&d.spec, &d.events);
+    let mut side_by_side: BTreeMap<u64, _> = par_map(&model, 2, |_, (id, d)| (**id, replay(d)))
+        .into_iter()
+        .collect();
+    for (id, d) in fleet {
+        let campaign = side_by_side.remove(&id).unwrap_or_else(|| replay(&d))?;
+        restore(id, d, campaign)?;
+    }
+    Ok(())
 }
 
 /// Reads the WAL in `dir` front to back, handing `aux` every auxiliary
@@ -1027,8 +1085,10 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::SystemKind;
+    use crate::registry::tests::{event_log, standalone_runs};
+    use crate::spec::{NoiseSpec, OptimizerKind, SystemKind};
     use autotune::SchedulePolicy;
+    use autotune_sim::{FaultPlan, NoiseConfig};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -1393,19 +1453,22 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Applies `edit` to the events of the one-segment log in `dir`,
-    /// record by record until it reports an edit, and writes the log
-    /// back with every length and CRC recomputed. Returns the log as
-    /// rewritten.
-    fn edit_log(dir: &Path, mut edit: impl FnMut(&mut Vec<WalEvent<'static>>) -> bool) -> Vec<u8> {
+    /// Applies `edit` to the campaign id and events of each `Ticks`
+    /// record of the one-segment log in `dir`, until it reports an edit,
+    /// and writes the log back with every length and CRC recomputed.
+    /// Returns the log as rewritten.
+    fn edit_log(
+        dir: &Path,
+        mut edit: impl FnMut(u64, &mut Vec<WalEvent<'static>>) -> bool,
+    ) -> Vec<u8> {
         let segments = list_segments(dir).unwrap();
         let [(_, path)] = &segments[..] else {
             panic!("the run rotated its log");
         };
         let (mut log, mut buf, mut edited) = (Vec::new(), Vec::new(), false);
         let each = |_, _, mut record: WalRecord<'static>| {
-            if let WalRecord::Ticks { events, .. } = &mut record {
-                edited = edited || edit(events);
+            if let WalRecord::Ticks { id, events } = &mut record {
+                edited = edited || edit(*id, events);
             }
             encode_record(&record, &mut buf).unwrap();
             log.extend_from_slice(&buf);
@@ -1417,6 +1480,23 @@ mod tests {
         log
     }
 
+    fn flip(v: &mut f64) {
+        *v = f64::from_bits(v.to_bits() ^ 1);
+    }
+
+    /// Flips the lowest bit of the first float knob a logged suggestion
+    /// holds.
+    fn lie_about_a_suggestion(request: &mut Cow<TrialRequest>) {
+        let config = &mut request.to_mut().config;
+        let float = config.iter().find_map(|(k, v)| match v {
+            autotune_space::Value::Float(v) => Some((k.clone(), *v)),
+            _ => None,
+        });
+        let (name, mut v) = float.expect("a float knob");
+        flip(&mut v);
+        config.set(name, v);
+    }
+
     #[test]
     fn a_lie_about_what_replay_recomputes_is_refused_and_nothing_is_truncated() {
         let specs = fleet_of(10);
@@ -1424,25 +1504,17 @@ mod tests {
         drop(drive(&dir, &specs, WalConfig::default(), |_| {}));
         let (_, segment) = list_segments(&dir).unwrap().pop().unwrap();
         let honest = std::fs::read(&segment).unwrap();
-        let flip = |v: &mut f64| *v = f64::from_bits(v.to_bits() ^ 1);
         // One bit in a suggestion's config, in an outcome's cost and in an
         // optimizer event, and an event count off by one either way.
         type Lie<'a> = &'a dyn Fn(&mut Vec<WalEvent<'static>>) -> bool;
         let lies: [Lie; 5] = [
             &|events| {
-                events.iter_mut().any(|e| {
-                    let WalEvent::Suggested { request, .. } = e else {
-                        return false;
-                    };
-                    let config = &mut request.to_mut().config;
-                    let float = config.iter().find_map(|(k, v)| match v {
-                        autotune_space::Value::Float(v) => Some((k.clone(), *v)),
-                        _ => None,
-                    });
-                    let (name, mut v) = float.expect("a float knob");
-                    flip(&mut v);
-                    config.set(name, v);
-                    true
+                events.iter_mut().any(|e| match e {
+                    WalEvent::Suggested { request, .. } => {
+                        lie_about_a_suggestion(request);
+                        true
+                    }
+                    _ => false,
                 })
             },
             &|events| {
@@ -1472,7 +1544,7 @@ mod tests {
             },
         ];
         for (i, lie) in lies.into_iter().enumerate() {
-            let lied = edit_log(&dir, lie);
+            let lied = edit_log(&dir, |_, events| lie(events));
             assert_ne!(lied, honest, "lie {i} changed nothing");
             match DurableRegistry::open(&dir, 2, WalConfig::default()) {
                 Err(ServeError::Campaign(
@@ -1498,6 +1570,173 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Three GP campaigns that get past `n_init` (SyncBatch, AsyncSlots,
+    /// and one on a noisy, faulty target) and two random searches.
+    fn model_fleet() -> Vec<CampaignSpec> {
+        let gp = |name: &str, policy, seed| {
+            let mut s = CampaignSpec::minimal(name, SystemKind::Redis, 16, seed);
+            s.optimizer = OptimizerKind::BoGp;
+            s.policy = policy;
+            s
+        };
+        let mut noisy = gp("gp-noisy", SchedulePolicy::AsyncSlots { k: 2 }, 47);
+        noisy.noise = Some(NoiseSpec {
+            n_machines: 4,
+            config: NoiseConfig::default(),
+            seed: 5,
+        });
+        noisy.faults = Some(FaultPlan::aggressive(3));
+        vec![
+            gp("gp-sync", SchedulePolicy::SyncBatch { k: 2 }, 40),
+            gp("gp-async", SchedulePolicy::AsyncSlots { k: 2 }, 41),
+            spec(2),
+            spec(3),
+            noisy,
+        ]
+    }
+
+    /// Every campaign's full event log (drift-clock stamps included), in
+    /// id order.
+    fn event_logs(d: &DurableRegistry) -> Vec<String> {
+        let reg = d.registry();
+        let log = |id| event_log(reg.campaign(id).unwrap());
+        reg.ids().into_iter().map(log).collect()
+    }
+
+    /// Every campaign's event log run alone, in spec order.
+    fn standalone_logs(specs: &[CampaignSpec]) -> Vec<String> {
+        standalone_runs(specs).iter().map(event_log).collect()
+    }
+
+    #[test]
+    fn reopen_rebuilds_model_campaigns_side_by_side_determinism() {
+        let specs = model_fleet();
+        let dir = temp_dir("model-reopen");
+        drop(drive(&dir, &specs, WalConfig::default(), |_| {}));
+        let logged = recover_dir(&dir, |_, _| {}).unwrap().fleet;
+        let (reopened, report) = DurableRegistry::open(&dir, 2, WalConfig::default()).unwrap();
+        assert_eq!(report.campaigns, specs.len());
+        assert_eq!(event_logs(&reopened), standalone_logs(&specs));
+        // The split `open` makes is the one the registry's rounds make.
+        for (id, d) in &logged {
+            let rebuilt = reopened.registry().campaign(*id).unwrap();
+            assert_eq!(
+                announces_model(&d.events),
+                rebuilt.has_model(),
+                "{}",
+                d.name
+            );
+        }
+        let split: Vec<bool> = logged
+            .values()
+            .map(|d| announces_model(&d.events))
+            .collect();
+        assert_eq!(split, [true, true, false, false, true]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn lies_in_several_campaigns_are_refused_in_id_order() {
+        let specs = model_fleet();
+        let dir = temp_dir("ordered-lies");
+        drop(drive(&dir, &specs, WalConfig::default(), |_| {}));
+        let (_, segment) = list_segments(&dir).unwrap().pop().unwrap();
+        let honest = std::fs::read(&segment).unwrap();
+        // Flips a bit in the `nth` suggestion of each `(id, nth)`, opens,
+        // and returns the refusal's text; the refused log keeps its bytes
+        // and gets no second segment.
+        let refusal = |lies: &[(u64, usize)]| -> String {
+            let mut lied = Vec::new();
+            for &(liar, nth) in lies {
+                let mut seen = 0;
+                lied = edit_log(&dir, |id, events| {
+                    id == liar
+                        && events.iter_mut().any(|e| match e {
+                            WalEvent::Suggested { request, .. } => {
+                                seen += 1;
+                                let here = seen > nth;
+                                if here {
+                                    lie_about_a_suggestion(request);
+                                }
+                                here
+                            }
+                            _ => false,
+                        })
+                });
+            }
+            let text = match DurableRegistry::open(&dir, 2, WalConfig::default()) {
+                Err(ServeError::Campaign(e)) => e.to_string(),
+                Err(e) => panic!("{lies:?}: not a campaign error: {e}"),
+                Ok(_) => panic!("{lies:?} opened"),
+            };
+            assert_eq!(list_segments(&dir).unwrap().len(), 1, "{lies:?}");
+            assert_eq!(
+                std::fs::read(&segment).unwrap(),
+                lied,
+                "{lies:?}: open wrote"
+            );
+            std::fs::write(&segment, &honest).unwrap();
+            text
+        };
+        // A lone lying GP among healthy campaigns, each on its own; the
+        // texts tell them apart (they name the event that diverged).
+        let (gp_sync, gp_async, random) =
+            (refusal(&[(0, 1)]), refusal(&[(1, 5)]), refusal(&[(2, 0)]));
+        assert_ne!(gp_sync, gp_async);
+        assert_ne!(random, gp_async);
+        // Two liars: the lower id's refusal, as a walk in id order gives,
+        // whichever side of the split each replays on.
+        assert_eq!(refusal(&[(1, 5), (0, 1)]), gp_sync);
+        assert_eq!(refusal(&[(1, 5), (2, 0)]), gp_async);
+        assert_eq!(refusal(&[(4, 3), (2, 0)]), random);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn panic_recovery_of_model_campaigns_determinism() {
+        let specs = model_fleet();
+        let dir = temp_dir("model-panic");
+        let mut durable = DurableRegistry::create(&dir, 2, WalConfig::default()).unwrap();
+        // One campaign at a time: `gp-sync` runs dry, then `gp-async`
+        // runs until it has a model, so the log holds two model campaigns
+        // and three the registry has not started.
+        durable.set_admission(AdmissionConfig {
+            max_active: 1,
+            max_pending: 8,
+        });
+        for s in &specs {
+            durable.admit_spec(s, None).unwrap();
+        }
+        while !durable.registry().campaign(1).unwrap().has_model() {
+            assert!(!durable.step_round().unwrap());
+        }
+        assert!(durable.registry().campaign(0).unwrap().is_done());
+        // A plan that panics `gp-async`'s waves half the time, armed until
+        // one panics and is recovered.
+        durable.set_chaos(ChaosPlan::new(3).with_worker_panics(0.5));
+        let stats = |d: &DurableRegistry| d.registry().fleet_stats();
+        let mut want = loop {
+            let before = stats(&durable);
+            if durable.step_round().unwrap() {
+                break before;
+            }
+        };
+        // Admission and accounting read as before the panicked round, which
+        // booked itself and the recovery and nothing else.
+        assert_eq!((want.n_active, want.n_pending), (1, 3));
+        want.rounds += 1;
+        want.recoveries += 1;
+        assert_eq!(
+            serde_json::to_string(&stats(&durable)).unwrap(),
+            serde_json::to_string(&want).unwrap()
+        );
+        assert_eq!(durable.registry().stats(1).unwrap().recoveries, 1);
+        durable.set_chaos(ChaosPlan::new(3));
+        durable.run_all().unwrap();
+        assert_eq!(event_logs(&durable), standalone_logs(&specs));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn a_measurement_is_an_input_and_comes_back_as_logged() {
         // Nothing recomputes a measurement, so nothing can contradict
@@ -1508,7 +1747,7 @@ mod tests {
         let dir = temp_dir("input");
         drop(drive(&dir, &specs, WalConfig::default(), |_| {}));
         let mut flipped = None;
-        edit_log(&dir, |events| {
+        edit_log(&dir, |_, events| {
             events.iter_mut().any(|e| {
                 let WalEvent::Measured { id, telemetry, .. } = e else {
                     return false;

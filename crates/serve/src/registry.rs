@@ -774,7 +774,7 @@ fn least_loaded(loads: &[f64]) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::spec::{CampaignSpec, NoiseSpec, OptimizerKind, SystemKind};
     use autotune::{CampaignEvent, Objective, OptEvent, SchedulePolicy};
@@ -830,7 +830,7 @@ mod tests {
             .collect()
     }
 
-    fn standalone_runs(specs: &[CampaignSpec]) -> Vec<Campaign<'static>> {
+    pub(crate) fn standalone_runs(specs: &[CampaignSpec]) -> Vec<Campaign<'static>> {
         specs
             .iter()
             .map(|s| {
@@ -849,7 +849,7 @@ mod tests {
     }
 
     /// The full event log, `Measurement.clock` drift stamps included.
-    fn event_log(c: &Campaign<'_>) -> String {
+    pub(crate) fn event_log(c: &Campaign<'_>) -> String {
         serde_json::to_string(c.log().expect("log is on by default")).unwrap()
     }
 

@@ -128,8 +128,9 @@ else
 
   # The other side of the thread-count branch: available_parallelism
   # honours the affinity mask, so pinned to one CPU every par_map* (the
-  # registry's side-by-side phases, the GP's scoring) runs sequentially
-  # and must give the same bytes, the BO histories the parent's fixtures.
+  # registry's side-by-side phases, recovery's side-by-side rebuild, the
+  # GP's scoring) runs sequentially and must give the same bytes, the BO
+  # histories the parent's fixtures.
   one_cpu_step() {
     taskset -c 0 cargo test -q --release -p autotune-serve -- determinism &&
       taskset -c 0 cargo test -q --release -p autotune-tests --test bo_parent_fixture
