@@ -6,7 +6,6 @@
 //! log-determinant, which falls out of the factor's diagonal for free.
 
 #![allow(clippy::needless_range_loop)] // offset-indexed triangular loops
-use crate::blocked::DEFAULT_BLOCK;
 use crate::vector::{chained_dots, CHAINS};
 use crate::{LinalgError, Matrix, Result};
 
@@ -24,40 +23,10 @@ impl Cholesky {
     ///
     /// Kernel matrices are often *numerically* semi-definite (duplicated
     /// trial configurations produce identical rows), so on failure the
-    /// factorization retries with exponentially growing diagonal jitter up
-    /// to `1e-4 * mean(diag)`. The jitter actually used is reported by
-    /// [`Cholesky::jitter`].
+    /// factorization retries with exponentially growing diagonal jitter:
+    /// none first, then 1e-12 .. 1e-4 of the mean diagonal, one decade per
+    /// retry. The jitter actually used is reported by [`Cholesky::jitter`].
     pub fn new(a: &Matrix) -> Result<Self> {
-        Self::with_jitter_ladder(a, Self::try_factor)
-    }
-
-    /// Factorizes a symmetric positive-definite matrix with a cache-blocked
-    /// (tiled) right-looking algorithm.
-    ///
-    /// Identical contract to [`Cholesky::new`] — same jitter-retry ladder,
-    /// same error — but the O(n³) work is organized as block-column panels:
-    /// factor a diagonal tile, triangular-solve the panel below it, then
-    /// apply the trailing SYRK update tile-by-tile so every tile is reused
-    /// from cache. At a few thousand rows this runs several times faster
-    /// than the naive loop; the factor agrees with the naive one to
-    /// rounding (the trailing updates are regrouped per panel, so
-    /// agreement is tolerance-level, not bitwise).
-    pub fn new_blocked(a: &Matrix) -> Result<Self> {
-        Self::new_tiled(a, DEFAULT_BLOCK)
-    }
-
-    /// [`Cholesky::new_blocked`] with `block`-sized tiles; the tests sweep
-    /// the tile edge, callers get [`DEFAULT_BLOCK`].
-    fn new_tiled(a: &Matrix, block: usize) -> Result<Self> {
-        Self::with_jitter_ladder(a, |a, jitter| Self::try_factor_blocked(a, jitter, block))
-    }
-
-    /// Runs `try_factor(a, jitter)` with no jitter first, then with
-    /// 1e-12 .. 1e-4 of the mean diagonal, one decade per retry.
-    fn with_jitter_ladder(
-        a: &Matrix,
-        try_factor: impl Fn(&Matrix, f64) -> Option<Matrix>,
-    ) -> Result<Self> {
         if !a.is_square() {
             return Err(LinalgError::ShapeMismatch {
                 context: "cholesky: matrix must be square",
@@ -74,71 +43,11 @@ impl Cholesky {
             if attempt > 0 {
                 jitter = mean_diag.max(1e-300) * 1e-12 * 10f64.powi(attempt - 1);
             }
-            if let Some(l) = try_factor(a, jitter) {
+            if let Some(l) = Self::try_factor(a, jitter) {
                 return Ok(Cholesky { l, jitter });
             }
         }
         Err(LinalgError::NotPositiveDefinite)
-    }
-
-    /// One blocked factorization attempt; `None` when a pivot is
-    /// non-positive. Works on a lower-triangle copy in place: factor the
-    /// diagonal tile, panel-solve the rows below, subtract the panel's
-    /// outer product from the trailing triangle.
-    fn try_factor_blocked(a: &Matrix, jitter: f64, block: usize) -> Option<Matrix> {
-        let n = a.rows();
-        let b = block.max(1);
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            l.row_mut(i)[..=i].copy_from_slice(&a.row(i)[..=i]);
-            l[(i, i)] += jitter;
-        }
-        for kk in (0..n).step_by(b) {
-            let ke = (kk + b).min(n);
-            // Factor the diagonal block in place (unblocked, it's small).
-            for j in kk..ke {
-                let s = crate::vector::dot(&l.row(j)[kk..j], &l.row(j)[kk..j]);
-                let d = l[(j, j)] - s;
-                if d <= 0.0 || !d.is_finite() {
-                    return None;
-                }
-                let ljj = d.sqrt();
-                l[(j, j)] = ljj;
-                for i in (j + 1)..ke {
-                    let s = crate::vector::dot(&l.row(i)[kk..j], &l.row(j)[kk..j]);
-                    l[(i, j)] = (l[(i, j)] - s) / ljj;
-                }
-            }
-            // Panel solve: L21 = A21 * L11⁻ᵀ, row by row against the block.
-            for i in ke..n {
-                for j in kk..ke {
-                    let s = crate::vector::dot(&l.row(i)[kk..j], &l.row(j)[kk..j]);
-                    l[(i, j)] = (l[(i, j)] - s) / l[(j, j)];
-                }
-            }
-            if ke == n {
-                break;
-            }
-            // Trailing update: A22 -= L21 * L21ᵀ, tiled over the lower
-            // triangle. The panel is copied out once so the tile loops can
-            // read it contiguously while writing into `l`.
-            let kb = ke - kk;
-            let panel = Matrix::from_fn(n - ke, kb, |r, c| l[(ke + r, kk + c)]);
-            for ii in (ke..n).step_by(b) {
-                let ie = (ii + b).min(n);
-                for jj in (ke..=ii).step_by(b) {
-                    let je = (jj + b).min(n);
-                    for i in ii..ie {
-                        let pi = panel.row(i - ke);
-                        for j in jj..je.min(i + 1) {
-                            let s = crate::vector::dot(pi, panel.row(j - ke));
-                            l[(i, j)] -= s;
-                        }
-                    }
-                }
-            }
-        }
-        Some(l)
     }
 
     /// Single factorization attempt with the given diagonal jitter;
@@ -149,7 +58,8 @@ impl Cholesky {
     /// loads. Every entry is the same `sum_{k<j} L[i,k] * L[j,k]` the row
     /// loop forms with [`crate::dot`], in the same order, and pivots are
     /// checked in the same order, so the factor and the first failing
-    /// pivot are the row loop's bit for bit; the chains only stop each
+    /// pivot are the row loop's bit for bit (`linalg_props` in the
+    /// workspace tests holds it to that loop); the chains only stop each
     /// add from waiting on the one before it.
     fn try_factor(a: &Matrix, jitter: f64) -> Option<Matrix> {
         let n = a.rows();
@@ -181,30 +91,6 @@ impl Cholesky {
             }
         }
         Some(Matrix::from_vec(n, n, l))
-    }
-
-    /// The row loop [`Cholesky::try_factor`] replaced, kept as the oracle
-    /// its factor is held bitwise equal to.
-    #[cfg(test)]
-    fn try_factor_rows(a: &Matrix, jitter: f64) -> Option<Matrix> {
-        let n = a.rows();
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                // sum_{k<j} L[i,k] * L[j,k]
-                let s = crate::vector::dot(&l.row(i)[..j], &l.row(j)[..j]);
-                if i == j {
-                    let d = a[(i, i)] + jitter - s;
-                    if d <= 0.0 || !d.is_finite() {
-                        return None;
-                    }
-                    l[(i, j)] = d.sqrt();
-                } else {
-                    l[(i, j)] = (a[(i, j)] - s) / l[(j, j)];
-                }
-            }
-        }
-        Some(l)
     }
 
     /// The lower-triangular factor `L`.
@@ -295,35 +181,9 @@ impl Cholesky {
         self.solve_upper(&self.solve_lower(b))
     }
 
-    /// Solves `A X = B` column by column.
-    fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
-        if b.rows() != self.dim() {
-            return Err(LinalgError::ShapeMismatch {
-                context: "cholesky solve: rhs rows must match dimension",
-            });
-        }
-        let mut out = Matrix::zeros(b.rows(), b.cols());
-        for j in 0..b.cols() {
-            let col = b.col(j);
-            let x = self.solve_vec(&col);
-            for (i, v) in x.into_iter().enumerate() {
-                out[(i, j)] = v;
-            }
-        }
-        Ok(out)
-    }
-
     /// `log det(A) = 2 * sum_i log L[i,i]`.
     pub fn log_det(&self) -> f64 {
         (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
-
-    /// Explicit inverse of `A`. Prefer the `solve_*` methods; the explicit
-    /// inverse is only needed by multi-task kernels.
-    pub fn inverse(&self) -> Matrix {
-        let n = self.dim();
-        self.solve_matrix(&Matrix::identity(n))
-            .expect("identity always matches dimension") // lint: allow(D5) identity matches the factor dimension
     }
 
     /// Rank-1 *update*: replaces this factor of `A` with the factor of
@@ -453,14 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn inverse_times_matrix_is_identity() {
-        let a = spd3();
-        let inv = Cholesky::new(&a).unwrap().inverse();
-        let eye = a.matmul(&inv).unwrap();
-        assert!(eye.approx_eq(&Matrix::identity(3), 1e-8));
-    }
-
-    #[test]
     fn indefinite_matrix_rejected() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]); // eigenvalues 3, -1
         assert_eq!(
@@ -561,71 +413,9 @@ mod tests {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
         let b = Matrix::from_fn(n, n, |_, _| rng.gen_range(-1.0..1.0));
-        let mut a = b.syrk_blocked();
+        let mut a = b.syrk();
         a.add_diag(n as f64);
         a
-    }
-
-    #[test]
-    fn blocked_factor_matches_naive_across_block_sizes() {
-        // Including blocks of 1, blocks that don't divide n, and blocks
-        // larger than n (which degenerates to the unblocked algorithm).
-        for n in [1, 2, 7, 33, 64, 97] {
-            let a = random_spd(n, 500 + n as u64);
-            let naive = Cholesky::new(&a).unwrap();
-            for block in [1, 5, 16, 64, 256] {
-                let blocked = Cholesky::new_tiled(&a, block).unwrap();
-                assert_eq!(blocked.jitter(), 0.0, "n={n} block={block}");
-                assert!(
-                    blocked.l().approx_eq(naive.l(), 1e-9 * n as f64),
-                    "n={n} block={block}: blocked factor diverged from naive"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_factor_reconstructs_and_solves() {
-        let a = random_spd(50, 9);
-        let c = Cholesky::new_tiled(&a, 16).unwrap();
-        let back = c.l().matmul(&c.l().transpose()).unwrap();
-        assert!(back.approx_eq(&a, 1e-8));
-        let x_true: Vec<f64> = (0..50).map(|i| (i as f64 * 0.7).sin()).collect();
-        let b = a.matvec(&x_true).unwrap();
-        let x = c.solve_vec(&b);
-        for (got, want) in x.iter().zip(&x_true) {
-            assert!((got - want).abs() < 1e-8);
-        }
-    }
-
-    #[test]
-    fn blocked_factor_rejects_indefinite_and_rescues_semidefinite() {
-        let indef = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]);
-        assert_eq!(
-            Cholesky::new_tiled(&indef, 8).unwrap_err(),
-            LinalgError::NotPositiveDefinite
-        );
-        let psd = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]);
-        let c = Cholesky::new_tiled(&psd, 8).unwrap();
-        assert!(c.jitter() > 0.0);
-        let non_square = Matrix::zeros(2, 3);
-        assert!(matches!(
-            Cholesky::new_tiled(&non_square, 8),
-            Err(LinalgError::ShapeMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn blocked_factor_extends_like_naive() {
-        // A blocked factor must keep working with the O(n²) rank-1
-        // extension the incremental GP path uses.
-        let a = random_spd(20, 31);
-        let lead = Matrix::from_fn(19, 19, |i, j| a[(i, j)]);
-        let mut inc = Cholesky::new_tiled(&lead, 7).unwrap();
-        let col: Vec<f64> = (0..19).map(|i| a[(i, 19)]).collect();
-        inc.extend(&col, a[(19, 19)]).unwrap();
-        let full = Cholesky::new(&a).unwrap();
-        assert!(inc.l().approx_eq(full.l(), 1e-8));
     }
 
     #[test]
@@ -670,45 +460,5 @@ mod tests {
             &before,
             "failed update must leave the factor untouched"
         );
-    }
-
-    fn bits(m: &Matrix) -> Vec<u64> {
-        m.as_slice().iter().map(|v| v.to_bits()).collect()
-    }
-
-    #[test]
-    fn chained_factor_is_the_row_loop_bit_for_bit() {
-        // Around every multiple of the chain width: a well-conditioned
-        // matrix, the all-ones matrix (every rung but the first fails
-        // before it, so the ladder must land on the same one) and an
-        // indefinite matrix (the same error).
-        for n in (0..=33).chain([127, 128, 129]) {
-            let mut a = random_spd(n, 77 + n as u64);
-            let ones = Matrix::from_fn(n, n, |_, _| 1.0);
-            for (a, jittered) in [(&a, false), (&ones, n >= 2)] {
-                let want = Cholesky::with_jitter_ladder(a, Cholesky::try_factor_rows).unwrap();
-                let got = Cholesky::new(a).unwrap();
-                assert_eq!(got.jitter() > 0.0, jittered, "n={n}");
-                assert_eq!(got.jitter().to_bits(), want.jitter().to_bits(), "n={n}");
-                assert_eq!(bits(got.l()), bits(want.l()), "n={n}");
-            }
-            if n >= 1 {
-                a.add_diag(-2.0 * n as f64);
-                assert_eq!(
-                    Cholesky::new(&a).unwrap_err(),
-                    Cholesky::with_jitter_ladder(&a, Cholesky::try_factor_rows).unwrap_err()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn solve_matrix_multiple_rhs() {
-        let a = spd3();
-        let c = Cholesky::new(&a).unwrap();
-        let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[0.0, 0.0]]);
-        let x = c.solve_matrix(&b).unwrap();
-        let back = a.matmul(&x).unwrap();
-        assert!(back.approx_eq(&b, 1e-8));
     }
 }

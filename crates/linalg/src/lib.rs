@@ -27,7 +27,6 @@
 //! assert!((x[1] - 1.5).abs() < 1e-12);
 //! ```
 
-mod blocked;
 mod cholesky;
 mod eigen;
 mod matrix;

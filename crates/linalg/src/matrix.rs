@@ -187,6 +187,25 @@ impl Matrix {
         Ok(out)
     }
 
+    /// Symmetric rank-k product `self * selfᵀ` (SYRK).
+    ///
+    /// Forms the lower triangle, each entry one [`crate::dot`] of two rows
+    /// in ascending column order, and mirrors it: half the multiplies of a
+    /// general product, and on finite inputs the same floats as
+    /// `self.matmul(&self.transpose())` (an exact zero may differ in sign).
+    pub fn syrk(&self) -> Matrix {
+        let n = self.rows;
+        let mut out = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let s = crate::vector::dot(self.row(i), self.row(j));
+                out[(i, j)] = s;
+                out[(j, i)] = s;
+            }
+        }
+        out
+    }
+
     /// Matrix-vector product `self * v`.
     pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>> {
         if self.cols != v.len() {

@@ -17,7 +17,7 @@ use crate::{AcquisitionFunction, BestTracker, Observation, Optimizer};
 use autotune_space::{Config, Space};
 use autotune_surrogate::{
     GaussianProcess, HyperFitConfig, Matern52, RandomForest, RandomForestConfig,
-    SparseGaussianProcess, SparseGpConfig, Surrogate, TrustRegionConfig, TrustRegionSurrogate,
+    SparseGaussianProcess, Surrogate, TrustRegionConfig, TrustRegionSurrogate,
 };
 use rand::{RngCore, SeedableRng};
 
@@ -140,9 +140,12 @@ impl BayesianOptimizer {
             }
             SurrogateChoice::SparseGaussianProcess => {
                 let d = space.onehot_dim().max(1);
+                // 256 inducing points keep a suggest under a few
+                // microseconds and the approximation near-exact on the
+                // smooth surfaces tuning targets have.
                 Box::new(SparseGaussianProcess::new(
                     Box::new(Matern52::ard(vec![0.5; d], 1.0)),
-                    SparseGpConfig::default(),
+                    256,
                 ))
             }
             SurrogateChoice::TrustRegion => {

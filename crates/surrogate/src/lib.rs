@@ -51,7 +51,7 @@ pub use kernel::{
     ProductKernel, Rbf, SumKernel,
 };
 pub use multitask::{MultiTaskGp, TaskObservation};
-pub use sparse::{SparseGaussianProcess, SparseGpConfig};
+pub use sparse::SparseGaussianProcess;
 pub use turbo::{TrustRegionConfig, TrustRegionSurrogate};
 
 /// A predictive distribution at a query point.
@@ -192,10 +192,7 @@ mod tests {
         let queries: Vec<Vec<f64>> = (100..117).map(point).collect();
         let kernel = || Box::new(Matern52::isotropic(0.4, 1.0));
         let models: Vec<Box<dyn Surrogate>> = vec![
-            Box::new(SparseGaussianProcess::new(
-                kernel(),
-                SparseGpConfig::default(),
-            )),
+            Box::new(SparseGaussianProcess::new(kernel(), 256)),
             Box::new(TrustRegionSurrogate::new(
                 kernel(),
                 TrustRegionConfig::default(),

@@ -29,33 +29,13 @@
 use crate::{check_training_set, Kernel, Prediction, Result, Surrogate, SurrogateError};
 use autotune_linalg::{Cholesky, Matrix};
 
-/// Configuration for [`SparseGaussianProcess`].
-#[derive(Debug, Clone)]
-pub struct SparseGpConfig {
-    /// Maximum number of inducing points `m`. Prediction is O(m²); 256
-    /// keeps a suggest under a few microseconds while leaving the
-    /// approximation near-exact for the smooth response surfaces tuning
-    /// targets exhibit.
-    pub max_inducing: usize,
-    /// Observation-noise variance σ² added to the model.
-    pub noise: f64,
-    /// Diagonal jitter added to `K_mm` for numerical stability.
-    pub jitter: f64,
-    /// Rows streamed per block when (re)building `A` — bounds peak memory
-    /// of a full rebuild to O(m · chunk).
-    pub chunk: usize,
-}
-
-impl Default for SparseGpConfig {
-    fn default() -> Self {
-        SparseGpConfig {
-            max_inducing: 256,
-            noise: 1e-6,
-            jitter: 1e-8,
-            chunk: 512,
-        }
-    }
-}
+/// Observation-noise variance σ² added to the model.
+const NOISE: f64 = 1e-6;
+/// Diagonal jitter added to `K_mm` for numerical stability.
+const JITTER: f64 = 1e-8;
+/// Rows streamed per block when (re)building `A`: bounds peak memory of a
+/// full rebuild to O(m · CHUNK).
+const CHUNK: usize = 512;
 
 /// Fitted state of the sparse GP, committed atomically by rebuilds.
 struct SparseFit {
@@ -77,7 +57,8 @@ struct SparseFit {
 /// O(m²) incremental observes, independent of the training-set size.
 pub struct SparseGaussianProcess {
     kernel: Box<dyn Kernel>,
-    config: SparseGpConfig,
+    /// Maximum number of inducing points `m`.
+    max_inducing: usize,
     xs: Vec<Vec<f64>>,
     y_raw: Vec<f64>,
     /// Running Σy and Σy² for O(1) standardization moments.
@@ -104,13 +85,13 @@ impl std::fmt::Debug for SparseGaussianProcess {
 }
 
 impl SparseGaussianProcess {
-    /// Creates an unfitted sparse GP with the given kernel and config.
-    pub fn new(kernel: Box<dyn Kernel>, config: SparseGpConfig) -> Self {
-        assert!(config.noise >= 0.0, "noise variance must be non-negative");
-        assert!(config.max_inducing >= 1, "need at least one inducing point");
+    /// Creates an unfitted sparse GP with the given kernel and at most
+    /// `max_inducing` inducing points. Prediction is O(m²) in them.
+    pub fn new(kernel: Box<dyn Kernel>, max_inducing: usize) -> Self {
+        assert!(max_inducing >= 1, "need at least one inducing point");
         SparseGaussianProcess {
             kernel,
-            config,
+            max_inducing,
             xs: Vec::new(),
             y_raw: Vec::new(),
             y_sum: 0.0,
@@ -205,13 +186,13 @@ impl SparseGaussianProcess {
     }
 
     /// Rebuilds the whole fitted state from the stored training data:
-    /// re-selects inducing points, streams the data through blocked SYRK
+    /// re-selects inducing points, streams the data through SYRK
     /// to form `A`, and factorizes. All state is assembled locally and
     /// committed only on success, so a failed rebuild leaves the model
     /// exactly as it was.
     fn rebuild(&mut self) -> Result<()> {
         let n = self.xs.len();
-        let m = self.config.max_inducing.min(n);
+        let m = self.max_inducing.min(n);
         let idx = Self::select_inducing(&self.xs, m);
         let z: Vec<Vec<f64>> = idx.iter().map(|&i| self.xs[i].clone()).collect();
         let mut kmm = Matrix::from_fn(m, m, |i, j| {
@@ -226,21 +207,20 @@ impl SparseGaussianProcess {
                 kmm[(i, j)] = kmm[(j, i)];
             }
         }
-        kmm.add_diag(self.config.jitter.max(1e-12));
-        let kmm_chol = Cholesky::new_blocked(&kmm).map_err(|_| SurrogateError::NumericalFailure)?;
+        kmm.add_diag(JITTER);
+        let kmm_chol = Cholesky::new(&kmm).map_err(|_| SurrogateError::NumericalFailure)?;
         // A starts as σ²(K_mm + jitter·I); the data term streams in chunks
         // so a 100k-point rebuild never materializes an m×n matrix.
-        let mut a = kmm.scale(self.config.noise.max(1e-12));
+        let mut a = kmm.scale(NOISE);
         let mut b_raw = vec![0.0; m];
         let mut k_sum = vec![0.0; m];
-        let chunk = self.config.chunk.max(1);
-        for start in (0..n).step_by(chunk) {
-            let end = (start + chunk).min(n);
+        for start in (0..n).step_by(CHUNK) {
+            let end = (start + CHUNK).min(n);
             let g = Matrix::from_fn(m, end - start, |p, r| {
                 self.kernel.eval(&z[p], &self.xs[start + r])
             });
             a = a
-                .add(&g.syrk_blocked())
+                .add(&g.syrk())
                 .map_err(|_| SurrogateError::NumericalFailure)?;
             for r in 0..end - start {
                 let y = self.y_raw[start + r];
@@ -250,7 +230,7 @@ impl SparseGaussianProcess {
                 }
             }
         }
-        let a_chol = Cholesky::new_blocked(&a).map_err(|_| SurrogateError::NumericalFailure)?;
+        let a_chol = Cholesky::new(&a).map_err(|_| SurrogateError::NumericalFailure)?;
         let (mean, std) = self.moments();
         let b_std: Vec<f64> = b_raw
             .iter()
@@ -285,7 +265,7 @@ impl SparseGaussianProcess {
         let v_mm = fit.kmm_chol.solve_lower(&k);
         let v_a = fit.a_chol.solve_lower(&k);
         let variance = (self.kernel.diag(x) - autotune_linalg::dot(&v_mm, &v_mm)
-            + self.config.noise * autotune_linalg::dot(&v_a, &v_a))
+            + NOISE * autotune_linalg::dot(&v_a, &v_a))
         .max(0.0);
         Prediction { mean, variance }
     }
@@ -412,14 +392,7 @@ mod tests {
     }
 
     fn sparse(max_inducing: usize) -> SparseGaussianProcess {
-        SparseGaussianProcess::new(
-            Box::new(Matern52::ard(vec![0.4, 0.4], 1.0)),
-            SparseGpConfig {
-                max_inducing,
-                noise: 1e-6,
-                ..SparseGpConfig::default()
-            },
-        )
+        SparseGaussianProcess::new(Box::new(Matern52::ard(vec![0.4, 0.4], 1.0)), max_inducing)
     }
 
     #[test]
@@ -441,6 +414,31 @@ mod tests {
                 b.mean
             );
         }
+    }
+
+    #[test]
+    fn the_inducing_factor_is_the_chained_cholesky_bit_for_bit() {
+        // m = 100 is past one 64-row tile, so a factor that regrouped its
+        // sums tile by tile would fail here.
+        let (xs, ys) = grid_data(200);
+        let mut sp = sparse(100);
+        sp.fit(&xs, &ys).unwrap();
+        let fit = sp.fit.as_ref().unwrap();
+        assert_eq!(fit.z.len(), 100);
+        let mut kmm = Matrix::from_fn(100, 100, |i, j| {
+            sp.kernel.eval(&fit.z[i.min(j)], &fit.z[i.max(j)])
+        });
+        kmm.add_diag(JITTER);
+        let want = Cholesky::new(&kmm).unwrap();
+        assert_eq!(fit.kmm_chol.jitter().to_bits(), want.jitter().to_bits());
+        let (got, want) = (fit.kmm_chol.l().as_slice(), want.l().as_slice());
+        assert_eq!(got.len(), want.len());
+        let moved = got
+            .iter()
+            .zip(want)
+            .filter(|(a, b)| a.to_bits() != b.to_bits())
+            .count();
+        assert_eq!(moved, 0, "{moved} of {} factor entries differ", got.len());
     }
 
     #[test]

@@ -1,15 +1,13 @@
-//! Property-based tests for the blocked linalg kernels: across arbitrary
-//! shapes on both sides of the tile edge (one partial tile, several
-//! tiles, non-multiple dims), the cache-blocked paths must agree with
-//! the naive references, non-finite inputs must propagate instead of
-//! vanishing, and the incremental factor updates must stay atomic on
-//! failure. The tile edge itself is swept by the linalg crate's own
-//! unit tests, where it is a parameter.
+//! Property-based tests for the linalg kernels the surrogates stand on.
 //!
 //! The chained kernels are held bit for bit, not to a tolerance: the
-//! factor of `Cholesky::new` against the row loop it replaced, and
-//! `solve_lower_many` against `solve_lower`. Vectorised loops exist only
-//! in optimised builds, so CI also runs this file with `--release`.
+//! factor of `Cholesky::new` against the row loop it replaced (the one
+//! oracle for it), `solve_lower_many` against `solve_lower`, and `syrk`
+//! against `matmul` with the transpose. Non-finite inputs must propagate
+//! instead of vanishing, `extend` must stay atomic on failure at a few
+//! hundred rows, and `rank_one_update` must agree with factoring the
+//! updated matrix afresh. Vectorised loops exist only in optimised
+//! builds, so CI also runs this file with `--release`.
 
 use autotune_linalg::{dot, Cholesky, LinalgError, Matrix};
 use proptest::prelude::*;
@@ -23,7 +21,7 @@ fn rand_matrix(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
 /// A well-conditioned random SPD matrix: G·Gᵀ + n·I.
 fn rand_spd(rng: &mut StdRng, n: usize) -> Matrix {
     let g = rand_matrix(rng, n, n);
-    let mut a = g.syrk_blocked();
+    let mut a = g.syrk();
     a.add_diag(n as f64);
     a
 }
@@ -144,44 +142,22 @@ fn many_rhs_solve_is_solve_lower_bit_for_bit() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Blocked syrk computes X·Xᵀ like matmul-with-transpose does (up to
-    /// float association inside a tile).
+    /// `syrk` is X·Xᵀ as matmul-with-transpose forms it, bit for bit,
+    /// down to an empty matrix.
     #[test]
-    fn blocked_syrk_matches_matmul_with_transpose(
+    fn syrk_is_matmul_with_transpose_bit_for_bit(
         seed in 0u64..1000,
-        n in 1usize..150,
+        n in 0usize..150,
         d in 1usize..24,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let x = rand_matrix(&mut rng, n, d);
         let reference = x.matmul(&x.transpose()).expect("shapes agree");
-        let syrk = x.syrk_blocked();
-        prop_assert!(
-            syrk.approx_eq(&reference, 1e-10 * d as f64),
-            "syrk diverges from X·Xᵀ at n={} d={}", n, d
+        prop_assert_eq!(
+            bits(x.syrk().as_slice()),
+            bits(reference.as_slice()),
+            "syrk differs from X·Xᵀ at n={} d={}", n, d
         );
-    }
-
-    /// Blocked Cholesky factors random SPD matrices to the same factor as
-    /// the naive right-looking loop, below and above one tile.
-    #[test]
-    fn blocked_cholesky_matches_naive_on_random_spd(
-        seed in 0u64..1000,
-        n in 1usize..150,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = rand_spd(&mut rng, n);
-        let naive = Cholesky::new(&a).expect("SPD by construction");
-        let blocked = Cholesky::new_blocked(&a).expect("SPD by construction");
-        prop_assert!(
-            blocked.l().approx_eq(naive.l(), 1e-9 * n as f64),
-            "blocked factor diverges at n={}", n
-        );
-        let back = blocked
-            .l()
-            .matmul(&blocked.l().transpose())
-            .expect("square factor");
-        prop_assert!(back.approx_eq(&a, 1e-8 * n as f64), "L·Lᵀ does not reconstruct A");
     }
 
     /// A non-finite entry anywhere in the right operand must poison its
@@ -218,8 +194,8 @@ proptest! {
         let n = 300;
         let mut rng = StdRng::seed_from_u64(seed);
         let a = rand_spd(&mut rng, n);
-        let mut chol = Cholesky::new_blocked(&a).expect("SPD by construction");
-        let before: Vec<u64> = chol.l().as_slice().iter().map(|v| v.to_bits()).collect();
+        let mut chol = Cholesky::new(&a).expect("SPD by construction");
+        let before = bits(chol.l().as_slice());
 
         let k0 = rng.gen_range(0..n);
         let col: Vec<f64> = (0..n).map(|i| a[(i, k0)]).collect();
@@ -231,7 +207,7 @@ proptest! {
         prop_assert!(chol.extend(&nan_col, a[(k0, k0)] + 2.0).is_err());
         prop_assert!(chol.extend(&col[..n - 1], a[(k0, k0)] + 2.0).is_err());
 
-        let after: Vec<u64> = chol.l().as_slice().iter().map(|v| v.to_bits()).collect();
+        let after = bits(chol.l().as_slice());
         prop_assert_eq!(&before, &after, "failed extend mutated the factor");
 
         // The duplicate direction with enough added diagonal is SPD again.
@@ -249,7 +225,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = rand_spd(&mut rng, n);
         let v: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut chol = Cholesky::new_blocked(&a).expect("SPD by construction");
+        let mut chol = Cholesky::new(&a).expect("SPD by construction");
         chol.rank_one_update(&v).expect("SPD + v·vᵀ stays SPD");
         let updated = a.add(&Matrix::from_fn(n, n, |i, j| v[i] * v[j])).expect("same shape");
         let fresh = Cholesky::new(&updated).expect("still SPD");

@@ -177,13 +177,15 @@ else
   run_step "telemetry purity (release)" \
     cargo test -q --release -p autotune-tests --test telemetry
 
-  # The GP's chained kernels (Cholesky factor, many-RHS solve, batched
-  # kernel rows, many-point predict) are held bit for bit to the loops
-  # they replaced, and two BO histories to files the parent's binary
+  # The GP's chained kernels (Cholesky factor, many-RHS solve, syrk,
+  # batched kernel rows, many-point predict) are held bit for bit to the
+  # loops they replaced, two dense-GP BO histories to files the parent's
+  # binary wrote, and twenty sparse-GP/TuRBO histories to digests it
   # wrote. Vectorised loops exist only in optimised builds, so the
   # bitwise gates run against the release build too.
   kernel_bitwise_step() {
-    cargo test -q --release -p autotune-tests --test linalg_props --test bo_parent_fixture &&
+    cargo test -q --release -p autotune-tests --test linalg_props --test bo_parent_fixture \
+      --test history_digests &&
       cargo test -q --release -p autotune-surrogate
   }
   run_step "kernel bitwise (release)" kernel_bitwise_step
