@@ -8,10 +8,13 @@
 //! Exit code is non-zero when any executed experiment's shape check fails,
 //! so CI can gate on reproduction quality.
 //!
-//! A full (unfiltered) run also rewrites `repro_shapes.txt` — one
-//! deterministic `<id> HOLDS|FAILS <title>` line per experiment. The file
-//! is checked in; CI diffs it against the fresh run so shape drift (an
-//! experiment silently flipping, appearing, or vanishing) fails the gate.
+//! Everything printed is a function of the code: no experiment reads a
+//! clock, so two runs print the same bytes at any thread count (a
+//! platform whose math library rounds `exp` or `sin` differently may move
+//! last digits). A full run's
+//! output is checked in as `repro_output.txt`, and CI diffs a fresh run
+//! against it, so any moved number, flipped shape or vanished experiment
+//! shows in the commit that moved it.
 
 use autotune_bench::all_experiments;
 
@@ -20,34 +23,20 @@ fn main() {
     let experiments = all_experiments();
     let mut ran = 0;
     let mut failed = Vec::new();
-    let mut shapes = String::new();
     for (key, run) in experiments {
         if !filter.is_empty() && !filter.iter().any(|f| key.starts_with(f.as_str())) {
             continue;
         }
         ran += 1;
-        let start = std::time::Instant::now();
         let report = run();
         println!("{}", report.render());
-        println!("({:.1}s)\n", start.elapsed().as_secs_f64());
-        shapes.push_str(&format!(
-            "{} {} {}\n",
-            report.id,
-            if report.shape_holds { "HOLDS" } else { "FAILS" },
-            report.title
-        ));
         if !report.shape_holds {
             failed.push(report.id);
         }
     }
     if ran == 0 {
-        eprintln!("no experiment matches {filter:?}; available: e01..e35, ablations");
+        eprintln!("no experiment matches {filter:?}; available: e01..e36, ablations");
         std::process::exit(2);
-    }
-    if filter.is_empty() {
-        if let Err(e) = std::fs::write("repro_shapes.txt", &shapes) {
-            eprintln!("could not write repro_shapes.txt: {e}");
-        }
     }
     println!(
         "== summary: {}/{} experiment shapes hold ==",

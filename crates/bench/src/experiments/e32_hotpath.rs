@@ -2,34 +2,35 @@
 //! historical BO loop refit its GP from scratch before every suggestion
 //! — O(n³) per trial, O(n⁴) per campaign — which is exactly the
 //! "optimizer overhead grows with history" wall long campaigns hit.
-//! PR 4 replaced it with rank-1 Cholesky extension
-//! ([`autotune_linalg::Cholesky::extend`]): each `observe` borders the
-//! cached kernel matrix and factor in O(n²), bitwise-identical to the
-//! full refit.
+//! Rank-1 Cholesky extension ([`autotune_linalg::Cholesky::extend`])
+//! replaced it: each `observe` borders the cached kernel matrix and
+//! factor in O(n²), bitwise-identical to the full refit.
 //!
-//! One measurement on the telemetry wall timer (the virtual-clock
-//! campaign stays deterministic): fresh campaigns at budgets 1000 and
-//! 2000. Mean per-observe time follows the average of n² over the
-//! campaign, so doubling the budget multiplies it by ~4; the historical
-//! O(n³) path would give ~8. Asserting the ratio ≤ 6 pins the exponent,
-//! and `MetricsSnapshot::n_model_updates` confirms every trial was
-//! absorbed in place (0 full hyperparameter refits). The fit-per-suggest
-//! path is no longer a public switch to time against: the optimizer
-//! crate's own tests hold the two trajectories bitwise equal, and what a
-//! suggestion costs is the benchmark's `optimizer.*` rows.
+//! Two arms, both counted rather than timed. The GP arm counts kernel
+//! evaluations (through `Counted`, a counting kernel wrapper) at n = 500
+//! and 1000: an `observe` computes one new kernel column, so its count
+//! doubles with n (and the border solve over that column is O(n²)),
+//! while a fit from scratch computes the whole matrix, so its count
+//! quadruples (and the factor is O(n³)). The BO arm runs a 1000-trial
+//! campaign and reads `MetricsSnapshot::n_model_updates`: every trial
+//! absorbed in place, 0 full hyperparameter refits. The optimizer crate's
+//! own tests hold the incremental and fit-per-suggest trajectories
+//! bitwise equal, and what a suggestion costs in seconds is the
+//! benchmark's `optimizer.*` rows.
 
+use super::e36_scale::{dense_gp, observe, Stream, OBSERVE_SAMPLE};
 use crate::report::{f, Report};
 use autotune::executor::{Campaign, OptimizerSource, SchedulePolicy};
-use autotune::telemetry::MetricsSnapshot;
 use autotune_optimizer::{AcquisitionFunction, BayesianOptimizer, BoConfig, SurrogateChoice};
 
-/// Budgets of the two scaling campaigns (2x apart, so the observe-time
-/// ratio pins the per-observe exponent).
-const SCALE_BUDGETS: [usize; 2] = [1_000, 2_000];
+/// Training-set sizes of the GP arm (2x apart, so the count ratios pin
+/// the exponents).
+const GP_NS: [usize; 2] = [500, 1_000];
+/// Budget of the BO arm's campaign.
+const BO_BUDGET: usize = 1_000;
 
-/// BO tuned for overhead measurement: hyperparameter refits off so every
-/// model sync is an in-place update, and a small candidate batch so
-/// posterior prediction doesn't drown the observe cost.
+/// BO tuned for the hot path: hyperparameter refits off so every model
+/// sync is an in-place update, and a small candidate batch.
 fn hot_config() -> BoConfig {
     BoConfig {
         n_init: 8,
@@ -41,76 +42,76 @@ fn hot_config() -> BoConfig {
     }
 }
 
-fn run_instrumented(opt: &mut BayesianOptimizer, budget: usize, seed: u64) -> MetricsSnapshot {
-    let target = super::dbms_target();
-    let source = OptimizerSource::new(opt, budget);
-    let metrics = Campaign::over(&target, Box::new(source), SchedulePolicy::Sequential, seed)
-        .with_event_log(false)
-        .with_timer(Box::new(super::StdTimer::start()))
-        .run();
-    metrics
-}
-
-fn scaling_arm(budget: usize) -> MetricsSnapshot {
-    let mut opt = BayesianOptimizer::new(super::dbms_target().space().clone(), hot_config());
-    run_instrumented(&mut opt, budget, 3_203)
-}
-
-fn row(label: &str, m: &MetricsSnapshot) -> Vec<String> {
-    vec![
-        label.into(),
-        format!("{} us", f(m.suggest_ns.mean() / 1e3, 1)),
-        format!("{} us", f(m.observe_ns.mean() / 1e3, 1)),
-        m.n_refits.to_string(),
-        m.n_model_updates.to_string(),
-        format!("{} ms", f(m.tuner_wall_ns as f64 / 1e6, 1)),
-    ]
+/// Kernel evaluations at `n` points on E36's synthetic stream: the mean
+/// of an `observe` that brings the GP to `n` (over the last
+/// [`OBSERVE_SAMPLE`]) and of a fit from scratch to the same `n` points.
+fn gp_counts(n: usize) -> (f64, u64) {
+    let mut stream = Stream::new(3_204, false);
+    let (mut gp, count) = dense_gp(&mut stream, n - OBSERVE_SAMPLE);
+    let observe = observe(&mut gp, &count, &mut stream, OBSERVE_SAMPLE);
+    let (_, fit) = dense_gp(&mut Stream::new(3_204, false), n);
+    (observe, fit.get())
 }
 
 /// Runs the experiment.
 pub fn run() -> Report {
-    let scale: Vec<MetricsSnapshot> = SCALE_BUDGETS.iter().map(|&b| scaling_arm(b)).collect();
+    let counts: Vec<(f64, u64)> = GP_NS.iter().map(|&n| gp_counts(n)).collect();
+    let observe_ratio = counts[1].0 / counts[0].0;
+    let fit_ratio = counts[1].1 as f64 / counts[0].1 as f64;
 
-    let observe_ratio = scale[1].observe_ns.mean() / scale[0].observe_ns.mean().max(1.0);
+    let target = super::dbms_target();
+    let mut opt = BayesianOptimizer::new(target.space().clone(), hot_config());
+    let source = OptimizerSource::new(&mut opt, BO_BUDGET);
+    let bo = Campaign::over(&target, Box::new(source), SchedulePolicy::Sequential, 3_203)
+        .with_event_log(false)
+        .run();
 
     let rows = vec![
-        row("incremental, budget 1000", &scale[0]),
-        row("incremental, budget 2000", &scale[1]),
+        vec![
+            "GP observe, kernel evals".into(),
+            f(counts[0].0, 1),
+            f(counts[1].0, 1),
+            format!("{}x", f(observe_ratio, 2)),
+        ],
+        vec![
+            "GP fit from scratch, kernel evals".into(),
+            counts[0].1.to_string(),
+            counts[1].1.to_string(),
+            format!("{}x", f(fit_ratio, 2)),
+        ],
+        vec![
+            format!("BO campaign, budget {BO_BUDGET}"),
+            format!("{} in-place updates", bo.n_model_updates),
+            format!("{} refits", bo.n_refits),
+            String::new(),
+        ],
     ];
 
-    // Shape: (a) the campaigns absorbed ≥90% of trials in place with zero
-    // full refits — hyper refits are disabled and the GP never takes the
-    // refused-incremental fallback that `n_refits` also counts since PR 9
-    // (crashed trials report NaN and legitimately skip absorption);
-    // (b) doubling the budget multiplies mean observe time by ~4 (O(n²)),
-    // well under the ~8x a cubic per-observe cost would show.
-    let absorbed = scale
-        .iter()
-        .zip(SCALE_BUDGETS)
-        .all(|(m, b)| m.n_model_updates as usize >= b * 9 / 10 && m.n_refits == 0);
-    let quadratic = observe_ratio <= 6.0;
+    // Shape: (a) an observe computes one kernel column: doubling n
+    // doubles its count (≤ 2.5x), where a fit from scratch computes the
+    // whole matrix and quadruples (≥ 3.5x); (b) the BO campaign absorbed
+    // ≥ 90 % of its trials in place with zero full refits — hyper refits
+    // are disabled and the GP never takes the refused-incremental fallback
+    // that `n_refits` also counts (crashed trials report NaN and
+    // legitimately skip absorption).
+    let column = observe_ratio <= 2.5 && fit_ratio >= 3.5;
+    let absorbed = bo.n_model_updates as usize >= BO_BUDGET * 9 / 10 && bo.n_refits == 0;
     Report {
         id: "E32",
         title: "Incremental surrogate hot path (O(n²) observe, cached factors)",
-        headers: vec![
-            "campaign",
-            "suggest mean",
-            "observe mean",
-            "refits",
-            "in-place updates",
-            "tuner total",
-        ],
+        headers: vec!["arm", "n = 500", "n = 1000", "ratio"],
         rows,
         paper_claim: "rank-1 factor updates make per-trial surrogate cost quadratic instead of \
                       cubic, so optimizer overhead stays tractable as campaign histories grow",
         measured: format!(
-            "observe mean 2000-vs-1000 budget ratio {} (~4 = quadratic, ~8 = cubic); in-place \
-             updates {}/{} with {} refits",
+            "kernel evals 1000-vs-500: observe {}x (one column), fit {}x (whole matrix); BO \
+             in-place updates {}/{} with {} refits",
             f(observe_ratio, 2),
-            scale[1].n_model_updates,
-            SCALE_BUDGETS[1],
-            scale[1].n_refits,
+            f(fit_ratio, 2),
+            bo.n_model_updates,
+            BO_BUDGET,
+            bo.n_refits,
         ),
-        shape_holds: absorbed && quadratic,
+        shape_holds: column && absorbed,
     }
 }

@@ -76,7 +76,8 @@ pub(crate) fn fleet_specs(n: usize) -> Vec<CampaignSpec> {
         .collect()
 }
 
-fn standalone_histories(specs: &[CampaignSpec]) -> Vec<String> {
+/// Each spec's history run alone: what every served history must equal.
+pub(crate) fn standalone_histories(specs: &[CampaignSpec]) -> Vec<String> {
     specs
         .iter()
         .map(|s| {

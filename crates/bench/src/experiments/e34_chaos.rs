@@ -19,32 +19,15 @@
 //!   registrations are shed with a typed `Overloaded` answer while
 //!   every accepted campaign still matches its standalone history.
 
-use crate::experiments::e33_serve::fleet_specs;
-use crate::report::{f, Report};
+use crate::experiments::e33_serve::{fleet_specs, standalone_histories};
+use crate::report::Report;
 use autotune_serve::{
     AdmissionConfig, CampaignRegistry, CampaignSpec, ChaosPlan, DurableRegistry, ServeError,
     WalConfig,
 };
-use std::path::PathBuf;
-use std::time::Instant;
 
 /// Fleet size for the chaos-recovery arm.
 const CHAOS_N: usize = 128;
-
-fn temp_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("autotune-e34-{}-{tag}", std::process::id()))
-}
-
-fn standalone_histories(specs: &[CampaignSpec]) -> Vec<String> {
-    specs
-        .iter()
-        .map(|s| {
-            let mut c = s.build();
-            c.run();
-            c.storage().to_json()
-        })
-        .collect()
-}
 
 fn find_by_name(durable: &DurableRegistry, name: &str) -> Option<u64> {
     durable.registry().ids().into_iter().find(|id| {
@@ -66,8 +49,6 @@ struct ChaosOutcome {
     panic_recoveries: u64,
     /// Torn-tail bytes truncated across all reopens.
     torn_bytes: u64,
-    /// Mean wall milliseconds per `DurableRegistry::open`.
-    mean_open_ms: f64,
     /// Total WAL appends acknowledged.
     wal_appends: u64,
 }
@@ -77,8 +58,7 @@ struct ChaosOutcome {
 /// from the WAL with a re-derived chaos seed (same plan would re-roll
 /// the same crash — a real restart is a new process).
 fn chaos_drive(specs: &[CampaignSpec], seed: u64, p_crash: f64, p_panic: f64) -> ChaosOutcome {
-    let dir = temp_dir(&format!("chaos-{seed}"));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = super::scratch_dir(&format!("e34-chaos-{seed}"));
     let config = WalConfig::default();
     let mut durable = DurableRegistry::create(&dir, 8, config).expect("create durable registry");
     let mut incarnation = 0u64;
@@ -93,7 +73,6 @@ fn chaos_drive(specs: &[CampaignSpec], seed: u64, p_crash: f64, p_panic: f64) ->
     let mut crashes = 0u64;
     let mut panic_recoveries = 0u64;
     let mut torn_bytes = 0u64;
-    let mut open_ms = Vec::new();
     let mut next_spec = 0usize;
     loop {
         if durable.crashed().is_some() {
@@ -103,10 +82,8 @@ fn chaos_drive(specs: &[CampaignSpec], seed: u64, p_crash: f64, p_panic: f64) ->
                 incarnation < 10_000,
                 "chaos drive failed to converge (p_crash too high?)"
             );
-            let t = Instant::now();
             let (reopened, report) =
                 DurableRegistry::open(&dir, 8, config).expect("reopen after crash");
-            open_ms.push(t.elapsed().as_secs_f64() * 1_000.0);
             durable = reopened;
             torn_bytes += report.truncated_bytes;
             arm(&mut durable, incarnation);
@@ -157,11 +134,6 @@ fn chaos_drive(specs: &[CampaignSpec], seed: u64, p_crash: f64, p_panic: f64) ->
         crashes,
         panic_recoveries,
         torn_bytes,
-        mean_open_ms: if open_ms.is_empty() {
-            0.0
-        } else {
-            open_ms.iter().sum::<f64>() / open_ms.len() as f64
-        },
         wal_appends,
     }
 }
@@ -222,18 +194,9 @@ pub fn run() -> Report {
     // over a ~3k-append drive.
     let a = chaos_drive(&specs, 0xE34, 0.002, 0.004);
     let b = chaos_drive(&specs, 0x5EED, 0.002, 0.004);
-    let identical_a = a
-        .histories
-        .iter()
-        .zip(&want)
-        .filter(|(g, w)| g == w)
-        .count();
-    let identical_b = b
-        .histories
-        .iter()
-        .zip(&want)
-        .filter(|(g, w)| g == w)
-        .count();
+    let identical = |got: &[String]| got.iter().zip(&want).filter(|(g, w)| g == w).count();
+    let identical_a = identical(&a.histories);
+    let identical_b = identical(&b.histories);
 
     let overload = overload_drive(
         &specs,
@@ -262,9 +225,9 @@ pub fn run() -> Report {
             ),
         ],
         vec![
-            "WAL recovery latency".into(),
-            format!("{} ms mean open", f(a.mean_open_ms.max(b.mean_open_ms), 1)),
-            format!("{} WAL appends (drive A)", a.wal_appends),
+            "WAL appends".into(),
+            format!("{} (drive A)", a.wal_appends),
+            format!("{} (drive B)", b.wal_appends),
         ],
         vec![
             "overload: 24 active / 40 pending".into(),

@@ -37,29 +37,92 @@ pub mod e35_cache;
 pub mod e36_scale;
 
 use autotune::executor::{Campaign, OptimizerSource, SchedulePolicy};
-use autotune::telemetry::WallTimer;
 use autotune::{MetricsSnapshot, Objective, Target};
 use autotune_optimizer::{BayesianOptimizer, Optimizer};
 use autotune_sim::{DbmsSim, Environment, RedisSim, Workload};
 use autotune_space::Config;
+use autotune_surrogate::{Kernel, Matern52};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-/// A real wall timer for overhead attribution (core itself never reads
-/// real time; the bench harness injects this).
-pub(crate) struct StdTimer(Instant);
+/// Kernel evaluations so far, shared by a [`Counted`] kernel and its
+/// clones: the unit of surrogate work E32 and E36 report. A count is a
+/// function of the code and the seed alone, so it reads the same on every
+/// machine; what the work costs in seconds is the benchmark's to measure.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct EvalCount(Arc<AtomicU64>);
 
-impl StdTimer {
-    pub(crate) fn start() -> Self {
-        StdTimer(Instant::now())
+impl EvalCount {
+    pub(crate) fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
     }
 }
 
-impl WallTimer for StdTimer {
-    fn now_ns(&mut self) -> u64 {
-        self.0.elapsed().as_nanos() as u64
+/// A kernel that counts every covariance it computes. Each value is the
+/// wrapped kernel's, bit for bit.
+#[derive(Debug)]
+pub(crate) struct Counted {
+    inner: Box<dyn Kernel>,
+    count: EvalCount,
+}
+
+impl Counted {
+    /// A Matérn-5/2 ARD kernel (every lengthscale 0.5, signal 1.0, as BO
+    /// uses) over `dim` inputs, and the count its evaluations go to.
+    pub(crate) fn matern52(dim: usize) -> (Box<dyn Kernel>, EvalCount) {
+        let count = EvalCount::default();
+        let kernel = Counted {
+            inner: Box::new(Matern52::ard(vec![0.5; dim], 1.0)),
+            count: count.clone(),
+        };
+        (Box::new(kernel), count)
     }
+
+    fn add(&self, n: usize) {
+        self.count.0.fetch_add(n as u64, Ordering::Relaxed);
+    }
+}
+
+impl Kernel for Counted {
+    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
+        self.add(1);
+        self.inner.eval(a, b)
+    }
+
+    fn diag(&self, x: &[f64]) -> f64 {
+        self.add(1);
+        self.inner.diag(x)
+    }
+
+    fn eval_many(&self, xs: &[f64], stride: usize, b: &[f64], out: &mut [f64]) {
+        self.add(out.len());
+        self.inner.eval_many(xs, stride, b, out);
+    }
+
+    fn params(&self) -> Vec<f64> {
+        self.inner.params()
+    }
+
+    fn set_params(&mut self, p: &[f64]) {
+        self.inner.set_params(p);
+    }
+
+    fn clone_box(&self) -> Box<dyn Kernel> {
+        Box::new(Counted {
+            inner: self.inner.clone_box(),
+            count: self.count.clone(),
+        })
+    }
+}
+
+/// An empty directory for an experiment's WAL, unique to this process.
+pub(crate) fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("autotune-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 /// The tutorial's running example target: Redis P95 vs the scheduler knob.
@@ -180,4 +243,41 @@ pub(crate) fn mean_curve(
 /// First index (1-based) at which a curve reaches `target`, if ever.
 pub(crate) fn trials_to_reach(curve: &[f64], target: f64) -> Option<usize> {
     curve.iter().position(|&c| c <= target).map(|i| i + 1)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use autotune_surrogate::{GaussianProcess, Surrogate};
+
+    #[test]
+    fn a_counted_kernel_is_its_kernel_bit_for_bit_and_counts_each_evaluation() {
+        let (counted, count) = Counted::matern52(2);
+        let plain = Matern52::ard(vec![0.5; 2], 1.0);
+        let (a, b) = ([0.1, 0.7], [0.4, -0.2]);
+        assert_eq!(counted.eval(&a, &b).to_bits(), plain.eval(&a, &b).to_bits());
+        assert_eq!(counted.diag(&a).to_bits(), plain.diag(&a).to_bits());
+        // Three points stored dimension-major.
+        let xs = [0.1, 0.5, 0.9, 0.3, 0.0, -0.4];
+        let (mut got, mut want) = ([0.0; 3], [0.0; 3]);
+        counted.eval_many(&xs, 3, &b, &mut got);
+        plain.eval_many(&xs, 3, &b, &mut want);
+        assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
+        assert_eq!(count.get(), 1 + 1 + 3);
+        // A clone counts into the same total.
+        counted.clone_box().eval(&a, &b);
+        assert_eq!(count.get(), 6);
+    }
+
+    #[test]
+    fn a_gp_prediction_evaluates_the_kernel_once_per_point_and_once_at_the_candidate() {
+        let (kernel, count) = Counted::matern52(1);
+        let mut gp = GaussianProcess::new(kernel, 1e-6);
+        let xs: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64 / 10.0]).collect();
+        let ys: Vec<f64> = xs.iter().map(|x| x[0] * x[0]).collect();
+        gp.fit(&xs, &ys).expect("distinct points");
+        let before = count.get();
+        gp.predict(&[0.55]);
+        assert_eq!(count.get() - before, 11);
+    }
 }

@@ -5,7 +5,8 @@
 #
 #   tools/ci.sh          # the full gate, release determinism included
 #   tools/ci.sh --fast   # inner-loop subset: skips the release-build gates
-#                        # (release tests, chaos/E34, the benchmark crate)
+#                        # (release tests, the experiment output, the
+#                        # benchmark crate)
 #                        # and the determinism-under-load stress loop
 #
 # Every step runs even after a failure, so one invocation reports the
@@ -89,7 +90,7 @@ if [ "$FAST" -eq 1 ]; then
   skip_step "serve determinism, one CPU (release)"
   skip_step "stub codecs (release)"
   skip_step "chaos recovery determinism (release)"
-  skip_step "chaos recovery E34 (release)"
+  skip_step "experiment output (release)"
   skip_step "wal_dump over a durable run (release)"
   skip_step "telemetry purity (release)"
   skip_step "kernel bitwise (release)"
@@ -154,11 +155,15 @@ else
   }
   run_step "chaos recovery determinism (release)" chaos_step
 
-  # The 128-campaign chaos drive: repeated simulated crashes + reopens
-  # across two chaos seeds must leave 128/128 recovered histories
-  # byte-identical, with torn WAL tails truncated, not fatal.
-  run_step "chaos recovery E34 (release)" \
-    cargo run -q --release -p autotune-bench --bin repro -- e34
+  # Every experiment, E34's 128-campaign chaos drive included: each
+  # shape must hold, and since no experiment reads a clock the output is
+  # a function of the code, so it must be byte for byte the checked-in
+  # repro_output.txt. A change that moves a number commits the new file.
+  repro_step() {
+    cargo run -q --release -p autotune-bench --bin repro >repro_output.txt &&
+      git diff --exit-code repro_output.txt
+  }
+  run_step "experiment output (release)" repro_step
 
   # The log is binary; the `wal_dump` example is how a person reads
   # one. Build it by name (a `--test` selection alone would not), then

@@ -3,9 +3,9 @@
 //!
 //! | code | invariant | exempt |
 //! |------|-----------|--------|
-//! | D1 | no wall-clock reads (`Instant::now`, `SystemTime::now`) — time enters through an injected `WallTimer` | bench, tests |
-//! | D2 | no `HashMap`/`HashSet` — hash iteration order leaks into RNG-consuming paths; use `BTreeMap`/`BTreeSet` | bench, tests |
-//! | D3 | no unseeded randomness (`thread_rng`, `from_entropy`, `rand::random`, `OsRng`) | bench, tests |
+//! | D1 | no wall-clock reads (`Instant::now`, `SystemTime::now`) — time enters through an injected `WallTimer` | tests |
+//! | D2 | no `HashMap`/`HashSet` — hash iteration order leaks into RNG-consuming paths; use `BTreeMap`/`BTreeSet` | tests |
+//! | D3 | no unseeded randomness (`thread_rng`, `from_entropy`, `rand::random`, `OsRng`) | tests |
 //! | D4 | no NaN-panicking float comparisons (`partial_cmp(..).unwrap()/expect()/unwrap_or(..)`) — use `total_cmp` | tests |
 //! | D5 | no `.unwrap()`/`.expect()`/`panic!`-family in library paths — return `Result` or allow with a reason | bench, tests |
 //! | D6 | no `println!`/`eprintln!`/`dbg!` in library crates — route through telemetry | bench, tests |
@@ -36,8 +36,9 @@ pub enum CrateKind {
     /// `crates/serve`: everything a library gets, plus the D10
     /// append-before-ack protocol check.
     Serve,
-    /// The bench/experiment crate: wall-clock, randomness, panics and
-    /// stdout are its job. Only D4 (NaN-safe comparisons) applies.
+    /// The bench/experiment crate: panics and stdout are its job, but
+    /// what `repro` prints is checked in and diffed, so the determinism
+    /// rules (D1-D3) and D4 (NaN-safe comparisons) apply.
     Bench,
 }
 
@@ -50,15 +51,15 @@ struct Rule {
 const RULES: [Rule; 12] = [
     Rule {
         code: "D1",
-        applies_to_bench: false,
+        applies_to_bench: true,
     },
     Rule {
         code: "D2",
-        applies_to_bench: false,
+        applies_to_bench: true,
     },
     Rule {
         code: "D3",
-        applies_to_bench: false,
+        applies_to_bench: true,
     },
     Rule {
         code: "D4",
@@ -615,6 +616,12 @@ mod tests {
     }
 
     #[test]
+    fn the_experiment_crate_reads_no_clock() {
+        let src = "fn f() { let t = std::time::Instant::now(); let s = SystemTime::now(); }";
+        assert_eq!(codes(CrateKind::Bench, src), vec!["D1", "D1"]);
+    }
+
+    #[test]
     fn d4_applies_to_bench_but_d5_does_not() {
         let src = "fn f() { xs.sort_by(|a, b| a.partial_cmp(b).unwrap()); ys.last().unwrap(); }";
         assert_eq!(codes(CrateKind::Bench, src), vec!["D4"]);
@@ -661,7 +668,7 @@ mod tests {
         let src =
             "use std::collections::HashMap;\nfn f() { let r = thread_rng(); println!(\"x\"); }";
         assert_eq!(codes(CrateKind::Library, src), vec!["D2", "D3", "D6"]);
-        assert!(run(CrateKind::Bench, src).is_empty());
+        assert_eq!(codes(CrateKind::Bench, src), vec!["D2", "D3"]);
     }
 
     #[test]
