@@ -69,16 +69,30 @@
 //! for the target, a fresh build of the spec recomputes every other
 //! event, and each rebuilt event, put in WAL form, must encode to the
 //! bytes the logged one encodes to — so bit for bit (`-0.0` is not
-//! `0.0`; a crashed trial's NaN cost is null on both sides). A
-//! divergence in any suggestion, optimizer event or outcome scalar, an
-//! event count that is off, and a log that stops inside a tick (which
-//! this module never writes) all make `open` fail with
-//! [`ServeError::Campaign`], and recovery writes nothing for them. What
-//! comes out is the campaign the log's measurements produce, its full
-//! event log and history included, and live measurement takes over with
-//! the next tick.
+//! `0.0`; a crashed trial's NaN cost is null on both sides). What comes
+//! out is the campaign the log's measurements produce, its full event
+//! log and history included, and live measurement takes over with the
+//! next tick.
 //!
-//! Campaigns share nothing, so the order they are rebuilt in is free. The
+//! What the fresh build recomputes depends on whether the campaign is
+//! **finished**: stopped, or its source ran dry (the last `SuggestEnd`
+//! did not dispatch) with every suggested trial's outcome logged, so it
+//! will never call its source again. An *active* campaign replays its
+//! spec's own optimizer, and a divergence in any suggestion, optimizer
+//! event or outcome scalar makes `open` fail. A *finished* one replays
+//! with its log standing in for its optimizer too ([`LoggedSource`]): its
+//! suggestions and model counters come back as logged, while its outcome
+//! scalars, fault rolls, clock, dispatch flags and event count are still
+//! recomputed and compared. A finished campaign is only ever read, and
+//! this rebuilds everything that is read of it exactly. [`verify_wal`]
+//! replays every campaign through its optimizer, finished ones included,
+//! writing nothing; the `wal_dump` example runs it. An event count that
+//! is off and a log that stops inside a tick (which this module never
+//! writes) fail either way. Every refusal is [`ServeError::Campaign`],
+//! and recovery writes nothing for it.
+//!
+//! Campaigns share nothing, so the order they are rebuilt in is free.
+//! Finished campaigns rebuild on the caller in id order. The active
 //! campaigns whose log holds an `Opt` `SurrogateRefit` or `ModelUpdate`
 //! (what [`Campaign::has_model`] reads, the split the registry runs its
 //! rounds on) replay side by side, one thread each; every other campaign
@@ -113,8 +127,9 @@
 //! re-raises on that thread with its own payload — is caught at the
 //! `step_round` boundary: the suspect in-memory campaigns are discarded
 //! and rebuilt from the WAL, inside the registry that was serving them,
-//! through the same rebuild `open` runs (model campaigns side by side,
-//! the rest on the caller in id order). The injected one is raised
+//! through the same rebuild `open` runs (finished campaigns from their
+//! log, active model campaigns side by side, the rest on the caller in
+//! id order). The injected one is raised
 //! with `resume_unwind`, which never runs the panic hook, so no
 //! process-global hook is swapped to keep it quiet.
 
@@ -123,10 +138,12 @@ use crate::registry::{AdmissionConfig, CampaignRegistry, ServeError};
 use crate::spec::CampaignSpec;
 use autotune::executor::same_encoding;
 use autotune::{
-    Campaign, CampaignError, CampaignEvent, Measurement, OptEvent, TrialRequest, TrialStatus,
+    Campaign, CampaignError, CampaignEvent, Measurement, OptEvent, SourceStep, TrialOutcome,
+    TrialRequest, TrialSource, TrialStatus,
 };
 use autotune_linalg::par_map;
 use autotune_sim::{FailureKind, TelemetrySample};
+use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -431,11 +448,14 @@ impl DurableRegistry {
 
     /// Rebuilds the fleet from the WAL in `dir`: reads every segment,
     /// truncates a torn tail and replays each campaign through
-    /// [`Campaign::replay`]. The campaigns whose log announces a surrogate
-    /// model replay side by side, one thread each; the rest replay on the
-    /// caller in id order. The error is the first refusal in id order,
-    /// and a refused log gets no new segment. Chaos is disarmed on the
-    /// recovered handle.
+    /// [`Campaign::replay`]. A finished campaign (stopped, or drained with
+    /// every outcome logged) replays with its log standing in for its
+    /// optimizer, on the caller in id order; of the active ones, those
+    /// whose log announces a surrogate model replay their optimizer side
+    /// by side, one thread each, and the rest on the caller in id order.
+    /// The error is the first refusal in id order, and a refused log gets
+    /// no new segment. Chaos is disarmed on the recovered handle.
+    /// [`verify_wal`] recomputes what this takes as logged.
     pub fn open(
         dir: impl Into<PathBuf>,
         workers: usize,
@@ -443,10 +463,10 @@ impl DurableRegistry {
     ) -> Result<(Self, RecoveryReport), ServeError> {
         let dir = dir.into();
         let mut aux_log = Vec::new();
-        let recovered = recover_dir(&dir, |key, payload| aux_log.push((key, payload)))?;
+        let recovered = recover_dir(&dir, true, |key, payload| aux_log.push((key, payload)))?;
         let mut registry = CampaignRegistry::new(workers);
         let mut durable_len = BTreeMap::new();
-        rebuild_fleet(recovered.fleet, |id, d, campaign| {
+        rebuild_fleet(recovered.fleet, false, |id, d, campaign| {
             durable_len.insert(id, d.events.len());
             registry.restore_entry(id, d.name, campaign, d.stopped, d.records);
             if let Some(rid) = d.request_id {
@@ -672,8 +692,8 @@ impl DurableRegistry {
     /// and accounting. The panicked round was never acknowledged, so the
     /// rebuilt campaigns re-execute its ticks identically.
     fn recover_in_place(&mut self) -> Result<(), ServeError> {
-        let recovered = recover_dir(&self.dir, |_, _| {})?;
-        rebuild_fleet(recovered.fleet, |id, d, campaign| {
+        let recovered = recover_dir(&self.dir, true, |_, _| {})?;
+        rebuild_fleet(recovered.fleet, false, |id, d, campaign| {
             self.durable_len.insert(id, d.events.len());
             self.registry.replace_campaign(id, campaign)
         })?;
@@ -763,13 +783,153 @@ struct Recovered {
 /// rebuilds must be, in WAL form and bit for bit, the logged one. The
 /// log ends on a tick boundary, so the rebuilt campaign's log is the
 /// logged history. The stamped `Measurement::clock` values carry the
-/// drift clock.
-fn rebuild(spec: &CampaignSpec, logged: &[WalEvent]) -> Result<Campaign<'static>, CampaignError> {
+/// drift clock. With `from_log` the build's optimizer is its log
+/// ([`LoggedSource`]), which only a [`finished`] campaign may take.
+fn rebuild(
+    spec: &CampaignSpec,
+    logged: &[WalEvent],
+    from_log: bool,
+) -> Result<Campaign<'static>, CampaignError> {
+    let fresh = if from_log {
+        spec.build_with(|_| Box::new(LoggedSource::new(logged)))
+    } else {
+        spec.build()
+    };
     let measured = logged.iter().filter_map(WalEvent::measured);
     let mut scratch = Default::default();
-    Campaign::replay(spec.build(), measured, logged.len(), |i, rebuilt| {
+    Campaign::replay(fresh, measured, logged.len(), |i, rebuilt| {
         same_encoding(&WalEvent::from(rebuilt), &logged[i], &mut scratch)
     })
+}
+
+/// Whether a logged campaign will never call its trial source again:
+/// its entry is stopped, or its log is [`drained`], so there is nothing
+/// left to suggest or to report.
+fn finished(d: &Durable) -> bool {
+    d.stopped || drained(&d.events)
+}
+
+/// Whether a logged source ran dry (the last `SuggestEnd` did not
+/// dispatch) with every suggested trial's outcome logged.
+fn drained(events: &[WalEvent]) -> bool {
+    let (mut suggested, mut outcomes, mut last_dispatched) = (0, 0, None);
+    for e in events {
+        match e {
+            WalEvent::Suggested { .. } => suggested += 1,
+            WalEvent::Outcome { .. } => outcomes += 1,
+            WalEvent::Opt {
+                event: OptEvent::SuggestEnd { dispatched, .. },
+            } => last_dispatched = Some(*dispatched),
+            _ => {}
+        }
+    }
+    last_dispatched == Some(false) && suggested == outcomes
+}
+
+/// A finished campaign's optimizer played back from its log, the way
+/// the logged measurements stand in for its target: `next` answers
+/// each logged suggestion in order (`Exhausted` at the last `SuggestEnd`
+/// that did not dispatch, `Wait` at an earlier one), `report` learns
+/// nothing, and after each call the model counters read what the log's
+/// `SurrogateRefit`/`ModelUpdate` events announced after it. A log that
+/// lies about its own shape runs the answers out of step, and the
+/// replay refuses the events that come out.
+struct LoggedSource {
+    /// One entry per source call the log records, in call order: a
+    /// `SuggestEnd` (what `next` answered) or an `ObserveEnd` (`None`).
+    calls: std::vec::IntoIter<LoggedCall>,
+    refits: usize,
+    updates: usize,
+}
+
+struct LoggedCall {
+    next: Option<SourceStep>,
+    refits: usize,
+    updates: usize,
+}
+
+impl LoggedSource {
+    fn new(logged: &[WalEvent]) -> Self {
+        let mut requests = logged.iter().filter_map(|e| match e {
+            WalEvent::Suggested { request, .. } => Some(request),
+            _ => None,
+        });
+        let last_idle = logged.iter().rposition(|e| {
+            matches!(
+                e,
+                WalEvent::Opt {
+                    event: OptEvent::SuggestEnd {
+                        dispatched: false,
+                        ..
+                    }
+                }
+            )
+        });
+        let mut calls: Vec<LoggedCall> = Vec::new();
+        for (i, e) in logged.iter().enumerate() {
+            let WalEvent::Opt { event } = e else { continue };
+            let next = match *event {
+                OptEvent::SuggestEnd {
+                    dispatched: true, ..
+                } => Some(match requests.next() {
+                    Some(request) => SourceStep::Dispatch(request.clone().into_owned()),
+                    None => SourceStep::Exhausted,
+                }),
+                OptEvent::SuggestEnd { .. } if last_idle == Some(i) => Some(SourceStep::Exhausted),
+                OptEvent::SuggestEnd { .. } => Some(SourceStep::Wait),
+                OptEvent::ObserveEnd { .. } => None,
+                OptEvent::SurrogateRefit { n_refits, .. } => {
+                    if let Some(call) = calls.last_mut() {
+                        call.refits = n_refits;
+                    }
+                    continue;
+                }
+                OptEvent::ModelUpdate { n_updates, .. } => {
+                    if let Some(call) = calls.last_mut() {
+                        call.updates = n_updates;
+                    }
+                    continue;
+                }
+                _ => continue,
+            };
+            let (refits, updates) = calls.last().map_or((0, 0), |c| (c.refits, c.updates));
+            calls.push(LoggedCall {
+                next,
+                refits,
+                updates,
+            });
+        }
+        LoggedSource {
+            calls: calls.into_iter(),
+            refits: 0,
+            updates: 0,
+        }
+    }
+
+    /// The next logged call, its counters now the source's.
+    fn call(&mut self) -> Option<SourceStep> {
+        let call = self.calls.next()?;
+        (self.refits, self.updates) = (call.refits, call.updates);
+        call.next
+    }
+}
+
+impl TrialSource for LoggedSource {
+    fn next(&mut self, _rng: &mut dyn RngCore) -> SourceStep {
+        self.call().unwrap_or(SourceStep::Exhausted)
+    }
+
+    fn report(&mut self, _outcome: &TrialOutcome) {
+        self.call();
+    }
+
+    fn n_refits(&self) -> usize {
+        self.refits
+    }
+
+    fn n_model_updates(&self) -> usize {
+        self.updates
+    }
 }
 
 /// Whether a logged history announces a surrogate model: an `Opt`
@@ -788,23 +948,27 @@ fn announces_model(logged: &[WalEvent]) -> bool {
 
 /// Rebuilds every campaign of a recovered fleet ([`rebuild`]) and hands
 /// each, with its durable state, to `restore` in id order; the first
-/// refusal in id order ends the walk and is returned. A model campaign's
-/// replay re-runs every GP fit, milliseconds a trial, so the campaigns
-/// whose log [`announces_model`] replay first, side by side through
-/// `par_map`, one thread each (one alone stays on the caller, where its
-/// GP's own `par_map` keeps the second core). The rest replay on the
-/// caller as the walk reaches them: a random search replays in
-/// microseconds a trial, less than a spawn, and its durable state is
-/// released as it goes.
+/// refusal in id order ends the walk and is returned. A [`finished`]
+/// campaign replays with its log as its optimizer unless
+/// `rerun_finished`, in microseconds a trial whatever its optimizer. A
+/// model campaign that replays its optimizer re-runs every GP fit,
+/// milliseconds a trial, so those (the ones whose log
+/// [`announces_model`]) replay first, side by side through `par_map`,
+/// one thread each (one alone stays on the caller, where its GP's own
+/// `par_map` keeps the second core). The rest replay on the caller as
+/// the walk reaches them, a random search in microseconds a trial, less
+/// than a spawn, and their durable state is released as it goes.
 fn rebuild_fleet(
     fleet: BTreeMap<u64, Durable>,
+    rerun_finished: bool,
     mut restore: impl FnMut(u64, Durable, Campaign<'static>) -> Result<(), ServeError>,
 ) -> Result<(), ServeError> {
+    let from_log = |d: &Durable| !rerun_finished && finished(d);
     let model: Vec<(&u64, &Durable)> = fleet
         .iter()
-        .filter(|(_, d)| announces_model(&d.events))
+        .filter(|(_, d)| !from_log(d) && announces_model(&d.events))
         .collect();
-    let replay = |d: &Durable| rebuild(&d.spec, &d.events);
+    let replay = |d: &Durable| rebuild(&d.spec, &d.events, from_log(d));
     let mut side_by_side: BTreeMap<u64, _> = par_map(&model, 2, |_, (id, d)| (**id, replay(d)))
         .into_iter()
         .collect();
@@ -815,11 +979,30 @@ fn rebuild_fleet(
     Ok(())
 }
 
+/// Checks the WAL in `dir` the way [`DurableRegistry::open`] checks an
+/// active campaign, for every campaign, writing nothing: reads every
+/// segment, refuses a torn or
+/// undecodable record wherever it sits (as [`crate::dump_wal`] does),
+/// and replays **every** campaign through its spec's own optimizer, so
+/// each logged suggestion and model counter is recomputed and compared
+/// too, finished campaigns' included (which `open` takes as logged).
+/// The error is the first refusal in id order.
+pub fn verify_wal(dir: &Path) -> Result<RecoveryReport, ServeError> {
+    let recovered = recover_dir(dir, false, |_, _| {})?;
+    rebuild_fleet(recovered.fleet, true, |_, _, _| Ok(()))?;
+    Ok(recovered.report)
+}
+
 /// Reads the WAL in `dir` front to back, handing `aux` every auxiliary
-/// journal record in append order. A torn tail is truncated from the
-/// final segment (so future appends start at a clean record boundary);
-/// anywhere else it is corruption and refused.
-fn recover_dir(dir: &Path, mut aux: impl FnMut(String, Vec<u8>)) -> Result<Recovered, ServeError> {
+/// journal record in append order. With `heal`, a torn tail is
+/// truncated from the final segment (so future appends start at a clean
+/// record boundary); anywhere else, and anywhere at all without `heal`,
+/// it is corruption and refused, and nothing is written.
+fn recover_dir(
+    dir: &Path,
+    heal: bool,
+    mut aux: impl FnMut(String, Vec<u8>),
+) -> Result<Recovered, ServeError> {
     let segments = written_segments(dir)?;
     let mut report = RecoveryReport {
         segments_read: segments.len(),
@@ -868,6 +1051,9 @@ fn recover_dir(dir: &Path, mut aux: impl FnMut(String, Vec<u8>)) -> Result<Recov
             Ok(())
         })?;
         if torn > 0 {
+            if !heal {
+                return Err(torn_record(path, clean));
+            }
             if i != last_idx {
                 return Err(ServeError::Storage(format!(
                     "corrupt record mid-WAL in {} (not the final segment)",
@@ -944,13 +1130,19 @@ pub(crate) fn scan_wal(
     for (seg_no, path) in written_segments(dir)? {
         let (clean, torn) = read_segment(&path, |at, len, record| each(seg_no, at, len, record))?;
         if torn > 0 {
-            return Err(ServeError::Storage(format!(
-                "torn or corrupt record in {} at offset {clean}",
-                path.display()
-            )));
+            return Err(torn_record(&path, clean));
         }
     }
     Ok(())
+}
+
+/// The refusal of a read that heals nothing, for the bytes of the
+/// segment at `path` from offset `clean` on.
+fn torn_record(path: &Path, clean: u64) -> ServeError {
+    ServeError::Storage(format!(
+        "torn or corrupt record in {} at offset {clean}",
+        path.display()
+    ))
 }
 
 /// Leaves in `out` (emptied first, its capacity kept) one record as it
@@ -1497,13 +1689,52 @@ mod tests {
         config.set(name, v);
     }
 
+    /// The refusal of a replay that diverged, or `what` panics.
+    fn diverged<T>(what: &str, result: Result<T, ServeError>) -> CampaignError {
+        match result {
+            Err(ServeError::Campaign(
+                e @ (CampaignError::ReplayDiverged { .. }
+                | CampaignError::MissingMeasurement { .. }),
+            )) => e,
+            Err(e) => panic!("{what}: not a campaign error: {e}"),
+            Ok(_) => panic!("{what} was accepted"),
+        }
+    }
+
+    /// Runs `specs` durably in `dir`: dry, or for `rounds` rounds.
+    fn drive_rounds(dir: &Path, specs: &[CampaignSpec], rounds: Option<usize>) {
+        let Some(rounds) = rounds else {
+            drop(drive(dir, specs, WalConfig::default(), |_| {}));
+            return;
+        };
+        let mut durable = DurableRegistry::create(dir, 2, WalConfig::default()).unwrap();
+        for s in specs {
+            durable.register_spec(s).unwrap();
+        }
+        for _ in 0..rounds {
+            durable.step_round().unwrap();
+        }
+    }
+
     #[test]
     fn a_lie_about_what_replay_recomputes_is_refused_and_nothing_is_truncated() {
+        // Run dry, every campaign is finished and `open` takes its
+        // suggestions as logged; cut after four rounds, every campaign is
+        // active and replays its optimizer.
+        for rounds in [None, Some(4)] {
+            lies_are_refused(rounds);
+        }
+    }
+
+    fn lies_are_refused(rounds: Option<usize>) {
         let specs = fleet_of(10);
         let dir = temp_dir("lies");
-        drop(drive(&dir, &specs, WalConfig::default(), |_| {}));
+        drive_rounds(&dir, &specs, rounds);
         let (_, segment) = list_segments(&dir).unwrap().pop().unwrap();
         let honest = std::fs::read(&segment).unwrap();
+        let fleet = recover_dir(&dir, false, |_, _| {}).unwrap().fleet;
+        let all_finished = rounds.is_none();
+        assert!(fleet.values().all(|d| finished(d) == all_finished));
         // One bit in a suggestion's config, in an outcome's cost and in an
         // optimizer event, and an event count off by one either way.
         type Lie<'a> = &'a dyn Fn(&mut Vec<WalEvent<'static>>) -> bool;
@@ -1546,23 +1777,31 @@ mod tests {
         for (i, lie) in lies.into_iter().enumerate() {
             let lied = edit_log(&dir, |_, events| lie(events));
             assert_ne!(lied, honest, "lie {i} changed nothing");
-            match DurableRegistry::open(&dir, 2, WalConfig::default()) {
-                Err(ServeError::Campaign(
-                    CampaignError::ReplayDiverged { .. } | CampaignError::MissingMeasurement { .. },
-                )) => {}
-                Err(e) => panic!("lie {i}: not a campaign error: {e}"),
-                Ok(_) => panic!("lie {i} opened"),
+            let untouched = |by: &str| {
+                assert_eq!(list_segments(&dir).unwrap().len(), 1, "lie {i}: {by}");
+                let now = std::fs::read(&segment).unwrap();
+                assert_eq!(now, lied, "lie {i}: {by} wrote");
+            };
+            diverged(&format!("lie {i} to verify_wal"), verify_wal(&dir));
+            untouched("verify_wal");
+            let opened = DurableRegistry::open(&dir, 2, WalConfig::default());
+            if all_finished && i == 0 {
+                // A finished campaign's suggestions are not recomputed by
+                // `open`: the lied one comes back as logged.
+                let (reopened, _) = opened.unwrap();
+                assert_ne!(history(&reopened, 0), straight_history(&specs[0]));
+                std::fs::remove_file(segment_path(&dir, reopened.seg_index)).unwrap();
+            } else {
+                diverged(&format!("lie {i} to open"), opened);
             }
-            assert_eq!(list_segments(&dir).unwrap().len(), 1, "lie {i}");
-            assert_eq!(
-                std::fs::read(&segment).unwrap(),
-                lied,
-                "lie {i}: open wrote"
-            );
+            untouched("open");
             std::fs::write(&segment, &honest).unwrap();
         }
-        // The honest log, after all that, still opens.
-        let (recovered, _) = DurableRegistry::open(&dir, 2, WalConfig::default()).unwrap();
+        // The honest log, after all that, verifies, opens and finishes.
+        let report = verify_wal(&dir).unwrap();
+        assert_eq!((report.campaigns, report.truncated_bytes), (3, 0));
+        let (mut recovered, _) = DurableRegistry::open(&dir, 2, WalConfig::default()).unwrap();
+        recovered.run_all().unwrap();
         let want: Vec<String> = specs.iter().map(straight_history).collect();
         let ids = recovered.registry().ids();
         let got: Vec<String> = ids.into_iter().map(|id| history(&recovered, id)).collect();
@@ -1610,16 +1849,25 @@ mod tests {
 
     #[test]
     fn reopen_rebuilds_model_campaigns_side_by_side_determinism() {
+        // Cut once the two fastest GP campaigns have a model: they and the
+        // noisy one are active, so they replay their GPs side by side.
         let specs = model_fleet();
         let dir = temp_dir("model-reopen");
-        drop(drive(&dir, &specs, WalConfig::default(), |_| {}));
-        let logged = recover_dir(&dir, |_, _| {}).unwrap().fleet;
-        let (reopened, report) = DurableRegistry::open(&dir, 2, WalConfig::default()).unwrap();
+        let mut durable = DurableRegistry::create(&dir, 2, WalConfig::default()).unwrap();
+        for s in &specs {
+            durable.register_spec(s).unwrap();
+        }
+        let modelled = |d: &DurableRegistry| (0..2).all(|id| campaign(d, id).has_model());
+        while !modelled(&durable) {
+            durable.step_round().unwrap();
+        }
+        drop(durable);
+        let logged = recover_dir(&dir, false, |_, _| {}).unwrap().fleet;
+        let (mut reopened, report) = DurableRegistry::open(&dir, 2, WalConfig::default()).unwrap();
         assert_eq!(report.campaigns, specs.len());
-        assert_eq!(event_logs(&reopened), standalone_logs(&specs));
         // The split `open` makes is the one the registry's rounds make.
         for (id, d) in &logged {
-            let rebuilt = reopened.registry().campaign(*id).unwrap();
+            let rebuilt = campaign(&reopened, *id);
             assert_eq!(
                 announces_model(&d.events),
                 rebuilt.has_model(),
@@ -1627,11 +1875,120 @@ mod tests {
                 d.name
             );
         }
-        let split: Vec<bool> = logged
+        let split: Vec<(bool, bool)> = logged
             .values()
-            .map(|d| announces_model(&d.events))
+            .map(|d| (finished(d), announces_model(&d.events)))
             .collect();
-        assert_eq!(split, [true, true, false, false, true]);
+        let active_gp = (false, true);
+        assert_eq!(
+            split,
+            [
+                active_gp,
+                active_gp,
+                (true, false),
+                (true, false),
+                active_gp
+            ]
+        );
+        reopened.run_all().unwrap();
+        assert_eq!(event_logs(&reopened), standalone_logs(&specs));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn campaign(d: &DurableRegistry, id: u64) -> &Campaign<'static> {
+        d.registry().campaign(id).unwrap()
+    }
+
+    #[test]
+    fn a_campaign_rebuilt_after_any_tick_finishes_as_run_alone_determinism() {
+        // A GP campaign with three async slots: the tick that finds its
+        // source dry completes one of the two trials still out, so for one
+        // tick its source is dry but it is not drained (the last outcome
+        // must still reach the GP). A registry
+        // round absorbs that drain tick, so this walks the campaign tick
+        // by tick: its log after every tick rebuilds (from the log once
+        // drained) and runs dry to the campaign run alone.
+        let mut spec = model_fleet()[1].clone();
+        spec.policy = SchedulePolicy::AsyncSlots { k: 3 };
+        let want = event_log(&standalone_runs(std::slice::from_ref(&spec))[0]);
+        let mut live = spec.build();
+        let (mut ticks, mut dry_not_drained) = (0, 0);
+        while !live.tick() {
+            ticks += 1;
+            let logged: Vec<WalEvent> = live.log().unwrap().iter().map(WalEvent::from).collect();
+            let dry = logged.iter().rev().find_map(|e| match e {
+                WalEvent::Opt {
+                    event: OptEvent::SuggestEnd { dispatched, .. },
+                } => Some(!dispatched),
+                _ => None,
+            }) == Some(true);
+            let from_log = drained(&logged);
+            dry_not_drained += usize::from(dry && !from_log);
+            let mut rebuilt = rebuild(&spec, &logged, from_log).unwrap();
+            rebuilt.run();
+            assert_eq!(event_log(&rebuilt), want, "rebuilt after tick {ticks}");
+        }
+        assert!(
+            dry_not_drained > 0,
+            "no tick left the source dry with a trial out"
+        );
+    }
+
+    #[test]
+    fn a_finished_campaign_reopens_as_its_full_replay_determinism() {
+        // `model_fleet`, a SMAC campaign and a GP campaign stopped once it
+        // has a model, every one finished before the reopen.
+        let mut specs = model_fleet();
+        let mut smac = CampaignSpec::minimal("smac", SystemKind::Redis, 16, 48);
+        smac.optimizer = OptimizerKind::BoSmac;
+        let mut stopped = CampaignSpec::minimal("gp-stopped", SystemKind::Redis, 16, 49);
+        (stopped.optimizer, stopped.policy) =
+            (OptimizerKind::BoGp, SchedulePolicy::AsyncSlots { k: 2 });
+        specs.extend([smac, stopped]);
+        let dir = temp_dir("finished");
+        let mut durable = DurableRegistry::create(&dir, 2, WalConfig::default()).unwrap();
+        for s in &specs {
+            durable.register_spec(s).unwrap();
+        }
+        let stopped_id = specs.len() as u64 - 1;
+        while !campaign(&durable, stopped_id).has_model() {
+            durable.step_round().unwrap();
+        }
+        assert!(!campaign(&durable, stopped_id).is_done());
+        durable.stop(stopped_id).unwrap();
+        durable.run_all().unwrap();
+        drop(durable);
+        assert_eq!(verify_wal(&dir).unwrap().campaigns, specs.len());
+        let fleet = recover_dir(&dir, false, |_, _| {}).unwrap().fleet;
+        assert!(fleet.values().all(finished), "a campaign is still active");
+
+        let (reopened, _) = DurableRegistry::open(&dir, 2, WalConfig::default()).unwrap();
+        // What `verify_wal` rebuilds, kept.
+        let mut full = CampaignRegistry::new(2);
+        rebuild_fleet(fleet, true, |id, d, campaign| {
+            full.restore_entry(id, d.name, campaign, d.stopped, d.records);
+            Ok(())
+        })
+        .unwrap();
+        let stats = |reg: &CampaignRegistry, id| serde_json::to_string(&reg.stats(id).unwrap());
+        for (id, spec) in specs.iter().enumerate() {
+            let id = id as u64;
+            let (got, want) = (campaign(&reopened, id), full.campaign(id).unwrap());
+            assert_eq!(event_log(got), event_log(want), "{}", spec.name);
+            assert_eq!(got.storage().to_json(), want.storage().to_json());
+            assert_eq!(
+                stats(reopened.registry(), id).unwrap(),
+                stats(&full, id).unwrap()
+            );
+            assert_eq!(got.has_model(), want.has_model(), "{}", spec.name);
+            let snapshot = got.snapshot().unwrap();
+            assert_eq!(snapshot.to_json(), want.snapshot().unwrap().to_json());
+            // A real snapshot: the spec's own optimizer resumes it.
+            Campaign::resume(&snapshot, spec.build()).unwrap();
+        }
+        let with_model = |id| campaign(&reopened, id).has_model();
+        assert!([0, 1, 4, 5, stopped_id].into_iter().all(with_model));
+        assert!(reopened.registry().stats(stopped_id).unwrap().stopped);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1642,9 +1999,9 @@ mod tests {
         drop(drive(&dir, &specs, WalConfig::default(), |_| {}));
         let (_, segment) = list_segments(&dir).unwrap().pop().unwrap();
         let honest = std::fs::read(&segment).unwrap();
-        // Flips a bit in the `nth` suggestion of each `(id, nth)`, opens,
-        // and returns the refusal's text; the refused log keeps its bytes
-        // and gets no second segment.
+        // Flips a bit in the `nth` suggestion of each `(id, nth)`, verifies
+        // the log and returns the refusal's text; the refused log keeps its
+        // bytes and gets no second segment.
         let refusal = |lies: &[(u64, usize)]| -> String {
             let mut lied = Vec::new();
             for &(liar, nth) in lies {
@@ -1664,16 +2021,12 @@ mod tests {
                         })
                 });
             }
-            let text = match DurableRegistry::open(&dir, 2, WalConfig::default()) {
-                Err(ServeError::Campaign(e)) => e.to_string(),
-                Err(e) => panic!("{lies:?}: not a campaign error: {e}"),
-                Ok(_) => panic!("{lies:?} opened"),
-            };
+            let text = diverged(&format!("{lies:?}"), verify_wal(&dir)).to_string();
             assert_eq!(list_segments(&dir).unwrap().len(), 1, "{lies:?}");
             assert_eq!(
                 std::fs::read(&segment).unwrap(),
                 lied,
-                "{lies:?}: open wrote"
+                "{lies:?}: verify_wal wrote"
             );
             std::fs::write(&segment, &honest).unwrap();
             text
@@ -1871,7 +2224,7 @@ mod tests {
                     // far replays without asking for a measurement.
                     let i = id as usize;
                     logs[i].extend(batch);
-                    if let Err(e) = rebuild(&specs[i], &logs[i]) {
+                    if let Err(e) = rebuild(&specs[i], &logs[i], false) {
                         panic!("campaign {id} record {records} ends inside a tick: {e}");
                     }
                 }

@@ -49,7 +49,7 @@ mod router;
 mod spec;
 
 pub use chaos::{ChaosPlan, CrashPoint};
-pub use durability::{DurableRegistry, RecoveryReport, WalConfig};
+pub use durability::{verify_wal, DurableRegistry, RecoveryReport, WalConfig};
 pub use protocol::{
     pipe, read_frame, spawn_server, write_frame, Client, LookupReply, PipeEnd, Request, Response,
     ServeBackend, Server, ServerConfig, MAX_FRAME_LEN,

@@ -12,7 +12,9 @@
 //!
 //! [`CampaignSnapshot`]: autotune::CampaignSnapshot
 
-use autotune::{Campaign, NoiseStrategy, Objective, OptimizerSource, SchedulePolicy, Target};
+use autotune::{
+    Campaign, NoiseStrategy, Objective, OptimizerSource, SchedulePolicy, Target, TrialSource,
+};
 use autotune_optimizer::{BayesianOptimizer, Optimizer, RandomSearch};
 use autotune_sim::{
     CloudNoise, DbmsSim, Environment, FaultPlan, NginxSim, NoiseConfig, RedisSim, SimSystem,
@@ -178,6 +180,24 @@ impl CampaignSpec {
     /// spec twice yields campaigns that produce byte-identical histories
     /// (the spec carries every input to the determinism contract).
     pub fn build(&self) -> Campaign<'static> {
+        self.build_with(|target| {
+            let space = target.space().clone();
+            let optimizer: Box<dyn Optimizer> = match self.optimizer {
+                OptimizerKind::Random => Box::new(RandomSearch::new(space)),
+                OptimizerKind::BoGp => Box::new(BayesianOptimizer::gp(space)),
+                OptimizerKind::BoSmac => Box::new(BayesianOptimizer::smac(space)),
+            };
+            Box::new(OptimizerSource::new(optimizer, self.budget))
+        })
+    }
+
+    /// [`CampaignSpec::build`] with the trial source `source` makes over
+    /// the spec's target in place of the spec's optimizer: the same
+    /// target, policy, seed and measurement policy.
+    pub(crate) fn build_with(
+        &self,
+        source: impl FnOnce(&Target) -> Box<dyn TrialSource>,
+    ) -> Campaign<'static> {
         let mut target = Target::simulated(
             self.system.build(),
             self.workload.clone(),
@@ -190,13 +210,8 @@ impl CampaignSpec {
         if let Some(faults) = &self.faults {
             target = target.with_faults(faults.clone());
         }
-        let optimizer: Box<dyn Optimizer> = match self.optimizer {
-            OptimizerKind::Random => Box::new(RandomSearch::new(target.space().clone())),
-            OptimizerKind::BoGp => Box::new(BayesianOptimizer::gp(target.space().clone())),
-            OptimizerKind::BoSmac => Box::new(BayesianOptimizer::smac(target.space().clone())),
-        };
-        let source = OptimizerSource::new(optimizer, self.budget);
-        let mut campaign = Campaign::new(target, Box::new(source), self.policy, self.seed);
+        let source = source(&target);
+        let mut campaign = Campaign::new(target, source, self.policy, self.seed);
         if let Some(strategy) = &self.measurement {
             campaign = campaign.with_noise_strategy(strategy.clone());
         }

@@ -1,7 +1,8 @@
 //! Runs the `wal_dump` example over a directory a short durable run
 //! wrote: every line it prints parses with `serde_json`, the lines tile
 //! each segment exactly, there is one per record recovery reads, and a
-//! log it cannot read in full costs exit code 1.
+//! log it cannot read in full, or one holding a suggestion its
+//! campaign's optimizer would not have made, costs exit code 1.
 //!
 //! The example is built by `cargo test` whenever no single target is
 //! selected; `tools/ci.sh` builds it by name before running this file.
@@ -60,6 +61,58 @@ fn segments(dir: &Path) -> Vec<PathBuf> {
         .collect();
     files.sort();
     files
+}
+
+/// CRC-32 (IEEE), bit by bit: a record's header holds it.
+fn crc32(bytes: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 == 1 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    !c
+}
+
+/// Flips the lowest bit of the first float knob of the first suggestion
+/// a dumped `Ticks` record holds, in the segment itself, and recomputes
+/// the record's CRC. Returns the segment and its bytes before the lie.
+fn lie_about_a_suggestion(dir: &Path, printed: &[String]) -> (PathBuf, Vec<u8>) {
+    let (line, text) = printed
+        .iter()
+        .find_map(|text| {
+            let at = text.find("{\"Wal\":{\"Ticks\":")?;
+            let suggested = &text[at + text[at..].find("\"Suggested\":")?..];
+            let float = &suggested[suggested.find("{\"Float\":")? + 9..];
+            let line: Line = serde_json::from_str(text).unwrap();
+            Some((line, float[..float.find('}')?].to_string()))
+        })
+        .expect("a dumped suggestion with a float knob");
+    let knob: f64 = text.parse().unwrap();
+    let path = dir.join(format!("wal-{:06}.seg", line.segment));
+    let clean = std::fs::read(&path).unwrap();
+    let mut lied = clean.clone();
+    let (start, end) = (
+        line.offset as usize + 8,
+        (line.offset + 8 + line.len) as usize,
+    );
+    let payload = &mut lied[start..end];
+    let mut encoded = vec![0xfb];
+    encoded.extend_from_slice(&knob.to_be_bytes());
+    let at = payload
+        .windows(9)
+        .position(|w| w == encoded)
+        .expect("the knob as the record encodes it");
+    payload[at + 8] ^= 1;
+    let crc = crc32(payload);
+    lied[start - 4..start].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&path, &lied).unwrap();
+    (path, clean)
 }
 
 #[test]
@@ -145,6 +198,22 @@ fn wal_dump_prints_one_parsable_line_per_record() {
         "{stderr}"
     );
     assert!((1..printed.len()).contains(&lines(&out).len()));
+    std::fs::write(&victim, &clean).unwrap();
+
+    // A suggestion lied about, CRC and all: every record reads, but the
+    // campaign's own optimizer would not have made it, so exit 1.
+    let (victim, clean) = lie_about_a_suggestion(&dir, &printed);
+    let out = wal_dump(&dir);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    // The lie is a valid record: every line prints, one of them changed.
+    let dumped = lines(&out);
+    assert_eq!(dumped.len(), printed.len());
+    assert_eq!(
+        dumped.iter().zip(&printed).filter(|(a, b)| a != b).count(),
+        1
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("replay diverged"), "{stderr}");
     std::fs::write(&victim, &clean).unwrap();
 
     // Nothing above wrote to the log, and recovery reads what was dumped.

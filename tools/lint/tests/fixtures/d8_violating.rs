@@ -1,5 +1,5 @@
 //! D8 fixture: lock guards held across calls that can panic (poisoning
-//! the lock) or stall (blocking every other acquirer on fsync).
+//! the lock) or stall (blocking every other acquirer on a WAL write).
 
 pub fn flush_under_guard(&self) {
     let g = self.state.plock();
