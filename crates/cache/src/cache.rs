@@ -190,6 +190,48 @@ impl ShardInner {
         }
     }
 
+    /// The entry eviction takes next, scanning family by family in
+    /// `(family, key)` order: a family's size and heat (whether it is
+    /// protected) and its incumbent are read once, at its first entry.
+    /// `None` when every entry is the sole entry of a family that served a
+    /// hit at `hot_floor` or later.
+    fn victim(&self, hot_floor: u64) -> Option<(u64, u64)> {
+        // (entry, underperforms_incumbent, last_used): the first candidate
+        // in scan order is replaced only by a strictly better one, so the
+        // scan order settles exact ties.
+        let mut victim: Option<((u64, u64), bool, u64)> = None;
+        // Acquire pairs with the Release stores on the lookup hit path: a
+        // heat/LRU refresh published before the evictor took the shard
+        // write lock is always observed here.
+        let hot = |h: &AtomicU64| h.load(Ordering::Acquire) >= hot_floor;
+        let mut scan = self.entries.iter().peekable();
+        while let Some(first) = scan.next() {
+            let (&(f, _), _) = first;
+            let sole = scan.peek().is_none_or(|(&(g, _), _)| g != f);
+            if sole && self.heat.get(&f).is_some_and(hot) {
+                continue;
+            }
+            let incumbent = self.incumbent.get(&f).map(|&(k, _)| k);
+            let rest = std::iter::from_fn(|| scan.next_if(|(&(g, _), _)| g == f));
+            for (&(_, key), e) in std::iter::once(first).chain(rest) {
+                let underperforms = incumbent != Some(key);
+                let lu = e.last_used.load(Ordering::Acquire);
+                let better = match victim {
+                    None => true,
+                    // Underperformers strictly outrank incumbents as
+                    // victims; within a class, older LRU tick wins.
+                    Some((_, v_under, v_lu)) => {
+                        (underperforms && !v_under) || (underperforms == v_under && lu < v_lu)
+                    }
+                };
+                if better {
+                    victim = Some(((f, key), underperforms, lu));
+                }
+            }
+        }
+        victim.map(|(entry, _, _)| entry)
+    }
+
     fn unindex(&mut self, family: u64, features: &[f64]) {
         let Some(row) = self.exact.get_mut(&family) else {
             return;
@@ -376,48 +418,9 @@ impl ShardedCache {
     /// underperform their family incumbent, then least-recently-used
     /// overall; the sole entry of a hot family is never a candidate.
     fn evict_over_capacity(&self, inner: &mut ShardInner, tick: u64) {
+        let hot_floor = tick.saturating_sub(self.config.hot_window);
         while inner.entries.len() > self.config.capacity_per_shard {
-            let mut family_sizes: BTreeMap<u64, usize> = BTreeMap::new();
-            for &(f, _) in inner.entries.keys() {
-                *family_sizes.entry(f).or_insert(0) += 1;
-            }
-            let hot_floor = tick.saturating_sub(self.config.hot_window);
-            // Acquire pairs with the Release stores on the lookup hit
-            // path: a heat/LRU refresh published before the evictor took
-            // the shard write lock is always observed here.
-            let protected = |f: u64| -> bool {
-                family_sizes.get(&f).copied().unwrap_or(0) <= 1
-                    && inner
-                        .heat
-                        .get(&f)
-                        .map(|h| h.load(Ordering::Acquire) >= hot_floor)
-                        .unwrap_or(false)
-            };
-            // (underperforms_incumbent, last_used, key) — BTreeMap order
-            // makes the scan and tie-breaks deterministic.
-            let mut victim: Option<((u64, u64), bool, u64)> = None;
-            for (&k, e) in inner.entries.iter() {
-                let (f, key) = k;
-                if protected(f) {
-                    continue;
-                }
-                let is_incumbent = inner.incumbent.get(&f).map(|&(ik, _)| ik) == Some(key);
-                let underperforms = !is_incumbent;
-                let lu = e.last_used.load(Ordering::Acquire);
-                let better = match victim {
-                    None => true,
-                    // Underperformers strictly outrank incumbents as
-                    // victims; within a class, older LRU tick wins, and
-                    // the BTreeMap scan order settles exact ties.
-                    Some((_, v_under, v_lu)) => {
-                        (underperforms && !v_under) || (underperforms == v_under && lu < v_lu)
-                    }
-                };
-                if better {
-                    victim = Some((k, underperforms, lu));
-                }
-            }
-            let Some(((f, key), _, _)) = victim else {
+            let Some((f, key)) = inner.victim(hot_floor) else {
                 // Everything left is the sole entry of a hot family:
                 // accept the soft-capacity overflow.
                 return;
@@ -702,6 +705,7 @@ pub struct CacheSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn cfg(threshold: f64, capacity: usize) -> CacheConfig {
         CacheConfig {
@@ -1039,5 +1043,139 @@ mod tests {
             ShardedCache::restore(&snap),
             Err(CacheError::VersionMismatch { got: 99, .. })
         ));
+    }
+
+    /// The victim as eviction chose it before it scanned family by
+    /// family: a map of family sizes built for every victim, then each
+    /// entry in `(family, key)` order with its family's protection and
+    /// incumbent looked up again. Also returns how many entries it passed
+    /// over as protected.
+    fn victim_by_entry_scan(inner: &ShardInner, hot_floor: u64) -> (Option<(u64, u64)>, usize) {
+        let mut family_sizes: BTreeMap<u64, usize> = BTreeMap::new();
+        for &(f, _) in inner.entries.keys() {
+            *family_sizes.entry(f).or_insert(0) += 1;
+        }
+        let protected = |f: u64| -> bool {
+            family_sizes.get(&f).copied().unwrap_or(0) <= 1
+                && inner
+                    .heat
+                    .get(&f)
+                    .map(|h| h.load(Ordering::Acquire) >= hot_floor)
+                    .unwrap_or(false)
+        };
+        let mut victim: Option<((u64, u64), bool, u64)> = None;
+        let mut passed = 0;
+        for (&k, e) in inner.entries.iter() {
+            let (f, key) = k;
+            if protected(f) {
+                passed += 1;
+                continue;
+            }
+            let is_incumbent = inner.incumbent.get(&f).map(|&(ik, _)| ik) == Some(key);
+            let underperforms = !is_incumbent;
+            let lu = e.last_used.load(Ordering::Acquire);
+            let better = match victim {
+                None => true,
+                Some((_, v_under, v_lu)) => {
+                    (underperforms && !v_under) || (underperforms == v_under && lu < v_lu)
+                }
+            };
+            if better {
+                victim = Some((k, underperforms, lu));
+            }
+        }
+        (victim.map(|(k, _, _)| k), passed)
+    }
+
+    /// Every `(family, key)` the cache holds.
+    fn held(cache: &ShardedCache) -> BTreeSet<(u64, u64)> {
+        let keys = |s: &RwLock<ShardInner>| s.pread().entries.keys().copied().collect::<Vec<_>>();
+        cache.shards.iter().flat_map(keys).collect()
+    }
+
+    #[test]
+    fn eviction_takes_the_victim_the_per_entry_scan_takes() {
+        // Two caches fed the same seeded churn of lookups, backfills and
+        // overwrites: `live` evicts as `insert` does; `reference` has no
+        // capacity of its own and after each insert is brought down to
+        // `live`'s by the per-entry scan.
+        let config = CacheConfig {
+            threshold: 1.0,
+            n_shards: 4,
+            capacity_per_shard: 6,
+            hot_window: 150,
+        };
+        let capacity = config.capacity_per_shard;
+        let live = ShardedCache::new(config.clone());
+        let reference = ShardedCache::new(CacheConfig {
+            capacity_per_shard: usize::MAX,
+            ..config
+        });
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let (mut evictions, mut passed_over) = (0, 0);
+        for step in 0..6000 {
+            // 40 families 10 apart, skewed towards the low ones; 8 tenants each.
+            let family = next(40) * next(40) / 39;
+            let features = [family as f64 * 10.0, next(8) as f64 * 0.1];
+            let looked_up = live.lookup(&features);
+            assert_eq!(looked_up, reference.lookup(&features), "step {step}");
+            // A miss backfills the tenant and two siblings in the same tick,
+            // so two underperformers tie on LRU; a borrowed hit backfills
+            // the tenant's own entry, and now and then an exact one is
+            // tuned again.
+            let sibling = |d: f64| [features[0], features[1] + d];
+            let (family, backfills) = match looked_up {
+                CacheLookup::Miss { .. } => {
+                    let admitted = live.admit_family(&features);
+                    assert_eq!(admitted, reference.admit_family(&features));
+                    (
+                        admitted.family,
+                        vec![features, sibling(0.03), sibling(0.06)],
+                    )
+                }
+                CacheLookup::Hit(h) if h.borrowed || next(8) == 0 => (h.family, vec![features]),
+                CacheLookup::Hit(_) => continue,
+            };
+            for features in backfills {
+                let cost = next(1000) as f64 / 10.0;
+                let before = held(&live);
+                live.insert(family, &features, config_with(step), cost);
+                reference.insert(family, &features, config_with(step), cost);
+                let tick = reference.tick();
+                let hot_floor = tick.saturating_sub(reference.config.hot_window);
+                let mut inner = reference.shard_of(family as u64).pwrite();
+                let mut taken = BTreeSet::new();
+                while inner.entries.len() > capacity {
+                    let (victim, passed) = victim_by_entry_scan(&inner, hot_floor);
+                    passed_over += passed;
+                    let Some((f, key)) = victim else { break };
+                    inner.remove(f, key);
+                    reference.evictions.fetch_add(1, Ordering::Relaxed);
+                    taken.insert((f, key));
+                }
+                drop(inner);
+                let mut now = before;
+                now.insert((family as u64, fingerprint_key(&features)));
+                let after = held(&live);
+                let evicted: BTreeSet<_> = now.difference(&after).copied().collect();
+                assert_eq!(evicted, taken, "step {step}: a different victim");
+                assert_eq!(after, held(&reference), "step {step}");
+                evictions += taken.len();
+            }
+        }
+        assert!(evictions > 500, "only {evictions} evictions");
+        assert!(passed_over > 0, "no eviction passed over a protected entry");
+        let mut want = reference.snapshot();
+        want.config = live.config().clone();
+        assert_eq!(
+            serde_json::to_string(&live.snapshot()).unwrap(),
+            serde_json::to_string(&want).unwrap()
+        );
     }
 }

@@ -103,23 +103,33 @@
 //!
 //! # Failure model
 //!
+//! **A round reaches the log in one write per segment.** Every
+//! campaign's `Ticks` record is encoded back to back into the handle's
+//! one buffer, each with its own header, and the buffer goes to the file
+//! in one `write_all`, split only where a record takes the segment to
+//! `segment_bytes` and the log rotates. A registration, a stop and an
+//! auxiliary record are batches of one. Every record takes one number of
+//! a monotone operation counter, in order, and lands in the segment a
+//! write of its own would put it in.
+//!
 //! **A handle that could not finish a write is dead.** An `io::Error`
-//! from writing a record or opening the next segment, and a crash point
+//! from writing a batch or opening the next segment, and a crash point
 //! of an armed [`ChaosPlan`] ([`DurableRegistry::set_chaos`]), end in the
 //! same private `die`: the first reason is kept, every later call that
 //! could append returns it as the same [`ServeError::Storage`] *before*
-//! it touches the registry, nothing is acknowledged, and only
+//! it touches the registry, nothing more is acknowledged, and only
 //! [`DurableRegistry::open`] brings the fleet back. So memory never runs
 //! ahead of the acknowledged log, and no record lands behind a torn one.
-//! The plan consults [`ChaosPlan::crash_at`] on a monotone operation
-//! counter and only decides how many bytes the one write path is handed:
-//! `PreAppend` none, `MidAppend` a torn prefix, `PostAppendPreAck` the
-//! whole record (its acknowledgement is what is lost).
-//! [`DurableRegistry::crashed`] names the point for both kinds; a real
-//! failure reports the one it cannot be told from on disk (`MidAppend`
-//! for a failed write, of which an unknown prefix landed; `PreAppend` for
-//! a segment that would not open) and carries the `io::Error` in its
-//! text.
+//! The plan consults [`ChaosPlan::crash_at`] on each record's operation
+//! number, and the first record of a batch it crashes decides the landed
+//! prefix: the records before it land whole (and are acknowledged), and
+//! of it `PreAppend` nothing, `MidAppend` a torn prefix,
+//! `PostAppendPreAck` the whole record (its acknowledgement is what is
+//! lost); nothing after it lands. [`DurableRegistry::crashed`] names the
+//! point for both kinds; a real failure reports the one it cannot be told
+//! from on disk (`MidAppend` for a failed write, of which an unknown
+//! prefix landed, none of it acknowledged; `PreAppend` for a segment that
+//! would not open) and carries the `io::Error` in its text.
 //!
 //! **A worker panic** — a panic while a campaign's wave is measured, on
 //! the thread that called `step_round` (the pool is virtual), or one a
@@ -413,8 +423,8 @@ pub struct DurableRegistry {
     seg_index: u64,
     seg: std::fs::File,
     seg_bytes: u64,
-    /// The record being written, header and payload: every append
-    /// encodes into this one buffer.
+    /// The batch being written, each record with its header, back to
+    /// back: every append encodes into this one buffer.
     buf: Vec<u8>,
     /// Per-campaign count of events already durable.
     durable_len: BTreeMap<u64, usize>,
@@ -666,8 +676,14 @@ impl DurableRegistry {
 
     /// Appends every campaign's events past its durable frontier (whole
     /// ticks: a round leaves every campaign on a tick boundary), encoded
-    /// from the live log where it lies.
+    /// from the live log where it lies: one `Ticks` record a campaign, in
+    /// id order, back to back in the handle's buffer, written as one batch
+    /// ([`DurableRegistry::write_batch`]). Each campaign's appends and
+    /// durable frontier are booked if its record landed whole.
     fn flush_events(&mut self) -> Result<(), ServeError> {
+        self.buf.clear();
+        let (mut ends, mut frontiers) = (Vec::new(), Vec::new());
+        let mut unencoded = None;
         for id in self.registry.ids() {
             let campaign = self.registry.campaign(id)?;
             let Some(log) = campaign.log() else { continue };
@@ -676,13 +692,27 @@ impl DurableRegistry {
                 continue;
             }
             let events = log[durable..].iter().map(WalEvent::from).collect();
-            let new_len = log.len();
-            let encoded = encode_record(&WalRecord::Ticks { id, events }, &mut self.buf);
-            self.write_record(encoded)?;
+            if let Err(why) = encode_record(&WalRecord::Ticks { id, events }, &mut self.buf) {
+                unencoded = Some(why);
+                break;
+            }
+            ends.push(self.buf.len());
+            frontiers.push((id, log.len()));
+        }
+        let written = self.write_batch(&ends);
+        let landed = match &written {
+            Ok(()) => ends.len(),
+            Err((landed, _)) => *landed,
+        };
+        for &(id, new_len) in &frontiers[..landed] {
             self.registry.note_wal_appends(id, 1);
             self.durable_len.insert(id, new_len);
         }
-        Ok(())
+        written.map_err(|(_, e)| e)?;
+        match unencoded {
+            Some(why) => Err(self.unencoded(why)),
+            None => Ok(()),
+        }
     }
 
     /// Discards every in-memory campaign after a worker panic and swaps
@@ -710,42 +740,71 @@ impl DurableRegistry {
         Ok(())
     }
 
-    /// Appends one record; see [`DurableRegistry::write_record`].
+    /// Appends one record: a batch of one ([`DurableRegistry::write_batch`]).
     fn append(&mut self, record: &WalRecord) -> Result<(), ServeError> {
-        let encoded = encode_record(record, &mut self.buf);
-        self.write_record(encoded)
+        self.buf.clear();
+        if let Err(why) = encode_record(record, &mut self.buf) {
+            return Err(self.unencoded(why));
+        }
+        self.write_batch(&[self.buf.len()]).map_err(|(_, e)| e)
     }
 
-    /// Appends the record [`encode_record`] left in the handle's buffer.
-    /// `Err` means the handle is dead: the record did not land whole and
-    /// acknowledged, whether the chaos plan or the disk cut it. A chaos
-    /// crash point only decides how many bytes the one write is handed;
-    /// a write that fails leaves an unknown prefix in the file, which
-    /// nothing may land behind.
-    fn write_record(&mut self, encoded: Result<(), String>) -> Result<(), ServeError> {
-        let op = self.ops;
+    /// Refuses a record that did not encode: it takes its operation
+    /// number, and the handle dies before a byte of it is written.
+    fn unencoded(&mut self, why: String) -> ServeError {
         self.ops += 1;
-        encoded.map_err(|why| {
-            let why = format!("WAL record did not encode: {why}");
-            self.die(CrashPoint::PreAppend, why)
-        })?;
-        let crash = self.chaos.and_then(|plan| Some((plan, plan.crash_at(op)?)));
-        let landed = match crash {
-            Some((_, CrashPoint::PreAppend)) => 0,
-            Some((plan, CrashPoint::MidAppend)) => plan.torn_len(op, self.buf.len()),
-            Some((_, CrashPoint::PostAppendPreAck)) | None => self.buf.len(),
-        };
-        let bytes = &self.buf[..landed];
-        let written = self.seg.write_all(bytes).and_then(|()| self.seg.flush());
-        written.map_err(|e| self.die(CrashPoint::MidAppend, format!("WAL write failed: {e}")))?;
-        self.seg_bytes += landed as u64;
-        if let Some((_, point)) = crash {
-            return Err(self.die(point, format!("simulated crash ({})", point.label())));
+        let why = format!("WAL record did not encode: {why}");
+        self.die(CrashPoint::PreAppend, why)
+    }
+
+    /// Appends the records [`encode_record`] left back to back in the
+    /// handle's buffer, record `i` ending at `ends[i]`: one `write_all` for
+    /// each segment the batch touches. Each record takes the next operation
+    /// number, and the segment rotates after any record that takes it to
+    /// `segment_bytes`, so every record lands where a write of its own
+    /// would put it. `Err` carries how many records landed and were
+    /// acknowledged (the ones to book) and means the handle is dead. A
+    /// chaos crash point only decides how many bytes the batch's last
+    /// write is handed: the records before the first one the plan crashes
+    /// land whole, that one lands per its point, and nothing after it. A
+    /// write that fails leaves an unknown prefix of its bytes in the file,
+    /// which nothing may land behind.
+    fn write_batch(&mut self, ends: &[usize]) -> Result<(), (usize, ServeError)> {
+        // Records `from..` (bytes `start..`) are not written yet; record `i`
+        // starts at `begin`.
+        let (mut from, mut start, mut begin) = (0, 0, 0);
+        for (i, &end) in ends.iter().enumerate() {
+            let op = self.ops;
+            self.ops += 1;
+            if let Some(plan) = self.chaos {
+                if let Some(point) = plan.crash_at(op) {
+                    let landed = match point {
+                        CrashPoint::PreAppend => 0,
+                        CrashPoint::MidAppend => plan.torn_len(op, end - begin),
+                        CrashPoint::PostAppendPreAck => end - begin,
+                    };
+                    self.write_out(start, begin + landed)
+                        .map_err(|e| (from, e))?;
+                    let why = format!("simulated crash ({})", point.label());
+                    return Err((i, self.die(point, why)));
+                }
+            }
+            self.seg_bytes += (end - begin) as u64;
+            if self.seg_bytes >= self.config.segment_bytes {
+                self.write_out(start, end).map_err(|e| (from, e))?;
+                (from, start) = (i + 1, end);
+                self.rotate_segment().map_err(|e| (i, e))?;
+            }
+            begin = end;
         }
-        if self.seg_bytes >= self.config.segment_bytes {
-            self.rotate_segment()?;
-        }
-        Ok(())
+        self.write_out(start, begin).map_err(|e| (from, e))
+    }
+
+    /// Writes `buf[start..end]` to the open segment in one call; a write
+    /// that fails kills the handle.
+    fn write_out(&mut self, start: usize, end: usize) -> Result<(), ServeError> {
+        let written = self.seg.write_all(&self.buf[start..end]);
+        written.map_err(|e| self.die(CrashPoint::MidAppend, format!("WAL write failed: {e}")))
     }
 
     fn rotate_segment(&mut self) -> Result<(), ServeError> {
@@ -1145,15 +1204,18 @@ fn torn_record(path: &Path, clean: u64) -> ServeError {
     ))
 }
 
-/// Leaves in `out` (emptied first, its capacity kept) one record as it
-/// lies on disk: the payload is encoded behind a placeholder header and
-/// the header patched, so the caller writes one buffer.
+/// Appends to `out` one record as it lies on disk: the payload is
+/// encoded behind a placeholder header and the header patched, so records
+/// encoded back to back are written as one buffer. On `Err`, `out` is
+/// left as it was.
 fn encode_record(record: &WalRecord, out: &mut Vec<u8>) -> Result<(), String> {
-    out.clear();
+    let start = out.len();
     out.extend_from_slice(&[0; 8]);
-    ciborium::into_writer(record, &mut *out).map_err(|e| e.to_string())?;
-    let (header, payload) = out.split_at_mut(8);
-    let len = u32::try_from(payload.len()).map_err(|_| "over 4 GiB".to_string())?;
+    let encoded = ciborium::into_writer(record, &mut *out).map_err(|e| e.to_string());
+    let len = encoded
+        .and_then(|()| u32::try_from(out.len() - start - 8).map_err(|_| "over 4 GiB".to_string()));
+    let len = len.inspect_err(|_| out.truncate(start))?;
+    let (header, payload) = out[start..].split_at_mut(8);
     header[..4].copy_from_slice(&len.to_le_bytes());
     header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
     Ok(())
@@ -1253,11 +1315,10 @@ fn crc32_step(c: u32, b: u8) -> u32 {
     CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8)
 }
 
-/// CRC-32 (IEEE 802.3), the WAL's record integrity check, eight bytes a
-/// step (slicing-by-8).
-pub fn crc32(bytes: &[u8]) -> u32 {
+/// Advances the CRC register `c` over `bytes`, eight bytes a step
+/// (slicing-by-8).
+fn slice8(mut c: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
     let mut chunks = bytes.chunks_exact(8);
     for w in &mut chunks {
         let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
@@ -1271,7 +1332,131 @@ pub fn crc32(bytes: &[u8]) -> u32 {
             ^ t[1][(hi >> 16 & 0xFF) as usize]
             ^ t[0][(hi >> 24) as usize];
     }
-    chunks.remainder().iter().fold(c, |c, &b| crc32_step(c, b)) ^ 0xFFFF_FFFF
+    chunks.remainder().iter().fold(c, |c, &b| crc32_step(c, b))
+}
+
+/// [`crc32`] by the tables alone: the path of a CPU without carry-less
+/// multiply.
+fn crc32_slice8(bytes: &[u8]) -> u32 {
+    !slice8(!0, bytes)
+}
+
+/// [`crc32`] by carry-less multiply, where the CPU has it.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+fn crc32_clmul(bytes: &[u8]) -> Option<u32> {
+    if !(is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")) {
+        return None;
+    }
+    // SAFETY: `clmul::crc32` needs PCLMULQDQ and SSE4.1, and this CPU was
+    // just found to have both.
+    Some(unsafe { clmul::crc32(bytes) })
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn crc32_clmul(_: &[u8]) -> Option<u32> {
+    None
+}
+
+/// CRC-32 (IEEE 802.3), the WAL's record integrity check, on write and
+/// on read. On an x86-64 CPU with PCLMULQDQ and SSE4.1 it folds 64 bytes a
+/// step by carry-less multiply ([`clmul`]); elsewhere, for an input under
+/// 64 bytes and for the tail under 16, it runs the slicing-by-8 tables.
+/// Both compute the same value, so a log reads the same on either.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_clmul(bytes).unwrap_or_else(|| crc32_slice8(bytes))
+}
+
+/// CRC-32 by folding with carry-less multiply, after Intel's "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ Instruction"
+/// (Gopal et al., 2009), bit-reflected, with the IEEE constants the Linux
+/// kernel's `crc32-pclmul` uses. Four 128-bit lanes fold 64 bytes a step;
+/// the lanes fold into one, 16 bytes a step; one Barrett reduction takes
+/// the 128 bits left to the 32-bit register, and the tables finish the
+/// tail.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    // Bit-reflected, as the reflected CRC wants them; the fold constants
+    // K1-K5 are also shifted left one bit.
+    /// x^(4·128+32) and x^(4·128-32) mod P: one fold across four lanes.
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    /// x^(128+32) and x^(128-32) mod P: one fold across a lane.
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    /// x^64 mod P: 96 bits to 64.
+    const K5: i64 = 0x1_63cd_6124;
+    /// P and floor(x^64 / P): the Barrett reduction.
+    const P: i64 = 0x1_db71_0641;
+    const MU: i64 = 0x1_f701_1641;
+
+    /// A 16-byte block as `_mm_loadu_si128` reads it.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn load(block: &[u8]) -> __m128i {
+        let word = |at: usize| {
+            let mut le = [0; 8];
+            le.copy_from_slice(&block[at..at + 8]);
+            i64::from_le_bytes(le)
+        };
+        _mm_set_epi64x(word(8), word(0))
+    }
+
+    /// `acc` carried 128 bits (the distance `k` holds) further and added
+    /// to `next`.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold(acc: __m128i, next: __m128i, k: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(acc, k);
+        let hi = _mm_clmulepi64_si128::<0x11>(acc, k);
+        _mm_xor_si128(_mm_xor_si128(next, lo), hi)
+    }
+
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn crc32(bytes: &[u8]) -> u32 {
+        if bytes.len() < 64 {
+            return super::crc32_slice8(bytes);
+        }
+        let (head, rest) = bytes.split_at(64);
+        let mut lanes = [0, 16, 32, 48].map(|at| load(&head[at..at + 16]));
+        // The register starts at all ones, over the first four bytes.
+        lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(-1));
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        let mut quads = rest.chunks_exact(64);
+        for quad in &mut quads {
+            for (lane, block) in lanes.iter_mut().zip(quad.chunks_exact(16)) {
+                *lane = fold(*lane, load(block), k1k2);
+            }
+        }
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let [a, b, c, d] = lanes;
+        let mut x = fold(fold(fold(a, b, k3k4), c, k3k4), d, k3k4);
+        let mut blocks = quads.remainder().chunks_exact(16);
+        for block in &mut blocks {
+            x = fold(x, load(block), k3k4);
+        }
+        // 128 bits to 96, then to 64.
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x10>(x, k3k4),
+            _mm_srli_si128::<8>(x),
+        );
+        let k5 = _mm_set_epi64x(0, K5);
+        x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), k5),
+            _mm_srli_si128::<4>(x),
+        );
+        // Barrett: T1 = (R mod x^32)·mu, T2 = (T1 mod x^32)·P, and the
+        // register is the upper half of R + T2 (the bits are reflected).
+        let pmu = _mm_set_epi64x(MU, P);
+        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), pmu);
+        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), pmu);
+        let c = _mm_extract_epi32::<1>(_mm_xor_si128(x, t2)) as u32;
+        !super::slice8(c, blocks.remainder())
+    }
 }
 
 #[cfg(test)]
@@ -1350,15 +1535,70 @@ mod tests {
         ids.into_iter().map(|id| history(&recovered, id)).collect()
     }
 
+    /// The CRC-32 of `bytes` by every path this CPU runs: the dispatch,
+    /// the tables, and the carry-less kernel where the CPU has it.
+    fn crc32_paths(bytes: &[u8]) -> Vec<(&'static str, u32)> {
+        let mut paths = vec![("crc32", crc32(bytes)), ("slice8", crc32_slice8(bytes))];
+        paths.extend(crc32_clmul(bytes).map(|c| ("clmul", c)));
+        paths
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
-        assert_eq!(crc32(b""), 0x0000_0000);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        let counting: Vec<u8> = (0..1000).map(|i| i as u8).collect();
+        let vectors: [(&[u8], u32); 6] = [
+            (b"", 0x0000_0000),
+            (b"123456789", 0xCBF4_3926),
+            (b"The quick brown fox jumps over the lazy dog", 0x414F_A339),
+            (&[0; 64], 0x758D_6336),
+            (&counting[..129], 0xCA91_CDF7),
+            (&counting, 0x74E3_FB41),
+        ];
+        for (bytes, want) in vectors {
+            for (path, got) in crc32_paths(bytes) {
+                assert_eq!(got, want, "{path} over {} bytes", bytes.len());
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_paths_match_the_bytewise_definition_at_every_length_and_alignment() {
+        // Every length up to 1 KiB at each of 16 alignments (so every tail
+        // under 64 bytes after 0 to 15 whole 64-byte steps, 127/128/129
+        // among them), then every length up to 4 KiB at one alignment each.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let bytes: Vec<u8> = (0..4096 + 16)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 56) as u8
+            })
+            .collect();
+        let check = |skip: usize, lengths: &mut dyn Iterator<Item = usize>| {
+            let data = &bytes[skip..];
+            let (mut register, mut at) = (0xFFFF_FFFF, 0);
+            for len in lengths {
+                register = data[at..len]
+                    .iter()
+                    .fold(register, |c, &b| crc32_step(c, b));
+                at = len;
+                for (path, got) in crc32_paths(&data[..len]) {
+                    assert_eq!(got, !register, "{path}: {len} bytes at offset {skip}");
+                }
+            }
+        };
+        for skip in 0..16 {
+            check(skip, &mut (0..=1024));
+        }
+        for skip in 0..16 {
+            check(skip, &mut (1025..=4096).filter(|len| len % 16 == skip));
+        }
     }
 
     proptest::proptest! {
-        /// Slicing-by-8 against the byte-at-a-time definition, over every
-        /// length class (whole words, every remainder) and alignment.
+        /// Every path against the byte-at-a-time definition, over every
+        /// length class (whole folds, every remainder) and alignment.
         #[test]
         fn crc32_matches_the_bytewise_oracle(
             bytes in proptest::collection::vec(0u8..=255, 0..4096usize),
@@ -1366,7 +1606,9 @@ mod tests {
         ) {
             let bytes = &bytes[skip.min(bytes.len())..];
             let bytewise = bytes.iter().fold(0xFFFF_FFFF, |c, &b| crc32_step(c, b)) ^ 0xFFFF_FFFF;
-            proptest::prop_assert_eq!(crc32(bytes), bytewise);
+            for (path, got) in crc32_paths(bytes) {
+                proptest::prop_assert_eq!(got, bytewise, "{}", path);
+            }
         }
     }
 
@@ -1657,13 +1899,12 @@ mod tests {
         let [(_, path)] = &segments[..] else {
             panic!("the run rotated its log");
         };
-        let (mut log, mut buf, mut edited) = (Vec::new(), Vec::new(), false);
+        let (mut log, mut edited) = (Vec::new(), false);
         let each = |_, _, mut record: WalRecord<'static>| {
             if let WalRecord::Ticks { id, events } = &mut record {
                 edited = edited || edit(*id, events);
             }
-            encode_record(&record, &mut buf).unwrap();
-            log.extend_from_slice(&buf);
+            encode_record(&record, &mut log).unwrap();
             Ok(())
         };
         assert_eq!(read_segment(path, each).unwrap().1, 0);
@@ -2216,6 +2457,7 @@ mod tests {
         for (_, path) in &segments {
             let each = |_, _, record: WalRecord<'static>| {
                 records += 1;
+                buf.clear();
                 encode_record(&record, &mut buf).unwrap();
                 record_bytes += buf.len() as u64;
                 if let WalRecord::Ticks { id, events: batch } = record {
@@ -2244,6 +2486,61 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Every segment of the WAL in `dir`: its number and its bytes.
+    fn segment_bytes(dir: &Path) -> Vec<(u64, Vec<u8>)> {
+        let read = |(n, path): (u64, PathBuf)| (n, std::fs::read(path).unwrap());
+        list_segments(dir).unwrap().into_iter().map(read).collect()
+    }
+
+    #[test]
+    fn segments_hold_what_one_write_per_record_lays_out() {
+        // Rounds of up to three ~2.4 KB `Ticks` records against 4 KiB
+        // segments, so rotation falls inside rounds.
+        let dir = temp_dir("layout");
+        let specs = fleet_of(16);
+        let durable = drive(&dir, &specs, SMALL_SEGMENTS, |_| {});
+        let mut records = Vec::new();
+        for (_, path) in list_segments(&dir).unwrap() {
+            read_segment(&path, |_, _, record| {
+                records.push(record);
+                Ok(())
+            })
+            .unwrap();
+        }
+        assert_eq!(records.len() as u64, durable.ops);
+        // The reference: each record encoded on its own, appended to the
+        // open segment, which rotates once it holds `segment_bytes`.
+        let (mut want, mut record) = (vec![(1, Vec::new())], Vec::new());
+        let mut rotated_mid_round = false;
+        for (i, r) in records.iter().enumerate() {
+            record.clear();
+            encode_record(r, &mut record).unwrap();
+            let (n, open) = want.last_mut().unwrap();
+            open.extend_from_slice(&record);
+            if open.len() as u64 >= SMALL_SEGMENTS.segment_bytes {
+                let next = *n + 1;
+                want.push((next, Vec::new()));
+                // A round writes its campaigns' records in rising id order.
+                let ticks = |r: &WalRecord| match r {
+                    WalRecord::Ticks { id, .. } => Some(*id),
+                    _ => None,
+                };
+                let (this, after) = (ticks(r), records.get(i + 1).and_then(ticks));
+                rotated_mid_round |= matches!((this, after), (Some(a), Some(b)) if a < b);
+            }
+        }
+        assert!(rotated_mid_round, "no segment boundary fell inside a round");
+        let got = segment_bytes(&dir);
+        let numbers = |segments: &[(u64, Vec<u8>)]| -> Vec<(u64, usize)> {
+            segments.iter().map(|(n, b)| (*n, b.len())).collect()
+        };
+        assert_eq!(numbers(&got), numbers(&want));
+        for ((n, got), (_, want)) in got.iter().zip(&want) {
+            assert!(got == want, "segment {n} differs from one write per record");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn crash_at_any_append_recovers_byte_identically() {
         // A short fleet: the sweep reruns it once per append and crash
@@ -2255,6 +2552,18 @@ mod tests {
         let clean = drive(&dir, &specs, SMALL_SEGMENTS, |_| {});
         let appends = clean.ops;
         assert!(clean.seg_index > 4, "the swept run never rotated");
+        // Where each append of the clean run lies: its segment (an index
+        // into `clean_segments`), offset and length.
+        let clean_segments = segment_bytes(&dir);
+        let mut placed = Vec::new();
+        for (i, (_, path)) in list_segments(&dir).unwrap().into_iter().enumerate() {
+            read_segment(&path, |at, len, _| {
+                placed.push((i, at, 8 + len));
+                Ok(())
+            })
+            .unwrap();
+        }
+        assert_eq!(placed.len() as u64, appends);
         std::fs::remove_dir_all(&dir).unwrap();
         for point in [
             CrashPoint::PreAppend,
@@ -2265,13 +2574,32 @@ mod tests {
                 let dir = temp_dir(&format!("sweep-{}-{k}", point.label()));
                 // A call appends at most one record per campaign, so the
                 // plan is armed (and searched for) only this close to `k`.
+                let armed = std::cell::Cell::new(None);
                 let arm = |d: &mut DurableRegistry| {
                     if (d.ops..d.ops + specs.len() as u64).contains(&k) {
-                        d.set_chaos(crash_plan(d.ops, k, point));
+                        let plan = crash_plan(d.ops, k, point);
+                        armed.set(Some(plan));
+                        d.set_chaos(plan);
                     }
                 };
                 let crashed = drive(&dir, &specs, SMALL_SEGMENTS, arm).crashed();
                 assert_eq!(crashed, Some(point), "append {k} never crashed");
+                // On disk: every append before `k` whole, where the clean run
+                // put it, then what `k`'s crash point let land, and nothing
+                // after it.
+                let (seg, at, len) = placed[k as usize];
+                let landed = match point {
+                    CrashPoint::PreAppend => 0,
+                    CrashPoint::MidAppend => armed.get().unwrap().torn_len(k, len),
+                    CrashPoint::PostAppendPreAck => len,
+                };
+                let mut on_disk = clean_segments[..=seg].to_vec();
+                on_disk[seg].1.truncate(at + landed);
+                assert!(
+                    segment_bytes(&dir) == on_disk,
+                    "{} at append {k}: the log is not appends 0..{k} and {landed} bytes of {k}",
+                    point.label()
+                );
                 let got = recover_and_finish(&dir, &specs, SMALL_SEGMENTS);
                 assert_eq!(got, want, "{} at append {k}", point.label());
                 std::fs::remove_dir_all(&dir).unwrap();

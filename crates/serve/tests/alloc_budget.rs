@@ -53,6 +53,8 @@ fn account(freed: usize, taken: usize) {
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
 // the `GlobalAlloc` contract; the counter touches no allocation.
+// (A test's allocator: the crate denies `unsafe_code` everywhere else.)
+#[allow(unsafe_code)]
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         account(0, layout.size());
