@@ -144,7 +144,6 @@ fn a03_crash_transfer() -> Report {
         let policy = TransferPolicy {
             good_fraction: 0.3,
             always_transfer_crashes: transfer_crashes,
-            ..Default::default()
         };
         let target = make_target();
         let mut opt = BayesianOptimizer::gp(target.space().clone());

@@ -5,9 +5,7 @@
 
 use crate::experiments::{dbms_target, mean_curve};
 use crate::report::{f, Report};
-use autotune_optimizer::{
-    BayesianOptimizer, CmaEs, CmaEsConfig, Optimizer, ParticleSwarm, PsoConfig, RandomSearch,
-};
+use autotune_optimizer::{BayesianOptimizer, CmaEs, Optimizer, ParticleSwarm, RandomSearch};
 
 /// Runs the experiment.
 pub fn run() -> Report {
@@ -30,21 +28,11 @@ pub fn run() -> Report {
         ),
         (
             "cma_es",
-            Box::new(move || {
-                Box::new(CmaEs::new(
-                    dbms_target().space().clone(),
-                    CmaEsConfig::default(),
-                ))
-            }),
+            Box::new(move || Box::new(CmaEs::new(dbms_target().space().clone()))),
         ),
         (
             "pso",
-            Box::new(move || {
-                Box::new(ParticleSwarm::new(
-                    dbms_target().space().clone(),
-                    PsoConfig::default(),
-                ))
-            }),
+            Box::new(move || Box::new(ParticleSwarm::new(dbms_target().space().clone()))),
         ),
     ];
     let mut rows = Vec::new();

@@ -6,7 +6,7 @@
 use crate::report::{f, Report};
 use autotune::{Objective, Target};
 use autotune_optimizer::moo::{MultiObservation, ParEgo, ParetoFront};
-use autotune_optimizer::{NsgaConfig, NsgaII};
+use autotune_optimizer::NsgaII;
 use autotune_sim::{DbmsSim, Environment, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -63,7 +63,7 @@ pub fn run() -> Report {
         }
     }
     // NSGA-II at the same budget as ParEGO (60 trials).
-    let mut nsga = NsgaII::new(target.space().clone(), 2, NsgaConfig::default());
+    let mut nsga = NsgaII::new(target.space().clone(), 2);
     let mut rng = StdRng::seed_from_u64(3);
     for _ in 0..60 {
         let cfg = nsga.suggest(&mut rng);

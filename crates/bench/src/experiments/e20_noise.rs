@@ -25,7 +25,6 @@ fn noisy_target(seed: u64) -> Target {
             drift_amplitude: 0.08,
             spike_probability: 0.10,
             spike_scale: 1.0,
-            ..Default::default()
         },
         seed,
     ))

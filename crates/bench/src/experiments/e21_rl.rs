@@ -7,7 +7,7 @@
 
 use crate::report::{f, Report};
 use autotune::{Objective, Target};
-use autotune_rl::{ActorCritic, ActorCriticConfig, QLearning, QLearningConfig};
+use autotune_rl::{ActorCritic, QLearning, QLearningConfig};
 use autotune_sim::{DbmsSim, Environment, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -54,7 +54,6 @@ pub fn run() -> Report {
         // and slow epsilon decay keeps both actions sampled.
         gamma: 0.0,
         epsilon_decay: 0.999,
-        ..Default::default()
     };
     let mut q = QLearning::new(PHASES, 2, q_config);
     let mut q_reward = 0.0;
@@ -68,7 +67,7 @@ pub fn run() -> Report {
     }
 
     // --- Actor-critic with one-hot phase features ---
-    let mut ac = ActorCritic::new(PHASES, 2, ActorCriticConfig::default());
+    let mut ac = ActorCritic::new(PHASES, 2);
     let mut ac_reward = 0.0;
     for phase in 0..PHASES {
         let mut phi = vec![0.0; PHASES];

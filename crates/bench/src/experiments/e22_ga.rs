@@ -16,7 +16,6 @@ fn ga_config() -> GaConfig {
     GaConfig {
         population: 10,
         mutation_rate: 0.6,
-        ..Default::default()
     }
 }
 

@@ -5,7 +5,6 @@
 
 use crate::report::{f, Report};
 use autotune::{Objective, OnlineTuner, OnlineTunerConfig, Target};
-use autotune_rl::SafeTunerConfig;
 use autotune_sim::{DbmsSim, Environment, Workload, WorkloadSchedule};
 
 /// Runs the experiment.
@@ -26,7 +25,7 @@ pub fn run() -> Report {
         base.clone().with("buffer_pool_gb", 15.5),     // crashes (OOM)
     ];
 
-    let run = |safety: Option<SafeTunerConfig>, seed: u64| {
+    let run = |safety: bool, seed: u64| {
         // ε-greedy keeps exploring forever — exactly the behaviour that
         // needs a guardrail in production. The same policy runs on both
         // sides; only the guardrail differs.
@@ -35,7 +34,7 @@ pub fn run() -> Report {
             OnlineTunerConfig {
                 policy: autotune_optimizer::bandit::BanditPolicy::EpsilonGreedy { epsilon: 0.15 },
                 safety,
-                shift: None,
+                shift: false,
             },
         );
         tuner.run(&target, &schedule, steps, seed);
@@ -52,8 +51,8 @@ pub fn run() -> Report {
         (tuner.cumulative_cost(), crashes, regressions)
     };
 
-    let (unsafe_cost, unsafe_crashes, unsafe_regr) = run(None, 3);
-    let (safe_cost, safe_crashes, safe_regr) = run(Some(SafeTunerConfig::default()), 3);
+    let (unsafe_cost, unsafe_crashes, unsafe_regr) = run(false, 3);
+    let (safe_cost, safe_crashes, safe_regr) = run(true, 3);
 
     let rows = vec![
         vec![

@@ -8,8 +8,7 @@ use autotune::{Objective, SessionConfig, Target, TuningSession};
 use autotune_optimizer::BayesianOptimizer;
 use autotune_sim::{DbmsSim, Environment, SimSystem, Workload};
 use autotune_wid::{
-    purity, ConfigStore, Embedder, EmbedderKind, Fingerprint, KMeans, ShiftDetector,
-    ShiftDetectorConfig, StoredConfig,
+    purity, ConfigStore, Embedder, EmbedderKind, Fingerprint, KMeans, ShiftDetector, StoredConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -101,7 +100,7 @@ pub fn run() -> Report {
     let reuse_mean = autotune_linalg::stats::mean(&reuse_ratio);
 
     // 4. Shift detection lag on a fingerprint stream.
-    let mut det = ShiftDetector::new(ShiftDetectorConfig::default());
+    let mut det = ShiftDetector::new();
     let mut lag = None;
     for t in 0..80 {
         let w = if t < 40 { &fams[0].1 } else { &fams[3].1 };

@@ -6,7 +6,7 @@
 use crate::experiments::{best_so_far, dbms_target, run_on_target};
 use crate::report::{f, Report};
 use autotune_optimizer::BayesianOptimizer;
-use autotune_sim::priors::{apply_hints, dbms_manual_hints};
+use autotune_sim::priors::dbms_hinted_space;
 use autotune_sim::Environment;
 
 /// Runs the experiment.
@@ -18,7 +18,7 @@ pub fn run() -> Report {
     let run = |hinted: bool, seed: u64| -> (f64, f64) {
         let target = dbms_target();
         let space = if hinted {
-            apply_hints(target.space(), &dbms_manual_hints(&env))
+            dbms_hinted_space(target.space(), &env)
         } else {
             target.space().clone()
         };

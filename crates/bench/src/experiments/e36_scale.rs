@@ -102,7 +102,7 @@ impl Stream {
 
     /// A point inside the smallest trust region around the incumbent.
     fn near_best(&mut self) -> Vec<f64> {
-        let h = TrustRegionConfig::default().min_radius;
+        let h = TrustRegionSurrogate::MIN_RADIUS;
         let (center, _) = self
             .best
             .as_ref()

@@ -233,7 +233,6 @@ mod tests {
                 drift_amplitude: 0.02,
                 spike_probability: 0.25,
                 spike_scale: 2.0,
-                ..Default::default()
             },
             7,
         ));

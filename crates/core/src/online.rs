@@ -12,10 +12,10 @@ use crate::executor::{
 use crate::telemetry::Subscriber;
 use crate::Target;
 use autotune_optimizer::bandit::BanditPolicy;
-use autotune_rl::{ContextKey, HybridBandit, SafeTuner, SafeTunerConfig};
+use autotune_rl::{ContextKey, HybridBandit, SafeTuner};
 use autotune_sim::WorkloadSchedule;
 use autotune_space::Config;
-use autotune_wid::{Fingerprint, ShiftDetector, ShiftDetectorConfig};
+use autotune_wid::{Fingerprint, ShiftDetector};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -24,10 +24,10 @@ use rand::{RngCore, SeedableRng};
 pub struct OnlineTunerConfig {
     /// Bandit policy over the candidate menu.
     pub policy: BanditPolicy,
-    /// Safety guardrail settings (None disables safety).
-    pub safety: Option<SafeTunerConfig>,
-    /// Shift-detector settings (None disables detection).
-    pub shift: Option<ShiftDetectorConfig>,
+    /// Runs every candidate through a [`SafeTuner`] guardrail.
+    pub safety: bool,
+    /// Resets exploration when a [`ShiftDetector`] sees the workload move.
+    pub shift: bool,
 }
 
 impl Default for OnlineTunerConfig {
@@ -37,8 +37,8 @@ impl Default for OnlineTunerConfig {
             // microseconds or hours, where a UCB exploration constant
             // would need per-system calibration.
             policy: BanditPolicy::Thompson,
-            safety: None,
-            shift: Some(ShiftDetectorConfig::default()),
+            safety: false,
+            shift: true,
         }
     }
 }
@@ -76,8 +76,8 @@ impl OnlineTuner {
         OnlineTuner {
             bandit: HybridBandit::new(candidates.len(), config.policy),
             candidates,
-            safety: config.safety.map(SafeTuner::new),
-            detector: config.shift.map(ShiftDetector::new),
+            safety: config.safety.then(SafeTuner::new),
+            detector: config.shift.then(ShiftDetector::new),
             regime: 0,
             history: Vec::new(),
         }
@@ -506,7 +506,7 @@ mod tests {
         let mut tuner = OnlineTuner::new(
             vec![good, crashy],
             OnlineTunerConfig {
-                safety: Some(SafeTunerConfig::default()),
+                safety: true,
                 ..Default::default()
             },
         );

@@ -22,9 +22,6 @@ pub struct TransferPolicy {
     /// (good samples transfer; mediocre ones mislead more than they help
     /// when the context differs).
     pub good_fraction: f64,
-    /// Crash score multiplier: crashes import at
-    /// `crash_penalty x worst_donor_cost`.
-    pub crash_penalty: f64,
     /// Import crashes even when contexts differ (slide 67: "bad samples:
     /// reuse everywhere").
     pub always_transfer_crashes: bool,
@@ -34,11 +31,14 @@ impl Default for TransferPolicy {
     fn default() -> Self {
         TransferPolicy {
             good_fraction: 0.3,
-            crash_penalty: 2.0,
             always_transfer_crashes: true,
         }
     }
 }
+
+/// Crash score multiplier: crashes import at
+/// `CRASH_PENALTY x worst_donor_cost`.
+const CRASH_PENALTY: f64 = 2.0;
 
 /// Rewrites a donor trial history into warm-start observations.
 ///
@@ -69,7 +69,7 @@ pub fn transfer_observations(
         }
     }
     if context_compatible || policy.always_transfer_crashes {
-        let crash_score = policy.crash_penalty * worst.abs().max(1.0) + worst.max(0.0);
+        let crash_score = CRASH_PENALTY * worst.abs().max(1.0) + worst.max(0.0);
         for t in donor.iter().filter(|t| t.status == TrialStatus::Crashed) {
             out.push(Observation {
                 config: t.config.clone(),

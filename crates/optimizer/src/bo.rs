@@ -16,8 +16,8 @@
 use crate::{AcquisitionFunction, BestTracker, Observation, Optimizer};
 use autotune_space::{Config, Space};
 use autotune_surrogate::{
-    GaussianProcess, HyperFitConfig, Matern52, RandomForest, RandomForestConfig,
-    SparseGaussianProcess, Surrogate, TrustRegionConfig, TrustRegionSurrogate,
+    GaussianProcess, Matern52, RandomForest, SparseGaussianProcess, Surrogate, TrustRegionConfig,
+    TrustRegionSurrogate,
 };
 use rand::{RngCore, SeedableRng};
 
@@ -135,9 +135,7 @@ impl BayesianOptimizer {
                     1e-6,
                 ))
             }
-            SurrogateChoice::RandomForest => {
-                Box::new(RandomForest::new(RandomForestConfig::default()))
-            }
+            SurrogateChoice::RandomForest => Box::new(RandomForest::default_forest()),
             SurrogateChoice::SparseGaussianProcess => {
                 let d = space.onehot_dim().max(1);
                 // 256 inducing points keep a suggest under a few
@@ -335,8 +333,7 @@ impl BayesianOptimizer {
                 rng.fill_bytes(&mut seed);
                 seed
             });
-            let cfg = HyperFitConfig::default();
-            if gp.fit_hyperparameters(&cfg, &mut r).is_ok() {
+            if gp.fit_hyperparameters(&mut r).is_ok() {
                 self.model = Box::new(gp);
                 self.dirty = false;
                 self.n_refits += 1;

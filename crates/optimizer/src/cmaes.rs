@@ -11,23 +11,9 @@ use autotune_linalg::{symmetric_eigen, Matrix};
 use autotune_space::{Config, Space};
 use rand::{Rng, RngCore};
 
-/// CMA-ES hyperparameters; the defaults follow Hansen's tutorial.
-#[derive(Debug, Clone)]
-pub struct CmaEsConfig {
-    /// Population size λ (default `4 + 3 ln d`).
-    pub lambda: Option<usize>,
-    /// Initial step size in unit-cube units.
-    pub sigma0: f64,
-}
-
-impl Default for CmaEsConfig {
-    fn default() -> Self {
-        CmaEsConfig {
-            lambda: None,
-            sigma0: 0.3,
-        }
-    }
-}
+/// Initial step size σ₀ in unit-cube units. The population size λ is
+/// Hansen's `4 + ⌊3 ln d⌋`.
+const SIGMA0: f64 = 0.3;
 
 /// State of the CMA-ES strategy.
 pub struct CmaEs {
@@ -75,12 +61,9 @@ impl std::fmt::Debug for CmaEs {
 impl CmaEs {
     /// Creates a CMA-ES optimizer starting from the space's default
     /// configuration.
-    pub fn new(space: Space, config: CmaEsConfig) -> Self {
+    pub fn new(space: Space) -> Self {
         let dim = space.len().max(1);
-        let lambda = config
-            .lambda
-            .unwrap_or(4 + (3.0 * (dim as f64).ln()).floor() as usize)
-            .max(4);
+        let lambda = 4 + (3.0 * (dim as f64).ln()).floor() as usize;
         let mu = lambda / 2;
         // log-weights: w_i ∝ ln(μ+1/2) − ln(i)
         let raw: Vec<f64> = (1..=mu)
@@ -114,7 +97,7 @@ impl CmaEs {
             damps,
             chi_n,
             mean,
-            sigma: config.sigma0,
+            sigma: SIGMA0,
             cov: Matrix::identity(dim),
             path_c: vec![0.0; dim],
             path_s: vec![0.0; dim],
@@ -316,7 +299,7 @@ mod tests {
 
     #[test]
     fn solves_sphere() {
-        let mut opt = CmaEs::new(sphere_space(), CmaEsConfig::default());
+        let mut opt = CmaEs::new(sphere_space());
         let best = run_loop(&mut opt, sphere, 120, 7);
         assert!(best < 0.01, "CMA-ES best {best} after 120 trials");
     }
@@ -334,14 +317,14 @@ mod tests {
             let b = c.get_f64("b").unwrap();
             100.0 * (b - a * a).powi(2) + (1.0 - a).powi(2)
         };
-        let mut opt = CmaEs::new(space, CmaEsConfig::default());
+        let mut opt = CmaEs::new(space);
         let best = run_loop(&mut opt, rosen, 400, 13);
         assert!(best < 0.5, "CMA-ES Rosenbrock best {best}");
     }
 
     #[test]
     fn sigma_adapts_downward_on_convergence() {
-        let mut opt = CmaEs::new(sphere_space(), CmaEsConfig::default());
+        let mut opt = CmaEs::new(sphere_space());
         let s0 = opt.sigma();
         run_loop(&mut opt, sphere, 200, 17);
         assert!(
@@ -353,14 +336,14 @@ mod tests {
 
     #[test]
     fn lambda_default_scales_with_dim() {
-        let opt = CmaEs::new(sphere_space(), CmaEsConfig::default());
+        let opt = CmaEs::new(sphere_space());
         assert!(opt.lambda() >= 4);
     }
 
     #[test]
     fn nan_observation_ranks_last() {
         let space = sphere_space();
-        let mut opt = CmaEs::new(space.clone(), CmaEsConfig::default());
+        let mut opt = CmaEs::new(space.clone());
         let mut rng = rand::rngs::mock::StepRng::new(0, 0x9E3779B97F4A7C15);
         // Feed a full generation; one crash.
         for i in 0..opt.lambda() {
@@ -375,13 +358,10 @@ mod tests {
     #[test]
     fn suggestions_stay_in_bounds() {
         let space = sphere_space();
-        let mut opt = CmaEs::new(
-            space.clone(),
-            CmaEsConfig {
-                sigma0: 0.9,
-                ..Default::default()
-            },
-        );
+        let mut opt = CmaEs::new(space.clone());
+        // Three times the initial step, so most samples leave the cube and
+        // are clamped.
+        opt.sigma = 3.0 * SIGMA0;
         let mut rng = rand::rngs::mock::StepRng::new(1, 0x9E3779B97F4A7C15);
         for _ in 0..30 {
             let c = opt.suggest(&mut rng);

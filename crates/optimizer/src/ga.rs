@@ -13,30 +13,33 @@ use rand::{Rng, RngCore};
 pub struct GaConfig {
     /// Individuals per generation.
     pub population: usize,
-    /// Tournament size for parent selection.
-    pub tournament: usize,
-    /// Probability of taking each gene from the first parent in crossover.
-    pub crossover_bias: f64,
     /// Per-individual mutation probability.
     pub mutation_rate: f64,
-    /// Mutation step scale in unit-cube units.
-    pub mutation_scale: f64,
-    /// Top individuals copied unchanged into the next generation.
-    pub elites: usize,
 }
 
 impl Default for GaConfig {
     fn default() -> Self {
         GaConfig {
             population: 16,
-            tournament: 3,
-            crossover_bias: 0.5,
             mutation_rate: 0.4,
-            mutation_scale: 0.15,
-            elites: 2,
         }
     }
 }
+
+/// The smallest population [`GeneticAlgorithm::new`] accepts.
+const MIN_POPULATION: usize = 4;
+/// Tournament size for parent selection.
+const TOURNAMENT: usize = 3;
+/// Probability of taking each gene from the first parent in crossover.
+const CROSSOVER_BIAS: f64 = 0.5;
+/// Mutation step scale in unit-cube units.
+const MUTATION_SCALE: f64 = 0.15;
+/// Top individuals copied unchanged into the next generation.
+const ELITES: usize = 2;
+const _: () = assert!(
+    ELITES < MIN_POPULATION,
+    "elites must leave room for offspring"
+);
 
 /// Generational genetic algorithm over a configuration space.
 #[derive(Debug)]
@@ -56,10 +59,9 @@ pub struct GeneticAlgorithm {
 impl GeneticAlgorithm {
     /// Creates a GA over `space`.
     pub fn new(space: Space, config: GaConfig) -> Self {
-        assert!(config.population >= 4, "population must be at least 4");
         assert!(
-            config.elites < config.population,
-            "elites must leave room for offspring"
+            config.population >= MIN_POPULATION,
+            "population must be at least {MIN_POPULATION}"
         );
         GeneticAlgorithm {
             space,
@@ -80,21 +82,20 @@ impl GeneticAlgorithm {
     /// Tournament selection from the scored population.
     fn select<'a>(&'a self, rng: &mut dyn RngCore) -> &'a Config {
         let mut best: Option<&(Config, f64)> = None;
-        // A zero tournament size would select nothing; clamp to one draw.
-        for _ in 0..self.config.tournament.max(1) {
+        for _ in 0..TOURNAMENT {
             let c = &self.scored[rng.gen_range(0..self.scored.len())];
             if best.is_none_or(|b| c.1 < b.1) {
                 best = Some(c);
             }
         }
-        &best.expect("tournament >= 1").0 // lint: allow(D5) loop above clamps to at least one draw
+        &best.expect("tournament >= 1").0 // lint: allow(D5) TOURNAMENT is a positive constant
     }
 
     /// Uniform crossover of two parents at the parameter level.
     fn crossover(&self, a: &Config, b: &Config, rng: &mut dyn RngCore) -> Config {
         let mut child = Config::new();
         for p in self.space.params() {
-            let from_a = rng.gen::<f64>() < self.config.crossover_bias;
+            let from_a = rng.gen::<f64>() < CROSSOVER_BIAS;
             let donor = if from_a { a } else { b };
             // Fall back to the other parent (then default) when the chosen
             // donor deactivated this conditional parameter.
@@ -125,7 +126,7 @@ impl GeneticAlgorithm {
         let mut next: Vec<Config> = self
             .scored
             .iter()
-            .take(self.config.elites)
+            .take(ELITES)
             .map(|(c, _)| c.clone())
             .collect();
         while next.len() < self.config.population {
@@ -133,9 +134,7 @@ impl GeneticAlgorithm {
             let b = self.select(&mut rng).clone();
             let mut child = self.crossover(&a, &b, &mut rng);
             if rng.gen::<f64>() < self.config.mutation_rate {
-                child = self
-                    .space
-                    .neighbor(&child, self.config.mutation_scale, &mut rng);
+                child = self.space.neighbor(&child, MUTATION_SCALE, &mut rng);
             }
             next.push(child);
         }
@@ -210,7 +209,6 @@ mod tests {
     #[test]
     fn elitism_preserves_best() {
         let cfg = GaConfig {
-            elites: 2,
             mutation_rate: 1.0,
             ..Default::default()
         };

@@ -41,12 +41,12 @@ pub mod moo;
 pub use acquisition::AcquisitionFunction;
 pub use annealing::SimulatedAnnealing;
 pub use bo::{BayesianOptimizer, BoConfig, SurrogateChoice};
-pub use cmaes::{CmaEs, CmaEsConfig};
+pub use cmaes::CmaEs;
 pub use ga::{GaConfig, GeneticAlgorithm};
 pub use grid::GridSearch;
 pub use nelder_mead::NelderMead;
-pub use nsga::{NsgaConfig, NsgaII};
-pub use pso::{ParticleSwarm, PsoConfig};
+pub use nsga::NsgaII;
+pub use pso::ParticleSwarm;
 pub use random::RandomSearch;
 
 use autotune_space::{Config, Space};

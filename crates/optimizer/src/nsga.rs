@@ -11,31 +11,17 @@ use crate::moo::{dominates, MultiObservation, ParetoFront};
 use autotune_space::{Config, Space};
 use rand::{Rng, RngCore};
 
-/// NSGA-II settings.
-#[derive(Debug, Clone)]
-pub struct NsgaConfig {
-    /// Individuals per generation.
-    pub population: usize,
-    /// Per-individual mutation probability.
-    pub mutation_rate: f64,
-    /// Mutation step scale in unit-cube units.
-    pub mutation_scale: f64,
-}
-
-impl Default for NsgaConfig {
-    fn default() -> Self {
-        NsgaConfig {
-            population: 24,
-            mutation_rate: 0.5,
-            mutation_scale: 0.15,
-        }
-    }
-}
+/// Individuals per generation.
+const POPULATION: usize = 24;
+const _: () = assert!(POPULATION >= 4, "population must be at least 4");
+/// Per-individual mutation probability.
+const MUTATION_RATE: f64 = 0.5;
+/// Mutation step scale in unit-cube units.
+const MUTATION_SCALE: f64 = 0.15;
 
 /// NSGA-II over a configuration space with `k` objectives (minimization).
 pub struct NsgaII {
     space: Space,
-    config: NsgaConfig,
     n_objectives: usize,
     /// Scored parents surviving selection.
     parents: Vec<MultiObservation>,
@@ -58,12 +44,10 @@ impl std::fmt::Debug for NsgaII {
 
 impl NsgaII {
     /// Creates an NSGA-II optimizer.
-    pub fn new(space: Space, n_objectives: usize, config: NsgaConfig) -> Self {
+    pub fn new(space: Space, n_objectives: usize) -> Self {
         assert!(n_objectives >= 2, "NSGA-II is for multi-objective problems");
-        assert!(config.population >= 4, "population must be at least 4");
         NsgaII {
             space,
-            config,
             n_objectives,
             parents: Vec::new(),
             pending: std::collections::VecDeque::new(),
@@ -89,7 +73,7 @@ impl NsgaII {
         if let Some(c) = self.pending.pop_front() {
             return c;
         }
-        if self.incoming.len() >= self.config.population {
+        if self.incoming.len() >= POPULATION {
             self.evolve(&mut rng);
             if let Some(c) = self.pending.pop_front() {
                 return c;
@@ -125,14 +109,14 @@ impl NsgaII {
         // Non-dominated sorting into fronts.
         let fronts = non_dominated_sort(&pool);
         // Fill the parent set front by front; crowding-sort the last one.
-        let mut parents: Vec<MultiObservation> = Vec::with_capacity(self.config.population);
+        let mut parents: Vec<MultiObservation> = Vec::with_capacity(POPULATION);
         for front in fronts {
-            if parents.len() >= self.config.population {
+            if parents.len() >= POPULATION {
                 break;
             }
             let mut members: Vec<MultiObservation> =
                 front.iter().map(|&i| pool[i].clone()).collect();
-            let remaining = self.config.population - parents.len();
+            let remaining = POPULATION - parents.len();
             if members.len() > remaining {
                 let crowd = crowding_distance(&members);
                 let mut order: Vec<usize> = (0..members.len()).collect();
@@ -148,8 +132,8 @@ impl NsgaII {
         // Breed offspring by binary tournament on (rank via dominance,
         // then uniform) — parents are already the elite, so uniform
         // tournament over them approximates rank selection.
-        let mut offspring = Vec::with_capacity(self.config.population);
-        while offspring.len() < self.config.population {
+        let mut offspring = Vec::with_capacity(POPULATION);
+        while offspring.len() < POPULATION {
             let a = &parents[rng.gen_range(0..parents.len())];
             let b = &parents[rng.gen_range(0..parents.len())];
             let winner = if dominates(&a.objectives, &b.objectives) {
@@ -158,10 +142,8 @@ impl NsgaII {
                 b
             };
             let mut child = winner.config.clone();
-            if rng.gen::<f64>() < self.config.mutation_rate {
-                child = self
-                    .space
-                    .neighbor(&child, self.config.mutation_scale, &mut rng);
+            if rng.gen::<f64>() < MUTATION_RATE {
+                child = self.space.neighbor(&child, MUTATION_SCALE, &mut rng);
             } else {
                 // Uniform crossover with a second tournament winner.
                 let c = &parents[rng.gen_range(0..parents.len())];
@@ -301,7 +283,7 @@ mod tests {
             .add(Param::float("x", -2.0, 3.0))
             .build()
             .unwrap();
-        let mut nsga = NsgaII::new(space, 2, NsgaConfig::default());
+        let mut nsga = NsgaII::new(space, 2);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..300 {
             let cfg = nsga.suggest(&mut rng);
@@ -328,7 +310,7 @@ mod tests {
             .add(Param::float("x", 0.0, 1.0))
             .build()
             .unwrap();
-        let mut nsga = NsgaII::new(space, 2, NsgaConfig::default());
+        let mut nsga = NsgaII::new(space, 2);
         let mut rng = StdRng::seed_from_u64(2);
         for i in 0..60 {
             let cfg = nsga.suggest(&mut rng);
@@ -352,6 +334,6 @@ mod tests {
             .add(Param::float("x", 0.0, 1.0))
             .build()
             .unwrap();
-        let _ = NsgaII::new(space, 1, NsgaConfig::default());
+        let _ = NsgaII::new(space, 1);
     }
 }

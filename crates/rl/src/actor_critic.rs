@@ -14,26 +14,13 @@ use crate::{Result, RlError};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Hyperparameters for [`ActorCritic`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ActorCriticConfig {
-    /// Actor learning rate.
-    pub alpha_actor: f64,
-    /// Critic learning rate.
-    pub alpha_critic: f64,
-    /// Discount factor γ ∈ [0, 1).
-    pub gamma: f64,
-}
-
-impl Default for ActorCriticConfig {
-    fn default() -> Self {
-        ActorCriticConfig {
-            alpha_actor: 0.05,
-            alpha_critic: 0.1,
-            gamma: 0.9,
-        }
-    }
-}
+/// Actor learning rate.
+const ALPHA_ACTOR: f64 = 0.05;
+/// Critic learning rate.
+const ALPHA_CRITIC: f64 = 0.1;
+/// Discount factor γ ∈ [0, 1).
+const GAMMA: f64 = 0.9;
+const _: () = assert!(0.0 <= GAMMA && GAMMA < 1.0, "gamma must be in [0,1)");
 
 /// Linear actor–critic agent over `n_actions` discrete actions and
 /// `n_features`-dimensional state features.
@@ -45,23 +32,20 @@ pub struct ActorCritic {
     actor_w: Vec<Vec<f64>>,
     /// Critic weights.
     critic_w: Vec<f64>,
-    config: ActorCriticConfig,
 }
 
 impl ActorCritic {
     /// Creates a zero-initialized agent.
-    pub fn new(n_features: usize, n_actions: usize, config: ActorCriticConfig) -> Self {
+    pub fn new(n_features: usize, n_actions: usize) -> Self {
         assert!(
             n_features > 0 && n_actions > 0,
             "dimensions must be positive"
         );
-        assert!((0.0..1.0).contains(&config.gamma), "gamma must be in [0,1)");
         ActorCritic {
             n_features,
             n_actions,
             actor_w: vec![vec![0.0; n_features]; n_actions],
             critic_w: vec![0.0; n_features],
-            config,
         }
     }
 
@@ -140,16 +124,16 @@ impl ActorCritic {
         }
         let v = self.value(phi)?;
         let v_next = self.value(phi_next)?;
-        let delta = reward + self.config.gamma * v_next - v;
+        let delta = reward + GAMMA * v_next - v;
         // Critic: v += α_c δ φ(s).
         for (w, &p) in self.critic_w.iter_mut().zip(phi) {
-            *w += self.config.alpha_critic * delta * p;
+            *w += ALPHA_CRITIC * delta * p;
         }
         // Actor: ∇ log π(a|s) = φ(s) (1{a=b} − π(b|s)) for each action b.
         let probs = self.policy(phi)?;
         for (b, w_row) in self.actor_w.iter_mut().enumerate() {
             let indicator = if b == action { 1.0 } else { 0.0 };
-            let coeff = self.config.alpha_actor * delta * (indicator - probs[b]);
+            let coeff = ALPHA_ACTOR * delta * (indicator - probs[b]);
             for (w, &p) in w_row.iter_mut().zip(phi) {
                 *w += coeff * p;
             }
@@ -170,7 +154,7 @@ mod tests {
     /// online tuning.
     #[test]
     fn learns_context_dependent_policy() {
-        let mut agent = ActorCritic::new(2, 2, ActorCriticConfig::default());
+        let mut agent = ActorCritic::new(2, 2);
         let mut rng = StdRng::seed_from_u64(1);
         let contexts = [[1.0, 0.0], [0.0, 1.0]];
         for step in 0..4000 {
@@ -189,7 +173,7 @@ mod tests {
 
     #[test]
     fn critic_tracks_values() {
-        let mut agent = ActorCritic::new(1, 1, ActorCriticConfig::default());
+        let mut agent = ActorCritic::new(1, 1);
         // Single state, single action, constant reward 2: V -> r/(1-γ)·(1-γ)
         // Under TD(0) with a self-loop, V converges to r / (1 − γ).
         for _ in 0..3000 {
@@ -204,7 +188,7 @@ mod tests {
 
     #[test]
     fn policy_is_a_distribution() {
-        let agent = ActorCritic::new(3, 4, ActorCriticConfig::default());
+        let agent = ActorCritic::new(3, 4);
         let p = agent.policy(&[0.2, -0.4, 1.0]).unwrap();
         assert_eq!(p.len(), 4);
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);
@@ -213,7 +197,7 @@ mod tests {
 
     #[test]
     fn td_error_shrinks_with_learning() {
-        let mut agent = ActorCritic::new(1, 1, ActorCriticConfig::default());
+        let mut agent = ActorCritic::new(1, 1);
         let first = agent.update(&[1.0], 0, 1.0, &[1.0]).unwrap().abs();
         for _ in 0..2000 {
             agent.update(&[1.0], 0, 1.0, &[1.0]).unwrap();
@@ -227,7 +211,7 @@ mod tests {
 
     #[test]
     fn dimension_mismatch_rejected() {
-        let mut agent = ActorCritic::new(2, 2, ActorCriticConfig::default());
+        let mut agent = ActorCritic::new(2, 2);
         assert!(matches!(
             agent.policy(&[1.0]),
             Err(RlError::FeatureDimension { .. })
@@ -237,7 +221,7 @@ mod tests {
 
     #[test]
     fn serde_roundtrip() {
-        let mut agent = ActorCritic::new(2, 2, ActorCriticConfig::default());
+        let mut agent = ActorCritic::new(2, 2);
         agent.update(&[1.0, 0.0], 0, 1.0, &[0.0, 1.0]).unwrap();
         let json = serde_json::to_string(&agent).unwrap();
         let back: ActorCritic = serde_json::from_str(&json).unwrap();

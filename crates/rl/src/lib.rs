@@ -27,11 +27,11 @@ mod hybrid;
 mod qlearning;
 mod safe;
 
-pub use actor_critic::{ActorCritic, ActorCriticConfig};
+pub use actor_critic::ActorCritic;
 pub use contextual::{ContextualEpsilonGreedy, LinUcb};
 pub use hybrid::{ContextKey, HybridBandit};
 pub use qlearning::{QLearning, QLearningConfig, Sarsa};
-pub use safe::{SafeDecision, SafeTuner, SafeTunerConfig};
+pub use safe::{SafeDecision, SafeTuner};
 
 /// Errors produced by online tuners.
 #[derive(Debug, Clone, PartialEq)]

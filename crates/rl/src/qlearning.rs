@@ -13,29 +13,27 @@ use serde::{Deserialize, Serialize};
 /// Hyperparameters shared by [`QLearning`] and [`Sarsa`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct QLearningConfig {
-    /// Learning rate α ∈ (0, 1].
-    pub alpha: f64,
     /// Discount factor γ ∈ [0, 1).
     pub gamma: f64,
-    /// Exploration probability ε ∈ [0, 1].
-    pub epsilon: f64,
     /// Multiplicative ε decay applied after each update.
     pub epsilon_decay: f64,
-    /// Floor for ε.
-    pub epsilon_min: f64,
 }
 
 impl Default for QLearningConfig {
     fn default() -> Self {
         QLearningConfig {
-            alpha: 0.2,
             gamma: 0.9,
-            epsilon: 0.3,
             epsilon_decay: 0.995,
-            epsilon_min: 0.02,
         }
     }
 }
+
+/// Learning rate α ∈ (0, 1].
+const ALPHA: f64 = 0.2;
+/// Initial exploration probability ε ∈ [0, 1].
+const EPSILON: f64 = 0.3;
+/// Floor for ε.
+const EPSILON_MIN: f64 = 0.02;
 
 /// Shared table + ε-greedy machinery.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -44,6 +42,8 @@ struct Table {
     n_actions: usize,
     q: Vec<f64>,
     config: QLearningConfig,
+    /// Current exploration probability, decaying from [`EPSILON`].
+    epsilon: f64,
 }
 
 impl Table {
@@ -55,6 +55,7 @@ impl Table {
             n_actions,
             q: vec![0.0; n_states * n_actions],
             config,
+            epsilon: EPSILON,
         }
     }
 
@@ -93,7 +94,7 @@ impl Table {
     }
 
     fn select(&self, s: usize, rng: &mut impl Rng) -> usize {
-        if rng.gen::<f64>() < self.config.epsilon {
+        if rng.gen::<f64>() < self.epsilon {
             rng.gen_range(0..self.n_actions)
         } else {
             self.greedy(s)
@@ -101,8 +102,7 @@ impl Table {
     }
 
     fn decay_epsilon(&mut self) {
-        self.config.epsilon =
-            (self.config.epsilon * self.config.epsilon_decay).max(self.config.epsilon_min);
+        self.epsilon = (self.epsilon * self.config.epsilon_decay).max(EPSILON_MIN);
     }
 
     fn max_q(&self, s: usize) -> f64 {
@@ -138,7 +138,7 @@ impl QLearning {
 
     /// Current exploration rate.
     pub fn epsilon(&self) -> f64 {
-        self.table.config.epsilon
+        self.table.epsilon
     }
 
     /// Q-learning update:
@@ -161,9 +161,8 @@ impl QLearning {
             return Ok(());
         }
         let target = reward + self.table.config.gamma * self.table.max_q(next_state);
-        let alpha = self.table.config.alpha;
         let q = self.table.q_mut(state, action);
-        *q += alpha * (target - *q);
+        *q += ALPHA * (target - *q);
         self.table.decay_epsilon();
         Ok(())
     }
@@ -213,9 +212,8 @@ impl Sarsa {
             return Ok(());
         }
         let target = reward + self.table.config.gamma * self.table.q(next_state, next_action);
-        let alpha = self.table.config.alpha;
         let q = self.table.q_mut(state, action);
-        *q += alpha * (target - *q);
+        *q += ALPHA * (target - *q);
         self.table.decay_epsilon();
         Ok(())
     }

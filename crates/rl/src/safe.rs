@@ -5,41 +5,26 @@
 //!
 //! * a **baseline** (the incumbent configuration's running cost);
 //! * a **guardrail**: a candidate whose measured cost exceeds
-//!   `baseline * (1 + tolerance)` is immediately reverted and, after
+//!   `baseline * (1 + TOLERANCE)` is immediately reverted and, after
 //!   repeated violations, blacklisted (OnlineTune/LOCAT-style safety);
 //! * **trust region** promotion: a candidate only becomes the new
-//!   incumbent after `promote_after` consecutive measurements at or below
+//!   incumbent after `PROMOTE_AFTER` consecutive measurements at or below
 //!   the baseline.
 //!
 //! Cost convention: **minimize** (it guards system metrics, which arrive
 //! as latency/cost).
 
 use autotune_linalg::stats::RunningStats;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Guardrail settings.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SafeTunerConfig {
-    /// Allowed relative regression over the baseline before a candidate is
-    /// rejected (e.g. 0.1 = 10 %).
-    pub tolerance: f64,
-    /// Consecutive in-budget measurements required to promote a candidate
-    /// to incumbent.
-    pub promote_after: usize,
-    /// Guardrail violations before a candidate is blacklisted outright.
-    pub blacklist_after: usize,
-}
-
-impl Default for SafeTunerConfig {
-    fn default() -> Self {
-        SafeTunerConfig {
-            tolerance: 0.1,
-            promote_after: 3,
-            blacklist_after: 2,
-        }
-    }
-}
+/// Allowed relative regression over the baseline before a candidate is
+/// rejected (0.1 = 10 %).
+const TOLERANCE: f64 = 0.1;
+/// Consecutive in-budget measurements required to promote a candidate to
+/// incumbent.
+const PROMOTE_AFTER: usize = 3;
+/// Guardrail violations before a candidate is blacklisted outright.
+const BLACKLIST_AFTER: usize = 2;
 
 /// What the tuner decided after a measurement.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,9 +44,8 @@ pub enum SafeDecision {
 /// Generic over how candidates are produced — callers pass candidate keys
 /// (rendered configurations) plus measured costs; the wrapped search policy
 /// lives outside.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SafeTuner {
-    config: SafeTunerConfig,
     baseline: RunningStats,
     /// Current candidate under evaluation: key and its in-budget streak.
     candidate: Option<(String, usize)>,
@@ -72,14 +56,8 @@ pub struct SafeTuner {
 
 impl SafeTuner {
     /// Creates a tuner; feed baseline measurements before exploring.
-    pub fn new(config: SafeTunerConfig) -> Self {
-        SafeTuner {
-            config,
-            baseline: RunningStats::new(),
-            candidate: None,
-            violations: BTreeMap::new(),
-            blacklist: std::collections::BTreeSet::new(),
-        }
+    pub fn new() -> Self {
+        SafeTuner::default()
     }
 
     /// Records a measurement of the *incumbent* configuration.
@@ -96,7 +74,7 @@ impl SafeTuner {
 
     /// The guardrail threshold candidates must stay under.
     pub fn guardrail(&self) -> f64 {
-        self.baseline_cost() * (1.0 + self.config.tolerance)
+        self.baseline_cost() * (1.0 + TOLERANCE)
     }
 
     /// Asks whether `key` may be evaluated at all. Admission registers the
@@ -133,14 +111,14 @@ impl SafeTuner {
             let v = self.violations.entry(key.to_string()).or_insert(0);
             *v += 1;
             self.candidate = None;
-            if *v >= self.config.blacklist_after {
+            if *v >= BLACKLIST_AFTER {
                 self.blacklist.insert(key.to_string());
                 return SafeDecision::Blacklisted;
             }
             return SafeDecision::Reverted;
         }
         let streak = streak + 1;
-        if streak >= self.config.promote_after {
+        if streak >= PROMOTE_AFTER {
             // Candidate becomes the incumbent; its measurements seed the
             // new baseline.
             self.baseline = RunningStats::new();
@@ -160,7 +138,7 @@ mod tests {
     use super::*;
 
     fn seeded_tuner() -> SafeTuner {
-        let mut t = SafeTuner::new(SafeTunerConfig::default());
+        let mut t = SafeTuner::new();
         for _ in 0..5 {
             t.observe_baseline(10.0);
         }
@@ -218,7 +196,7 @@ mod tests {
 
     #[test]
     fn no_baseline_still_enforces_one_candidate() {
-        let mut t = SafeTuner::new(SafeTunerConfig::default());
+        let mut t = SafeTuner::new();
         assert!(t.admit("anything"));
         assert!(!t.admit("anything_else"), "one candidate at a time");
         // Without a baseline a finite cost cannot breach.

@@ -25,8 +25,6 @@ pub struct NoiseConfig {
     pub machine_sigma: f64,
     /// Amplitude of the slow temporal drift (fraction of nominal).
     pub drift_amplitude: f64,
-    /// Period of the drift, in trial units.
-    pub drift_period: f64,
     /// Probability a trial is hit by a transient spike.
     pub spike_probability: f64,
     /// Mean multiplicative size of a spike (Pareto-ish tail).
@@ -38,7 +36,6 @@ impl Default for NoiseConfig {
         NoiseConfig {
             machine_sigma: 0.12,
             drift_amplitude: 0.08,
-            drift_period: 60.0,
             spike_probability: 0.05,
             spike_scale: 0.5,
         }
@@ -51,12 +48,14 @@ impl NoiseConfig {
         NoiseConfig {
             machine_sigma: 0.0,
             drift_amplitude: 0.0,
-            drift_period: 60.0,
             spike_probability: 0.0,
             spike_scale: 0.0,
         }
     }
 }
+
+/// Period of the temporal drift, in trial units.
+const DRIFT_PERIOD: f64 = 60.0;
 
 /// One machine in the fleet.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -119,8 +118,7 @@ impl CloudNoise {
     pub fn factor_at(&self, machine: &Machine, t: f64, rng: &mut dyn RngCore) -> f64 {
         let drift = 1.0
             + self.config.drift_amplitude
-                * (std::f64::consts::TAU * t / self.config.drift_period + machine.drift_phase)
-                    .sin();
+                * (std::f64::consts::TAU * t / DRIFT_PERIOD + machine.drift_phase).sin();
         let spike = if rng.gen::<f64>() < self.config.spike_probability {
             // Pareto-ish: 1 + scale * (1/u - 1) capped to keep trials finite.
             let u: f64 = rng.gen::<f64>().max(0.02);
@@ -196,7 +194,6 @@ mod tests {
             drift_amplitude: 0.0,
             spike_probability: 0.1,
             spike_scale: 1.0,
-            ..Default::default()
         };
         let fleet = CloudNoise::new_fleet(1, cfg, 6);
         let m = fleet.machine(0);

@@ -10,79 +10,73 @@
 
 use crate::Environment;
 use autotune_space::{Param, Space};
-use serde::{Deserialize, Serialize};
 
 /// One extracted hint about a knob.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct KnobHint {
+struct KnobHint {
     /// Knob name in the system's space.
-    pub knob: String,
+    knob: &'static str,
     /// Biased sub-range in unit-cube coordinates of the knob's axis
     /// (`(0.0, 1.0)` = no restriction).
-    pub range01: (f64, f64),
+    range01: (f64, f64),
     /// Optional truncated-normal prior `(mean01, std01)` inside the range.
-    pub prior01: Option<(f64, f64)>,
-    /// Importance rank among the system's knobs (1 = most important).
-    pub importance_rank: usize,
-    /// The "manual quote" motivating the hint.
-    pub rationale: &'static str,
+    prior01: Option<(f64, f64)>,
 }
 
-/// Hints for the DBMS simulator's knobs on a given environment —
-/// the kind of advice a model reads out of MySQL/PostgreSQL manuals.
-pub fn dbms_manual_hints(env: &Environment) -> Vec<KnobHint> {
+/// Hints for the DBMS simulator's knobs on a given environment — the kind
+/// of advice a model reads out of MySQL/PostgreSQL manuals — most
+/// important first, each under the manual quote that motivates it.
+fn dbms_manual_hints(env: &Environment) -> [KnobHint; 5] {
     // "innodb_buffer_pool_size: typically 50-75% of system memory."
     // Map the GB recommendation into unit coords of the log-scaled axis
     // [0.125, 64] GB: u = ln(v/0.125) / ln(64/0.125).
     let bp_unit = |gb: f64| ((gb / 0.125).ln() / (64.0 / 0.125f64).ln()).clamp(0.0, 1.0);
     let lo = bp_unit(0.5 * env.ram_gb);
     let hi = bp_unit(0.8 * env.ram_gb);
-    vec![
+    [
+        // Buffer pool: 50-80% of system memory; the single most impactful
+        // setting.
         KnobHint {
-            knob: "buffer_pool_gb".into(),
+            knob: "buffer_pool_gb",
             range01: (lo, hi),
             prior01: Some(((lo + hi) / 2.0, 0.1)),
-            importance_rank: 1,
-            rationale: "buffer pool: 50-80% of system memory; the single most impactful setting",
         },
+        // O_DIRECT avoids double buffering on most Linux filesystems.
         KnobHint {
-            knob: "flush_method".into(),
+            knob: "flush_method",
             range01: (0.0, 1.0),
             prior01: None,
-            importance_rank: 2,
-            rationale: "O_DIRECT avoids double buffering on most Linux filesystems",
         },
+        // Redo logs sized for ~1h of writes; small logs cause checkpoint
+        // storms. Favour large logs on the log-scaled axis.
         KnobHint {
-            knob: "log_file_size_mb".into(),
-            range01: (0.6, 1.0), // favour large logs on the log-scaled axis
+            knob: "log_file_size_mb",
+            range01: (0.6, 1.0),
             prior01: Some((0.8, 0.15)),
-            importance_rank: 3,
-            rationale: "redo logs sized for ~1h of writes; small logs cause checkpoint storms",
         },
+        // Threads ~ 2x cores; beyond that context switching dominates.
         KnobHint {
-            knob: "worker_threads".into(),
+            knob: "worker_threads",
             range01: (0.2, 0.7),
             prior01: Some((0.45, 0.15)),
-            importance_rank: 4,
-            rationale: "threads ~ 2x cores; beyond that context switching dominates",
         },
+        // More background I/O threads help on SSD/NVMe.
         KnobHint {
-            knob: "io_threads".into(),
+            knob: "io_threads",
             range01: (0.3, 1.0),
             prior01: None,
-            importance_rank: 5,
-            rationale: "more background I/O threads help on SSD/NVMe",
         },
     ]
 }
 
-/// Applies hints to a space: narrows numeric ranges to the biased
-/// sub-range and installs the priors. Unhinted knobs pass through
-/// untouched, so the tuner can still correct a wrong manual.
+/// The DBMS simulator's `space` biased by the manual hints for `env`:
+/// numeric ranges narrowed to the hinted sub-range, with the hinted
+/// priors installed. Unhinted knobs pass through untouched, so the tuner
+/// can still correct a wrong manual.
 ///
-/// Categorical/bool knobs cannot be range-narrowed (the hint's
-/// `range01` is ignored for them); priors apply to numeric axes only.
-pub fn apply_hints(space: &Space, hints: &[KnobHint]) -> Space {
+/// Categorical/bool knobs cannot be range-narrowed (a hint's range is
+/// ignored for them); priors apply to numeric axes only.
+pub fn dbms_hinted_space(space: &Space, env: &Environment) -> Space {
+    let hints = dbms_manual_hints(env);
     let mut builder = Space::builder();
     for p in space.params() {
         let hint = hints.iter().find(|h| h.knob == p.name);
@@ -152,8 +146,7 @@ mod tests {
     #[test]
     fn dbms_hints_narrow_buffer_pool_to_ram_share() {
         let env = Environment::medium(); // 16 GB
-        let hints = dbms_manual_hints(&env);
-        let space = apply_hints(DbmsSim::new().space(), &hints);
+        let space = dbms_hinted_space(DbmsSim::new().space(), &env);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..100 {
             let cfg = space.sample(&mut rng);
@@ -168,7 +161,7 @@ mod tests {
     #[test]
     fn hinted_space_keeps_conditions_and_constraints() {
         let env = Environment::medium();
-        let space = apply_hints(DbmsSim::new().space(), &dbms_manual_hints(&env));
+        let space = dbms_hinted_space(DbmsSim::new().space(), &env);
         assert_eq!(
             space.conditions().len(),
             DbmsSim::new().space().conditions().len()
@@ -190,19 +183,9 @@ mod tests {
     fn unhinted_knobs_untouched() {
         let env = Environment::medium();
         let orig = DbmsSim::new();
-        let space = apply_hints(orig.space(), &dbms_manual_hints(&env));
+        let space = dbms_hinted_space(orig.space(), &env);
         let orig_qc = orig.space().param("query_cache").expect("exists");
         let new_qc = space.param("query_cache").expect("exists");
         assert_eq!(orig_qc.domain, new_qc.domain);
-    }
-
-    #[test]
-    fn hints_sorted_by_importance_are_complete() {
-        let env = Environment::small();
-        let hints = dbms_manual_hints(&env);
-        let mut ranks: Vec<usize> = hints.iter().map(|h| h.importance_rank).collect();
-        ranks.sort_unstable();
-        assert_eq!(ranks, vec![1, 2, 3, 4, 5]);
-        assert!(hints.iter().all(|h| !h.rationale.is_empty()));
     }
 }

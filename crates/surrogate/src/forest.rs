@@ -11,36 +11,17 @@ use crate::{check_training_set, Prediction, Result, Surrogate};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Tuning parameters for [`RandomForest`].
-#[derive(Debug, Clone)]
-pub struct RandomForestConfig {
-    /// Number of trees in the ensemble.
-    pub n_trees: usize,
-    /// Maximum tree depth.
-    pub max_depth: usize,
-    /// Minimum samples per leaf.
-    pub min_samples_leaf: usize,
-    /// Fraction of features considered at each split (0, 1]; SMAC uses
-    /// ~5/6, classic random forests use sqrt(d)/d.
-    pub feature_fraction: f64,
-    /// Bootstrap-resample the training set per tree.
-    pub bootstrap: bool,
-    /// RNG seed for reproducible fits.
-    pub seed: u64,
-}
-
-impl Default for RandomForestConfig {
-    fn default() -> Self {
-        RandomForestConfig {
-            n_trees: 30,
-            max_depth: 16,
-            min_samples_leaf: 3,
-            feature_fraction: 5.0 / 6.0,
-            bootstrap: true,
-            seed: 0,
-        }
-    }
-}
+/// Number of trees in the ensemble.
+const N_TREES: usize = 30;
+/// Maximum tree depth.
+const MAX_DEPTH: usize = 16;
+/// Minimum samples per leaf.
+const MIN_SAMPLES_LEAF: usize = 3;
+/// Fraction of features considered at each split (0, 1]; SMAC uses ~5/6,
+/// classic random forests use sqrt(d)/d.
+const FEATURE_FRACTION: f64 = 5.0 / 6.0;
+/// RNG seed of every fit: a fit is a function of its training set.
+const SEED: u64 = 0;
 
 /// One node of a regression tree, arena-allocated.
 #[derive(Debug, Clone)]
@@ -66,22 +47,15 @@ struct Tree {
 }
 
 impl Tree {
-    fn fit(
-        xs: &[Vec<f64>],
-        ys: &[f64],
-        idx: &mut [usize],
-        config: &RandomForestConfig,
-        rng: &mut StdRng,
-    ) -> Tree {
+    fn fit(xs: &[Vec<f64>], ys: &[f64], idx: &mut [usize], rng: &mut StdRng) -> Tree {
         let mut tree = Tree { nodes: Vec::new() };
         let d = xs[0].len();
-        let n_features = ((d as f64 * config.feature_fraction).ceil() as usize).clamp(1, d);
-        tree.build(xs, ys, idx, 0, n_features, config, rng);
+        let n_features = ((d as f64 * FEATURE_FRACTION).ceil() as usize).clamp(1, d);
+        tree.build(xs, ys, idx, 0, n_features, rng);
         tree
     }
 
     /// Recursively builds the subtree over `idx`, returning its arena index.
-    #[allow(clippy::too_many_arguments)]
     fn build(
         &mut self,
         xs: &[Vec<f64>],
@@ -89,7 +63,6 @@ impl Tree {
         idx: &mut [usize],
         depth: usize,
         n_features: usize,
-        config: &RandomForestConfig,
         rng: &mut StdRng,
     ) -> usize {
         let targets: Vec<f64> = idx.iter().map(|&i| ys[i]).collect();
@@ -99,8 +72,7 @@ impl Tree {
             nodes.push(Node::Leaf { mean, variance });
             nodes.len() - 1
         };
-        if depth >= config.max_depth || idx.len() < 2 * config.min_samples_leaf || variance <= 1e-24
-        {
+        if depth >= MAX_DEPTH || idx.len() < 2 * MIN_SAMPLES_LEAF || variance <= 1e-24 {
             return make_leaf(&mut self.nodes);
         }
 
@@ -127,7 +99,7 @@ impl Tree {
                 prefix_sq[i + 1] = prefix_sq[i] + v * v;
             }
             let total_sq_err = prefix_sq[n] - prefix_sum[n] * prefix_sum[n] / n as f64;
-            for split in config.min_samples_leaf..=(n - config.min_samples_leaf) {
+            for split in MIN_SAMPLES_LEAF..=(n - MIN_SAMPLES_LEAF) {
                 let xa = xs[order[split - 1]][f];
                 let xb = xs[order[split]][f];
                 if xb - xa < 1e-12 {
@@ -163,8 +135,8 @@ impl Tree {
             right: usize::MAX,
         });
         let (left_idx, right_idx) = idx.split_at_mut(split_at);
-        let left = self.build(xs, ys, left_idx, depth + 1, n_features, config, rng);
-        let right = self.build(xs, ys, right_idx, depth + 1, n_features, config, rng);
+        let left = self.build(xs, ys, left_idx, depth + 1, n_features, rng);
+        let right = self.build(xs, ys, right_idx, depth + 1, n_features, rng);
         if let Node::Split {
             left: l, right: r, ..
         } = &mut self.nodes[node_idx]
@@ -221,24 +193,17 @@ fn partition<T: Copy>(xs: &mut [T], pred: impl Fn(&T) -> bool) -> usize {
 /// Random-forest regressor with SMAC-style uncertainty estimates.
 #[derive(Debug, Clone)]
 pub struct RandomForest {
-    config: RandomForestConfig,
     trees: Vec<Tree>,
     n_train: usize,
 }
 
 impl RandomForest {
     /// Creates an unfitted forest.
-    pub fn new(config: RandomForestConfig) -> Self {
+    pub fn default_forest() -> Self {
         RandomForest {
-            config,
             trees: Vec::new(),
             n_train: 0,
         }
-    }
-
-    /// Creates a forest with default settings.
-    pub fn default_forest() -> Self {
-        RandomForest::new(RandomForestConfig::default())
     }
 }
 
@@ -246,15 +211,16 @@ impl Surrogate for RandomForest {
     fn fit(&mut self, xs: &[Vec<f64>], ys: &[f64]) -> Result<()> {
         check_training_set(xs, ys)?;
         let n = xs.len();
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        self.trees = (0..self.config.n_trees)
+        let mut rng = StdRng::seed_from_u64(SEED);
+        self.trees = (0..N_TREES)
             .map(|_| {
-                let mut idx: Vec<usize> = if self.config.bootstrap && n > 1 {
+                // Each tree fits a bootstrap resample of the training set.
+                let mut idx: Vec<usize> = if n > 1 {
                     (0..n).map(|_| rng.gen_range(0..n)).collect()
                 } else {
                     (0..n).collect()
                 };
-                Tree::fit(xs, ys, &mut idx, &self.config, &mut rng)
+                Tree::fit(xs, ys, &mut idx, &mut rng)
             })
             .collect();
         self.n_train = n;
@@ -336,10 +302,7 @@ mod tests {
                 ys.push(if a > 0.6 && b > 0.6 { 10.0 } else { 0.0 });
             }
         }
-        let mut rf = RandomForest::new(RandomForestConfig {
-            n_trees: 50,
-            ..Default::default()
-        });
+        let mut rf = RandomForest::default_forest();
         rf.fit(&xs, &ys).unwrap();
         assert!(rf.predict(&[0.9, 0.9]).mean > 7.0);
         assert!(rf.predict(&[0.9, 0.1]).mean < 3.0);

@@ -16,36 +16,30 @@ use crate::{check_training_set, Kernel, Prediction, Result, Surrogate, Surrogate
 use autotune_linalg::{Cholesky, Matrix};
 use rand::Rng;
 
-/// Configuration for marginal-likelihood hyperparameter fitting.
-#[derive(Debug, Clone)]
-pub struct HyperFitConfig {
+/// The restarts and noise bounds of
+/// [`GaussianProcess::fit_hyperparameters`]: always `HYPER_FIT`, except in
+/// the tests below, which need other values to reach the fault path and the
+/// noise-only restarts on their own.
+struct HyperFit {
     /// Number of random restarts sampled from the search ranges.
-    pub n_candidates: usize,
-    /// Log-space search half-width around the current parameter values.
-    pub log_range: f64,
-    /// Also fit the observation-noise variance.
-    pub fit_noise: bool,
+    n_candidates: usize,
     /// Noise search bounds (variance), log-uniform.
-    pub noise_bounds: (f64, f64),
+    noise_bounds: (f64, f64),
     /// Extra restarts that keep the incumbent kernel parameters and only
-    /// redraw the noise (ignored when `fit_noise` is off). These reuse the
-    /// cached noiseless kernel matrix and merely re-add the diagonal, so
-    /// they cost one Cholesky each instead of n² kernel evaluations plus a
-    /// Cholesky.
-    pub n_noise_candidates: usize,
+    /// redraw the noise. These reuse the cached noiseless kernel matrix and
+    /// merely re-add the diagonal, so they cost one Cholesky each instead
+    /// of n² kernel evaluations plus a Cholesky.
+    n_noise_candidates: usize,
 }
 
-impl Default for HyperFitConfig {
-    fn default() -> Self {
-        HyperFitConfig {
-            n_candidates: 50,
-            log_range: 3.0,
-            fit_noise: true,
-            noise_bounds: (1e-8, 1e-1),
-            n_noise_candidates: 16,
-        }
-    }
-}
+const HYPER_FIT: HyperFit = HyperFit {
+    n_candidates: 50,
+    noise_bounds: (1e-8, 1e-1),
+    n_noise_candidates: 16,
+};
+
+/// Log-space search half-width around the current parameter values.
+const LOG_RANGE: f64 = 3.0;
 
 /// Candidate batches at or above this size are scored on parallel threads.
 const MIN_PAR_CANDIDATES: usize = 8;
@@ -299,8 +293,8 @@ impl GaussianProcess {
     }
 
     /// Maximizes the log marginal likelihood over kernel hyperparameters
-    /// (and optionally the noise) by random multi-start search around the
-    /// current values. Returns the best LML found.
+    /// and the noise by random multi-start search around the current
+    /// values. Returns the best LML found.
     ///
     /// Random search is deliberate: it is derivative-free, trivially
     /// correct for composite kernels, and at the trial counts autotuning
@@ -312,11 +306,11 @@ impl GaussianProcess {
     /// functions of the frozen training set, with a deterministic
     /// index-ordered argmax — results are independent of thread count and
     /// interleaving. On any error the GP is left in its pre-call state.
-    pub fn fit_hyperparameters(
-        &mut self,
-        config: &HyperFitConfig,
-        rng: &mut impl Rng,
-    ) -> Result<f64> {
+    pub fn fit_hyperparameters(&mut self, rng: &mut impl Rng) -> Result<f64> {
+        self.fit_hyperparameters_with(&HYPER_FIT, rng)
+    }
+
+    fn fit_hyperparameters_with(&mut self, config: &HyperFit, rng: &mut impl Rng) -> Result<f64> {
         if self.x_train.is_empty() {
             return Err(SurrogateError::EmptyTrainingSet);
         }
@@ -337,23 +331,16 @@ impl GaussianProcess {
             let cand: Vec<f64> = (0..base.len())
                 .map(|j| {
                     let c = center.get(j).copied().unwrap_or(0.0);
-                    c + rng.gen_range(-config.log_range..config.log_range)
+                    c + rng.gen_range(-LOG_RANGE..LOG_RANGE)
                 })
                 .collect();
-            let noise = if config.fit_noise {
-                noise_from(rng.gen())
-            } else {
-                base_noise
-            };
-            cands.push((cand, noise));
+            cands.push((cand, noise_from(rng.gen())));
         }
-        if config.fit_noise {
-            // Noise-only restarts around the incumbent kernel; these reuse
-            // the cached noiseless K below. Drawn after the full restarts
-            // so the draws above keep their historical stream positions.
-            for _ in 0..config.n_noise_candidates {
-                cands.push((base.clone(), noise_from(rng.gen())));
-            }
+        // Noise-only restarts around the incumbent kernel; these reuse the
+        // cached noiseless K below. Drawn after the full restarts so the
+        // draws above keep their historical stream positions.
+        for _ in 0..config.n_noise_candidates {
+            cands.push((base.clone(), noise_from(rng.gen())));
         }
         self.ensure_k_cache();
         let this: &Self = self;
@@ -767,9 +754,7 @@ mod tests {
         gp.fit(&xs, &ys).unwrap();
         let before = gp.log_marginal_likelihood();
         let mut rng = StdRng::seed_from_u64(42);
-        let after = gp
-            .fit_hyperparameters(&HyperFitConfig::default(), &mut rng)
-            .unwrap();
+        let after = gp.fit_hyperparameters(&mut rng).unwrap();
         assert!(after > before, "LML {after} should beat initial {before}");
         // And the fit should now interpolate decently.
         let p = gp.predict(&[0.5]);
@@ -909,12 +894,12 @@ mod tests {
         let noise_before = gp.noise();
         let lml_before = gp.log_marginal_likelihood();
         let pred_before = gp.predict(&[0.42]);
-        let cfg = HyperFitConfig {
+        let cfg = HyperFit {
             noise_bounds: (f64::NAN, f64::NAN),
-            ..HyperFitConfig::default()
+            ..HYPER_FIT
         };
         let mut rng = StdRng::seed_from_u64(3);
-        let got = gp.fit_hyperparameters(&cfg, &mut rng).unwrap();
+        let got = gp.fit_hyperparameters_with(&cfg, &mut rng).unwrap();
         assert_eq!(got, lml_before, "no candidate can beat the incumbent");
         assert_eq!(gp.kernel().params(), params_before);
         assert_eq!(gp.noise(), noise_before);
@@ -934,13 +919,13 @@ mod tests {
         gp.fit(&xs, &ys).unwrap();
         let params_before = gp.kernel().params();
         let before = gp.log_marginal_likelihood();
-        let cfg = HyperFitConfig {
+        let cfg = HyperFit {
             n_candidates: 0,
             n_noise_candidates: 40,
-            ..HyperFitConfig::default()
+            ..HYPER_FIT
         };
         let mut rng = StdRng::seed_from_u64(11);
-        let after = gp.fit_hyperparameters(&cfg, &mut rng).unwrap();
+        let after = gp.fit_hyperparameters_with(&cfg, &mut rng).unwrap();
         assert!(
             after >= before,
             "noise search can only improve: {after} vs {before}"
@@ -967,18 +952,18 @@ mod tests {
         };
         let mut a = mk();
         let mut b = mk();
-        let cfg_a = HyperFitConfig {
+        let cfg_a = HyperFit {
             n_noise_candidates: 0,
-            ..HyperFitConfig::default()
+            ..HYPER_FIT
         };
-        let cfg_b = HyperFitConfig {
+        let cfg_b = HyperFit {
             n_noise_candidates: 64,
-            ..HyperFitConfig::default()
+            ..HYPER_FIT
         };
         let mut rng_a = StdRng::seed_from_u64(9);
         let mut rng_b = StdRng::seed_from_u64(9);
-        let lml_a = a.fit_hyperparameters(&cfg_a, &mut rng_a).unwrap();
-        let lml_b = b.fit_hyperparameters(&cfg_b, &mut rng_b).unwrap();
+        let lml_a = a.fit_hyperparameters_with(&cfg_a, &mut rng_a).unwrap();
+        let lml_b = b.fit_hyperparameters_with(&cfg_b, &mut rng_b).unwrap();
         // Extra noise-only candidates can only match or improve the LML.
         assert!(lml_b >= lml_a);
     }

@@ -44,8 +44,8 @@ mod multitask;
 mod sparse;
 mod turbo;
 
-pub use forest::{RandomForest, RandomForestConfig};
-pub use gp::{GaussianProcess, HyperFitConfig};
+pub use forest::RandomForest;
+pub use gp::GaussianProcess;
 pub use kernel::{
     ConstantKernel, Kernel, LinearKernel, Matern12, Matern32, Matern52, PeriodicKernel,
     ProductKernel, Rbf, SumKernel,
@@ -197,7 +197,7 @@ mod tests {
                 kernel(),
                 TrustRegionConfig::default(),
             )),
-            Box::new(RandomForest::new(RandomForestConfig::default())),
+            Box::new(RandomForest::default_forest()),
         ];
         for mut model in models {
             model.fit(&xs, &ys).unwrap();

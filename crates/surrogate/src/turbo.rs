@@ -3,9 +3,9 @@
 //! Instead of modeling the whole space with one global GP, maintain a
 //! dense [`GaussianProcess`] over only the points inside an L∞ ball (the
 //! *trust region*) around the incumbent, with deterministic expand/shrink
-//! rules driven by success/failure counters: `succ_tol` consecutive
-//! incumbent improvements double the radius, `fail_tol` consecutive
-//! non-improvements halve it, both clamped to `[min_radius, max_radius]`.
+//! rules driven by success/failure counters: `SUCC_TOL` consecutive
+//! incumbent improvements double the radius, `FAIL_TOL` consecutive
+//! non-improvements halve it, both clamped to `[MIN_RADIUS, MAX_RADIUS]`.
 //! The local model is capped at `max_local` points, so suggest latency and
 //! observe cost are O(max_local²) regardless of how many observations the
 //! campaign has accumulated — the TuRBO escape hatch from cubic global GPs
@@ -28,18 +28,9 @@ pub struct TrustRegionConfig {
     /// Cap on local-model size; observe/suggest cost is O(max_local²).
     pub max_local: usize,
     /// Initial trust-region half-width (L∞, in encoded-space units where
-    /// the unit cube spans [0, 1]).
+    /// the unit cube spans [0, 1]), clamped to
+    /// `[MIN_RADIUS, MAX_RADIUS]`.
     pub init_radius: f64,
-    /// Radius floor — the region never collapses below this.
-    pub min_radius: f64,
-    /// Radius ceiling.
-    pub max_radius: f64,
-    /// Consecutive incumbent improvements before the radius doubles.
-    pub succ_tol: u32,
-    /// Consecutive non-improvements before the radius halves.
-    pub fail_tol: u32,
-    /// Observation-noise variance of the local GP.
-    pub noise: f64,
 }
 
 impl Default for TrustRegionConfig {
@@ -47,21 +38,32 @@ impl Default for TrustRegionConfig {
         TrustRegionConfig {
             max_local: 256,
             init_radius: 0.4,
-            min_radius: 1.0 / 64.0,
-            max_radius: 1.6,
-            succ_tol: 3,
-            fail_tol: 8,
-            noise: 1e-6,
         }
     }
 }
+
+/// Radius ceiling.
+const MAX_RADIUS: f64 = 1.6;
+const _: () = assert!(
+    0.0 < TrustRegionSurrogate::MIN_RADIUS && TrustRegionSurrogate::MIN_RADIUS <= MAX_RADIUS,
+    "radius bounds must satisfy 0 < min <= max"
+);
+/// Consecutive incumbent improvements before the radius doubles.
+const SUCC_TOL: u32 = 3;
+/// Consecutive non-improvements before the radius halves.
+const FAIL_TOL: u32 = 8;
+/// Observation-noise variance of the local GP.
+const NOISE: f64 = 1e-6;
 
 /// A surrogate that fits a dense GP over the trust region around the
 /// incumbent, with TuRBO expand/shrink dynamics.
 pub struct TrustRegionSurrogate {
     /// Kernel template; each local rebuild clones it fresh.
     kernel: Box<dyn Kernel>,
-    config: TrustRegionConfig,
+    /// Cap on local-model size.
+    max_local: usize,
+    /// The radius a fit starts from, already clamped to the bounds.
+    init_radius: f64,
     xs: Vec<Vec<f64>>,
     y_raw: Vec<f64>,
     /// Running Σy over all observations (global-prior mean in O(1)).
@@ -91,26 +93,24 @@ impl std::fmt::Debug for TrustRegionSurrogate {
 }
 
 impl TrustRegionSurrogate {
+    /// Radius floor — the region never collapses below this.
+    pub const MIN_RADIUS: f64 = 1.0 / 64.0;
+
     /// Creates an unfitted trust-region surrogate.
     pub fn new(kernel: Box<dyn Kernel>, config: TrustRegionConfig) -> Self {
         assert!(config.max_local >= 2, "local model needs at least 2 points");
-        assert!(
-            config.min_radius > 0.0 && config.min_radius <= config.max_radius,
-            "radius bounds must satisfy 0 < min <= max"
-        );
-        let local = GaussianProcess::new(kernel.clone_box(), config.noise);
-        let radius = config
-            .init_radius
-            .clamp(config.min_radius, config.max_radius);
+        let local = GaussianProcess::new(kernel.clone_box(), NOISE);
+        let init_radius = config.init_radius.clamp(Self::MIN_RADIUS, MAX_RADIUS);
         TrustRegionSurrogate {
             kernel,
-            config,
+            max_local: config.max_local,
+            init_radius,
             xs: Vec::new(),
             y_raw: Vec::new(),
             y_sum: 0.0,
             y_sq: 0.0,
             best: None,
-            radius,
+            radius: init_radius,
             succ: 0,
             fail: 0,
             local,
@@ -144,20 +144,20 @@ impl TrustRegionSurrogate {
         let mut in_region: Vec<usize> = (0..self.xs.len())
             .filter(|&i| Self::linf(&self.xs[i], &center) <= self.radius)
             .collect();
-        if in_region.len() > self.config.max_local {
+        if in_region.len() > self.max_local {
             in_region.sort_by(|&a, &b| {
                 let da = squared_distance(&self.xs[a], &center);
                 let db = squared_distance(&self.xs[b], &center);
                 da.total_cmp(&db).then(a.cmp(&b))
             });
-            in_region.truncate(self.config.max_local);
+            in_region.truncate(self.max_local);
             // Chronological order inside the selection keeps rebuilds
             // reproducible independent of the distance sort above.
             in_region.sort_unstable();
         }
         let xs: Vec<Vec<f64>> = in_region.iter().map(|&i| self.xs[i].clone()).collect();
         let ys: Vec<f64> = in_region.iter().map(|&i| self.y_raw[i]).collect();
-        let mut fresh = GaussianProcess::new(self.kernel.clone_box(), self.config.noise);
+        let mut fresh = GaussianProcess::new(self.kernel.clone_box(), NOISE);
         fresh.fit(&xs, &ys)?;
         self.local = fresh;
         self.pending = 0;
@@ -198,10 +198,7 @@ impl Surrogate for TrustRegionSurrogate {
         let saved_ys = std::mem::replace(&mut self.y_raw, ys.to_vec());
         let saved_best = self.best.replace(best);
         let saved_radius = self.radius;
-        self.radius = self
-            .config
-            .init_radius
-            .clamp(self.config.min_radius, self.config.max_radius);
+        self.radius = self.init_radius;
         if let Err(e) = self.rebuild_local() {
             self.xs = saved_xs;
             self.y_raw = saved_ys;
@@ -277,18 +274,18 @@ impl Surrogate for TrustRegionSurrogate {
             region_changed = true; // center moved to the new incumbent
             self.succ += 1;
             self.fail = 0;
-            if self.succ >= self.config.succ_tol {
+            if self.succ >= SUCC_TOL {
                 self.succ = 0;
-                let grown = (self.radius * 2.0).min(self.config.max_radius);
+                let grown = (self.radius * 2.0).min(MAX_RADIUS);
                 region_changed |= grown != self.radius;
                 self.radius = grown;
             }
         } else {
             self.succ = 0;
             self.fail += 1;
-            if self.fail >= self.config.fail_tol {
+            if self.fail >= FAIL_TOL {
                 self.fail = 0;
-                let shrunk = (self.radius * 0.5).max(self.config.min_radius);
+                let shrunk = (self.radius * 0.5).max(Self::MIN_RADIUS);
                 region_changed |= shrunk != self.radius;
                 self.radius = shrunk;
             }
@@ -302,14 +299,14 @@ impl Surrogate for TrustRegionSurrogate {
         let center_idx = self.best.map_or(0, |(i, _)| i);
         let in_region = Self::linf(x, &self.xs[center_idx]) <= self.radius;
         if in_region {
-            if self.local.n_train() < self.config.max_local && self.local.observe(x, y).is_ok() {
+            if self.local.n_train() < self.max_local && self.local.observe(x, y).is_ok() {
                 return Ok(());
             }
             // Local model full (or the incremental path refused the
             // point): defer to a batched refresh instead of refitting on
             // every observation.
             self.pending += 1;
-            if self.pending >= self.config.max_local {
+            if self.pending >= self.max_local {
                 let _ = self.rebuild_local();
             }
         }
@@ -340,18 +337,20 @@ mod tests {
 
     #[test]
     fn predicts_well_inside_the_region() {
-        // Floor the radius at 0.2 so the query below stays in-region even
-        // after the failure streaks of random sampling shrink the region.
-        let mut s = tr(TrustRegionConfig {
-            min_radius: 0.2,
-            ..TrustRegionConfig::default()
-        });
+        let mut s = tr(TrustRegionConfig::default());
         for i in 0..80 {
             let x = point(i);
             let y = sphere(&x);
             s.observe(&x, y).unwrap();
         }
-        let q = [0.35, 0.25];
+        // The failure streaks of random sampling shrink the region, but
+        // never below MIN_RADIUS around the incumbent: a query half that
+        // far away stays in-region. Out of region it would get the global
+        // prior, about 0.25 on this sphere.
+        let (best, _) = s.best.unwrap();
+        let h = TrustRegionSurrogate::MIN_RADIUS / 2.0;
+        let q = [s.xs[best][0] + h, s.xs[best][1] - h];
+        assert!(TrustRegionSurrogate::linf(&q, &s.xs[best]) <= s.radius());
         let p = s.predict(&q);
         assert!(
             (p.mean - sphere(&q)).abs() < 0.05,
@@ -363,47 +362,43 @@ mod tests {
 
     #[test]
     fn radius_expands_on_success_streak_and_shrinks_on_failures() {
-        let config = TrustRegionConfig {
-            succ_tol: 2,
-            fail_tol: 3,
-            init_radius: 0.4,
-            ..TrustRegionConfig::default()
-        };
-        let mut s = tr(config);
+        let mut s = tr(TrustRegionConfig::default());
         s.fit(&[vec![0.5, 0.5]], &[10.0]).unwrap();
         assert!((s.radius() - 0.4).abs() < 1e-12);
-        // Two consecutive improvements double the radius.
-        s.observe(&[0.45, 0.5], 9.0).unwrap();
-        s.observe(&[0.4, 0.5], 8.0).unwrap();
+        // SUCC_TOL consecutive improvements double the radius; one fewer
+        // does not.
+        for i in 0..SUCC_TOL {
+            assert!((s.radius() - 0.4).abs() < 1e-12, "radius {}", s.radius());
+            s.observe(&[0.45 - 0.01 * f64::from(i), 0.5], 9.0 - f64::from(i))
+                .unwrap();
+        }
         assert!((s.radius() - 0.8).abs() < 1e-12, "radius {}", s.radius());
-        // Three consecutive non-improvements halve it again.
-        for i in 0..3 {
-            s.observe(&[0.6 + 0.01 * i as f64, 0.5], 20.0).unwrap();
+        // FAIL_TOL consecutive non-improvements halve it again.
+        for i in 0..FAIL_TOL {
+            assert!((s.radius() - 0.8).abs() < 1e-12, "radius {}", s.radius());
+            s.observe(&[0.6 + 0.01 * f64::from(i), 0.5], 20.0).unwrap();
         }
         assert!((s.radius() - 0.4).abs() < 1e-12, "radius {}", s.radius());
     }
 
     #[test]
     fn radius_respects_bounds() {
-        let config = TrustRegionConfig {
-            succ_tol: 1,
-            fail_tol: 1,
-            init_radius: 0.4,
-            min_radius: 0.1,
-            max_radius: 0.8,
-            ..TrustRegionConfig::default()
-        };
-        let mut s = tr(config);
+        let mut s = tr(TrustRegionConfig::default());
         s.fit(&[vec![0.5, 0.5]], &[10.0]).unwrap();
-        for i in 0..5 {
-            s.observe(&[0.5, 0.49 - 0.01 * i as f64], 9.0 - i as f64)
+        // Enough successes for four doublings from 0.4: it stops at the
+        // ceiling after two.
+        for i in 0..4 * SUCC_TOL {
+            let i = f64::from(i);
+            s.observe(&[0.5, 0.49 - 0.001 * i], 9.0 - i).unwrap();
+        }
+        assert_eq!(s.radius(), MAX_RADIUS);
+        // Enough failures for ten halvings from 1.6: it stops at the floor
+        // after seven.
+        for i in 0..10 * FAIL_TOL {
+            s.observe(&[0.52 + 0.001 * f64::from(i), 0.5], 100.0)
                 .unwrap();
         }
-        assert!(s.radius() <= 0.8 + 1e-12);
-        for i in 0..8 {
-            s.observe(&[0.52 + 0.001 * i as f64, 0.5], 100.0).unwrap();
-        }
-        assert!(s.radius() >= 0.1 - 1e-12);
+        assert_eq!(s.radius(), TrustRegionSurrogate::MIN_RADIUS);
     }
 
     #[test]
@@ -430,7 +425,6 @@ mod tests {
         let config = TrustRegionConfig {
             init_radius: 0.1,
             max_local: 8,
-            ..TrustRegionConfig::default()
         };
         let mut s = tr(config);
         // Cluster around (0.8, 0.8), then a much better point far away.

@@ -32,7 +32,7 @@ mod synth;
 pub use cluster::{purity, KMeans, StreamAssignment, StreamCentroid, StreamingClusters};
 pub use embedding::{Embedder, EmbedderKind};
 pub use fingerprint::Fingerprint;
-pub use shift::{ShiftDetector, ShiftDetectorConfig};
+pub use shift::ShiftDetector;
 pub use store::{ConfigStore, StoredConfig};
 pub use synth::{synthesize_mixture, Tenant, TenantFleet, TenantFleetConfig};
 

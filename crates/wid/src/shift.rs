@@ -8,36 +8,21 @@
 //! crosses its threshold, a shift is declared and the reference resets —
 //! the signal the online tuners use to re-explore.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// Detector tuning.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ShiftDetectorConfig {
-    /// Trailing window length used to estimate the reference centroid and
-    /// the in-distribution distance scale.
-    pub window: usize,
-    /// CUSUM drift allowance in standard deviations (distances this far
-    /// above normal do not accumulate).
-    pub slack_sigmas: f64,
-    /// CUSUM alarm threshold in (cumulative) standard deviations.
-    pub threshold_sigmas: f64,
-}
-
-impl Default for ShiftDetectorConfig {
-    fn default() -> Self {
-        ShiftDetectorConfig {
-            window: 20,
-            slack_sigmas: 1.0,
-            threshold_sigmas: 6.0,
-        }
-    }
-}
+/// Trailing window length used to estimate the reference centroid and the
+/// in-distribution distance scale.
+const WINDOW: usize = 20;
+const _: () = assert!(WINDOW >= 3, "window must hold at least 3 samples");
+/// CUSUM drift allowance in standard deviations (distances this far above
+/// normal do not accumulate).
+const SLACK_SIGMAS: f64 = 1.0;
+/// CUSUM alarm threshold in (cumulative) standard deviations.
+const THRESHOLD_SIGMAS: f64 = 6.0;
 
 /// Streaming workload-shift detector.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShiftDetector {
-    config: ShiftDetectorConfig,
     /// Reference window of recent embeddings.
     window: VecDeque<Vec<f64>>,
     cusum: f64,
@@ -47,15 +32,8 @@ pub struct ShiftDetector {
 
 impl ShiftDetector {
     /// Creates a detector.
-    pub fn new(config: ShiftDetectorConfig) -> Self {
-        assert!(config.window >= 3, "window must hold at least 3 samples");
-        ShiftDetector {
-            config,
-            window: VecDeque::new(),
-            cusum: 0.0,
-            shifts: Vec::new(),
-            t: 0,
-        }
+    pub fn new() -> Self {
+        ShiftDetector::default()
     }
 
     /// Steps seen so far.
@@ -74,7 +52,7 @@ impl ShiftDetector {
         let t = self.t;
         self.t += 1;
         // Warm-up: fill the reference window first.
-        if self.window.len() < self.config.window {
+        if self.window.len() < WINDOW {
             self.window.push_back(embedding.to_vec());
             return false;
         }
@@ -115,8 +93,8 @@ impl ShiftDetector {
         let dist = standardized_dist(embedding);
         let z = (dist - mu) / sigma;
         // One-sided CUSUM with slack.
-        self.cusum = (self.cusum + z - self.config.slack_sigmas).max(0.0);
-        if self.cusum >= self.config.threshold_sigmas {
+        self.cusum = (self.cusum + z - SLACK_SIGMAS).max(0.0);
+        if self.cusum >= THRESHOLD_SIGMAS {
             self.shifts.push(t);
             self.cusum = 0.0;
             // Reset the reference to re-learn the new regime.
@@ -145,7 +123,7 @@ mod tests {
 
     #[test]
     fn detects_a_clear_shift_quickly() {
-        let mut det = ShiftDetector::new(ShiftDetectorConfig::default());
+        let mut det = ShiftDetector::new();
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let a = [0.0, 0.0, 0.0];
         let b = [5.0, 5.0, 5.0];
@@ -165,7 +143,7 @@ mod tests {
 
     #[test]
     fn no_false_alarms_on_stationary_stream() {
-        let mut det = ShiftDetector::new(ShiftDetectorConfig::default());
+        let mut det = ShiftDetector::new();
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
         let a = [1.0, 2.0];
         for _ in 0..500 {
@@ -180,7 +158,7 @@ mod tests {
 
     #[test]
     fn recovers_and_detects_second_shift() {
-        let mut det = ShiftDetector::new(ShiftDetectorConfig::default());
+        let mut det = ShiftDetector::new();
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let regimes = [[0.0, 0.0], [4.0, 0.0], [0.0, 6.0]];
         for regime in &regimes {
@@ -193,12 +171,7 @@ mod tests {
 
     #[test]
     fn gradual_drift_within_slack_tolerated() {
-        let cfg = ShiftDetectorConfig {
-            slack_sigmas: 2.0,
-            threshold_sigmas: 10.0,
-            ..Default::default()
-        };
-        let mut det = ShiftDetector::new(cfg);
+        let mut det = ShiftDetector::new();
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
         for t in 0..300 {
             // Very slow drift relative to noise.
@@ -206,14 +179,5 @@ mod tests {
             det.observe(&noisy_point(&c, 0.5, &mut rng));
         }
         assert!(det.shifts().is_empty(), "slow drift should not alarm");
-    }
-
-    #[test]
-    #[should_panic(expected = "window")]
-    fn tiny_window_rejected() {
-        let _ = ShiftDetector::new(ShiftDetectorConfig {
-            window: 1,
-            ..Default::default()
-        });
     }
 }

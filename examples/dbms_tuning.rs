@@ -13,9 +13,7 @@
 use autotune::{
     lasso_path, LlamaTune, LlamaTuneConfig, Objective, SessionConfig, Target, TuningSession,
 };
-use autotune_optimizer::{
-    BayesianOptimizer, CmaEs, CmaEsConfig, Optimizer, RandomSearch, SimulatedAnnealing,
-};
+use autotune_optimizer::{BayesianOptimizer, CmaEs, Optimizer, RandomSearch, SimulatedAnnealing};
 use autotune_sim::{DbmsSim, Environment, Workload};
 
 fn make_target() -> Target {
@@ -58,10 +56,7 @@ fn main() {
                 0.93,
             )),
         ),
-        (
-            "cma_es",
-            Box::new(CmaEs::new(target.space().clone(), CmaEsConfig::default())),
-        ),
+        ("cma_es", Box::new(CmaEs::new(target.space().clone()))),
         (
             "smac",
             Box::new(BayesianOptimizer::smac(target.space().clone())),

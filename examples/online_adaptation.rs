@@ -12,7 +12,6 @@
 //! ```
 
 use autotune::{static_config_cost, Objective, OnlineTuner, OnlineTunerConfig, Target};
-use autotune_rl::SafeTunerConfig;
 use autotune_sim::{DbmsSim, Environment, Workload, WorkloadSchedule};
 
 fn main() {
@@ -48,7 +47,7 @@ fn main() {
     let mut tuner = OnlineTuner::new(
         candidates.clone(),
         OnlineTunerConfig {
-            safety: Some(SafeTunerConfig::default()),
+            safety: true,
             ..Default::default()
         },
     );

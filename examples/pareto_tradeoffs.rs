@@ -12,7 +12,7 @@
 
 use autotune::{Objective, Target};
 use autotune_optimizer::moo::ParEgo;
-use autotune_optimizer::{NsgaConfig, NsgaII};
+use autotune_optimizer::NsgaII;
 use autotune_sim::{DbmsSim, Environment, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,7 +49,7 @@ fn main() {
     }
 
     // NSGA-II.
-    let mut nsga = NsgaII::new(target.space().clone(), 2, NsgaConfig::default());
+    let mut nsga = NsgaII::new(target.space().clone(), 2);
     let mut rng = StdRng::seed_from_u64(2);
     for _ in 0..budget {
         let cfg = nsga.suggest(&mut rng);

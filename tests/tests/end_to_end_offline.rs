@@ -3,8 +3,8 @@
 
 use autotune::{Objective, SessionConfig, Target, TrialStorage, TuningSession};
 use autotune_optimizer::{
-    BayesianOptimizer, CmaEs, CmaEsConfig, GaConfig, GeneticAlgorithm, GridSearch, Optimizer,
-    ParticleSwarm, PsoConfig, RandomSearch, SimulatedAnnealing,
+    BayesianOptimizer, CmaEs, GaConfig, GeneticAlgorithm, GridSearch, Optimizer, ParticleSwarm,
+    RandomSearch, SimulatedAnnealing,
 };
 use autotune_sim::{DbmsSim, Environment, SparkSim, Workload};
 use autotune_tests::redis_target;
@@ -37,8 +37,8 @@ fn every_optimizer_tunes_every_simulator() {
             Box::new(SimulatedAnnealing::new(space.clone(), 1.0, 0.95)),
             Box::new(BayesianOptimizer::gp(space.clone())),
             Box::new(BayesianOptimizer::smac(space.clone())),
-            Box::new(CmaEs::new(space.clone(), CmaEsConfig::default())),
-            Box::new(ParticleSwarm::new(space.clone(), PsoConfig::default())),
+            Box::new(CmaEs::new(space.clone())),
+            Box::new(ParticleSwarm::new(space.clone())),
             Box::new(GeneticAlgorithm::new(space.clone(), GaConfig::default())),
         ];
         let name = target.name().to_string();

@@ -3,7 +3,6 @@
 //! drifting workloads).
 
 use autotune::{static_config_cost, Objective, OnlineTuner, OnlineTunerConfig, Target};
-use autotune_rl::SafeTunerConfig;
 use autotune_sim::{DbmsSim, Environment, Workload, WorkloadSchedule};
 
 fn target() -> Target {
@@ -104,8 +103,8 @@ fn guardrail_bounds_crash_exposure() {
     let mut tuner = OnlineTuner::new(
         vec![base, crashy],
         OnlineTunerConfig {
-            safety: Some(SafeTunerConfig::default()),
-            shift: None,
+            safety: true,
+            shift: false,
             ..Default::default()
         },
     );

@@ -2,8 +2,8 @@
 //! must satisfy the ask/tell contract on arbitrary spaces and objectives.
 
 use autotune_optimizer::{
-    BayesianOptimizer, CmaEs, CmaEsConfig, GaConfig, GeneticAlgorithm, GridSearch, Optimizer,
-    ParticleSwarm, PsoConfig, RandomSearch, SimulatedAnnealing,
+    BayesianOptimizer, CmaEs, GaConfig, GeneticAlgorithm, GridSearch, Optimizer, ParticleSwarm,
+    RandomSearch, SimulatedAnnealing,
 };
 use autotune_space::{Param, Space};
 use proptest::prelude::*;
@@ -29,8 +29,8 @@ fn all_optimizers(space: &Space) -> Vec<Box<dyn Optimizer>> {
         Box::new(SimulatedAnnealing::new(space.clone(), 1.0, 0.95)),
         Box::new(BayesianOptimizer::gp(space.clone())),
         Box::new(BayesianOptimizer::smac(space.clone())),
-        Box::new(CmaEs::new(space.clone(), CmaEsConfig::default())),
-        Box::new(ParticleSwarm::new(space.clone(), PsoConfig::default())),
+        Box::new(CmaEs::new(space.clone())),
+        Box::new(ParticleSwarm::new(space.clone())),
         Box::new(GeneticAlgorithm::new(space.clone(), GaConfig::default())),
     ]
 }

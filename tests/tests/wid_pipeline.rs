@@ -5,7 +5,7 @@
 use autotune_sim::{DbmsSim, Environment, SimSystem, Workload};
 use autotune_wid::{
     purity, synthesize_mixture, ConfigStore, Embedder, EmbedderKind, Fingerprint, KMeans,
-    ShiftDetector, ShiftDetectorConfig, StoredConfig,
+    ShiftDetector, StoredConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -85,7 +85,7 @@ fn shift_detector_fires_on_family_change_only() {
     let sim = DbmsSim::new();
     let env = Environment::medium();
     let mut rng = StdRng::seed_from_u64(3);
-    let mut det = ShiftDetector::new(ShiftDetectorConfig::default());
+    let mut det = ShiftDetector::new();
     // 50 stationary windows, then a family change.
     for _ in 0..50 {
         let fp = fingerprint(&sim, &Workload::ycsb_c(2_000.0), &env, &mut rng);

@@ -6,6 +6,9 @@
 #     src/, and src/ with each file cut at its first `#[cfg(test)]` line
 #     (the code that ships, without the unit-test modules);
 #   * public types: `grep -rE "^\s*pub (struct|enum|trait) " crates`;
+#   * public knob fields: the `pub` fields of every `pub struct` under
+#     crates/ whose name ends in `Config` or `Policy`, except the `Config`
+#     value type and `StoredConfig` — the settings a caller can set;
 #   * public items named only in their defining file: every
 #     `pub fn|struct|enum|trait|type|const|static` under crates/ whose
 #     name, as a whole word, appears in no other `.rs` file under crates/,
@@ -50,6 +53,18 @@ done
 printf '%-12s %8d %8d %14d\n' total "$sum_all" "$sum_src" "$sum_code"
 echo
 echo "public struct/enum/trait: $(grep -rE '^\s*pub (struct|enum|trait) ' crates | wc -l)"
+knobs="$(find crates -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  match($0, /^[[:space:]]*pub struct [A-Za-z0-9_]*(Config|Policy)[[:space:]<{]/) {
+    name = substr($0, RSTART, RLENGTH - 1)
+    sub(/.*struct /, "", name)
+    inside = name != "Config" && name != "StoredConfig"
+    next
+  }
+  inside && /^[[:space:]]*}/ { inside = 0 }
+  inside && /^[[:space:]]*pub [A-Za-z_][A-Za-z0-9_]*:/ { n++ }
+  END { print n + 0 }
+')"
+echo "public knob fields: $knobs"
 
 # Pass 1 counts, per word, the files it occurs in; pass 2 keeps the `pub`
 # items of crates/ whose name occurs in one file (their own).
