@@ -91,6 +91,7 @@ if [ "$FAST" -eq 1 ]; then
   skip_step "stub codecs (release)"
   skip_step "chaos recovery determinism (release)"
   skip_step "experiment output (release)"
+  skip_step "examples (release)"
   skip_step "wal_dump over a durable run (release)"
   skip_step "telemetry purity (release)"
   skip_step "kernel bitwise (release)"
@@ -164,6 +165,12 @@ else
       git diff --exit-code repro_output.txt
   }
   run_step "experiment output (release)" repro_step
+
+  # All seven example bins must exit 0, and the six that read no clock
+  # must print byte for byte the checked-in examples/output.txt (see
+  # tools/examples.sh). A change that moves an example's output commits
+  # the new file.
+  run_step "examples (release)" tools/examples.sh
 
   # The log is binary; the `wal_dump` example is how a person reads
   # one. Build it by name (a `--test` selection alone would not), then
