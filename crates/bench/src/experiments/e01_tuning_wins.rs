@@ -2,10 +2,12 @@
 //! 4-10x higher throughput" and "68 % reduction in P95 latency for Redis"
 //! from tuning kernel scheduler parameters.
 
+use crate::experiments::{redis_target, run_bo_policy};
 use crate::report::{f, Report};
-use autotune::{Objective, SessionConfig, Target, TuningSession};
+use autotune::executor::{Campaign, OptimizerSource, SchedulePolicy};
+use autotune::{Objective, Target};
 use autotune_optimizer::BayesianOptimizer;
-use autotune_sim::{DbmsSim, Environment, RedisSim, Workload};
+use autotune_sim::{DbmsSim, Environment, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -23,19 +25,17 @@ pub fn run() -> Report {
         .map(|_| dbms.evaluate(&dbms.space().default_config(), &mut rng).cost)
         .sum::<f64>()
         / 5.0;
-    let opt = BayesianOptimizer::smac(dbms.space().clone());
-    let mut session = TuningSession::new(dbms, Box::new(opt), SessionConfig::default());
-    let summary = session.run(80, 1).expect("tuning campaign succeeds");
-    let tuned_thr = -summary.best_cost;
+    let mut opt = BayesianOptimizer::smac(dbms.space().clone());
+    let source = OptimizerSource::new(&mut opt, 80);
+    let mut campaign = Campaign::over(&dbms, Box::new(source), SchedulePolicy::Sequential, 1)
+        .with_event_log(false);
+    campaign.run();
+    let best = campaign.storage().best().expect("tuning campaign succeeds");
+    let tuned_thr = -best.cost;
     let gain = tuned_thr / default_thr;
 
     // --- Redis P95: kernel default vs tuned scheduler knob ---
-    let redis = Target::simulated(
-        Box::new(RedisSim::new()),
-        Workload::kv_cache(20_000.0),
-        Environment::medium(),
-        Objective::MinimizeLatencyP95,
-    );
+    let redis = redis_target();
     let mut rng = StdRng::seed_from_u64(2);
     let default_p95 = (0..8)
         .map(|_| {
@@ -45,10 +45,8 @@ pub fn run() -> Report {
         })
         .sum::<f64>()
         / 8.0;
-    let opt = BayesianOptimizer::gp(redis.space().clone());
-    let mut session = TuningSession::new(redis, Box::new(opt), SessionConfig::default());
-    let rsum = session.run(40, 3).expect("tuning campaign succeeds");
-    let reduction = 100.0 * (1.0 - rsum.best_cost / default_p95);
+    let (_, tuned) = run_bo_policy(&redis, SchedulePolicy::Sequential, 40, 3);
+    let reduction = 100.0 * (1.0 - tuned.cost / default_p95);
 
     let shape_holds = (3.0..=20.0).contains(&gain) && (40.0..=85.0).contains(&reduction);
     Report {
@@ -67,7 +65,7 @@ pub fn run() -> Report {
                 "redis/kv".into(),
                 "P95 latency".into(),
                 format!("{} ms", f(default_p95, 2)),
-                format!("{} ms", f(rsum.best_cost, 2)),
+                format!("{} ms", f(tuned.cost, 2)),
                 format!("-{reduction:.0}%"),
             ],
         ],

@@ -23,10 +23,10 @@ pub fn run() -> Report {
         let n_seeds = 5;
         for seed in 0..n_seeds {
             let policy = SchedulePolicy::SyncBatch { k };
-            let (s, best_cost) = run_bo_policy(&redis_target(), policy, total, 77 + seed);
+            let (s, best_trial) = run_bo_policy(&redis_target(), policy, total, 77 + seed);
             wall += s.wall_clock_s / n_seeds as f64;
             machine += s.machine_seconds() / n_seeds as f64;
-            best += best_cost / n_seeds as f64;
+            best += best_trial.cost / n_seeds as f64;
         }
         rows.push(vec![
             format!("{k}"),

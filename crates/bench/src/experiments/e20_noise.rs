@@ -5,7 +5,8 @@
 //! (final regret at equal *trial* budget)?
 
 use crate::report::{f, Report};
-use autotune::{NoiseStrategy, Objective, SessionConfig, Target, TuningSession};
+use autotune::executor::{Campaign, OptimizerSource, SchedulePolicy};
+use autotune::{NoiseStrategy, Objective, Target};
 use autotune_optimizer::BayesianOptimizer;
 use autotune_sim::{CloudNoise, Environment, NoiseConfig, RedisSim, Workload};
 use rand::rngs::StdRng;
@@ -73,18 +74,19 @@ pub fn run() -> Report {
         let mut time = 0.0;
         for seed in 0..4 {
             let target = noisy_target(10 + seed);
-            let opt = BayesianOptimizer::gp(target.space().clone());
-            let mut session = TuningSession::new(
-                target,
-                Box::new(opt),
-                SessionConfig {
-                    noise_strategy: strat.clone(),
-                    ..Default::default()
-                },
-            );
-            let s = session
-                .run(25, 20 + seed)
-                .expect("tuning campaign succeeds");
+            let mut opt = BayesianOptimizer::gp(target.space().clone());
+            let source = OptimizerSource::new(&mut opt, 25);
+            let mut campaign = Campaign::over(
+                &target,
+                Box::new(source),
+                SchedulePolicy::Sequential,
+                20 + seed,
+            )
+            .with_noise_strategy(strat.clone())
+            .with_event_log(false);
+            campaign.run();
+            let storage = campaign.into_storage();
+            let best = storage.best().expect("tuning campaign succeeds");
             // Score the chosen config under *noise-free* conditions: the
             // deployable quality, not the lucky measurement.
             let clean = Target::simulated(
@@ -95,11 +97,11 @@ pub fn run() -> Report {
             );
             let mut rng = StdRng::seed_from_u64(30 + seed);
             let deploy = (0..6)
-                .map(|_| clean.evaluate(&s.best_config, &mut rng).cost)
+                .map(|_| clean.evaluate(&best.config, &mut rng).cost)
                 .sum::<f64>()
                 / 6.0;
             bests.push(deploy);
-            time += s.total_elapsed_s / 4.0;
+            time += storage.total_elapsed_s() / 4.0;
         }
         let deploy_mean = autotune_linalg::stats::mean(&bests);
         finals.push((name.to_string(), deploy_mean));

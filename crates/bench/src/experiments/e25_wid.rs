@@ -3,9 +3,10 @@
 //! clustering purity, reuse quality (vs per-workload tuning and vs
 //! defaults), and shift-detection lag.
 
+use crate::experiments::run_bo_policy;
 use crate::report::{f, Report};
-use autotune::{Objective, SessionConfig, Target, TuningSession};
-use autotune_optimizer::BayesianOptimizer;
+use autotune::executor::SchedulePolicy;
+use autotune::{Objective, Target};
 use autotune_sim::{DbmsSim, Environment, SimSystem, Workload};
 use autotune_wid::{
     purity, ConfigStore, Embedder, EmbedderKind, Fingerprint, KMeans, ShiftDetector, StoredConfig,
@@ -54,12 +55,8 @@ pub fn run() -> Report {
             env.clone(),
             Objective::MinimizeLatencyAvg,
         );
-        let opt = BayesianOptimizer::gp(target.space().clone());
-        let mut session = TuningSession::new(target, Box::new(opt), SessionConfig::default());
-        let summary = session
-            .run(25, 50 + idx as u64)
-            .expect("tuning campaign succeeds");
-        tuned_costs.push(summary.best_cost);
+        let (_, best) = run_bo_policy(&target, SchedulePolicy::Sequential, 25, 50 + idx as u64);
+        tuned_costs.push(best.cost);
         let members: Vec<&Vec<f64>> = points
             .iter()
             .zip(&labels)
@@ -74,8 +71,8 @@ pub fn run() -> Report {
         store.insert(StoredConfig {
             label: name.to_string(),
             embedding: centroid,
-            config: summary.best_config,
-            score: summary.best_cost,
+            config: best.config,
+            score: best.cost,
         });
     }
 

@@ -3,9 +3,10 @@
 //! style), tune offline against the synthetic mixture, and check the tuned
 //! config transfers back to "production".
 
+use crate::experiments::run_bo_policy;
 use crate::report::{f, Report};
-use autotune::{Objective, SessionConfig, Target, TuningSession};
-use autotune_optimizer::BayesianOptimizer;
+use autotune::executor::SchedulePolicy;
+use autotune::{Objective, Target};
 use autotune_sim::{DbmsSim, Environment, SimSystem, Workload};
 use autotune_wid::{synthesize_mixture, Fingerprint};
 use rand::rngs::StdRng;
@@ -78,14 +79,12 @@ pub fn run() -> Report {
             }
             total
         });
-    let opt = BayesianOptimizer::gp(space.clone());
-    let mut session = TuningSession::new(synth_target, Box::new(opt), SessionConfig::default());
-    let synth_summary = session.run(30, 3).expect("tuning campaign succeeds");
+    let (_, synth_best) = run_bo_policy(&synth_target, SchedulePolicy::Sequential, 30, 3);
 
     // Deploy the synthetic-tuned config on real production traffic.
     let mut rng2 = StdRng::seed_from_u64(9);
     let deployed = (0..8)
-        .map(|_| target.evaluate(&synth_summary.best_config, &mut rng2).cost)
+        .map(|_| target.evaluate(&synth_best.config, &mut rng2).cost)
         .sum::<f64>()
         / 8.0;
     let default_cost = (0..8)
@@ -93,18 +92,13 @@ pub fn run() -> Report {
         .sum::<f64>()
         / 8.0;
     // Oracle: tune directly on production (privacy-violating upper bound).
-    let opt = BayesianOptimizer::gp(space.clone());
-    let mut oracle = TuningSession::new(
-        Target::simulated(
-            Box::new(DbmsSim::new()),
-            production,
-            env,
-            Objective::MinimizeLatencyAvg,
-        ),
-        Box::new(opt),
-        SessionConfig::default(),
+    let oracle_target = Target::simulated(
+        Box::new(DbmsSim::new()),
+        production,
+        env,
+        Objective::MinimizeLatencyAvg,
     );
-    let oracle_summary = oracle.run(30, 3).expect("tuning campaign succeeds");
+    let (_, oracle_best) = run_bo_policy(&oracle_target, SchedulePolicy::Sequential, 30, 3);
 
     let rows = vec![
         vec![
@@ -125,14 +119,13 @@ pub fn run() -> Report {
         ],
         vec![
             "oracle (tuned on production)".into(),
-            format!("{} ms", f(oracle_summary.best_cost, 4)),
+            format!("{} ms", f(oracle_best.cost, 4)),
         ],
     ];
     // The mixture should be dominated by the two YCSB components, and the
     // synthetic-tuned config should recover most of the oracle's win.
     let ycsb_mass = weights[0] + weights[1];
-    let win_recovered =
-        (default_cost - deployed) / (default_cost - oracle_summary.best_cost).max(1e-9);
+    let win_recovered = (default_cost - deployed) / (default_cost - oracle_best.cost).max(1e-9);
     let shape_holds = ycsb_mass > 0.7 && residual < 1.0 && win_recovered > 0.6;
     Report {
         id: "E26",

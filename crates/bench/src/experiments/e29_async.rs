@@ -30,12 +30,12 @@ pub fn run() -> Report {
         let sync = SchedulePolicy::SyncBatch { k };
         let (s, best) = run_bo_policy(&spark_target(), sync, total, 800 + seed);
         sync_wall += s.wall_clock_s / n_seeds as f64;
-        sync_best += best / n_seeds as f64;
+        sync_best += best.cost / n_seeds as f64;
 
         let slots = SchedulePolicy::AsyncSlots { k };
         let (a, best) = run_bo_policy(&spark_target(), slots, total, 800 + seed);
         async_wall += a.wall_clock_s / n_seeds as f64;
-        async_best += best / n_seeds as f64;
+        async_best += best.cost / n_seeds as f64;
     }
     let speedup = sync_wall / async_wall.max(1e-9);
 

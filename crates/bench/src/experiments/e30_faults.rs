@@ -16,7 +16,6 @@ use autotune_sim::{CloudNoise, FaultPlan, NoiseConfig};
 
 const N_MACHINES: usize = 8;
 const BUDGET: usize = 48;
-const PENALTY: f64 = 1e9;
 /// Trials run ~30 s; a hang inflates that 30-60x, so 120 s cleanly
 /// separates hangs from slow-but-honest trials.
 const TIMEOUT_S: f64 = 120.0;
@@ -58,14 +57,14 @@ fn run_variant(variant: &Variant, seed: u64, policy: SchedulePolicy) -> (TrialSt
         .with_middleware(Box::new(MachineAssignMw::round_robin(N_MACHINES)));
     if matches!(variant, Variant::Resilient) {
         campaign = campaign
-            .with_middleware(Box::new(QuarantineMw::with_defaults(N_MACHINES)))
+            .with_middleware(Box::new(QuarantineMw::new(N_MACHINES)))
             .with_middleware(Box::new(RetryMw::new(3, 5.0)))
             .with_middleware(Box::new(TimeoutMw::new(TIMEOUT_S)));
     }
     let mw = if matches!(variant, Variant::Naive) {
-        CrashPenaltyMw::naive(PENALTY)
+        CrashPenaltyMw::naive()
     } else {
-        CrashPenaltyMw::new(PENALTY)
+        CrashPenaltyMw::new()
     };
     let mut campaign = campaign.with_middleware(Box::new(mw));
     let metrics = campaign.run();

@@ -37,7 +37,7 @@ pub mod e35_cache;
 pub mod e36_scale;
 
 use autotune::executor::{Campaign, OptimizerSource, SchedulePolicy};
-use autotune::{MetricsSnapshot, Objective, Target};
+use autotune::{MetricsSnapshot, Objective, Target, Trial};
 use autotune_optimizer::{BayesianOptimizer, Optimizer};
 use autotune_sim::{DbmsSim, Environment, RedisSim, Workload};
 use autotune_space::Config;
@@ -148,20 +148,20 @@ pub(crate) fn dbms_target() -> Target {
 }
 
 /// Runs `budget` GP-BO trials over `target` under `policy` (slide 57:
-/// `SyncBatch` barriers vs `AsyncSlots` refilling); returns the campaign
-/// metrics and the best cost found.
+/// `SyncBatch` barriers vs `AsyncSlots` refilling; `Sequential` for a
+/// plain tuning run); returns the campaign metrics and the best trial.
 pub(crate) fn run_bo_policy(
     target: &Target,
     policy: SchedulePolicy,
     budget: usize,
     seed: u64,
-) -> (MetricsSnapshot, f64) {
+) -> (MetricsSnapshot, Trial) {
     let mut opt = BayesianOptimizer::gp(target.space().clone());
     let source = OptimizerSource::new(&mut opt, budget);
     let mut campaign = Campaign::over(target, Box::new(source), policy, seed).with_event_log(false);
     let metrics = campaign.run();
     let best = campaign.storage().best().expect("a successful trial");
-    (metrics, best.cost)
+    (metrics, best.clone())
 }
 
 /// The ask/tell loop every experiment shares: `budget` rounds of suggest

@@ -6,10 +6,9 @@
 //! (rewrite what the learner is told — crash penalties).
 
 use super::event::{Measurement, TrialEvent, TrialOutcome, TrialRequest};
-use crate::{EarlyAbort, TrialStatus};
+use crate::TrialStatus;
 use autotune_sim::FailureKind;
-use rand::{Rng, RngCore};
-use std::borrow::BorrowMut;
+use rand::RngCore;
 
 /// A cross-cutting hook on the trial lifecycle. `Send` for the reason
 /// [`super::TrialSource`] is.
@@ -43,81 +42,89 @@ pub trait Middleware: Send {
     }
 }
 
-/// Early-abort censoring (tutorial slide 69) as middleware: trials slower
-/// than `ratio x` the incumbent are cut at the threshold, charging only
-/// the time-to-threshold.
+/// Early-abort censoring (tutorial slide 69): for elapsed-time
+/// benchmarks (TPC-H style: run the queries, report the wall-clock), a
+/// trial already slower than `ratio x` the incumbent is cut at that
+/// threshold, reporting the censored cost and charging only the
+/// time-to-threshold. We know its score is bad without paying for the
+/// rest of the run.
 ///
-/// Generic over ownership so a campaign can either own its policy
-/// ([`EarlyAbortMw::new`]) or thread a long-lived one through several
-/// runs ([`EarlyAbortMw::over`]).
-pub struct EarlyAbortMw<P: BorrowMut<EarlyAbort>> {
-    policy: P,
+/// The censoring is exact for [`crate::Objective::MinimizeElapsed`]
+/// (cost *is* seconds); for other objectives the policy is conservative
+/// and never aborts. Aborts and saved seconds are counted by the
+/// campaign's [`crate::MetricsSnapshot`] (`n_aborted`, `saved_s`).
+pub struct EarlyAbortMw {
+    ratio: f64,
+    /// Best uncensored cost seen so far.
+    best_cost: Option<f64>,
 }
 
-impl EarlyAbortMw<EarlyAbort> {
-    /// An owned policy with the given abort ratio.
+impl EarlyAbortMw {
+    /// Cuts trials at `ratio x` the incumbent (`ratio > 1`, e.g. 1.5).
     pub fn new(ratio: f64) -> Self {
+        assert!(ratio > 1.0, "abort ratio must exceed 1");
         EarlyAbortMw {
-            policy: EarlyAbort::new(ratio),
+            ratio,
+            best_cost: None,
         }
     }
 }
 
-impl<'a> EarlyAbortMw<&'a mut EarlyAbort> {
-    /// Borrows a caller-owned policy (its incumbent and savings stats
-    /// survive the run).
-    pub fn over(policy: &'a mut EarlyAbort) -> Self {
-        EarlyAbortMw { policy }
-    }
-}
-
-impl<P: BorrowMut<EarlyAbort> + Send> Middleware for EarlyAbortMw<P> {
+impl Middleware for EarlyAbortMw {
     fn name(&self) -> &str {
         "early-abort"
     }
 
+    /// The simulator knows a trial's full cost and elapsed time up
+    /// front; a real harness would stream progress and kill the process
+    /// at the threshold instead.
     fn after_measure(&mut self, m: &mut Measurement, cost_is_elapsed: bool) {
-        let (cost, charged, aborted) =
-            self.policy
-                .borrow_mut()
-                .process(m.cost, m.elapsed_s, cost_is_elapsed);
-        if aborted {
-            m.saved_s += m.elapsed_s - charged;
-            m.aborted = true;
+        if !m.cost.is_finite() {
+            return; // crashes are handled elsewhere; charge what was spent
         }
-        m.cost = cost;
-        m.elapsed_s = charged;
+        match self.best_cost {
+            Some(best) if cost_is_elapsed && m.cost > best * self.ratio => {
+                let threshold = best * self.ratio;
+                // Time-to-threshold: the run is killed when the clock hits
+                // the censored cost.
+                let charged = m.elapsed_s * (threshold / m.cost).min(1.0);
+                m.saved_s += m.elapsed_s - charged;
+                m.aborted = true;
+                m.cost = threshold;
+                m.elapsed_s = charged;
+            }
+            best => self.best_cost = Some(best.map_or(m.cost, |b| b.min(m.cost))),
+        }
     }
 }
 
+/// The cost [`CrashPenaltyMw`] reports to the learner for a crash.
+const CRASH_PENALTY: f64 = 1e9;
+
 /// Crash-penalty middleware (tutorial slide 67): the stored trial keeps
-/// its NaN cost, but the learner is told a large finite penalty so its
-/// running statistics stay well-defined (bandits, RL).
+/// its NaN cost, but the learner is told a large finite penalty (1e9) so
+/// its running statistics stay well-defined (bandits, RL).
 ///
 /// By default only deterministic config crashes ([`TrialStatus::Crashed`])
 /// are penalized; transient infrastructure failures keep their NaN
 /// `learn_cost` so the source drops them instead of mis-training the
 /// surrogate. [`CrashPenaltyMw::naive`] penalizes *every* non-finite cost
 /// — the anti-pattern the tutorial warns about, kept as the E30 baseline.
+#[derive(Default)]
 pub struct CrashPenaltyMw {
-    penalty: f64,
     penalize_transient: bool,
 }
 
 impl CrashPenaltyMw {
-    /// Penalty value reported to the learner for crashed trials.
-    pub fn new(penalty: f64) -> Self {
-        CrashPenaltyMw {
-            penalty,
-            penalize_transient: false,
-        }
+    /// Penalizes config crashes only.
+    pub fn new() -> Self {
+        CrashPenaltyMw::default()
     }
 
     /// The naive variant: every non-finite cost — config crash, transient
-    /// failure, timed-out hang — is fed to the learner as `penalty`.
-    pub fn naive(penalty: f64) -> Self {
+    /// failure, timed-out hang — is fed to the learner as the penalty.
+    pub fn naive() -> Self {
         CrashPenaltyMw {
-            penalty,
             penalize_transient: true,
         }
     }
@@ -132,17 +139,15 @@ impl Middleware for CrashPenaltyMw {
         if !outcome.cost.is_finite()
             && (self.penalize_transient || outcome.status == TrialStatus::Crashed)
         {
-            outcome.learn_cost = self.penalty;
+            outcome.learn_cost = CRASH_PENALTY;
         }
     }
 }
 
 /// Machine-assignment middleware for noise experiments (TUNA-style):
-/// spreads trials across a fleet of `n_machines`, either round-robin or
-/// uniformly at random from the suggestion stream.
+/// spreads trials round-robin across a fleet of `n_machines`.
 pub struct MachineAssignMw {
     n_machines: usize,
-    round_robin: bool,
     next: usize,
 }
 
@@ -152,17 +157,6 @@ impl MachineAssignMw {
         assert!(n_machines >= 1, "need at least one machine");
         MachineAssignMw {
             n_machines,
-            round_robin: true,
-            next: 0,
-        }
-    }
-
-    /// Uniform random assignment over `n_machines`.
-    pub fn random(n_machines: usize) -> Self {
-        assert!(n_machines >= 1, "need at least one machine");
-        MachineAssignMw {
-            n_machines,
-            round_robin: false,
             next: 0,
         }
     }
@@ -173,18 +167,12 @@ impl Middleware for MachineAssignMw {
         "machine-assign"
     }
 
-    fn before_dispatch(&mut self, req: &mut TrialRequest, rng: &mut dyn RngCore) {
+    fn before_dispatch(&mut self, req: &mut TrialRequest, _rng: &mut dyn RngCore) {
         if req.machine_id.is_some() {
             return; // the source pinned it explicitly
         }
-        let m = if self.round_robin {
-            let m = self.next % self.n_machines;
-            self.next += 1;
-            m
-        } else {
-            rng.gen_range(0..self.n_machines)
-        };
-        req.machine_id = Some(m);
+        req.machine_id = Some(self.next % self.n_machines);
+        self.next += 1;
     }
 }
 
@@ -264,46 +252,44 @@ impl Middleware for TimeoutMw {
     }
 }
 
-/// Per-machine health tracking (HUNTER-style): an EWMA of the
-/// fault/straggler rate per `CloudNoise` machine id. A machine whose EWMA
-/// crosses `threshold` is quarantined — [`MachineAssignMw`] assignments
-/// are re-routed to the next healthy machine — for `cooldown` outcomes,
-/// then released on probation (its EWMA is reset just under the threshold,
-/// so one more failure re-trips it).
+/// [`QuarantineMw`]'s EWMA smoothing of the per-machine fault rate.
+const QUARANTINE_ALPHA: f64 = 0.3;
+/// The EWMA above which [`QuarantineMw`] quarantines a machine.
+const QUARANTINE_THRESHOLD: f64 = 0.5;
+/// Completed outcomes a quarantined machine sits out.
+const QUARANTINE_COOLDOWN: usize = 8;
+const _: () = assert!(
+    0.0 <= QUARANTINE_ALPHA
+        && QUARANTINE_ALPHA <= 1.0
+        && 0.0 <= QUARANTINE_THRESHOLD
+        && QUARANTINE_THRESHOLD <= 1.0
+        && QUARANTINE_COOLDOWN >= 1
+);
+
+/// Per-machine health tracking (HUNTER-style): an EWMA (smoothing 0.3)
+/// of the fault/straggler rate per `CloudNoise` machine id. A machine
+/// whose EWMA crosses 0.5 is quarantined — [`MachineAssignMw`]
+/// assignments are re-routed to the next healthy machine — for 8
+/// completed outcomes, then released on probation (its EWMA is reset just
+/// under the threshold, so one more failure re-trips it). The constants
+/// are tuned for the E30 fleet.
 pub struct QuarantineMw {
     n_machines: usize,
-    alpha: f64,
-    threshold: f64,
-    cooldown: usize,
     ewma: Vec<f64>,
     down: Vec<Option<usize>>,
     events: Vec<TrialEvent>,
 }
 
 impl QuarantineMw {
-    /// Tracks `n_machines` with an EWMA smoothing of `alpha`, quarantining
-    /// above `threshold` for `cooldown` completed outcomes.
-    pub fn new(n_machines: usize, alpha: f64, threshold: f64, cooldown: usize) -> Self {
+    /// Tracks `n_machines` machines.
+    pub fn new(n_machines: usize) -> Self {
         assert!(n_machines >= 1, "need at least one machine");
-        assert!(
-            (0.0..=1.0).contains(&alpha) && (0.0..=1.0).contains(&threshold),
-            "alpha and threshold must lie in [0, 1]"
-        );
         QuarantineMw {
             n_machines,
-            alpha,
-            threshold,
-            cooldown: cooldown.max(1),
             ewma: vec![0.0; n_machines],
             down: vec![None; n_machines],
             events: Vec::new(),
         }
-    }
-
-    /// Defaults tuned for the E30 fleet: alpha 0.3, threshold 0.5,
-    /// cooldown 8 outcomes.
-    pub fn with_defaults(n_machines: usize) -> Self {
-        QuarantineMw::new(n_machines, 0.3, 0.5, 8)
     }
 }
 
@@ -342,9 +328,9 @@ impl Middleware for QuarantineMw {
             Some(FailureKind::Straggler) | Some(FailureKind::Corruption) => 0.5,
             _ => 0.0,
         };
-        self.ewma[id] = (1.0 - self.alpha) * self.ewma[id] + self.alpha * x;
-        if self.ewma[id] > self.threshold && self.down[id].is_none() {
-            self.down[id] = Some(self.cooldown);
+        self.ewma[id] = (1.0 - QUARANTINE_ALPHA) * self.ewma[id] + QUARANTINE_ALPHA * x;
+        if self.ewma[id] > QUARANTINE_THRESHOLD && self.down[id].is_none() {
+            self.down[id] = Some(QUARANTINE_COOLDOWN);
             self.events.push(TrialEvent::Quarantined { machine_id: id });
         }
     }
@@ -355,7 +341,7 @@ impl Middleware for QuarantineMw {
                 if left <= 1 {
                     self.down[id] = None;
                     // Probation: one more failure re-trips immediately.
-                    self.ewma[id] = self.threshold * 0.9;
+                    self.ewma[id] = QUARANTINE_THRESHOLD * 0.9;
                     self.events.push(TrialEvent::Released { machine_id: id });
                 } else {
                     self.down[id] = Some(left - 1);
@@ -366,5 +352,92 @@ impl Middleware for QuarantineMw {
 
     fn take_events(&mut self) -> Vec<TrialEvent> {
         std::mem::take(&mut self.events)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Runs one trial whose full cost and elapsed time are known through
+    /// `mw`, returning the measurement as the middleware left it.
+    fn measure(
+        mw: &mut EarlyAbortMw,
+        cost: f64,
+        elapsed_s: f64,
+        cost_is_elapsed: bool,
+    ) -> Measurement {
+        let mut m = Measurement {
+            cost,
+            elapsed_s,
+            machine_id: None,
+            telemetry: Vec::new(),
+            aborted: false,
+            saved_s: 0.0,
+            fault: None,
+            clock: 0,
+        };
+        mw.after_measure(&mut m, cost_is_elapsed);
+        m
+    }
+
+    #[test]
+    fn first_trial_sets_incumbent() {
+        let mut ea = EarlyAbortMw::new(1.5);
+        assert_eq!(ea.best_cost, None);
+        let m = measure(&mut ea, 100.0, 100.0, true);
+        assert_eq!((m.cost, m.elapsed_s, m.aborted), (100.0, 100.0, false));
+        assert_eq!(ea.best_cost, Some(100.0));
+    }
+
+    #[test]
+    fn slow_trial_censored_and_time_saved() {
+        let mut ea = EarlyAbortMw::new(1.5);
+        measure(&mut ea, 100.0, 100.0, true);
+        let m = measure(&mut ea, 400.0, 400.0, true);
+        assert!(m.aborted);
+        assert_eq!(m.cost, 150.0);
+        assert!((m.elapsed_s - 150.0).abs() < 1e-9);
+        assert!((m.saved_s - 250.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn aborted_trials_do_not_move_the_incumbent() {
+        let mut ea = EarlyAbortMw::new(1.5);
+        measure(&mut ea, 100.0, 100.0, true);
+        assert!(measure(&mut ea, 500.0, 500.0, true).aborted);
+        assert_eq!(ea.best_cost, Some(100.0));
+        // A genuinely better trial still lowers the threshold.
+        measure(&mut ea, 60.0, 60.0, true);
+        assert_eq!(ea.best_cost, Some(60.0));
+        assert_eq!(measure(&mut ea, 100.0, 100.0, true).cost, 90.0);
+    }
+
+    #[test]
+    fn non_elapsed_objectives_never_abort() {
+        let mut ea = EarlyAbortMw::new(1.2);
+        measure(&mut ea, 10.0, 60.0, false);
+        let m = measure(&mut ea, 1e9, 60.0, false);
+        assert!(!m.aborted);
+        assert_eq!(m.cost, 1e9);
+        assert_eq!(m.elapsed_s, 60.0);
+        assert_eq!(m.saved_s, 0.0);
+    }
+
+    #[test]
+    fn crash_passthrough() {
+        let mut ea = EarlyAbortMw::new(1.5);
+        measure(&mut ea, 100.0, 100.0, true);
+        let m = measure(&mut ea, f64::NAN, 5.0, true);
+        assert!(m.cost.is_nan());
+        assert_eq!(m.elapsed_s, 5.0);
+        assert!(!m.aborted);
+        assert_eq!(ea.best_cost, Some(100.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "ratio")]
+    fn ratio_must_exceed_one() {
+        let _ = EarlyAbortMw::new(0.9);
     }
 }

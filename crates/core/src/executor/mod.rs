@@ -349,11 +349,82 @@ mod tests {
     }
 
     #[test]
+    fn bo_campaign_tunes_the_redis_example() {
+        // The tutorial's running example end to end: minimize Redis P95 by
+        // tuning the scheduler knob.
+        let target = redis_target();
+        let default_cfg = target.space().default_config();
+        let mut probe_rng = rand::rngs::StdRng::seed_from_u64(99);
+        let default_cost: f64 = (0..5)
+            .map(|_| target.evaluate(&default_cfg, &mut probe_rng).cost)
+            .sum::<f64>()
+            / 5.0;
+        let mut opt = BayesianOptimizer::gp(target.space().clone());
+        let source = OptimizerSource::new(&mut opt, 40);
+        let mut campaign = Campaign::over(&target, Box::new(source), SchedulePolicy::Sequential, 7);
+        campaign.run();
+        let best = campaign.storage().best().expect("a finite trial");
+        assert!(
+            best.cost < default_cost * 0.6,
+            "tuned {} should cut >40% off default {default_cost}",
+            best.cost
+        );
+        // The convergence curve is monotone non-increasing once finite.
+        let curve = campaign.storage().convergence_curve();
+        let finite: Vec<f64> = curve.into_iter().filter(|c| c.is_finite()).collect();
+        for w in finite.windows(2) {
+            assert!(w[1] <= w[0] + 1e-12);
+        }
+    }
+
+    #[test]
+    fn crashes_are_recorded_and_survived() {
+        // DBMS with tight RAM: random search will hit the OOM region.
+        use autotune_sim::{DbmsSim, Environment, Workload};
+        let target = Target::simulated(
+            Box::new(DbmsSim::new()),
+            Workload::tpcc(2_000.0),
+            Environment::small(),
+            Objective::MinimizeLatencyAvg,
+        );
+        let mut opt = RandomSearch::new(target.space().clone());
+        let source = OptimizerSource::new(&mut opt, 60);
+        let mut campaign =
+            Campaign::over(&target, Box::new(source), SchedulePolicy::Sequential, 11);
+        let report = campaign.run();
+        assert!(
+            report.n_crashed > 0,
+            "expected some OOM crashes on a small VM"
+        );
+        let best = campaign.storage().best().expect("some trials survive");
+        assert!(best.cost.is_finite());
+    }
+
+    #[test]
+    fn an_all_crash_campaign_has_no_best_and_does_not_panic() {
+        // The Environment::small() OOM regime taken to its limit, modeled
+        // as a black-box target whose every configuration crashes.
+        use autotune_space::{Param, Space};
+        let space = Space::builder()
+            .add(Param::float("x", 0.0, 1.0))
+            .build()
+            .unwrap();
+        let target = Target::black_box(space, Objective::MinimizeLatencyAvg, |_| f64::NAN);
+        let mut opt = RandomSearch::new(target.space().clone());
+        let source = OptimizerSource::new(&mut opt, 10);
+        let mut campaign = Campaign::over(&target, Box::new(source), SchedulePolicy::Sequential, 3);
+        let report = campaign.run();
+        assert_eq!(report.n_crashed, 10);
+        assert!(campaign.storage().best().is_none());
+        assert_eq!(campaign.storage().n_crashed(), 10);
+    }
+
+    #[test]
     fn early_abort_middleware_censors_and_saves() {
         let target = crate::test_fixtures::spark_target();
-        let run = |abort: bool, seed: u64| {
+        let run = |abort: bool, budget: usize, seed: u64| {
             let mut opt = RandomSearch::new(target.space().clone());
-            let source = OptimizerSource::new(&mut opt, 30);
+            let source = OptimizerSource::new(&mut opt, budget);
             let mut campaign =
                 Campaign::over(&target, Box::new(source), SchedulePolicy::Sequential, seed);
             if abort {
@@ -362,16 +433,57 @@ mod tests {
             let report = campaign.run();
             (campaign.into_storage(), report)
         };
-        let (plain_s, plain_r) = run(false, 5);
-        let (abort_s, abort_r) = run(true, 5);
-        assert!(abort_r.n_aborted > 0);
-        assert!(abort_r.saved_s > 0.0);
-        assert!(abort_r.machine_seconds() < plain_r.machine_seconds());
-        // Censoring never changes the winner: the best trial is below the
-        // threshold by construction.
-        assert_eq!(
-            plain_s.best().unwrap().config.render(),
-            abort_s.best().unwrap().config.render()
+        for (budget, seed) in [(30, 5), (40, 13)] {
+            let (plain_s, plain_r) = run(false, budget, seed);
+            let (abort_s, abort_r) = run(true, budget, seed);
+            assert!(
+                abort_r.n_aborted > 5,
+                "expected aborted trials, got {}",
+                abort_r.n_aborted
+            );
+            assert!(abort_r.saved_s > 0.0);
+            assert!(abort_r.machine_seconds() < plain_r.machine_seconds());
+            assert!(
+                abort_s.total_elapsed_s() < plain_s.total_elapsed_s() * 0.9,
+                "abort should save >10% time: {} vs {}",
+                abort_s.total_elapsed_s(),
+                plain_s.total_elapsed_s()
+            );
+            // Censoring never changes the winner: the best trial is below
+            // the threshold by construction.
+            let (plain_best, abort_best) = (plain_s.best().unwrap(), abort_s.best().unwrap());
+            assert_eq!(plain_best.config.render(), abort_best.config.render());
+            assert_eq!(plain_best.cost.to_bits(), abort_best.cost.to_bits());
+        }
+    }
+
+    #[test]
+    fn repeat_strategy_charges_more_time() {
+        use crate::NoiseStrategy;
+        use autotune_sim::{Environment, RedisSim, Workload};
+        let target = Target::simulated(
+            Box::new(RedisSim::new()),
+            Workload::kv_cache(10_000.0),
+            Environment::medium(),
+            Objective::MinimizeLatencyP95,
+        );
+        let run = |strategy: NoiseStrategy| {
+            let mut opt = RandomSearch::new(target.space().clone());
+            let source = OptimizerSource::new(&mut opt, 10);
+            let mut campaign =
+                Campaign::over(&target, Box::new(source), SchedulePolicy::Sequential, 17)
+                    .with_noise_strategy(strategy);
+            campaign.run();
+            campaign.storage().total_elapsed_s()
+        };
+        let single = run(NoiseStrategy::Single);
+        let repeat = run(NoiseStrategy::Repeat {
+            n: 3,
+            median: false,
+        });
+        assert!(
+            repeat > 2.5 * single,
+            "3x repeats should cost ~3x time: {repeat} vs {single}"
         );
     }
 
@@ -433,7 +545,7 @@ mod tests {
             SchedulePolicy::Sequential,
             13,
         )
-        .with_middleware(Box::new(CrashPenaltyMw::new(1e9)));
+        .with_middleware(Box::new(CrashPenaltyMw::new()));
         campaign.run();
         let storage = campaign.into_storage();
         assert!(storage.n_crashed() > 0, "expected some crashes");
@@ -462,10 +574,10 @@ mod tests {
     ) -> Campaign<'a> {
         Campaign::over(target, source, policy, seed)
             .with_middleware(Box::new(MachineAssignMw::round_robin(4)))
-            .with_middleware(Box::new(QuarantineMw::with_defaults(4)))
+            .with_middleware(Box::new(QuarantineMw::new(4)))
             .with_middleware(Box::new(RetryMw::new(3, 5.0)))
             .with_middleware(Box::new(TimeoutMw::new(600.0)))
-            .with_middleware(Box::new(CrashPenaltyMw::new(1e9)))
+            .with_middleware(Box::new(CrashPenaltyMw::new()))
     }
 
     #[test]
@@ -570,7 +682,7 @@ mod tests {
         let source = OptimizerSource::new(&mut opt, 60);
         let mut campaign = Campaign::over(&target, Box::new(source), SchedulePolicy::Sequential, 7)
             .with_middleware(Box::new(MachineAssignMw::round_robin(4)))
-            .with_middleware(Box::new(QuarantineMw::with_defaults(4)));
+            .with_middleware(Box::new(QuarantineMw::new(4)));
         let report = campaign.run();
         let storage = campaign.storage();
         assert!(
@@ -621,9 +733,9 @@ mod tests {
                 learned: Vec::new(),
             };
             let mw: Box<dyn Middleware> = if naive {
-                Box::new(CrashPenaltyMw::naive(1e9))
+                Box::new(CrashPenaltyMw::naive())
             } else {
-                Box::new(CrashPenaltyMw::new(1e9))
+                Box::new(CrashPenaltyMw::new())
             };
             Campaign::over(
                 &target,

@@ -10,7 +10,7 @@
 //!
 //! # Architecture
 //!
-//! Every execution path — sequential sessions, batch/async parallel
+//! Every execution path — sequential tuning runs, batch/async parallel
 //! campaigns, successive halving, the online tuner, the serve registry —
 //! drives the same engine, [`executor::Campaign`]. A
 //! [`executor::TrialSource`] proposes trials (an optimizer adapter, a
@@ -45,17 +45,20 @@
 //!                        └──────────────────┘
 //! ```
 //!
-//! High-level entry points are thin bindings over that loop:
-//! [`TuningSession`] (sequential + noise strategy + early abort),
-//! [`SuccessiveHalving`] / [`Hyperband`] (rung barriers), and
-//! [`OnlineTuner`] (bandit over a candidate menu with guardrails).
-//! Batch vs. slot scheduling is a `Campaign` built with
-//! `SchedulePolicy::SyncBatch { k }` or `SchedulePolicy::AsyncSlots { k }`.
+//! A plain tuning run is a `Campaign` over an [`OptimizerSource`] with
+//! `SchedulePolicy::Sequential`, plus [`Campaign::with_noise_strategy`]
+//! for repeated or duet measurements and an [`EarlyAbortMw`] for
+//! elapsed-time objectives; batch vs. slot scheduling is the same
+//! `Campaign` built with `SchedulePolicy::SyncBatch { k }` or
+//! `SchedulePolicy::AsyncSlots { k }`. The other entry points are thin
+//! bindings over that loop: [`SuccessiveHalving`] / [`Hyperband`] (rung
+//! barriers) and [`OnlineTuner`] (bandit over a candidate menu with
+//! guardrails).
 //!
 //! # Quick start
 //!
 //! ```
-//! use autotune::{Objective, Target, TuningSession, SessionConfig};
+//! use autotune::{Campaign, Objective, OptimizerSource, SchedulePolicy, Target};
 //! use autotune_optimizer::BayesianOptimizer;
 //! use autotune_sim::{DbmsSim, Environment, Workload};
 //!
@@ -65,17 +68,19 @@
 //!     Environment::medium(),
 //!     Objective::MinimizeLatencyAvg,
 //! );
-//! let optimizer = BayesianOptimizer::gp(target.space().clone());
-//! let mut session = TuningSession::new(target, Box::new(optimizer), SessionConfig::default());
-//! let summary = session.run(30, 42).expect("at least one successful trial");
-//! assert!(summary.best_cost.is_finite());
+//! let mut optimizer = BayesianOptimizer::gp(target.space().clone());
+//! let source = OptimizerSource::new(&mut optimizer, 30);
+//! let mut campaign = Campaign::over(&target, Box::new(source), SchedulePolicy::Sequential, 42);
+//! let metrics = campaign.run();
+//! assert_eq!(metrics.n_trials(), 30);
+//! let best = campaign.storage().best().expect("at least one successful trial");
+//! assert!(best.cost.is_finite());
 //! ```
 
 pub mod executor;
 pub mod sync;
 pub mod telemetry;
 
-mod early_abort;
 mod importance;
 mod llamatune;
 mod multifid;
@@ -83,7 +88,6 @@ mod noise_strategy;
 mod objective;
 mod online;
 mod profile_guided;
-mod session;
 mod target;
 mod transfer;
 mod trial;
@@ -91,7 +95,6 @@ mod trial;
 #[cfg(test)]
 mod test_fixtures;
 
-pub use early_abort::EarlyAbort;
 pub use executor::{
     measure_request, measure_wave, Campaign, CampaignError, CampaignEvent, CampaignSnapshot,
     CrashPenaltyMw, EarlyAbortMw, MachineAssignMw, Measurement, Middleware, OptimizerSource,
@@ -107,7 +110,6 @@ pub use online::{
     static_config_cost, ContextualOnlineTuner, OnlineStep, OnlineTuner, OnlineTunerConfig,
 };
 pub use profile_guided::KnobComponentMap;
-pub use session::{SessionConfig, SessionSummary, TuningSession};
 pub use sync::{pwait, PoisonFree, PoisonFreeMutex};
 pub use target::Target;
 pub use telemetry::{

@@ -154,7 +154,7 @@ impl OnlineTuner {
         };
         let mut campaign =
             Campaign::over(target, Box::new(source), SchedulePolicy::Sequential, seed)
-                .with_middleware(Box::new(CrashPenaltyMw::new(1e9)))
+                .with_middleware(Box::new(CrashPenaltyMw::new()))
                 .with_event_log(false); // one-shot campaign, never snapshotted
         for sub in subscribers.iter_mut() {
             campaign = campaign.with_subscriber(Box::new(&mut **sub));

@@ -92,8 +92,9 @@ impl LogHistogram {
         }
     }
 
-    /// Approximate quantile `q` in `[0, 1]`: the geometric midpoint of the
-    /// bucket containing the rank, clamped to the exact min/max.
+    /// Approximate quantile `q` in `[0, 1]`: the arithmetic midpoint
+    /// (`1.5 · lo`) of the bucket `[lo, 2·lo)` containing the rank,
+    /// clamped to the exact min/max.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.n == 0 {
             return 0.0;
@@ -125,8 +126,7 @@ impl LogHistogram {
 /// The rolled-up measurement of one (or several merged) campaign runs:
 /// a campaign's whole accounting. Produced by
 /// [`MetricsCollector::snapshot`]; returned by
-/// [`Campaign::run`](crate::executor::Campaign::run) and carried on
-/// [`SessionSummary`](crate::SessionSummary).
+/// [`Campaign::run`](crate::executor::Campaign::run).
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// Trials suggested (dispatched).

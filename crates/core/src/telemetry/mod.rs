@@ -13,8 +13,7 @@
 //!   latency, queue wait, retries, suggest/observe overhead, per-machine
 //!   utilization), rolled up into a [`MetricsSnapshot`]. One is always
 //!   attached inside the campaign: its snapshot is the campaign's
-//!   accounting, returned by [`Campaign::run`](crate::executor::Campaign::run)
-//!   and merged into [`SessionSummary`](crate::SessionSummary).
+//!   accounting, returned by [`Campaign::run`](crate::executor::Campaign::run).
 //! * [`SpanRecorder`] — per-trial spans on the **virtual clock**
 //!   (suggest → queued → running attempts → retry backoffs → observed),
 //!   exportable as Chrome `trace_event` JSON so a campaign opens directly

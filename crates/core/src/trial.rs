@@ -96,13 +96,6 @@ impl TrialStorage {
         &self.trials
     }
 
-    /// Consumes the storage, yielding the trials in execution order
-    /// (e.g. to merge a campaign's history into a longer-lived store —
-    /// [`TrialStorage::record`] renumbers ids on the way in).
-    pub fn into_trials(self) -> Vec<Trial> {
-        self.trials
-    }
-
     /// Number of trials.
     pub fn len(&self) -> usize {
         self.trials.len()

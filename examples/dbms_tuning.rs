@@ -11,7 +11,8 @@
 //! ```
 
 use autotune::{
-    lasso_path, LlamaTune, LlamaTuneConfig, Objective, SessionConfig, Target, TuningSession,
+    lasso_path, Campaign, LlamaTune, LlamaTuneConfig, Objective, OptimizerSource, SchedulePolicy,
+    Target,
 };
 use autotune_optimizer::{BayesianOptimizer, CmaEs, Optimizer, RandomSearch, SimulatedAnnealing};
 use autotune_sim::{DbmsSim, Environment, Workload};
@@ -81,31 +82,32 @@ fn main() {
     let mut best_history: Option<(Vec<Vec<f64>>, Vec<f64>)> = None;
     let mut best_tps = 0.0;
     for (name, opt) in optimizers {
-        let mut session = TuningSession::new(make_target(), opt, SessionConfig::default());
-        let summary = session
-            .run(budget, 7)
-            .expect("at least one successful trial");
-        let tuned_thr = -summary.best_cost;
+        let target = make_target();
+        let source = OptimizerSource::new(opt, budget);
+        let mut campaign = Campaign::over(&target, Box::new(source), SchedulePolicy::Sequential, 7)
+            .with_event_log(false);
+        let metrics = campaign.run();
+        let storage = campaign.storage();
+        let best = storage.best().expect("at least one successful trial");
+        let tuned_thr = -best.cost;
         println!(
             "{:<10} {:>10.0}tps {:>7.1}x {:>9}",
             name,
             tuned_thr,
             tuned_thr / default_thr,
-            summary.metrics.n_crashed
+            metrics.n_crashed
         );
         if tuned_thr > best_tps {
             best_tps = tuned_thr;
             // Export the campaign history for importance analysis.
-            let space = session.target().space().clone();
-            let xs: Vec<Vec<f64>> = session
-                .storage()
+            let space = target.space();
+            let xs: Vec<Vec<f64>> = storage
                 .trials()
                 .iter()
                 .filter(|t| t.cost.is_finite())
                 .map(|t| space.encode_unit(&t.config).expect("history encodes"))
                 .collect();
-            let ys: Vec<f64> = session
-                .storage()
+            let ys: Vec<f64> = storage
                 .trials()
                 .iter()
                 .filter(|t| t.cost.is_finite())

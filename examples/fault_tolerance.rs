@@ -72,14 +72,14 @@ fn main() {
             .with_middleware(Box::new(MachineAssignMw::round_robin(N_MACHINES)));
         if resilient {
             campaign = campaign
-                .with_middleware(Box::new(QuarantineMw::with_defaults(N_MACHINES)))
+                .with_middleware(Box::new(QuarantineMw::new(N_MACHINES)))
                 .with_middleware(Box::new(RetryMw::new(3, 5.0)))
                 .with_middleware(Box::new(TimeoutMw::new(150.0)));
         }
         let penalty = if naive_penalty {
-            CrashPenaltyMw::naive(1e9)
+            CrashPenaltyMw::naive()
         } else {
-            CrashPenaltyMw::new(1e9)
+            CrashPenaltyMw::new()
         };
         let mut campaign = campaign.with_middleware(Box::new(penalty));
         let metrics = campaign.run();

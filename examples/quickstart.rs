@@ -10,9 +10,10 @@
 //! cargo run -p autotune-examples --bin quickstart --release
 //! ```
 //!
-//! # serve_demo: from one session to a served fleet
+//! # serve_demo: from one campaign to a served fleet
 //!
-//! A [`TuningSession`] drives exactly one campaign. When one process
+//! Each method below is one [`Campaign`]: an optimizer proposing trials
+//! under the `Sequential` policy, run to its budget. When one process
 //! must tune many tenants, the `autotune-serve` layer runs each as an
 //! owned, snapshot-resumable campaign multiplexed over a bounded worker
 //! pool — without changing any campaign's outcome (this snippet is
@@ -35,7 +36,7 @@
 //! See `workload_fleet.rs` for the registry used directly (no protocol)
 //! and `crates/serve` for the scheduling and determinism contract.
 
-use autotune::{Objective, SessionConfig, Target, TuningSession};
+use autotune::{Campaign, Objective, OptimizerSource, SchedulePolicy, Target};
 use autotune_optimizer::{BayesianOptimizer, GridSearch, Optimizer, RandomSearch};
 use autotune_sim::{Environment, RedisSim, Workload};
 
@@ -84,23 +85,32 @@ fn main() {
         "method", "best_p95", "vs_default", "bench_secs", "trials"
     );
     for (name, opt) in optimizers {
-        let mut session = TuningSession::new(make_target(), opt, SessionConfig::default());
-        let summary = session
-            .run(budget, 42)
-            .expect("at least one successful trial");
-        let reduction = 100.0 * (1.0 - summary.best_cost / default_cost);
+        let target = make_target();
+        let source = OptimizerSource::new(opt, budget);
+        let mut campaign =
+            Campaign::over(&target, Box::new(source), SchedulePolicy::Sequential, 42)
+                .with_event_log(false);
+        campaign.run();
+        let storage = campaign.storage();
+        let best = storage.best().expect("at least one successful trial");
+        let reduction = 100.0 * (1.0 - best.cost / default_cost);
         println!(
             "{:<8} {:>8.3}ms {:>9.1}% {:>11.0}s {:>8}",
-            name, summary.best_cost, reduction, summary.total_elapsed_s, budget
+            name,
+            best.cost,
+            reduction,
+            storage.total_elapsed_s(),
+            budget
         );
         if name == "bo_gp" {
             println!("\nBO convergence (best-so-far P95 per trial):");
-            for (i, c) in summary.convergence.iter().enumerate() {
-                if i % 4 == 0 || i + 1 == summary.convergence.len() {
+            let convergence = storage.convergence_curve();
+            for (i, c) in convergence.iter().enumerate() {
+                if i % 4 == 0 || i + 1 == convergence.len() {
                     println!("  trial {:>2}: {:.3} ms", i + 1, c);
                 }
             }
-            println!("\nbest config: {}", summary.best_config);
+            println!("\nbest config: {}", best.config);
         }
     }
 }

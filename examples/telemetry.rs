@@ -73,10 +73,10 @@ fn main() {
         let policy = SchedulePolicy::AsyncSlots { k: 3 };
         let mut campaign = Campaign::over(&target, Box::new(source), policy, SEED)
             .with_middleware(Box::new(MachineAssignMw::round_robin(N_MACHINES)))
-            .with_middleware(Box::new(QuarantineMw::with_defaults(N_MACHINES)))
+            .with_middleware(Box::new(QuarantineMw::new(N_MACHINES)))
             .with_middleware(Box::new(RetryMw::new(3, 5.0)))
             .with_middleware(Box::new(TimeoutMw::new(150.0)))
-            .with_middleware(Box::new(CrashPenaltyMw::new(1e9)))
+            .with_middleware(Box::new(CrashPenaltyMw::new()))
             .with_subscriber(Box::new(&mut progress))
             .with_subscriber(Box::new(&mut spans))
             .with_timer(Box::new(StdTimer(Instant::now())));

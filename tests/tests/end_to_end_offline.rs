@@ -1,7 +1,7 @@
 //! Cross-crate integration: the full offline tuning pipeline
-//! (space -> optimizer -> simulated target -> session -> storage).
+//! (space -> optimizer -> simulated target -> campaign -> storage).
 
-use autotune::{Objective, SessionConfig, Target, TrialStorage, TuningSession};
+use autotune::{Campaign, Objective, OptimizerSource, SchedulePolicy, Target, TrialStorage};
 use autotune_optimizer::{
     BayesianOptimizer, CmaEs, GaConfig, GeneticAlgorithm, GridSearch, Optimizer, ParticleSwarm,
     RandomSearch, SimulatedAnnealing,
@@ -9,7 +9,7 @@ use autotune_optimizer::{
 use autotune_sim::{DbmsSim, Environment, SparkSim, Workload};
 use autotune_tests::redis_target;
 
-/// Every optimizer family completes a session against every simulator
+/// Every optimizer family completes a campaign against every simulator
 /// without panicking, always improves on the first trial, and leaves a
 /// consistent trial history.
 #[test]
@@ -59,25 +59,25 @@ fn every_optimizer_tunes_every_simulator() {
                     Objective::MinimizeElapsed,
                 ),
             };
-            let mut session = TuningSession::new(target, opt, SessionConfig::default());
-            let summary = session.run(30, 7).expect("at least one successful trial");
-            assert!(
-                summary.best_cost.is_finite(),
-                "{name}/{opt_name}: no finite best"
-            );
+            let source = OptimizerSource::new(opt, 30);
+            let mut campaign =
+                Campaign::over(&target, Box::new(source), SchedulePolicy::Sequential, 7);
+            campaign.run();
+            let storage = campaign.storage();
+            let best = storage.best().expect("at least one successful trial");
+            assert!(best.cost.is_finite(), "{name}/{opt_name}: no finite best");
             // The incumbent curve never worsens.
-            let finite: Vec<f64> = summary
-                .convergence
-                .iter()
-                .cloned()
+            let finite: Vec<f64> = storage
+                .convergence_curve()
+                .into_iter()
                 .filter(|c| c.is_finite())
                 .collect();
             assert!(!finite.is_empty(), "{name}/{opt_name}: empty curve");
             for w in finite.windows(2) {
                 assert!(w[1] <= w[0] + 1e-12, "{name}/{opt_name}: curve regressed");
             }
-            assert_eq!(session.storage().len(), 30);
-            assert!(summary.total_elapsed_s > 0.0);
+            assert_eq!(storage.len(), 30);
+            assert!(storage.total_elapsed_s() > 0.0);
         }
     }
 }
@@ -86,20 +86,19 @@ fn every_optimizer_tunes_every_simulator() {
 #[test]
 fn storage_roundtrip_preserves_campaign() {
     let target = redis_target();
-    let opt = BayesianOptimizer::gp(target.space().clone());
-    let mut session = TuningSession::new(target, Box::new(opt), SessionConfig::default());
-    session.run(15, 3).expect("at least one successful trial");
-    let json = session.storage().to_json();
+    let mut opt = BayesianOptimizer::gp(target.space().clone());
+    let source = OptimizerSource::new(&mut opt, 15);
+    let mut campaign = Campaign::over(&target, Box::new(source), SchedulePolicy::Sequential, 3);
+    campaign.run();
+    let storage = campaign.storage();
+    let json = storage.to_json();
     let restored = TrialStorage::from_json(&json).expect("valid JSON");
-    assert_eq!(restored.len(), session.storage().len());
+    assert_eq!(restored.len(), storage.len());
     assert_eq!(
         restored.best().expect("has best").cost,
-        session.storage().best().expect("has best").cost
+        storage.best().expect("has best").cost
     );
-    assert_eq!(
-        restored.convergence_curve(),
-        session.storage().convergence_curve()
-    );
+    assert_eq!(restored.convergence_curve(), storage.convergence_curve());
 }
 
 /// Tuned configurations validate against their space and actually deploy:
@@ -108,42 +107,42 @@ fn storage_roundtrip_preserves_campaign() {
 fn best_config_is_deployable() {
     use rand::SeedableRng;
     let target = redis_target();
-    let opt = BayesianOptimizer::gp(target.space().clone());
-    let mut session = TuningSession::new(target, Box::new(opt), SessionConfig::default());
-    let summary = session.run(30, 9).expect("at least one successful trial");
-    assert!(session
-        .target()
-        .space()
-        .validate_config(&summary.best_config)
-        .is_ok());
+    let mut opt = BayesianOptimizer::gp(target.space().clone());
+    let source = OptimizerSource::new(&mut opt, 30);
+    let mut campaign = Campaign::over(&target, Box::new(source), SchedulePolicy::Sequential, 9);
+    campaign.run();
+    let best = campaign
+        .storage()
+        .best()
+        .expect("at least one successful trial");
+    assert!(target.space().validate_config(&best.config).is_ok());
     let mut rng = rand::rngs::StdRng::seed_from_u64(99);
     let redeploy: f64 = (0..10)
-        .map(|_| {
-            session
-                .target()
-                .evaluate(&summary.best_config, &mut rng)
-                .cost
-        })
+        .map(|_| target.evaluate(&best.config, &mut rng).cost)
         .sum::<f64>()
         / 10.0;
     assert!(
-        (redeploy - summary.best_cost).abs() / summary.best_cost < 0.5,
+        (redeploy - best.cost).abs() / best.cost < 0.5,
         "redeployed cost {redeploy} far from recorded {}",
-        summary.best_cost
+        best.cost
     );
 }
 
-/// Sessions are deterministic given (seed, optimizer, target).
+/// Tuning runs are deterministic given (seed, optimizer, target).
 #[test]
 fn sessions_are_reproducible() {
     let run = || {
         let target = redis_target();
-        let opt = BayesianOptimizer::gp(target.space().clone());
-        let mut session = TuningSession::new(target, Box::new(opt), SessionConfig::default());
-        session
-            .run(20, 12)
+        let mut opt = BayesianOptimizer::gp(target.space().clone());
+        let source = OptimizerSource::new(&mut opt, 20);
+        let mut campaign =
+            Campaign::over(&target, Box::new(source), SchedulePolicy::Sequential, 12);
+        campaign.run();
+        campaign
+            .storage()
+            .best()
             .expect("at least one successful trial")
-            .best_cost
+            .cost
     };
     assert_eq!(run(), run());
 }

@@ -39,10 +39,10 @@ fn run_resilient(seed: u64, policy: SchedulePolicy, budget: usize) -> (TrialStor
     let source = OptimizerSource::new(&mut opt, budget);
     let mut campaign = Campaign::over(&target, Box::new(source), policy, seed)
         .with_middleware(Box::new(MachineAssignMw::round_robin(N_MACHINES)))
-        .with_middleware(Box::new(QuarantineMw::with_defaults(N_MACHINES)))
+        .with_middleware(Box::new(QuarantineMw::new(N_MACHINES)))
         .with_middleware(Box::new(RetryMw::new(3, 5.0)))
         .with_middleware(Box::new(TimeoutMw::new(150.0)))
-        .with_middleware(Box::new(CrashPenaltyMw::new(1e9)));
+        .with_middleware(Box::new(CrashPenaltyMw::new()));
     let metrics = campaign.run();
     (campaign.into_storage(), metrics.n_retries)
 }
@@ -100,20 +100,21 @@ fn resilient_stack_survives_aggressive_faults() {
     assert!(storage.best().is_some());
 }
 
-/// A session-level campaign on a faulty target surfaces the fault
-/// counters in its summary.
+/// A plain sequential tuning run on a faulty target surfaces the fault
+/// counters in the metrics summary `Campaign::run` returns.
 #[test]
 fn session_summary_reports_fault_counters() {
-    use autotune::{SessionConfig, TuningSession};
     use autotune_optimizer::RandomSearch;
     let target = redis_target().with_faults(FaultPlan::aggressive(17));
-    let opt = RandomSearch::new(target.space().clone());
-    let mut session = TuningSession::new(target, Box::new(opt), SessionConfig::default());
-    let summary = session.run(40, 17).expect("some trials survive");
-    // No retry middleware in a plain session: transient losses surface
-    // directly, with zero retries and zero quarantines.
-    assert!(summary.metrics.n_transient > 0);
-    assert_eq!(summary.metrics.n_retries, 0);
-    assert!(summary.metrics.quarantined_machines.is_empty());
-    assert!(summary.best_cost.is_finite());
+    let mut opt = RandomSearch::new(target.space().clone());
+    let source = OptimizerSource::new(&mut opt, 40);
+    let mut campaign = Campaign::over(&target, Box::new(source), SchedulePolicy::Sequential, 17);
+    let metrics = campaign.run();
+    // No retry middleware: transient losses surface directly, with zero
+    // retries and zero quarantines.
+    assert!(metrics.n_transient > 0);
+    assert_eq!(metrics.n_retries, 0);
+    assert!(metrics.quarantined_machines.is_empty());
+    let best = campaign.storage().best().expect("some trials survive");
+    assert!(best.cost.is_finite());
 }

@@ -9,13 +9,13 @@
 //! release-mode CI gate for the ISSUE 3 acceptance criterion.
 
 use autotune::executor::{
-    Campaign, CampaignEvent, CrashPenaltyMw, MachineAssignMw, OptimizerSource, QuarantineMw,
-    RetryMw, RungSource, SchedulePolicy, TimeoutMw, TrialSource,
+    Campaign, CampaignEvent, CrashPenaltyMw, EarlyAbortMw, MachineAssignMw, OptimizerSource,
+    QuarantineMw, RetryMw, RungSource, SchedulePolicy, TimeoutMw, TrialSource,
 };
 use autotune::telemetry::{
     MetricsCollector, MetricsSnapshot, ProgressReporter, SpanRecorder, Subscriber,
 };
-use autotune::{FidelityLevel, Objective, Target, Trial, TrialStatus, TrialStorage};
+use autotune::{FidelityLevel, Objective, Target, TrialStatus, TrialStorage};
 use autotune_optimizer::{BayesianOptimizer, RandomSearch};
 use autotune_sim::{CloudNoise, DbmsSim, Environment, FaultPlan, NoiseConfig, Workload};
 use autotune_tests::redis_target;
@@ -42,10 +42,10 @@ fn resilient<'a>(
 ) -> Campaign<'a> {
     Campaign::over(target, source, policy, seed)
         .with_middleware(Box::new(MachineAssignMw::round_robin(N_MACHINES)))
-        .with_middleware(Box::new(QuarantineMw::with_defaults(N_MACHINES)))
+        .with_middleware(Box::new(QuarantineMw::new(N_MACHINES)))
         .with_middleware(Box::new(RetryMw::new(3, 5.0)))
         .with_middleware(Box::new(TimeoutMw::new(150.0)))
-        .with_middleware(Box::new(CrashPenaltyMw::new(1e9)))
+        .with_middleware(Box::new(CrashPenaltyMw::new()))
 }
 
 /// Runs a resilient BO campaign with the given subscribers attached.
@@ -183,8 +183,8 @@ fn wall_clock_from_log(log: &[CampaignEvent]) -> f64 {
 /// carries no information the history lacks: statuses, retries and
 /// machine-seconds re-derive from the trial storage and the wall clock
 /// from the event log, bit for bit, under every schedule policy with the
-/// fault plan and the resilience stack in play. A two-run session covers
-/// `MetricsSnapshot::merge` the same way.
+/// fault plan and the resilience stack in play, and under early abort on
+/// a target that crashes and loses trials.
 #[test]
 fn metrics_agree_with_the_history_under_every_policy() {
     let target = faulty_target(3);
@@ -226,7 +226,6 @@ fn metrics_agree_with_the_history_under_every_policy() {
     // The comparisons above were not all 0 == 0.
     assert!(seen.n_retries > 0 && seen.n_aborted > 0);
 
-    use autotune::{SessionConfig, TuningSession};
     // A DBMS on a small VM (OOM crashes) with an elapsed-time objective
     // (early aborts) and a fault plan without retries (transient losses).
     let target = Target::simulated(
@@ -236,23 +235,17 @@ fn metrics_agree_with_the_history_under_every_policy() {
         Objective::MinimizeElapsed,
     )
     .with_faults(FaultPlan::aggressive(17));
-    let opt = RandomSearch::new(target.space().clone());
-    let config = SessionConfig {
-        early_abort_ratio: Some(1.3),
-        ..Default::default()
-    };
-    let mut session = TuningSession::new(target, Box::new(opt), config);
-    session.run(20, 17);
-    let m = session.run(20, 18).expect("successful trials").metrics;
-    assert_counts_match_history(session.storage(), &m, "session");
-    let trials = session.storage().trials();
+    let mut opt = RandomSearch::new(target.space().clone());
+    let source = OptimizerSource::new(&mut opt, 40);
+    let mut campaign = Campaign::over(&target, Box::new(source), SchedulePolicy::Sequential, 17)
+        .with_middleware(Box::new(EarlyAbortMw::new(1.3)));
+    let m = campaign.run();
+    assert_counts_match_history(campaign.storage(), &m, "early abort");
     assert!(m.n_crashed > 0 && m.n_transient > 0 && m.n_aborted > 0 && m.saved_s > 0.0);
-    // Merged sums add run by run; a sequential run's wall clock is its
-    // machine-seconds.
-    let run_s = |run: &[Trial]| run.iter().fold(0.0, |sum, t| sum + t.elapsed_s);
-    let by_run = run_s(&trials[..20]) + run_s(&trials[20..]);
-    assert_eq!(m.machine_seconds().to_bits(), by_run.to_bits());
-    assert_eq!(m.wall_clock_s.to_bits(), by_run.to_bits());
+    // A sequential run's wall clock is its machine-seconds.
+    let total_s = campaign.storage().total_elapsed_s();
+    assert_eq!(m.machine_seconds().to_bits(), total_s.to_bits());
+    assert_eq!(m.wall_clock_s.to_bits(), total_s.to_bits());
 }
 
 /// Span well-formedness under every schedule policy, with faults,
@@ -327,31 +320,6 @@ fn chrome_trace_export_matches_golden() {
         trace, golden,
         "trace drifted from golden — intentional changes: UPDATE_GOLDEN=1"
     );
-}
-
-/// The session-level binding: `run_observed` feeds subscribers and the
-/// summary carries the merged metrics snapshot.
-#[test]
-fn session_run_observed_carries_metrics() {
-    use autotune::{SessionConfig, TuningSession};
-    let target = redis_target();
-    let opt = BayesianOptimizer::gp(target.space().clone());
-    let mut session = TuningSession::new(target, Box::new(opt), SessionConfig::default());
-    let mut progress = ProgressReporter::new(Vec::new(), 100.0).with_budget(15);
-    let summary = session
-        .run_observed(15, 23, &mut [&mut progress])
-        .expect("successful trials");
-    assert_eq!(summary.metrics.n_suggested, 15);
-    assert_eq!(summary.metrics.n_finished + summary.metrics.n_crashed, 15);
-    assert!(summary.metrics.trial_latency_s.count() == 15);
-    assert!(summary.metrics.wall_clock_s > 0.0);
-    let out = String::from_utf8(progress.into_sink()).unwrap();
-    assert!(out.contains("campaign complete"), "{out}");
-    // A second run merges (wall clocks add).
-    let wall1 = summary.metrics.wall_clock_s;
-    let summary2 = session.run(15, 24).expect("successful trials");
-    assert_eq!(summary2.metrics.n_suggested, 30);
-    assert!(summary2.metrics.wall_clock_s > wall1);
 }
 
 /// The online tuner exposes the same observability path.

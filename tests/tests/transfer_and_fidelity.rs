@@ -2,8 +2,8 @@
 //! policy rewrite → warm start) and multi-fidelity successive halving.
 
 use autotune::{
-    transfer_observations, FidelityLevel, Objective, SessionConfig, SuccessiveHalving,
-    SuccessiveHalvingConfig, Target, TransferPolicy, TrialStorage, TuningSession,
+    transfer_observations, Campaign, FidelityLevel, Objective, OptimizerSource, SchedulePolicy,
+    SuccessiveHalving, SuccessiveHalvingConfig, Target, TransferPolicy, TrialStorage,
 };
 use autotune_optimizer::{BayesianOptimizer, Optimizer};
 use autotune_sim::{DbmsSim, Environment, Workload};
@@ -19,16 +19,21 @@ fn dbms(load: f64) -> Target {
     )
 }
 
+/// The history of `budget` sequential GP-BO trials on `target`.
+fn tune(target: &Target, budget: usize, seed: u64) -> TrialStorage {
+    let mut opt = BayesianOptimizer::gp(target.space().clone());
+    let source = OptimizerSource::new(&mut opt, budget);
+    let mut campaign = Campaign::over(target, Box::new(source), SchedulePolicy::Sequential, seed);
+    campaign.run();
+    campaign.into_storage()
+}
+
 /// The full transfer loop: campaign -> JSON -> import -> rewrite ->
 /// warm-started campaign that avoids the donor's crash region.
 #[test]
 fn transfer_via_json_roundtrip() {
     // Donor campaign.
-    let donor = dbms(500.0);
-    let opt = BayesianOptimizer::gp(donor.space().clone());
-    let mut session = TuningSession::new(donor, Box::new(opt), SessionConfig::default());
-    session.run(40, 1).expect("at least one successful trial");
-    let json = session.storage().to_json();
+    let json = tune(&dbms(500.0), 40, 1).to_json();
 
     // "Another process" imports the history.
     let imported = TrialStorage::from_json(&json).expect("valid export");
@@ -103,15 +108,11 @@ fn successive_halving_budget_conservation() {
 /// Incompatible-context transfer only moves crash knowledge.
 #[test]
 fn incompatible_context_transfers_only_crashes() {
-    let donor = dbms(500.0);
-    let opt = BayesianOptimizer::gp(donor.space().clone());
-    let mut session = TuningSession::new(donor, Box::new(opt), SessionConfig::default());
-    session.run(40, 5).expect("at least one successful trial");
-    let n_crashed = session.storage().n_crashed();
+    let donor = tune(&dbms(500.0), 40, 5);
     let obs = transfer_observations(
-        session.storage().trials(),
+        donor.trials(),
         &TransferPolicy::default(),
         false, // different VM size / workload: scores don't transfer
     );
-    assert_eq!(obs.len(), n_crashed);
+    assert_eq!(obs.len(), donor.n_crashed());
 }
