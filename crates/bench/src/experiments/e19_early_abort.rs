@@ -4,7 +4,7 @@
 
 use crate::report::{f, Report};
 use autotune::executor::{Campaign, EarlyAbortMw, OptimizerSource, SchedulePolicy};
-use autotune::{MetricsSnapshot, Objective, Target, TrialStorage};
+use autotune::{Objective, Target, TrialStorage};
 use autotune_optimizer::RandomSearch;
 use autotune_sim::{Environment, SparkSim, Workload};
 
@@ -20,7 +20,7 @@ fn spark_target() -> Target {
 /// Runs the experiment.
 pub fn run() -> Report {
     let budget = 40;
-    let run = |abort: Option<f64>, seed: u64| -> (MetricsSnapshot, TrialStorage) {
+    let run = |abort: Option<f64>, seed: u64| {
         let target = spark_target();
         let mut opt = RandomSearch::new(target.space().clone());
         let source = OptimizerSource::new(&mut opt, budget);
