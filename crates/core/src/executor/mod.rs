@@ -419,10 +419,12 @@ mod tests {
         assert_eq!(campaign.storage().n_crashed(), 10);
     }
 
-    #[test]
-    fn early_abort_middleware_censors_and_saves() {
+    /// Runs the same random-search campaign on the Spark fixture with and
+    /// without `EarlyAbortMw` and checks that aborting saves time without
+    /// changing the winner.
+    fn assert_early_abort_censors_and_saves(budget: usize, seed: u64) {
         let target = crate::test_fixtures::spark_target();
-        let run = |abort: bool, budget: usize, seed: u64| {
+        let run = |abort: bool| {
             let mut opt = RandomSearch::new(target.space().clone());
             let source = OptimizerSource::new(&mut opt, budget);
             let mut campaign =
@@ -433,28 +435,36 @@ mod tests {
             let report = campaign.run();
             (campaign.into_storage(), report)
         };
-        for (budget, seed) in [(30, 5), (40, 13)] {
-            let (plain_s, plain_r) = run(false, budget, seed);
-            let (abort_s, abort_r) = run(true, budget, seed);
-            assert!(
-                abort_r.n_aborted > 5,
-                "expected aborted trials, got {}",
-                abort_r.n_aborted
-            );
-            assert!(abort_r.saved_s > 0.0);
-            assert!(abort_r.machine_seconds() < plain_r.machine_seconds());
-            assert!(
-                abort_s.total_elapsed_s() < plain_s.total_elapsed_s() * 0.9,
-                "abort should save >10% time: {} vs {}",
-                abort_s.total_elapsed_s(),
-                plain_s.total_elapsed_s()
-            );
-            // Censoring never changes the winner: the best trial is below
-            // the threshold by construction.
-            let (plain_best, abort_best) = (plain_s.best().unwrap(), abort_s.best().unwrap());
-            assert_eq!(plain_best.config.render(), abort_best.config.render());
-            assert_eq!(plain_best.cost.to_bits(), abort_best.cost.to_bits());
-        }
+        let (plain_s, plain_r) = run(false);
+        let (abort_s, abort_r) = run(true);
+        assert!(
+            abort_r.n_aborted > 5,
+            "expected aborted trials, got {}",
+            abort_r.n_aborted
+        );
+        assert!(abort_r.saved_s > 0.0);
+        assert!(abort_r.machine_seconds() < plain_r.machine_seconds());
+        assert!(
+            abort_s.total_elapsed_s() < plain_s.total_elapsed_s() * 0.9,
+            "abort should save >10% time: {} vs {}",
+            abort_s.total_elapsed_s(),
+            plain_s.total_elapsed_s()
+        );
+        // Censoring never changes the winner: the best trial is below
+        // the threshold by construction.
+        let (plain_best, abort_best) = (plain_s.best().unwrap(), abort_s.best().unwrap());
+        assert_eq!(plain_best.config.render(), abort_best.config.render());
+        assert_eq!(plain_best.cost.to_bits(), abort_best.cost.to_bits());
+    }
+
+    #[test]
+    fn early_abort_middleware_censors_and_saves() {
+        assert_early_abort_censors_and_saves(30, 5);
+    }
+
+    #[test]
+    fn early_abort_saves_time_without_changing_winner() {
+        assert_early_abort_censors_and_saves(40, 13);
     }
 
     #[test]
