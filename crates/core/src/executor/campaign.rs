@@ -1029,7 +1029,10 @@ impl<'a> Campaign<'a> {
 /// call reuses. A float is its eight bytes there, so the last bit and
 /// the sign of a zero count, and a crashed trial's NaN cost (written as
 /// null on both sides) equals itself. `Err` says why not, worded to
-/// follow "event {i} ".
+/// follow "event {i} ". [`Campaign::resume`] checks a snapshot's full
+/// events with it; a write-ahead log's reopen compares its own events
+/// field by field to the same verdict, and tests that comparison
+/// against this one.
 pub fn same_encoding(
     got: &impl Serialize,
     want: &impl Serialize,
@@ -1057,6 +1060,7 @@ mod tests {
     use crate::executor::{EarlyAbortMw, OptimizerSource, RetryMw};
     use crate::test_fixtures::redis_target;
     use autotune_optimizer::RandomSearch;
+    use std::sync::Arc;
 
     fn campaign_for(policy: SchedulePolicy, budget: usize, seed: u64) -> Campaign<'static> {
         let target = redis_target();
@@ -1085,6 +1089,55 @@ mod tests {
         )
         .with_middleware(Box::new(RetryMw::new(3, 5.0)))
         .with_middleware(Box::new(EarlyAbortMw::new(1.3)))
+    }
+
+    /// Per trial, whether its outcome's series (in the `Outcome` event)
+    /// is the very allocation its last `Measured` event holds.
+    fn outcome_shares_last_series(log: &[CampaignEvent]) -> Vec<(bool, TrialOutcome)> {
+        let outcomes = log.iter().filter_map(|e| match e {
+            CampaignEvent::Outcome { outcome } => Some(outcome),
+            _ => None,
+        });
+        let last_series = |id| {
+            log.iter().rev().find_map(|e| match e {
+                CampaignEvent::Measured { id: m_id, m, .. } if *m_id == id => Some(&m.telemetry),
+                _ => None,
+            })
+        };
+        outcomes
+            .map(|o| {
+                (
+                    Arc::ptr_eq(&o.telemetry, last_series(o.id).unwrap()),
+                    o.clone(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_trials_series_is_allocated_once() {
+        let mut clean = campaign_for(SchedulePolicy::AsyncSlots { k: 2 }, 10, 9);
+        clean.run();
+        let shared = outcome_shares_last_series(clean.log().unwrap());
+        assert_eq!(shared.len(), 10);
+        for (same, o) in shared {
+            assert!(same && o.telemetry.len() == 32, "trial {}", o.id);
+        }
+        // Behind faults and retries: a fault that loses the measurement
+        // drops its series, and every other outcome holds the last
+        // attempt's.
+        let mut faulty = faulty_campaign(SchedulePolicy::AsyncSlots { k: 2 });
+        faulty.run();
+        let shared = outcome_shares_last_series(faulty.log().unwrap());
+        let dropped = shared.iter().filter(|(same, _)| !same).count();
+        assert!(dropped > 0 && dropped < shared.len(), "{dropped} dropped");
+        for (same, o) in shared {
+            assert!(
+                same || (o.telemetry.is_empty() && o.fault.is_some()),
+                "trial {}",
+                o.id
+            );
+        }
     }
 
     #[test]
@@ -1240,7 +1293,7 @@ mod tests {
             .expect("an outcome with a clamped telemetry share");
         let lies: [fn(&mut TrialOutcome, usize); 3] = [
             |o, _| o.elapsed_s = f64::from_bits(o.elapsed_s.to_bits() ^ 1),
-            |o, j| o.telemetry[j].scan_share = -0.0,
+            |o, j| Arc::make_mut(&mut o.telemetry)[j].scan_share = -0.0,
             // No encoding at all, which is a difference too.
             |o, _| o.elapsed_s = f64::INFINITY,
         ];

@@ -8,6 +8,7 @@ use crate::TrialStatus;
 use autotune_sim::{FailureKind, TelemetrySample, Workload};
 use autotune_space::Config;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A trial a [`super::TrialSource`] wants executed.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -48,8 +49,9 @@ pub struct Measurement {
     pub elapsed_s: f64,
     /// Machine the trial landed on, when a noise fleet is attached.
     pub machine_id: Option<usize>,
-    /// Telemetry stream of the run (empty for aggregate noise strategies).
-    pub telemetry: Vec<TelemetrySample>,
+    /// Telemetry stream of the run (empty for aggregate noise strategies),
+    /// shared with the trial's log events and outcome, never copied.
+    pub telemetry: Arc<[TelemetrySample]>,
     /// Set by censoring middleware when the trial was cut short.
     pub aborted: bool,
     /// Benchmark seconds shaved off by censoring middleware.
@@ -112,8 +114,8 @@ pub struct TrialOutcome {
     pub retries: u32,
     /// Fault annotation of the final attempt, if any.
     pub fault: Option<FailureKind>,
-    /// Telemetry stream of the run.
-    pub telemetry: Vec<TelemetrySample>,
+    /// Telemetry stream of the run: its last measurement's allocation.
+    pub telemetry: Arc<[TelemetrySample]>,
 }
 
 /// The event stream a campaign emits, one entry per lifecycle transition.

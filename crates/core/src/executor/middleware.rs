@@ -371,7 +371,7 @@ mod tests {
             cost,
             elapsed_s,
             machine_id: None,
-            telemetry: Vec::new(),
+            telemetry: Default::default(),
             aborted: false,
             saved_s: 0.0,
             fault: None,

@@ -102,13 +102,13 @@ fn apply_fault(f: &Fault, m: &mut Measurement, cost_is_elapsed: bool) {
             // Died `severity` of the way through the run.
             m.cost = f64::NAN;
             m.elapsed_s *= f.severity;
-            m.telemetry.clear();
+            m.telemetry = Default::default();
         }
         FailureKind::Hang => {
             // Wedged: never reports a cost; only a timeout frees the slot.
             m.cost = f64::NAN;
             m.elapsed_s *= f.severity;
-            m.telemetry.clear();
+            m.telemetry = Default::default();
         }
         FailureKind::Straggler => {
             // Slow but complete. When the objective *is* elapsed time the
@@ -153,7 +153,7 @@ pub fn measure_request(
             cost,
             elapsed_s,
             machine_id: None,
-            telemetry: Vec::new(),
+            telemetry: Default::default(),
             aborted: false,
             saved_s: 0.0,
             fault: None,

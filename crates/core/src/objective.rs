@@ -69,15 +69,6 @@ impl Objective {
             } => format!("{latency_weight}*latency + {cost_weight}*cost"),
         }
     }
-
-    /// Renders a cost back into the metric's natural reading (throughput
-    /// costs are negated back to positive ops/s).
-    pub fn display_value(&self, cost: f64) -> f64 {
-        match self {
-            Objective::MaximizeThroughput => -cost,
-            _ => cost,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -94,7 +85,7 @@ mod tests {
             elapsed_s: 60.0,
             crashed: false,
             failure: None,
-            telemetry: Vec::new(),
+            telemetry: Default::default(),
             profile: Vec::new(),
         }
     }
@@ -134,13 +125,5 @@ mod tests {
                 obj.label()
             );
         }
-    }
-
-    #[test]
-    fn display_value_restores_throughput_sign() {
-        let obj = Objective::MaximizeThroughput;
-        let c = obj.cost(&result());
-        assert_eq!(obj.display_value(c), 1000.0);
-        assert_eq!(Objective::MinimizeCost.display_value(0.5), 0.5);
     }
 }

@@ -221,7 +221,7 @@ impl Target {
                         elapsed_s: *elapsed_s,
                         crashed: false,
                         failure: None,
-                        telemetry: Vec::new(),
+                        telemetry: Default::default(),
                         profile: Vec::new(),
                     }
                 };

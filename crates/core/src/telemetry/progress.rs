@@ -194,7 +194,7 @@ mod tests {
                     status: crate::TrialStatus::Complete,
                     retries: 0,
                     fault: None,
-                    telemetry: Vec::new(),
+                    telemetry: Default::default(),
                 },
             );
         }
@@ -221,7 +221,7 @@ mod tests {
             status: crate::TrialStatus::Complete,
             retries: 0,
             fault: None,
-            telemetry: Vec::new(),
+            telemetry: Default::default(),
         }
     }
 

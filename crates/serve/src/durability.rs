@@ -36,10 +36,10 @@
 //!
 //! | event | logged | why |
 //! |---|---|---|
-//! | `Measured` | every field; the telemetry series as one byte string, 56 little-endian bytes a sample | the replay's only *input*: nothing recomputes it, so it is kept whole and bit for bit, and no field name is spelled 32 times |
+//! | `Measured` | every field; the telemetry series as one byte string, 56 little-endian bytes a sample | the replay's only *input*: nothing recomputes it, so it is kept whole and bit for bit, and no field name is spelled 32 times; a reopen unpacks it from the record's bytes into one allocation, which the rebuilt `Measured` and the trial's outcome share |
 //! | `Suggested` | whole | recomputed from the seed; kept to be compared |
 //! | `Opt` | whole | recomputed; kept to be compared |
-//! | `Outcome` | its nine scalars (`id`, `cost`, `learn_cost`, `elapsed_s`, `fidelity`, `machine_id`, `status`, `retries`, `fault`) | recomputed; its `config` is the trial's `Suggested` and its `telemetry` the trial's last `Measured`, both already in the log, so a second copy of either could only ever agree with the first |
+//! | `Outcome` | its nine scalars (`id`, `cost`, `learn_cost`, `elapsed_s`, `fidelity`, `machine_id`, `status`, `retries`, `fault`) | recomputed; its `config` is the trial's `Suggested` and its `telemetry` the one series the trial's last `Measured` holds (empty when a fault lost the measurement), both already in the log, so a second copy of either could only ever agree with the first |
 //!
 //! A Redis trial is 2.4 KB of log (1 792 bytes of it the 32-sample
 //! series); with full events it was 8.0 KB, 7.2 KB of that the series
@@ -67,12 +67,19 @@
 //! boundary. Recovery is one replay ([`Campaign::replay`], the loop
 //! under [`Campaign::resume`] too): the logged measurements stand in
 //! for the target, a fresh build of the spec recomputes every other
-//! event, and each rebuilt event, put in WAL form, must encode to the
-//! bytes the logged one encodes to — so bit for bit (`-0.0` is not
-//! `0.0`; a crashed trial's NaN cost is null on both sides). What comes
-//! out is the campaign the log's measurements produce, its full event
-//! log and history included, and live measurement takes over with the
-//! next tick.
+//! event, and each rebuilt event, put in WAL form, must be the logged
+//! one as its encoding sees it, compared field by field without
+//! encoding either: a float by its bits (`-0.0` is not `0.0`; a crashed
+//! trial's NaN cost is `None` on both sides), the telemetry series by
+//! pointer (the replay measured with the logged one) and else sample by
+//! sample to the bit, configs, workload overrides, ids, flags and `Opt`
+//! events by value. On every single-field edit of a noisy, faulty
+//! campaign's events this is the verdict of comparing the encodings
+//! (`same_bits_is_the_encodings_verdict`, with
+//! [`autotune::executor::same_encoding`] as the oracle), and a refusal
+//! reads as that one does. What comes out is the campaign the log's
+//! measurements produce, its full event log and history included, and
+//! live measurement takes over with the next tick.
 //!
 //! What the fresh build recomputes depends on whether the campaign is
 //! **finished**: stopped, or its source ran dry (the last `SuggestEnd`
@@ -146,19 +153,20 @@
 use crate::chaos::{ChaosPlan, CrashPoint};
 use crate::registry::{AdmissionConfig, CampaignRegistry, ServeError};
 use crate::spec::CampaignSpec;
-use autotune::executor::same_encoding;
 use autotune::{
     Campaign, CampaignError, CampaignEvent, Measurement, OptEvent, SourceStep, TrialOutcome,
     TrialRequest, TrialSource, TrialStatus,
 };
 use autotune_linalg::par_map;
-use autotune_sim::{FailureKind, TelemetrySample};
+use autotune_sim::{FailureKind, TelemetrySample, Workload};
+use autotune_space::{Config, Value};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// One durable WAL record. Written from what it borrows (the live event
 /// log, the caller's key and payload), read back owning it.
@@ -206,7 +214,7 @@ pub(crate) enum WalEvent<'a> {
         elapsed_s: f64,
         machine_id: Option<usize>,
         #[serde(with = "packed_telemetry")]
-        telemetry: Cow<'a, [TelemetrySample]>,
+        telemetry: Arc<[TelemetrySample]>,
         aborted: bool,
         saved_s: f64,
         fault: Option<FailureKind>,
@@ -247,7 +255,7 @@ impl<'a> From<&'a CampaignEvent> for WalEvent<'a> {
                 cost: not_nan(m.cost),
                 elapsed_s: m.elapsed_s,
                 machine_id: m.machine_id,
-                telemetry: Cow::Borrowed(&m.telemetry),
+                telemetry: Arc::clone(&m.telemetry),
                 aborted: m.aborted,
                 saved_s: m.saved_s,
                 fault: m.fault,
@@ -271,7 +279,7 @@ impl<'a> From<&'a CampaignEvent> for WalEvent<'a> {
 
 impl WalEvent<'_> {
     /// The replay input a `Measured` holds: trial, attempt and the raw
-    /// measurement, its telemetry copied out.
+    /// measurement, its telemetry the logged series itself.
     fn measured(&self) -> Option<(u64, u32, Measurement)> {
         let WalEvent::Measured {
             id,
@@ -292,7 +300,7 @@ impl WalEvent<'_> {
             cost: cost.unwrap_or(f64::NAN),
             elapsed_s: *elapsed_s,
             machine_id: *machine_id,
-            telemetry: telemetry.to_vec(),
+            telemetry: Arc::clone(telemetry),
             aborted: *aborted,
             saved_s: *saved_s,
             fault: *fault,
@@ -310,7 +318,7 @@ impl WalEvent<'_> {
 mod packed_telemetry {
     use autotune_sim::TelemetrySample;
     use serde::{Deserialize, Deserializer, Serialize, Serializer};
-    use std::borrow::Cow;
+    use std::sync::Arc;
 
     const SAMPLE_BYTES: usize = 7 * 8;
 
@@ -352,13 +360,15 @@ mod packed_telemetry {
         s.serialize_bytes(&bytes)
     }
 
-    pub fn deserialize<'de, 'a, D: Deserializer<'de>>(
+    /// Unpacks the series from the record's own bytes, where they lie,
+    /// into its one allocation.
+    pub fn deserialize<'de, D: Deserializer<'de>>(
         d: D,
-    ) -> Result<Cow<'a, [TelemetrySample]>, D::Error> {
+    ) -> Result<Arc<[TelemetrySample]>, D::Error> {
         if d.is_human_readable() {
-            return Vec::deserialize(d).map(Cow::Owned);
+            return Arc::deserialize(d);
         }
-        let bytes: Vec<u8> = serde_bytes::deserialize(d)?;
+        let bytes = <&[u8]>::deserialize(d)?;
         let samples = bytes.chunks_exact(SAMPLE_BYTES);
         if !samples.remainder().is_empty() {
             return Err(serde::de::Error::custom(format!(
@@ -376,6 +386,185 @@ mod packed_telemetry {
             sample(fields)
         });
         Ok(unpacked.collect())
+    }
+}
+
+/// The words a replay that is not its log is refused with, after
+/// "event {i} ": [`same_encoding`]'s.
+///
+/// [`same_encoding`]: autotune::executor::same_encoding
+const DIVERGED: &str = "differs from the recorded one (different target, source or middleware \
+                        than the original campaign)";
+
+/// Equality as the log's binary encoding sees it, taken field by field
+/// without encoding anything: a float is its bits (so `-0.0` is not
+/// `0.0`), everything else its value, and a shared series is equal to
+/// itself before a sample is read. Against a logged event, whose floats
+/// all decoded and so are finite, this is [`same_encoding`]'s verdict
+/// (`same_bits_is_the_encodings_verdict`); every field is named, so a
+/// field added to an event or a request does not compile until it is
+/// compared here.
+///
+/// [`same_encoding`]: autotune::executor::same_encoding
+trait SameBits {
+    fn same_bits(&self, other: &Self) -> bool;
+}
+
+impl SameBits for f64 {
+    fn same_bits(&self, other: &Self) -> bool {
+        self.to_bits() == other.to_bits()
+    }
+}
+
+impl<T: SameBits> SameBits for Option<T> {
+    fn same_bits(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Some(a), Some(b)) => a.same_bits(b),
+            (a, b) => a.is_none() && b.is_none(),
+        }
+    }
+}
+
+impl SameBits for Config {
+    fn same_bits(&self, other: &Self) -> bool {
+        self.len() == other.len()
+            && self.iter().zip(other.iter()).all(|((ka, a), (kb, b))| {
+                ka == kb
+                    && match (a, b) {
+                        (Value::Float(a), Value::Float(b)) => a.same_bits(b),
+                        (a, b) => a == b,
+                    }
+            })
+    }
+}
+
+impl SameBits for Workload {
+    fn same_bits(&self, other: &Self) -> bool {
+        let Workload {
+            kind,
+            read_fraction,
+            scan_fraction,
+            skew,
+            working_set_gb,
+            offered_ops,
+            scale_factor,
+            base_duration_s,
+        } = self;
+        *kind == other.kind
+            && read_fraction.same_bits(&other.read_fraction)
+            && scan_fraction.same_bits(&other.scan_fraction)
+            && skew.same_bits(&other.skew)
+            && working_set_gb.same_bits(&other.working_set_gb)
+            && offered_ops.same_bits(&other.offered_ops)
+            && scale_factor.same_bits(&other.scale_factor)
+            && base_duration_s.same_bits(&other.base_duration_s)
+    }
+}
+
+impl SameBits for TrialRequest {
+    fn same_bits(&self, other: &Self) -> bool {
+        let TrialRequest {
+            config,
+            fidelity,
+            workload,
+            machine_id,
+        } = self;
+        config.same_bits(&other.config)
+            && fidelity.same_bits(&other.fidelity)
+            && workload.same_bits(&other.workload)
+            && *machine_id == other.machine_id
+    }
+}
+
+impl SameBits for Arc<[TelemetrySample]> {
+    fn same_bits(&self, other: &Self) -> bool {
+        let bits = |t| packed_telemetry::fields(t).map(f64::to_bits);
+        Arc::ptr_eq(self, other)
+            || (self.len() == other.len()
+                && self
+                    .iter()
+                    .zip(other.iter())
+                    .all(|(a, b)| bits(a) == bits(b)))
+    }
+}
+
+impl SameBits for WalEvent<'_> {
+    fn same_bits(&self, other: &Self) -> bool {
+        match (self, other) {
+            (
+                WalEvent::Suggested { id, request },
+                WalEvent::Suggested {
+                    id: id_b,
+                    request: b,
+                },
+            ) => id == id_b && request.same_bits(b),
+            (
+                WalEvent::Measured {
+                    id,
+                    attempt,
+                    cost,
+                    elapsed_s,
+                    machine_id,
+                    telemetry,
+                    aborted,
+                    saved_s,
+                    fault,
+                    clock,
+                },
+                WalEvent::Measured {
+                    id: id_b,
+                    attempt: attempt_b,
+                    cost: cost_b,
+                    elapsed_s: elapsed_s_b,
+                    machine_id: machine_id_b,
+                    telemetry: telemetry_b,
+                    aborted: aborted_b,
+                    saved_s: saved_s_b,
+                    fault: fault_b,
+                    clock: clock_b,
+                },
+            ) => {
+                (id, attempt, machine_id, aborted, fault, clock)
+                    == (id_b, attempt_b, machine_id_b, aborted_b, fault_b, clock_b)
+                    && cost.same_bits(cost_b)
+                    && elapsed_s.same_bits(elapsed_s_b)
+                    && saved_s.same_bits(saved_s_b)
+                    && telemetry.same_bits(telemetry_b)
+            }
+            (
+                WalEvent::Outcome {
+                    id,
+                    cost,
+                    learn_cost,
+                    elapsed_s,
+                    fidelity,
+                    machine_id,
+                    status,
+                    retries,
+                    fault,
+                },
+                WalEvent::Outcome {
+                    id: id_b,
+                    cost: cost_b,
+                    learn_cost: learn_cost_b,
+                    elapsed_s: elapsed_s_b,
+                    fidelity: fidelity_b,
+                    machine_id: machine_id_b,
+                    status: status_b,
+                    retries: retries_b,
+                    fault: fault_b,
+                },
+            ) => {
+                (id, machine_id, status, retries, fault)
+                    == (id_b, machine_id_b, status_b, retries_b, fault_b)
+                    && cost.same_bits(cost_b)
+                    && learn_cost.same_bits(learn_cost_b)
+                    && elapsed_s.same_bits(elapsed_s_b)
+                    && fidelity.same_bits(fidelity_b)
+            }
+            (WalEvent::Opt { event }, WalEvent::Opt { event: b }) => event == b,
+            _ => false,
+        }
     }
 }
 
@@ -855,9 +1044,12 @@ fn rebuild(
         spec.build()
     };
     let measured = logged.iter().filter_map(WalEvent::measured);
-    let mut scratch = Default::default();
     Campaign::replay(fresh, measured, logged.len(), |i, rebuilt| {
-        same_encoding(&WalEvent::from(rebuilt), &logged[i], &mut scratch)
+        if WalEvent::from(rebuilt).same_bits(&logged[i]) {
+            Ok(())
+        } else {
+            Err(DIVERGED.into())
+        }
     })
 }
 
@@ -1464,6 +1656,7 @@ mod tests {
     use super::*;
     use crate::registry::tests::{event_log, standalone_runs};
     use crate::spec::{NoiseSpec, OptimizerKind, SystemKind};
+    use autotune::executor::same_encoding;
     use autotune::SchedulePolicy;
     use autotune_sim::{FaultPlan, NoiseConfig};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -2346,7 +2539,7 @@ mod tests {
                 let WalEvent::Measured { id, telemetry, .. } = e else {
                     return false;
                 };
-                let cpu = &mut telemetry.to_mut()[3].cpu;
+                let cpu = &mut Arc::make_mut(telemetry)[3].cpu;
                 *cpu = f64::from_bits(cpu.to_bits() ^ 1);
                 flipped = Some((*id, cpu.to_bits()));
                 true
@@ -2386,7 +2579,7 @@ mod tests {
                 Some(edge) => *edge,
                 None => f64::from_bits(b),
             };
-            let telemetry: Vec<TelemetrySample> = bits
+            let telemetry: Arc<[TelemetrySample]> = bits
                 .chunks_exact(7)
                 .map(|s| packed_telemetry::sample(std::array::from_fn(|i| field(s[i]))))
                 .collect();
@@ -2419,6 +2612,291 @@ mod tests {
                 fields.map(f64::to_bits).collect()
             };
             proptest::prop_assert_eq!(series(&got), series(&m));
+        }
+    }
+
+    #[test]
+    fn a_reopened_trial_holds_the_series_its_record_decoded_into() {
+        let specs = vec![noisy_random(9, 31)];
+        let dir = temp_dir("shared-series");
+        drop(drive(&dir, &specs, WalConfig::default(), |_| {}));
+        // Rebuilt from the decoded log: each `Measured` holds the very
+        // allocation its record was unpacked into.
+        let fleet = recover_dir(&dir, false, |_, _| {}).unwrap().fleet;
+        let logged = &fleet[&0].events;
+        let campaign = rebuild(&specs[0], logged, false).unwrap();
+        let rebuilt = campaign.log().unwrap();
+        let mut measured = 0;
+        for (got, want) in rebuilt.iter().zip(logged) {
+            if let (CampaignEvent::Measured { m, .. }, WalEvent::Measured { telemetry, .. }) =
+                (got, want)
+            {
+                assert!(Arc::ptr_eq(&m.telemetry, telemetry));
+                measured += 1;
+            }
+        }
+        assert!(measured >= 9, "{measured}");
+        // Through `open`: every outcome shares its last measurement's
+        // series, except where a fault dropped it.
+        let (recovered, _) = DurableRegistry::open(&dir, 2, WalConfig::default()).unwrap();
+        let log = recovered.registry().campaign(0).unwrap().log().unwrap();
+        let (mut shared, mut dropped) = (0, 0);
+        for e in log {
+            let CampaignEvent::Outcome { outcome } = e else {
+                continue;
+            };
+            let last = log.iter().rev().find_map(|e| match e {
+                CampaignEvent::Measured { id, m, .. } if *id == outcome.id => Some(&m.telemetry),
+                _ => None,
+            });
+            if Arc::ptr_eq(&outcome.telemetry, last.unwrap()) {
+                shared += 1;
+            } else {
+                assert!(outcome.telemetry.is_empty() && outcome.fault.is_some());
+                dropped += 1;
+            }
+        }
+        assert!(
+            shared > 0 && dropped > 0,
+            "{shared} shared, {dropped} dropped"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A random search on a noisy fleet under an aggressive fault plan.
+    fn noisy_random(budget: usize, seed: u64) -> CampaignSpec {
+        let mut s = CampaignSpec::minimal("noisy", SystemKind::Redis, budget, seed);
+        s.noise = Some(NoiseSpec {
+            n_machines: 4,
+            config: NoiseConfig::default(),
+            seed,
+        });
+        s.faults = Some(FaultPlan::aggressive(seed));
+        s
+    }
+
+    /// Edit `how` of an event's field number `field` (in declaration
+    /// order; `false` past the last): a one-ulp step or a flipped sign of
+    /// a float, so `0.0` becomes `-0.0`; an integer one up or down;
+    /// `None` and `Some` swapped; a flag flipped; a config value, a
+    /// workload override or a telemetry sample changed. `pick` chooses
+    /// the knob, the sample and the workload field. `how` 3 of a series
+    /// is a copy with equal bits in a new allocation.
+    fn edit(e: &mut WalEvent, field: usize, how: usize, pick: usize) -> bool {
+        fn float(x: &mut f64, how: usize) {
+            *x = match how % 3 {
+                0 => f64::from_bits(x.to_bits().wrapping_add(1)),
+                1 => -*x,
+                _ => f64::from_bits(x.to_bits().wrapping_sub(1)),
+            };
+        }
+        fn step<T: Copy + TryFrom<u64>>(x: &mut T, how: usize)
+        where
+            u64: TryFrom<T>,
+        {
+            let v = u64::try_from(*x).unwrap_or(0);
+            let v = if how.is_multiple_of(2) {
+                v.wrapping_add(1)
+            } else {
+                v.wrapping_sub(1)
+            };
+            *x = T::try_from(v).unwrap_or(*x);
+        }
+        fn other(f: &mut FailureKind, _: usize) {
+            *f = match f {
+                FailureKind::Hang => FailureKind::Outage,
+                _ => FailureKind::Hang,
+            }
+        }
+        fn toggle<T>(x: &mut Option<T>, some: T, how: usize, inner: impl FnOnce(&mut T, usize)) {
+            match x {
+                Some(v) if how > 0 => inner(v, how - 1),
+                Some(_) => *x = None,
+                None => *x = Some(some),
+            }
+        }
+        match e {
+            WalEvent::Suggested { id, request } => {
+                let r = request.to_mut();
+                match field {
+                    0 => step(id, how),
+                    1 => {
+                        let Some((name, value)) = r.config.iter().nth(pick % r.config.len()) else {
+                            return false;
+                        };
+                        let value = match (value, how % 3) {
+                            (_, 2) => None,
+                            (Value::Float(x), how) => Some(Value::Float({
+                                let mut x = *x;
+                                float(&mut x, how);
+                                x
+                            })),
+                            (Value::Int(i), how) => {
+                                Some(Value::Int(if how == 0 { i + 1 } else { i - 1 }))
+                            }
+                            (Value::Bool(b), _) => Some(Value::Bool(!b)),
+                            (Value::Cat(c), _) => Some(Value::Cat(format!("{c}x"))),
+                        };
+                        let name = name.clone();
+                        match value {
+                            Some(v) => r.config.set(name, v),
+                            None => drop(r.config.remove(&name)),
+                        }
+                    }
+                    2 => float(&mut r.fidelity, how),
+                    3 => toggle(&mut r.workload, Workload::ycsb_a(1000.0), how, |w, how| {
+                        let fields = [
+                            &mut w.read_fraction,
+                            &mut w.scan_fraction,
+                            &mut w.skew,
+                            &mut w.working_set_gb,
+                            &mut w.offered_ops,
+                            &mut w.scale_factor,
+                            &mut w.base_duration_s,
+                        ];
+                        float(fields.into_iter().nth(pick % 7).unwrap(), how);
+                    }),
+                    4 => toggle(&mut r.machine_id, 0, how, step),
+                    _ => return false,
+                }
+            }
+            WalEvent::Measured {
+                id,
+                attempt,
+                cost,
+                elapsed_s,
+                machine_id,
+                telemetry,
+                aborted,
+                saved_s,
+                fault,
+                clock,
+            } => match field {
+                0 => step(id, how),
+                1 => step(attempt, how),
+                2 => toggle(cost, 0.0, how, float),
+                3 => float(elapsed_s, how),
+                4 => toggle(machine_id, 0, how, step),
+                5 => {
+                    let mut copy: Vec<TelemetrySample> = telemetry.to_vec();
+                    match (copy.len(), how % 4) {
+                        (0, 0..3) => copy.push(packed_telemetry::sample([0.0; 7])),
+                        (n, 0) => drop(copy.remove(pick % n)),
+                        (n, how @ 1..3) => {
+                            let mut fields = packed_telemetry::fields(&copy[pick % n]);
+                            float(&mut fields[pick % 7], how - 1);
+                            copy[pick % n] = packed_telemetry::sample(fields);
+                        }
+                        _ => {}
+                    }
+                    *telemetry = copy.into();
+                }
+                6 => *aborted = !*aborted,
+                7 => float(saved_s, how),
+                8 => toggle(fault, FailureKind::Transient, how, other),
+                9 => step(clock, how),
+                _ => return false,
+            },
+            WalEvent::Outcome {
+                id,
+                cost,
+                learn_cost,
+                elapsed_s,
+                fidelity,
+                machine_id,
+                status,
+                retries,
+                fault,
+            } => match field {
+                0 => step(id, how),
+                1 => toggle(cost, 0.0, how, float),
+                2 => toggle(learn_cost, 0.0, how, float),
+                3 => float(elapsed_s, how),
+                4 => float(fidelity, how),
+                5 => toggle(machine_id, 0, how, step),
+                6 => {
+                    *status = match status {
+                        TrialStatus::Complete => TrialStatus::Crashed,
+                        _ => TrialStatus::Complete,
+                    }
+                }
+                7 => step(retries, how),
+                8 => toggle(fault, FailureKind::Transient, how, other),
+                _ => return false,
+            },
+            WalEvent::Opt { event } => match (field, event) {
+                (
+                    0,
+                    OptEvent::SuggestBegin { id }
+                    | OptEvent::SuggestEnd { id, .. }
+                    | OptEvent::ObserveBegin { id }
+                    | OptEvent::ObserveEnd { id, .. }
+                    | OptEvent::SurrogateRefit { id, .. }
+                    | OptEvent::ModelUpdate { id, .. },
+                ) => step(id, how),
+                (
+                    1,
+                    OptEvent::SuggestEnd { wall_ns, .. } | OptEvent::ObserveEnd { wall_ns, .. },
+                ) => step(wall_ns, how),
+                (
+                    1,
+                    OptEvent::SurrogateRefit { n_refits: n, .. }
+                    | OptEvent::ModelUpdate { n_updates: n, .. },
+                ) => step(n, how),
+                (2, OptEvent::SuggestEnd { dispatched, .. }) => *dispatched = !*dispatched,
+                _ => return false,
+            },
+        }
+        true
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+        /// Recovery's field-by-field check and the encoding it stands for
+        /// agree on every single-field edit of every event a noisy,
+        /// fault-injected campaign logs, and on the events themselves,
+        /// shared or copied.
+        #[test]
+        fn same_bits_is_the_encodings_verdict(seed in 0u64..1000, pick in 0usize..1000) {
+            let mut c = noisy_random(8, seed).build();
+            c.run();
+            let mut bytes = Vec::new();
+            let live: Vec<WalEvent> = c.log().unwrap().iter().map(WalEvent::from).collect();
+            ciborium::into_writer(&live, &mut bytes).unwrap();
+            let logged: Vec<WalEvent<'static>> = ciborium::from_reader(&bytes[..]).unwrap();
+            let scratch = &mut Default::default();
+            let (mut edits, mut refused) = (0, 0);
+            for (live, logged) in live.iter().zip(&logged) {
+                proptest::prop_assert!(live.same_bits(logged) && logged.same_bits(logged));
+                for field in 0.. {
+                    let mut edited = logged.clone();
+                    if !edit(&mut edited, field, 0, pick) {
+                        break;
+                    }
+                    for how in 0..4 {
+                        let mut edited = logged.clone();
+                        edit(&mut edited, field, how, pick);
+                        let oracle = same_encoding(&edited, logged, scratch);
+                        proptest::prop_assert_eq!(
+                            edited.same_bits(logged),
+                            oracle.is_ok(),
+                            "field {} how {} of {:?}",
+                            field,
+                            how,
+                            logged
+                        );
+                        proptest::prop_assert_eq!(logged.same_bits(&edited), oracle.is_ok());
+                        if let Err(why) = oracle {
+                            if !why.starts_with("cannot be encoded") {
+                                proptest::prop_assert_eq!(why, DIVERGED);
+                            }
+                            refused += 1;
+                        }
+                        edits += 1;
+                    }
+                }
+            }
+            proptest::prop_assert!(refused > edits / 2, "{} of {} edits refused", refused, edits);
         }
     }
 

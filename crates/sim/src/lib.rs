@@ -53,6 +53,7 @@ pub use workload::{Workload, WorkloadKind, WorkloadSchedule};
 use autotune_space::{Config, Space};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The outcome of one benchmark trial against a simulated system.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -77,8 +78,10 @@ pub struct TrialResult {
     /// (injected by a [`FaultPlan`]); `None` for clean runs.
     #[serde(default)]
     pub failure: Option<FailureKind>,
-    /// Telemetry time series sampled during the trial.
-    pub telemetry: Vec<TelemetrySample>,
+    /// Telemetry time series sampled during the trial, in one shared
+    /// allocation: the measurement and outcome events of the trial that
+    /// carry it hold the same one.
+    pub telemetry: Arc<[TelemetrySample]>,
     /// Component time profile: `(component, share of service time)` pairs
     /// summing to ~1. The PGO/FDO analogue of a stack profile (slide 68);
     /// empty when a simulator does not expose one.
@@ -98,7 +101,7 @@ impl TrialResult {
             elapsed_s,
             crashed: true,
             failure: Some(FailureKind::ConfigCrash),
-            telemetry: Vec::new(),
+            telemetry: Arc::default(),
             profile: Vec::new(),
         }
     }

@@ -8,6 +8,7 @@
 use crate::Workload;
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One telemetry sample (one scrape interval).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -32,13 +33,14 @@ pub struct TelemetrySample {
 pub(crate) const SAMPLES_PER_TRIAL: usize = 32;
 
 /// Emits a telemetry series consistent with the workload's character and
-/// the trial's utilization level.
+/// the trial's utilization level, collected into its one allocation (the
+/// sample count is known up front).
 pub(crate) fn emit(
     workload: &Workload,
     utilization: f64,
     throughput_ops: f64,
     rng: &mut dyn RngCore,
-) -> Vec<TelemetrySample> {
+) -> Arc<[TelemetrySample]> {
     let mut rng = rng;
     let util = utilization.clamp(0.0, 1.0);
     // Channel baselines follow the workload family: scans hammer disk,
@@ -101,7 +103,7 @@ mod tests {
         let w = Workload::ycsb_a(1000.0);
         let series = emit(&w, 0.6, 950.0, &mut rng);
         assert_eq!(series.len(), SAMPLES_PER_TRIAL);
-        for s in &series {
+        for s in series.iter() {
             for v in [
                 s.cpu,
                 s.mem,
