@@ -6,7 +6,7 @@
 #   tools/ci.sh          # the full gate, release determinism included
 #   tools/ci.sh --fast   # inner-loop subset: skips the release-build gates
 #                        # (release tests, the experiment output, the
-#                        # benchmark crate)
+#                        # benchmark crate), the mutation table
 #                        # and the determinism-under-load stress loop
 #
 # Every step runs even after a failure, so one invocation reports the
@@ -97,6 +97,7 @@ if [ "$FAST" -eq 1 ]; then
   skip_step "kernel bitwise (release)"
   skip_step "cache hit path (release)"
   skip_step "benchmark crate (build, tests, smoke run)"
+  skip_step "mutation table"
 else
   # The byte-identical contracts must hold on a busy machine, not only
   # an idle one: rerun the registry, campaign-snapshot, cache-race,
@@ -227,6 +228,13 @@ else
         --workload tune_fleet --seed 1 --seconds 2 --trace 1 >/dev/null
   }
   run_step "benchmark crate (build, tests, smoke run)" benchmark_step
+
+  # Contracts that prove they can fail: each row of tools/mutants.tsv is
+  # a deliberate defect, applied in a worktree of HEAD; its test
+  # selection must pass unmutated and fail on the mutant, which must
+  # compile. Debug builds in their own target directory: 13 rows take
+  # about 50 s on 2 vCPUs from cold.
+  run_step "mutation table" tools/mutants.sh
 fi
 
 # The three size figures ROADMAP.md tracks (`.rs` lines per crate, public
