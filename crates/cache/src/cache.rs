@@ -6,7 +6,7 @@ use autotune::sync::PoisonFree;
 use autotune_space::Config;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::RwLock;
 
 use autotune_wid::{StreamAssignment, StreamingClusters};
 use serde::{Deserialize, Serialize};
@@ -50,8 +50,9 @@ pub struct CacheHit {
     pub family: usize,
     /// Exact fingerprint key of the serving entry (its identity).
     pub key: u64,
-    /// The cached configuration, shared with the entry that holds it.
-    pub config: Arc<Config>,
+    /// The cached configuration, sharing its map with the entry that
+    /// holds it (a clone of a [`Config`] copies no value).
+    pub config: Config,
     /// Cost observed when the entry was tuned (lower is better).
     pub cost: f64,
     /// True when no entry of the family holds the lookup's exact features
@@ -102,7 +103,7 @@ pub struct CacheStats {
 #[derive(Debug)]
 struct Entry {
     features: Vec<f64>,
-    config: Arc<Config>,
+    config: Config,
     cost: f64,
     hits: AtomicU64,
     last_used: AtomicU64,
@@ -373,7 +374,7 @@ impl ShardedCache {
         let hit = CacheHit {
             family,
             key: serve_key,
-            config: Arc::clone(&entry.config),
+            config: entry.config.clone(),
             cost: entry.cost,
             borrowed: exact.is_none(),
         };
@@ -400,7 +401,7 @@ impl ShardedCache {
         let tick = self.tick.load(Ordering::Acquire);
         let entry = Entry {
             features: features.to_vec(),
-            config: Arc::new(config),
+            config,
             cost,
             hits: AtomicU64::new(0),
             last_used: AtomicU64::new(tick),
@@ -578,7 +579,7 @@ impl ShardedCache {
                     family,
                     key,
                     features: e.features.clone(),
-                    config: Config::clone(&e.config),
+                    config: e.config.clone(),
                     cost: e.cost,
                     hits: e.hits.load(Ordering::Relaxed), // lint: allow(D9) monotone per-entry counter; serialized for reporting, ordered by the shard lock
                     last_used: e.last_used.load(Ordering::Acquire),
@@ -626,7 +627,7 @@ impl ShardedCache {
                 e.key,
                 Entry {
                     features: e.features.clone(),
-                    config: Arc::new(e.config.clone()),
+                    config: e.config.clone(),
                     cost: e.cost,
                     hits: AtomicU64::new(e.hits),
                     last_used: AtomicU64::new(e.last_used),
@@ -732,7 +733,7 @@ mod tests {
             CacheLookup::Hit(h) => {
                 assert_eq!(h.family, a.family);
                 assert!(!h.borrowed);
-                assert_eq!(*h.config, config_with(1));
+                assert_eq!(h.config, config_with(1));
             }
             other => panic!("expected hit, got {other:?}"),
         }
@@ -751,7 +752,7 @@ mod tests {
         match cache.lookup(&b) {
             CacheLookup::Hit(h) => {
                 assert!(h.borrowed);
-                assert_eq!(*h.config, config_with(1));
+                assert_eq!(h.config, config_with(1));
             }
             other => panic!("expected borrowed hit, got {other:?}"),
         }
@@ -768,7 +769,7 @@ mod tests {
         cache.insert(fam, &b, config_with(2), 5.0);
         // A third tenant in the family gets the cost-5 incumbent.
         match cache.lookup(&[0.2]) {
-            CacheLookup::Hit(h) => assert_eq!(*h.config, config_with(2)),
+            CacheLookup::Hit(h) => assert_eq!(h.config, config_with(2)),
             other => panic!("expected hit, got {other:?}"),
         }
     }
@@ -949,7 +950,7 @@ mod tests {
             CacheLookup::Hit(h) => {
                 assert!(!h.borrowed);
                 assert_eq!(h.key, fingerprint_key(&a));
-                assert_eq!(*h.config, config_with(1));
+                assert_eq!(h.config, config_with(1));
             }
             other => panic!("expected an exact hit, got {other:?}"),
         }

@@ -14,12 +14,13 @@
 //!   observed cost) answers any member that has none;
 //! * the read path is **sharded** ([`ShardedCache`]): families map to
 //!   shards, lookups take only read locks and bump atomic LRU ticks, and
-//!   a hit hands out the entry's `Arc<Config>`, allocating nothing. On a
-//!   2-vCPU Xeon VM one thread serves 5-8 M hits a second (110-160 ns
-//!   each; the benchmark's `cache.lookup_ns`). Readers never block each
-//!   other, but they still share the logical clock, the clustering
-//!   model's lock and the entries' LRU stamps, so two threads together
-//!   manage 0.5-0.9× what one does (`cache.scaling`), not 2×;
+//!   a hit hands out a clone of the entry's `Config`, whose map the two
+//!   share copy-on-write, so it allocates nothing. On a 2-vCPU Xeon VM
+//!   one thread serves 5-8 M hits a second (110-160 ns each; the
+//!   benchmark's `cache.lookup_ns`). Readers never block each other,
+//!   but they still share the logical clock, the clustering model's
+//!   lock and the entries' LRU stamps, so two threads together manage
+//!   0.5-0.9× what one does (`cache.scaling`), not 2×;
 //! * eviction is **LRU + quality-aware**: when a shard exceeds capacity,
 //!   the least-recently-used entry whose config underperforms its family
 //!   incumbent goes first, and the sole entry of a family with live

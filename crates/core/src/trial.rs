@@ -2,9 +2,10 @@
 //!
 //! Every benchmark run becomes a [`Trial`], and [`TrialStorage`] is the
 //! framework's experiment database: it answers "what have we tried, what
-//! did it score, what is the incumbent", deduplicates repeats, exports to
-//! JSON for knowledge transfer between campaigns, and produces the
-//! best-so-far convergence curves every experiment report plots.
+//! did it score, what is the incumbent", keeps every trial as recorded
+//! (repeats included), exports to JSON for knowledge transfer between
+//! campaigns, and produces the best-so-far convergence curves every
+//! experiment report plots.
 
 use autotune_space::Config;
 use serde::{Deserialize, Serialize};

@@ -398,9 +398,10 @@ const DIVERGED: &str = "differs from the recorded one (different target, source 
 
 /// Equality as the log's binary encoding sees it, taken field by field
 /// without encoding anything: a float is its bits (so `-0.0` is not
-/// `0.0`), everything else its value, and a shared series is equal to
-/// itself before a sample is read. Against a logged event, whose floats
-/// all decoded and so are finite, this is [`same_encoding`]'s verdict
+/// `0.0`), everything else its value, and a shared series or config is
+/// equal to itself before a sample or a value is read. Against a logged
+/// event, whose floats all decoded and so are finite, this is
+/// [`same_encoding`]'s verdict
 /// (`same_bits_is_the_encodings_verdict`); every field is named, so a
 /// field added to an event or a request does not compile until it is
 /// compared here.
@@ -427,14 +428,15 @@ impl<T: SameBits> SameBits for Option<T> {
 
 impl SameBits for Config {
     fn same_bits(&self, other: &Self) -> bool {
-        self.len() == other.len()
-            && self.iter().zip(other.iter()).all(|((ka, a), (kb, b))| {
-                ka == kb
-                    && match (a, b) {
-                        (Value::Float(a), Value::Float(b)) => a.same_bits(b),
-                        (a, b) => a == b,
-                    }
-            })
+        self.shares(other)
+            || (self.len() == other.len()
+                && self.iter().zip(other.iter()).all(|((ka, a), (kb, b))| {
+                    ka == kb
+                        && match (a, b) {
+                            (Value::Float(a), Value::Float(b)) => a.same_bits(b),
+                            (a, b) => a == b,
+                        }
+                }))
     }
 }
 
@@ -1355,7 +1357,7 @@ fn read_segment(
     let bytes = std::fs::read(path).map_err(io_err)?;
     let mut at = 0usize;
     while let Some((payload, end)) = record_at(&bytes, at) {
-        let record: WalRecord = ciborium::from_reader(payload).map_err(|why| {
+        let record: WalRecord = ciborium::from_slice(payload).map_err(|why| {
             ServeError::Storage(format!(
                 "undecodable record in {} at offset {at}: its length and CRC hold, so this is \
                  corruption or a foreign format (a log of an earlier build?), not a torn write, \

@@ -124,10 +124,9 @@ pub enum Response {
     CacheHit {
         /// Workload family that answered.
         family: u64,
-        /// The cached configuration: the cache entry's own, shared, on
-        /// the serving side, and a fresh one when decoded (it encodes as
-        /// the config itself).
-        config: Arc<Config>,
+        /// The cached configuration: sharing the cache entry's map on the
+        /// serving side, a fresh one when decoded.
+        config: Config,
         /// Cost observed when the config was tuned.
         cost: f64,
         /// True when a sibling tenant's incumbent answered (no entry for
@@ -571,8 +570,7 @@ impl<S: Read + Write> Client<S> {
                 borrowed,
             } => Ok(LookupReply::Hit {
                 family,
-                // A decoded config is this reply's alone: a move.
-                config: Arc::unwrap_or_clone(config),
+                config,
                 cost,
                 borrowed,
             }),
@@ -1031,7 +1029,7 @@ pub(crate) mod tests {
                     Request::Shutdown => Response::Bye,
                     _ => Response::CacheHit {
                         family: 0,
-                        config: Arc::default(),
+                        config: Config::default(),
                         cost: f64::NAN,
                         borrowed: false,
                     },
@@ -1105,7 +1103,7 @@ pub(crate) mod tests {
             Response::Stopped { was_active: true },
             Response::CacheHit {
                 family: 11,
-                config: Arc::new(best.config.clone()),
+                config: best.config.clone(),
                 cost: best.cost,
                 borrowed: true,
             },

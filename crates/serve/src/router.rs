@@ -130,7 +130,7 @@ fn encode_aux<T: Serialize>(value: &T) -> Result<Vec<u8>, ServeError> {
 
 /// The value a journal record under `key` carries.
 fn decode_aux<T: for<'de> Deserialize<'de>>(key: &str, payload: &[u8]) -> Result<T, ServeError> {
-    ciborium::from_reader(payload)
+    ciborium::from_slice(payload)
         .map_err(|e| ServeError::Storage(format!("decode {key} journal record: {e}")))
 }
 

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A single parameter value.
 ///
@@ -96,10 +97,14 @@ impl From<&str> for Value {
 /// A full configuration: a name → value map.
 ///
 /// Backed by a `BTreeMap` so iteration order (and therefore serialization
-/// and hashing of the rendered form) is deterministic.
+/// and hashing of the rendered form) is deterministic. The map is shared
+/// copy-on-write: a clone costs a reference count, and [`Config::set`],
+/// [`Config::with`] and [`Config::remove`] copy it first only when another
+/// `Config` still shares it. Both serde forms write the map itself, so
+/// the sharing leaves no trace in JSON or CBOR.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Config {
-    values: BTreeMap<String, Value>,
+    values: Arc<BTreeMap<String, Value>>,
 }
 
 impl Config {
@@ -110,7 +115,7 @@ impl Config {
 
     /// Sets a value, replacing any previous assignment.
     pub fn set(&mut self, name: impl Into<String>, value: impl Into<Value>) {
-        self.values.insert(name.into(), value.into());
+        Arc::make_mut(&mut self.values).insert(name.into(), value.into());
     }
 
     /// Builder-style [`Config::set`].
@@ -146,7 +151,7 @@ impl Config {
 
     /// Removes a value (used when deactivating conditional parameters).
     pub fn remove(&mut self, name: &str) -> Option<Value> {
-        self.values.remove(name)
+        Arc::make_mut(&mut self.values).remove(name)
     }
 
     /// Number of assigned parameters.
@@ -164,8 +169,17 @@ impl Config {
         self.values.iter()
     }
 
+    /// True when `self` and `other` share one map: one was cloned from
+    /// the other and neither has been written since. Sharing implies
+    /// equality; two equal configs built apart do not share.
+    pub fn shares(&self, other: &Config) -> bool {
+        Arc::ptr_eq(&self.values, &other.values)
+    }
+
     /// A stable, human-readable one-line rendering, e.g.
-    /// `a=1, b=fsync, c=true`. Used as a dedup key by trial storage.
+    /// `a=1, b=fsync, c=true`. Used as a by-value key where configs are
+    /// deduplicated or matched (`Space` sampling, LlamaTune, the online
+    /// tuner).
     pub fn render(&self) -> String {
         let parts: Vec<String> = self
             .values
@@ -185,7 +199,7 @@ impl std::fmt::Display for Config {
 impl FromIterator<(String, Value)> for Config {
     fn from_iter<T: IntoIterator<Item = (String, Value)>>(iter: T) -> Self {
         Config {
-            values: iter.into_iter().collect(),
+            values: Arc::new(iter.into_iter().collect()),
         }
     }
 }
@@ -249,6 +263,60 @@ mod tests {
         let json = serde_json::to_string(&c).unwrap();
         let back: Config = serde_json::from_str(&json).unwrap();
         assert_eq!(c, back);
+    }
+
+    /// Everything a config shows of itself: its rendering and both
+    /// encodings.
+    fn faces(c: &Config) -> (String, String, Vec<u8>) {
+        let mut cbor = Vec::new();
+        ciborium::into_writer(c, &mut cbor).unwrap();
+        (c.render(), serde_json::to_string(c).unwrap(), cbor)
+    }
+
+    #[test]
+    fn writing_a_clone_leaves_the_original_as_it_was() {
+        let build = || {
+            Config::new()
+                .with("bp", 4.0)
+                .with("flush", "O_DIRECT")
+                .with("threads", 8i64)
+        };
+        let original = build();
+        let before = faces(&original);
+        let writes: [fn(Config) -> Config; 4] = [
+            |mut c| {
+                c.set("bp", 5.0);
+                c
+            },
+            |c| c.with("jit", true),
+            |mut c| {
+                c.remove("flush");
+                c
+            },
+            // A write that changes no value still copies.
+            |mut c| {
+                c.set("threads", 8i64);
+                c
+            },
+        ];
+        for write in writes {
+            let copy = original.clone();
+            assert!(copy.shares(&original) && original.shares(&copy));
+            assert_eq!(faces(&copy), before);
+            let written = write(copy);
+            assert!(!written.shares(&original));
+            assert_eq!(faces(&original), before);
+            assert_eq!(original, build());
+        }
+        // Writing the original leaves the clone as it was, too.
+        let copy = original.clone();
+        let mut written = original;
+        written.set("bp", 6.0);
+        assert!(!written.shares(&copy) && !copy.shares(&written));
+        assert_eq!(faces(&copy), before);
+        // Equal configs built apart do not share.
+        let twin = build();
+        assert!(twin == copy && !twin.shares(&copy));
     }
 
     #[test]

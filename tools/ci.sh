@@ -232,8 +232,8 @@ else
   # Contracts that prove they can fail: each row of tools/mutants.tsv is
   # a deliberate defect, applied in a worktree of HEAD; its test
   # selection must pass unmutated and fail on the mutant, which must
-  # compile. Debug builds in their own target directory: 13 rows take
-  # about 50 s on 2 vCPUs from cold.
+  # compile. Debug builds in their own target directory: 21 rows take
+  # about 140 s on 2 vCPUs from cold.
   run_step "mutation table" tools/mutants.sh
 fi
 

@@ -11,9 +11,9 @@
 #   tools/mutants.sh          # every row
 #   tools/mutants.sh crc32    # the rows whose contract or filter matches
 #
-# 13 rows take about 50 s on 2 vCPUs from a cold build directory
+# 21 rows take about 140 s on 2 vCPUs from a cold build directory
 # (debug builds), most of it the serve crate and its dependents rebuilt
-# after a codec mutation.
+# after a codec or config mutation.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 root=$PWD
