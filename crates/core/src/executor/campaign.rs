@@ -14,9 +14,9 @@
 //!
 //! Every campaign appends to an append-only, serde-serializable event
 //! log ([`CampaignEvent`]): the dispatched [`TrialRequest`]s, every raw
-//! [`Measurement`] (keyed by `(trial, attempt)`), the finalized
-//! [`TrialOutcome`]s, and the optimizer-side [`OptEvent`]s (with
-//! `wall_ns` zeroed — real time never enters the log). Only the raw
+//! [`Measurement`] (keyed by `(trial, attempt)`), the scalars of the
+//! finalized [`TrialOutcome`]s, and the optimizer-side [`OptEvent`]s
+//! (with `wall_ns` zeroed — real time never enters the log). Only the raw
 //! measurements are *inputs*; everything else is deterministically
 //! recomputable from the campaign seed and the determinism contract:
 //!
@@ -25,13 +25,16 @@
 //! * middleware transforms replay identically over identical inputs.
 //!
 //! [`Campaign::snapshot`] therefore only persists `(seed, policy, log)`,
-//! and [`Campaign::resume`] replays the log through a freshly built
-//! campaign — re-running suggestion and middleware code live while
-//! serving recorded measurements instead of touching the target — then
-//! verifies the rebuilt log is byte-identical to the snapshot before
-//! handing the campaign back, mid-flight state and all.
+//! the log in the one form a write-ahead log holds too, and
+//! [`Campaign::replay`] rebuilds a campaign from a log — re-running
+//! suggestion and middleware code live while serving recorded
+//! measurements instead of touching the target — then checks every
+//! rebuilt event against the logged one bit for bit before handing the
+//! campaign back, mid-flight state and all. [`Campaign::resume`] is that
+//! replay behind the snapshot's seed and policy check.
 
 use super::event::{Measurement, TrialEvent, TrialOutcome, TrialRequest};
+use super::log::{CampaignEvent, SameBits, DIVERGED};
 use super::policy::SchedulePolicy;
 use super::source::{SourceStep, TrialSource};
 use super::{apply_fault, measure_request, measure_wave, trial_seed, FanOut};
@@ -46,9 +49,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
-
-/// Snapshot format version, bumped on incompatible log changes.
-pub const SNAPSHOT_VERSION: u32 = 1;
 
 /// A dispatched trial awaiting measurement: the request plus the private
 /// evaluation seed its measurement must draw from. Pure data — a worker
@@ -73,75 +73,18 @@ pub(crate) struct Scheduled {
     pub(crate) retries: u32,
 }
 
-/// One record of a campaign's append-only event log.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum CampaignEvent {
-    /// A trial was dispatched (request as finalized by `before_dispatch`
-    /// middleware).
-    Suggested {
-        /// Trial id.
-        id: u64,
-        /// The dispatched request.
-        request: TrialRequest,
-    },
-    /// A raw measurement came back from the target — the only
-    /// non-recomputable input in the log. `attempt` 0 is the first
-    /// measurement; retries append their re-measurements.
-    Measured {
-        /// Trial id.
-        id: u64,
-        /// Attempt index (0 = first try).
-        attempt: u32,
-        /// The raw measurement, before fault injection and middleware.
-        m: Measurement,
-    },
-    /// A trial was finalized and reported to the source.
-    Outcome {
-        /// The finalized outcome, after the middleware chain.
-        outcome: TrialOutcome,
-    },
-    /// An optimizer-side lifecycle event (`wall_ns` zeroed: real time
-    /// never enters the log).
-    Opt {
-        /// The event.
-        event: OptEvent,
-    },
-}
-
-/// A serializable point-in-time capture of a campaign: seed, policy and
-/// the event log. Everything else — optimizer state, middleware state,
-/// in-flight trials, metrics — is rebuilt by [`Campaign::resume`]'s
-/// deterministic replay.
+/// A point-in-time capture of a campaign: its seed, its policy and its
+/// event log, the form a write-ahead log holds too. Everything else —
+/// optimizer state, middleware state, in-flight trials, metrics — is
+/// rebuilt by [`Campaign::resume`]'s deterministic replay.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CampaignSnapshot {
-    /// Snapshot format version ([`SNAPSHOT_VERSION`]).
-    pub version: u32,
     /// The campaign seed.
     pub seed: u64,
     /// The schedule policy.
     pub policy: SchedulePolicy,
-    /// Ticks completed when the snapshot was taken (diagnostics).
-    pub n_ticks: u64,
-    /// Position of the target's temporal-drift clock at the snapshot
-    /// point. Replay serves recorded measurements instead of evaluating,
-    /// so resume fast-forwards the fresh target's clock here to keep the
-    /// continuation on the original drift trajectory.
-    #[serde(default)]
-    pub target_clock: u64,
     /// The append-only event log up to the snapshot point.
-    pub log: Vec<CampaignEvent>,
-}
-
-impl CampaignSnapshot {
-    /// Serializes to JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).unwrap_or_default()
-    }
-
-    /// Parses a snapshot back from [`CampaignSnapshot::to_json`] output.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
-    }
+    pub events: Vec<CampaignEvent>,
 }
 
 /// Why a campaign operation failed.
@@ -158,8 +101,8 @@ pub enum CampaignError {
         /// Measurements supplied.
         got: usize,
     },
-    /// The snapshot doesn't match the freshly built campaign (version,
-    /// seed or policy).
+    /// The snapshot doesn't match the freshly built campaign (seed or
+    /// policy).
     SnapshotMismatch {
         /// What differed.
         reason: String,
@@ -269,7 +212,7 @@ impl std::ops::Deref for TargetRef<'_> {
 /// assert_eq!(metrics.n_trials(), 8);
 /// assert!(metrics.wall_clock_s < metrics.machine_seconds());
 /// let snapshot = campaign.snapshot().expect("log is on by default");
-/// assert!(!snapshot.log.is_empty());
+/// assert!(!snapshot.events.is_empty());
 /// ```
 pub struct Campaign<'a> {
     target: TargetRef<'a>,
@@ -510,10 +453,9 @@ impl<'a> Campaign<'a> {
     /// serving any replayed measurements from the log, then
     /// fast-forwards the target's drift clock past those replayed
     /// measurements, so the first live measurement after a replay starts
-    /// from the recorded trajectory even when the snapshot header
-    /// carries no clock (a no-op outside replay: the queue is empty and
-    /// stamped clocks never run ahead of a live target's). No-op when a
-    /// wave is already staged or the campaign is done.
+    /// from the recorded trajectory (a no-op outside replay: the queue is
+    /// empty and stamped clocks never run ahead of a live target's).
+    /// No-op when a wave is already staged or the campaign is done.
     fn stage(&mut self) {
         if self.done || !self.staged.is_empty() {
             return;
@@ -649,11 +591,7 @@ impl<'a> Campaign<'a> {
         // the trial's elapsed time.
         for (p, m) in std::mem::take(&mut self.staged) {
             let mut m = m.unwrap_or_else(|| next_live(&mut live));
-            self.log_push(|| CampaignEvent::Measured {
-                id: p.id,
-                attempt: 0,
-                m: m.clone(),
-            });
+            self.log_push(|| CampaignEvent::measured(p.id, 0, &m));
             let ev = TrialEvent::Started {
                 id: p.id,
                 at_s: self.clock,
@@ -710,11 +648,7 @@ impl<'a> Campaign<'a> {
                                 trial_seed(p.eval_seed, u64::from(attempt)),
                             ),
                         };
-                        self.log_push(|| CampaignEvent::Measured {
-                            id: p.id,
-                            attempt,
-                            m: m.clone(),
-                        });
+                        self.log_push(|| CampaignEvent::measured(p.id, attempt, &m));
                     }
                     None => break,
                 }
@@ -786,9 +720,7 @@ impl<'a> Campaign<'a> {
             for mw in &mut self.middleware {
                 mw.on_outcome(&mut outcome);
             }
-            self.log_push(|| CampaignEvent::Outcome {
-                outcome: outcome.clone(),
-            });
+            self.log_push(|| CampaignEvent::outcome(&outcome));
             self.emit_opt(&OptEvent::ObserveBegin { id: outcome.id });
             let t0 = self.timer.now_ns();
             self.source.report(&outcome);
@@ -883,44 +815,23 @@ impl<'a> Campaign<'a> {
             return Err(CampaignError::MidTick);
         }
         Ok(CampaignSnapshot {
-            version: SNAPSHOT_VERSION,
             seed: self.seed,
             policy: self.policy,
-            n_ticks: self.n_ticks,
-            target_clock: self.target.noise_clock(),
-            log: log.clone(),
+            events: log.clone(),
         })
     }
 
     /// Rebuilds a snapshotted campaign into `fresh` — a pristine campaign
     /// constructed over the *same* target, source, middleware and seed as
-    /// the original — by replaying the snapshot's event log
-    /// ([`Campaign::replay`]): suggestions, fault rolls and middleware
-    /// transforms are recomputed live under the determinism contract
-    /// while recorded measurements substitute for the target. The rebuilt
-    /// log is verified byte-identical to the snapshot, event by event
-    /// through the log's binary encoding ([`same_encoding`], so
-    /// bit-exactly: `-0.0` is not `0.0`), before the campaign is handed
-    /// back; continuing it then produces exactly what the original
-    /// campaign would have produced.
-    ///
-    /// The log must end on a tick boundary, which is where snapshots are
-    /// taken and where a write-ahead log of whole ticks stops. A log that
-    /// stops inside a tick is [`CampaignError::MissingMeasurement`] when
-    /// the cut wave still needs a measurement, and
-    /// [`CampaignError::ReplayDiverged`] when replay runs past it; so is
-    /// any log this construction cannot reproduce event for event.
+    /// the original: the seed and policy are checked against the
+    /// snapshot's, and its events replayed ([`Campaign::replay`]).
+    /// Continuing the campaign then produces exactly what the original
+    /// would have produced.
     pub fn resume(
         snapshot: &CampaignSnapshot,
         fresh: Campaign<'a>,
     ) -> Result<Campaign<'a>, CampaignError> {
         let mismatch = |reason: String| Err(CampaignError::SnapshotMismatch { reason });
-        if snapshot.version != SNAPSHOT_VERSION {
-            return mismatch(format!(
-                "snapshot version {} != supported {}",
-                snapshot.version, SNAPSHOT_VERSION
-            ));
-        }
         if fresh.policy != snapshot.policy {
             return mismatch(format!(
                 "policy {} != snapshot {}",
@@ -931,41 +842,30 @@ impl<'a> Campaign<'a> {
         if fresh.seed != snapshot.seed {
             return mismatch(format!("seed {} != snapshot {}", fresh.seed, snapshot.seed));
         }
-        let measured = snapshot.log.iter().filter_map(|ev| match ev {
-            CampaignEvent::Measured { id, attempt, m } => Some((*id, *attempt, m.clone())),
-            _ => None,
-        });
-        let mut scratch = Default::default();
-        let c = Self::replay(fresh, measured, snapshot.log.len(), |i, got| {
-            same_encoding(got, &snapshot.log[i], &mut scratch)
-        })?;
-        // Replay served recorded measurements without evaluating, so the
-        // fresh target's drift clock lags the original's. The
-        // per-measurement stamps already fast-forwarded it through
-        // everything replayed; the snapshot's boundary clock covers the
-        // rest (and legacy logs without stamps).
-        if snapshot.target_clock > c.target.noise_clock() {
-            c.target.set_noise_clock(snapshot.target_clock);
-        }
-        Ok(c)
+        Self::replay(fresh, &snapshot.events)
     }
 
-    /// The one replay: feeds `measured`, a log's raw measurements as
-    /// `(trial, attempt, measurement)`, to the pristine `fresh` in place
-    /// of its target and runs whole ticks until its own log holds
-    /// `n_events` events, recomputing every other event live. Each
-    /// rebuilt event is then shown to `same` with its index, and a
-    /// reason it returns (the event is not the recorded one) refuses the
-    /// rebuild as [`CampaignError::ReplayDiverged`]; so does a
-    /// measurement left over, and a log that is not `n_events` long when
-    /// the last whole tick ends. What `same` compares against is the
-    /// caller's: [`Campaign::resume`] holds a snapshot's full events, a
-    /// write-ahead log only what a replay cannot recompute.
+    /// The one replay and the one check: feeds the logged `Measured`
+    /// events to the pristine `fresh` in place of its target and runs
+    /// whole ticks until its own log is as long as `events`, recomputing
+    /// every other event live (suggestions, fault rolls and middleware
+    /// transforms under the determinism contract; the measurements' clock
+    /// stamps fast-forward the target's drift clock). Each rebuilt event
+    /// must then be the logged one bit for bit, as the log's binary
+    /// encoding sees it (`SameBits`: `-0.0` is not `0.0`, a crashed
+    /// trial's NaN cost equals itself), or the rebuild is refused as
+    /// [`CampaignError::ReplayDiverged`]; so is a measurement left over,
+    /// and a log that is not as long as `events` when the last whole
+    /// tick ends.
+    ///
+    /// The log must end on a tick boundary, which is where snapshots are
+    /// taken and where a write-ahead log of whole ticks stops. A log that
+    /// stops inside a tick is [`CampaignError::MissingMeasurement`] when
+    /// the cut wave still needs a measurement, and
+    /// [`CampaignError::ReplayDiverged`] when replay runs past it.
     pub fn replay(
         fresh: Campaign<'a>,
-        measured: impl IntoIterator<Item = (u64, u32, Measurement)>,
-        n_events: usize,
-        mut same: impl FnMut(usize, &CampaignEvent) -> Result<(), String>,
+        events: &[CampaignEvent],
     ) -> Result<Campaign<'a>, CampaignError> {
         let mut c = fresh;
         if c.n_ticks != 0 || c.next_id != 0 {
@@ -974,11 +874,11 @@ impl<'a> Campaign<'a> {
         if c.log.is_none() {
             return Err(CampaignError::LogDisabled);
         }
-        c.replay = measured
-            .into_iter()
-            .map(|(id, attempt, m)| ((id, attempt), m))
+        c.replay = events
+            .iter()
+            .filter_map(CampaignEvent::measurement)
             .collect();
-        while c.log_len() < n_events && !c.done {
+        while c.log_len() < events.len() && !c.done {
             let before = c.log_len();
             c.stage();
             if let Some(w) = c.staged_wave().next() {
@@ -994,12 +894,14 @@ impl<'a> Campaign<'a> {
                 });
             }
         }
-        for (i, got) in c.log().into_iter().flatten().take(n_events).enumerate() {
-            if let Err(why) = same(i, got) {
-                return Err(CampaignError::ReplayDiverged {
-                    reason: format!("event {i} {why}"),
-                });
-            }
+        let rebuilt = c.log().into_iter().flatten();
+        if let Some(i) = rebuilt
+            .zip(events)
+            .position(|(got, want)| !got.same_bits(want))
+        {
+            return Err(CampaignError::ReplayDiverged {
+                reason: format!("event {i} {DIVERGED}"),
+            });
         }
         if !c.replay.is_empty() {
             return Err(CampaignError::ReplayDiverged {
@@ -1012,7 +914,7 @@ impl<'a> Campaign<'a> {
         // Shorter: the campaign drained before reproducing the whole log
         // (e.g. a larger budget than the fresh build's). Longer: the log
         // stops between a tick's last measurement and its outcomes.
-        let rebuilt_len = c.log_len();
+        let (rebuilt_len, n_events) = (c.log_len(), events.len());
         if rebuilt_len != n_events {
             return Err(CampaignError::ReplayDiverged {
                 reason: format!(
@@ -1024,101 +926,104 @@ impl<'a> Campaign<'a> {
     }
 }
 
-/// Whether a rebuilt event is the recorded one, judged through the
-/// log's own binary encoding into the two `scratch` buffers, which every
-/// call reuses. A float is its eight bytes there, so the last bit and
-/// the sign of a zero count, and a crashed trial's NaN cost (written as
-/// null on both sides) equals itself. `Err` says why not, worded to
-/// follow "event {i} ". [`Campaign::resume`] checks a snapshot's full
-/// events with it; a write-ahead log's reopen compares its own events
-/// field by field to the same verdict, and tests that comparison
-/// against this one.
-pub fn same_encoding(
-    got: &impl Serialize,
-    want: &impl Serialize,
-    scratch: &mut [Vec<u8>; 2],
-) -> Result<(), String> {
-    let [got_bytes, want_bytes] = scratch;
-    got_bytes.clear();
-    want_bytes.clear();
-    ciborium::into_writer(got, &mut *got_bytes)
-        .and_then(|()| ciborium::into_writer(want, &mut *want_bytes))
-        .map_err(|e| format!("cannot be encoded: {e}"))?;
-    if got_bytes != want_bytes {
-        return Err(
-            "differs from the recorded one (different target, source or middleware \
-                    than the original campaign)"
-                .into(),
-        );
-    }
-    Ok(())
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::executor::{EarlyAbortMw, OptimizerSource, RetryMw};
     use crate::test_fixtures::redis_target;
     use autotune_optimizer::RandomSearch;
-    use std::sync::Arc;
+    use autotune_sim::TelemetrySample;
+    use rand::RngCore;
+    use std::sync::{Arc, Mutex};
+
+    /// What a [`Reported`] source was reported, shared with the test.
+    type Reports = Arc<Mutex<Vec<TrialOutcome>>>;
+
+    /// A random search that keeps every outcome it is reported.
+    struct Reported {
+        inner: OptimizerSource<Box<RandomSearch>>,
+        seen: Reports,
+    }
+
+    impl TrialSource for Reported {
+        fn next(&mut self, rng: &mut dyn RngCore) -> SourceStep {
+            self.inner.next(rng)
+        }
+
+        fn report(&mut self, outcome: &TrialOutcome) {
+            self.seen.lock().unwrap().push(outcome.clone());
+            self.inner.report(outcome);
+        }
+    }
+
+    /// A random search over `target` and the outcomes its source is
+    /// reported.
+    fn reporting(
+        target: Target,
+        policy: SchedulePolicy,
+        budget: usize,
+        seed: u64,
+    ) -> (Campaign<'static>, Reports) {
+        let opt = Box::new(RandomSearch::new(target.space().clone()));
+        let seen = Reports::default();
+        let source = Reported {
+            inner: OptimizerSource::new(opt, budget),
+            seen: Arc::clone(&seen),
+        };
+        (Campaign::new(target, Box::new(source), policy, seed), seen)
+    }
 
     fn campaign_for(policy: SchedulePolicy, budget: usize, seed: u64) -> Campaign<'static> {
-        let target = redis_target();
-        let opt = RandomSearch::new(target.space().clone());
-        Campaign::new(
-            target,
-            Box::new(OptimizerSource::new(Box::new(opt), budget)),
-            policy,
-            seed,
-        )
+        reporting(redis_target(), policy, budget, seed).0
     }
 
     /// A noisy, fault-injected campaign behind retry and early-abort
-    /// middleware: its log holds re-measurements (attempt > 0).
-    fn faulty_campaign(policy: SchedulePolicy) -> Campaign<'static> {
+    /// middleware (its log holds re-measurements, attempt > 0), and the
+    /// outcomes its source is reported.
+    fn faulty_reporting(policy: SchedulePolicy) -> (Campaign<'static>, Reports) {
         use autotune_sim::{CloudNoise, FaultPlan, NoiseConfig};
         let target = redis_target()
             .with_noise(CloudNoise::new_fleet(4, NoiseConfig::default(), 5))
             .with_faults(FaultPlan::aggressive(5));
-        let opt = RandomSearch::new(target.space().clone());
-        Campaign::new(
-            target,
-            Box::new(OptimizerSource::new(Box::new(opt), 16)),
-            policy,
-            5,
-        )
-        .with_middleware(Box::new(RetryMw::new(3, 5.0)))
-        .with_middleware(Box::new(EarlyAbortMw::new(1.3)))
+        let (c, seen) = reporting(target, policy, 16, 5);
+        let c = c
+            .with_middleware(Box::new(RetryMw::new(3, 5.0)))
+            .with_middleware(Box::new(EarlyAbortMw::new(1.3)));
+        (c, seen)
     }
 
-    /// Per trial, whether its outcome's series (in the `Outcome` event)
-    /// is the very allocation its last `Measured` event holds.
-    fn outcome_shares_last_series(log: &[CampaignEvent]) -> Vec<(bool, TrialOutcome)> {
-        let outcomes = log.iter().filter_map(|e| match e {
-            CampaignEvent::Outcome { outcome } => Some(outcome),
-            _ => None,
-        });
-        let last_series = |id| {
-            log.iter().rev().find_map(|e| match e {
-                CampaignEvent::Measured { id: m_id, m, .. } if *m_id == id => Some(&m.telemetry),
+    pub(crate) fn faulty_campaign(policy: SchedulePolicy) -> Campaign<'static> {
+        faulty_reporting(policy).0
+    }
+
+    /// Per outcome the source was reported, whether its series is the
+    /// very allocation its trial's last `Measured` event in `log` holds.
+    fn outcome_shares_last_series(
+        log: &[CampaignEvent],
+        seen: &Reports,
+    ) -> Vec<(bool, TrialOutcome)> {
+        let last_series = |id| -> &Arc<[TelemetrySample]> {
+            let last = log.iter().rev().find_map(|e| match e {
+                CampaignEvent::Measured {
+                    id: m_id,
+                    telemetry,
+                    ..
+                } if *m_id == id => Some(telemetry),
                 _ => None,
-            })
+            });
+            last.unwrap()
         };
-        outcomes
-            .map(|o| {
-                (
-                    Arc::ptr_eq(&o.telemetry, last_series(o.id).unwrap()),
-                    o.clone(),
-                )
-            })
-            .collect()
+        let seen = seen.lock().unwrap();
+        let shares = |o: &TrialOutcome| Arc::ptr_eq(&o.telemetry, last_series(o.id));
+        seen.iter().map(|o| (shares(o), o.clone())).collect()
     }
 
     #[test]
     fn a_trials_series_is_allocated_once() {
-        let mut clean = campaign_for(SchedulePolicy::AsyncSlots { k: 2 }, 10, 9);
+        let (mut clean, seen) =
+            reporting(redis_target(), SchedulePolicy::AsyncSlots { k: 2 }, 10, 9);
         clean.run();
-        let shared = outcome_shares_last_series(clean.log().unwrap());
+        let shared = outcome_shares_last_series(clean.log().unwrap(), &seen);
         assert_eq!(shared.len(), 10);
         for (same, o) in shared {
             assert!(same && o.telemetry.len() == 32, "trial {}", o.id);
@@ -1126,11 +1031,21 @@ mod tests {
         // Behind faults and retries: a fault that loses the measurement
         // drops its series, and every other outcome holds the last
         // attempt's.
-        let mut faulty = faulty_campaign(SchedulePolicy::AsyncSlots { k: 2 });
+        let (mut faulty, seen) = faulty_reporting(SchedulePolicy::AsyncSlots { k: 2 });
         faulty.run();
-        let shared = outcome_shares_last_series(faulty.log().unwrap());
+        let shared = outcome_shares_last_series(faulty.log().unwrap(), &seen);
         let dropped = shared.iter().filter(|(same, _)| !same).count();
         assert!(dropped > 0 && dropped < shared.len(), "{dropped} dropped");
+        // Replayed, each outcome holds the series the log holds, not a
+        // copy.
+        let snap = faulty.snapshot().unwrap();
+        let (fresh, replayed) = faulty_reporting(SchedulePolicy::AsyncSlots { k: 2 });
+        Campaign::resume(&snap, fresh).unwrap();
+        let replayed = outcome_shares_last_series(&snap.events, &replayed);
+        let flags = |v: &[(bool, TrialOutcome)]| -> Vec<(bool, u64)> {
+            v.iter().map(|(same, o)| (*same, o.id)).collect()
+        };
+        assert_eq!(flags(&replayed), flags(&shared));
         for (same, o) in shared {
             assert!(
                 same || (o.telemetry.is_empty() && o.fault.is_some()),
@@ -1172,8 +1087,9 @@ mod tests {
             half.tick();
         }
         let snap = half.snapshot().expect("log enabled");
-        let json = snap.to_json();
-        let parsed = CampaignSnapshot::from_json(&json).expect("round-trips");
+        let mut bytes = Vec::new();
+        ciborium::into_writer(&snap, &mut bytes).unwrap();
+        let parsed: CampaignSnapshot = ciborium::from_reader(&bytes[..]).expect("round-trips");
 
         let fresh = campaign_for(SchedulePolicy::AsyncSlots { k: 2 }, 12, 5);
         let mut resumed = Campaign::resume(&parsed, fresh).expect("replay succeeds");
@@ -1200,10 +1116,9 @@ mod tests {
         let full = straight.snapshot().expect("log enabled");
         // A log cut at every event: the cuts a tick ended on resume and
         // finish byte-identically, every other cut is a typed error.
-        for cut in 0..=full.log.len() {
+        for cut in 0..=full.events.len() {
             let mut torn = full.clone();
-            torn.log.truncate(cut);
-            torn.target_clock = 0; // stamps on replayed measurements carry the clock
+            torn.events.truncate(cut);
             let on_boundary = boundaries.contains(&cut);
             let mut resumed = match Campaign::resume(&torn, faulty_campaign(policy)) {
                 Ok(c) if on_boundary => c,
@@ -1236,7 +1151,7 @@ mod tests {
         let mut b = campaign_for(SchedulePolicy::Sequential, 8, 4);
         b.run();
         let foreign = b.snapshot().expect("log enabled");
-        snap.log[2] = foreign.log[2].clone();
+        snap.events[2] = foreign.events[2].clone();
         snap.seed = 3; // keep the header valid; only the body lies
         let fresh = campaign_for(SchedulePolicy::Sequential, 8, 3);
         assert!(matches!(
@@ -1277,32 +1192,22 @@ mod tests {
         let snap = c.snapshot().expect("log enabled");
         assert!(Campaign::resume(&snap, build()).is_ok());
         // An outcome is recomputed by replay, never read back from the
-        // log, so a lie in one is a divergence. Telemetry shares are
-        // clamped at zero, which gives the log zeros to flip the sign of.
-        let (at, sample) = snap
-            .log
+        // log, so a lie in one is a divergence.
+        let at = snap
+            .events
             .iter()
-            .enumerate()
-            .find_map(|(i, e)| match e {
-                CampaignEvent::Outcome { outcome } => {
-                    let zero = outcome.telemetry.iter().position(|s| s.scan_share == 0.0);
-                    zero.map(|j| (i, j))
-                }
-                _ => None,
-            })
-            .expect("an outcome with a clamped telemetry share");
-        let lies: [fn(&mut TrialOutcome, usize); 3] = [
-            |o, _| o.elapsed_s = f64::from_bits(o.elapsed_s.to_bits() ^ 1),
-            |o, j| Arc::make_mut(&mut o.telemetry)[j].scan_share = -0.0,
-            // No encoding at all, which is a difference too.
-            |o, _| o.elapsed_s = f64::INFINITY,
+            .position(|e| matches!(e, CampaignEvent::Outcome { .. }))
+            .expect("an outcome");
+        let lies: [fn(&mut f64); 2] = [
+            |x| *x = f64::from_bits(x.to_bits() ^ 1),
+            |x| *x = f64::INFINITY,
         ];
         for lie in lies {
             let mut lied = snap.clone();
-            let CampaignEvent::Outcome { outcome } = &mut lied.log[at] else {
+            let CampaignEvent::Outcome { elapsed_s, .. } = &mut lied.events[at] else {
                 unreachable!()
             };
-            lie(outcome, sample);
+            lie(elapsed_s);
             match Campaign::resume(&lied, build()) {
                 Err(CampaignError::ReplayDiverged { reason }) => {
                     assert!(reason.starts_with(&format!("event {at} ")), "{reason}")
@@ -1318,12 +1223,12 @@ mod tests {
         let mut c = build();
         c.run();
         let snap = c.snapshot().expect("log enabled");
-        // NaN is unequal to itself as a float; as the null both sides
-        // encode it to, it is equal.
+        // NaN is unequal to itself as a float; as the `None` both sides
+        // log it as, it is equal.
         assert!(snap
-            .log
+            .events
             .iter()
-            .any(|e| matches!(e, CampaignEvent::Outcome { outcome } if outcome.cost.is_nan())));
+            .any(|e| matches!(e, CampaignEvent::Outcome { cost: None, .. })));
         assert!(Campaign::resume(&snap, build()).is_ok());
     }
 

@@ -3,7 +3,6 @@
 //! what a completed trial looks like to the source ([`TrialOutcome`]),
 //! and the event stream a campaign emits ([`TrialEvent`]).
 
-use crate::trial::nan_as_null;
 use crate::TrialStatus;
 use autotune_sim::{FailureKind, TelemetrySample, Workload};
 use autotune_space::Config;
@@ -38,12 +37,10 @@ impl TrialRequest {
 
 /// What one measurement produced, before and after the middleware chain
 /// transforms it (early-abort censoring adjusts `cost`/`elapsed_s` and
-/// sets `aborted`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// sets `aborted`). The log holds it as a `CampaignEvent::Measured`.
+#[derive(Debug, Clone)]
 pub struct Measurement {
-    /// Scalar cost (NaN = crashed). JSON has no NaN, so crashes
-    /// serialize as `null` and round-trip back to NaN.
-    #[serde(with = "nan_as_null")]
+    /// Scalar cost (NaN = crashed).
     pub cost: f64,
     /// Benchmark seconds charged for the trial.
     pub elapsed_s: f64,
@@ -62,12 +59,9 @@ pub struct Measurement {
     /// measurement; the transient kinds carry a NaN cost.
     pub fault: Option<FailureKind>,
     /// Position of the target's temporal-drift clock immediately after
-    /// this measurement (0 when unstamped, e.g. legacy logs). Replaying
-    /// an event log that carries no boundary clock of its own (a
-    /// write-ahead log's) uses it to fast-forward the fresh target to
-    /// exactly where the recorded history ends, so live measurement
-    /// takes over on the original drift trajectory.
-    #[serde(default)]
+    /// this measurement. Replaying an event log uses it to fast-forward
+    /// the fresh target to exactly where the recorded history ends, so
+    /// live measurement takes over on the original drift trajectory.
     pub clock: u64,
 }
 
@@ -87,20 +81,18 @@ impl Measurement {
     }
 }
 
-/// A finalized trial as reported back to the [`super::TrialSource`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A finalized trial as reported back to the [`super::TrialSource`]. The
+/// log holds its scalars as a `CampaignEvent::Outcome`.
+#[derive(Debug, Clone)]
 pub struct TrialOutcome {
     /// Trial id within the campaign (dispatch order).
     pub id: u64,
     /// The evaluated configuration.
     pub config: Config,
-    /// Recorded cost (NaN = crashed, censored when aborted; NaN
-    /// serializes as JSON `null`).
-    #[serde(with = "nan_as_null")]
+    /// Recorded cost (NaN = crashed, censored when aborted).
     pub cost: f64,
     /// Cost fed to the learner. Defaults to `cost`; crash-penalty
     /// middleware may replace NaN with a large finite penalty.
-    #[serde(with = "nan_as_null")]
     pub learn_cost: f64,
     /// Benchmark seconds charged.
     pub elapsed_s: f64,

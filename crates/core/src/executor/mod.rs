@@ -24,15 +24,14 @@
 
 mod campaign;
 mod event;
+mod log;
 mod middleware;
 mod policy;
 mod source;
 
-pub use campaign::{
-    same_encoding, Campaign, CampaignError, CampaignEvent, CampaignSnapshot, WorkItem,
-    SNAPSHOT_VERSION,
-};
+pub use campaign::{Campaign, CampaignError, CampaignSnapshot, WorkItem};
 pub use event::{Measurement, TrialEvent, TrialOutcome, TrialRequest};
+pub use log::CampaignEvent;
 pub use middleware::{
     CrashPenaltyMw, EarlyAbortMw, MachineAssignMw, Middleware, QuarantineMw, RetryMw, TimeoutMw,
 };
@@ -339,8 +338,8 @@ mod tests {
                     }
                     in_flight.push((*id, request.config.clone()));
                 }
-                CampaignEvent::Outcome { outcome } => {
-                    in_flight.retain(|(other, _)| *other != outcome.id);
+                CampaignEvent::Outcome { id, .. } => {
+                    in_flight.retain(|(other, _)| other != id);
                 }
                 _ => {}
             }

@@ -29,21 +29,12 @@
 //! (`Register`, then `Ticks` deltas, then possibly `Stop`) and a
 //! layered subsystem one way (`Aux` records).
 //!
-//! A `Ticks` record holds its events as [`WalEvent`]s, a form private
-//! to the log that **logs what a replay cannot recompute**, encoded
-//! from the live event log where it lies (nothing is cloned to be
-//! written; every record is encoded into one buffer the handle keeps):
-//!
-//! | event | logged | why |
-//! |---|---|---|
-//! | `Measured` | every field; the telemetry series as one byte string, 56 little-endian bytes a sample | the replay's only *input*: nothing recomputes it, so it is kept whole and bit for bit, and no field name is spelled 32 times; a reopen unpacks it from the record's bytes into one allocation, which the rebuilt `Measured` and the trial's outcome share |
-//! | `Suggested` | whole | recomputed from the seed; kept to be compared |
-//! | `Opt` | whole | recomputed; kept to be compared |
-//! | `Outcome` | its nine scalars (`id`, `cost`, `learn_cost`, `elapsed_s`, `fidelity`, `machine_id`, `status`, `retries`, `fault`) | recomputed; its `config` is the trial's `Suggested` and its `telemetry` the one series the trial's last `Measured` holds (empty when a fault lost the measurement), both already in the log, so a second copy of either could only ever agree with the first |
-//!
-//! A Redis trial is 2.4 KB of log (1 792 bytes of it the 32-sample
-//! series); with full events it was 8.0 KB, 7.2 KB of that the series
-//! twice with its seven field names spelled 64 times.
+//! A `Ticks` record holds a campaign's events in their one form,
+//! [`CampaignEvent`], which holds what a replay cannot recompute (its
+//! docs lay out what each event keeps and why); a snapshot holds the
+//! same events. They are encoded from the live event log where it lies:
+//! nothing is cloned or converted to be written, and every record is
+//! encoded into one buffer the handle keeps.
 //!
 //! Recovery reads segments in order, front to back, and stops at the
 //! first record whose header or CRC fails *in the final segment* — that
@@ -64,22 +55,15 @@
 //! boundary, and a record torn by a crash fails its CRC and is dropped
 //! whole. So for every campaign the concatenation of its logged `Ticks`
 //! is a prefix of its deterministic history that ends on a tick
-//! boundary. Recovery is one replay ([`Campaign::replay`], the loop
-//! under [`Campaign::resume`] too): the logged measurements stand in
-//! for the target, a fresh build of the spec recomputes every other
-//! event, and each rebuilt event, put in WAL form, must be the logged
-//! one as its encoding sees it, compared field by field without
-//! encoding either: a float by its bits (`-0.0` is not `0.0`; a crashed
-//! trial's NaN cost is `None` on both sides), the telemetry series by
-//! pointer (the replay measured with the logged one) and else sample by
-//! sample to the bit, configs, workload overrides, ids, flags and `Opt`
-//! events by value. On every single-field edit of a noisy, faulty
-//! campaign's events this is the verdict of comparing the encodings
-//! (`same_bits_is_the_encodings_verdict`, with
-//! [`autotune::executor::same_encoding`] as the oracle), and a refusal
-//! reads as that one does. What comes out is the campaign the log's
-//! measurements produce, its full event log and history included, and
-//! live measurement takes over with the next tick.
+//! boundary. Recovery is one replay, [`Campaign::replay`], the one
+//! [`Campaign::resume`] runs on a snapshot too: the logged measurements
+//! stand in for the target, a fresh build of the spec recomputes every
+//! other event, and each rebuilt event must be the logged one bit for
+//! bit, compared field by field without encoding either (a float by its
+//! bits, so `-0.0` is not `0.0`; a crashed trial's NaN cost is `None` on
+//! both sides). What comes out is the campaign the log's measurements
+//! produce, its full event log and history included, and live
+//! measurement takes over with the next tick.
 //!
 //! What the fresh build recomputes depends on whether the campaign is
 //! **finished**: stopped, or its source ran dry (the last `SuggestEnd`
@@ -154,19 +138,15 @@ use crate::chaos::{ChaosPlan, CrashPoint};
 use crate::registry::{AdmissionConfig, CampaignRegistry, ServeError};
 use crate::spec::CampaignSpec;
 use autotune::{
-    Campaign, CampaignError, CampaignEvent, Measurement, OptEvent, SourceStep, TrialOutcome,
-    TrialRequest, TrialSource, TrialStatus,
+    Campaign, CampaignError, CampaignEvent, OptEvent, SourceStep, TrialOutcome, TrialSource,
 };
 use autotune_linalg::par_map;
-use autotune_sim::{FailureKind, TelemetrySample, Workload};
-use autotune_space::{Config, Value};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// One durable WAL record. Written from what it borrows (the live event
 /// log, the caller's key and payload), read back owning it.
@@ -180,8 +160,12 @@ pub(crate) enum WalRecord<'a> {
         spec: Box<CampaignSpec>,
         request_id: Option<u64>,
     },
-    /// The whole ticks a campaign ran since its last record, in WAL form.
-    Ticks { id: u64, events: Vec<WalEvent<'a>> },
+    /// The whole ticks a campaign ran since its last record: written
+    /// from the live log where it lies, read back owned.
+    Ticks {
+        id: u64,
+        events: Cow<'a, [CampaignEvent]>,
+    },
     /// The campaign was stopped administratively.
     Stop { id: u64 },
     /// An auxiliary journal record for a subsystem layered on the
@@ -193,381 +177,6 @@ pub(crate) enum WalRecord<'a> {
         #[serde(with = "serde_bytes")]
         payload: Cow<'a, [u8]>,
     },
-}
-
-/// One [`CampaignEvent`] as the WAL holds it: what a replay cannot
-/// recompute, and of what it can, enough to tell a divergence by (see
-/// the module docs). `cost: None` is a crashed trial's NaN.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) enum WalEvent<'a> {
-    /// [`CampaignEvent::Suggested`], whole.
-    Suggested {
-        id: u64,
-        request: Cow<'a, TrialRequest>,
-    },
-    /// [`CampaignEvent::Measured`]: the replay's input, its telemetry
-    /// series packed.
-    Measured {
-        id: u64,
-        attempt: u32,
-        cost: Option<f64>,
-        elapsed_s: f64,
-        machine_id: Option<usize>,
-        #[serde(with = "packed_telemetry")]
-        telemetry: Arc<[TelemetrySample]>,
-        aborted: bool,
-        saved_s: f64,
-        fault: Option<FailureKind>,
-        clock: u64,
-    },
-    /// [`CampaignEvent::Outcome`] without its `config` (the trial's
-    /// `Suggested` holds it) and `telemetry` (its last `Measured` does).
-    Outcome {
-        id: u64,
-        cost: Option<f64>,
-        learn_cost: Option<f64>,
-        elapsed_s: f64,
-        fidelity: f64,
-        machine_id: Option<usize>,
-        status: TrialStatus,
-        retries: u32,
-        fault: Option<FailureKind>,
-    },
-    /// [`CampaignEvent::Opt`], whole.
-    Opt { event: OptEvent },
-}
-
-/// NaN (a crashed trial's cost) is `None`: the encoding has no NaN.
-fn not_nan(cost: f64) -> Option<f64> {
-    (!cost.is_nan()).then_some(cost)
-}
-
-impl<'a> From<&'a CampaignEvent> for WalEvent<'a> {
-    fn from(event: &'a CampaignEvent) -> Self {
-        match event {
-            CampaignEvent::Suggested { id, request } => WalEvent::Suggested {
-                id: *id,
-                request: Cow::Borrowed(request),
-            },
-            CampaignEvent::Measured { id, attempt, m } => WalEvent::Measured {
-                id: *id,
-                attempt: *attempt,
-                cost: not_nan(m.cost),
-                elapsed_s: m.elapsed_s,
-                machine_id: m.machine_id,
-                telemetry: Arc::clone(&m.telemetry),
-                aborted: m.aborted,
-                saved_s: m.saved_s,
-                fault: m.fault,
-                clock: m.clock,
-            },
-            CampaignEvent::Outcome { outcome: o } => WalEvent::Outcome {
-                id: o.id,
-                cost: not_nan(o.cost),
-                learn_cost: not_nan(o.learn_cost),
-                elapsed_s: o.elapsed_s,
-                fidelity: o.fidelity,
-                machine_id: o.machine_id,
-                status: o.status,
-                retries: o.retries,
-                fault: o.fault,
-            },
-            CampaignEvent::Opt { event } => WalEvent::Opt { event: *event },
-        }
-    }
-}
-
-impl WalEvent<'_> {
-    /// The replay input a `Measured` holds: trial, attempt and the raw
-    /// measurement, its telemetry the logged series itself.
-    fn measured(&self) -> Option<(u64, u32, Measurement)> {
-        let WalEvent::Measured {
-            id,
-            attempt,
-            cost,
-            elapsed_s,
-            machine_id,
-            telemetry,
-            aborted,
-            saved_s,
-            fault,
-            clock,
-        } = self
-        else {
-            return None;
-        };
-        let m = Measurement {
-            cost: cost.unwrap_or(f64::NAN),
-            elapsed_s: *elapsed_s,
-            machine_id: *machine_id,
-            telemetry: Arc::clone(telemetry),
-            aborted: *aborted,
-            saved_s: *saved_s,
-            fault: *fault,
-            clock: *clock,
-        };
-        Some((*id, *attempt, m))
-    }
-}
-
-/// A telemetry series as one byte string: per sample its seven fields in
-/// declaration order, each the eight little-endian bytes of the `f64`,
-/// so any value and any sample count (none too) comes back bit for bit
-/// and no field name is spelled. A format a person reads
-/// ([`crate::dump_wal`]'s JSON lines) gets the samples spelled out.
-mod packed_telemetry {
-    use autotune_sim::TelemetrySample;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-    use std::sync::Arc;
-
-    const SAMPLE_BYTES: usize = 7 * 8;
-
-    /// A sample's fields in the order they are packed.
-    pub fn fields(t: &TelemetrySample) -> [f64; 7] {
-        [
-            t.cpu,
-            t.mem,
-            t.disk_io,
-            t.net_io,
-            t.ops,
-            t.read_share,
-            t.scan_share,
-        ]
-    }
-
-    /// The sample [`fields`] came from.
-    pub fn sample(fields: [f64; 7]) -> TelemetrySample {
-        let [cpu, mem, disk_io, net_io, ops, read_share, scan_share] = fields;
-        TelemetrySample {
-            cpu,
-            mem,
-            disk_io,
-            net_io,
-            ops,
-            read_share,
-            scan_share,
-        }
-    }
-
-    pub fn serialize<S: Serializer>(samples: &[TelemetrySample], s: S) -> Result<S::Ok, S::Error> {
-        if s.is_human_readable() {
-            return samples.serialize(s);
-        }
-        let mut bytes = Vec::with_capacity(samples.len() * SAMPLE_BYTES);
-        for field in samples.iter().flat_map(fields) {
-            bytes.extend_from_slice(&field.to_le_bytes());
-        }
-        s.serialize_bytes(&bytes)
-    }
-
-    /// Unpacks the series from the record's own bytes, where they lie,
-    /// into its one allocation.
-    pub fn deserialize<'de, D: Deserializer<'de>>(
-        d: D,
-    ) -> Result<Arc<[TelemetrySample]>, D::Error> {
-        if d.is_human_readable() {
-            return Arc::deserialize(d);
-        }
-        let bytes = <&[u8]>::deserialize(d)?;
-        let samples = bytes.chunks_exact(SAMPLE_BYTES);
-        if !samples.remainder().is_empty() {
-            return Err(serde::de::Error::custom(format!(
-                "packed telemetry of {} bytes is not whole {SAMPLE_BYTES}-byte samples",
-                bytes.len()
-            )));
-        }
-        let unpacked = samples.map(|packed| {
-            let mut fields = [0.0; 7];
-            for (field, le) in fields.iter_mut().zip(packed.chunks_exact(8)) {
-                let mut word = [0; 8];
-                word.copy_from_slice(le);
-                *field = f64::from_le_bytes(word);
-            }
-            sample(fields)
-        });
-        Ok(unpacked.collect())
-    }
-}
-
-/// The words a replay that is not its log is refused with, after
-/// "event {i} ": [`same_encoding`]'s.
-///
-/// [`same_encoding`]: autotune::executor::same_encoding
-const DIVERGED: &str = "differs from the recorded one (different target, source or middleware \
-                        than the original campaign)";
-
-/// Equality as the log's binary encoding sees it, taken field by field
-/// without encoding anything: a float is its bits (so `-0.0` is not
-/// `0.0`), everything else its value, and a shared series or config is
-/// equal to itself before a sample or a value is read. Against a logged
-/// event, whose floats all decoded and so are finite, this is
-/// [`same_encoding`]'s verdict
-/// (`same_bits_is_the_encodings_verdict`); every field is named, so a
-/// field added to an event or a request does not compile until it is
-/// compared here.
-///
-/// [`same_encoding`]: autotune::executor::same_encoding
-trait SameBits {
-    fn same_bits(&self, other: &Self) -> bool;
-}
-
-impl SameBits for f64 {
-    fn same_bits(&self, other: &Self) -> bool {
-        self.to_bits() == other.to_bits()
-    }
-}
-
-impl<T: SameBits> SameBits for Option<T> {
-    fn same_bits(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Some(a), Some(b)) => a.same_bits(b),
-            (a, b) => a.is_none() && b.is_none(),
-        }
-    }
-}
-
-impl SameBits for Config {
-    fn same_bits(&self, other: &Self) -> bool {
-        self.shares(other)
-            || (self.len() == other.len()
-                && self.iter().zip(other.iter()).all(|((ka, a), (kb, b))| {
-                    ka == kb
-                        && match (a, b) {
-                            (Value::Float(a), Value::Float(b)) => a.same_bits(b),
-                            (a, b) => a == b,
-                        }
-                }))
-    }
-}
-
-impl SameBits for Workload {
-    fn same_bits(&self, other: &Self) -> bool {
-        let Workload {
-            kind,
-            read_fraction,
-            scan_fraction,
-            skew,
-            working_set_gb,
-            offered_ops,
-            scale_factor,
-            base_duration_s,
-        } = self;
-        *kind == other.kind
-            && read_fraction.same_bits(&other.read_fraction)
-            && scan_fraction.same_bits(&other.scan_fraction)
-            && skew.same_bits(&other.skew)
-            && working_set_gb.same_bits(&other.working_set_gb)
-            && offered_ops.same_bits(&other.offered_ops)
-            && scale_factor.same_bits(&other.scale_factor)
-            && base_duration_s.same_bits(&other.base_duration_s)
-    }
-}
-
-impl SameBits for TrialRequest {
-    fn same_bits(&self, other: &Self) -> bool {
-        let TrialRequest {
-            config,
-            fidelity,
-            workload,
-            machine_id,
-        } = self;
-        config.same_bits(&other.config)
-            && fidelity.same_bits(&other.fidelity)
-            && workload.same_bits(&other.workload)
-            && *machine_id == other.machine_id
-    }
-}
-
-impl SameBits for Arc<[TelemetrySample]> {
-    fn same_bits(&self, other: &Self) -> bool {
-        let bits = |t| packed_telemetry::fields(t).map(f64::to_bits);
-        Arc::ptr_eq(self, other)
-            || (self.len() == other.len()
-                && self
-                    .iter()
-                    .zip(other.iter())
-                    .all(|(a, b)| bits(a) == bits(b)))
-    }
-}
-
-impl SameBits for WalEvent<'_> {
-    fn same_bits(&self, other: &Self) -> bool {
-        match (self, other) {
-            (
-                WalEvent::Suggested { id, request },
-                WalEvent::Suggested {
-                    id: id_b,
-                    request: b,
-                },
-            ) => id == id_b && request.same_bits(b),
-            (
-                WalEvent::Measured {
-                    id,
-                    attempt,
-                    cost,
-                    elapsed_s,
-                    machine_id,
-                    telemetry,
-                    aborted,
-                    saved_s,
-                    fault,
-                    clock,
-                },
-                WalEvent::Measured {
-                    id: id_b,
-                    attempt: attempt_b,
-                    cost: cost_b,
-                    elapsed_s: elapsed_s_b,
-                    machine_id: machine_id_b,
-                    telemetry: telemetry_b,
-                    aborted: aborted_b,
-                    saved_s: saved_s_b,
-                    fault: fault_b,
-                    clock: clock_b,
-                },
-            ) => {
-                (id, attempt, machine_id, aborted, fault, clock)
-                    == (id_b, attempt_b, machine_id_b, aborted_b, fault_b, clock_b)
-                    && cost.same_bits(cost_b)
-                    && elapsed_s.same_bits(elapsed_s_b)
-                    && saved_s.same_bits(saved_s_b)
-                    && telemetry.same_bits(telemetry_b)
-            }
-            (
-                WalEvent::Outcome {
-                    id,
-                    cost,
-                    learn_cost,
-                    elapsed_s,
-                    fidelity,
-                    machine_id,
-                    status,
-                    retries,
-                    fault,
-                },
-                WalEvent::Outcome {
-                    id: id_b,
-                    cost: cost_b,
-                    learn_cost: learn_cost_b,
-                    elapsed_s: elapsed_s_b,
-                    fidelity: fidelity_b,
-                    machine_id: machine_id_b,
-                    status: status_b,
-                    retries: retries_b,
-                    fault: fault_b,
-                },
-            ) => {
-                (id, machine_id, status, retries, fault)
-                    == (id_b, machine_id_b, status_b, retries_b, fault_b)
-                    && cost.same_bits(cost_b)
-                    && learn_cost.same_bits(learn_cost_b)
-                    && elapsed_s.same_bits(elapsed_s_b)
-                    && fidelity.same_bits(fidelity_b)
-            }
-            (WalEvent::Opt { event }, WalEvent::Opt { event: b }) => event == b,
-            _ => false,
-        }
-    }
 }
 
 /// WAL sizing.
@@ -882,7 +491,7 @@ impl DurableRegistry {
             if log.len() <= durable {
                 continue;
             }
-            let events = log[durable..].iter().map(WalEvent::from).collect();
+            let events = Cow::Borrowed(&log[durable..]);
             if let Err(why) = encode_record(&WalRecord::Ticks { id, events }, &mut self.buf) {
                 unencoded = Some(why);
                 break;
@@ -1015,7 +624,7 @@ struct Durable {
     name: String,
     spec: Box<CampaignSpec>,
     request_id: Option<u64>,
-    events: Vec<WalEvent<'static>>,
+    events: Vec<CampaignEvent>,
     stopped: bool,
     records: u64,
 }
@@ -1028,16 +637,15 @@ struct Recovered {
     report: RecoveryReport,
 }
 
-/// Replays a campaign's durable log into a fresh build of its spec: the
-/// logged measurements are the replay's input, and every event it
-/// rebuilds must be, in WAL form and bit for bit, the logged one. The
-/// log ends on a tick boundary, so the rebuilt campaign's log is the
-/// logged history. The stamped `Measurement::clock` values carry the
-/// drift clock. With `from_log` the build's optimizer is its log
-/// ([`LoggedSource`]), which only a [`finished`] campaign may take.
+/// Replays a campaign's durable log into a fresh build of its spec
+/// ([`Campaign::replay`]): the logged measurements are the replay's
+/// input, and every event it rebuilds must be the logged one bit for
+/// bit. The log ends on a tick boundary, so the rebuilt campaign's log
+/// is the logged history. With `from_log` the build's optimizer is its
+/// log ([`LoggedSource`]), which only a [`finished`] campaign may take.
 fn rebuild(
     spec: &CampaignSpec,
-    logged: &[WalEvent],
+    logged: &[CampaignEvent],
     from_log: bool,
 ) -> Result<Campaign<'static>, CampaignError> {
     let fresh = if from_log {
@@ -1045,14 +653,7 @@ fn rebuild(
     } else {
         spec.build()
     };
-    let measured = logged.iter().filter_map(WalEvent::measured);
-    Campaign::replay(fresh, measured, logged.len(), |i, rebuilt| {
-        if WalEvent::from(rebuilt).same_bits(&logged[i]) {
-            Ok(())
-        } else {
-            Err(DIVERGED.into())
-        }
-    })
+    Campaign::replay(fresh, logged)
 }
 
 /// Whether a logged campaign will never call its trial source again:
@@ -1064,13 +665,13 @@ fn finished(d: &Durable) -> bool {
 
 /// Whether a logged source ran dry (the last `SuggestEnd` did not
 /// dispatch) with every suggested trial's outcome logged.
-fn drained(events: &[WalEvent]) -> bool {
+fn drained(events: &[CampaignEvent]) -> bool {
     let (mut suggested, mut outcomes, mut last_dispatched) = (0, 0, None);
     for e in events {
         match e {
-            WalEvent::Suggested { .. } => suggested += 1,
-            WalEvent::Outcome { .. } => outcomes += 1,
-            WalEvent::Opt {
+            CampaignEvent::Suggested { .. } => suggested += 1,
+            CampaignEvent::Outcome { .. } => outcomes += 1,
+            CampaignEvent::Opt {
                 event: OptEvent::SuggestEnd { dispatched, .. },
             } => last_dispatched = Some(*dispatched),
             _ => {}
@@ -1102,15 +703,15 @@ struct LoggedCall {
 }
 
 impl LoggedSource {
-    fn new(logged: &[WalEvent]) -> Self {
+    fn new(logged: &[CampaignEvent]) -> Self {
         let mut requests = logged.iter().filter_map(|e| match e {
-            WalEvent::Suggested { request, .. } => Some(request),
+            CampaignEvent::Suggested { request, .. } => Some(request),
             _ => None,
         });
         let last_idle = logged.iter().rposition(|e| {
             matches!(
                 e,
-                WalEvent::Opt {
+                CampaignEvent::Opt {
                     event: OptEvent::SuggestEnd {
                         dispatched: false,
                         ..
@@ -1120,12 +721,14 @@ impl LoggedSource {
         });
         let mut calls: Vec<LoggedCall> = Vec::new();
         for (i, e) in logged.iter().enumerate() {
-            let WalEvent::Opt { event } = e else { continue };
+            let CampaignEvent::Opt { event } = e else {
+                continue;
+            };
             let next = match *event {
                 OptEvent::SuggestEnd {
                     dispatched: true, ..
                 } => Some(match requests.next() {
-                    Some(request) => SourceStep::Dispatch(request.clone().into_owned()),
+                    Some(request) => SourceStep::Dispatch(request.clone()),
                     None => SourceStep::Exhausted,
                 }),
                 OptEvent::SuggestEnd { .. } if last_idle == Some(i) => Some(SourceStep::Exhausted),
@@ -1188,11 +791,11 @@ impl TrialSource for LoggedSource {
 /// Whether a logged history announces a surrogate model: an `Opt`
 /// `SurrogateRefit` or `ModelUpdate`, the events whose counters
 /// [`Campaign::has_model`] reads once the campaign is rebuilt.
-fn announces_model(logged: &[WalEvent]) -> bool {
+fn announces_model(logged: &[CampaignEvent]) -> bool {
     logged.iter().any(|e| {
         matches!(
             e,
-            WalEvent::Opt {
+            CampaignEvent::Opt {
                 event: OptEvent::SurrogateRefit { .. } | OptEvent::ModelUpdate { .. }
             }
         )
@@ -1289,7 +892,7 @@ fn recover_dir(
                 }
                 WalRecord::Ticks { id, events } => {
                     if let Some(r) = fleet.get_mut(&id) {
-                        r.events.extend(events);
+                        r.events.extend(events.into_owned());
                         r.records += 1;
                     }
                 }
@@ -1658,10 +1261,10 @@ mod tests {
     use super::*;
     use crate::registry::tests::{event_log, standalone_runs};
     use crate::spec::{NoiseSpec, OptimizerKind, SystemKind};
-    use autotune::executor::same_encoding;
-    use autotune::SchedulePolicy;
+    use autotune::{SchedulePolicy, TrialRequest};
     use autotune_sim::{FaultPlan, NoiseConfig};
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -2068,8 +1671,8 @@ mod tests {
         // By hand, CRC and all: the first tick without its last event.
         let mut first = s.build();
         first.tick();
-        let mut events: Vec<WalEvent> = first.log().unwrap().iter().map(Into::into).collect();
-        events.pop();
+        let (_, events) = first.log().unwrap().split_last().unwrap();
+        let events = Cow::Borrowed(events);
         durable.append(&WalRecord::Ticks { id, events }).unwrap();
         drop(durable);
         match DurableRegistry::open(&dir, 1, WalConfig::default()) {
@@ -2086,10 +1689,7 @@ mod tests {
     /// record of the one-segment log in `dir`, until it reports an edit,
     /// and writes the log back with every length and CRC recomputed.
     /// Returns the log as rewritten.
-    fn edit_log(
-        dir: &Path,
-        mut edit: impl FnMut(u64, &mut Vec<WalEvent<'static>>) -> bool,
-    ) -> Vec<u8> {
+    fn edit_log(dir: &Path, mut edit: impl FnMut(u64, &mut Vec<CampaignEvent>) -> bool) -> Vec<u8> {
         let segments = list_segments(dir).unwrap();
         let [(_, path)] = &segments[..] else {
             panic!("the run rotated its log");
@@ -2097,7 +1697,7 @@ mod tests {
         let (mut log, mut edited) = (Vec::new(), false);
         let each = |_, _, mut record: WalRecord<'static>| {
             if let WalRecord::Ticks { id, events } = &mut record {
-                edited = edited || edit(*id, events);
+                edited = edited || edit(*id, events.to_mut());
             }
             encode_record(&record, &mut log).unwrap();
             Ok(())
@@ -2114,8 +1714,8 @@ mod tests {
 
     /// Flips the lowest bit of the first float knob a logged suggestion
     /// holds.
-    fn lie_about_a_suggestion(request: &mut Cow<TrialRequest>) {
-        let config = &mut request.to_mut().config;
+    fn lie_about_a_suggestion(request: &mut TrialRequest) {
+        let config = &mut request.config;
         let float = config.iter().find_map(|(k, v)| match v {
             autotune_space::Value::Float(v) => Some((k.clone(), *v)),
             _ => None,
@@ -2173,11 +1773,11 @@ mod tests {
         assert!(fleet.values().all(|d| finished(d) == all_finished));
         // One bit in a suggestion's config, in an outcome's cost and in an
         // optimizer event, and an event count off by one either way.
-        type Lie<'a> = &'a dyn Fn(&mut Vec<WalEvent<'static>>) -> bool;
+        type Lie<'a> = &'a dyn Fn(&mut Vec<CampaignEvent>) -> bool;
         let lies: [Lie; 5] = [
             &|events| {
                 events.iter_mut().any(|e| match e {
-                    WalEvent::Suggested { request, .. } => {
+                    CampaignEvent::Suggested { request, .. } => {
                         lie_about_a_suggestion(request);
                         true
                     }
@@ -2186,7 +1786,7 @@ mod tests {
             },
             &|events| {
                 events.iter_mut().any(|e| match e {
-                    WalEvent::Outcome { cost: Some(c), .. } => {
+                    CampaignEvent::Outcome { cost: Some(c), .. } => {
                         flip(c);
                         true
                     }
@@ -2195,7 +1795,7 @@ mod tests {
             },
             &|events| {
                 events.iter_mut().any(|e| match e {
-                    WalEvent::Opt {
+                    CampaignEvent::Opt {
                         event: OptEvent::SuggestEnd { dispatched, .. },
                     } => {
                         *dispatched = !*dispatched;
@@ -2351,16 +1951,16 @@ mod tests {
         let (mut ticks, mut dry_not_drained) = (0, 0);
         while !live.tick() {
             ticks += 1;
-            let logged: Vec<WalEvent> = live.log().unwrap().iter().map(WalEvent::from).collect();
+            let logged = live.log().unwrap();
             let dry = logged.iter().rev().find_map(|e| match e {
-                WalEvent::Opt {
+                CampaignEvent::Opt {
                     event: OptEvent::SuggestEnd { dispatched, .. },
                 } => Some(!dispatched),
                 _ => None,
             }) == Some(true);
-            let from_log = drained(&logged);
+            let from_log = drained(logged);
             dry_not_drained += usize::from(dry && !from_log);
-            let mut rebuilt = rebuild(&spec, &logged, from_log).unwrap();
+            let mut rebuilt = rebuild(&spec, logged, from_log).unwrap();
             rebuilt.run();
             assert_eq!(event_log(&rebuilt), want, "rebuilt after tick {ticks}");
         }
@@ -2418,7 +2018,8 @@ mod tests {
             );
             assert_eq!(got.has_model(), want.has_model(), "{}", spec.name);
             let snapshot = got.snapshot().unwrap();
-            assert_eq!(snapshot.to_json(), want.snapshot().unwrap().to_json());
+            let json = |s| serde_json::to_string(&s).unwrap();
+            assert_eq!(json(&snapshot), json(&want.snapshot().unwrap()));
             // A real snapshot: the spec's own optimizer resumes it.
             Campaign::resume(&snapshot, spec.build()).unwrap();
         }
@@ -2445,7 +2046,7 @@ mod tests {
                 lied = edit_log(&dir, |id, events| {
                     id == liar
                         && events.iter_mut().any(|e| match e {
-                            WalEvent::Suggested { request, .. } => {
+                            CampaignEvent::Suggested { request, .. } => {
                                 seen += 1;
                                 let here = seen > nth;
                                 if here {
@@ -2538,7 +2139,7 @@ mod tests {
         let mut flipped = None;
         edit_log(&dir, |_, events| {
             events.iter_mut().any(|e| {
-                let WalEvent::Measured { id, telemetry, .. } = e else {
+                let CampaignEvent::Measured { id, telemetry, .. } = e else {
                     return false;
                 };
                 let cpu = &mut Arc::make_mut(telemetry)[3].cpu;
@@ -2551,70 +2152,14 @@ mod tests {
         let (recovered, _) = DurableRegistry::open(&dir, 2, WalConfig::default()).unwrap();
         let log = recovered.registry().campaign(0).unwrap().log().unwrap();
         let rebuilt = log.iter().find_map(|e| match e {
-            CampaignEvent::Measured { id, m, .. } if *id == flipped_id => Some(&m.telemetry),
+            CampaignEvent::Measured { id, telemetry, .. } if *id == flipped_id => Some(telemetry),
             _ => None,
         });
         assert_eq!(rebuilt.unwrap()[3].cpu.to_bits(), flipped_bits);
-        let outcome = log.iter().find_map(|e| match e {
-            CampaignEvent::Outcome { outcome } if outcome.id == flipped_id => Some(outcome),
-            _ => None,
-        });
-        assert_eq!(outcome.unwrap().telemetry[3].cpu.to_bits(), flipped_bits);
         for (id, s) in specs.iter().enumerate() {
             assert_eq!(history(&recovered, id as u64), straight_history(s));
         }
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    proptest::proptest! {
-        /// A `Measured` through the log's encoding and back, bit for bit:
-        /// any `f64` pattern in the packed series (`-0.0`, subnormals, and
-        /// the NaNs and infinities no CBOR float may hold), any sample
-        /// count, none included, and a crashed trial's NaN cost.
-        #[test]
-        fn packed_telemetry_round_trips_bit_for_bit(
-            bits in proptest::collection::vec(0u64..=u64::MAX, 0..(7 * 40usize)),
-            crashed in 0u8..2,
-        ) {
-            const EDGES: [f64; 5] = [-0.0, 5e-324, f64::MIN_POSITIVE / 2.0, f64::NAN, f64::INFINITY];
-            let field = |b: u64| match EDGES.get((b % 16) as usize) {
-                Some(edge) => *edge,
-                None => f64::from_bits(b),
-            };
-            let telemetry: Arc<[TelemetrySample]> = bits
-                .chunks_exact(7)
-                .map(|s| packed_telemetry::sample(std::array::from_fn(|i| field(s[i]))))
-                .collect();
-            let m = Measurement {
-                cost: if crashed == 1 { f64::NAN } else { -0.0 },
-                elapsed_s: 5e-324,
-                machine_id: Some(3),
-                telemetry,
-                aborted: false,
-                saved_s: 0.0,
-                fault: None,
-                clock: bits.len() as u64,
-            };
-            let event = CampaignEvent::Measured { id: 7, attempt: 1, m: m.clone() };
-            let mut bytes = Vec::new();
-            ciborium::into_writer(&WalEvent::from(&event), &mut bytes).unwrap();
-            // 56 bytes a sample and not a field name among them.
-            proptest::prop_assert!(bytes.len() <= 160 + 56 * m.telemetry.len(), "{}", bytes.len());
-            let back: WalEvent = ciborium::from_reader(&bytes[..]).unwrap();
-            let (id, attempt, got) = back.measured().unwrap();
-            proptest::prop_assert_eq!((id, attempt), (7, 1));
-            let scalars = |m: &Measurement| {
-                let cost = (!m.cost.is_nan()).then_some(m.cost.to_bits());
-                (cost, m.elapsed_s.to_bits(), m.machine_id, m.aborted, m.saved_s.to_bits(), m.fault, m.clock)
-            };
-            proptest::prop_assert_eq!(scalars(&got), scalars(&m));
-            proptest::prop_assert_eq!(got.cost.is_nan(), crashed == 1);
-            let series = |m: &Measurement| -> Vec<u64> {
-                let fields = m.telemetry.iter().flat_map(packed_telemetry::fields);
-                fields.map(f64::to_bits).collect()
-            };
-            proptest::prop_assert_eq!(series(&got), series(&m));
-        }
     }
 
     #[test]
@@ -2630,38 +2175,16 @@ mod tests {
         let rebuilt = campaign.log().unwrap();
         let mut measured = 0;
         for (got, want) in rebuilt.iter().zip(logged) {
-            if let (CampaignEvent::Measured { m, .. }, WalEvent::Measured { telemetry, .. }) =
-                (got, want)
+            if let (
+                CampaignEvent::Measured { telemetry: got, .. },
+                CampaignEvent::Measured { telemetry, .. },
+            ) = (got, want)
             {
-                assert!(Arc::ptr_eq(&m.telemetry, telemetry));
+                assert!(Arc::ptr_eq(got, telemetry));
                 measured += 1;
             }
         }
         assert!(measured >= 9, "{measured}");
-        // Through `open`: every outcome shares its last measurement's
-        // series, except where a fault dropped it.
-        let (recovered, _) = DurableRegistry::open(&dir, 2, WalConfig::default()).unwrap();
-        let log = recovered.registry().campaign(0).unwrap().log().unwrap();
-        let (mut shared, mut dropped) = (0, 0);
-        for e in log {
-            let CampaignEvent::Outcome { outcome } = e else {
-                continue;
-            };
-            let last = log.iter().rev().find_map(|e| match e {
-                CampaignEvent::Measured { id, m, .. } if *id == outcome.id => Some(&m.telemetry),
-                _ => None,
-            });
-            if Arc::ptr_eq(&outcome.telemetry, last.unwrap()) {
-                shared += 1;
-            } else {
-                assert!(outcome.telemetry.is_empty() && outcome.fault.is_some());
-                dropped += 1;
-            }
-        }
-        assert!(
-            shared > 0 && dropped > 0,
-            "{shared} shared, {dropped} dropped"
-        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2675,231 +2198,6 @@ mod tests {
         });
         s.faults = Some(FaultPlan::aggressive(seed));
         s
-    }
-
-    /// Edit `how` of an event's field number `field` (in declaration
-    /// order; `false` past the last): a one-ulp step or a flipped sign of
-    /// a float, so `0.0` becomes `-0.0`; an integer one up or down;
-    /// `None` and `Some` swapped; a flag flipped; a config value, a
-    /// workload override or a telemetry sample changed. `pick` chooses
-    /// the knob, the sample and the workload field. `how` 3 of a series
-    /// is a copy with equal bits in a new allocation.
-    fn edit(e: &mut WalEvent, field: usize, how: usize, pick: usize) -> bool {
-        fn float(x: &mut f64, how: usize) {
-            *x = match how % 3 {
-                0 => f64::from_bits(x.to_bits().wrapping_add(1)),
-                1 => -*x,
-                _ => f64::from_bits(x.to_bits().wrapping_sub(1)),
-            };
-        }
-        fn step<T: Copy + TryFrom<u64>>(x: &mut T, how: usize)
-        where
-            u64: TryFrom<T>,
-        {
-            let v = u64::try_from(*x).unwrap_or(0);
-            let v = if how.is_multiple_of(2) {
-                v.wrapping_add(1)
-            } else {
-                v.wrapping_sub(1)
-            };
-            *x = T::try_from(v).unwrap_or(*x);
-        }
-        fn other(f: &mut FailureKind, _: usize) {
-            *f = match f {
-                FailureKind::Hang => FailureKind::Outage,
-                _ => FailureKind::Hang,
-            }
-        }
-        fn toggle<T>(x: &mut Option<T>, some: T, how: usize, inner: impl FnOnce(&mut T, usize)) {
-            match x {
-                Some(v) if how > 0 => inner(v, how - 1),
-                Some(_) => *x = None,
-                None => *x = Some(some),
-            }
-        }
-        match e {
-            WalEvent::Suggested { id, request } => {
-                let r = request.to_mut();
-                match field {
-                    0 => step(id, how),
-                    1 => {
-                        let Some((name, value)) = r.config.iter().nth(pick % r.config.len()) else {
-                            return false;
-                        };
-                        let value = match (value, how % 3) {
-                            (_, 2) => None,
-                            (Value::Float(x), how) => Some(Value::Float({
-                                let mut x = *x;
-                                float(&mut x, how);
-                                x
-                            })),
-                            (Value::Int(i), how) => {
-                                Some(Value::Int(if how == 0 { i + 1 } else { i - 1 }))
-                            }
-                            (Value::Bool(b), _) => Some(Value::Bool(!b)),
-                            (Value::Cat(c), _) => Some(Value::Cat(format!("{c}x"))),
-                        };
-                        let name = name.clone();
-                        match value {
-                            Some(v) => r.config.set(name, v),
-                            None => drop(r.config.remove(&name)),
-                        }
-                    }
-                    2 => float(&mut r.fidelity, how),
-                    3 => toggle(&mut r.workload, Workload::ycsb_a(1000.0), how, |w, how| {
-                        let fields = [
-                            &mut w.read_fraction,
-                            &mut w.scan_fraction,
-                            &mut w.skew,
-                            &mut w.working_set_gb,
-                            &mut w.offered_ops,
-                            &mut w.scale_factor,
-                            &mut w.base_duration_s,
-                        ];
-                        float(fields.into_iter().nth(pick % 7).unwrap(), how);
-                    }),
-                    4 => toggle(&mut r.machine_id, 0, how, step),
-                    _ => return false,
-                }
-            }
-            WalEvent::Measured {
-                id,
-                attempt,
-                cost,
-                elapsed_s,
-                machine_id,
-                telemetry,
-                aborted,
-                saved_s,
-                fault,
-                clock,
-            } => match field {
-                0 => step(id, how),
-                1 => step(attempt, how),
-                2 => toggle(cost, 0.0, how, float),
-                3 => float(elapsed_s, how),
-                4 => toggle(machine_id, 0, how, step),
-                5 => {
-                    let mut copy: Vec<TelemetrySample> = telemetry.to_vec();
-                    match (copy.len(), how % 4) {
-                        (0, 0..3) => copy.push(packed_telemetry::sample([0.0; 7])),
-                        (n, 0) => drop(copy.remove(pick % n)),
-                        (n, how @ 1..3) => {
-                            let mut fields = packed_telemetry::fields(&copy[pick % n]);
-                            float(&mut fields[pick % 7], how - 1);
-                            copy[pick % n] = packed_telemetry::sample(fields);
-                        }
-                        _ => {}
-                    }
-                    *telemetry = copy.into();
-                }
-                6 => *aborted = !*aborted,
-                7 => float(saved_s, how),
-                8 => toggle(fault, FailureKind::Transient, how, other),
-                9 => step(clock, how),
-                _ => return false,
-            },
-            WalEvent::Outcome {
-                id,
-                cost,
-                learn_cost,
-                elapsed_s,
-                fidelity,
-                machine_id,
-                status,
-                retries,
-                fault,
-            } => match field {
-                0 => step(id, how),
-                1 => toggle(cost, 0.0, how, float),
-                2 => toggle(learn_cost, 0.0, how, float),
-                3 => float(elapsed_s, how),
-                4 => float(fidelity, how),
-                5 => toggle(machine_id, 0, how, step),
-                6 => {
-                    *status = match status {
-                        TrialStatus::Complete => TrialStatus::Crashed,
-                        _ => TrialStatus::Complete,
-                    }
-                }
-                7 => step(retries, how),
-                8 => toggle(fault, FailureKind::Transient, how, other),
-                _ => return false,
-            },
-            WalEvent::Opt { event } => match (field, event) {
-                (
-                    0,
-                    OptEvent::SuggestBegin { id }
-                    | OptEvent::SuggestEnd { id, .. }
-                    | OptEvent::ObserveBegin { id }
-                    | OptEvent::ObserveEnd { id, .. }
-                    | OptEvent::SurrogateRefit { id, .. }
-                    | OptEvent::ModelUpdate { id, .. },
-                ) => step(id, how),
-                (
-                    1,
-                    OptEvent::SuggestEnd { wall_ns, .. } | OptEvent::ObserveEnd { wall_ns, .. },
-                ) => step(wall_ns, how),
-                (
-                    1,
-                    OptEvent::SurrogateRefit { n_refits: n, .. }
-                    | OptEvent::ModelUpdate { n_updates: n, .. },
-                ) => step(n, how),
-                (2, OptEvent::SuggestEnd { dispatched, .. }) => *dispatched = !*dispatched,
-                _ => return false,
-            },
-        }
-        true
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
-        /// Recovery's field-by-field check and the encoding it stands for
-        /// agree on every single-field edit of every event a noisy,
-        /// fault-injected campaign logs, and on the events themselves,
-        /// shared or copied.
-        #[test]
-        fn same_bits_is_the_encodings_verdict(seed in 0u64..1000, pick in 0usize..1000) {
-            let mut c = noisy_random(8, seed).build();
-            c.run();
-            let mut bytes = Vec::new();
-            let live: Vec<WalEvent> = c.log().unwrap().iter().map(WalEvent::from).collect();
-            ciborium::into_writer(&live, &mut bytes).unwrap();
-            let logged: Vec<WalEvent<'static>> = ciborium::from_reader(&bytes[..]).unwrap();
-            let scratch = &mut Default::default();
-            let (mut edits, mut refused) = (0, 0);
-            for (live, logged) in live.iter().zip(&logged) {
-                proptest::prop_assert!(live.same_bits(logged) && logged.same_bits(logged));
-                for field in 0.. {
-                    let mut edited = logged.clone();
-                    if !edit(&mut edited, field, 0, pick) {
-                        break;
-                    }
-                    for how in 0..4 {
-                        let mut edited = logged.clone();
-                        edit(&mut edited, field, how, pick);
-                        let oracle = same_encoding(&edited, logged, scratch);
-                        proptest::prop_assert_eq!(
-                            edited.same_bits(logged),
-                            oracle.is_ok(),
-                            "field {} how {} of {:?}",
-                            field,
-                            how,
-                            logged
-                        );
-                        proptest::prop_assert_eq!(logged.same_bits(&edited), oracle.is_ok());
-                        if let Err(why) = oracle {
-                            if !why.starts_with("cannot be encoded") {
-                                proptest::prop_assert_eq!(why, DIVERGED);
-                            }
-                            refused += 1;
-                        }
-                        edits += 1;
-                    }
-                }
-            }
-            proptest::prop_assert!(refused > edits / 2, "{} of {} edits refused", refused, edits);
-        }
     }
 
     /// A plan that leaves appends `from..op` alone and crashes append
@@ -2945,7 +2243,7 @@ mod tests {
                     // Every record ends on a tick boundary: the log so
                     // far replays without asking for a measurement.
                     let i = id as usize;
-                    logs[i].extend(batch);
+                    logs[i].extend(batch.into_owned());
                     if let Err(e) = rebuild(&specs[i], &logs[i], false) {
                         panic!("campaign {id} record {records} ends inside a tick: {e}");
                     }
@@ -2963,6 +2261,48 @@ mod tests {
         // (no torn tail, no bytes outside a record).
         assert_eq!(records, durable.ops, "a record was rewritten or deleted");
         assert_eq!(disk_bytes, record_bytes);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_snapshot_is_its_wal() {
+        // A plain Redis random search and a noisy, faulty one, run
+        // durably a few rounds at a time.
+        let specs = [
+            CampaignSpec::minimal("plain", SystemKind::Redis, 32, 1),
+            noisy_random(12, 31),
+        ];
+        let dir = temp_dir("snapshot-wal");
+        let durable = drive(&dir, &specs, WalConfig::default(), |_| {});
+        let mut logged = vec![Vec::new(); specs.len()];
+        for (_, path) in list_segments(&dir).unwrap() {
+            read_segment(&path, |_, _, record| {
+                if let WalRecord::Ticks { id, events } = record {
+                    logged[id as usize].extend(events.into_owned());
+                }
+                Ok(())
+            })
+            .unwrap();
+        }
+        let cbor = |events: &[CampaignEvent]| {
+            let mut bytes = Vec::new();
+            ciborium::into_writer(events, &mut bytes).unwrap();
+            bytes
+        };
+        for (id, logged) in logged.iter().enumerate() {
+            let snapshot = durable.registry().snapshot(id as u64).unwrap();
+            assert!(durable.registry().stats(id as u64).unwrap().done);
+            assert_eq!(cbor(&snapshot.events), cbor(logged), "campaign {id}");
+        }
+        // What a client is sent: about what the log holds a trial.
+        let snapshot = durable.registry().snapshot(0).unwrap();
+        let mut frame = Vec::new();
+        crate::write_frame(&mut frame, &crate::Response::Snapshot { snapshot }).unwrap();
+        assert!(
+            frame.len() <= 2_400 * 32,
+            "{} bytes a trial",
+            frame.len() / 32
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -3183,10 +2523,9 @@ mod tests {
         assert_eq!(campaign.run().n_finished, 32);
         let log = campaign.log().unwrap();
         codecs_agree(&log.to_vec());
-        let events: Vec<WalEvent> = log.iter().map(Into::into).collect();
         // In the log the series is one byte string; for a person it is
         // spelled out, and either reads back as the other.
-        let json = serde_json::to_string(&events).unwrap();
+        let json = serde_json::to_string(log).unwrap();
         assert!(json.contains("\"telemetry\":[{\"cpu\":"), "{json}");
         for record in [
             WalRecord::Register {
@@ -3195,7 +2534,10 @@ mod tests {
                 spec: Box::new(tenant),
                 request_id: Some(9),
             },
-            WalRecord::Ticks { id: 0, events },
+            WalRecord::Ticks {
+                id: 0,
+                events: Cow::Borrowed(log),
+            },
             WalRecord::Stop { id: 0 },
             // Opaque bytes: through JSON they travel as an array of numbers.
             WalRecord::Aux {

@@ -36,7 +36,7 @@
 //! let stats = client.stats(id).unwrap();
 //! assert!(stats.done && stats.n_trials > 0);
 //! let snapshot = client.snapshot(id).unwrap(); // durable: spec + snapshot resumes
-//! assert!(!snapshot.log.is_empty());
+//! assert!(!snapshot.events.is_empty());
 //! client.shutdown().unwrap();
 //! server.join().unwrap().unwrap();
 //! ```

@@ -100,7 +100,7 @@ pub enum Response {
         /// Campaigns still active afterwards.
         n_active: u64,
     },
-    /// A campaign snapshot (seed + policy + event log + drift clock).
+    /// A campaign snapshot (seed, policy and event log).
     Snapshot {
         /// The snapshot.
         snapshot: CampaignSnapshot,

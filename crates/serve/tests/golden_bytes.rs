@@ -1,9 +1,11 @@
 //! The bytes on the wire and on disk, pinned. `tests/golden/wire_and_wal.hex`
 //! holds, as hex, the frames of a benchmark-shaped `Lookup`, its
-//! `CacheHit` and a `Stats` reply, and every record of the WAL a short
-//! durable router run writes: the pinned router config, `Register`,
+//! `CacheHit` and a `Stats` reply, every record of the WAL a short
+//! durable router run writes (the pinned router config, `Register`,
 //! `Ticks`, and the journaled `Lookup`/`Admit`/`Backfill` ops and the
-//! `Hits` summary the drop leaves, inside their `Aux` records. The run
+//! `Hits` summary the drop leaves, inside their `Aux` records), and last
+//! the `Snapshot` reply for the campaign, whose events are the ones its
+//! `Ticks` records hold, byte for byte. The run
 //! is re-done here and must produce those
 //! bytes again; the fixture is then decoded and must print (`Debug`) as
 //! the live values do. A change to the serde or CBOR stubs that moves a
@@ -117,6 +119,9 @@ fn live() -> (Vec<Entry>, PathBuf) {
     let stats = Response::Stats {
         stats: router.registry().stats(campaign).unwrap(),
     };
+    let snapshot = Response::Snapshot {
+        snapshot: router.registry().snapshot(campaign).unwrap(),
+    };
     drop(router);
     let segment = only_segment(&dir);
     let mut entries = vec![
@@ -125,6 +130,7 @@ fn live() -> (Vec<Entry>, PathBuf) {
         frame("Response::Stats of the campaign that tuned it", &stats),
     ];
     entries.extend(wal_entries(&dir));
+    entries.push(frame("Response::Snapshot of that campaign", &snapshot));
     std::fs::remove_dir_all(&dir).unwrap();
     (entries, segment.file_name().unwrap().into())
 }
@@ -180,6 +186,7 @@ fn wire_and_wal_bytes_match_the_fixture() {
         "RouterOp(Admit",
         "RouterOp(Backfill",
         "RouterOp(Hits",
+        "Response::Snapshot",
     ] {
         assert!(kinds.contains(kind), "the fixture holds no {kind}");
     }
@@ -197,13 +204,18 @@ fn wire_and_wal_bytes_match_the_fixture() {
     let mut r = &golden[0].1[..];
     let request: Request = read_frame(&mut r).unwrap().unwrap();
     assert_eq!(format!("{request:?}"), live[0].debug);
-    for (golden, live) in golden[1..3].iter().zip(&live[1..3]) {
+    let wal = 3..golden.len() - 1;
+    let responses = [1, 2, wal.end];
+    for (golden, live) in responses.map(|i| (&golden[i], &live[i])) {
         let response: Response = read_frame(&mut &golden.1[..]).unwrap().unwrap();
         assert_eq!(format!("{response:?}"), live.debug);
     }
     let dir = temp_dir("fixture");
     std::fs::create_dir_all(&dir).unwrap();
-    let log: Vec<u8> = golden[3..].iter().flat_map(|e| e.1.clone()).collect();
+    let log: Vec<u8> = golden[wal.clone()]
+        .iter()
+        .flat_map(|e| e.1.clone())
+        .collect();
     std::fs::write(dir.join(segment), log).unwrap();
     let mut decoded = Vec::new();
     dump_wal(&dir, |line| {
@@ -211,7 +223,7 @@ fn wire_and_wal_bytes_match_the_fixture() {
         Ok(())
     })
     .unwrap();
-    let want: Vec<&str> = live[3..].iter().map(|e| e.debug.as_str()).collect();
+    let want: Vec<&str> = live[wal].iter().map(|e| e.debug.as_str()).collect();
     assert_eq!(decoded, want);
     std::fs::remove_dir_all(&dir).unwrap();
 }

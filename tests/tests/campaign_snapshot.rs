@@ -1,14 +1,15 @@
 //! Snapshot round-trip coverage for the resumable [`Campaign`] state
-//! machine: a golden serde fixture of a mid-campaign event log, plus a
-//! property test that `resume(snapshot(k))` equals running straight
-//! through, for arbitrary k across every schedule policy (Sequential,
-//! SyncBatch, AsyncSlots, Rungs).
+//! machine: a property test that `resume(snapshot(k))`, through the
+//! protocol's frames, equals running straight through, for arbitrary k
+//! across every schedule policy (Sequential, SyncBatch, AsyncSlots,
+//! Rungs), and the refusal of a snapshot of the earlier format.
 
 use autotune::{
     Campaign, CampaignSnapshot, FidelityLevel, Objective, OptimizerSource, RetryMw, RungSource,
     SchedulePolicy, Target,
 };
 use autotune_optimizer::RandomSearch;
+use autotune_serve::{read_frame, write_frame};
 use autotune_sim::{CloudNoise, Environment, FaultPlan, NoiseConfig, RedisSim, Workload};
 use autotune_space::Config;
 use proptest::prelude::*;
@@ -95,9 +96,13 @@ fn assert_resume_matches(mut half: Campaign<'_>, fresh: Campaign<'_>, k: usize) 
         }
     }
     let snap = half.snapshot().expect("snapshot at tick boundary");
-    // JSON round-trip the snapshot itself: resume must work from the
-    // parsed form, exactly as a service restoring persisted state would.
-    let parsed = CampaignSnapshot::from_json(&snap.to_json()).expect("snapshot parses");
+    // Round-trip the snapshot through a frame: resume must work from the
+    // decoded form, exactly as a client restoring a served one would.
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &snap).expect("snapshot encodes");
+    let parsed: CampaignSnapshot = read_frame(&mut &frame[..])
+        .expect("snapshot decodes")
+        .expect("one frame");
     let mut resumed = Campaign::resume(&parsed, fresh).expect("resume accepts fresh twin");
     let (resumed_storage, resumed_log) = finish(&mut resumed);
     let (straight_storage, straight_log) = finish(&mut half);
@@ -137,41 +142,21 @@ proptest! {
     }
 }
 
-/// Golden fixture: the serialized snapshot of a fixed mid-campaign state
-/// (hostile AsyncSlots campaign, 4 ticks in) is byte-stable across
-/// releases. Regenerate deliberately with
-/// `UPDATE_GOLDEN=1 cargo test -p autotune-tests --test campaign_snapshot`.
+/// `tests/golden/campaign_snapshot.json` is a snapshot of the earlier
+/// format (a hostile AsyncSlots campaign, 4 ticks in): a format
+/// version, a boundary drift clock and the full events, each outcome
+/// with its config and series. It is kept as it is and must be refused:
+/// a snapshot is now its log in the one form a write-ahead log holds,
+/// and no reader of the old format is kept.
 #[test]
-fn snapshot_serde_matches_golden_fixture() {
-    let mut c = opt_campaign(SchedulePolicy::AsyncSlots { k: 2 }, 7, 10, true);
-    for _ in 0..4 {
-        if c.tick() {
-            break;
-        }
-    }
-    let json = c.snapshot().expect("snapshot at tick boundary").to_json();
-
+fn a_snapshot_of_the_earlier_format_is_refused() {
     let golden_path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/campaign_snapshot.json");
-    if std::env::var("UPDATE_GOLDEN").is_ok() {
-        std::fs::create_dir_all(golden_path.parent().unwrap()).unwrap();
-        std::fs::write(&golden_path, &json).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(&golden_path)
-        .expect("golden file missing — run with UPDATE_GOLDEN=1 to create it");
-    assert_eq!(
-        json, golden,
-        "snapshot serialization drifted from the golden fixture; if the \
-         change is intentional (and SNAPSHOT_VERSION was bumped for any \
-         incompatible change), regenerate with UPDATE_GOLDEN=1"
+    let golden = std::fs::read_to_string(&golden_path).expect("the old golden is kept");
+    assert!(
+        golden.starts_with(r#"{"version":1,"seed":7,"#) && golden.contains(r#""target_clock":"#),
+        "not the earlier format"
     );
-
-    // The committed fixture must remain loadable and resumable.
-    let parsed = CampaignSnapshot::from_json(&golden).expect("golden snapshot parses");
-    let fresh = opt_campaign(SchedulePolicy::AsyncSlots { k: 2 }, 7, 10, true);
-    let mut resumed = Campaign::resume(&parsed, fresh).expect("golden snapshot resumes");
-    let (resumed_storage, _) = finish(&mut resumed);
-    let (straight_storage, _) = finish(&mut c);
-    assert_eq!(resumed_storage, straight_storage);
+    let refused = serde_json::from_str::<CampaignSnapshot>(&golden);
+    assert!(refused.is_err(), "an old snapshot was read");
 }

@@ -170,8 +170,8 @@ fn wall_clock_from_log(log: &[CampaignEvent]) -> f64 {
             CampaignEvent::Suggested { id, .. } => {
                 started.insert(*id, clock);
             }
-            CampaignEvent::Outcome { outcome } => {
-                clock = clock.max(started[&outcome.id] + outcome.elapsed_s);
+            CampaignEvent::Outcome { id, elapsed_s, .. } => {
+                clock = clock.max(started[id] + elapsed_s);
             }
             _ => {}
         }

@@ -11,9 +11,11 @@
 #   tools/mutants.sh          # every row
 #   tools/mutants.sh crc32    # the rows whose contract or filter matches
 #
-# 21 rows take about 140 s on 2 vCPUs from a cold build directory
-# (debug builds), most of it the serve crate and its dependents rebuilt
-# after a codec or config mutation.
+# 26 rows take about 175 s on 2 vCPUs from a cold build directory
+# (debug builds): about 75 s is the history_digests row (a surrogate
+# mutation rebuilds the test crate, then the digests run), most of the
+# rest the serve crate and its dependents rebuilt after a codec or
+# config mutation.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 root=$PWD
