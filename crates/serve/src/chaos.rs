@@ -9,43 +9,28 @@
 //! — which is exactly what lets CI assert that recovery from an injected
 //! crash reproduces the uninterrupted history.
 //!
-//! The plan only *decides*; the failure itself takes the path a real one
-//! takes. The WAL consults [`ChaosPlan::crash_at`] per append and, when
-//! a crash fires, hands its one write path the bytes that land (none / a
-//! torn prefix / the whole record) and then dies exactly as it does when
-//! the disk refuses a write: every later call on the handle fails with
-//! the same [`ServeError::Storage`](crate::ServeError) and only
-//! [`DurableRegistry::open`](crate::DurableRegistry::open) brings the
-//! fleet back — the same observable sequence as `kill -9` at that
-//! instant, but testable in-process.
+//! Crash simulation lives here and nowhere in the write path: an armed
+//! plan wraps the WAL's storage in a [`Crashing`] one, whose append fails
+//! as a write the disk refuses fails, after it has let land what the
+//! crash point says. The handle dies on that error as on any other — the
+//! same observable sequence as `kill -9` at that instant, but testable
+//! in-process.
 
-use serde::{Deserialize, Serialize};
+use crate::wal::{record_at, SegmentFiles, Storage};
+use std::any::Any;
+use std::io;
+use std::path::PathBuf;
 
 /// Where, relative to one WAL append, a simulated process crash lands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CrashPoint {
-    /// The process dies before any byte of the record reaches the file:
-    /// recovery sees the previous append as the durable frontier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CrashPoint {
+    /// Before any byte of the record lands.
     PreAppend,
-    /// The process dies mid-write, leaving a torn record — a length
-    /// prefix with a short or corrupt body — that recovery must
-    /// truncate, not trip over.
+    /// Mid-write: a torn record that recovery must cut, not trip over.
     MidAppend,
-    /// The record is fully durable but the process dies before the
-    /// append is acknowledged: recovery sees state the caller was never
-    /// told about, the classic "uncertain outcome" window.
+    /// After the record landed, before its acknowledgement: recovery sees
+    /// state the caller was never told about.
     PostAppendPreAck,
-}
-
-impl CrashPoint {
-    /// Short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            CrashPoint::PreAppend => "pre-append",
-            CrashPoint::MidAppend => "mid-append",
-            CrashPoint::PostAppendPreAck => "post-append-pre-ack",
-        }
-    }
 }
 
 /// A seeded schedule of serving-layer faults. All-zero probabilities
@@ -53,7 +38,7 @@ impl CrashPoint {
 /// each fault family. Decisions are pure functions of `(seed, domain,
 /// index)` — no RNG state, so concurrent consumers can share a plan and
 /// a recovered process re-rolls identically.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ChaosPlan {
     /// Seed for every hash below.
     pub seed: u64,
@@ -114,12 +99,12 @@ impl ChaosPlan {
         unit(self.hash(domain, index, salt))
     }
 
-    /// Whether (and where) the process crashes around append number
-    /// `append_index` of the WAL's lifetime. The index is a monotone
-    /// operation counter owned by the chaos handle — *not* derived from
-    /// WAL contents — so a recovered process does not re-roll the crash
-    /// that killed it and loop forever.
-    pub fn crash_at(&self, append_index: u64) -> Option<CrashPoint> {
+    /// Whether (and where) the process crashes around record number
+    /// `append_index` a [`Crashing`] storage appends. The index is a
+    /// monotone count the storage keeps — *not* derived from WAL
+    /// contents — so a recovered process does not re-roll the crash that
+    /// killed it and loop forever.
+    pub(crate) fn crash_at(&self, append_index: u64) -> Option<CrashPoint> {
         let r = self.unit_roll(D_CRASH, append_index, 0);
         if r < self.p_crash_pre_append {
             return Some(CrashPoint::PreAppend);
@@ -134,12 +119,9 @@ impl ChaosPlan {
     }
 
     /// For a torn ([`CrashPoint::MidAppend`]) write of a `record_len`-byte
-    /// record: how many bytes actually reached the file (at least 1,
-    /// strictly fewer than the whole record).
-    pub fn torn_len(&self, append_index: u64, record_len: usize) -> usize {
-        if record_len <= 1 {
-            return record_len.min(1);
-        }
+    /// record (a record is at least its 8-byte header): how many bytes
+    /// actually reached the file (at least 1, strictly fewer than all).
+    pub(crate) fn torn_len(&self, append_index: u64, record_len: usize) -> usize {
         let h = self.hash(D_AUX, append_index, 1);
         1 + (h as usize) % (record_len - 1)
     }
@@ -148,6 +130,73 @@ impl ChaosPlan {
     /// `round` panics.
     pub fn worker_panics(&self, round: u64, campaign_id: u64) -> bool {
         self.unit_roll(D_PANIC, round, campaign_id) < self.p_worker_panic
+    }
+}
+
+/// The WAL's storage with a plan's crash points in it. Each record an
+/// append hands over takes the next number, and the first one
+/// [`ChaosPlan::crash_at`] crashes decides what lands: the records before
+/// it whole, of it what its [`CrashPoint`] says, and nothing after it.
+/// Then the append fails. All else goes to the wrapped storage as it is.
+pub(crate) struct Crashing {
+    plan: ChaosPlan,
+    /// Records appended since the first plan was armed.
+    appended: u64,
+    inner: Box<dyn Storage>,
+}
+
+/// Arms `plan` on the WAL's `storage`: the first plan wraps it in a
+/// [`Crashing`] storage, which counts records from there; a later one
+/// takes over that count.
+pub(crate) fn arm(storage: &mut Box<dyn Storage>, plan: ChaosPlan) {
+    let armed: &mut dyn Any = storage.as_mut();
+    if let Some(armed) = armed.downcast_mut::<Crashing>() {
+        armed.plan = plan;
+        return;
+    }
+    // A storage over no directory holds the place while the wrap is made.
+    let inner = std::mem::replace(storage, Box::new(SegmentFiles::new(PathBuf::new())));
+    *storage = Box::new(Crashing {
+        plan,
+        appended: 0,
+        inner,
+    });
+}
+
+impl Storage for Crashing {
+    fn segments(&self) -> io::Result<Vec<u64>> {
+        self.inner.segments()
+    }
+
+    fn read(&self, n: u64) -> io::Result<Vec<u8>> {
+        self.inner.read(n)
+    }
+
+    fn cut(&mut self, n: u64, len: u64) -> io::Result<()> {
+        self.inner.cut(n, len)
+    }
+
+    fn open_next(&mut self) -> io::Result<()> {
+        self.inner.open_next()
+    }
+
+    fn append(&mut self, records: &[u8]) -> io::Result<()> {
+        let mut begin = 0;
+        while let Some((_, end)) = record_at(records, begin) {
+            let op = self.appended;
+            self.appended += 1;
+            if let Some(point) = self.plan.crash_at(op) {
+                let landed = match point {
+                    CrashPoint::PreAppend => 0,
+                    CrashPoint::MidAppend => self.plan.torn_len(op, end - begin),
+                    CrashPoint::PostAppendPreAck => end - begin,
+                };
+                self.inner.append(&records[..begin + landed])?;
+                return Err(io::Error::other(format!("simulated crash ({point:?})")));
+            }
+            begin = end;
+        }
+        self.inner.append(records)
     }
 }
 

@@ -1,142 +1,78 @@
-//! Durable, append-only write-ahead log for the campaign fleet.
+//! Durable, append-only write-ahead log for the campaign fleet: the
+//! registry that writes it and the recovery that reads it back.
 //!
-//! PR 6 made campaigns *resumable* (snapshot → byte-verified replay);
-//! this module makes the whole serving layer *crash-safe*: every tick a
-//! campaign runs is appended to an on-disk WAL before the round is
+//! Every tick a campaign runs is appended to the WAL before the round is
 //! acknowledged, and [`DurableRegistry::open`] rebuilds the exact fleet
-//! from whatever the filesystem holds — including a torn final record
-//! from a crash mid-write. Every event is written once: nothing is
-//! rewritten, superseded or deleted. (A campaign's snapshot *is* its
-//! event log, so a checkpoint would only be a second copy of it and
-//! would shorten no replay.)
+//! from whatever the log holds — including a torn final record from a
+//! crash mid-write. Every event is written once: nothing is rewritten,
+//! superseded or deleted (a campaign's snapshot *is* its event log, so a
+//! checkpoint would only be a second copy of it). The records' framing,
+//! their CRC and the [`Storage`] every byte goes through are
+//! [`crate::wal`]'s.
 //!
-//! # Record format
+//! # Records
 //!
-//! A WAL is a directory of numbered segments (`wal-000001.seg`, …).
-//! Each segment is a sequence of length-prefixed, CRC-checked records:
-//!
-//! ```text
-//! ┌──────────┬──────────┬───────────────────┐
-//! │ len: u32 │ crc: u32 │ payload (CBOR)    │   little-endian header,
-//! └──────────┴──────────┴───────────────────┘   crc32(payload)
-//! ```
-//!
-//! The payload is a [`WalRecord`] in the deterministic CBOR subset the
-//! `ciborium` stub writes (the encoding of protocol frames too): a
-//! campaign registration (spec + assigned id), the ticks a campaign ran
-//! in a round, an administrative stop, or an auxiliary journal record
-//! whose own payload is opaque bytes. A campaign is persisted one way
-//! (`Register`, then `Ticks` deltas, then possibly `Stop`) and a
-//! layered subsystem one way (`Aux` records).
-//!
-//! A `Ticks` record holds a campaign's events in their one form,
-//! [`CampaignEvent`], which holds what a replay cannot recompute (its
-//! docs lay out what each event keeps and why); a snapshot holds the
-//! same events. They are encoded from the live event log where it lies:
-//! nothing is cloned or converted to be written, and every record is
-//! encoded into one buffer the handle keeps.
+//! A record's payload is a [`WalRecord`] in the deterministic CBOR subset
+//! the `ciborium` stub writes (the encoding of protocol frames too). A
+//! campaign is persisted one way (`Register`, then `Ticks` deltas, then
+//! possibly `Stop`) and a layered subsystem one way (`Aux` records). A
+//! `Ticks` record holds a campaign's events in their one form,
+//! [`CampaignEvent`], encoded from the live event log where it lies into
+//! the one buffer the handle keeps; a snapshot holds the same events.
 //!
 //! Recovery reads segments in order, front to back, and stops at the
 //! first record whose header or CRC fails *in the final segment* — that
-//! tail is a torn write from the crash and is truncated, not fatal. The
-//! same failure in an earlier segment means real corruption and is
-//! reported as [`ServeError::Storage`]. So is, in any segment, a record
-//! whose length and CRC hold but whose payload does not decode: a torn
-//! write cannot produce one, so it is corruption or a foreign format (a
-//! log of the JSON era, or one whose `Events` records hold full events),
-//! and nothing is truncated for it. The `wal_dump` example prints a log
-//! as JSON lines, the packed series spelled out as numbers
-//! ([`crate::dump_wal`]).
+//! tail is a torn write from the crash and is cut, not fatal. The same
+//! failure in an earlier segment is corruption, [`ServeError::Storage`].
+//! So is, in any segment, a record whose length and CRC hold but whose
+//! payload does not decode: a torn write cannot produce one, so it is
+//! corruption or a foreign format (a log of the JSON era, or one whose
+//! `Events` records hold full events), and nothing is cut for it. The
+//! `wal_dump` example prints a log as JSON lines ([`crate::dump_wal`]).
 //!
 //! # Recovery invariant
 //!
-//! Every `Ticks` record holds whole ticks: events are flushed only
-//! after a registry round, which leaves every campaign on a tick
-//! boundary, and a record torn by a crash fails its CRC and is dropped
-//! whole. So for every campaign the concatenation of its logged `Ticks`
-//! is a prefix of its deterministic history that ends on a tick
-//! boundary. Recovery is one replay, [`Campaign::replay`], the one
-//! [`Campaign::resume`] runs on a snapshot too: the logged measurements
-//! stand in for the target, a fresh build of the spec recomputes every
-//! other event, and each rebuilt event must be the logged one bit for
-//! bit, compared field by field without encoding either (a float by its
-//! bits, so `-0.0` is not `0.0`; a crashed trial's NaN cost is `None` on
-//! both sides). What comes out is the campaign the log's measurements
-//! produce, its full event log and history included, and live
-//! measurement takes over with the next tick.
+//! Every `Ticks` record holds whole ticks: events are flushed only after
+//! a registry round, which leaves every campaign on a tick boundary, and
+//! a record torn by a crash fails its CRC and is dropped whole. So for
+//! every campaign its logged `Ticks` are a prefix of its deterministic
+//! history that ends on a tick boundary. Recovery is one replay,
+//! [`Campaign::replay`], the one [`Campaign::resume`] runs on a snapshot
+//! too: the logged measurements stand in for the target, a fresh build of
+//! the spec recomputes every other event, and each must be the logged one
+//! bit for bit (a float by its bits; a crashed trial's NaN cost is `None`
+//! on both sides).
 //!
-//! What the fresh build recomputes depends on whether the campaign is
-//! **finished**: stopped, or its source ran dry (the last `SuggestEnd`
-//! did not dispatch) with every suggested trial's outcome logged, so it
-//! will never call its source again. An *active* campaign replays its
-//! spec's own optimizer, and a divergence in any suggestion, optimizer
-//! event or outcome scalar makes `open` fail. A *finished* one replays
-//! with its log standing in for its optimizer too ([`LoggedSource`]): its
-//! suggestions and model counters come back as logged, while its outcome
-//! scalars, fault rolls, clock, dispatch flags and event count are still
-//! recomputed and compared. A finished campaign is only ever read, and
-//! this rebuilds everything that is read of it exactly. [`verify_wal`]
-//! replays every campaign through its optimizer, finished ones included,
-//! writing nothing; the `wal_dump` example runs it. An event count that
-//! is off and a log that stops inside a tick (which this module never
-//! writes) fail either way. Every refusal is [`ServeError::Campaign`],
-//! and recovery writes nothing for it.
-//!
-//! Campaigns share nothing, so the order they are rebuilt in is free.
-//! Finished campaigns rebuild on the caller in id order. The active
-//! campaigns whose log holds an `Opt` `SurrogateRefit` or `ModelUpdate`
-//! (what [`Campaign::has_model`] reads, the split the registry runs its
-//! rounds on) replay side by side, one thread each; every other campaign
-//! replays on the caller in id order. Results are taken in id order, so
-//! the first refusal in id order is the error, and `open` opens no
-//! segment before every rebuild has succeeded (the one write recovery
-//! makes, cutting a torn tail, comes before any rebuild).
+//! An *active* campaign replays its spec's own optimizer, and a
+//! divergence in any suggestion, optimizer event or outcome scalar makes
+//! `open` fail. A *finished* one (stopped, or its source ran dry with
+//! every suggested trial's outcome logged) is only ever read, and replays
+//! with its log standing in for its optimizer ([`LoggedSource`]); its
+//! outcome scalars, fault rolls, clock, dispatch flags and event count
+//! are still recomputed and compared. [`verify_wal`] replays every
+//! campaign through its optimizer, writing nothing. Every refusal is
+//! [`ServeError::Campaign`], and recovery writes nothing for it.
 //!
 //! # Failure model
 //!
-//! **A round reaches the log in one write per segment.** Every
-//! campaign's `Ticks` record is encoded back to back into the handle's
-//! one buffer, each with its own header, and the buffer goes to the file
-//! in one `write_all`, split only where a record takes the segment to
-//! `segment_bytes` and the log rotates. A registration, a stop and an
-//! auxiliary record are batches of one. Every record takes one number of
-//! a monotone operation counter, in order, and lands in the segment a
-//! write of its own would put it in.
-//!
 //! **A handle that could not finish a write is dead.** An `io::Error`
-//! from writing a batch or opening the next segment, and a crash point
-//! of an armed [`ChaosPlan`] ([`DurableRegistry::set_chaos`]), end in the
-//! same private `die`: the first reason is kept, every later call that
-//! could append returns it as the same [`ServeError::Storage`] *before*
-//! it touches the registry, nothing more is acknowledged, and only
-//! [`DurableRegistry::open`] brings the fleet back. So memory never runs
-//! ahead of the acknowledged log, and no record lands behind a torn one.
-//! The plan consults [`ChaosPlan::crash_at`] on each record's operation
-//! number, and the first record of a batch it crashes decides the landed
-//! prefix: the records before it land whole (and are acknowledged), and
-//! of it `PreAppend` nothing, `MidAppend` a torn prefix,
-//! `PostAppendPreAck` the whole record (its acknowledgement is what is
-//! lost); nothing after it lands. [`DurableRegistry::crashed`] names the
-//! point for both kinds; a real failure reports the one it cannot be told
-//! from on disk (`MidAppend` for a failed write, of which an unknown
-//! prefix landed, none of it acknowledged; `PreAppend` for a segment that
-//! would not open) and carries the `io::Error` in its text.
+//! from an append or from opening the next segment ends in the private
+//! `die`: the first reason is kept, every later call that could append
+//! returns it as the same [`ServeError::Storage`] *before* it touches the
+//! registry, and only [`DurableRegistry::open`] brings the fleet back. So
+//! memory never runs ahead of the acknowledged log, and no record lands
+//! behind a torn one. A simulated crash is such an error: the storage an
+//! armed [`ChaosPlan`] wraps ([`DurableRegistry::set_chaos`]) lands what
+//! the crash point lets land and fails the append.
 //!
-//! **A worker panic** — a panic while a campaign's wave is measured, on
-//! the thread that called `step_round` (the pool is virtual), or one a
-//! side-by-side suggest or observe task raised, which `step_round`
-//! re-raises on that thread with its own payload — is caught at the
-//! `step_round` boundary: the suspect in-memory campaigns are discarded
-//! and rebuilt from the WAL, inside the registry that was serving them,
-//! through the same rebuild `open` runs (finished campaigns from their
-//! log, active model campaigns side by side, the rest on the caller in
-//! id order). The injected one is raised
-//! with `resume_unwind`, which never runs the panic hook, so no
-//! process-global hook is swapped to keep it quiet.
+//! **A worker panic** is caught at the `step_round` boundary: the
+//! in-memory campaigns are discarded and rebuilt from the WAL, inside the
+//! registry that was serving them, through the rebuild `open` runs.
 
-use crate::chaos::{ChaosPlan, CrashPoint};
+use crate::chaos::ChaosPlan;
 use crate::registry::{AdmissionConfig, CampaignRegistry, ServeError};
 use crate::spec::CampaignSpec;
+use crate::wal::{encode_record, record_at, segment_name, SegmentFiles, Storage};
 use autotune::{
     Campaign, CampaignError, CampaignEvent, OptEvent, SourceStep, TrialOutcome, TrialSource,
 };
@@ -145,7 +81,6 @@ use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// One durable WAL record. Written from what it borrows (the live event
@@ -213,15 +148,10 @@ pub struct RecoveryReport {
 /// rebuilds the fleet byte-identically from disk.
 pub struct DurableRegistry {
     registry: CampaignRegistry,
-    dir: PathBuf,
+    /// Where the WAL's bytes go and come from.
+    storage: Box<dyn Storage>,
     config: WalConfig,
-    chaos: Option<ChaosPlan>,
-    /// Monotone append counter driving chaos rolls. Owned by the
-    /// handle, not derived from WAL contents, so a recovered process
-    /// does not re-roll the crash that killed it.
-    ops: u64,
-    seg_index: u64,
-    seg: std::fs::File,
+    /// Bytes appended to the open segment.
     seg_bytes: u64,
     /// The batch being written, each record with its header, back to
     /// back: every append encodes into this one buffer.
@@ -232,9 +162,9 @@ pub struct DurableRegistry {
     /// its owner collects it with [`DurableRegistry::take_aux_log`].
     /// Live appends never land here.
     recovered_aux: Vec<(String, Vec<u8>)>,
-    /// Why this handle is dead (written by `die` only): the crash point
-    /// and the error every later call repeats.
-    crashed: Option<(CrashPoint, String)>,
+    /// Why this handle is dead (written by `die` only): the error every
+    /// later call repeats.
+    crashed: Option<String>,
 }
 
 impl DurableRegistry {
@@ -246,34 +176,32 @@ impl DurableRegistry {
         config: WalConfig,
     ) -> Result<Self, ServeError> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir).map_err(io_err)?;
-        if !list_segments(&dir)?.is_empty() {
+        let storage = SegmentFiles::new(dir.clone());
+        if !storage.segments().map_err(io_err)?.is_empty() {
             return Err(ServeError::Storage(format!(
                 "{} already holds WAL segments; use open",
                 dir.display()
             )));
         }
-        Self::over(dir, config, CampaignRegistry::new(workers), 0)
+        Self::over(Box::new(storage), config, CampaignRegistry::new(workers))
     }
 
     /// Rebuilds the fleet from the WAL in `dir`: reads every segment,
-    /// truncates a torn tail and replays each campaign through
-    /// [`Campaign::replay`]. A finished campaign (stopped, or drained with
-    /// every outcome logged) replays with its log standing in for its
-    /// optimizer, on the caller in id order; of the active ones, those
-    /// whose log announces a surrogate model replay their optimizer side
-    /// by side, one thread each, and the rest on the caller in id order.
-    /// The error is the first refusal in id order, and a refused log gets
-    /// no new segment. Chaos is disarmed on the recovered handle.
+    /// cuts a torn tail and replays each campaign through
+    /// [`Campaign::replay`], the active ones with a surrogate model side
+    /// by side. The error is the first refusal in id order, and a refused
+    /// log gets no new segment. Chaos is disarmed on the recovered handle.
     /// [`verify_wal`] recomputes what this takes as logged.
     pub fn open(
         dir: impl Into<PathBuf>,
         workers: usize,
         config: WalConfig,
     ) -> Result<(Self, RecoveryReport), ServeError> {
-        let dir = dir.into();
+        let mut files = Box::new(SegmentFiles::new(dir.into()));
         let mut aux_log = Vec::new();
-        let recovered = recover_dir(&dir, true, |key, payload| aux_log.push((key, payload)))?;
+        let recovered = recover(&mut *files, true, |key, payload| {
+            aux_log.push((key, payload))
+        })?;
         let mut registry = CampaignRegistry::new(workers);
         let mut durable_len = BTreeMap::new();
         rebuild_fleet(recovered.fleet, false, |id, d, campaign| {
@@ -286,30 +214,24 @@ impl DurableRegistry {
         })?;
         registry.note_fleet_recovery(recovered.report.truncated_bytes);
         // Only now, so a log that replay refuses leaves no new segment.
-        let mut s = Self::over(dir, config, registry, recovered.max_seg)?;
+        let mut s = Self::over(files, config, registry)?;
         s.durable_len = durable_len;
         s.recovered_aux = aux_log;
         Ok((s, recovered.report))
     }
 
-    /// A handle over `registry`, appending to a fresh segment after
-    /// `max_seg`.
+    /// A handle over `registry`, appending to a fresh segment after the
+    /// last one `storage` holds.
     fn over(
-        dir: PathBuf,
+        mut storage: Box<dyn Storage>,
         config: WalConfig,
         registry: CampaignRegistry,
-        max_seg: u64,
     ) -> Result<Self, ServeError> {
-        let seg_index = max_seg + 1;
-        let seg = open_segment(&dir, seg_index).map_err(io_err)?;
+        storage.open_next().map_err(io_err)?;
         Ok(DurableRegistry {
             registry,
-            dir,
+            storage,
             config,
-            chaos: None,
-            ops: 0,
-            seg_index,
-            seg,
             seg_bytes: 0,
             buf: Vec::new(),
             durable_len: BTreeMap::new(),
@@ -323,10 +245,12 @@ impl DurableRegistry {
         self.registry.set_admission(admission);
     }
 
-    /// Arms chaos injection: WAL crash points on this handle's append
-    /// counter and worker panics while a wave is measured.
+    /// Arms chaos injection: crash points on the WAL's appends, rolled
+    /// one a record from the first plan armed on this handle (a later
+    /// plan takes over the count), and worker panics while a wave is
+    /// measured.
     pub fn set_chaos(&mut self, plan: ChaosPlan) {
-        self.chaos = Some(plan);
+        crate::chaos::arm(&mut self.storage, plan);
         self.registry.inject_worker_panics(plan);
     }
 
@@ -335,17 +259,17 @@ impl DurableRegistry {
         &self.registry
     }
 
-    /// The crash point that killed this handle, if it is dead (for a
-    /// real failure, the one it cannot be told from on disk).
-    pub fn crashed(&self) -> Option<CrashPoint> {
-        self.crashed.as_ref().map(|(point, _)| *point)
+    /// Why this handle is dead, if it is: the error every call that
+    /// could append now returns.
+    pub fn crashed(&self) -> Option<&str> {
+        self.crashed.as_deref()
     }
 
     /// The error every call repeats once the handle is dead. Checked
     /// before a call changes anything in memory.
     pub(crate) fn check_alive(&self) -> Result<(), ServeError> {
         match &self.crashed {
-            Some((_, reason)) => Err(ServeError::Storage(reason.clone())),
+            Some(reason) => Err(ServeError::Storage(reason.clone())),
             None => Ok(()),
         }
     }
@@ -353,10 +277,10 @@ impl DurableRegistry {
     /// Kills the handle: a write did not land and get acknowledged, so
     /// nothing more is until [`DurableRegistry::open`]. The first reason
     /// is kept; the error returned is the one `check_alive` repeats.
-    fn die(&mut self, point: CrashPoint, why: String) -> ServeError {
-        let (_, reason) = self
+    fn die(&mut self, why: String) -> ServeError {
+        let reason = self
             .crashed
-            .get_or_insert_with(|| (point, why + "; reopen from the WAL"));
+            .get_or_insert_with(|| why + "; reopen from the WAL");
         ServeError::Storage(reason.clone())
     }
 
@@ -479,11 +403,10 @@ impl DurableRegistry {
     /// from the live log where it lies: one `Ticks` record a campaign, in
     /// id order, back to back in the handle's buffer, written as one batch
     /// ([`DurableRegistry::write_batch`]). Each campaign's appends and
-    /// durable frontier are booked if its record landed whole.
+    /// durable frontier are booked once the batch has landed.
     fn flush_events(&mut self) -> Result<(), ServeError> {
         self.buf.clear();
         let (mut ends, mut frontiers) = (Vec::new(), Vec::new());
-        let mut unencoded = None;
         for id in self.registry.ids() {
             let campaign = self.registry.campaign(id)?;
             let Some(log) = campaign.log() else { continue };
@@ -492,27 +415,19 @@ impl DurableRegistry {
                 continue;
             }
             let events = Cow::Borrowed(&log[durable..]);
-            if let Err(why) = encode_record(&WalRecord::Ticks { id, events }, &mut self.buf) {
-                unencoded = Some(why);
-                break;
+            let encoded = encode_record(&WalRecord::Ticks { id, events }, &mut self.buf);
+            if let Err(why) = encoded {
+                return Err(self.die(why));
             }
             ends.push(self.buf.len());
             frontiers.push((id, log.len()));
         }
-        let written = self.write_batch(&ends);
-        let landed = match &written {
-            Ok(()) => ends.len(),
-            Err((landed, _)) => *landed,
-        };
-        for &(id, new_len) in &frontiers[..landed] {
+        self.write_batch(&ends)?;
+        for (id, new_len) in frontiers {
             self.registry.note_wal_appends(id, 1);
             self.durable_len.insert(id, new_len);
         }
-        written.map_err(|(_, e)| e)?;
-        match unencoded {
-            Some(why) => Err(self.unencoded(why)),
-            None => Ok(()),
-        }
+        Ok(())
     }
 
     /// Discards every in-memory campaign after a worker panic and swaps
@@ -522,98 +437,55 @@ impl DurableRegistry {
     /// and accounting. The panicked round was never acknowledged, so the
     /// rebuilt campaigns re-execute its ticks identically.
     fn recover_in_place(&mut self) -> Result<(), ServeError> {
-        let recovered = recover_dir(&self.dir, true, |_, _| {})?;
+        let recovered = recover(&mut *self.storage, true, |_, _| {})?;
         rebuild_fleet(recovered.fleet, false, |id, d, campaign| {
             self.durable_len.insert(id, d.events.len());
             self.registry.replace_campaign(id, campaign)
         })?;
         self.registry
             .note_fleet_recovery(recovered.report.truncated_bytes);
-        // The campaigns whose waves panicked this round (a pure re-roll
-        // of the same chaos decision).
-        let round = self.registry.rounds();
-        for id in self.registry.ids() {
-            if self.chaos.is_some_and(|p| p.worker_panics(round, id)) {
-                self.registry.note_campaign_recovery(id);
-            }
-        }
         Ok(())
     }
 
     /// Appends one record: a batch of one ([`DurableRegistry::write_batch`]).
     fn append(&mut self, record: &WalRecord) -> Result<(), ServeError> {
         self.buf.clear();
-        if let Err(why) = encode_record(record, &mut self.buf) {
-            return Err(self.unencoded(why));
-        }
-        self.write_batch(&[self.buf.len()]).map_err(|(_, e)| e)
-    }
-
-    /// Refuses a record that did not encode: it takes its operation
-    /// number, and the handle dies before a byte of it is written.
-    fn unencoded(&mut self, why: String) -> ServeError {
-        self.ops += 1;
-        let why = format!("WAL record did not encode: {why}");
-        self.die(CrashPoint::PreAppend, why)
+        encode_record(record, &mut self.buf).map_err(|why| self.die(why))?;
+        self.write_batch(&[self.buf.len()])
     }
 
     /// Appends the records [`encode_record`] left back to back in the
-    /// handle's buffer, record `i` ending at `ends[i]`: one `write_all` for
-    /// each segment the batch touches. Each record takes the next operation
-    /// number, and the segment rotates after any record that takes it to
-    /// `segment_bytes`, so every record lands where a write of its own
-    /// would put it. `Err` carries how many records landed and were
-    /// acknowledged (the ones to book) and means the handle is dead. A
-    /// chaos crash point only decides how many bytes the batch's last
-    /// write is handed: the records before the first one the plan crashes
-    /// land whole, that one lands per its point, and nothing after it. A
-    /// write that fails leaves an unknown prefix of its bytes in the file,
-    /// which nothing may land behind.
-    fn write_batch(&mut self, ends: &[usize]) -> Result<(), (usize, ServeError)> {
-        // Records `from..` (bytes `start..`) are not written yet; record `i`
-        // starts at `begin`.
-        let (mut from, mut start, mut begin) = (0, 0, 0);
-        for (i, &end) in ends.iter().enumerate() {
-            let op = self.ops;
-            self.ops += 1;
-            if let Some(plan) = self.chaos {
-                if let Some(point) = plan.crash_at(op) {
-                    let landed = match point {
-                        CrashPoint::PreAppend => 0,
-                        CrashPoint::MidAppend => plan.torn_len(op, end - begin),
-                        CrashPoint::PostAppendPreAck => end - begin,
-                    };
-                    self.write_out(start, begin + landed)
-                        .map_err(|e| (from, e))?;
-                    let why = format!("simulated crash ({})", point.label());
-                    return Err((i, self.die(point, why)));
-                }
-            }
+    /// handle's buffer, record `i` ending at `ends[i]`: one append for each
+    /// segment the batch touches. The segment rotates after any record
+    /// that takes it to `segment_bytes`, so every record lands where an
+    /// append of its own would put it. `Err` means the handle is dead, and
+    /// an unknown prefix of the batch landed, none of it acknowledged.
+    fn write_batch(&mut self, ends: &[usize]) -> Result<(), ServeError> {
+        // Bytes `start..` are not written yet; the next record starts at
+        // `begin`.
+        let (mut start, mut begin) = (0, 0);
+        for &end in ends {
             self.seg_bytes += (end - begin) as u64;
-            if self.seg_bytes >= self.config.segment_bytes {
-                self.write_out(start, end).map_err(|e| (from, e))?;
-                (from, start) = (i + 1, end);
-                self.rotate_segment().map_err(|e| (i, e))?;
-            }
             begin = end;
+            if self.seg_bytes >= self.config.segment_bytes {
+                self.write_out(start, end)?;
+                start = end;
+                self.rotate_segment()?;
+            }
         }
-        self.write_out(start, begin).map_err(|e| (from, e))
+        self.write_out(start, begin)
     }
 
-    /// Writes `buf[start..end]` to the open segment in one call; a write
-    /// that fails kills the handle.
+    /// Appends `buf[start..end]` to the open segment in one call; an
+    /// append that fails kills the handle.
     fn write_out(&mut self, start: usize, end: usize) -> Result<(), ServeError> {
-        let written = self.seg.write_all(&self.buf[start..end]);
-        written.map_err(|e| self.die(CrashPoint::MidAppend, format!("WAL write failed: {e}")))
+        let written = self.storage.append(&self.buf[start..end]);
+        written.map_err(|e| self.die(format!("WAL write failed: {e}")))
     }
 
     fn rotate_segment(&mut self) -> Result<(), ServeError> {
-        let next = self.seg_index + 1;
-        self.seg = open_segment(&self.dir, next).map_err(|e| {
-            let why = format!("WAL segment {next} would not open: {e}");
-            self.die(CrashPoint::PreAppend, why)
-        })?;
-        self.seg_index = next;
+        let opened = self.storage.open_next();
+        opened.map_err(|e| self.die(format!("the next WAL segment would not open: {e}")))?;
         self.seg_bytes = 0;
         Ok(())
     }
@@ -629,11 +501,9 @@ struct Durable {
     records: u64,
 }
 
-/// What [`recover_dir`] read from the WAL.
+/// What [`recover`] read from the WAL.
 struct Recovered {
     fleet: BTreeMap<u64, Durable>,
-    /// The highest segment index seen.
-    max_seg: u64,
     report: RecoveryReport,
 }
 
@@ -836,40 +706,36 @@ fn rebuild_fleet(
 }
 
 /// Checks the WAL in `dir` the way [`DurableRegistry::open`] checks an
-/// active campaign, for every campaign, writing nothing: reads every
-/// segment, refuses a torn or
-/// undecodable record wherever it sits (as [`crate::dump_wal`] does),
-/// and replays **every** campaign through its spec's own optimizer, so
-/// each logged suggestion and model counter is recomputed and compared
-/// too, finished campaigns' included (which `open` takes as logged).
-/// The error is the first refusal in id order.
+/// active campaign, for every campaign, writing nothing: a torn or
+/// undecodable record is refused wherever it sits (as [`crate::dump_wal`]
+/// does), and **every** campaign replays through its spec's own
+/// optimizer, finished ones included (which `open` takes as logged). The
+/// error is the first refusal in id order.
 pub fn verify_wal(dir: &Path) -> Result<RecoveryReport, ServeError> {
-    let recovered = recover_dir(dir, false, |_, _| {})?;
+    let recovered = recover(&mut SegmentFiles::new(dir.into()), false, |_, _| {})?;
     rebuild_fleet(recovered.fleet, true, |_, _, _| Ok(()))?;
     Ok(recovered.report)
 }
 
-/// Reads the WAL in `dir` front to back, handing `aux` every auxiliary
-/// journal record in append order. With `heal`, a torn tail is
-/// truncated from the final segment (so future appends start at a clean
-/// record boundary); anywhere else, and anywhere at all without `heal`,
-/// it is corruption and refused, and nothing is written.
-fn recover_dir(
-    dir: &Path,
+/// Reads the WAL in `storage` front to back, handing `aux` every
+/// auxiliary journal record in append order. With `heal`, a torn tail is
+/// cut from the final segment (so future appends start at a clean record
+/// boundary); anywhere else, and anywhere at all without `heal`, it is
+/// corruption and refused, and nothing is written.
+fn recover(
+    storage: &mut dyn Storage,
     heal: bool,
     mut aux: impl FnMut(String, Vec<u8>),
 ) -> Result<Recovered, ServeError> {
-    let segments = written_segments(dir)?;
+    let segments = written_segments(storage)?;
     let mut report = RecoveryReport {
         segments_read: segments.len(),
         ..RecoveryReport::default()
     };
-    // Sorted by index and not empty.
-    let last_idx = segments.len() - 1;
-    let max_seg = segments[last_idx].0;
+    let last = segments.last().copied();
     let mut fleet: BTreeMap<u64, Durable> = BTreeMap::new();
-    for (i, (_, path)) in segments.iter().enumerate() {
-        let (clean, torn) = read_segment(path, |_, _, record| {
+    for n in segments {
+        let (clean, torn) = read_segment(storage, n, |_, _, record| {
             report.records_read += 1;
             match record {
                 WalRecord::Register {
@@ -908,56 +774,35 @@ fn recover_dir(
         })?;
         if torn > 0 {
             if !heal {
-                return Err(torn_record(path, clean));
+                return Err(torn_record(n, clean));
             }
-            if i != last_idx {
+            if Some(n) != last {
                 return Err(ServeError::Storage(format!(
                     "corrupt record mid-WAL in {} (not the final segment)",
-                    path.display()
+                    segment_name(n)
                 )));
             }
             report.truncated_bytes += torn;
-            let file = std::fs::OpenOptions::new()
-                .write(true)
-                .open(path)
-                .map_err(io_err)?;
-            file.set_len(clean).map_err(io_err)?;
+            storage.cut(n, clean).map_err(io_err)?;
         }
     }
     report.campaigns = fleet.len();
-    Ok(Recovered {
-        fleet,
-        max_seg,
-        report,
-    })
+    Ok(Recovered { fleet, report })
 }
 
-/// The record that starts at byte `at`: its payload and where it ends.
-/// `None` when the bytes from `at` on are not a whole record whose CRC
-/// holds, which is the clean end of the segment when `at` is its length
-/// and a torn tail otherwise.
-fn record_at(bytes: &[u8], at: usize) -> Option<(&[u8], usize)> {
-    let header = bytes.get(at..at.checked_add(8)?)?;
-    let (len, crc) = header.split_at(4);
-    let len = u32::from_le_bytes(len.try_into().ok()?) as usize;
-    let crc = u32::from_le_bytes(crc.try_into().ok()?);
-    let end = (at + 8).checked_add(len)?;
-    let payload = bytes.get(at + 8..end)?;
-    (crc32(payload) == crc).then_some((payload, end))
-}
-
-/// The one WAL reader: decodes the segment at `path` front to back and
-/// hands `each` every record with its byte offset and payload length,
-/// until the bytes run out or a record fails its header/CRC check.
-/// Returns the clean byte count and how many bytes follow it; what such
-/// a tail means is the caller's call, and nothing is written here. A
-/// record whose CRC holds but whose payload does not decode ends the
-/// walk with [`ServeError::Storage`] (see the module docs).
+/// The one WAL reader: decodes segment `n` front to back and hands
+/// `each` every record with its byte offset and payload length, until
+/// the bytes run out or a record fails its header/CRC check. Returns the
+/// clean byte count and how many bytes follow it; what such a tail means
+/// is the caller's call, and nothing is written here. A record whose CRC
+/// holds but whose payload does not decode ends the walk with
+/// [`ServeError::Storage`] (see the module docs).
 fn read_segment(
-    path: &Path,
+    storage: &dyn Storage,
+    n: u64,
     mut each: impl FnMut(usize, usize, WalRecord<'static>) -> Result<(), ServeError>,
 ) -> Result<(u64, u64), ServeError> {
-    let bytes = std::fs::read(path).map_err(io_err)?;
+    let bytes = storage.read(n).map_err(io_err)?;
     let mut at = 0usize;
     while let Some((payload, end)) = record_at(&bytes, at) {
         let record: WalRecord = ciborium::from_slice(payload).map_err(|why| {
@@ -965,7 +810,7 @@ fn read_segment(
                 "undecodable record in {} at offset {at}: its length and CRC hold, so this is \
                  corruption or a foreign format (a log of an earlier build?), not a torn write, \
                  and nothing was truncated: {why}",
-                path.display()
+                segment_name(n)
             ))
         })?;
         each(at, payload.len(), record)?;
@@ -983,286 +828,49 @@ pub(crate) fn scan_wal(
     dir: &Path,
     mut each: impl FnMut(u64, usize, usize, WalRecord<'static>) -> Result<(), ServeError>,
 ) -> Result<(), ServeError> {
-    for (seg_no, path) in written_segments(dir)? {
-        let (clean, torn) = read_segment(&path, |at, len, record| each(seg_no, at, len, record))?;
+    let storage = SegmentFiles::new(dir.into());
+    for n in written_segments(&storage)? {
+        let (clean, torn) = read_segment(&storage, n, |at, len, record| each(n, at, len, record))?;
         if torn > 0 {
-            return Err(torn_record(&path, clean));
+            return Err(torn_record(n, clean));
         }
     }
     Ok(())
 }
 
-/// The refusal of a read that heals nothing, for the bytes of the
-/// segment at `path` from offset `clean` on.
-fn torn_record(path: &Path, clean: u64) -> ServeError {
-    ServeError::Storage(format!(
-        "torn or corrupt record in {} at offset {clean}",
-        path.display()
-    ))
-}
-
-/// Appends to `out` one record as it lies on disk: the payload is
-/// encoded behind a placeholder header and the header patched, so records
-/// encoded back to back are written as one buffer. On `Err`, `out` is
-/// left as it was.
-fn encode_record(record: &WalRecord, out: &mut Vec<u8>) -> Result<(), String> {
-    let start = out.len();
-    out.extend_from_slice(&[0; 8]);
-    let encoded = ciborium::into_writer(record, &mut *out).map_err(|e| e.to_string());
-    let len = encoded
-        .and_then(|()| u32::try_from(out.len() - start - 8).map_err(|_| "over 4 GiB".to_string()));
-    let len = len.inspect_err(|_| out.truncate(start))?;
-    let (header, payload) = out[start..].split_at_mut(8);
-    header[..4].copy_from_slice(&len.to_le_bytes());
-    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-    Ok(())
-}
-
-fn segment_path(dir: &Path, index: u64) -> PathBuf {
-    dir.join(format!("wal-{index:06}.seg"))
-}
-
-/// Opens segment `index` of the WAL in `dir` for appending, creating it.
-fn open_segment(dir: &Path, index: u64) -> std::io::Result<std::fs::File> {
-    std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(segment_path(dir, index))
-}
-
-/// Numbered WAL segments in `dir`, sorted by index.
-fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, ServeError> {
-    let mut out = Vec::new();
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(out),
-        Err(e) => return Err(io_err(e)),
-    };
-    for entry in entries {
-        let entry = entry.map_err(io_err)?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(num) = name
-            .strip_prefix("wal-")
-            .and_then(|s| s.strip_suffix(".seg"))
-        else {
-            continue;
-        };
-        if let Ok(idx) = num.parse::<u64>() {
-            out.push((idx, entry.path()));
-        }
-    }
-    out.sort();
-    Ok(out)
-}
-
-/// The segments of a WAL that must exist: a directory without any is
-/// not a log.
-fn written_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, ServeError> {
-    let segments = list_segments(dir)?;
+/// The segments of a WAL that must exist: a storage without any holds
+/// no log.
+fn written_segments(storage: &dyn Storage) -> Result<Vec<u64>, ServeError> {
+    let segments = storage.segments().map_err(io_err)?;
     if segments.is_empty() {
-        return Err(ServeError::Storage(format!(
-            "no WAL segments in {}",
-            dir.display()
-        )));
+        return Err(ServeError::Storage("no WAL segments to read".into()));
     }
     Ok(segments)
+}
+
+/// The refusal of a read that heals nothing, for the bytes of segment
+/// `n` from offset `clean` on.
+fn torn_record(n: u64, clean: u64) -> ServeError {
+    ServeError::Storage(format!(
+        "torn or corrupt record in {} at offset {clean}",
+        segment_name(n)
+    ))
 }
 
 fn io_err(e: std::io::Error) -> ServeError {
     ServeError::Storage(e.to_string())
 }
 
-/// The slicing-by-8 tables: `[0]` is the bytewise table, and `[k][b]` is
-/// the CRC of byte `b` followed by `k` zero bytes, so eight table
-/// lookups advance the CRC over eight input bytes at once.
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
-            i += 1;
-        }
-        k += 1;
-    }
-    tables
-}
-
-const CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
-
-fn crc32_step(c: u32, b: u8) -> u32 {
-    CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8)
-}
-
-/// Advances the CRC register `c` over `bytes`, eight bytes a step
-/// (slicing-by-8).
-fn slice8(mut c: u32, bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut chunks = bytes.chunks_exact(8);
-    for w in &mut chunks {
-        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][(lo >> 8 & 0xFF) as usize]
-            ^ t[5][(lo >> 16 & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][(hi >> 8 & 0xFF) as usize]
-            ^ t[1][(hi >> 16 & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    chunks.remainder().iter().fold(c, |c, &b| crc32_step(c, b))
-}
-
-/// [`crc32`] by the tables alone: the path of a CPU without carry-less
-/// multiply.
-fn crc32_slice8(bytes: &[u8]) -> u32 {
-    !slice8(!0, bytes)
-}
-
-/// [`crc32`] by carry-less multiply, where the CPU has it.
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-fn crc32_clmul(bytes: &[u8]) -> Option<u32> {
-    if !(is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")) {
-        return None;
-    }
-    // SAFETY: `clmul::crc32` needs PCLMULQDQ and SSE4.1, and this CPU was
-    // just found to have both.
-    Some(unsafe { clmul::crc32(bytes) })
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn crc32_clmul(_: &[u8]) -> Option<u32> {
-    None
-}
-
-/// CRC-32 (IEEE 802.3), the WAL's record integrity check, on write and
-/// on read. On an x86-64 CPU with PCLMULQDQ and SSE4.1 it folds 64 bytes a
-/// step by carry-less multiply ([`clmul`]); elsewhere, for an input under
-/// 64 bytes and for the tail under 16, it runs the slicing-by-8 tables.
-/// Both compute the same value, so a log reads the same on either.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    crc32_clmul(bytes).unwrap_or_else(|| crc32_slice8(bytes))
-}
-
-/// CRC-32 by folding with carry-less multiply, after Intel's "Fast CRC
-/// Computation for Generic Polynomials Using PCLMULQDQ Instruction"
-/// (Gopal et al., 2009), bit-reflected, with the IEEE constants the Linux
-/// kernel's `crc32-pclmul` uses. Four 128-bit lanes fold 64 bytes a step;
-/// the lanes fold into one, 16 bytes a step; one Barrett reduction takes
-/// the 128 bits left to the 32-bit register, and the tables finish the
-/// tail.
-#[cfg(target_arch = "x86_64")]
-mod clmul {
-    use std::arch::x86_64::{
-        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
-        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
-    };
-
-    // Bit-reflected, as the reflected CRC wants them; the fold constants
-    // K1-K5 are also shifted left one bit.
-    /// x^(4·128+32) and x^(4·128-32) mod P: one fold across four lanes.
-    const K1: i64 = 0x1_5444_2bd4;
-    const K2: i64 = 0x1_c6e4_1596;
-    /// x^(128+32) and x^(128-32) mod P: one fold across a lane.
-    const K3: i64 = 0x1_7519_97d0;
-    const K4: i64 = 0x0_ccaa_009e;
-    /// x^64 mod P: 96 bits to 64.
-    const K5: i64 = 0x1_63cd_6124;
-    /// P and floor(x^64 / P): the Barrett reduction.
-    const P: i64 = 0x1_db71_0641;
-    const MU: i64 = 0x1_f701_1641;
-
-    /// A 16-byte block as `_mm_loadu_si128` reads it.
-    #[target_feature(enable = "pclmulqdq,sse4.1")]
-    fn load(block: &[u8]) -> __m128i {
-        let word = |at: usize| {
-            let mut le = [0; 8];
-            le.copy_from_slice(&block[at..at + 8]);
-            i64::from_le_bytes(le)
-        };
-        _mm_set_epi64x(word(8), word(0))
-    }
-
-    /// `acc` carried 128 bits (the distance `k` holds) further and added
-    /// to `next`.
-    #[target_feature(enable = "pclmulqdq,sse4.1")]
-    fn fold(acc: __m128i, next: __m128i, k: __m128i) -> __m128i {
-        let lo = _mm_clmulepi64_si128::<0x00>(acc, k);
-        let hi = _mm_clmulepi64_si128::<0x11>(acc, k);
-        _mm_xor_si128(_mm_xor_si128(next, lo), hi)
-    }
-
-    #[target_feature(enable = "pclmulqdq,sse4.1")]
-    pub(super) fn crc32(bytes: &[u8]) -> u32 {
-        if bytes.len() < 64 {
-            return super::crc32_slice8(bytes);
-        }
-        let (head, rest) = bytes.split_at(64);
-        let mut lanes = [0, 16, 32, 48].map(|at| load(&head[at..at + 16]));
-        // The register starts at all ones, over the first four bytes.
-        lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(-1));
-        let k1k2 = _mm_set_epi64x(K2, K1);
-        let mut quads = rest.chunks_exact(64);
-        for quad in &mut quads {
-            for (lane, block) in lanes.iter_mut().zip(quad.chunks_exact(16)) {
-                *lane = fold(*lane, load(block), k1k2);
-            }
-        }
-        let k3k4 = _mm_set_epi64x(K4, K3);
-        let [a, b, c, d] = lanes;
-        let mut x = fold(fold(fold(a, b, k3k4), c, k3k4), d, k3k4);
-        let mut blocks = quads.remainder().chunks_exact(16);
-        for block in &mut blocks {
-            x = fold(x, load(block), k3k4);
-        }
-        // 128 bits to 96, then to 64.
-        let low32 = _mm_set_epi32(0, 0, 0, -1);
-        x = _mm_xor_si128(
-            _mm_clmulepi64_si128::<0x10>(x, k3k4),
-            _mm_srli_si128::<8>(x),
-        );
-        let k5 = _mm_set_epi64x(0, K5);
-        x = _mm_xor_si128(
-            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), k5),
-            _mm_srli_si128::<4>(x),
-        );
-        // Barrett: T1 = (R mod x^32)·mu, T2 = (T1 mod x^32)·P, and the
-        // register is the upper half of R + T2 (the bits are reflected).
-        let pmu = _mm_set_epi64x(MU, P);
-        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), pmu);
-        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), pmu);
-        let c = _mm_extract_epi32::<1>(_mm_xor_si128(x, t2)) as u32;
-        !super::slice8(c, blocks.remainder())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::CrashPoint;
     use crate::registry::tests::{event_log, standalone_runs};
     use crate::spec::{NoiseSpec, OptimizerKind, SystemKind};
+    use crate::wal::{crc32, crc32_clmul, crc32_slice8, crc32_step};
     use autotune::{SchedulePolicy, TrialRequest};
     use autotune_sim::{FaultPlan, NoiseConfig};
+    use std::io::Write;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -1290,6 +898,30 @@ mod tests {
 
     fn history(d: &DurableRegistry, id: u64) -> String {
         d.registry().campaign(id).unwrap().storage().to_json()
+    }
+
+    /// The segment files of the WAL in `dir`.
+    fn files(dir: &Path) -> SegmentFiles {
+        SegmentFiles::new(dir.into())
+    }
+
+    fn segment_path(dir: &Path, n: u64) -> PathBuf {
+        dir.join(segment_name(n))
+    }
+
+    /// The WAL's segments in `dir`: each one's number and path, ascending.
+    fn list_segments(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
+        let numbers = files(dir).segments()?;
+        Ok(numbers
+            .into_iter()
+            .map(|n| (n, segment_path(dir, n)))
+            .collect())
+    }
+
+    /// Where the segment after the last one in `dir` goes.
+    fn next_segment(dir: &Path) -> PathBuf {
+        let last = list_segments(dir).unwrap().pop().map_or(0, |(n, _)| n);
+        segment_path(dir, last + 1)
     }
 
     const SMALL_SEGMENTS: WalConfig = WalConfig {
@@ -1560,7 +1192,10 @@ mod tests {
             if i == 2 {
                 // The campaign's events roll the log over before the last op.
                 durable.run_all().unwrap();
-                assert!(durable.seg_index > 2, "the log never rotated");
+                assert!(
+                    list_segments(&dir).unwrap().len() > 2,
+                    "the log never rotated"
+                );
             }
             durable.append_aux(key, payload.clone()).unwrap();
         }
@@ -1618,6 +1253,9 @@ mod tests {
         }
         assert!(recoveries > 0, "panic plan at 15% never fired");
         assert_eq!(durable.registry().fleet_stats().recoveries, recoveries);
+        // Each recovery is booked on the one campaign whose wave panicked.
+        let booked = |id| durable.registry().stats(id).unwrap().recoveries;
+        assert_eq!(ids.iter().copied().map(booked).sum::<u64>(), recoveries);
         for (id, want) in ids.iter().zip(&want) {
             assert_eq!(
                 &history(&durable, *id),
@@ -1691,7 +1329,7 @@ mod tests {
     /// Returns the log as rewritten.
     fn edit_log(dir: &Path, mut edit: impl FnMut(u64, &mut Vec<CampaignEvent>) -> bool) -> Vec<u8> {
         let segments = list_segments(dir).unwrap();
-        let [(_, path)] = &segments[..] else {
+        let [(n, path)] = &segments[..] else {
             panic!("the run rotated its log");
         };
         let (mut log, mut edited) = (Vec::new(), false);
@@ -1702,7 +1340,7 @@ mod tests {
             encode_record(&record, &mut log).unwrap();
             Ok(())
         };
-        assert_eq!(read_segment(path, each).unwrap().1, 0);
+        assert_eq!(read_segment(&files(dir), *n, each).unwrap().1, 0);
         assert!(edited, "nothing to edit");
         std::fs::write(path, &log).unwrap();
         log
@@ -1768,7 +1406,7 @@ mod tests {
         drive_rounds(&dir, &specs, rounds);
         let (_, segment) = list_segments(&dir).unwrap().pop().unwrap();
         let honest = std::fs::read(&segment).unwrap();
-        let fleet = recover_dir(&dir, false, |_, _| {}).unwrap().fleet;
+        let fleet = recover(&mut files(&dir), false, |_, _| {}).unwrap().fleet;
         let all_finished = rounds.is_none();
         assert!(fleet.values().all(|d| finished(d) == all_finished));
         // One bit in a suggestion's config, in an outcome's cost and in an
@@ -1826,7 +1464,8 @@ mod tests {
                 // `open`: the lied one comes back as logged.
                 let (reopened, _) = opened.unwrap();
                 assert_ne!(history(&reopened, 0), straight_history(&specs[0]));
-                std::fs::remove_file(segment_path(&dir, reopened.seg_index)).unwrap();
+                let (_, opened) = list_segments(&dir).unwrap().pop().unwrap();
+                std::fs::remove_file(opened).unwrap();
             } else {
                 diverged(&format!("lie {i} to open"), opened);
             }
@@ -1898,7 +1537,7 @@ mod tests {
             durable.step_round().unwrap();
         }
         drop(durable);
-        let logged = recover_dir(&dir, false, |_, _| {}).unwrap().fleet;
+        let logged = recover(&mut files(&dir), false, |_, _| {}).unwrap().fleet;
         let (mut reopened, report) = DurableRegistry::open(&dir, 2, WalConfig::default()).unwrap();
         assert_eq!(report.campaigns, specs.len());
         // The split `open` makes is the one the registry's rounds make.
@@ -1995,7 +1634,7 @@ mod tests {
         durable.run_all().unwrap();
         drop(durable);
         assert_eq!(verify_wal(&dir).unwrap().campaigns, specs.len());
-        let fleet = recover_dir(&dir, false, |_, _| {}).unwrap().fleet;
+        let fleet = recover(&mut files(&dir), false, |_, _| {}).unwrap().fleet;
         assert!(fleet.values().all(finished), "a campaign is still active");
 
         let (reopened, _) = DurableRegistry::open(&dir, 2, WalConfig::default()).unwrap();
@@ -2120,7 +1759,9 @@ mod tests {
             serde_json::to_string(&stats(&durable)).unwrap(),
             serde_json::to_string(&want).unwrap()
         );
-        assert_eq!(durable.registry().stats(1).unwrap().recoveries, 1);
+        let booked = |id| durable.registry().stats(id).unwrap().recoveries;
+        let booked: Vec<u64> = durable.registry().ids().into_iter().map(booked).collect();
+        assert_eq!(booked, [0, 1, 0, 0, 0], "only gp-async's wave panicked");
         durable.set_chaos(ChaosPlan::new(3));
         durable.run_all().unwrap();
         assert_eq!(event_logs(&durable), standalone_logs(&specs));
@@ -2169,7 +1810,7 @@ mod tests {
         drop(drive(&dir, &specs, WalConfig::default(), |_| {}));
         // Rebuilt from the decoded log: each `Measured` holds the very
         // allocation its record was unpacked into.
-        let fleet = recover_dir(&dir, false, |_, _| {}).unwrap().fleet;
+        let fleet = recover(&mut files(&dir), false, |_, _| {}).unwrap().fleet;
         let logged = &fleet[&0].events;
         let campaign = rebuild(&specs[0], logged, false).unwrap();
         let rebuilt = campaign.log().unwrap();
@@ -2200,12 +1841,12 @@ mod tests {
         s
     }
 
-    /// A plan that leaves appends `from..op` alone and crashes append
-    /// `op` at `point`.
-    fn crash_plan(from: u64, op: u64, point: CrashPoint) -> ChaosPlan {
+    /// A plan that leaves appends `0..op` alone and crashes append `op`
+    /// at `point`.
+    fn crash_plan(op: u64, point: CrashPoint) -> ChaosPlan {
         (0..)
-            .map(|seed| ChaosPlan::new(seed).with_crashes(0.05))
-            .find(|p| (from..op).all(|i| p.crash_at(i).is_none()) && p.crash_at(op) == Some(point))
+            .map(|seed| ChaosPlan::new(seed).with_crashes(0.01))
+            .find(|p| (0..op).all(|i| p.crash_at(i).is_none()) && p.crash_at(op) == Some(point))
             .expect("some seed qualifies")
     }
 
@@ -2232,7 +1873,7 @@ mod tests {
         let (mut records, mut events, mut disk_bytes, mut record_bytes) = (0, 0, 0, 0);
         let mut logs = vec![Vec::new(); specs.len()];
         let mut buf = Vec::new();
-        for (_, path) in &segments {
+        for (n, _) in &segments {
             let each = |_, _, record: WalRecord<'static>| {
                 records += 1;
                 buf.clear();
@@ -2250,7 +1891,7 @@ mod tests {
                 }
                 Ok(())
             };
-            let (clean, torn) = read_segment(path, each).unwrap();
+            let (clean, torn) = read_segment(&files(&dir), *n, each).unwrap();
             disk_bytes += clean + torn;
         }
         let reg = durable.registry();
@@ -2259,7 +1900,8 @@ mod tests {
         assert_eq!(events, logged, "an event was written twice or not at all");
         // Every append this handle made is on disk, and nothing else is
         // (no torn tail, no bytes outside a record).
-        assert_eq!(records, durable.ops, "a record was rewritten or deleted");
+        let appends = durable.registry().fleet_stats().wal_appends;
+        assert_eq!(records, appends, "a record was rewritten or deleted");
         assert_eq!(disk_bytes, record_bytes);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -2275,8 +1917,8 @@ mod tests {
         let dir = temp_dir("snapshot-wal");
         let durable = drive(&dir, &specs, WalConfig::default(), |_| {});
         let mut logged = vec![Vec::new(); specs.len()];
-        for (_, path) in list_segments(&dir).unwrap() {
-            read_segment(&path, |_, _, record| {
+        for (n, _) in list_segments(&dir).unwrap() {
+            read_segment(&files(&dir), n, |_, _, record| {
                 if let WalRecord::Ticks { id, events } = record {
                     logged[id as usize].extend(events.into_owned());
                 }
@@ -2320,14 +1962,17 @@ mod tests {
         let specs = fleet_of(16);
         let durable = drive(&dir, &specs, SMALL_SEGMENTS, |_| {});
         let mut records = Vec::new();
-        for (_, path) in list_segments(&dir).unwrap() {
-            read_segment(&path, |_, _, record| {
+        for (n, _) in list_segments(&dir).unwrap() {
+            read_segment(&files(&dir), n, |_, _, record| {
                 records.push(record);
                 Ok(())
             })
             .unwrap();
         }
-        assert_eq!(records.len() as u64, durable.ops);
+        assert_eq!(
+            records.len() as u64,
+            durable.registry().fleet_stats().wal_appends
+        );
         // The reference: each record encoded on its own, appended to the
         // open segment, which rotates once it holds `segment_bytes`.
         let (mut want, mut record) = (vec![(1, Vec::new())], Vec::new());
@@ -2370,20 +2015,23 @@ mod tests {
         let want: Vec<String> = specs.iter().map(straight_history).collect();
         let dir = temp_dir("sweep-clean");
         let clean = drive(&dir, &specs, SMALL_SEGMENTS, |_| {});
-        let appends = clean.ops;
-        assert!(clean.seg_index > 4, "the swept run never rotated");
+        assert!(
+            list_segments(&dir).unwrap().len() > 4,
+            "the swept run never rotated"
+        );
         // Where each append of the clean run lies: its segment (an index
         // into `clean_segments`), offset and length.
         let clean_segments = segment_bytes(&dir);
         let mut placed = Vec::new();
-        for (i, (_, path)) in list_segments(&dir).unwrap().into_iter().enumerate() {
-            read_segment(&path, |at, len, _| {
+        for (i, (n, _)) in list_segments(&dir).unwrap().into_iter().enumerate() {
+            read_segment(&files(&dir), n, |at, len, _| {
                 placed.push((i, at, 8 + len));
                 Ok(())
             })
             .unwrap();
         }
-        assert_eq!(placed.len() as u64, appends);
+        let appends = placed.len() as u64;
+        assert_eq!(appends, clean.registry().fleet_stats().wal_appends);
         std::fs::remove_dir_all(&dir).unwrap();
         for point in [
             CrashPoint::PreAppend,
@@ -2391,37 +2039,33 @@ mod tests {
             CrashPoint::PostAppendPreAck,
         ] {
             for k in 0..appends {
-                let dir = temp_dir(&format!("sweep-{}-{k}", point.label()));
-                // A call appends at most one record per campaign, so the
-                // plan is armed (and searched for) only this close to `k`.
-                let armed = std::cell::Cell::new(None);
-                let arm = |d: &mut DurableRegistry| {
-                    if (d.ops..d.ops + specs.len() as u64).contains(&k) {
-                        let plan = crash_plan(d.ops, k, point);
-                        armed.set(Some(plan));
-                        d.set_chaos(plan);
-                    }
-                };
-                let crashed = drive(&dir, &specs, SMALL_SEGMENTS, arm).crashed();
-                assert_eq!(crashed, Some(point), "append {k} never crashed");
+                let dir = temp_dir(&format!("sweep-{point:?}-{k}"));
+                // Armed before the first append, so the plan counts the
+                // run's appends from 0.
+                let armed = crash_plan(k, point);
+                let dead = drive(&dir, &specs, SMALL_SEGMENTS, |d| d.set_chaos(armed));
+                let crashed = dead.crashed().expect("the append never crashed");
+                assert!(
+                    crashed.contains(&format!("{point:?}")),
+                    "append {k}: {crashed}"
+                );
                 // On disk: every append before `k` whole, where the clean run
                 // put it, then what `k`'s crash point let land, and nothing
                 // after it.
                 let (seg, at, len) = placed[k as usize];
                 let landed = match point {
                     CrashPoint::PreAppend => 0,
-                    CrashPoint::MidAppend => armed.get().unwrap().torn_len(k, len),
+                    CrashPoint::MidAppend => armed.torn_len(k, len),
                     CrashPoint::PostAppendPreAck => len,
                 };
                 let mut on_disk = clean_segments[..=seg].to_vec();
                 on_disk[seg].1.truncate(at + landed);
                 assert!(
                     segment_bytes(&dir) == on_disk,
-                    "{} at append {k}: the log is not appends 0..{k} and {landed} bytes of {k}",
-                    point.label()
+                    "{point:?} at append {k}: the log is not appends 0..{k} and {landed} bytes of {k}"
                 );
                 let got = recover_and_finish(&dir, &specs, SMALL_SEGMENTS);
-                assert_eq!(got, want, "{} at append {k}", point.label());
+                assert_eq!(got, want, "{point:?} at append {k}");
                 std::fs::remove_dir_all(&dir).unwrap();
             }
         }
@@ -2469,15 +2113,14 @@ mod tests {
         // every write to it is ENOSPC.
         let dir = temp_dir("enospc");
         let mut durable = DurableRegistry::create(&dir, 1, WalConfig::default()).unwrap();
-        let full = segment_path(&dir, durable.seg_index + 1);
+        let full = next_segment(&dir);
         std::os::unix::fs::symlink("/dev/full", &full).unwrap();
         durable.checkpoint().unwrap();
         let reason = refusal(durable.admit_spec(&spec(0), Some(7)));
         assert!(reason.contains("No space left on device"), "{reason}");
         // The retry is no "idempotent replay" of a campaign no record holds.
         assert_eq!(refusal(durable.admit_spec(&spec(0), Some(7))), reason);
-        // Some unknown prefix of the record landed, as far as anyone knows.
-        assert_eq!(durable.crashed(), Some(CrashPoint::MidAppend));
+        assert_eq!(durable.crashed(), Some(reason.as_str()));
         assert_dead(&mut durable, &reason);
         drop(durable);
         std::fs::remove_file(&full).unwrap();
@@ -2500,12 +2143,11 @@ mod tests {
         durable.step_round().unwrap();
         let acknowledged = history(&durable, id);
         // A directory sits where the next segment goes.
-        let blocked = segment_path(&dir, durable.seg_index + 1);
+        let blocked = next_segment(&dir);
         std::fs::create_dir(&blocked).unwrap();
         let reason = refusal(durable.checkpoint());
         assert!(reason.contains("would not open"), "{reason}");
-        // Nothing of a next record landed anywhere.
-        assert_eq!(durable.crashed(), Some(CrashPoint::PreAppend));
+        assert_eq!(durable.crashed(), Some(reason.as_str()));
         assert_dead(&mut durable, &reason);
         drop(durable);
         std::fs::remove_dir(&blocked).unwrap();

@@ -47,8 +47,9 @@ mod protocol;
 mod registry;
 mod router;
 mod spec;
+mod wal;
 
-pub use chaos::{ChaosPlan, CrashPoint};
+pub use chaos::ChaosPlan;
 pub use durability::{verify_wal, DurableRegistry, RecoveryReport, WalConfig};
 pub use protocol::{
     pipe, read_frame, spawn_server, write_frame, Client, LookupReply, PipeEnd, Request, Response,

@@ -186,8 +186,8 @@ pub struct CampaignStats {
     /// WAL records appended for this campaign (durable serving only).
     #[serde(default)]
     pub wal_appends: u64,
-    /// Times this campaign was rebuilt from its durable log after a
-    /// crash or worker panic.
+    /// Worker panics raised while this campaign's wave was measured, each
+    /// recovered by rebuilding the fleet from its durable log.
     #[serde(default)]
     pub recoveries: u64,
 }
@@ -300,6 +300,8 @@ pub struct CampaignRegistry {
     wal_truncated_bytes: u64,
     fleet_recoveries: u64,
     worker_panic_plan: Option<ChaosPlan>,
+    /// The campaign whose wave is being measured (left set by its panic).
+    measuring: Option<u64>,
 }
 
 impl CampaignRegistry {
@@ -320,6 +322,7 @@ impl CampaignRegistry {
             wal_truncated_bytes: 0,
             fleet_recoveries: 0,
             worker_panic_plan: None,
+            measuring: None,
         }
     }
 
@@ -565,15 +568,17 @@ impl CampaignRegistry {
         let measured: Vec<Vec<autotune::Measurement>> = staged
             .iter()
             .map(|&idx| {
-                let c = &self.entries[idx].campaign;
+                let (c, id) = (&self.entries[idx].campaign, self.entries[idx].id);
+                self.measuring = Some(id);
                 if let Some(plan) = self.worker_panic_plan {
-                    if plan.worker_panics(self.rounds, self.entries[idx].id) {
-                        chaos_worker_panic(self.rounds, self.entries[idx].id);
+                    if plan.worker_panics(self.rounds, id) {
+                        chaos_worker_panic(self.rounds, id);
                     }
                 }
                 measure_wave(c.target(), c.noise_strategy(), c.staged_wave())
             })
             .collect();
+        self.measuring = None;
         // Phase 3: virtual-pool accounting and every entry's books here,
         // in staging order; then absorb the results.
         let mut loads = vec![0.0f64; self.workers];
@@ -617,15 +622,13 @@ impl CampaignRegistry {
     }
 
     /// Records one WAL replay (a reopen after a crash, or a rebuild
-    /// after a worker panic) and the torn-tail bytes it discarded.
+    /// after a worker panic) and the torn-tail bytes it discarded. A
+    /// panic raised while a wave was measured is booked on that wave's
+    /// campaign too.
     pub(crate) fn note_fleet_recovery(&mut self, truncated_bytes: u64) {
         self.fleet_recoveries += 1;
         self.wal_truncated_bytes += truncated_bytes;
-    }
-
-    /// Records a per-campaign rebuild (e.g. after a worker panic).
-    pub(crate) fn note_campaign_recovery(&mut self, id: u64) {
-        if let Ok(entry) = self.entry_mut(id) {
+        if let Some(entry) = self.measuring.take().and_then(|id| self.entry_mut(id).ok()) {
             entry.recoveries += 1;
         }
     }

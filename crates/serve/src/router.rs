@@ -998,7 +998,10 @@ mod tests {
             matches!(refused, Err(ServeError::Storage(_))),
             "{refused:?}"
         );
-        let post_ack = router.durable.crashed() == Some(crate::CrashPoint::PostAppendPreAck);
+        let post_ack = router
+            .durable
+            .crashed()
+            .is_some_and(|why| why.contains("PostAppendPreAck"));
         // Dead with hits it never logged (unless the summary is what
         // landed): `Drop` leaves the directory as it is.
         let before = wal_files(&dir);

@@ -1,0 +1,342 @@
+//! The write-ahead log's bytes: where they live ([`Storage`]), how a
+//! record is framed, and the CRC-32 that checks it. What the records
+//! mean, and how a fleet is rebuilt from them, is `durability`'s.
+//!
+//! # Record format
+//!
+//! A WAL is a sequence of numbered segments (`wal-000001.seg`, …). Each
+//! segment is a sequence of length-prefixed, CRC-checked records:
+//!
+//! ```text
+//! ┌──────────┬──────────┬───────────────────┐
+//! │ len: u32 │ crc: u32 │ payload (CBOR)    │   little-endian header,
+//! └──────────┴──────────┴───────────────────┘   crc32(payload)
+//! ```
+//!
+//! # The storage seam
+//!
+//! Everything the WAL asks of its device goes through one [`Storage`]:
+//! list the segments, read one, cut a torn tail off one, open the next,
+//! and append to the open one. [`SegmentFiles`], over one directory, is
+//! the one that ships. An append hands over whole records, back to back,
+//! and they land in order; one that fails has left an unknown prefix of
+//! its bytes, so its handle writes nothing more. Crash simulation is
+//! `chaos`'s: a storage whose appends stop where a seeded plan says. An
+//! append returns once the operating system has the bytes; the
+//! `sync_data` that would take them to the device belongs in `append`,
+//! and the directory sync a new segment needs in `open_next`.
+
+use serde::Serialize;
+use std::any::Any;
+use std::fs::{File, OpenOptions};
+use std::io::{self, Write};
+use std::path::PathBuf;
+
+/// What the WAL asks of the device it lives on.
+pub(crate) trait Storage: Any + Send {
+    /// The numbers of the segments there are, ascending.
+    fn segments(&self) -> io::Result<Vec<u64>>;
+
+    /// Segment `n`'s bytes.
+    fn read(&self, n: u64) -> io::Result<Vec<u8>>;
+
+    /// Cuts segment `n` to its first `len` bytes.
+    fn cut(&mut self, n: u64, len: u64) -> io::Result<()>;
+
+    /// Opens the segment after the last one, created empty; appends go
+    /// to it from now on.
+    fn open_next(&mut self) -> io::Result<()>;
+
+    /// Appends `records`, whole records back to back, to the open
+    /// segment. On `Err` an unknown prefix of them has landed.
+    fn append(&mut self, records: &[u8]) -> io::Result<()>;
+}
+
+/// The segments as files `wal-<n>.seg` in one directory, appended to in
+/// one `write_all` a call.
+pub(crate) struct SegmentFiles {
+    dir: PathBuf,
+    /// The segment appends go to, and its number.
+    open: Option<(u64, File)>,
+}
+
+impl SegmentFiles {
+    /// The segments in `dir`, which need not exist until one is opened.
+    pub(crate) fn new(dir: PathBuf) -> Self {
+        SegmentFiles { dir, open: None }
+    }
+}
+
+/// The file name of segment `n`.
+pub(crate) fn segment_name(n: u64) -> String {
+    format!("wal-{n:06}.seg")
+}
+
+impl Storage for SegmentFiles {
+    fn segments(&self) -> io::Result<Vec<u64>> {
+        let entries = match std::fs::read_dir(&self.dir) {
+            Ok(e) => e,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) => return Err(e),
+        };
+        let mut out = Vec::new();
+        for entry in entries {
+            let name = entry?.file_name();
+            let Some(name) = name.to_str() else { continue };
+            let number = name
+                .strip_prefix("wal-")
+                .and_then(|s| s.strip_suffix(".seg"));
+            if let Some(n) = number.and_then(|n| n.parse::<u64>().ok()) {
+                out.push(n);
+            }
+        }
+        out.sort();
+        Ok(out)
+    }
+
+    fn read(&self, n: u64) -> io::Result<Vec<u8>> {
+        std::fs::read(self.dir.join(segment_name(n)))
+    }
+
+    fn cut(&mut self, n: u64, len: u64) -> io::Result<()> {
+        let path = self.dir.join(segment_name(n));
+        OpenOptions::new().write(true).open(path)?.set_len(len)
+    }
+
+    fn open_next(&mut self) -> io::Result<()> {
+        let next = match &self.open {
+            Some((n, _)) => n + 1,
+            None => {
+                std::fs::create_dir_all(&self.dir)?;
+                self.segments()?.last().map_or(1, |n| n + 1)
+            }
+        };
+        let path = self.dir.join(segment_name(next));
+        let file = OpenOptions::new().create(true).append(true).open(path)?;
+        self.open = Some((next, file));
+        Ok(())
+    }
+
+    fn append(&mut self, records: &[u8]) -> io::Result<()> {
+        match &mut self.open {
+            Some((_, file)) => file.write_all(records),
+            None => Err(io::Error::other("no WAL segment is open")),
+        }
+    }
+}
+
+/// Appends to `out` one record as it lies on disk: the payload is
+/// encoded behind a placeholder header and the header patched, so records
+/// encoded back to back are written as one buffer. On `Err` (why the
+/// record did not encode), `out` is left as it was.
+pub(crate) fn encode_record(record: &impl Serialize, out: &mut Vec<u8>) -> Result<(), String> {
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
+    let encoded = ciborium::into_writer(record, &mut *out).map_err(|e| e.to_string());
+    let len = encoded
+        .and_then(|()| u32::try_from(out.len() - start - 8).map_err(|_| "over 4 GiB".to_string()));
+    let len = len
+        .map_err(|why| format!("WAL record did not encode: {why}"))
+        .inspect_err(|_| out.truncate(start))?;
+    let (header, payload) = out[start..].split_at_mut(8);
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    Ok(())
+}
+
+/// The record that starts at byte `at`: its payload and where it ends.
+/// `None` when the bytes from `at` on are not a whole record whose CRC
+/// holds, which is the clean end of the segment when `at` is its length
+/// and a torn tail otherwise.
+pub(crate) fn record_at(bytes: &[u8], at: usize) -> Option<(&[u8], usize)> {
+    let header = bytes.get(at..at.checked_add(8)?)?;
+    let (len, crc) = header.split_at(4);
+    let len = u32::from_le_bytes(len.try_into().ok()?) as usize;
+    let crc = u32::from_le_bytes(crc.try_into().ok()?);
+    let end = (at + 8).checked_add(len)?;
+    let payload = bytes.get(at + 8..end)?;
+    (crc32(payload) == crc).then_some((payload, end))
+}
+
+/// The slicing-by-8 tables: `[0]` is the bytewise table, and `[k][b]` is
+/// the CRC of byte `b` followed by `k` zero bytes, so eight table
+/// lookups advance the CRC over eight input bytes at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+const CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+pub(crate) fn crc32_step(c: u32, b: u8) -> u32 {
+    CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8)
+}
+
+/// Advances the CRC register `c` over `bytes`, eight bytes a step
+/// (slicing-by-8).
+fn slice8(mut c: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut chunks = bytes.chunks_exact(8);
+    for w in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    chunks.remainder().iter().fold(c, |c, &b| crc32_step(c, b))
+}
+
+/// [`crc32`] by the tables alone: the path of a CPU without carry-less
+/// multiply.
+pub(crate) fn crc32_slice8(bytes: &[u8]) -> u32 {
+    !slice8(!0, bytes)
+}
+
+/// [`crc32`] by carry-less multiply, where the CPU has it.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+pub(crate) fn crc32_clmul(bytes: &[u8]) -> Option<u32> {
+    if !(is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")) {
+        return None;
+    }
+    // SAFETY: `clmul::crc32` needs PCLMULQDQ and SSE4.1, and this CPU was
+    // just found to have both.
+    Some(unsafe { clmul::crc32(bytes) })
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) fn crc32_clmul(_: &[u8]) -> Option<u32> {
+    None
+}
+
+/// CRC-32 (IEEE 802.3), the WAL's record integrity check, on write and
+/// on read. On an x86-64 CPU with PCLMULQDQ and SSE4.1 it folds 64 bytes a
+/// step by carry-less multiply ([`clmul`]); elsewhere, for an input under
+/// 64 bytes and for the tail under 16, it runs the slicing-by-8 tables.
+/// Both compute the same value, so a log reads the same on either.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_clmul(bytes).unwrap_or_else(|| crc32_slice8(bytes))
+}
+
+/// CRC-32 by folding with carry-less multiply, after Intel's "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ Instruction"
+/// (Gopal et al., 2009), bit-reflected, with the IEEE constants the Linux
+/// kernel's `crc32-pclmul` uses. Four 128-bit lanes fold 64 bytes a step;
+/// the lanes fold into one, 16 bytes a step; one Barrett reduction takes
+/// the 128 bits left to the 32-bit register, and the tables finish the
+/// tail.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    // Bit-reflected, as the reflected CRC wants them; the fold constants
+    // K1-K5 are also shifted left one bit.
+    /// x^(4·128+32) and x^(4·128-32) mod P: one fold across four lanes.
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    /// x^(128+32) and x^(128-32) mod P: one fold across a lane.
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    /// x^64 mod P: 96 bits to 64.
+    const K5: i64 = 0x1_63cd_6124;
+    /// P and floor(x^64 / P): the Barrett reduction.
+    const P: i64 = 0x1_db71_0641;
+    const MU: i64 = 0x1_f701_1641;
+
+    /// A 16-byte block as `_mm_loadu_si128` reads it.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn load(block: &[u8]) -> __m128i {
+        let word = |at: usize| {
+            let mut le = [0; 8];
+            le.copy_from_slice(&block[at..at + 8]);
+            i64::from_le_bytes(le)
+        };
+        _mm_set_epi64x(word(8), word(0))
+    }
+
+    /// `acc` carried 128 bits (the distance `k` holds) further and added
+    /// to `next`.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold(acc: __m128i, next: __m128i, k: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(acc, k);
+        let hi = _mm_clmulepi64_si128::<0x11>(acc, k);
+        _mm_xor_si128(_mm_xor_si128(next, lo), hi)
+    }
+
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn crc32(bytes: &[u8]) -> u32 {
+        if bytes.len() < 64 {
+            return super::crc32_slice8(bytes);
+        }
+        let (head, rest) = bytes.split_at(64);
+        let mut lanes = [0, 16, 32, 48].map(|at| load(&head[at..at + 16]));
+        // The register starts at all ones, over the first four bytes.
+        lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(-1));
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        let mut quads = rest.chunks_exact(64);
+        for quad in &mut quads {
+            for (lane, block) in lanes.iter_mut().zip(quad.chunks_exact(16)) {
+                *lane = fold(*lane, load(block), k1k2);
+            }
+        }
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let [a, b, c, d] = lanes;
+        let mut x = fold(fold(fold(a, b, k3k4), c, k3k4), d, k3k4);
+        let mut blocks = quads.remainder().chunks_exact(16);
+        for block in &mut blocks {
+            x = fold(x, load(block), k3k4);
+        }
+        // 128 bits to 96, then to 64.
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x10>(x, k3k4),
+            _mm_srli_si128::<8>(x),
+        );
+        let k5 = _mm_set_epi64x(0, K5);
+        x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), k5),
+            _mm_srli_si128::<4>(x),
+        );
+        // Barrett: T1 = (R mod x^32)·mu, T2 = (T1 mod x^32)·P, and the
+        // register is the upper half of R + T2 (the bits are reflected).
+        let pmu = _mm_set_epi64x(MU, P);
+        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), pmu);
+        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), pmu);
+        let c = _mm_extract_epi32::<1>(_mm_xor_si128(x, t2)) as u32;
+        !super::slice8(c, blocks.remainder())
+    }
+}
