@@ -214,9 +214,14 @@ mod packed_telemetry {
         if s.is_human_readable() {
             return samples.serialize(s);
         }
+        // A sample is packed on the stack and lands in one copy.
         let mut bytes = Vec::with_capacity(samples.len() * SAMPLE_BYTES);
-        for field in samples.iter().flat_map(fields) {
-            bytes.extend_from_slice(&field.to_le_bytes());
+        for t in samples {
+            let mut packed = [0; SAMPLE_BYTES];
+            for (le, field) in packed.chunks_exact_mut(8).zip(fields(t)) {
+                le.copy_from_slice(&field.to_le_bytes());
+            }
+            bytes.extend_from_slice(&packed);
         }
         s.serialize_bytes(&bytes)
     }
@@ -238,13 +243,14 @@ mod packed_telemetry {
             )));
         }
         let unpacked = samples.map(|packed| {
-            let mut fields = [0.0; 7];
-            for (field, le) in fields.iter_mut().zip(packed.chunks_exact(8)) {
-                let mut word = [0; 8];
-                word.copy_from_slice(le);
-                *field = f64::from_le_bytes(word);
-            }
-            sample(fields)
+            // A sample is its 56 bytes, so every field has its eight.
+            let field = |i: usize| {
+                let le = packed
+                    .get(8 * i..8 * i + 8)
+                    .and_then(|le| le.try_into().ok());
+                le.map_or(f64::NAN, f64::from_le_bytes)
+            };
+            sample(std::array::from_fn(field))
         });
         Ok(unpacked.collect())
     }

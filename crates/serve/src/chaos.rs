@@ -168,7 +168,7 @@ impl Storage for Crashing {
         self.inner.segments()
     }
 
-    fn read(&self, n: u64) -> io::Result<Vec<u8>> {
+    fn read(&self, n: u64) -> io::Result<(u64, Box<dyn io::Read>)> {
         self.inner.read(n)
     }
 

@@ -72,7 +72,7 @@
 use crate::chaos::ChaosPlan;
 use crate::registry::{AdmissionConfig, CampaignRegistry, ServeError};
 use crate::spec::CampaignSpec;
-use crate::wal::{encode_record, record_at, segment_name, SegmentFiles, Storage};
+use crate::wal::{encode_record, segment_name, Records, SegmentFiles, Storage};
 use autotune::{
     Campaign, CampaignError, CampaignEvent, OptEvent, SourceStep, TrialOutcome, TrialSource,
 };
@@ -790,21 +790,25 @@ fn recover(
     Ok(Recovered { fleet, report })
 }
 
-/// The one WAL reader: decodes segment `n` front to back and hands
-/// `each` every record with its byte offset and payload length, until
-/// the bytes run out or a record fails its header/CRC check. Returns the
-/// clean byte count and how many bytes follow it; what such a tail means
-/// is the caller's call, and nothing is written here. A record whose CRC
-/// holds but whose payload does not decode ends the walk with
-/// [`ServeError::Storage`] (see the module docs).
+/// The one WAL reader: streams segment `n` front to back, one record at
+/// a time ([`Records`]), and hands `each` every record, decoded where it
+/// lies in the reader's window, with its byte offset and payload length,
+/// until the bytes run out or a record fails its header/CRC check.
+/// Returns the clean byte count and how many bytes follow it; what such
+/// a tail means is the caller's call, and nothing is written here. A
+/// record whose CRC holds but whose payload does not decode ends the
+/// walk with [`ServeError::Storage`] (see the module docs).
 fn read_segment(
     storage: &dyn Storage,
     n: u64,
     mut each: impl FnMut(usize, usize, WalRecord<'static>) -> Result<(), ServeError>,
 ) -> Result<(u64, u64), ServeError> {
-    let bytes = storage.read(n).map_err(io_err)?;
-    let mut at = 0usize;
-    while let Some((payload, end)) = record_at(&bytes, at) {
+    let mut records = Records::new(storage.read(n).map_err(io_err)?);
+    loop {
+        let at = records.at();
+        let Some(payload) = records.next_record().map_err(io_err)? else {
+            break;
+        };
         let record: WalRecord = ciborium::from_slice(payload).map_err(|why| {
             ServeError::Storage(format!(
                 "undecodable record in {} at offset {at}: its length and CRC hold, so this is \
@@ -813,10 +817,9 @@ fn read_segment(
                 segment_name(n)
             ))
         })?;
-        each(at, payload.len(), record)?;
-        at = end;
+        each(at as usize, payload.len(), record)?;
     }
-    Ok((at as u64, (bytes.len() - at) as u64))
+    Ok((records.at(), records.rest()))
 }
 
 /// Reads the WAL in `dir` front to back for inspection, handing `each`
@@ -867,7 +870,7 @@ mod tests {
     use crate::chaos::CrashPoint;
     use crate::registry::tests::{event_log, standalone_runs};
     use crate::spec::{NoiseSpec, OptimizerKind, SystemKind};
-    use crate::wal::{crc32, crc32_clmul, crc32_slice8, crc32_step};
+    use crate::wal::{crc32, record_at, WINDOW};
     use autotune::{SchedulePolicy, TrialRequest};
     use autotune_sim::{FaultPlan, NoiseConfig};
     use std::io::Write;
@@ -963,83 +966,6 @@ mod tests {
         recovered.run_all().unwrap();
         let ids = recovered.registry().ids();
         ids.into_iter().map(|id| history(&recovered, id)).collect()
-    }
-
-    /// The CRC-32 of `bytes` by every path this CPU runs: the dispatch,
-    /// the tables, and the carry-less kernel where the CPU has it.
-    fn crc32_paths(bytes: &[u8]) -> Vec<(&'static str, u32)> {
-        let mut paths = vec![("crc32", crc32(bytes)), ("slice8", crc32_slice8(bytes))];
-        paths.extend(crc32_clmul(bytes).map(|c| ("clmul", c)));
-        paths
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        let counting: Vec<u8> = (0..1000).map(|i| i as u8).collect();
-        let vectors: [(&[u8], u32); 6] = [
-            (b"", 0x0000_0000),
-            (b"123456789", 0xCBF4_3926),
-            (b"The quick brown fox jumps over the lazy dog", 0x414F_A339),
-            (&[0; 64], 0x758D_6336),
-            (&counting[..129], 0xCA91_CDF7),
-            (&counting, 0x74E3_FB41),
-        ];
-        for (bytes, want) in vectors {
-            for (path, got) in crc32_paths(bytes) {
-                assert_eq!(got, want, "{path} over {} bytes", bytes.len());
-            }
-        }
-    }
-
-    #[test]
-    fn crc32_paths_match_the_bytewise_definition_at_every_length_and_alignment() {
-        // Every length up to 1 KiB at each of 16 alignments (so every tail
-        // under 64 bytes after 0 to 15 whole 64-byte steps, 127/128/129
-        // among them), then every length up to 4 KiB at one alignment each.
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let bytes: Vec<u8> = (0..4096 + 16)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state >> 56) as u8
-            })
-            .collect();
-        let check = |skip: usize, lengths: &mut dyn Iterator<Item = usize>| {
-            let data = &bytes[skip..];
-            let (mut register, mut at) = (0xFFFF_FFFF, 0);
-            for len in lengths {
-                register = data[at..len]
-                    .iter()
-                    .fold(register, |c, &b| crc32_step(c, b));
-                at = len;
-                for (path, got) in crc32_paths(&data[..len]) {
-                    assert_eq!(got, !register, "{path}: {len} bytes at offset {skip}");
-                }
-            }
-        };
-        for skip in 0..16 {
-            check(skip, &mut (0..=1024));
-        }
-        for skip in 0..16 {
-            check(skip, &mut (1025..=4096).filter(|len| len % 16 == skip));
-        }
-    }
-
-    proptest::proptest! {
-        /// Every path against the byte-at-a-time definition, over every
-        /// length class (whole folds, every remainder) and alignment.
-        #[test]
-        fn crc32_matches_the_bytewise_oracle(
-            bytes in proptest::collection::vec(0u8..=255, 0..4096usize),
-            skip in 0usize..16,
-        ) {
-            let bytes = &bytes[skip.min(bytes.len())..];
-            let bytewise = bytes.iter().fold(0xFFFF_FFFF, |c, &b| crc32_step(c, b)) ^ 0xFFFF_FFFF;
-            for (path, got) in crc32_paths(bytes) {
-                proptest::prop_assert_eq!(got, bytewise, "{}", path);
-            }
-        }
     }
 
     #[test]
@@ -2004,6 +1930,135 @@ mod tests {
             assert!(got == want, "segment {n} differs from one write per record");
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A walk of a segment: each record's offset and payload length, then
+    /// the clean length and the bytes after it.
+    type Walk = (Vec<(usize, usize)>, u64, u64);
+
+    /// Segment `bytes` walked as a slice, the way a reader that loads the
+    /// whole segment walks it.
+    fn slice_walk(bytes: &[u8]) -> Walk {
+        let (mut spans, mut at) = (Vec::new(), 0);
+        while let Some((payload, end)) = record_at(bytes, at) {
+            spans.push((at, payload.len()));
+            at = end;
+        }
+        (spans, at as u64, (bytes.len() - at) as u64)
+    }
+
+    /// Checks that every segment in `dir` streams as its slice walk
+    /// does, and returns the walks.
+    fn walks_agree(dir: &Path) -> Vec<Walk> {
+        let mut walks = Vec::new();
+        for (n, bytes) in segment_bytes(dir) {
+            let mut spans = Vec::new();
+            let (clean, torn) = read_segment(&files(dir), n, |at, len, _| {
+                spans.push((at, len));
+                Ok(())
+            })
+            .unwrap();
+            let walk = slice_walk(&bytes);
+            assert_eq!((spans, clean, torn), walk, "segment {n}");
+            walks.push(walk);
+        }
+        walks
+    }
+
+    #[test]
+    fn a_record_the_window_cuts_is_read_whole() {
+        // One segment of ~2.4 KB records well past the first window, so
+        // records straddle its end and are read whole across the refill.
+        let dir = temp_dir("straddle");
+        let specs = fleet_of(40);
+        drop(drive(&dir, &specs, WalConfig::default(), |_| {}));
+        let walks = walks_agree(&dir);
+        let [(spans, clean, 0)] = &walks[..] else {
+            panic!("expected one clean segment: {walks:?}")
+        };
+        assert!(*clean as usize > 2 * WINDOW, "{clean} bytes");
+        let straddles = |edge: usize| {
+            spans
+                .iter()
+                .any(|&(at, len)| at < edge && at + 8 + len > edge)
+        };
+        assert!(straddles(WINDOW), "no record straddles the window's end");
+        assert_eq!(recover_and_finish(&dir, &specs, WalConfig::default()), {
+            specs.iter().map(straight_history).collect::<Vec<_>>()
+        });
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_record_larger_than_the_window_is_read_whole() {
+        // A `Register` whose spec's name alone outgrows the window, behind
+        // and ahead of ordinary records.
+        let dir = temp_dir("large");
+        let mut specs = fleet_of(12);
+        specs[1].name = "n".repeat(WINDOW + 4096);
+        drop(drive(&dir, &specs, WalConfig::default(), |_| {}));
+        let walks = walks_agree(&dir);
+        let [(spans, _, 0)] = &walks[..] else {
+            panic!("expected one clean segment: {walks:?}")
+        };
+        let large = spans.iter().position(|&(_, len)| len > WINDOW);
+        assert!(
+            large.is_some_and(|i| i > 0 && i + 1 < spans.len()),
+            "{spans:?}"
+        );
+        assert_eq!(recover_and_finish(&dir, &specs, WalConfig::default()), {
+            specs.iter().map(straight_history).collect::<Vec<_>>()
+        });
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_torn_tail_at_the_windows_end_is_cut_there() {
+        // Auxiliary records that fill the first window exactly, then a
+        // torn record: cut short in its header, after it, in its
+        // payload, or whole with a CRC that fails.
+        let aux = |payload: Vec<u8>| WalRecord::Aux {
+            key: Cow::Borrowed("k"),
+            payload: Cow::Owned(payload),
+        };
+        let encoded = |record: &WalRecord| {
+            let mut bytes = Vec::new();
+            encode_record(record, &mut bytes).unwrap();
+            bytes
+        };
+        let (mut clean, mut journal) = (Vec::new(), Vec::new());
+        while clean.len() < WINDOW {
+            let left = WINDOW - clean.len();
+            let fits = |len: usize| encoded(&aux(vec![7; len])).len() <= left;
+            let len = if left > 2100 { 1000 } else { left } - 8;
+            let len = (0..=len).rev().find(|&len| fits(len)).unwrap();
+            let payload = vec![journal.len() as u8; len];
+            clean.extend(encoded(&aux(payload.clone())));
+            journal.push(("k".to_string(), payload));
+        }
+        assert_eq!(clean.len(), WINDOW);
+        let last = encoded(&aux(vec![9; 300]));
+        let mut bad_crc = last.clone();
+        *bad_crc.last_mut().unwrap() ^= 1;
+        let tails = [3, 8, 100, last.len() - 1]
+            .map(|cut| last[..cut].to_vec())
+            .into_iter()
+            .chain([bad_crc]);
+        for tail in tails {
+            let dir = temp_dir("torn-window");
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(segment_path(&dir, 1), [&clean[..], &tail].concat()).unwrap();
+            let walks = walks_agree(&dir);
+            assert_eq!(walks[0].1, WINDOW as u64);
+            let (mut recovered, report) = DurableRegistry::open(&dir, 1, WalConfig::default())
+                .unwrap_or_else(|e| panic!("a {}-byte tail: {e}", tail.len()));
+            assert_eq!(report.truncated_bytes, tail.len() as u64);
+            assert_eq!(recovered.take_aux_log(), journal);
+            let len = std::fs::metadata(segment_path(&dir, 1)).unwrap().len();
+            assert_eq!(len, WINDOW as u64);
+            drop(recovered);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

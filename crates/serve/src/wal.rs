@@ -16,29 +16,38 @@
 //! # The storage seam
 //!
 //! Everything the WAL asks of its device goes through one [`Storage`]:
-//! list the segments, read one, cut a torn tail off one, open the next,
-//! and append to the open one. [`SegmentFiles`], over one directory, is
-//! the one that ships. An append hands over whole records, back to back,
-//! and they land in order; one that fails has left an unknown prefix of
-//! its bytes, so its handle writes nothing more. Crash simulation is
-//! `chaos`'s: a storage whose appends stop where a seeded plan says. An
-//! append returns once the operating system has the bytes; the
-//! `sync_data` that would take them to the device belongs in `append`,
-//! and the directory sync a new segment needs in `open_next`.
+//! list the segments, stream one, cut a torn tail off one, open the
+//! next, and append to the open one. [`SegmentFiles`], over one
+//! directory, is the one that ships.
+//!
+//! A segment is read as a stream, one record at a time ([`Records`]):
+//! through a window of the smaller of [`WINDOW`] and the segment, grown
+//! only for a record larger than that, each record checked and handed
+//! over where it lies in it. So a reader holds the largest record plus
+//! one window, never the segment.
+//!
+//! An append hands over whole records, back to back, and they land in
+//! order; one that fails has left an unknown prefix of its bytes, so its
+//! handle writes nothing more. Crash simulation is `chaos`'s: a storage
+//! whose appends stop where a seeded plan says. An append returns once
+//! the operating system has the bytes; the `sync_data` that would take
+//! them to the device belongs in `append`, and the directory sync a new
+//! segment needs in `open_next`.
 
 use serde::Serialize;
 use std::any::Any;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::path::PathBuf;
 
-/// What the WAL asks of the device it lives on.
+/// What the WAL asks of the device it lives on. A segment is read as a
+/// stream, front to back ([`Records`] walks it), never loaded whole.
 pub(crate) trait Storage: Any + Send {
     /// The numbers of the segments there are, ascending.
     fn segments(&self) -> io::Result<Vec<u64>>;
 
-    /// Segment `n`'s bytes.
-    fn read(&self, n: u64) -> io::Result<Vec<u8>>;
+    /// Segment `n`'s length and its bytes as a stream, front to back.
+    fn read(&self, n: u64) -> io::Result<(u64, Box<dyn Read>)>;
 
     /// Cuts segment `n` to its first `len` bytes.
     fn cut(&mut self, n: u64, len: u64) -> io::Result<()>;
@@ -94,8 +103,9 @@ impl Storage for SegmentFiles {
         Ok(out)
     }
 
-    fn read(&self, n: u64) -> io::Result<Vec<u8>> {
-        std::fs::read(self.dir.join(segment_name(n)))
+    fn read(&self, n: u64) -> io::Result<(u64, Box<dyn Read>)> {
+        let file = File::open(self.dir.join(segment_name(n)))?;
+        Ok((file.metadata()?.len(), Box::new(file)))
     }
 
     fn cut(&mut self, n: u64, len: u64) -> io::Result<()> {
@@ -149,13 +159,116 @@ pub(crate) fn encode_record(record: &impl Serialize, out: &mut Vec<u8>) -> Resul
 /// holds, which is the clean end of the segment when `at` is its length
 /// and a torn tail otherwise.
 pub(crate) fn record_at(bytes: &[u8], at: usize) -> Option<(&[u8], usize)> {
-    let header = bytes.get(at..at.checked_add(8)?)?;
-    let (len, crc) = header.split_at(4);
-    let len = u32::from_le_bytes(len.try_into().ok()?) as usize;
-    let crc = u32::from_le_bytes(crc.try_into().ok()?);
-    let end = (at + 8).checked_add(len)?;
+    let (len, crc) = header(bytes.get(at..)?)?;
+    let end = at.checked_add(len)?;
     let payload = bytes.get(at + 8..end)?;
     (crc32(payload) == crc).then_some((payload, end))
+}
+
+/// The header `bytes` start with: the record's length, its own 8 bytes
+/// included, and the payload's CRC. `None` when they hold no whole one.
+fn header(bytes: &[u8]) -> Option<(usize, u32)> {
+    let len = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?);
+    let crc = u32::from_le_bytes(bytes.get(4..8)?.try_into().ok()?);
+    Some(((len as usize).checked_add(8)?, crc))
+}
+
+/// What a segment is read through: the window holds this much of it, or
+/// the whole segment when it is smaller.
+pub(crate) const WINDOW: usize = 64 * 1024;
+
+/// A segment's records, read from its stream front to back through one
+/// buffer. The buffer is the smaller of [`WINDOW`] and the segment,
+/// grown only to hold a record larger than that; a record is checked
+/// and handed over where it lies in it, and the part of one that the
+/// window cut is carried to the front before the next read.
+pub(crate) struct Records {
+    bytes: Box<dyn Read>,
+    /// The segment's length.
+    len: u64,
+    buf: Vec<u8>,
+    /// `buf[start..end]` are the segment's bytes from [`Records::at`] on
+    /// that have been read and not yet handed over.
+    start: usize,
+    end: usize,
+    /// Where in the segment `buf[start]` lies.
+    at: u64,
+}
+
+impl Records {
+    /// The records of a segment `len` bytes long, read from `bytes`.
+    pub(crate) fn new((len, bytes): (u64, Box<dyn Read>)) -> Self {
+        let window = len.min(WINDOW as u64) as usize;
+        Records {
+            bytes,
+            len,
+            buf: vec![0; window],
+            start: 0,
+            end: 0,
+            at: 0,
+        }
+    }
+
+    /// How many of the segment's bytes follow [`Records::at`].
+    pub(crate) fn rest(&self) -> u64 {
+        self.len - self.at
+    }
+
+    /// The offset in the segment at which the next record starts: once
+    /// [`Records::next_record`] returned `None`, the segment's clean
+    /// length.
+    pub(crate) fn at(&self) -> u64 {
+        self.at
+    }
+
+    /// The next record's payload. `None` when the bytes from
+    /// [`Records::at`] on are not a whole record whose CRC holds, which
+    /// is the clean end of the segment when `at` is its length and a torn
+    /// tail otherwise.
+    pub(crate) fn next_record(&mut self) -> io::Result<Option<&[u8]>> {
+        if !self.fill(8)? {
+            return Ok(None);
+        }
+        let Some((len, crc)) = header(&self.buf[self.start..self.end]) else {
+            return Ok(None);
+        };
+        // A length past the segment's end is a torn header, not a read
+        // to make.
+        if len as u64 > self.len.saturating_sub(self.at) || !self.fill(len)? {
+            return Ok(None);
+        }
+        let payload = self.start + 8..self.start + len;
+        if crc32(&self.buf[payload.clone()]) != crc {
+            return Ok(None);
+        }
+        self.start += len;
+        self.at += len as u64;
+        Ok(Some(&self.buf[payload]))
+    }
+
+    /// Reads until `need` bytes from [`Records::at`] on are in the
+    /// buffer; `false` when the stream ends first.
+    fn fill(&mut self, need: usize) -> io::Result<bool> {
+        if self.end - self.start >= need {
+            return Ok(true);
+        }
+        // The part of the record already read goes to the front.
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        if self.buf.len() < need {
+            self.buf.resize(need, 0);
+        }
+        while self.end < need {
+            match self.bytes.read(&mut self.buf[self.end..]) {
+                Ok(0) => return Ok(false),
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(true)
+    }
 }
 
 /// The slicing-by-8 tables: `[0]` is the bytewise table, and `[k][b]` is
@@ -193,7 +306,7 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
 
 const CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-pub(crate) fn crc32_step(c: u32, b: u8) -> u32 {
+fn crc32_step(c: u32, b: u8) -> u32 {
     CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8)
 }
 
@@ -219,14 +332,14 @@ fn slice8(mut c: u32, bytes: &[u8]) -> u32 {
 
 /// [`crc32`] by the tables alone: the path of a CPU without carry-less
 /// multiply.
-pub(crate) fn crc32_slice8(bytes: &[u8]) -> u32 {
+fn crc32_slice8(bytes: &[u8]) -> u32 {
     !slice8(!0, bytes)
 }
 
 /// [`crc32`] by carry-less multiply, where the CPU has it.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
-pub(crate) fn crc32_clmul(bytes: &[u8]) -> Option<u32> {
+fn crc32_clmul(bytes: &[u8]) -> Option<u32> {
     if !(is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")) {
         return None;
     }
@@ -236,7 +349,7 @@ pub(crate) fn crc32_clmul(bytes: &[u8]) -> Option<u32> {
 }
 
 #[cfg(not(target_arch = "x86_64"))]
-pub(crate) fn crc32_clmul(_: &[u8]) -> Option<u32> {
+fn crc32_clmul(_: &[u8]) -> Option<u32> {
     None
 }
 
@@ -338,5 +451,87 @@ mod clmul {
         let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), pmu);
         let c = _mm_extract_epi32::<1>(_mm_xor_si128(x, t2)) as u32;
         !super::slice8(c, blocks.remainder())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The CRC-32 of `bytes` by every path this CPU runs: the dispatch,
+    /// the tables, and the carry-less kernel where the CPU has it.
+    fn crc32_paths(bytes: &[u8]) -> Vec<(&'static str, u32)> {
+        let mut paths = vec![("crc32", crc32(bytes)), ("slice8", crc32_slice8(bytes))];
+        paths.extend(crc32_clmul(bytes).map(|c| ("clmul", c)));
+        paths
+    }
+
+    #[test]
+    fn crc32_matches_known_vectors() {
+        let counting: Vec<u8> = (0..1000).map(|i| i as u8).collect();
+        let vectors: [(&[u8], u32); 6] = [
+            (b"", 0x0000_0000),
+            (b"123456789", 0xCBF4_3926),
+            (b"The quick brown fox jumps over the lazy dog", 0x414F_A339),
+            (&[0; 64], 0x758D_6336),
+            (&counting[..129], 0xCA91_CDF7),
+            (&counting, 0x74E3_FB41),
+        ];
+        for (bytes, want) in vectors {
+            for (path, got) in crc32_paths(bytes) {
+                assert_eq!(got, want, "{path} over {} bytes", bytes.len());
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_paths_match_the_bytewise_definition_at_every_length_and_alignment() {
+        // Every length up to 1 KiB at each of 16 alignments (so every tail
+        // under 64 bytes after 0 to 15 whole 64-byte steps, 127/128/129
+        // among them), then every length up to 4 KiB at one alignment each.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let bytes: Vec<u8> = (0..4096 + 16)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 56) as u8
+            })
+            .collect();
+        let check = |skip: usize, lengths: &mut dyn Iterator<Item = usize>| {
+            let data = &bytes[skip..];
+            let (mut register, mut at) = (0xFFFF_FFFF, 0);
+            for len in lengths {
+                register = data[at..len]
+                    .iter()
+                    .fold(register, |c, &b| crc32_step(c, b));
+                at = len;
+                for (path, got) in crc32_paths(&data[..len]) {
+                    assert_eq!(got, !register, "{path}: {len} bytes at offset {skip}");
+                }
+            }
+        };
+        for skip in 0..16 {
+            check(skip, &mut (0..=1024));
+        }
+        for skip in 0..16 {
+            check(skip, &mut (1025..=4096).filter(|len| len % 16 == skip));
+        }
+    }
+
+    proptest::proptest! {
+        /// Every path against the byte-at-a-time definition, over every
+        /// length class (whole folds, every remainder) and alignment.
+        #[test]
+        fn crc32_matches_the_bytewise_oracle(
+            bytes in proptest::collection::vec(0u8..=255, 0..4096usize),
+            skip in 0usize..16,
+        ) {
+            let bytes = &bytes[skip.min(bytes.len())..];
+            let bytewise = bytes.iter().fold(0xFFFF_FFFF, |c, &b| crc32_step(c, b)) ^ 0xFFFF_FFFF;
+            for (path, got) in crc32_paths(bytes) {
+                proptest::prop_assert_eq!(got, bytewise, "{}", path);
+            }
+        }
     }
 }

@@ -97,6 +97,12 @@ fn peak_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, PEAK.with(Cell::get))
 }
 
+/// One row of `WORK.tsv`, which `tools/work.sh` collects from this
+/// suite's output: a count the meter took, the same on every run.
+fn work(row: &str, count: impl std::fmt::Display) {
+    println!("@work\t{row}\t{count}");
+}
+
 /// `protocol::ENCODE_RESERVE`: what `write_frame` and the journal
 /// reserve before they encode.
 const ENCODE_RESERVE: usize = 1024;
@@ -149,6 +155,7 @@ fn the_allocation_counter_counts() {
 fn decoding_a_lookup_allocates_what_a_request_owns() {
     let frame = framed(&lookup());
     let (request, n) = allocations_during(|| read_frame::<Request>(&mut &frame[..]));
+    work("allocations per decoded Lookup frame", n);
     assert!(matches!(request, Ok(Some(Request::Lookup { .. }))));
     // The features and the spec's name: no key or name is allocated.
     assert_eq!(n, 2, "decoding a Lookup frame made {n} allocations");
@@ -163,6 +170,7 @@ fn decoding_a_cache_hit_allocates_what_a_config_owns() {
     let knobs = config.len();
     let frame = framed(&hit);
     let (response, n) = allocations_during(|| read_frame::<Response>(&mut &frame[..]));
+    work("allocations per decoded CacheHit frame", n);
     assert!(matches!(response, Ok(Some(Response::CacheHit { .. }))));
     // Today 6: the `Arc`, the map's node, a key per knob, a
     // categorical's value.
@@ -219,6 +227,7 @@ fn a_hit_through_the_router_allocates_nothing_and_shares_the_entrys_config() {
     router.run_all().unwrap();
     router.lookup(features, spec).unwrap();
     let (hit, n) = allocations_during(|| router.lookup(features, spec));
+    work("allocations per router hit", n);
     assert!(matches!(hit, Ok(RouterLookup::Hit(_))), "{hit:?}");
     assert_eq!(
         n, 0,
@@ -293,6 +302,14 @@ fn a_random_fleet_trial_allocates_within_its_budget() {
         allocations_during(|| TenantRouter::open(&dir, 2, WalConfig::default()).unwrap());
     assert_eq!(reopened.0.registry().fleet_stats().n_done, campaigns);
     let reopening = n as f64 / trials;
+    work(
+        "allocations per running random-fleet trial",
+        format!("{running:.2}"),
+    );
+    work(
+        "allocations per reopened random-fleet trial",
+        format!("{reopening:.2}"),
+    );
     drop(reopened);
     std::fs::remove_dir_all(&dir).unwrap();
     // A trial's config is shared by every list and log that holds it,
@@ -304,6 +321,52 @@ fn a_random_fleet_trial_allocates_within_its_budget() {
     assert!(
         running <= RUNNING && reopening <= REOPENING,
         "a random-fleet trial made {running:.1} allocations running and {reopening:.1} reopening"
+    );
+}
+
+/// `tune_fleet`'s fleet whole: 64 random-search campaigns of budget 32.
+const TUNE_FLEET: (usize, usize) = (64, 32);
+
+/// `wal::WINDOW`: the most of a segment a reader holds beside a record.
+const WINDOW: usize = 64 * 1024;
+
+/// The most bytes `DurableRegistry::open` holds reopening the fleet
+/// written to segments of `segment_bytes`.
+fn reopen_peak(segment_bytes: u64) -> usize {
+    let (campaigns, budget) = TUNE_FLEET;
+    let dir = temp_dir(&format!("peak-{segment_bytes}"));
+    let config = WalConfig { segment_bytes };
+    let mut durable = DurableRegistry::create(&dir, 2, config).unwrap();
+    for i in 0..campaigns {
+        let name = format!("random-{i}");
+        let spec = CampaignSpec::minimal(name, SystemKind::Redis, budget, 1_000_003 + i as u64);
+        durable.register_spec(&spec).unwrap();
+    }
+    durable.run_all().unwrap();
+    drop(durable);
+    let (reopened, peak) = peak_during(|| DurableRegistry::open(&dir, 2, config).unwrap());
+    assert_eq!(reopened.1.campaigns, campaigns);
+    drop(reopened);
+    std::fs::remove_dir_all(&dir).unwrap();
+    peak
+}
+
+#[test]
+fn a_reopen_holds_one_window_not_the_segment() {
+    // ~4.9 MB of log: two 4 MiB segments, or ~75 of 64 KiB. A reader
+    // that loaded each segment whole held ~4 MB more for the first.
+    let (large, small) = (reopen_peak(4 << 20), reopen_peak(64 << 10));
+    work(
+        "peak bytes held by open, 64 x 32 fleet, 4 MiB segments",
+        large,
+    );
+    work(
+        "peak bytes held by open, 64 x 32 fleet, 64 KiB segments",
+        small,
+    );
+    assert!(
+        large.abs_diff(small) < WINDOW,
+        "a reopen held {large} bytes over 4 MiB segments and {small} over 64 KiB ones"
     );
 }
 
@@ -434,7 +497,9 @@ fn hostile_frames_cost_no_more_than_their_bytes() {
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("autotune-hostile-{tag}-{}", std::process::id()));
+    // The process id zero-padded, so every run's paths cost the same bytes.
+    let dir =
+        std::env::temp_dir().join(format!("autotune-hostile-{tag}-{:010}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -466,7 +531,8 @@ fn dump_bounded(dir: &Path, segment: &str, payload: &[u8]) -> Result<String, Str
             Ok(())
         })
     });
-    // `dump_wal` holds the file, the record and the line it prints from.
+    // `dump_wal` holds the window (here the whole one-record segment),
+    // the record and the line it prints from.
     assert!(
         peak <= bound(payload.len()) + 3 * payload.len(),
         "a {}-byte record made dump_wal hold {peak} bytes",

@@ -91,6 +91,7 @@ if [ "$FAST" -eq 1 ]; then
   skip_step "stub codecs (release)"
   skip_step "chaos recovery determinism (release)"
   skip_step "experiment output (release)"
+  skip_step "work counts (release)"
   skip_step "examples (release)"
   skip_step "wal_dump over a durable run (release)"
   skip_step "telemetry purity (release)"
@@ -167,6 +168,17 @@ else
   }
   run_step "experiment output (release)" repro_step
 
+  # The allocation meter's counts (allocations per router hit, per
+  # decoded frame and per random-fleet trial, and the peak bytes a reopen
+  # holds) repeat exactly, so like the experiment output they are a
+  # function of the code: they must be byte for byte the checked-in
+  # WORK.tsv (see tools/work.sh). A change that moves a count commits
+  # the new file.
+  work_step() {
+    tools/work.sh >/dev/null && git diff --exit-code WORK.tsv
+  }
+  run_step "work counts (release)" work_step
+
   # All seven example bins must exit 0, and the six that read no clock
   # must print byte for byte the checked-in examples/output.txt (see
   # tools/examples.sh). A change that moves an example's output commits
@@ -232,8 +244,8 @@ else
   # Contracts that prove they can fail: each row of tools/mutants.tsv is
   # a deliberate defect, applied in a worktree of HEAD; its test
   # selection must pass unmutated and fail on the mutant, which must
-  # compile. Debug builds in their own target directory: 21 rows take
-  # about 140 s on 2 vCPUs from cold.
+  # compile. Debug builds in their own target directory: 31 rows take
+  # about 205 s on 2 vCPUs from cold.
   run_step "mutation table" tools/mutants.sh
 fi
 

@@ -47,6 +47,7 @@ SUITES=(
   "tests/campaign_snapshot|-p autotune-tests --test campaign_snapshot --"
   "tests/cache_props|-p autotune-tests --test cache_props --"
   "serve durability::tests|-p autotune-serve --lib durability::tests -- --skip crash_at_any_append"
+  "serve wal::tests|-p autotune-serve --lib wal::tests --"
   "serve router::tests|-p autotune-serve --lib router::tests --"
 )
 
