@@ -754,28 +754,22 @@ impl<'a> Campaign<'a> {
             };
             self.fan.trial(self.clock, &ev);
             self.fan.outcome(self.clock, &outcome);
-            let mut trial = match status {
-                TrialStatus::Aborted => {
-                    Trial::aborted(outcome.config, outcome.cost, outcome.elapsed_s)
-                }
-                TrialStatus::TransientFailure => {
-                    Trial::transient_failure(outcome.config, outcome.elapsed_s)
-                }
-                TrialStatus::Crashed => {
-                    let mut t = Trial::crashed(outcome.config, outcome.elapsed_s);
-                    t.cost = outcome.cost; // preserve ±inf vs NaN
-                    t
-                }
-                TrialStatus::Complete => {
-                    Trial::complete(outcome.config, outcome.cost, outcome.elapsed_s)
-                }
-            }
-            .at_fidelity(outcome.fidelity)
-            .with_retries(outcome.retries);
-            if let Some(m) = outcome.machine_id {
-                trial = trial.on_machine(m);
-            }
-            self.storage.record(trial);
+            // A crash keeps its cost (±inf is not NaN); a trial lost to
+            // infrastructure says nothing of its config and records none.
+            let cost = match outcome.status {
+                TrialStatus::TransientFailure => f64::NAN,
+                _ => outcome.cost,
+            };
+            self.storage.record(Trial {
+                id: 0,
+                config: outcome.config,
+                cost,
+                elapsed_s: outcome.elapsed_s,
+                fidelity: outcome.fidelity,
+                machine_id: outcome.machine_id,
+                status: outcome.status,
+                retries: outcome.retries,
+            });
         }
 
         // Drain middleware lifecycle events (quarantines, releases).

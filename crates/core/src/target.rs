@@ -41,6 +41,17 @@ enum Backend {
     },
 }
 
+/// Where a measurement runs on the noise fleet.
+#[derive(Clone, Copy)]
+enum Placement {
+    /// On a machine drawn from the fleet, which the result names.
+    Drawn,
+    /// On the given machine, which the result names.
+    Pinned(usize),
+    /// Every config on one drawn machine, which no result names (a duet).
+    Shared,
+}
+
 /// A fully-bound evaluation target.
 pub struct Target {
     backend: Backend,
@@ -181,58 +192,8 @@ impl Target {
         override_workload: Option<&Workload>,
         rng: &mut dyn RngCore,
     ) -> Evaluation {
-        let t = self.clock.fetch_add(1, Ordering::Relaxed) as f64;
-        match &self.backend {
-            Backend::Simulated {
-                system,
-                workload,
-                env,
-                noise,
-            } => {
-                let w = override_workload.unwrap_or(workload);
-                let (env, machine_id) = match noise {
-                    Some(fleet) => {
-                        let m = fleet.random_machine(rng).clone();
-                        let factor = fleet.factor_at(&m, t, rng);
-                        (env.on_machine(factor), Some(m.id))
-                    }
-                    None => (env.clone(), None),
-                };
-                let result = system.run_trial(config, w, &env, rng);
-                Evaluation {
-                    cost: self.objective.cost(&result),
-                    failure: result.failure,
-                    result,
-                    machine_id,
-                }
-            }
-            Backend::BlackBox { f, elapsed_s, .. } => {
-                let cost = f(config);
-                let crashed = cost.is_nan();
-                let result = if crashed {
-                    TrialResult::crash(*elapsed_s)
-                } else {
-                    TrialResult {
-                        latency_avg_ms: cost,
-                        latency_p95_ms: cost,
-                        latency_p99_ms: cost,
-                        throughput_ops: 0.0,
-                        cost_units: 0.0,
-                        elapsed_s: *elapsed_s,
-                        crashed: false,
-                        failure: None,
-                        telemetry: Default::default(),
-                        profile: Vec::new(),
-                    }
-                };
-                Evaluation {
-                    cost: self.objective.cost(&result),
-                    failure: result.failure,
-                    result,
-                    machine_id: None,
-                }
-            }
-        }
+        let [e] = self.measure([config], override_workload, Placement::Drawn, rng);
+        e
     }
 
     /// Duet evaluation (tutorial slide 71): runs `a` and `b` side by side
@@ -245,47 +206,8 @@ impl Target {
         b: &Config,
         rng: &mut dyn RngCore,
     ) -> (Evaluation, Evaluation) {
-        let t = self.clock.fetch_add(1, Ordering::Relaxed) as f64;
-        match &self.backend {
-            Backend::Simulated {
-                system,
-                workload,
-                env,
-                noise,
-            } => {
-                let mut rng = rng;
-                let env = match noise {
-                    Some(fleet) => {
-                        let m = fleet.random_machine(&mut rng).clone();
-                        let factor = fleet.factor_at(&m, t, &mut rng);
-                        env.on_machine(factor)
-                    }
-                    None => env.clone(),
-                };
-                let ra = system.run_trial(a, workload, &env, &mut rng);
-                let rb = system.run_trial(b, workload, &env, &mut rng);
-                (
-                    Evaluation {
-                        cost: self.objective.cost(&ra),
-                        failure: ra.failure,
-                        result: ra,
-                        machine_id: None,
-                    },
-                    Evaluation {
-                        cost: self.objective.cost(&rb),
-                        failure: rb.failure,
-                        result: rb,
-                        machine_id: None,
-                    },
-                )
-            }
-            Backend::BlackBox { .. } => {
-                let mut rng = rng;
-                let ea = self.evaluate(a, &mut rng);
-                let eb = self.evaluate(b, &mut rng);
-                (ea, eb)
-            }
-        }
+        let [ea, eb] = self.measure([a, b], None, Placement::Shared, rng);
+        (ea, eb)
     }
 
     /// Evaluates on a *specific* machine of the noise fleet — the duet
@@ -296,25 +218,83 @@ impl Target {
         machine_id: usize,
         rng: &mut dyn RngCore,
     ) -> Evaluation {
+        let [e] = self.measure([config], None, Placement::Pinned(machine_id), rng);
+        e
+    }
+
+    /// The one measurement step: ticks the drift clock, places the run
+    /// on a machine of the noise fleet and scales the environment for it,
+    /// then runs each config there in turn. A placement the target
+    /// cannot honour (a machine pinned without a fleet, or a pair on a
+    /// black box, which has no machine to share) measures each config as
+    /// a plain [`Target::evaluate`] of its own, after this step's tick.
+    fn measure<const N: usize>(
+        &self,
+        configs: [&Config; N],
+        override_workload: Option<&Workload>,
+        placement: Placement,
+        rng: &mut dyn RngCore,
+    ) -> [Evaluation; N] {
         let t = self.clock.fetch_add(1, Ordering::Relaxed) as f64;
-        match &self.backend {
-            Backend::Simulated {
-                system,
-                workload,
-                env,
-                noise: Some(fleet),
-            } => {
-                let m = fleet.machine(machine_id).clone();
-                let factor = fleet.factor_at(&m, t, rng);
-                let result = system.run_trial(config, workload, &env.on_machine(factor), rng);
-                Evaluation {
-                    cost: self.objective.cost(&result),
-                    failure: result.failure,
-                    result,
-                    machine_id: Some(machine_id),
-                }
+        let evaluation = |result: TrialResult, machine_id: Option<usize>| Evaluation {
+            cost: self.objective.cost(&result),
+            failure: result.failure,
+            result,
+            machine_id,
+        };
+        match (&self.backend, placement) {
+            (Backend::Simulated { noise: None, .. }, Placement::Pinned(_))
+            | (Backend::BlackBox { .. }, Placement::Pinned(_) | Placement::Shared) => {
+                configs.map(|config| {
+                    let [e] = self.measure([config], None, Placement::Drawn, rng);
+                    e
+                })
             }
-            _ => self.evaluate(config, rng),
+            (
+                Backend::Simulated {
+                    system,
+                    workload,
+                    env,
+                    noise,
+                },
+                _,
+            ) => {
+                let (env, machine_id) = match noise {
+                    Some(fleet) => {
+                        let m = match placement {
+                            Placement::Pinned(id) => fleet.machine(id),
+                            Placement::Drawn | Placement::Shared => fleet.random_machine(rng),
+                        };
+                        let factor = fleet.factor_at(m, t, rng);
+                        let named = match placement {
+                            Placement::Drawn => Some(m.id),
+                            Placement::Pinned(id) => Some(id),
+                            Placement::Shared => None,
+                        };
+                        (env.on_machine(factor), named)
+                    }
+                    None => (env.clone(), None),
+                };
+                let w = override_workload.unwrap_or(workload);
+                configs.map(|config| evaluation(system.run_trial(config, w, &env, rng), machine_id))
+            }
+            (Backend::BlackBox { f, elapsed_s, .. }, _) => configs.map(|config| {
+                let cost = f(config);
+                let crash = TrialResult::crash(*elapsed_s);
+                let result = if cost.is_nan() {
+                    crash
+                } else {
+                    TrialResult {
+                        latency_avg_ms: cost,
+                        latency_p95_ms: cost,
+                        latency_p99_ms: cost,
+                        crashed: false,
+                        failure: None,
+                        ..crash
+                    }
+                };
+                evaluation(result, None)
+            }),
         }
     }
 
@@ -454,5 +434,61 @@ mod tests {
             low.result.elapsed_s,
             full.result.elapsed_s
         );
+    }
+
+    #[test]
+    fn every_entry_point_draws_and_ticks_as_the_parent_did() {
+        // Costs (bit for bit), machines and drift-clock positions after a
+        // fixed call sequence on a fleet, a fleetless system and a black
+        // box, folded into one FNV-1a digest the parent's code wrote. A
+        // pair is one tick on a simulated system and three on a black
+        // box; a machine pinned without a fleet is a second tick.
+        let redis = || {
+            Target::simulated(
+                Box::new(RedisSim::new()),
+                Workload::kv_cache(10_000.0),
+                Environment::medium(),
+                Objective::MinimizeLatencyP95,
+            )
+        };
+        let space = Space::builder()
+            .add(Param::float("x", 0.0, 1.0))
+            .build()
+            .unwrap();
+        let black_box = Target::black_box(space, Objective::MinimizeLatencyAvg, |c| {
+            c.get_f64("x").unwrap() * 3.0
+        });
+        let fleet = redis().with_noise(CloudNoise::new_fleet(6, NoiseConfig::default(), 9));
+        let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+        let mut fold = |e: &Evaluation, clock: u64| {
+            let words = [
+                e.cost.to_bits(),
+                e.machine_id.map_or(u64::MAX, |m| m as u64),
+                clock,
+            ];
+            for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let mut rng = StdRng::seed_from_u64(11);
+        for t in [&fleet, &redis(), &black_box] {
+            let a = t.space().default_config();
+            let b = t.space().sample(&mut rng);
+            let e = t.evaluate(&a, &mut rng);
+            fold(&e, t.noise_clock());
+            let (ea, eb) = t.evaluate_pair(&a, &b, &mut rng);
+            fold(&ea, t.noise_clock());
+            fold(&eb, t.noise_clock());
+            let e = t.evaluate_on_machine(&b, 4, &mut rng);
+            fold(&e, t.noise_clock());
+            let e = t.evaluate_at(&a, Some(&Workload::kv_cache(500.0)), &mut rng);
+            fold(&e, t.noise_clock());
+        }
+        assert_eq!(
+            (fleet.noise_clock(), black_box.noise_clock()),
+            (4, 7),
+            "ticks per entry point"
+        );
+        assert_eq!(digest, 16_177_767_699_073_903_375, "digest");
     }
 }

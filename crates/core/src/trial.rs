@@ -185,59 +185,37 @@ impl TrialStorage {
 impl Trial {
     /// A completed trial at full fidelity.
     pub fn complete(config: Config, cost: f64, elapsed_s: f64) -> Self {
-        Trial {
-            id: 0,
-            config,
-            cost,
-            elapsed_s,
-            fidelity: 1.0,
-            machine_id: None,
-            status: TrialStatus::Complete,
-            retries: 0,
-        }
+        Trial::first_try(config, cost, elapsed_s, TrialStatus::Complete)
     }
 
     /// A trial cut short by the early-abort policy; `cost` is the
     /// censored (threshold) value.
     pub fn aborted(config: Config, cost: f64, elapsed_s: f64) -> Self {
-        Trial {
-            id: 0,
-            config,
-            cost,
-            elapsed_s,
-            fidelity: 1.0,
-            machine_id: None,
-            status: TrialStatus::Aborted,
-            retries: 0,
-        }
+        Trial::first_try(config, cost, elapsed_s, TrialStatus::Aborted)
     }
 
     /// A crashed trial.
     pub fn crashed(config: Config, elapsed_s: f64) -> Self {
-        Trial {
-            id: 0,
-            config,
-            cost: f64::NAN,
-            elapsed_s,
-            fidelity: 1.0,
-            machine_id: None,
-            status: TrialStatus::Crashed,
-            retries: 0,
-        }
+        Trial::first_try(config, f64::NAN, elapsed_s, TrialStatus::Crashed)
     }
 
     /// A trial lost to infrastructure with retries exhausted; the cost is
     /// unknown (NaN) and the elapsed time is what the failed attempts
     /// (plus backoff) burned.
     pub fn transient_failure(config: Config, elapsed_s: f64) -> Self {
+        Trial::first_try(config, f64::NAN, elapsed_s, TrialStatus::TransientFailure)
+    }
+
+    /// A trial at full fidelity on no machine in particular, first try.
+    fn first_try(config: Config, cost: f64, elapsed_s: f64, status: TrialStatus) -> Self {
         Trial {
             id: 0,
             config,
-            cost: f64::NAN,
+            cost,
             elapsed_s,
             fidelity: 1.0,
             machine_id: None,
-            status: TrialStatus::TransientFailure,
+            status,
             retries: 0,
         }
     }

@@ -70,7 +70,7 @@
 //! registry that was serving them, through the rebuild `open` runs.
 
 use crate::chaos::ChaosPlan;
-use crate::registry::{AdmissionConfig, CampaignRegistry, ServeError};
+use crate::registry::{AdmissionConfig, CampaignRegistry, Rounds, ServeError};
 use crate::spec::CampaignSpec;
 use crate::wal::{encode_record, segment_name, Records, SegmentFiles, Storage};
 use autotune::{
@@ -294,13 +294,32 @@ impl DurableRegistry {
         request_id: Option<u64>,
     ) -> Result<u64, ServeError> {
         self.check_alive()?;
-        let known = request_id.map(|_| self.registry.len()).unwrap_or_default();
+        let known = self.registry.len();
         let id = self.registry.admit_spec(spec, request_id)?;
-        if request_id.is_some() && self.registry.len() == known {
-            // Idempotent replay of an existing registration: nothing
-            // new to persist.
+        if self.registry.len() == known {
+            // An idempotent retry of a logged registration.
             return Ok(id);
         }
+        self.log_register(id, spec, request_id)
+    }
+
+    /// Registers without admission control or idempotency key, as
+    /// [`CampaignRegistry::register_spec`] does; WAL-backed like
+    /// [`DurableRegistry::admit_spec`].
+    pub fn register_spec(&mut self, spec: &CampaignSpec) -> Result<u64, ServeError> {
+        self.check_alive()?;
+        let id = self.registry.register_spec(spec);
+        self.log_register(id, spec, None)
+    }
+
+    /// Makes the registration the registry just took durable; the id is
+    /// returned once its `Register` record has landed.
+    fn log_register(
+        &mut self,
+        id: u64,
+        spec: &CampaignSpec,
+        request_id: Option<u64>,
+    ) -> Result<u64, ServeError> {
         self.durable_len.insert(id, 0);
         self.append(&WalRecord::Register {
             id,
@@ -310,11 +329,6 @@ impl DurableRegistry {
         })?;
         self.registry.note_wal_appends(id, 1);
         Ok(id)
-    }
-
-    /// Registers without admission control or idempotency key.
-    pub fn register_spec(&mut self, spec: &CampaignSpec) -> Result<u64, ServeError> {
-        self.admit_spec(spec, None)
     }
 
     /// Appends one auxiliary journal record under `key`, durable before
@@ -382,12 +396,7 @@ impl DurableRegistry {
     /// (recoveries count as rounds).
     pub fn run_all(&mut self) -> Result<u64, ServeError> {
         self.check_alive()?;
-        let mut rounds = 0;
-        while self.registry.has_runnable() {
-            self.step_round()?;
-            rounds += 1;
-        }
-        Ok(rounds)
+        self.run_rounds(u64::MAX)
     }
 
     /// Seals the open segment: later appends go to a fresh one. Nothing
@@ -488,6 +497,16 @@ impl DurableRegistry {
         opened.map_err(|e| self.die(format!("the next WAL segment would not open: {e}")))?;
         self.seg_bytes = 0;
         Ok(())
+    }
+}
+
+impl Rounds for DurableRegistry {
+    fn registry(&self) -> &CampaignRegistry {
+        &self.registry
+    }
+
+    fn round(&mut self) -> Result<(), ServeError> {
+        self.step_round().map(drop)
     }
 }
 
@@ -1222,6 +1241,34 @@ mod tests {
         durable.run_all().unwrap();
         for (id, s) in specs.iter().enumerate() {
             assert_eq!(history(&durable, id as u64), straight_history(s));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn register_spec_bypasses_admission_and_is_logged() {
+        let dir = temp_dir("bypass");
+        let mut durable = DurableRegistry::create(&dir, 2, WalConfig::default()).unwrap();
+        durable.set_admission(AdmissionConfig {
+            max_active: 1,
+            max_pending: 0,
+        });
+        let ids: Vec<u64> = (0..2)
+            .map(|i| durable.register_spec(&spec(i)).unwrap())
+            .collect();
+        assert_eq!(durable.registry().n_active(), 2);
+        // Admission still governs `admit_spec`.
+        let shed = durable.admit_spec(&spec(2), None);
+        assert!(
+            matches!(shed, Err(ServeError::Overloaded { .. })),
+            "{shed:?}"
+        );
+        drop(durable);
+        let (mut recovered, report) = DurableRegistry::open(&dir, 2, WalConfig::default()).unwrap();
+        assert_eq!((recovered.registry().ids(), report.campaigns), (ids, 2));
+        recovered.run_all().unwrap();
+        for i in 0..2 {
+            assert_eq!(history(&recovered, i), straight_history(&spec(i)));
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -16,7 +16,8 @@
 //! its model campaigns to worker threads for a phase at a time; what it
 //! never hands out is the registry itself.)
 
-use crate::registry::{CampaignRegistry, CampaignStats, FleetStats, ServeError};
+use crate::registry::{CampaignRegistry, CampaignStats, FleetStats, Rounds, ServeError};
+use crate::router::RouterLookup;
 use crate::spec::CampaignSpec;
 use autotune::sync::{pwait, PoisonFreeMutex};
 use autotune::CampaignSnapshot;
@@ -373,47 +374,81 @@ pub trait ServeBackend {
     ) -> Result<Response, ServeError>;
 }
 
-impl ServeBackend for CampaignRegistry {
+/// What a served fleet does its own way besides its [`Rounds`]: a
+/// registration, a stop and a lookup. [`ServeBackend::handle_request`]
+/// is written once over it.
+pub(crate) trait Backend: Rounds {
+    /// Takes a `Register` under admission control; returns the id.
+    fn admit_spec(
+        &mut self,
+        spec: &CampaignSpec,
+        request_id: Option<u64>,
+    ) -> Result<u64, ServeError>;
+
+    /// Takes a `Stop`; returns whether the campaign was active.
+    fn stop(&mut self, id: u64) -> Result<bool, ServeError>;
+
+    /// Takes a `Lookup`, which a fleet without a config cache refuses.
+    fn lookup(&mut self, _: &[f64], _: &CampaignSpec) -> Result<RouterLookup, ServeError> {
+        Err(ServeError::Protocol(
+            "this server has no config cache; serve a TenantRouter to answer lookups".into(),
+        ))
+    }
+}
+
+impl Backend for CampaignRegistry {
+    fn admit_spec(
+        &mut self,
+        spec: &CampaignSpec,
+        request_id: Option<u64>,
+    ) -> Result<u64, ServeError> {
+        CampaignRegistry::admit_spec(self, spec, request_id)
+    }
+
+    fn stop(&mut self, id: u64) -> Result<bool, ServeError> {
+        CampaignRegistry::stop(self, id)
+    }
+}
+
+impl<B: Backend> ServeBackend for B {
     fn handle_request(
         &mut self,
         req: Request,
         config: &ServerConfig,
     ) -> Result<Response, ServeError> {
-        let run_rounds =
-            |reg: &mut CampaignRegistry, budget: u64| -> Result<Response, ServeError> {
-                let mut run = 0;
-                while run < budget && reg.has_runnable() {
-                    reg.step_round()?;
-                    run += 1;
-                }
-                Ok(Response::Stepped {
-                    rounds: run,
-                    n_active: reg.n_active() as u64,
-                })
-            };
+        let stepped = |backend: &mut B, budget: u64| -> Result<Response, ServeError> {
+            Ok(Response::Stepped {
+                rounds: backend.run_rounds(budget)?,
+                n_active: backend.registry().n_active() as u64,
+            })
+        };
         Ok(match req {
             Request::Register { spec, request_id } => Response::Registered {
                 id: self.admit_spec(&spec, request_id)?,
             },
-            Request::Lookup { .. } => {
-                return Err(ServeError::Protocol(
-                    "this server has no config cache; serve a TenantRouter to answer lookups"
-                        .into(),
-                ))
-            }
+            Request::Lookup { features, spec } => match self.lookup(&features, &spec)? {
+                RouterLookup::Hit(hit) => Response::CacheHit {
+                    family: hit.family as u64,
+                    config: hit.config,
+                    cost: hit.cost,
+                    borrowed: hit.borrowed,
+                },
+                RouterLookup::Miss { campaign, enqueued } => {
+                    Response::CacheMiss { campaign, enqueued }
+                }
+            },
             Request::Step { rounds } => {
-                let budget = u64::from(rounds).min(config.max_rounds_per_request);
-                run_rounds(self, budget)?
+                stepped(self, u64::from(rounds).min(config.max_rounds_per_request))?
             }
-            Request::RunAll => run_rounds(self, config.max_rounds_per_request)?,
+            Request::RunAll => stepped(self, config.max_rounds_per_request)?,
             Request::Snapshot { id } => Response::Snapshot {
-                snapshot: self.snapshot(id)?,
+                snapshot: self.registry().snapshot(id)?,
             },
             Request::Stats { id } => Response::Stats {
-                stats: self.stats(id)?,
+                stats: self.registry().stats(id)?,
             },
             Request::FleetStats => Response::Fleet {
-                stats: self.fleet_stats(),
+                stats: self.registry().fleet_stats(),
             },
             Request::Stop { id } => Response::Stopped {
                 was_active: self.stop(id)?,
@@ -656,16 +691,24 @@ fn unexpected(resp: &Response) -> ServeError {
 /// only its stats come back.
 pub fn spawn_server(
     builder: impl FnOnce() -> CampaignRegistry + Send + 'static,
-) -> (
-    Client<PipeEnd>,
-    std::thread::JoinHandle<Result<FleetStats, ServeError>>,
-) {
+) -> (Client<PipeEnd>, ServerHandle<FleetStats>) {
+    spawn_backend(move || Ok(builder()), |registry| registry.fleet_stats())
+}
+
+/// A server thread's join handle: what `finish` read off the backend
+/// when the loop ended, or the error that ended it.
+pub(crate) type ServerHandle<T> = std::thread::JoinHandle<Result<T, ServeError>>;
+
+/// The server thread of [`spawn_server`] and
+/// [`spawn_router_server`](crate::spawn_router_server): `builder` makes
+/// the backend on the thread and a [`Server`] serves it over a new pipe.
+pub(crate) fn spawn_backend<B: ServeBackend, T: Send + 'static>(
+    builder: impl FnOnce() -> Result<B, ServeError> + Send + 'static,
+    finish: impl FnOnce(B) -> T + Send + 'static,
+) -> (Client<PipeEnd>, ServerHandle<T>) {
     let (client_end, server_end) = pipe();
-    let handle = std::thread::spawn(move || {
-        Server::new(server_end, builder())
-            .serve()
-            .map(|registry| registry.fleet_stats())
-    });
+    let handle =
+        std::thread::spawn(move || Server::new(server_end, builder()?).serve().map(finish));
     (Client::new(client_end), handle)
 }
 
@@ -673,6 +716,7 @@ pub fn spawn_server(
 pub(crate) mod tests {
     use super::*;
     use crate::spec::{CampaignSpec, SystemKind};
+    use crate::{RouterConfig, TenantRouter, WalConfig};
     use autotune::SchedulePolicy;
     use serde::de::DeserializeOwned;
     use std::fmt::Debug;
@@ -795,20 +839,34 @@ pub(crate) mod tests {
 
     #[test]
     fn deadline_bounds_rounds_per_request() {
+        deadline_bounds_rounds_of(|| CampaignRegistry::new(1));
+        let dir = std::env::temp_dir().join(format!("autotune-deadline-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let router_dir = dir.clone();
+        deadline_bounds_rounds_of(move || {
+            let (wal, config) = (WalConfig::default(), RouterConfig::default());
+            TenantRouter::create(router_dir, 1, wal, config).unwrap()
+        });
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A `Step` asking for more rounds than the per-request deadline, and
+    /// every `RunAll`, run the deadline's worth at most on the backend
+    /// `build` makes; the client re-issues until the fleet drains.
+    fn deadline_bounds_rounds_of<B: ServeBackend>(build: impl FnOnce() -> B + Send + 'static) {
         let (client_end, server_end) = pipe();
         let handle = std::thread::spawn(move || {
             let config = ServerConfig {
                 max_rounds_per_request: 2,
             };
-            Server::with_config(server_end, CampaignRegistry::new(1), config)
+            Server::with_config(server_end, build(), config)
                 .serve()
-                .map(|r| r.fleet_stats())
+                .map(drop)
         });
         let mut client = Client::new(client_end);
         client.register(&spec(0)).unwrap();
-        // RunAll is clipped to the per-request deadline; the client
-        // re-issues until the fleet drains.
-        let mut total = 0;
+        assert_eq!(client.step(u32::MAX).unwrap(), (2, 1));
+        let mut total = 2;
         loop {
             match client.request(&Request::RunAll).unwrap() {
                 Response::Stepped { rounds, n_active } => {

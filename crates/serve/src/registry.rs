@@ -280,6 +280,37 @@ impl Entry {
     }
 }
 
+/// A fleet stepped in rounds: the registry, the durable registry and the
+/// router. [`Rounds::run_rounds`] is the one loop that steps any of them.
+pub(crate) trait Rounds {
+    /// The registry whose campaigns the rounds step.
+    fn registry(&self) -> &CampaignRegistry;
+
+    /// Steps one round.
+    fn round(&mut self) -> Result<(), ServeError>;
+
+    /// Steps rounds while a campaign is runnable, `budget` at most;
+    /// returns how many ran.
+    fn run_rounds(&mut self, budget: u64) -> Result<u64, ServeError> {
+        let mut run = 0;
+        while run < budget && self.registry().has_runnable() {
+            self.round()?;
+            run += 1;
+        }
+        Ok(run)
+    }
+}
+
+impl Rounds for CampaignRegistry {
+    fn registry(&self) -> &CampaignRegistry {
+        self
+    }
+
+    fn round(&mut self) -> Result<(), ServeError> {
+        self.step_round()
+    }
+}
+
 /// Credit every active campaign accrues per round. The value only
 /// shifts interleaving order, never any campaign's own history.
 const QUANTUM: f64 = 1.0;
@@ -606,11 +637,7 @@ impl CampaignRegistry {
     /// Runs rounds until every campaign is done or stopped; returns the
     /// number of rounds executed.
     pub fn run_all(&mut self) -> Result<u64, ServeError> {
-        let start = self.rounds;
-        while self.has_runnable() {
-            self.step_round()?;
-        }
-        Ok(self.rounds - start)
+        self.run_rounds(u64::MAX)
     }
 
     /// Attributes `n` durable WAL appends to campaign `id` (hook for

@@ -66,10 +66,8 @@
 //! campaign's best trial is stable, so replay at any position agrees).
 
 use crate::durability::{scan_wal, DurableRegistry, RecoveryReport, WalConfig, WalRecord};
-use crate::protocol::{
-    pipe, Client, PipeEnd, Request, Response, ServeBackend, Server, ServerConfig, ENCODE_RESERVE,
-};
-use crate::registry::{AdmissionConfig, CampaignRegistry, FleetStats, ServeError};
+use crate::protocol::{spawn_backend, Backend, Client, PipeEnd, ServerHandle, ENCODE_RESERVE};
+use crate::registry::{AdmissionConfig, CampaignRegistry, FleetStats, Rounds, ServeError};
 use crate::spec::CampaignSpec;
 use autotune_cache::{fingerprint_key, CacheHit, CacheLookup, CacheStats, HitRun, ShardedCache};
 use serde::{Deserialize, Serialize};
@@ -184,15 +182,7 @@ impl TenantRouter {
     ) -> Result<Self, ServeError> {
         let mut durable = DurableRegistry::create(dir, workers, wal)?;
         durable.append_aux(CONFIG_KEY, encode_aux(&config)?)?;
-        let cache = Arc::new(ShardedCache::new(config.cache));
-        Ok(TenantRouter {
-            durable,
-            cache,
-            pending: BTreeMap::new(),
-            inflight: BTreeMap::new(),
-            logged_tick: 0,
-            hits_unlogged: false,
-        })
+        Ok(TenantRouter::over(durable, config))
     }
 
     /// Reopens a router from its WAL: recovers the campaign fleet, reads
@@ -211,21 +201,25 @@ impl TenantRouter {
             let why = "WAL holds no router config record; not a router WAL";
             return Err(ServeError::Storage(why.into()));
         };
-        let config: RouterConfig = decode_aux(CONFIG_KEY, &payload)?;
-        let cache = Arc::new(ShardedCache::new(config.cache));
-        let mut router = TenantRouter {
-            durable,
-            cache,
-            pending: BTreeMap::new(),
-            inflight: BTreeMap::new(),
-            logged_tick: 0,
-            hits_unlogged: false,
-        };
+        let mut router = TenantRouter::over(durable, decode_aux(CONFIG_KEY, &payload)?);
         for (_, payload) in journal.filter(|(key, _)| key == OPS_KEY) {
             router.replay(decode_aux(OPS_KEY, &payload)?)?;
         }
         router.logged_tick = router.cache.tick();
         Ok((router, report))
+    }
+
+    /// A router over `durable` with an empty cache shaped by `config` and
+    /// nothing pending, in flight or unlogged.
+    fn over(durable: DurableRegistry, config: RouterConfig) -> Self {
+        TenantRouter {
+            durable,
+            cache: Arc::new(ShardedCache::new(config.cache)),
+            pending: BTreeMap::new(),
+            inflight: BTreeMap::new(),
+            logged_tick: 0,
+            hits_unlogged: false,
+        }
     }
 
     /// Applies admission limits to the underlying registry.
@@ -319,14 +313,7 @@ impl TenantRouter {
             family,
             features: features.to_vec(),
         })?;
-        self.pending.insert(
-            campaign,
-            PendingFill {
-                family,
-                features: features.to_vec(),
-            },
-        );
-        self.inflight.insert(family, campaign);
+        self.owe_fill(campaign, family, features.to_vec());
         Ok(RouterLookup::Miss {
             campaign,
             enqueued: true,
@@ -345,12 +332,15 @@ impl TenantRouter {
     /// Runs rounds until the fleet drains; returns rounds executed.
     pub fn run_all(&mut self) -> Result<u64, ServeError> {
         self.durable.check_alive()?;
-        let mut rounds = 0;
-        while self.durable.registry().has_runnable() {
-            self.step_round()?;
-            rounds += 1;
-        }
-        Ok(rounds)
+        self.run_rounds(u64::MAX)
+    }
+
+    /// Books the fill `campaign` owes `family`'s cache entry, and the
+    /// campaign as the one tuning the family, live and in replay alike.
+    fn owe_fill(&mut self, campaign: u64, family: u64, features: Vec<f64>) {
+        self.pending
+            .insert(campaign, PendingFill { family, features });
+        self.inflight.insert(family, campaign);
     }
 
     /// Folds every completed-but-pending campaign's best trial into the
@@ -413,29 +403,13 @@ impl TenantRouter {
                 campaign,
                 family,
                 features,
-            } => {
-                self.pending
-                    .insert(campaign, PendingFill { family, features });
-                self.inflight.insert(family, campaign);
-            }
+            } => self.owe_fill(campaign, family, features),
             RouterOp::Backfill { campaign } => self.apply_backfill(campaign, false)?,
             RouterOp::Hits(run) => self.cache.apply_hits(&run).map_err(|e| {
                 ServeError::Storage(format!("{OPS_KEY} journal does not replay: {e}"))
             })?,
         }
         Ok(())
-    }
-
-    fn serve_rounds(&mut self, budget: u64) -> Result<Response, ServeError> {
-        let mut run = 0;
-        while run < budget && self.durable.registry().has_runnable() {
-            self.step_round()?;
-            run += 1;
-        }
-        Ok(Response::Stepped {
-            rounds: run,
-            n_active: self.durable.registry().n_active() as u64,
-        })
     }
 }
 
@@ -449,46 +423,35 @@ impl Drop for TenantRouter {
     }
 }
 
-impl ServeBackend for TenantRouter {
-    fn handle_request(
+impl Rounds for TenantRouter {
+    fn registry(&self) -> &CampaignRegistry {
+        self.durable.registry()
+    }
+
+    fn round(&mut self) -> Result<(), ServeError> {
+        self.step_round().map(drop)
+    }
+}
+
+impl Backend for TenantRouter {
+    fn admit_spec(
         &mut self,
-        req: Request,
-        config: &ServerConfig,
-    ) -> Result<Response, ServeError> {
-        Ok(match req {
-            Request::Register { spec, request_id } => Response::Registered {
-                id: self.durable.admit_spec(&spec, request_id)?,
-            },
-            Request::Lookup { features, spec } => match self.lookup(&features, &spec)? {
-                RouterLookup::Hit(hit) => Response::CacheHit {
-                    family: hit.family as u64,
-                    config: hit.config,
-                    cost: hit.cost,
-                    borrowed: hit.borrowed,
-                },
-                RouterLookup::Miss { campaign, enqueued } => {
-                    Response::CacheMiss { campaign, enqueued }
-                }
-            },
-            Request::Step { rounds } => {
-                let budget = u64::from(rounds).min(config.max_rounds_per_request);
-                self.serve_rounds(budget)?
-            }
-            Request::RunAll => self.serve_rounds(config.max_rounds_per_request)?,
-            Request::Snapshot { id } => Response::Snapshot {
-                snapshot: self.durable.registry().snapshot(id)?,
-            },
-            Request::Stats { id } => Response::Stats {
-                stats: self.durable.registry().stats(id)?,
-            },
-            Request::FleetStats => Response::Fleet {
-                stats: self.durable.registry().fleet_stats(),
-            },
-            Request::Stop { id } => Response::Stopped {
-                was_active: self.durable.stop(id)?,
-            },
-            Request::Shutdown => Response::Bye,
-        })
+        spec: &CampaignSpec,
+        request_id: Option<u64>,
+    ) -> Result<u64, ServeError> {
+        self.durable.admit_spec(spec, request_id)
+    }
+
+    fn stop(&mut self, id: u64) -> Result<bool, ServeError> {
+        self.durable.stop(id)
+    }
+
+    fn lookup(
+        &mut self,
+        features: &[f64],
+        spec: &CampaignSpec,
+    ) -> Result<RouterLookup, ServeError> {
+        TenantRouter::lookup(self, features, spec)
     }
 }
 
@@ -552,10 +515,6 @@ pub fn dump_wal(
     Ok(records)
 }
 
-/// What [`spawn_router_server`]'s thread yields on join: the final fleet
-/// and cache stats, or the error that stopped the server.
-type RouterServerHandle = std::thread::JoinHandle<Result<(FleetStats, CacheStats), ServeError>>;
-
 /// Spawns a router server thread over an in-process pipe; the join
 /// handle yields the final fleet and cache stats. `builder` runs inside
 /// the server thread, where the router is served, and may fail — e.g. a
@@ -563,21 +522,14 @@ type RouterServerHandle = std::thread::JoinHandle<Result<(FleetStats, CacheStats
 /// handle.
 pub fn spawn_router_server(
     builder: impl FnOnce() -> Result<TenantRouter, ServeError> + Send + 'static,
-) -> (Client<PipeEnd>, RouterServerHandle) {
-    let (client_end, server_end) = pipe();
-    let handle = std::thread::spawn(move || {
-        let router = builder()?;
-        Server::new(server_end, router)
-            .serve()
-            .map(|r| (r.registry().fleet_stats(), r.cache_stats()))
-    });
-    (Client::new(client_end), handle)
+) -> (Client<PipeEnd>, ServerHandle<(FleetStats, CacheStats)>) {
+    spawn_backend(builder, |r| (r.registry().fleet_stats(), r.cache_stats()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::LookupReply;
+    use crate::protocol::{LookupReply, Request, Response, ServeBackend, ServerConfig};
     use crate::spec::SystemKind;
     use autotune::SchedulePolicy;
     use std::path::PathBuf;

@@ -23,9 +23,9 @@
 
 use autotune_cache::{CacheConfig, CacheLookup, ShardedCache};
 use autotune_serve::{
-    dump_wal, read_frame, write_frame, CampaignSpec, DurableRegistry, Request, Response,
-    RouterConfig, RouterLookup, ServeBackend, ServeError, ServerConfig, SystemKind, TenantRouter,
-    WalConfig,
+    dump_wal, read_frame, verify_wal, write_frame, CampaignSpec, DurableRegistry, Request,
+    Response, RouterConfig, RouterLookup, ServeBackend, ServeError, ServerConfig, SystemKind,
+    TenantRouter, WalConfig,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -331,8 +331,10 @@ const TUNE_FLEET: (usize, usize) = (64, 32);
 const WINDOW: usize = 64 * 1024;
 
 /// The most bytes `DurableRegistry::open` holds reopening the fleet
-/// written to segments of `segment_bytes`.
-fn reopen_peak(segment_bytes: u64) -> usize {
+/// written to segments of `segment_bytes`, and the most `verify_wal`
+/// holds checking it: the same decoded fleet, each campaign's replay
+/// dropped as soon as it is checked.
+fn reopen_peak(segment_bytes: u64) -> (usize, usize) {
     let (campaigns, budget) = TUNE_FLEET;
     let dir = temp_dir(&format!("peak-{segment_bytes}"));
     let config = WalConfig { segment_bytes };
@@ -344,18 +346,20 @@ fn reopen_peak(segment_bytes: u64) -> usize {
     }
     durable.run_all().unwrap();
     drop(durable);
-    let (reopened, peak) = peak_during(|| DurableRegistry::open(&dir, 2, config).unwrap());
+    let (verified, verify_peak) = peak_during(|| verify_wal(&dir).unwrap());
+    assert_eq!(verified.campaigns, campaigns);
+    let (reopened, open_peak) = peak_during(|| DurableRegistry::open(&dir, 2, config).unwrap());
     assert_eq!(reopened.1.campaigns, campaigns);
     drop(reopened);
     std::fs::remove_dir_all(&dir).unwrap();
-    peak
+    (open_peak, verify_peak)
 }
 
 #[test]
 fn a_reopen_holds_one_window_not_the_segment() {
     // ~4.9 MB of log: two 4 MiB segments, or ~75 of 64 KiB. A reader
     // that loaded each segment whole held ~4 MB more for the first.
-    let (large, small) = (reopen_peak(4 << 20), reopen_peak(64 << 10));
+    let ((large, verify), (small, _)) = (reopen_peak(4 << 20), reopen_peak(64 << 10));
     work(
         "peak bytes held by open, 64 x 32 fleet, 4 MiB segments",
         large,
@@ -364,6 +368,7 @@ fn a_reopen_holds_one_window_not_the_segment() {
         "peak bytes held by open, 64 x 32 fleet, 64 KiB segments",
         small,
     );
+    work("peak bytes held by verify_wal, 64 x 32 fleet", verify);
     assert!(
         large.abs_diff(small) < WINDOW,
         "a reopen held {large} bytes over 4 MiB segments and {small} over 64 KiB ones"

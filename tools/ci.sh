@@ -244,8 +244,8 @@ else
   # Contracts that prove they can fail: each row of tools/mutants.tsv is
   # a deliberate defect, applied in a worktree of HEAD; its test
   # selection must pass unmutated and fail on the mutant, which must
-  # compile. Debug builds in their own target directory: 31 rows take
-  # about 205 s on 2 vCPUs from cold.
+  # compile. Debug builds in their own target directory: 32 rows take
+  # about 330 s on 2 vCPUs from cold.
   run_step "mutation table" tools/mutants.sh
 fi
 

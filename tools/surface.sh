@@ -15,7 +15,12 @@
 #     benchmark/, examples/, tests/ or tools/ — nothing outside the file
 #     can be calling it. A name that is also an ordinary word (`new`,
 #     `len`) is never listed; a survivor is a return or field type its
-#     callers never spell.
+#     callers never spell;
+#   * public items named in no file outside their own crate: the same
+#     items whose name occurs in no other crate's files (crates/<name>,
+#     benchmark/, examples/, tests/, tools/), so a `lib.rs` re-export
+#     does not hide one; the crate may use it, but nothing built on it
+#     does.
 #
 #   tools/surface.sh           # the table and the count
 #   tools/surface.sh <dir>     # the same for another checkout
@@ -66,22 +71,39 @@ knobs="$(find crates -name '*.rs' -print0 | sort -z | xargs -0 awk '
 ')"
 echo "public knob fields: $knobs"
 
-# Pass 1 counts, per word, the files it occurs in; pass 2 keeps the `pub`
-# items of crates/ whose name occurs in one file (their own).
+# Pass 1 counts, per word, the files and the crates it occurs in (a
+# crate is crates/<name>, else the top directory: benchmark, examples,
+# tests, tools); pass 2 keeps the `pub` items of crates/ whose name
+# occurs in one file (their own), tagged F, and those whose name occurs
+# in no crate but their own, tagged C.
 mapfile -t scanned < <(find crates benchmark examples tests tools -name '*.rs' -not -path '*/target/*' 2>/dev/null | sort)
 mapfile -t own < <(find crates -name '*.rs' | sort)
-only="$(awk '
-  FNR == 1 { nfile++ }
+items="$(awk '
+  function crate_of(path, parts) {
+    split(path, parts, "/")
+    return parts[1] == "crates" ? parts[1] "/" parts[2] : parts[1]
+  }
+  FNR == 1 { nfile++; crate = crate_of(FILENAME) }
   nfile <= n_scanned {
     n = split($0, w, /[^A-Za-z0-9_]+/)
-    for (i = 1; i <= n; i++)
-      if (w[i] != "" && !((FILENAME, w[i]) in seen)) { seen[FILENAME, w[i]] = 1; files[w[i]]++ }
+    for (i = 1; i <= n; i++) {
+      if (w[i] == "") continue
+      if (!((FILENAME, w[i]) in seen)) { seen[FILENAME, w[i]] = 1; files[w[i]]++ }
+      if (!((crate, w[i]) in met)) { met[crate, w[i]] = 1; crates[w[i]]++ }
+    }
     next
   }
   match($0, /^[[:space:]]*pub (const |unsafe )?(fn|struct|enum|trait|type|const|static) [A-Za-z_][A-Za-z0-9_]*/) {
     n = split(substr($0, RSTART, RLENGTH), w, " ")
-    if (files[w[n]] == 1) printf "  %s:%d %s %s\n", FILENAME, FNR, w[n - 1], w[n]
+    item = sprintf("  %s:%d %s %s", FILENAME, FNR, w[n - 1], w[n])
+    if (files[w[n]] == 1) print "F" item
+    if (crates[w[n]] == 1) print "C" item
   }
 ' n_scanned="${#scanned[@]}" "${scanned[@]}" "${own[@]}")"
+only="$(sed -n 's/^F//p' <<<"$items")"
 echo "public items named only in their defining file: $(printf '%s' "$only" | grep -c .)"
 [ -n "$only" ] && echo "$only"
+inside="$(sed -n 's/^C//p' <<<"$items")"
+echo "public items named in no file outside their own crate: $(printf '%s' "$inside" | grep -c .)"
+[ -n "$inside" ] && echo "$inside"
+exit 0

@@ -4,8 +4,9 @@
 # run: allocations per router hit, per decoded `Lookup` and `CacheHit`
 # frame, and per random-fleet trial running and reopened, and the peak
 # bytes `DurableRegistry::open` holds reopening tune_fleet's 64 x 32
-# fleet. tools/ci.sh diffs the file as it diffs repro_output.txt; a
-# change that means to move a count commits the new file and says why.
+# fleet and `verify_wal` holds checking it. tools/ci.sh diffs the file
+# as it diffs repro_output.txt; a change that means to move a count
+# commits the new file and says why.
 #
 #   tools/work.sh    # rewrites WORK.tsv (~20 s in release, build included)
 set -euo pipefail
