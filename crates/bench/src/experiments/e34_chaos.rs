@@ -22,8 +22,8 @@
 use crate::experiments::e33_serve::{fleet_specs, standalone_histories};
 use crate::report::Report;
 use autotune_serve::{
-    AdmissionConfig, CampaignRegistry, CampaignSpec, ChaosPlan, DurableRegistry, ServeError,
-    WalConfig,
+    AdmissionConfig, CampaignRegistry, CampaignSpec, ChaosPlan, DurableRegistry, MemStorage,
+    ServeError, WalConfig,
 };
 
 /// Fleet size for the chaos-recovery arm.
@@ -58,9 +58,9 @@ struct ChaosOutcome {
 /// from the WAL with a re-derived chaos seed (same plan would re-roll
 /// the same crash — a real restart is a new process).
 fn chaos_drive(specs: &[CampaignSpec], seed: u64, p_crash: f64, p_panic: f64) -> ChaosOutcome {
-    let dir = super::scratch_dir(&format!("e34-chaos-{seed}"));
+    let wal = MemStorage::default();
     let config = WalConfig::default();
-    let mut durable = DurableRegistry::create(&dir, 8, config).expect("create durable registry");
+    let mut durable = DurableRegistry::create_in(&wal, 8, config).expect("create durable registry");
     let mut incarnation = 0u64;
     let arm = |d: &mut DurableRegistry, inc: u64| {
         d.set_chaos(
@@ -83,7 +83,7 @@ fn chaos_drive(specs: &[CampaignSpec], seed: u64, p_crash: f64, p_panic: f64) ->
                 "chaos drive failed to converge (p_crash too high?)"
             );
             let (reopened, report) =
-                DurableRegistry::open(&dir, 8, config).expect("reopen after crash");
+                DurableRegistry::open_in(&wal, 8, config).expect("reopen after crash");
             durable = reopened;
             torn_bytes += report.truncated_bytes;
             arm(&mut durable, incarnation);
@@ -128,7 +128,6 @@ fn chaos_drive(specs: &[CampaignSpec], seed: u64, p_crash: f64, p_panic: f64) ->
         })
         .collect();
     let wal_appends = durable.registry().fleet_stats().wal_appends;
-    let _ = std::fs::remove_dir_all(&dir);
     ChaosOutcome {
         histories,
         crashes,

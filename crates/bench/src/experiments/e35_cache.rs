@@ -23,7 +23,7 @@
 use crate::report::Report;
 use autotune::{measure_request, NoiseStrategy, Objective, Target, TrialRequest};
 use autotune_serve::{
-    CampaignSpec, RouterConfig, RouterLookup, SystemKind, TenantRouter, WalConfig,
+    CampaignSpec, MemStorage, RouterConfig, RouterLookup, SystemKind, TenantRouter, WalConfig,
 };
 use autotune_sim::{Environment, Workload};
 use autotune_wid::{Tenant, TenantFleet, TenantFleetConfig};
@@ -108,16 +108,16 @@ fn tuned_cost(t: &Tenant) -> f64 {
     eval_on_tenant(t, &best)
 }
 
-/// Drives the Zipf stream through a fresh router in `dir`; returns the
+/// Drives the Zipf stream through a fresh router over `wal`; returns the
 /// router plus (hits, misses) observed.
 fn drive_stream(
-    dir: &std::path::Path,
+    wal: &MemStorage,
     fleet: &TenantFleet,
     config: RouterConfig,
     n_requests: usize,
 ) -> (TenantRouter, u64, u64) {
     let mut router =
-        TenantRouter::create(dir, 2, WalConfig::default(), config).expect("create router");
+        TenantRouter::create_in(wal, 2, WalConfig::default(), config).expect("create router");
     let mut rng = StdRng::seed_from_u64(35);
     let mut hits = 0;
     let mut misses = 0;
@@ -143,9 +143,9 @@ fn drive_stream(
 pub fn run() -> Report {
     let fleet_cfg = fleet_config();
     let fleet = TenantFleet::generate(&fleet_cfg).expect("fleet");
-    let dir = super::scratch_dir("e35");
+    let wal = MemStorage::default();
 
-    let (router, hits, misses) = drive_stream(&dir, &fleet, router_config(&fleet_cfg), N_REQUESTS);
+    let (router, hits, misses) = drive_stream(&wal, &fleet, router_config(&fleet_cfg), N_REQUESTS);
     let hit_rate = hits as f64 / (hits + misses) as f64;
     let cache_stats = router.cache_stats();
 
@@ -175,11 +175,10 @@ pub fn run() -> Report {
     // (entries, ticks, counters, clustering — CacheSnapshot is PartialEq).
     let live_snapshot = served_cache.cache().snapshot();
     drop(served_cache);
-    let replay_identical = match TenantRouter::open(&dir, 2, WalConfig::default()) {
+    let replay_identical = match TenantRouter::open_in(&wal, 2, WalConfig::default()) {
         Ok((reopened, _)) => reopened.cache().snapshot() == live_snapshot,
         Err(_) => false,
     };
-    let _ = std::fs::remove_dir_all(&dir);
 
     let rows = vec![
         vec![

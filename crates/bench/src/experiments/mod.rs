@@ -44,7 +44,6 @@ use autotune_space::Config;
 use autotune_surrogate::{Kernel, Matern52};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -116,13 +115,6 @@ impl Kernel for Counted {
             count: self.count.clone(),
         })
     }
-}
-
-/// An empty directory for an experiment's WAL, unique to this process.
-pub(crate) fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("autotune-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// The tutorial's running example target: Redis P95 vs the scheduler knob.

@@ -16,10 +16,9 @@
 //! same observable sequence as `kill -9` at that instant, but testable
 //! in-process.
 
-use crate::wal::{record_at, SegmentFiles, Storage};
+use crate::wal::{record_at, MemStorage, Storage};
 use std::any::Any;
 use std::io;
-use std::path::PathBuf;
 
 /// Where, relative to one WAL append, a simulated process crash lands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,8 +153,8 @@ pub(crate) fn arm(storage: &mut Box<dyn Storage>, plan: ChaosPlan) {
         armed.plan = plan;
         return;
     }
-    // A storage over no directory holds the place while the wrap is made.
-    let inner = std::mem::replace(storage, Box::new(SegmentFiles::new(PathBuf::new())));
+    // An empty device holds the place while the wrap is made.
+    let inner = std::mem::replace(storage, Box::new(MemStorage::default()));
     *storage = Box::new(Crashing {
         plan,
         appended: 0,

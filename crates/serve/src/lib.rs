@@ -60,3 +60,4 @@ pub use router::{
     dump_wal, spawn_router_server, RouterConfig, RouterLookup, TenantRouter, WalDumpLine,
 };
 pub use spec::{CampaignSpec, NoiseSpec, OptimizerKind, SystemKind};
+pub use wal::MemStorage;

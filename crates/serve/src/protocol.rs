@@ -716,7 +716,7 @@ pub(crate) fn spawn_backend<B: ServeBackend, T: Send + 'static>(
 pub(crate) mod tests {
     use super::*;
     use crate::spec::{CampaignSpec, SystemKind};
-    use crate::{RouterConfig, TenantRouter, WalConfig};
+    use crate::{MemStorage, RouterConfig, TenantRouter, WalConfig};
     use autotune::SchedulePolicy;
     use serde::de::DeserializeOwned;
     use std::fmt::Debug;
@@ -840,14 +840,10 @@ pub(crate) mod tests {
     #[test]
     fn deadline_bounds_rounds_per_request() {
         deadline_bounds_rounds_of(|| CampaignRegistry::new(1));
-        let dir = std::env::temp_dir().join(format!("autotune-deadline-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let router_dir = dir.clone();
-        deadline_bounds_rounds_of(move || {
+        deadline_bounds_rounds_of(|| {
             let (wal, config) = (WalConfig::default(), RouterConfig::default());
-            TenantRouter::create(router_dir, 1, wal, config).unwrap()
+            TenantRouter::create_in(&MemStorage::default(), 1, wal, config).unwrap()
         });
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A `Step` asking for more rounds than the per-request deadline, and
@@ -919,10 +915,9 @@ pub(crate) mod tests {
         if !std::path::Path::new("/dev/full").exists() {
             return;
         }
-        let dir = std::env::temp_dir().join(format!("autotune-proto-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = crate::wal::tests::temp_dir("proto");
         let fingerprint = [2.0, 2.0];
-        let wal_dir = dir.clone();
+        let wal_dir = dir.path().to_path_buf();
         let (mut client, handle) = spawn_router_server(move || {
             // A one-byte segment limit: every append rotates the log.
             let wal = WalConfig { segment_bytes: 1 };
@@ -972,7 +967,6 @@ pub(crate) mod tests {
             (1, 2),
             "the refused lookup moved the cache"
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

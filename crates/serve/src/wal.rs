@@ -17,8 +17,14 @@
 //!
 //! Everything the WAL asks of its device goes through one [`Storage`]:
 //! list the segments, stream one, cut a torn tail off one, open the
-//! next, and append to the open one. [`SegmentFiles`], over one
-//! directory, is the one that ships.
+//! next, and append to the open one. There are two devices.
+//! [`SegmentFiles`], over one directory, is the one a deployment runs on:
+//! its bytes outlive the process. [`MemStorage`] holds the segments in
+//! memory, for whatever needs a log but not a disk (the tests that do not
+//! test files, and the experiments): its handles share the segments, so
+//! one kept across a kill reads what landed and reopens it, and it counts
+//! what it was asked to do. Both number, cut and append alike, so a log
+//! is the same bytes on either.
 //!
 //! A segment is read as a stream, one record at a time ([`Records`]):
 //! through a window of the smaller of [`WINDOW`] and the segment, grown
@@ -34,11 +40,14 @@
 //! them to the device belongs in `append`, and the directory sync a new
 //! segment needs in `open_next`.
 
+use autotune::sync::PoisonFreeMutex;
 use serde::Serialize;
 use std::any::Any;
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 
 /// What the WAL asks of the device it lives on. A segment is read as a
 /// stream, front to back ([`Records`] walks it), never loaded whole.
@@ -132,6 +141,147 @@ impl Storage for SegmentFiles {
             Some((_, file)) => file.write_all(records),
             None => Err(io::Error::other("no WAL segment is open")),
         }
+    }
+}
+
+/// The WAL's segments in memory, numbered, cut and appended to as the
+/// segment files of a WAL directory are, so a log holds the same bytes
+/// here as there. A handle is cheap to clone, and every clone shares
+/// the segments: keep one across a kill and the reopen after it, and
+/// read from it what landed ([`MemStorage::contents`]) and what the WAL
+/// asked of the device (the counters).
+///
+/// ```
+/// use autotune_serve::{CampaignSpec, DurableRegistry, MemStorage, SystemKind, WalConfig};
+///
+/// let wal = MemStorage::default();
+/// let mut durable = DurableRegistry::create_in(&wal, 1, WalConfig::default()).unwrap();
+/// durable.register_spec(&CampaignSpec::minimal("t", SystemKind::Redis, 4, 7)).unwrap();
+/// drop(durable); // a kill: nothing more lands
+/// let (_, report) = DurableRegistry::open_in(&wal, 1, WalConfig::default()).unwrap();
+/// assert_eq!((report.campaigns, wal.segments_opened()), (1, 2));
+/// ```
+#[derive(Clone, Default)]
+pub struct MemStorage {
+    shared: Arc<Mutex<MemSegments>>,
+    /// The segment this handle appends to.
+    open: Option<u64>,
+}
+
+/// What every clone of a [`MemStorage`] shares.
+#[derive(Default)]
+struct MemSegments {
+    segments: BTreeMap<u64, Vec<u8>>,
+    appends: u64,
+    appended_bytes: u64,
+    opened: u64,
+}
+
+impl MemStorage {
+    /// Every segment: its number and its bytes, ascending.
+    pub fn contents(&self) -> Vec<(u64, Vec<u8>)> {
+        let shared = self.shared.plock();
+        shared
+            .segments
+            .iter()
+            .map(|(n, b)| (*n, b.clone()))
+            .collect()
+    }
+
+    /// Appends made: one a call, whatever it held.
+    pub fn appends(&self) -> u64 {
+        self.shared.plock().appends
+    }
+
+    /// Bytes appended, over every append.
+    pub fn appended_bytes(&self) -> u64 {
+        self.shared.plock().appended_bytes
+    }
+
+    /// Segments opened for appending.
+    pub fn segments_opened(&self) -> u64 {
+        self.shared.plock().opened
+    }
+}
+
+fn no_segment(n: u64) -> io::Error {
+    io::Error::new(io::ErrorKind::NotFound, segment_name(n))
+}
+
+impl Storage for MemStorage {
+    fn segments(&self) -> io::Result<Vec<u64>> {
+        Ok(self.shared.plock().segments.keys().copied().collect())
+    }
+
+    fn read(&self, n: u64) -> io::Result<(u64, Box<dyn Read>)> {
+        let len = self
+            .shared
+            .plock()
+            .segments
+            .get(&n)
+            .ok_or_else(|| no_segment(n))?
+            .len();
+        let reader = MemReader {
+            shared: Arc::clone(&self.shared),
+            n,
+            at: 0,
+        };
+        Ok((len as u64, Box::new(reader)))
+    }
+
+    fn cut(&mut self, n: u64, len: u64) -> io::Result<()> {
+        let mut shared = self.shared.plock();
+        let segment = shared.segments.get_mut(&n).ok_or_else(|| no_segment(n))?;
+        segment.truncate(len as usize);
+        Ok(())
+    }
+
+    fn open_next(&mut self) -> io::Result<()> {
+        let mut shared = self.shared.plock();
+        let last = || shared.segments.keys().next_back().copied().unwrap_or(0);
+        let next = self.open.unwrap_or_else(last) + 1;
+        shared.segments.entry(next).or_default();
+        shared.opened += 1;
+        self.open = Some(next);
+        Ok(())
+    }
+
+    fn append(&mut self, records: &[u8]) -> io::Result<()> {
+        let n = self
+            .open
+            .ok_or_else(|| io::Error::other("no WAL segment is open"))?;
+        let mut shared = self.shared.plock();
+        shared
+            .segments
+            .entry(n)
+            .or_default()
+            .extend_from_slice(records);
+        shared.appends += 1;
+        shared.appended_bytes += records.len() as u64;
+        Ok(())
+    }
+}
+
+/// A [`MemStorage`] segment as a stream: each read copies out the bytes
+/// from where the last one stopped.
+struct MemReader {
+    shared: Arc<Mutex<MemSegments>>,
+    n: u64,
+    at: usize,
+}
+
+impl Read for MemReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let shared = self.shared.plock();
+        let rest = shared
+            .segments
+            .get(&self.n)
+            .and_then(|segment| segment.get(self.at..))
+            .unwrap_or_default();
+        let len = rest.len().min(buf.len());
+        buf[..len].copy_from_slice(&rest[..len]);
+        self.at += len;
+        Ok(len)
     }
 }
 
@@ -455,8 +605,105 @@ mod clmul {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::path::Path;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A scratch directory for a test of files, removed when it is
+    /// dropped, by a panic too.
+    pub(crate) struct TempDir(PathBuf);
+
+    impl TempDir {
+        pub(crate) fn path(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// A fresh scratch directory, not yet created, named after `tag`.
+    pub(crate) fn temp_dir(tag: &str) -> TempDir {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let n = SEQ.fetch_add(1, Ordering::Relaxed);
+        let name = format!("autotune-wal-{}-{tag}-{n}", std::process::id());
+        let dir = TempDir(std::env::temp_dir().join(name));
+        let _ = std::fs::remove_dir_all(dir.path());
+        dir
+    }
+
+    impl MemStorage {
+        /// Makes `segments` the device's whole log, as a test that tears
+        /// or rewrites one by hand needs.
+        pub(crate) fn set_contents(&self, segments: Vec<(u64, Vec<u8>)>) {
+            self.shared.plock().segments = segments.into_iter().collect();
+        }
+    }
+
+    /// Every segment `storage` holds: its number and its bytes.
+    fn read_all(storage: &dyn Storage) -> Vec<(u64, Vec<u8>)> {
+        let read = |n| {
+            let (len, mut bytes) = storage.read(n).unwrap();
+            let mut out = Vec::new();
+            bytes.read_to_end(&mut out).unwrap();
+            assert_eq!(out.len() as u64, len, "segment {n}'s length");
+            (n, out)
+        };
+        storage.segments().unwrap().into_iter().map(read).collect()
+    }
+
+    #[test]
+    fn the_device_numbers_cuts_and_appends_as_the_files_do() {
+        let dir = temp_dir("storage");
+        let wal = MemStorage::default();
+        let mut devices: [Box<dyn Storage>; 2] = [
+            Box::new(SegmentFiles::new(dir.path().into())),
+            Box::new(wal.clone()),
+        ];
+        for device in &mut devices {
+            assert!(device.segments().unwrap().is_empty());
+            assert!(
+                device.append(b"x").is_err(),
+                "an append with no segment open"
+            );
+            device.open_next().unwrap();
+            device.append(b"one").unwrap();
+            device.append(b"two").unwrap();
+            device.open_next().unwrap();
+            device.open_next().unwrap();
+            device.append(b"three").unwrap();
+            device.cut(1, 4).unwrap();
+            assert!(device.cut(9, 0).is_err(), "a cut of no segment");
+            assert!(device.read(9).is_err(), "a read of no segment");
+        }
+        let want = vec![(1, b"onet".to_vec()), (2, vec![]), (3, b"three".to_vec())];
+        for device in &devices {
+            assert_eq!(read_all(device.as_ref()), want);
+        }
+        assert_eq!(wal.contents(), want);
+        // A second handle opens after the last segment, wherever the
+        // first one appends.
+        let mut reopened: [Box<dyn Storage>; 2] = [
+            Box::new(SegmentFiles::new(dir.path().into())),
+            Box::new(wal.clone()),
+        ];
+        for device in &mut reopened {
+            device.open_next().unwrap();
+            device.append(b"four").unwrap();
+        }
+        let mut want = want;
+        want.push((4, b"four".to_vec()));
+        assert_eq!(read_all(reopened[0].as_ref()), want);
+        assert_eq!(wal.contents(), want);
+        // Every clone counts: the failed append and the cuts are no append.
+        assert_eq!(wal.appends(), 4);
+        assert_eq!(wal.appended_bytes(), 15);
+        assert_eq!(wal.segments_opened(), 4);
+    }
 
     /// The CRC-32 of `bytes` by every path this CPU runs: the dispatch,
     /// the tables, and the carry-less kernel where the CPU has it.

@@ -23,9 +23,9 @@
 
 use autotune_cache::{CacheConfig, CacheLookup, ShardedCache};
 use autotune_serve::{
-    dump_wal, read_frame, verify_wal, write_frame, CampaignSpec, DurableRegistry, Request,
-    Response, RouterConfig, RouterLookup, ServeBackend, ServeError, ServerConfig, SystemKind,
-    TenantRouter, WalConfig,
+    dump_wal, read_frame, verify_wal, write_frame, CampaignSpec, DurableRegistry, MemStorage,
+    Request, Response, RouterConfig, RouterLookup, ServeBackend, ServeError, ServerConfig,
+    SystemKind, TenantRouter, WalConfig,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -330,22 +330,26 @@ const TUNE_FLEET: (usize, usize) = (64, 32);
 /// `wal::WINDOW`: the most of a segment a reader holds beside a record.
 const WINDOW: usize = 64 * 1024;
 
-/// The most bytes `DurableRegistry::open` holds reopening the fleet
-/// written to segments of `segment_bytes`, and the most `verify_wal`
-/// holds checking it: the same decoded fleet, each campaign's replay
-/// dropped as soon as it is checked.
-fn reopen_peak(segment_bytes: u64) -> (usize, usize) {
+/// Registers `TUNE_FLEET` on `durable` and runs it dry.
+fn run_tune_fleet(mut durable: DurableRegistry) {
     let (campaigns, budget) = TUNE_FLEET;
-    let dir = temp_dir(&format!("peak-{segment_bytes}"));
-    let config = WalConfig { segment_bytes };
-    let mut durable = DurableRegistry::create(&dir, 2, config).unwrap();
     for i in 0..campaigns {
         let name = format!("random-{i}");
         let spec = CampaignSpec::minimal(name, SystemKind::Redis, budget, 1_000_003 + i as u64);
         durable.register_spec(&spec).unwrap();
     }
     durable.run_all().unwrap();
-    drop(durable);
+}
+
+/// The most bytes `DurableRegistry::open` holds reopening the fleet
+/// written to segments of `segment_bytes`, and the most `verify_wal`
+/// holds checking it: the same decoded fleet, each campaign's replay
+/// dropped as soon as it is checked.
+fn reopen_peak(segment_bytes: u64) -> (usize, usize) {
+    let (campaigns, _) = TUNE_FLEET;
+    let dir = temp_dir(&format!("peak-{segment_bytes}"));
+    let config = WalConfig { segment_bytes };
+    run_tune_fleet(DurableRegistry::create(&dir, 2, config).unwrap());
     let (verified, verify_peak) = peak_during(|| verify_wal(&dir).unwrap());
     assert_eq!(verified.campaigns, campaigns);
     let (reopened, open_peak) = peak_during(|| DurableRegistry::open(&dir, 2, config).unwrap());
@@ -373,6 +377,23 @@ fn a_reopen_holds_one_window_not_the_segment() {
         large.abs_diff(small) < WINDOW,
         "a reopen held {large} bytes over 4 MiB segments and {small} over 64 KiB ones"
     );
+}
+
+#[test]
+fn the_fleet_asks_of_the_device_what_it_leaves_on_files() {
+    // What `tune_fleet`'s fleet asks of the WAL's device: the baseline a
+    // group commit or a sync per acknowledgement is counted against.
+    let wal = MemStorage::default();
+    run_tune_fleet(DurableRegistry::create_in(&wal, 2, WalConfig::default()).unwrap());
+    let dir = temp_dir("device");
+    run_tune_fleet(DurableRegistry::create(&dir, 2, WalConfig::default()).unwrap());
+    let files = std::fs::read_dir(&dir).unwrap();
+    let on_disk: u64 = files.map(|f| f.unwrap().metadata().unwrap().len()).sum();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(wal.appended_bytes(), on_disk);
+    work("WAL appends, 64 x 32 fleet", wal.appends());
+    work("WAL bytes appended, 64 x 32 fleet", wal.appended_bytes());
+    work("WAL segments opened, 64 x 32 fleet", wal.segments_opened());
 }
 
 #[test]

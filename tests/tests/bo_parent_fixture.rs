@@ -16,7 +16,8 @@
 
 use autotune::SchedulePolicy;
 use autotune_serve::{
-    CampaignRegistry, CampaignSpec, DurableRegistry, OptimizerKind, SystemKind, WalConfig,
+    CampaignRegistry, CampaignSpec, DurableRegistry, MemStorage, OptimizerKind, SystemKind,
+    WalConfig,
 };
 
 /// The benchmark's `tune_spec` for `tune_bo` at seed 1, at budget 48.
@@ -69,9 +70,8 @@ fn served_bo_histories_match_the_parent_fixtures() {
 
 #[test]
 fn durable_and_reopened_bo_histories_match_the_parent_fixtures() {
-    let dir = std::env::temp_dir().join(format!("autotune-bo-fixture-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut durable = DurableRegistry::create(&dir, 2, WalConfig::default()).unwrap();
+    let wal = MemStorage::default();
+    let mut durable = DurableRegistry::create_in(&wal, 2, WalConfig::default()).unwrap();
     let ids: Vec<u64> = (0..2)
         .map(|i| durable.register_spec(&spec(i)).unwrap())
         .collect();
@@ -81,10 +81,8 @@ fn durable_and_reopened_bo_histories_match_the_parent_fixtures() {
         assert_is_fixture("durable", index, &history(&durable, id));
     }
     drop(durable);
-    let (reopened, _) = DurableRegistry::open(&dir, 2, WalConfig::default()).unwrap();
+    let (reopened, _) = DurableRegistry::open_in(&wal, 2, WalConfig::default()).unwrap();
     for (index, &id) in ids.iter().enumerate() {
         assert_is_fixture("reopened", index, &history(&reopened, id));
     }
-    drop(reopened);
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -16,28 +16,13 @@
 
 use autotune_cache::{fingerprint_key, CacheConfig, CacheLookup, ShardedCache};
 use autotune_serve::{
-    CampaignSpec, RouterConfig, RouterLookup, SystemKind, TenantRouter, WalConfig,
+    CampaignSpec, MemStorage, RouterConfig, RouterLookup, SystemKind, TenantRouter, WalConfig,
 };
 use autotune_space::Config;
 use proptest::prelude::*;
 use proptest::TestCaseError;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
-
-static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "autotune-cacheprops-{}-{}-{}",
-        std::process::id(),
-        tag,
-        n
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// Family anchors far apart relative to the clustering threshold, so the
 /// family an op names is the family the cache routes it to.
@@ -394,9 +379,12 @@ proptest! {
         let split = ((stream.len() as f64) * split_frac) as usize;
 
         // Uninterrupted run.
-        let dir_a = temp_dir("resume-a");
-        let mut router_a =
-            TenantRouter::create(&dir_a, 2, WalConfig::default(), stream_router_config())
+        let mut router_a = TenantRouter::create_in(
+            &MemStorage::default(),
+            2,
+            WalConfig::default(),
+            stream_router_config(),
+        )
                 .expect("create A");
         let mut seq_a = Vec::new();
         for &(family, variant) in &stream {
@@ -408,12 +396,11 @@ proptest! {
         }
         let snap_a = router_a.cache().snapshot();
         drop(router_a);
-        let _ = std::fs::remove_dir_all(&dir_a);
 
         // Same stream, crashed after `split` requests and reopened.
-        let dir_b = temp_dir("resume-b");
+        let wal_b = MemStorage::default();
         let mut router_b =
-            TenantRouter::create(&dir_b, 2, WalConfig::default(), stream_router_config())
+            TenantRouter::create_in(&wal_b, 2, WalConfig::default(), stream_router_config())
                 .expect("create B");
         let mut seq_b = Vec::new();
         for &(family, variant) in &stream[..split] {
@@ -425,7 +412,7 @@ proptest! {
         }
         drop(router_b); // crash
         let (mut router_b, _report) =
-            TenantRouter::open(&dir_b, 2, WalConfig::default()).expect("reopen B");
+            TenantRouter::open_in(&wal_b, 2, WalConfig::default()).expect("reopen B");
         for &(family, variant) in &stream[split..] {
             let out = router_b
                 .lookup(&member(family, variant), &stream_spec(family))
@@ -435,7 +422,6 @@ proptest! {
         }
         let snap_b = router_b.cache().snapshot();
         drop(router_b);
-        let _ = std::fs::remove_dir_all(&dir_b);
 
         prop_assert_eq!(seq_a, seq_b);
         prop_assert_eq!(snap_a, snap_b);

@@ -23,10 +23,9 @@
 use autotune::sync::{pwait, PoisonFreeMutex};
 use autotune_cache::{CacheConfig, CacheLookup, ShardedCache};
 use autotune_serve::{
-    CampaignSpec, RouterConfig, RouterLookup, SystemKind, TenantRouter, WalConfig,
+    CampaignSpec, MemStorage, RouterConfig, RouterLookup, SystemKind, TenantRouter, WalConfig,
 };
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
@@ -314,20 +313,6 @@ fn every_interleaving_matches_its_serial_replay() {
 // family, every other miss joins it.
 // ---------------------------------------------------------------------
 
-static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "autotune-race-{}-{}-{}",
-        std::process::id(),
-        tag,
-        n
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 fn mini_spec(name: &str, seed: u64) -> CampaignSpec {
     CampaignSpec::minimal(name.to_string(), SystemKind::Redis, 4, seed)
 }
@@ -351,9 +336,10 @@ fn single_flight_admission_is_schedule_invariant() {
             }
         }
         shuffle(&mut arrivals, seed);
-        let dir = temp_dir("single-flight");
-        let mut router = TenantRouter::create(&dir, 1, WalConfig::default(), router_config.clone())
-            .expect("create router");
+        let wal = MemStorage::default();
+        let mut router =
+            TenantRouter::create_in(&wal, 1, WalConfig::default(), router_config.clone())
+                .expect("create router");
         let mut admitted: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
         let mut joined: BTreeMap<u64, u64> = BTreeMap::new();
         for &(fam, tenant) in &arrivals {
@@ -391,7 +377,6 @@ fn single_flight_admission_is_schedule_invariant() {
             admitted.keys().collect::<Vec<_>>()
         );
         projections.push(proj);
-        let _ = std::fs::remove_dir_all(&dir);
     }
     projections.dedup();
     assert_eq!(

@@ -7,13 +7,11 @@
 
 use autotune::SchedulePolicy;
 use autotune_serve::{
-    read_frame, write_frame, CampaignSpec, ChaosPlan, DurableRegistry, Request, ServeError,
-    SystemKind, WalConfig, MAX_FRAME_LEN,
+    read_frame, write_frame, CampaignSpec, ChaosPlan, DurableRegistry, MemStorage, Request,
+    ServeError, SystemKind, WalConfig, MAX_FRAME_LEN,
 };
 use proptest::prelude::*;
 use std::io::Cursor;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 fn spec(i: u64) -> CampaignSpec {
     let mut s = CampaignSpec::minimal(format!("fuzz-{i}"), SystemKind::Redis, 5, 900 + i);
@@ -32,20 +30,6 @@ fn valid_frame() -> Vec<u8> {
     )
     .unwrap();
     buf
-}
-
-static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "autotune-robust-{}-{}-{}",
-        std::process::id(),
-        tag,
-        n
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// Drains a byte stream through the codec; must terminate without
@@ -137,8 +121,8 @@ fn chaos_crash_recovery_is_byte_identical() {
         })
         .collect();
     for seed in [11u64, 23, 47] {
-        let dir = temp_dir(&format!("chaos-{seed}"));
-        let mut durable = DurableRegistry::create(&dir, 3, WalConfig::default()).unwrap();
+        let wal = MemStorage::default();
+        let mut durable = DurableRegistry::create_in(&wal, 3, WalConfig::default()).unwrap();
         durable.set_chaos(
             ChaosPlan::new(seed)
                 .with_crashes(0.03)
@@ -153,7 +137,7 @@ fn chaos_crash_recovery_is_byte_identical() {
         loop {
             if durable.crashed().is_some() {
                 crashes += 1;
-                let (r, _) = DurableRegistry::open(&dir, 3, WalConfig::default()).unwrap();
+                let (r, _) = DurableRegistry::open_in(&wal, 3, WalConfig::default()).unwrap();
                 durable = r;
                 // Chaos stays off after recovery: the process that
                 // replaced the dead one runs clean.
@@ -194,6 +178,5 @@ fn chaos_crash_recovery_is_byte_identical() {
                 "seed {seed}: campaign {i} diverged (crashes so far: {crashes})"
             );
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

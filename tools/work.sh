@@ -2,9 +2,11 @@
 # Writes WORK.tsv: the work counts the allocation meter of
 # crates/serve/tests/alloc_budget.rs takes, which are the same on every
 # run: allocations per router hit, per decoded `Lookup` and `CacheHit`
-# frame, and per random-fleet trial running and reopened, and the peak
+# frame, and per random-fleet trial running and reopened, the peak
 # bytes `DurableRegistry::open` holds reopening tune_fleet's 64 x 32
-# fleet and `verify_wal` holds checking it. tools/ci.sh diffs the file
+# fleet and `verify_wal` holds checking it, and what that fleet asks of
+# the WAL's device (appends, bytes appended and segments opened, which a
+# `MemStorage` counts). tools/ci.sh diffs the file
 # as it diffs repro_output.txt; a change that means to move a count
 # commits the new file and says why.
 #
