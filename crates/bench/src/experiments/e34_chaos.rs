@@ -1,17 +1,17 @@
 //! E34 (ROADMAP item 1, crash-safe serving): the durable serving layer
-//! survives chaos-injected process crashes, worker panics, and torn WAL
-//! tails without changing any campaign's outcome, and sheds overload
-//! without perturbing accepted campaigns.
+//! survives process crashes at any byte of its log, worker panics, and
+//! torn WAL tails without changing any campaign's outcome, and sheds
+//! overload without perturbing accepted campaigns.
 //!
 //! Four claims, matching the durability layer's contract:
 //!
 //! * **Crash recovery** — a 128-campaign mixed fleet driven through a
-//!   [`DurableRegistry`] with seeded chaos crashes (pre-append,
-//!   mid-append/torn-write, post-append-pre-ack) is repeatedly killed
-//!   and reopened from the WAL; every campaign's final history is
-//!   byte-identical to its standalone run.
-//! * **Torn tails** — mid-append crashes leave half-written records;
-//!   recovery truncates them (counted in bytes) instead of failing.
+//!   [`DurableRegistry`] is repeatedly killed wherever a seeded byte
+//!   offset falls in its log, and reopened from what a killed process
+//!   leaves there ([`MemStorage::crash_after`]); every campaign's final
+//!   history is byte-identical to its standalone run.
+//! * **Torn tails** — a kill inside a record leaves it half-written;
+//!   recovery truncates it (counted in bytes) instead of failing.
 //! * **Worker panics** — panics injected inside the measurement pool
 //!   are caught at the `step_round` boundary and recovered by rebuild
 //!   from the WAL, again byte-identically.
@@ -25,25 +25,20 @@ use autotune_serve::{
     AdmissionConfig, CampaignRegistry, CampaignSpec, ChaosPlan, DurableRegistry, MemStorage,
     ServeError, WalConfig,
 };
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Fleet size for the chaos-recovery arm.
 const CHAOS_N: usize = 128;
 
-fn find_by_name(durable: &DurableRegistry, name: &str) -> Option<u64> {
-    durable.registry().ids().into_iter().find(|id| {
-        durable
-            .registry()
-            .stats(*id)
-            .map(|st| st.name == name)
-            .unwrap_or(false)
-    })
-}
+/// The mean distance in log bytes between crashes.
+const MEAN_GAP: u64 = 250_000;
 
 /// Outcome of one chaotic drive-to-completion.
 struct ChaosOutcome {
     /// Final per-campaign histories, in spec order.
     histories: Vec<String>,
-    /// Simulated process crashes that fired.
+    /// Process crashes: the log cut and reopened.
     crashes: u64,
     /// Worker-panic recoveries caught at the pool boundary.
     panic_recoveries: u64,
@@ -53,87 +48,68 @@ struct ChaosOutcome {
     wal_appends: u64,
 }
 
-/// Drives `specs` through a durable registry under chaos until every
-/// campaign completes; each simulated crash is followed by recovery
-/// from the WAL with a re-derived chaos seed (same plan would re-roll
-/// the same crash — a real restart is a new process).
-fn chaos_drive(specs: &[CampaignSpec], seed: u64, p_crash: f64, p_panic: f64) -> ChaosOutcome {
+/// Drives `specs` through a durable registry one call at a time until
+/// every campaign completes. Once the log passes the next crash offset,
+/// drawn 1 to `2 * mean_gap` bytes past where the last reopen left it,
+/// the process is killed there: the handle is dropped, the log cut as a
+/// kill at that byte leaves it ([`MemStorage::crash_after`]) and the
+/// fleet reopened from it, the registrations it lost retried. Worker panics roll from a plan
+/// re-seeded each incarnation (the same plan would re-roll the same
+/// panics — a real restart is a new process).
+fn chaos_drive(specs: &[CampaignSpec], seed: u64, mean_gap: u64, p_panic: f64) -> ChaosOutcome {
     let wal = MemStorage::default();
     let config = WalConfig::default();
+    let plan =
+        |incarnation| ChaosPlan::new(seed.wrapping_add(incarnation)).with_worker_panics(p_panic);
     let mut durable = DurableRegistry::create_in(&wal, 8, config).expect("create durable registry");
-    let mut incarnation = 0u64;
-    let arm = |d: &mut DurableRegistry, inc: u64| {
-        d.set_chaos(
-            ChaosPlan::new(seed.wrapping_add(inc))
-                .with_crashes(p_crash)
-                .with_worker_panics(p_panic),
-        );
-    };
-    arm(&mut durable, incarnation);
-    let mut crashes = 0u64;
-    let mut panic_recoveries = 0u64;
-    let mut torn_bytes = 0u64;
-    let mut next_spec = 0usize;
+    durable.set_chaos(plan(0));
+    let mut gaps = StdRng::seed_from_u64(seed);
+    let mut kill_at = gaps.gen_range(1..=2 * mean_gap);
+    // Bytes appended that the log no longer holds.
+    let mut lost = 0;
+    let (mut crashes, mut panic_recoveries, mut torn_bytes) = (0, 0, 0);
     loop {
-        if durable.crashed().is_some() {
+        let len = wal.appended_bytes() - lost;
+        if len > kill_at {
+            drop(durable);
+            wal.crash_after(kill_at);
             crashes += 1;
-            incarnation += 1;
-            assert!(
-                incarnation < 10_000,
-                "chaos drive failed to converge (p_crash too high?)"
-            );
+            assert!(crashes < 10_000, "chaos drive failed to converge");
             let (reopened, report) =
                 DurableRegistry::open_in(&wal, 8, config).expect("reopen after crash");
             durable = reopened;
+            durable.set_chaos(plan(crashes));
             torn_bytes += report.truncated_bytes;
-            arm(&mut durable, incarnation);
+            lost += len - kill_at + report.truncated_bytes;
+            kill_at = kill_at - report.truncated_bytes + gaps.gen_range(1..=2 * mean_gap);
         }
-        if next_spec < specs.len() {
-            match durable.register_spec(&specs[next_spec]) {
-                Ok(_) => next_spec += 1,
-                Err(ServeError::Storage(_)) => continue, // crashed mid-register
-                Err(e) => panic!("unexpected registration error: {e}"),
-            }
-            continue;
-        }
-        // A crash during registration may have lost in-flight specs;
-        // re-register anything not yet durable.
-        for s in specs {
-            if find_by_name(&durable, &s.name).is_none() && durable.register_spec(s).is_err() {
-                break;
-            }
-        }
-        if durable.crashed().is_some() {
+        // Spec `i` registers as id `i`, so the registry's length is the
+        // next spec to register.
+        if let Some(s) = specs.get(durable.registry().len()) {
+            durable.register_spec(s).expect("register");
             continue;
         }
         if !durable.registry().has_runnable() {
             break;
         }
-        match durable.step_round() {
-            Ok(true) => panic_recoveries += 1,
-            Ok(false) => {}
-            Err(_) => {} // crashed; handled at loop top
+        if durable.step_round().expect("round") {
+            panic_recoveries += 1;
         }
     }
-    let histories = specs
-        .iter()
-        .map(|s| {
-            let id = find_by_name(&durable, &s.name).expect("campaign survived chaos");
-            durable
-                .registry()
-                .campaign(id)
-                .expect("registered id")
-                .storage()
-                .to_json()
-        })
-        .collect();
-    let wal_appends = durable.registry().fleet_stats().wal_appends;
+    let registry = durable.registry();
+    let history = |id| {
+        registry
+            .campaign(id)
+            .expect("registered id")
+            .storage()
+            .to_json()
+    };
     ChaosOutcome {
-        histories,
+        histories: (0..specs.len() as u64).map(history).collect(),
         crashes,
         panic_recoveries,
         torn_bytes,
-        wal_appends,
+        wal_appends: registry.fleet_stats().wal_appends,
     }
 }
 
@@ -190,9 +166,9 @@ pub fn run() -> Report {
     let want = standalone_histories(&specs);
 
     // Two chaos seeds: crashes + panics at rates that fire repeatedly
-    // over a ~3k-append drive.
-    let a = chaos_drive(&specs, 0xE34, 0.002, 0.004);
-    let b = chaos_drive(&specs, 0x5EED, 0.002, 0.004);
+    // over a ~850-append drive.
+    let a = chaos_drive(&specs, 0xE34, MEAN_GAP, 0.004);
+    let b = chaos_drive(&specs, 0x5EED, MEAN_GAP, 0.004);
     let identical = |got: &[String]| got.iter().zip(&want).filter(|(g, w)| g == w).count();
     let identical_a = identical(&a.histories);
     let identical_b = identical(&b.histories);

@@ -22,8 +22,9 @@
 //!
 //! Recovery reads segments in order, front to back, and stops at the
 //! first record whose header or CRC fails *in the final segment* — that
-//! tail is a torn write from the crash and is cut, not fatal. The same
-//! failure in an earlier segment is corruption, [`ServeError::Storage`].
+//! tail is a torn write from the crash and is cut once the log is
+//! accepted, not fatal. The same failure in an earlier segment is
+//! corruption, [`ServeError::Storage`].
 //! So is, in any segment, a record whose length and CRC hold but whose
 //! payload does not decode: a torn write cannot produce one, so it is
 //! corruption or a foreign format (a log of the JSON era, or one whose
@@ -61,18 +62,24 @@
 //! returns it as the same [`ServeError::Storage`] *before* it touches the
 //! registry, and only [`DurableRegistry::open`] brings the fleet back. So
 //! memory never runs ahead of the acknowledged log, and no record lands
-//! behind a torn one. A simulated crash is such an error: the storage an
-//! armed [`ChaosPlan`] wraps ([`DurableRegistry::set_chaos`]) lands what
-//! the crash point lets land and fails the append.
+//! behind a torn one.
+//!
+//! **A process crash** leaves a prefix of the log. The log is only ever
+//! appended to, and a run is deterministic, so whatever the kill, the
+//! segments hold the log a clean run writes cut after some byte, perhaps
+//! followed by a next segment just opened empty
+//! ([`crate::MemStorage::crash_after`] leaves such a state). `open` reads
+//! each such state back to the records it holds whole, cuts the torn
+//! rest, and the fleet then finishes as it would have.
 //!
 //! **A worker panic** is caught at the `step_round` boundary: the
 //! in-memory campaigns are discarded and rebuilt from the WAL, inside the
 //! registry that was serving them, through the rebuild `open` runs.
 
-use crate::chaos::ChaosPlan;
 use crate::registry::{AdmissionConfig, CampaignRegistry, Rounds, ServeError};
 use crate::spec::CampaignSpec;
 use crate::wal::{encode_record, segment_name, MemStorage, Records, SegmentFiles, Storage};
+use crate::ChaosPlan;
 use autotune::{
     Campaign, CampaignError, CampaignEvent, OptEvent, SourceStep, TrialOutcome, TrialSource,
 };
@@ -207,10 +214,11 @@ impl DurableRegistry {
     }
 
     /// Rebuilds the fleet from the WAL in `dir`: reads every segment,
-    /// cuts a torn tail and replays each campaign through
-    /// [`Campaign::replay`], the active ones with a surrogate model side
-    /// by side. The error is the first refusal in id order, and a refused
-    /// log gets no new segment. Chaos is disarmed on the recovered handle.
+    /// replays each campaign through [`Campaign::replay`], the active ones
+    /// with a surrogate model side by side, and then cuts a torn tail. The
+    /// error is the first refusal in id order, and a refused log keeps its
+    /// bytes and gets no new segment. The recovered handle injects no
+    /// worker panics.
     /// [`verify_wal`] recomputes what this takes as logged.
     pub fn open(
         dir: impl Into<PathBuf>,
@@ -218,7 +226,7 @@ impl DurableRegistry {
         config: WalConfig,
     ) -> Result<(Self, RecoveryReport), ServeError> {
         let files = Box::new(SegmentFiles::new(dir.into()));
-        Self::open_on(files, workers, config, |_| Ok(())).map(|(s, report, ())| (s, report))
+        Self::open_on(files, workers, config, |_, _| Ok(())).map(|(s, report, ())| (s, report))
     }
 
     /// [`DurableRegistry::open`] on the WAL in `device`'s memory.
@@ -228,22 +236,21 @@ impl DurableRegistry {
         config: WalConfig,
     ) -> Result<(Self, RecoveryReport), ServeError> {
         let device = Box::new(device.clone());
-        Self::open_on(device, workers, config, |_| Ok(())).map(|(s, report, ())| (s, report))
+        Self::open_on(device, workers, config, |_, _| Ok(())).map(|(s, report, ())| (s, report))
     }
 
     /// [`DurableRegistry::open`] over `storage`, with `accept` judging the
-    /// auxiliary journal it read before a segment is opened: a journal
-    /// `accept` refuses, like a fleet replay refuses, gets none.
+    /// rebuilt fleet and the auxiliary journal it read before anything is
+    /// written: a journal `accept` refuses, like a fleet replay refuses,
+    /// keeps its torn tail and gets no new segment.
     pub(crate) fn open_on<T>(
         mut storage: Box<dyn Storage>,
         workers: usize,
         config: WalConfig,
-        accept: impl FnOnce(&[(String, Vec<u8>)]) -> Result<T, ServeError>,
+        accept: impl FnOnce(&CampaignRegistry, &[(String, Vec<u8>)]) -> Result<T, ServeError>,
     ) -> Result<(Self, RecoveryReport, T), ServeError> {
         let mut aux_log = Vec::new();
-        let recovered = recover(&mut *storage, true, |key, payload| {
-            aux_log.push((key, payload))
-        })?;
+        let recovered = recover(&*storage, true, |key, payload| aux_log.push((key, payload)))?;
         let mut registry = CampaignRegistry::new(workers);
         let mut durable_len = BTreeMap::new();
         rebuild_fleet(recovered.fleet, false, |id, d, campaign| {
@@ -254,9 +261,10 @@ impl DurableRegistry {
             }
             Ok(())
         })?;
-        let accepted = accept(&aux_log)?;
+        let accepted = accept(&registry, &aux_log)?;
+        // Only now, so a log that replay refuses is left as it was.
+        cut_torn_tail(&mut *storage, recovered.torn)?;
         registry.note_fleet_recovery(recovered.report.truncated_bytes);
-        // Only now, so a log that replay refuses leaves no new segment.
         let mut s = Self::over(storage, config, registry)?;
         s.durable_len = durable_len;
         s.recovered_aux = aux_log;
@@ -288,12 +296,8 @@ impl DurableRegistry {
         self.registry.set_admission(admission);
     }
 
-    /// Arms chaos injection: crash points on the WAL's appends, rolled
-    /// one a record from the first plan armed on this handle (a later
-    /// plan takes over the count), and worker panics while a wave is
-    /// measured.
+    /// Arms `plan`'s worker panics while a wave is measured.
     pub fn set_chaos(&mut self, plan: ChaosPlan) {
-        crate::chaos::arm(&mut self.storage, plan);
         self.registry.inject_worker_panics(plan);
     }
 
@@ -485,15 +489,16 @@ impl DurableRegistry {
     /// Discards every in-memory campaign after a worker panic and swaps
     /// in its rebuild from the WAL — quarantine-and-restart-from-snapshot
     /// at the round boundary. The registry stays, and with it the round
-    /// counter (round-keyed chaos rolls never re-fire), admission, credit
+    /// counter (round-keyed panic rolls never re-fire), admission, credit
     /// and accounting. The panicked round was never acknowledged, so the
     /// rebuilt campaigns re-execute its ticks identically.
     fn recover_in_place(&mut self) -> Result<(), ServeError> {
-        let recovered = recover(&mut *self.storage, true, |_, _| {})?;
+        let recovered = recover(&*self.storage, true, |_, _| {})?;
         rebuild_fleet(recovered.fleet, false, |id, d, campaign| {
             self.durable_len.insert(id, d.events.len());
             self.registry.replace_campaign(id, campaign)
         })?;
+        cut_torn_tail(&mut *self.storage, recovered.torn)?;
         self.registry
             .note_fleet_recovery(recovered.report.truncated_bytes);
         Ok(())
@@ -567,6 +572,9 @@ struct Durable {
 struct Recovered {
     fleet: BTreeMap<u64, Durable>,
     report: RecoveryReport,
+    /// The final segment's number and clean length, when a torn tail
+    /// follows: the cut [`cut_torn_tail`] makes once the log is accepted.
+    torn: Option<(u64, u64)>,
 }
 
 /// Replays a campaign's durable log into a fresh build of its spec
@@ -774,23 +782,23 @@ fn rebuild_fleet(
 /// optimizer, finished ones included (which `open` takes as logged). The
 /// error is the first refusal in id order.
 pub fn verify_wal(dir: &Path) -> Result<RecoveryReport, ServeError> {
-    verify(&mut SegmentFiles::new(dir.into()))
+    verify(&SegmentFiles::new(dir.into()))
 }
 
 /// [`verify_wal`] on the WAL in `storage`.
-pub(crate) fn verify(storage: &mut dyn Storage) -> Result<RecoveryReport, ServeError> {
+pub(crate) fn verify(storage: &dyn Storage) -> Result<RecoveryReport, ServeError> {
     let recovered = recover(storage, false, |_, _| {})?;
     rebuild_fleet(recovered.fleet, true, |_, _, _| Ok(()))?;
     Ok(recovered.report)
 }
 
 /// Reads the WAL in `storage` front to back, handing `aux` every
-/// auxiliary journal record in append order. With `heal`, a torn tail is
-/// cut from the final segment (so future appends start at a clean record
-/// boundary); anywhere else, and anywhere at all without `heal`, it is
-/// corruption and refused, and nothing is written.
+/// auxiliary journal record in append order, and writes nothing. With
+/// `heal`, a torn tail of the final segment is counted and reported for
+/// the caller to cut ([`Recovered::torn`]); anywhere else, and anywhere
+/// at all without `heal`, it is corruption and refused.
 fn recover(
-    storage: &mut dyn Storage,
+    storage: &dyn Storage,
     heal: bool,
     mut aux: impl FnMut(String, Vec<u8>),
 ) -> Result<Recovered, ServeError> {
@@ -801,6 +809,7 @@ fn recover(
     };
     let last = segments.last().copied();
     let mut fleet: BTreeMap<u64, Durable> = BTreeMap::new();
+    let mut torn_tail = None;
     for n in segments {
         let (clean, torn) = read_segment(storage, n, |_, _, record| {
             report.records_read += 1;
@@ -850,11 +859,24 @@ fn recover(
                 )));
             }
             report.truncated_bytes += torn;
-            storage.cut(n, clean).map_err(io_err)?;
+            torn_tail = Some((n, clean));
         }
     }
     report.campaigns = fleet.len();
-    Ok(Recovered { fleet, report })
+    Ok(Recovered {
+        fleet,
+        report,
+        torn: torn_tail,
+    })
+}
+
+/// Cuts the torn tail [`recover`] found, if it found one, so later
+/// appends start at a clean record boundary.
+fn cut_torn_tail(storage: &mut dyn Storage, torn: Option<(u64, u64)>) -> Result<(), ServeError> {
+    match torn {
+        Some((n, clean)) => storage.cut(n, clean).map_err(io_err),
+        None => Ok(()),
+    }
 }
 
 /// The one WAL reader: streams segment `n` front to back, one record at
@@ -934,11 +956,10 @@ fn io_err(e: std::io::Error) -> ServeError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::CrashPoint;
     use crate::registry::tests::{event_log, standalone_runs};
     use crate::spec::{NoiseSpec, OptimizerKind, SystemKind};
-    use crate::wal::tests::temp_dir;
-    use crate::wal::{crc32, record_at, WINDOW};
+    use crate::wal::tests::{record_at, temp_dir};
+    use crate::wal::{crc32, WINDOW};
     use autotune::{SchedulePolicy, TrialRequest};
     use autotune_sim::{FaultPlan, NoiseConfig};
     use std::io::Write;
@@ -964,39 +985,30 @@ mod tests {
         segment_bytes: 4 * 1024,
     };
 
-    /// Registers `specs` and runs the fleet dry or until an append
-    /// crashes; `arm` runs before every call that appends.
-    fn drive(
-        wal: &MemStorage,
-        specs: &[CampaignSpec],
-        config: WalConfig,
-        arm: impl Fn(&mut DurableRegistry),
-    ) -> DurableRegistry {
+    /// Registers `specs` and runs the fleet dry, one call at a time.
+    fn drive(wal: &MemStorage, specs: &[CampaignSpec], config: WalConfig) -> DurableRegistry {
         let mut durable = DurableRegistry::create_in(wal, 2, config).unwrap();
         for s in specs {
-            arm(&mut durable);
-            if durable.register_spec(s).is_err() {
-                return durable;
-            }
+            durable.register_spec(s).unwrap();
         }
         while durable.registry().has_runnable() {
-            arm(&mut durable);
-            if durable.step_round().is_err() {
-                break;
-            }
+            durable.step_round().unwrap();
         }
         durable
     }
 
-    /// Reopens `wal` with chaos off, retries the registrations that never
-    /// became durable, runs the fleet dry and returns every history in
-    /// spec order.
+    /// Reopens `wal` and finishes it ([`finish`]).
     fn recover_and_finish(
         wal: &MemStorage,
         specs: &[CampaignSpec],
         config: WalConfig,
     ) -> Vec<String> {
-        let (mut recovered, _) = DurableRegistry::open_in(wal, 2, config).unwrap();
+        finish(DurableRegistry::open_in(wal, 2, config).unwrap().0, specs)
+    }
+
+    /// Retries on `recovered` the registrations of `specs` its log lost,
+    /// runs the fleet dry and returns every history in spec order.
+    fn finish(mut recovered: DurableRegistry, specs: &[CampaignSpec]) -> Vec<String> {
         for s in &specs[recovered.registry().len()..] {
             recovered.register_spec(s).unwrap();
         }
@@ -1101,26 +1113,6 @@ mod tests {
             Ok(_) => panic!("a log with an undecodable record opened"),
         }
         assert!(wal.contents() == before, "open wrote to a log it refused");
-    }
-
-    #[test]
-    fn chaos_crash_points_all_recover_byte_identically() {
-        // For each crash window, run with an aggressive chaos plan until
-        // a crash fires, recover, finish, and compare to straight runs.
-        let specs: Vec<CampaignSpec> = (0..3).map(spec).collect();
-        let want: Vec<String> = specs.iter().map(straight_history).collect();
-        for seed in [1u64, 2, 3, 4, 5, 6] {
-            let wal = MemStorage::default();
-            let plan = ChaosPlan::new(seed).with_crashes(0.02);
-            drop(drive(&wal, &specs, WalConfig::default(), |d| {
-                d.set_chaos(plan)
-            }));
-            assert_eq!(
-                recover_and_finish(&wal, &specs, WalConfig::default()),
-                want,
-                "seed {seed} diverged after crash recovery"
-            );
-        }
     }
 
     #[test]
@@ -1349,7 +1341,7 @@ mod tests {
     /// Runs `specs` durably in `wal`: dry, or for `rounds` rounds.
     fn drive_rounds(wal: &MemStorage, specs: &[CampaignSpec], rounds: Option<usize>) {
         let Some(rounds) = rounds else {
-            drop(drive(wal, specs, WalConfig::default(), |_| {}));
+            drop(drive(wal, specs, WalConfig::default()));
             return;
         };
         let mut durable = DurableRegistry::create_in(wal, 2, WalConfig::default()).unwrap();
@@ -1379,7 +1371,7 @@ mod tests {
         let [(n, _)] = honest[..] else {
             panic!("the run rotated its log");
         };
-        let fleet = recover(&mut wal.clone(), false, |_, _| {}).unwrap().fleet;
+        let fleet = recover(&wal, false, |_, _| {}).unwrap().fleet;
         let all_finished = rounds.is_none();
         assert!(fleet.values().all(|d| finished(d) == all_finished));
         // One bit in a suggestion's config, in an outcome's cost and in an
@@ -1429,7 +1421,7 @@ mod tests {
                 assert_eq!(now.len(), 1, "lie {i}: {by}");
                 assert_eq!(now[0], (n, lied.clone()), "lie {i}: {by} wrote");
             };
-            diverged(&format!("lie {i} to verify_wal"), verify(&mut wal.clone()));
+            diverged(&format!("lie {i} to verify_wal"), verify(&wal));
             untouched("verify_wal");
             let opened = DurableRegistry::open_in(&wal, 2, WalConfig::default());
             if all_finished && i == 0 {
@@ -1447,7 +1439,7 @@ mod tests {
             wal.set_contents(honest.clone());
         }
         // The honest log, after all that, verifies, opens and finishes.
-        let report = verify(&mut wal.clone()).unwrap();
+        let report = verify(&wal).unwrap();
         assert_eq!((report.campaigns, report.truncated_bytes), (3, 0));
         let (mut recovered, _) = DurableRegistry::open_in(&wal, 2, WalConfig::default()).unwrap();
         recovered.run_all().unwrap();
@@ -1510,7 +1502,7 @@ mod tests {
             durable.step_round().unwrap();
         }
         drop(durable);
-        let logged = recover(&mut wal.clone(), false, |_, _| {}).unwrap().fleet;
+        let logged = recover(&wal, false, |_, _| {}).unwrap().fleet;
         let (mut reopened, report) =
             DurableRegistry::open_in(&wal, 2, WalConfig::default()).unwrap();
         assert_eq!(report.campaigns, specs.len());
@@ -1606,8 +1598,8 @@ mod tests {
         durable.stop(stopped_id).unwrap();
         durable.run_all().unwrap();
         drop(durable);
-        assert_eq!(verify(&mut wal.clone()).unwrap().campaigns, specs.len());
-        let fleet = recover(&mut wal.clone(), false, |_, _| {}).unwrap().fleet;
+        assert_eq!(verify(&wal).unwrap().campaigns, specs.len());
+        let fleet = recover(&wal, false, |_, _| {}).unwrap().fleet;
         assert!(fleet.values().all(finished), "a campaign is still active");
 
         let (reopened, _) = DurableRegistry::open_in(&wal, 2, WalConfig::default()).unwrap();
@@ -1644,7 +1636,7 @@ mod tests {
     fn lies_in_several_campaigns_are_refused_in_id_order() {
         let specs = model_fleet();
         let wal = MemStorage::default();
-        drop(drive(&wal, &specs, WalConfig::default(), |_| {}));
+        drop(drive(&wal, &specs, WalConfig::default()));
         let honest = wal.contents();
         // Flips a bit in the `nth` suggestion of each `(id, nth)`, verifies
         // the log and returns the refusal's text; the refused log keeps its
@@ -1668,7 +1660,7 @@ mod tests {
                         })
                 });
             }
-            let text = diverged(&format!("{lies:?}"), verify(&mut wal.clone())).to_string();
+            let text = diverged(&format!("{lies:?}"), verify(&wal)).to_string();
             let now = wal.contents();
             assert_eq!(now.len(), 1, "{lies:?}");
             assert_eq!(now[0].1, lied, "{lies:?}: verify_wal wrote");
@@ -1742,7 +1734,7 @@ mod tests {
         // leaves the trial history (which holds no telemetry) as it was.
         let specs = fleet_of(10);
         let wal = MemStorage::default();
-        drop(drive(&wal, &specs, WalConfig::default(), |_| {}));
+        drop(drive(&wal, &specs, WalConfig::default()));
         let mut flipped = None;
         edit_log(&wal, |_, events| {
             events.iter_mut().any(|e| {
@@ -1772,10 +1764,10 @@ mod tests {
     fn a_reopened_trial_holds_the_series_its_record_decoded_into() {
         let specs = vec![noisy_random(9, 31)];
         let wal = MemStorage::default();
-        drop(drive(&wal, &specs, WalConfig::default(), |_| {}));
+        drop(drive(&wal, &specs, WalConfig::default()));
         // Rebuilt from the decoded log: each `Measured` holds the very
         // allocation its record was unpacked into.
-        let fleet = recover(&mut wal.clone(), false, |_, _| {}).unwrap().fleet;
+        let fleet = recover(&wal, false, |_, _| {}).unwrap().fleet;
         let logged = &fleet[&0].events;
         let campaign = rebuild(&specs[0], logged, false).unwrap();
         let rebuilt = campaign.log().unwrap();
@@ -1805,15 +1797,6 @@ mod tests {
         s
     }
 
-    /// A plan that leaves appends `0..op` alone and crashes append `op`
-    /// at `point`.
-    fn crash_plan(op: u64, point: CrashPoint) -> ChaosPlan {
-        (0..)
-            .map(|seed| ChaosPlan::new(seed).with_crashes(0.01))
-            .find(|p| (0..op).all(|i| p.crash_at(i).is_none()) && p.crash_at(op) == Some(point))
-            .expect("some seed qualifies")
-    }
-
     /// Three sequential campaigns, the longest of `budget` trials (one
     /// trial a round).
     fn fleet_of(budget: usize) -> Vec<CampaignSpec> {
@@ -1829,7 +1812,7 @@ mod tests {
     fn every_event_is_written_once() {
         let wal = MemStorage::default();
         let specs = fleet_of(66);
-        let durable = drive(&wal, &specs, SMALL_SEGMENTS, |_| {});
+        let durable = drive(&wal, &specs, SMALL_SEGMENTS);
         assert!(durable.registry().rounds() > 64, "the run was too short");
         let segments = wal.contents();
         assert_eq!(segments[0].0, 1, "segment 1 was deleted");
@@ -1878,7 +1861,7 @@ mod tests {
             noisy_random(12, 31),
         ];
         let wal = MemStorage::default();
-        let durable = drive(&wal, &specs, WalConfig::default(), |_| {});
+        let durable = drive(&wal, &specs, WalConfig::default());
         let mut logged = vec![Vec::new(); specs.len()];
         for (n, _) in wal.contents() {
             read_segment(&wal, n, |_, _, record| {
@@ -1916,7 +1899,7 @@ mod tests {
         // segments, so rotation falls inside rounds.
         let wal = MemStorage::default();
         let specs = fleet_of(16);
-        let durable = drive(&wal, &specs, SMALL_SEGMENTS, |_| {});
+        let durable = drive(&wal, &specs, SMALL_SEGMENTS);
         let mut records = Vec::new();
         for (n, _) in wal.contents() {
             read_segment(&wal, n, |_, _, record| {
@@ -2000,7 +1983,7 @@ mod tests {
         // records straddle its end and are read whole across the refill.
         let wal = MemStorage::default();
         let specs = fleet_of(40);
-        drop(drive(&wal, &specs, WalConfig::default(), |_| {}));
+        drop(drive(&wal, &specs, WalConfig::default()));
         let walks = walks_agree(&wal);
         let [(spans, clean, 0)] = &walks[..] else {
             panic!("expected one clean segment: {walks:?}")
@@ -2024,7 +2007,7 @@ mod tests {
         let wal = MemStorage::default();
         let mut specs = fleet_of(12);
         specs[1].name = "n".repeat(WINDOW + 4096);
-        drop(drive(&wal, &specs, WalConfig::default(), |_| {}));
+        drop(drive(&wal, &specs, WalConfig::default()));
         let walks = walks_agree(&wal);
         let [(spans, _, 0)] = &walks[..] else {
             panic!("expected one clean segment: {walks:?}")
@@ -2087,62 +2070,109 @@ mod tests {
 
     #[test]
     fn crash_at_any_append_recovers_byte_identically() {
-        // A short fleet: the sweep reruns it once per append and crash
-        // point, and a trial's events are ~2.4 KB, so every second append
-        // still rolls a 4 KiB segment.
+        // The log is append-only and the run deterministic, so a kill at
+        // any instant leaves the clean run's log cut after some byte, in
+        // the segments written so far, perhaps with the next one opened
+        // empty. For each record: each landed prefix the reader tells
+        // apart (none, a torn header, the header, one byte more, all but
+        // one byte, all); at each rotation: the next segment opened empty.
         let specs = fleet_of(10);
         let want: Vec<String> = specs.iter().map(straight_history).collect();
         let wal = MemStorage::default();
-        let clean = drive(&wal, &specs, SMALL_SEGMENTS, |_| {});
-        // Where each append of the clean run lies: its segment (an index
-        // into `clean_segments`), offset and length.
-        let clean_segments = wal.contents();
-        assert!(clean_segments.len() > 4, "the swept run never rotated");
-        let mut placed = Vec::new();
-        for (i, (n, _)) in clean_segments.iter().enumerate() {
+        drop(drive(&wal, &specs, SMALL_SEGMENTS));
+        let clean = wal.contents();
+        assert!(clean.len() > 4, "the swept run never rotated");
+        // Each record's start in the log read as one stream, and its
+        // length; each segment's end.
+        let (mut records, mut ends, mut start) = (Vec::new(), Vec::new(), 0);
+        for (n, bytes) in &clean {
             read_segment(&wal, *n, |at, len, _| {
-                placed.push((i, at, 8 + len));
+                records.push((start + at as u64, 8 + len as u64));
                 Ok(())
             })
             .unwrap();
+            start += bytes.len() as u64;
+            ends.push(start);
         }
-        let appends = placed.len() as u64;
-        assert_eq!(appends, clean.registry().fleet_stats().wal_appends);
-        for point in [
-            CrashPoint::PreAppend,
-            CrashPoint::MidAppend,
-            CrashPoint::PostAppendPreAck,
-        ] {
-            for k in 0..appends {
-                let wal = MemStorage::default();
-                // Armed before the first append, so the plan counts the
-                // run's appends from 0.
-                let armed = crash_plan(k, point);
-                let dead = drive(&wal, &specs, SMALL_SEGMENTS, |d| d.set_chaos(armed));
-                let crashed = dead.crashed().expect("the append never crashed");
-                assert!(
-                    crashed.contains(&format!("{point:?}")),
-                    "append {k}: {crashed}"
-                );
-                // On disk: every append before `k` whole, where the clean run
-                // put it, then what `k`'s crash point let land, and nothing
-                // after it.
-                let (seg, at, len) = placed[k as usize];
-                let landed = match point {
-                    CrashPoint::PreAppend => 0,
-                    CrashPoint::MidAppend => armed.torn_len(k, len),
-                    CrashPoint::PostAppendPreAck => len,
-                };
-                let mut on_disk = clean_segments[..=seg].to_vec();
-                on_disk[seg].1.truncate(at + landed);
-                assert!(
-                    wal.contents() == on_disk,
-                    "{point:?} at append {k}: the log is not appends 0..{k} and {landed} bytes of {k}"
-                );
-                let got = recover_and_finish(&wal, &specs, SMALL_SEGMENTS);
-                assert_eq!(got, want, "{point:?} at append {k}");
+        let mut states = std::collections::BTreeSet::new();
+        for &(at, len) in &records {
+            for landed in (0..=9).chain([len - 1, len]) {
+                states.insert((at + landed.min(len), false));
             }
         }
+        states.extend(ends[..ends.len() - 1].iter().map(|&end| (end, true)));
+        let count = states.len();
+        assert!(count >= 300, "{count} crash states");
+        let mut finished = 0;
+        for (i, &(bytes, opened)) in states.iter().enumerate() {
+            let state = format!(
+                "crash state {i} of {count}: {bytes} bytes{}",
+                if opened { ", next segment empty" } else { "" }
+            );
+            let wal = MemStorage::default();
+            wal.set_contents(clean.clone());
+            wal.crash_after(bytes);
+            if opened {
+                wal.clone().open_next().unwrap();
+            }
+            // What the reopen must leave: the state without its torn
+            // bytes, and the segment it opens.
+            let whole = records.partition_point(|&(at, len)| at + len <= bytes);
+            let torn = bytes - records[..whole].last().map_or(0, |&(at, len)| at + len);
+            let mut healed = wal.contents();
+            let (last, tail) = healed.pop().unwrap();
+            let tail = tail[..tail.len() - torn as usize].to_vec();
+            healed.extend([(last, tail), (last + 1, Vec::new())]);
+            let opened =
+                std::panic::catch_unwind(|| DurableRegistry::open_in(&wal, 2, SMALL_SEGMENTS));
+            let (reopened, report) = opened
+                .unwrap_or_else(|_| panic!("{state}: open panicked"))
+                .unwrap_or_else(|e| panic!("{state}: {e}"));
+            let read = (report.records_read, report.truncated_bytes);
+            assert_eq!(read, (whole as u64, torn), "{state}: records, torn bytes");
+            assert!(
+                wal.contents() == healed,
+                "{state}: not the clean prefix and a new segment"
+            );
+            // A torn state reopens to the bytes of the clean one it tears:
+            // only the clean ones run on.
+            if torn == 0 {
+                assert_eq!(finish(reopened, &specs), want, "{state}");
+                finished += 1;
+            }
+        }
+        assert!(
+            finished > records.len(),
+            "{finished} of {count} crash states finished"
+        );
+        // A torn record anywhere but in the final segment is no crash's:
+        // `open` refuses it and writes nothing.
+        let mut torn = clean.clone();
+        torn[1].1.pop();
+        wal.set_contents(torn.clone());
+        let why = refusal(DurableRegistry::open_in(&wal, 2, SMALL_SEGMENTS).map(drop));
+        assert!(why.contains("mid-WAL in wal-000002.seg"), "{why}");
+        assert!(wal.contents() == torn, "a refused open wrote");
+    }
+
+    #[test]
+    fn a_torn_log_that_replay_refuses_keeps_every_byte() {
+        // A campaign's last event gone from its first record, behind a
+        // torn tail: the replay refuses the log, so the tail stays too.
+        let wal = MemStorage::default();
+        drive_rounds(&wal, &fleet_of(10), Some(4));
+        edit_log(&wal, |_, events| events.pop().is_some());
+        let mut segments = wal.contents();
+        segments[0].1.extend([0x55; 13]);
+        wal.set_contents(segments.clone());
+        diverged(
+            "a torn log that lies",
+            DurableRegistry::open_in(&wal, 2, WalConfig::default()),
+        );
+        assert!(
+            wal.contents() == segments,
+            "a refused open cut its torn tail"
+        );
     }
 
     /// What a refused call must leave alone: everything the registry

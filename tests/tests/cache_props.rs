@@ -7,7 +7,7 @@
 //! 2. Concurrent lookups racing a backfill writer never observe a torn
 //!    entry: every hit's `(config, cost)` pair is one the writer
 //!    actually inserted.
-//! 3. Crashing a `TenantRouter` mid-stream and reopening from the WAL
+//! 3. Killing a `TenantRouter` mid-stream and reopening from the WAL
 //!    reproduces the exact hit/miss sequence (and final cache state) of
 //!    an uninterrupted run, for arbitrary crash points and streams.
 //! 4. The exact-feature index a lookup finds entries by holds every

@@ -1,7 +1,8 @@
 //! Robustness integration tests for the serving layer: frame-codec
 //! fuzzing (truncation, bit-flips, oversized prefixes must yield typed
-//! errors, never panics or hangs), chaos-injected crash recovery
-//! (recovered fleets finish byte-identical to straight runs), and
+//! errors, never panics or hangs), crash recovery from a log cut at
+//! seeded bytes (recovered fleets finish byte-identical to straight
+//! runs), and
 //! overload shedding (accepted campaigns stay deterministic while the
 //! registry sheds).
 
@@ -11,6 +12,8 @@ use autotune_serve::{
     ServeError, SystemKind, WalConfig, MAX_FRAME_LEN,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::io::Cursor;
 
 fn spec(i: u64) -> CampaignSpec {
@@ -106,9 +109,10 @@ proptest! {
     }
 }
 
-/// Crash the durable fleet at chaos-chosen append operations, recover
-/// from the WAL, finish, and demand byte-identical final histories —
-/// the integration-level version of E34.
+/// Kill the durable fleet wherever a seeded byte offset falls in its
+/// log, with worker panics injected, recover from what the kill leaves,
+/// finish, and demand byte-identical final histories — the
+/// integration-level version of E34.
 #[test]
 fn chaos_crash_recovery_is_byte_identical() {
     let specs: Vec<CampaignSpec> = (0..6).map(spec).collect();
@@ -123,59 +127,45 @@ fn chaos_crash_recovery_is_byte_identical() {
     for seed in [11u64, 23, 47] {
         let wal = MemStorage::default();
         let mut durable = DurableRegistry::create_in(&wal, 3, WalConfig::default()).unwrap();
-        durable.set_chaos(
-            ChaosPlan::new(seed)
-                .with_crashes(0.03)
-                .with_worker_panics(0.05),
-        );
-        for s in &specs {
-            if durable.register_spec(s).is_err() {
-                break;
-            }
-        }
-        let mut crashes = 0;
+        durable.set_chaos(ChaosPlan::new(seed).with_worker_panics(0.05));
+        let mut gaps = StdRng::seed_from_u64(seed);
+        let mut kill_at = gaps.gen_range(1..20_000u64);
+        // Bytes appended that the log no longer holds.
+        let (mut lost, mut crashes) = (0, 0);
         loop {
-            if durable.crashed().is_some() {
+            let len = wal.appended_bytes() - lost;
+            if len > kill_at {
+                drop(durable);
+                wal.crash_after(kill_at);
                 crashes += 1;
-                let (r, _) = DurableRegistry::open_in(&wal, 3, WalConfig::default()).unwrap();
-                durable = r;
+                let (r, report) = DurableRegistry::open_in(&wal, 3, WalConfig::default()).unwrap();
                 // Chaos stays off after recovery: the process that
                 // replaced the dead one runs clean.
-                for s in &specs {
-                    let missing = !durable.registry().ids().iter().any(|id| {
-                        durable
-                            .registry()
-                            .stats(*id)
-                            .map(|st| st.name == s.name)
-                            .unwrap_or(false)
-                    });
-                    if missing {
-                        durable.register_spec(s).unwrap();
-                    }
-                }
+                durable = r;
+                lost += len - kill_at + report.truncated_bytes;
+                kill_at = kill_at - report.truncated_bytes + gaps.gen_range(1..20_000u64);
+            }
+            // Spec `i` registers as id `i`: retry what the log lost.
+            if let Some(s) = specs.get(durable.registry().len()) {
+                durable.register_spec(s).unwrap();
+                continue;
             }
             if !durable.registry().has_runnable() {
                 break;
             }
-            let _ = durable.step_round();
+            durable.step_round().unwrap();
         }
-        for (i, s) in specs.iter().enumerate() {
-            let id = durable
+        assert!(crashes > 1, "seed {seed}: {crashes} crashes");
+        for (i, want) in want.iter().enumerate() {
+            let got = durable
                 .registry()
-                .ids()
-                .into_iter()
-                .find(|id| {
-                    durable
-                        .registry()
-                        .stats(*id)
-                        .map(|st| st.name == s.name)
-                        .unwrap_or(false)
-                })
-                .expect("campaign survived recovery");
-            let got = durable.registry().campaign(id).unwrap().storage().to_json();
+                .campaign(i as u64)
+                .unwrap()
+                .storage()
+                .to_json();
             assert_eq!(
-                got, want[i],
-                "seed {seed}: campaign {i} diverged (crashes so far: {crashes})"
+                &got, want,
+                "seed {seed}: campaign {i} diverged ({crashes} crashes)"
             );
         }
     }

@@ -40,13 +40,13 @@ for _ in 1 2 3; do
 done
 
 # name|cargo test arguments, up to and including the `--` that starts
-# the harness's own. The recovery suite leaves out the sweep that
-# reruns a fleet once per append index (quadratic; `cargo test` has it).
+# the harness's own. The recovery suite includes the crash sweep: one
+# clean run, one reopen per crash state and one finish per clean prefix.
 SUITES=(
   "serve registry::tests|-p autotune-serve --lib registry::tests --"
   "tests/campaign_snapshot|-p autotune-tests --test campaign_snapshot --"
   "tests/cache_props|-p autotune-tests --test cache_props --"
-  "serve durability::tests|-p autotune-serve --lib durability::tests -- --skip crash_at_any_append"
+  "serve durability::tests|-p autotune-serve --lib durability::tests --"
   "serve wal::tests|-p autotune-serve --lib wal::tests --"
   "serve router::tests|-p autotune-serve --lib router::tests --"
 )
