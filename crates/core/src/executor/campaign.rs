@@ -123,6 +123,15 @@ pub enum CampaignError {
         /// What diverged.
         reason: String,
     },
+    /// A snapshot was asked of a campaign that dropped the front of its
+    /// log ([`Campaign::drop_logged`]) without being handed back exactly
+    /// those events ([`Campaign::snapshot_with`]).
+    LogDropped {
+        /// Events the campaign dropped.
+        dropped: usize,
+        /// Events handed back in their place.
+        supplied: usize,
+    },
 }
 
 impl fmt::Display for CampaignError {
@@ -150,6 +159,11 @@ impl fmt::Display for CampaignError {
             CampaignError::ReplayDiverged { reason } => {
                 write!(f, "replay diverged from snapshot: {reason}")
             }
+            CampaignError::LogDropped { dropped, supplied } => write!(
+                f,
+                "the campaign dropped the first {dropped} events of its log and {supplied} \
+                 were handed back; snapshot it from where its log was persisted"
+            ),
         }
     }
 }
@@ -235,6 +249,9 @@ pub struct Campaign<'a> {
     last_refits: usize,
     last_updates: usize,
     log: Option<Vec<CampaignEvent>>,
+    /// Events logged and then dropped from the front of `log`
+    /// ([`Campaign::drop_logged`]): the log's indices count them.
+    dropped: usize,
     replay: BTreeMap<(u64, u32), Measurement>,
     staged: Vec<(WorkItem, Option<Measurement>)>,
     n_ticks: u64,
@@ -297,6 +314,7 @@ impl<'a> Campaign<'a> {
             last_refits: 0,
             last_updates: 0,
             log: Some(Vec::new()),
+            dropped: 0,
             replay: BTreeMap::new(),
             staged: Vec::new(),
             n_ticks: 0,
@@ -397,13 +415,27 @@ impl<'a> Campaign<'a> {
         self.fan.collector.snapshot()
     }
 
-    /// The event log, when enabled.
+    /// The event log, when enabled: every event since the last
+    /// [`Campaign::drop_logged`], the whole log if it was never called.
     pub fn log(&self) -> Option<&[CampaignEvent]> {
         self.log.as_deref()
     }
 
+    /// Drops every event the log holds, once the caller has persisted
+    /// them (a write-ahead log that keeps the one copy). The campaign
+    /// still counts them, so replay indices and refusals keep naming
+    /// events from the log's start; [`Campaign::snapshot`] refuses from
+    /// now on, and [`Campaign::snapshot_with`] takes them back.
+    pub fn drop_logged(&mut self) {
+        if let Some(log) = &mut self.log {
+            self.dropped += log.len();
+            log.clear();
+        }
+    }
+
+    /// Events logged so far, dropped ones included.
     fn log_len(&self) -> usize {
-        self.log.as_ref().map_or(0, Vec::len)
+        self.dropped + self.log.as_ref().map_or(0, Vec::len)
     }
 
     fn log_push(&mut self, f: impl FnOnce() -> CampaignEvent) {
@@ -801,17 +833,36 @@ impl<'a> Campaign<'a> {
     }
 
     /// Captures the campaign as `(seed, policy, event log)`. Requires
-    /// the event log and a tick boundary (no wave staged via
-    /// [`Campaign::ready_wave`] awaiting completion).
+    /// the event log, all of it held ([`CampaignError::LogDropped`] once
+    /// [`Campaign::drop_logged`] dropped some), and a tick boundary (no
+    /// wave staged via [`Campaign::ready_wave`] awaiting completion).
     pub fn snapshot(&self) -> Result<CampaignSnapshot, CampaignError> {
+        self.snapshot_with(Vec::new())
+    }
+
+    /// [`Campaign::snapshot`] of a campaign whose dropped events are
+    /// handed back as `dropped`, read from where they were persisted:
+    /// the snapshot's log is `dropped` and then the events the campaign
+    /// holds. `dropped` must be as long as what was dropped.
+    pub fn snapshot_with(
+        &self,
+        mut dropped: Vec<CampaignEvent>,
+    ) -> Result<CampaignSnapshot, CampaignError> {
         let log = self.log.as_ref().ok_or(CampaignError::LogDisabled)?;
+        if dropped.len() != self.dropped {
+            return Err(CampaignError::LogDropped {
+                dropped: self.dropped,
+                supplied: dropped.len(),
+            });
+        }
         if !self.staged.is_empty() {
             return Err(CampaignError::MidTick);
         }
+        dropped.extend_from_slice(log);
         Ok(CampaignSnapshot {
             seed: self.seed,
             policy: self.policy,
-            events: log.clone(),
+            events: dropped,
         })
     }
 
@@ -865,50 +916,64 @@ impl<'a> Campaign<'a> {
         if c.n_ticks != 0 || c.next_id != 0 {
             return Err(CampaignError::NotPristine);
         }
-        if c.log.is_none() {
+        c.replay_more(events)?;
+        Ok(c)
+    }
+
+    /// Continues a replay with the next stretch of the log, `events`,
+    /// which must end on a tick boundary: the same ticks and the same
+    /// check as [`Campaign::replay`], over the events after the ones
+    /// replayed so far (a reader can replay a log one stretch at a time
+    /// and [`Campaign::drop_logged`] each, holding none of it whole).
+    /// Refusals name events by their index in the whole log.
+    pub fn replay_more(&mut self, events: &[CampaignEvent]) -> Result<(), CampaignError> {
+        let Some(held) = self.log.as_ref().map(Vec::len) else {
             return Err(CampaignError::LogDisabled);
+        };
+        if !self.staged.is_empty() {
+            return Err(CampaignError::MidTick);
         }
-        c.replay = events
-            .iter()
-            .filter_map(CampaignEvent::measurement)
-            .collect();
-        while c.log_len() < events.len() && !c.done {
-            let before = c.log_len();
-            c.stage();
-            if let Some(w) = c.staged_wave().next() {
+        let start = self.log_len();
+        let n_events = start + events.len();
+        self.replay
+            .extend(events.iter().filter_map(CampaignEvent::measurement));
+        while self.log_len() < n_events && !self.done {
+            let before = self.log_len();
+            self.stage();
+            if let Some(w) = self.staged_wave().next() {
                 return Err(CampaignError::MissingMeasurement {
                     id: w.id,
                     attempt: 0,
                 });
             }
-            c.apply_wave(Vec::new());
-            if c.log_len() == before && !c.done {
+            self.apply_wave(Vec::new());
+            if self.log_len() == before && !self.done {
                 return Err(CampaignError::ReplayDiverged {
                     reason: "replay stalled without appending events".into(),
                 });
             }
         }
-        let rebuilt = c.log().into_iter().flatten();
+        let rebuilt = self.log.iter().flatten().skip(held);
         if let Some(i) = rebuilt
             .zip(events)
             .position(|(got, want)| !got.same_bits(want))
         {
             return Err(CampaignError::ReplayDiverged {
-                reason: format!("event {i} {DIVERGED}"),
+                reason: format!("event {} {DIVERGED}", start + i),
             });
         }
-        if !c.replay.is_empty() {
+        if !self.replay.is_empty() {
             return Err(CampaignError::ReplayDiverged {
                 reason: format!(
                     "{} recorded measurements were never consumed",
-                    c.replay.len()
+                    self.replay.len()
                 ),
             });
         }
         // Shorter: the campaign drained before reproducing the whole log
         // (e.g. a larger budget than the fresh build's). Longer: the log
         // stops between a tick's last measurement and its outcomes.
-        let (rebuilt_len, n_events) = (c.log_len(), events.len());
+        let rebuilt_len = self.log_len();
         if rebuilt_len != n_events {
             return Err(CampaignError::ReplayDiverged {
                 reason: format!(
@@ -916,7 +981,7 @@ impl<'a> Campaign<'a> {
                 ),
             });
         }
-        Ok(c)
+        Ok(())
     }
 }
 
@@ -1132,6 +1197,79 @@ pub(crate) mod tests {
                 straight.metrics().wall_clock_s.to_bits(),
                 "cut at {cut}"
             );
+        }
+    }
+
+    #[test]
+    fn a_log_replayed_a_stretch_at_a_time_and_dropped_rebuilds_the_campaign() {
+        let policy = SchedulePolicy::AsyncSlots { k: 2 };
+        let mut straight = faulty_campaign(policy);
+        let mut boundaries = vec![0];
+        while !straight.tick() {
+            boundaries.push(straight.log_len());
+        }
+        boundaries.push(straight.log_len());
+        let full = straight.snapshot().unwrap();
+        // Two ticks a stretch, each dropped once replayed, as a reader of
+        // a write-ahead log replays it.
+        let mut cuts: Vec<usize> = boundaries.iter().copied().step_by(2).collect();
+        cuts.push(full.events.len());
+        cuts.dedup();
+        let stretches: Vec<&[CampaignEvent]> =
+            cuts.windows(2).map(|w| &full.events[w[0]..w[1]]).collect();
+        let mut c = faulty_campaign(policy);
+        let mut at = 0;
+        for stretch in &stretches {
+            at += stretch.len();
+            c.replay_more(stretch).unwrap();
+            assert_eq!(c.log().unwrap().len(), stretch.len());
+            c.drop_logged();
+            assert_eq!((c.log().unwrap().len(), c.log_len()), (0, at));
+        }
+        assert_eq!(at, full.events.len());
+        assert_eq!(c.storage().to_json(), straight.storage().to_json());
+        // The dropped events are only taken back whole.
+        assert_eq!(
+            c.snapshot().unwrap_err(),
+            CampaignError::LogDropped {
+                dropped: at,
+                supplied: 0
+            }
+        );
+        let short = full.events[1..].to_vec();
+        assert!(matches!(
+            c.snapshot_with(short),
+            Err(CampaignError::LogDropped { .. })
+        ));
+        let back = c.snapshot_with(full.events.clone()).unwrap();
+        let cbor = |s: &CampaignSnapshot| {
+            let mut bytes = Vec::new();
+            ciborium::into_writer(s, &mut bytes).unwrap();
+            bytes
+        };
+        assert_eq!(cbor(&back), cbor(&full));
+        // A refusal names its event by its index in the whole log.
+        let mut lied = stretches.iter().map(|s| s.to_vec()).collect::<Vec<_>>();
+        let last = lied.len() - 1;
+        let i = lied[last]
+            .iter()
+            .position(|e| matches!(e, CampaignEvent::Outcome { .. }))
+            .expect("an outcome in the last stretch");
+        let CampaignEvent::Outcome { elapsed_s, .. } = &mut lied[last][i] else {
+            unreachable!()
+        };
+        *elapsed_s = f64::from_bits(elapsed_s.to_bits() ^ 1);
+        let mut c = faulty_campaign(policy);
+        for stretch in &lied[..last] {
+            c.replay_more(stretch).unwrap();
+            c.drop_logged();
+        }
+        let at = full.events.len() - lied[last].len() + i;
+        match c.replay_more(&lied[last]) {
+            Err(CampaignError::ReplayDiverged { reason }) => {
+                assert!(reason.starts_with(&format!("event {at} ")), "{reason}")
+            }
+            other => panic!("a lie replayed: {other:?}"),
         }
     }
 

@@ -181,29 +181,16 @@ impl TrialStorage {
     }
 }
 
-/// Builder-style constructor for completed trials.
+/// Constructors for first-try trials at full fidelity.
 impl Trial {
     /// A completed trial at full fidelity.
     pub fn complete(config: Config, cost: f64, elapsed_s: f64) -> Self {
         Trial::first_try(config, cost, elapsed_s, TrialStatus::Complete)
     }
 
-    /// A trial cut short by the early-abort policy; `cost` is the
-    /// censored (threshold) value.
-    pub fn aborted(config: Config, cost: f64, elapsed_s: f64) -> Self {
-        Trial::first_try(config, cost, elapsed_s, TrialStatus::Aborted)
-    }
-
     /// A crashed trial.
     pub fn crashed(config: Config, elapsed_s: f64) -> Self {
         Trial::first_try(config, f64::NAN, elapsed_s, TrialStatus::Crashed)
-    }
-
-    /// A trial lost to infrastructure with retries exhausted; the cost is
-    /// unknown (NaN) and the elapsed time is what the failed attempts
-    /// (plus backoff) burned.
-    pub fn transient_failure(config: Config, elapsed_s: f64) -> Self {
-        Trial::first_try(config, f64::NAN, elapsed_s, TrialStatus::TransientFailure)
     }
 
     /// A trial at full fidelity on no machine in particular, first try.
@@ -219,24 +206,6 @@ impl Trial {
             retries: 0,
         }
     }
-
-    /// Builder-style fidelity annotation.
-    pub fn at_fidelity(mut self, fidelity: f64) -> Self {
-        self.fidelity = fidelity;
-        self
-    }
-
-    /// Builder-style machine annotation.
-    pub fn on_machine(mut self, machine_id: usize) -> Self {
-        self.machine_id = Some(machine_id);
-        self
-    }
-
-    /// Builder-style retry count annotation.
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -245,6 +214,16 @@ mod tests {
 
     fn cfg(x: f64) -> Config {
         Config::new().with("x", x)
+    }
+
+    /// A trial lost to infrastructure after `retries` retries: its cost
+    /// unknown (NaN), its elapsed time what the attempts burned.
+    fn transient_failure(config: Config, elapsed_s: f64, retries: u32) -> Trial {
+        Trial {
+            status: TrialStatus::TransientFailure,
+            retries,
+            ..Trial::crashed(config, elapsed_s)
+        }
     }
 
     #[test]
@@ -297,11 +276,11 @@ mod tests {
     #[test]
     fn json_roundtrip() {
         let mut s = TrialStorage::new();
-        s.record(
-            Trial::complete(cfg(1.0), 2.0, 3.0)
-                .at_fidelity(0.5)
-                .on_machine(7),
-        );
+        s.record(Trial {
+            fidelity: 0.5,
+            machine_id: Some(7),
+            ..Trial::complete(cfg(1.0), 2.0, 3.0)
+        });
         let json = s.to_json();
         let back = TrialStorage::from_json(&json).unwrap();
         assert_eq!(back.len(), 1);
@@ -329,8 +308,11 @@ mod tests {
     fn transient_failures_are_counted_separately_from_crashes() {
         let mut s = TrialStorage::new();
         s.record(Trial::crashed(cfg(1.0), 1.0));
-        s.record(Trial::transient_failure(cfg(2.0), 4.0).with_retries(3));
-        s.record(Trial::complete(cfg(3.0), 1.5, 1.0).with_retries(1));
+        s.record(transient_failure(cfg(2.0), 4.0, 3));
+        s.record(Trial {
+            retries: 1,
+            ..Trial::complete(cfg(3.0), 1.5, 1.0)
+        });
         assert_eq!(s.n_crashed(), 1);
         assert_eq!(s.n_transient_failures(), 1);
         assert_eq!(s.n_retried(), 4);
@@ -341,7 +323,7 @@ mod tests {
     #[test]
     fn retries_survive_json_roundtrip() {
         let mut s = TrialStorage::new();
-        s.record(Trial::transient_failure(cfg(1.0), 2.0).with_retries(2));
+        s.record(transient_failure(cfg(1.0), 2.0, 2));
         let back = TrialStorage::from_json(&s.to_json()).unwrap();
         assert_eq!(back.trials()[0].retries, 2);
         assert_eq!(back.trials()[0].status, TrialStatus::TransientFailure);

@@ -388,6 +388,9 @@ pub(crate) trait Backend: Rounds {
     /// Takes a `Stop`; returns whether the campaign was active.
     fn stop(&mut self, id: u64) -> Result<bool, ServeError>;
 
+    /// Takes a `Snapshot`: the campaign's seed, policy and whole log.
+    fn snapshot(&self, id: u64) -> Result<CampaignSnapshot, ServeError>;
+
     /// Takes a `Lookup`, which a fleet without a config cache refuses.
     fn lookup(&mut self, _: &[f64], _: &CampaignSpec) -> Result<RouterLookup, ServeError> {
         Err(ServeError::Protocol(
@@ -407,6 +410,10 @@ impl Backend for CampaignRegistry {
 
     fn stop(&mut self, id: u64) -> Result<bool, ServeError> {
         CampaignRegistry::stop(self, id)
+    }
+
+    fn snapshot(&self, id: u64) -> Result<CampaignSnapshot, ServeError> {
+        CampaignRegistry::snapshot(self, id)
     }
 }
 
@@ -442,7 +449,7 @@ impl<B: Backend> ServeBackend for B {
             }
             Request::RunAll => stepped(self, config.max_rounds_per_request)?,
             Request::Snapshot { id } => Response::Snapshot {
-                snapshot: self.registry().snapshot(id)?,
+                snapshot: self.snapshot(id)?,
             },
             Request::Stats { id } => Response::Stats {
                 stats: self.registry().stats(id)?,

@@ -402,6 +402,18 @@ impl CampaignRegistry {
         Ok(())
     }
 
+    /// Drops the events campaign `id` holds once its durability layer
+    /// has logged them ([`Campaign::drop_logged`]); returns whether it
+    /// held any (false for an unknown id).
+    pub(crate) fn drop_logged(&mut self, id: u64) -> bool {
+        let Ok(entry) = self.entry_mut(id) else {
+            return false;
+        };
+        let held = entry.campaign.log().is_some_and(|log| !log.is_empty());
+        entry.campaign.drop_logged();
+        held
+    }
+
     /// Registers an owned campaign under `name`; returns its id. This
     /// low-level path bypasses admission control — servers route
     /// registrations through [`CampaignRegistry::admit_spec`] instead.
@@ -539,7 +551,10 @@ impl CampaignRegistry {
         Ok(was_active)
     }
 
-    /// Snapshots a campaign at its current tick boundary.
+    /// Snapshots a campaign at its current tick boundary. A campaign
+    /// whose durability layer dropped what it logged refuses
+    /// ([`CampaignError::LogDropped`](autotune::CampaignError::LogDropped));
+    /// its snapshot is [`DurableRegistry::snapshot`](crate::DurableRegistry::snapshot).
     pub fn snapshot(&self, id: u64) -> Result<CampaignSnapshot, ServeError> {
         Ok(self.entry(id)?.campaign.snapshot()?)
     }

@@ -508,6 +508,10 @@ impl Backend for TenantRouter {
         self.durable.stop(id)
     }
 
+    fn snapshot(&self, id: u64) -> Result<autotune::CampaignSnapshot, ServeError> {
+        self.durable.snapshot(id)
+    }
+
     fn lookup(
         &mut self,
         features: &[f64],
@@ -603,12 +607,76 @@ mod tests {
     use crate::spec::SystemKind;
     use crate::wal::segment_name;
     use crate::wal::tests::temp_dir;
-    use autotune::SchedulePolicy;
+    use autotune::{CampaignError, SchedulePolicy};
 
     fn spec(name: &str, seed: u64) -> CampaignSpec {
         let mut s = CampaignSpec::minimal(name.to_string(), SystemKind::Redis, 6, seed);
         s.policy = SchedulePolicy::AsyncSlots { k: 2 };
         s
+    }
+
+    #[test]
+    fn a_served_snapshot_is_the_plain_registrys_before_and_after_a_reopen() {
+        // A short campaign and a long one, `Step`ped alike on a router and
+        // on a plain registry: snapshots of the active campaign between
+        // rounds and of the finished one, as frames, before and after the
+        // router reopens from its WAL.
+        let config = ServerConfig::default();
+        let mut short = spec("short", 71);
+        short.budget = 3;
+        let specs = [short, spec("long", 72)];
+        let wal = MemStorage::default();
+        let mut router =
+            TenantRouter::create_in(&wal, 2, WalConfig::default(), RouterConfig::default())
+                .unwrap();
+        let mut plain = CampaignRegistry::new(2);
+        let ask = |backend: &mut dyn ServeBackend, request: Request| -> Vec<u8> {
+            let response = backend.handle_request(request, &config).unwrap();
+            let mut frame = Vec::new();
+            crate::write_frame(&mut frame, &response).unwrap();
+            frame
+        };
+        for spec in &specs {
+            let register = || Request::Register {
+                spec: spec.clone(),
+                request_id: None,
+            };
+            assert_eq!(ask(&mut router, register()), ask(&mut plain, register()));
+        }
+        while !plain.is_finished(0) {
+            let step = || Request::Step { rounds: 1 };
+            assert_eq!(ask(&mut router, step()), ask(&mut plain, step()));
+        }
+        assert!(!plain.is_finished(1));
+        let snapshots_agree = |router: &mut TenantRouter, plain: &mut CampaignRegistry| {
+            for id in [0, 1] {
+                let snapshot = || Request::Snapshot { id };
+                let got = ask(router, snapshot());
+                assert_eq!(got, ask(plain, snapshot()), "campaign {id}");
+                assert!(got.len() > 1_000, "campaign {id}: {} bytes", got.len());
+                // The router's campaign keeps none of what its WAL holds.
+                let kept = router.registry().snapshot(id);
+                assert!(
+                    matches!(
+                        kept,
+                        Err(ServeError::Campaign(CampaignError::LogDropped { .. }))
+                    ),
+                    "campaign {id}: {kept:?}"
+                );
+            }
+        };
+        snapshots_agree(&mut router, &mut plain);
+        drop(router);
+        let (mut router, _) = TenantRouter::open_in(&wal, 2, WalConfig::default()).unwrap();
+        snapshots_agree(&mut router, &mut plain);
+        // A reopened registry starts its round-robin credit afresh, so the
+        // rounds a `RunAll` counts may differ; the histories do not.
+        router.run_all().unwrap();
+        plain.run_all().unwrap();
+        snapshots_agree(&mut router, &mut plain);
+        drop(router);
+        let (mut router, _) = TenantRouter::open_in(&wal, 2, WalConfig::default()).unwrap();
+        snapshots_agree(&mut router, &mut plain);
     }
 
     /// The router's journal as `wal` holds it: each op's kind, and the

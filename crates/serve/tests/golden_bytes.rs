@@ -119,9 +119,15 @@ fn live() -> (Vec<Entry>, PathBuf) {
     let stats = Response::Stats {
         stats: router.registry().stats(campaign).unwrap(),
     };
-    let snapshot = Response::Snapshot {
-        snapshot: router.registry().snapshot(campaign).unwrap(),
-    };
+    // The router's campaigns keep no logged event: its snapshot reads
+    // the WAL back.
+    let snapshot = router
+        .handle_request(Request::Snapshot { id: campaign }, &config)
+        .unwrap();
+    assert!(
+        matches!(snapshot, Response::Snapshot { .. }),
+        "{snapshot:?}"
+    );
     drop(router);
     let segment = only_segment(&dir);
     let mut entries = vec![

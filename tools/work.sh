@@ -4,7 +4,8 @@
 # run: allocations per router hit, per decoded `Lookup` and `CacheHit`
 # frame, and per random-fleet trial running and reopened, the peak
 # bytes `DurableRegistry::open` holds reopening tune_fleet's 64 x 32
-# fleet and `verify_wal` holds checking it, and what that fleet asks of
+# fleet and `verify_wal` holds checking it, the bytes that fleet holds
+# drained, after `run_all` and after `open`, and what it asks of
 # the WAL's device (appends, bytes appended and segments opened, which a
 # `MemStorage` counts). tools/ci.sh diffs the file
 # as it diffs repro_output.txt; a change that means to move a count
