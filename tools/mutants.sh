@@ -11,7 +11,7 @@
 #   tools/mutants.sh          # every row
 #   tools/mutants.sh crc32    # the rows whose contract or filter matches
 #
-# 36 rows take about 220 s on 2 vCPUs from a cold build directory
+# 39 rows take about 225 s on 2 vCPUs from a cold build directory
 # (debug builds): about 70 s is the history_digests row (a surrogate
 # mutation rebuilds the test crate, then the digests run), most of the
 # rest the serve crate and its dependents rebuilt after a codec or
