@@ -34,6 +34,8 @@
 //! exact hit/miss behavior after a crash; a run of hits it journals as
 //! the soft state they left ([`HitRun`]) and not one by one.
 
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 mod cache;
 mod key;
 

@@ -989,6 +989,7 @@ impl<'a> Campaign<'a> {
 pub(crate) mod tests {
     use super::*;
     use crate::executor::{EarlyAbortMw, OptimizerSource, RetryMw};
+    use crate::sync::PoisonFreeMutex;
     use crate::test_fixtures::redis_target;
     use autotune_optimizer::RandomSearch;
     use autotune_sim::TelemetrySample;
@@ -1010,7 +1011,7 @@ pub(crate) mod tests {
         }
 
         fn report(&mut self, outcome: &TrialOutcome) {
-            self.seen.lock().unwrap().push(outcome.clone());
+            self.seen.plock().push(outcome.clone());
             self.inner.report(outcome);
         }
     }
@@ -1072,7 +1073,7 @@ pub(crate) mod tests {
             });
             last.unwrap()
         };
-        let seen = seen.lock().unwrap();
+        let seen = seen.plock();
         let shares = |o: &TrialOutcome| Arc::ptr_eq(&o.telemetry, last_series(o.id));
         seen.iter().map(|o| (shares(o), o.clone())).collect()
     }

@@ -77,6 +77,8 @@
 //! assert!(best.cost.is_finite());
 //! ```
 
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod executor;
 pub mod sync;
 pub mod telemetry;

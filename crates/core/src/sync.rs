@@ -6,7 +6,8 @@
 //! tree dealt with that ad hoc: some sites `.unwrap()`ed (turning one
 //! recovered panic into a cascade), others hand-rolled
 //! `unwrap_or_else(PoisonError::into_inner)` in per-crate helpers. Both
-//! shapes are now rejected by `autotune-lint` D12; this module is the
+//! shapes are now rejected: `clippy.toml` disallows the raw
+//! `Mutex::lock`/`RwLock::{read, write}` calls, and this module is the
 //! one blessed implementation.
 //!
 //! Recovery-by-`into_inner` is sound here because every structure the
@@ -34,7 +35,7 @@ use std::sync::{
 /// return the same exclusive guard and [`PoisonFreeMutex::plock`] is the
 /// idiomatic spelling. The `p` prefix is load-bearing: `autotune-lint`
 /// recognises these methods as lock acquisitions (D7/D8 guard tracking)
-/// while D12 rejects the raw panicking forms.
+/// while clippy's `disallowed_methods` rejects the raw calls.
 pub trait PoisonFree {
     /// Shared guard type.
     type ReadGuard<'a>
@@ -52,6 +53,10 @@ pub trait PoisonFree {
     fn pwrite(&self) -> Self::WriteGuard<'_>;
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "PoisonFree is the one blessed recovery site"
+)]
 impl<T: ?Sized> PoisonFree for Mutex<T> {
     type ReadGuard<'a>
         = MutexGuard<'a, T>
@@ -63,14 +68,18 @@ impl<T: ?Sized> PoisonFree for Mutex<T> {
         T: 'a;
 
     fn pread(&self) -> MutexGuard<'_, T> {
-        self.lock().unwrap_or_else(PoisonError::into_inner) // lint: allow(D12) the PoisonFree impl is the one blessed recovery site
+        self.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn pwrite(&self) -> MutexGuard<'_, T> {
-        self.lock().unwrap_or_else(PoisonError::into_inner) // lint: allow(D12) the PoisonFree impl is the one blessed recovery site
+        self.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "PoisonFree is the one blessed recovery site"
+)]
 impl<T: ?Sized> PoisonFree for RwLock<T> {
     type ReadGuard<'a>
         = RwLockReadGuard<'a, T>
@@ -82,11 +91,11 @@ impl<T: ?Sized> PoisonFree for RwLock<T> {
         T: 'a;
 
     fn pread(&self) -> RwLockReadGuard<'_, T> {
-        self.read().unwrap_or_else(PoisonError::into_inner) // lint: allow(D12) the PoisonFree impl is the one blessed recovery site
+        self.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn pwrite(&self) -> RwLockWriteGuard<'_, T> {
-        self.write().unwrap_or_else(PoisonError::into_inner) // lint: allow(D12) the PoisonFree impl is the one blessed recovery site
+        self.write().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -106,8 +115,9 @@ impl<T: ?Sized> PoisonFreeMutex<T> for Mutex<T> {
 /// returning the reacquired guard even if another holder panicked while
 /// this thread slept.
 pub fn pwait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-    // D12 keys on lock acquisitions, so this wait-side recovery needs no
-    // allow — but it is blessed for the same reason the ones above are.
+    // Clippy bans the lock calls, not `Condvar::wait`, so this wait-side
+    // recovery needs no `expect` — but it is blessed for the same reason
+    // the ones above are.
     cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 

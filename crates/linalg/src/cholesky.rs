@@ -5,7 +5,10 @@
 //! `K + sigma^2 I`, and the log marginal likelihood needs the
 //! log-determinant, which falls out of the factor's diagonal for free.
 
-#![allow(clippy::needless_range_loop)] // offset-indexed triangular loops
+#![expect(
+    clippy::needless_range_loop,
+    reason = "offset-indexed triangular loops"
+)]
 use crate::vector::{chained_dots, CHAINS};
 use crate::{LinalgError, Matrix, Result};
 

@@ -27,6 +27,8 @@
 //! assert!((x[1] - 1.5).abs() < 1e-12);
 //! ```
 
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 mod cholesky;
 mod eigen;
 mod matrix;

@@ -24,6 +24,8 @@
 //! black box"). **Convention: objectives are minimized.** Callers
 //! maximizing throughput negate before calling `observe`.
 
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 mod annealing;
 mod bo;
 mod cmaes;

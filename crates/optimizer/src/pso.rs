@@ -79,7 +79,7 @@ impl ParticleSwarm {
     }
 
     /// Advances particle `i` one step using current bests.
-    #[allow(clippy::needless_range_loop)] // indexes three parallel vectors
+    #[expect(clippy::needless_range_loop, reason = "indexes three parallel vectors")]
     fn step_particle(&mut self, i: usize, rng: &mut dyn RngCore) {
         let gbest = match &self.global_best {
             Some((p, _)) => p.clone(),

@@ -21,6 +21,8 @@
 //! [`SafeTuner`] wrapper, which speaks to system metrics, uses cost and
 //! documents it.
 
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 mod actor_critic;
 mod contextual;
 mod hybrid;

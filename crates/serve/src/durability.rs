@@ -183,10 +183,6 @@ pub struct DurableRegistry {
     /// The batch being written, each record with its header, back to
     /// back: every append encodes into this one buffer.
     buf: Vec<u8>,
-    /// The auxiliary journal [`DurableRegistry::open`] read, held until
-    /// its owner collects it with [`DurableRegistry::take_aux_log`].
-    /// Live appends never land here.
-    recovered_aux: Vec<(String, Vec<u8>)>,
     /// Why this handle is dead (written by `die` only): the error every
     /// later call repeats.
     crashed: Option<String>,
@@ -283,8 +279,7 @@ impl DurableRegistry {
         // Only now, so a log that replay refuses is left as it was.
         cut_torn_tail(&mut *storage, fleet.torn)?;
         registry.note_fleet_recovery(fleet.report.truncated_bytes);
-        let mut s = Self::over(storage, config, registry)?;
-        s.recovered_aux = aux_log;
+        let s = Self::over(storage, config, registry)?;
         Ok((s, fleet.report, accepted))
     }
 
@@ -302,7 +297,6 @@ impl DurableRegistry {
             config,
             seg_bytes: 0,
             buf: Vec::new(),
-            recovered_aux: Vec::new(),
             crashed: None,
         })
     }
@@ -410,25 +404,14 @@ impl DurableRegistry {
     /// Appends one auxiliary journal record under `key`, durable before
     /// return. Subsystems layered on the registry (the config-cache
     /// router) journal their operations here and replay them in order
-    /// after [`DurableRegistry::open`] via
-    /// [`DurableRegistry::take_aux_log`]. Nothing is retained in memory.
+    /// as they reopen ([`crate::TenantRouter::open`]). Nothing is
+    /// retained in memory.
     pub fn append_aux(&mut self, key: &str, payload: impl Into<Vec<u8>>) -> Result<(), ServeError> {
         self.check_alive()?;
         self.append(&WalRecord::Aux {
             key: Cow::Borrowed(key),
             payload: Cow::Owned(payload.into()),
         })
-    }
-
-    /// Hands over every `(key, payload)` auxiliary record
-    /// [`DurableRegistry::open`] read from the WAL, in append order, each
-    /// payload the bytes its owner appended (the owner decodes them one
-    /// at a time as it replays: held decoded, a long journal would cost
-    /// several times its size on disk). The journal is moved out: a
-    /// second call (and any call on a handle made by
-    /// [`DurableRegistry::create`]) returns an empty list.
-    pub fn take_aux_log(&mut self) -> Vec<(String, Vec<u8>)> {
-        std::mem::take(&mut self.recovered_aux)
     }
 
     /// Stops a campaign, durably.
@@ -1328,14 +1311,12 @@ mod tests {
             }
             durable.append_aux(key, payload.clone()).unwrap();
         }
-        assert!(
-            durable.take_aux_log().is_empty(),
-            "appends are not retained"
-        );
         drop(durable);
-        let (mut reopened, _) = DurableRegistry::open_in(&wal, 1, SMALL_SEGMENTS).unwrap();
-        assert_eq!(reopened.take_aux_log(), journal);
-        assert!(reopened.take_aux_log().is_empty(), "handed over once");
+        let reopen =
+            DurableRegistry::open_on(Box::new(wal.clone()), 1, SMALL_SEGMENTS, |_, aux| {
+                Ok(aux.to_vec())
+            });
+        assert_eq!(reopen.unwrap().2, journal);
     }
 
     #[test]
@@ -2329,10 +2310,14 @@ mod tests {
             wal.set_contents(vec![(1, [&clean[..], &tail].concat())]);
             let walks = walks_agree(&wal);
             assert_eq!(walks[0].1, WINDOW as u64);
-            let (mut recovered, report) = DurableRegistry::open_in(&wal, 1, WalConfig::default())
+            let device = Box::new(wal.clone());
+            let (recovered, report, read) =
+                DurableRegistry::open_on(device, 1, WalConfig::default(), |_, journal| {
+                    Ok(journal.to_vec())
+                })
                 .unwrap_or_else(|e| panic!("a {}-byte tail: {e}", tail.len()));
             assert_eq!(report.truncated_bytes, tail.len() as u64);
-            assert_eq!(recovered.take_aux_log(), journal);
+            assert_eq!(read, journal);
             assert_eq!(wal.contents()[0].1.len(), WINDOW);
             drop(recovered);
         }

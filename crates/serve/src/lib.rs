@@ -41,6 +41,8 @@
 //! server.join().unwrap().unwrap();
 //! ```
 
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 mod chaos;
 mod durability;
 mod protocol;

@@ -28,10 +28,6 @@ use std::io::{Read, Write};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// A control request to the campaign server.
-// Register dominates the enum size by carrying a whole CampaignSpec, but
-// requests are transient (framed, handled, dropped) and never stored in
-// bulk, so the usual boxing remedy buys nothing here.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum Request {
     /// Build and register a campaign from a spec; answers

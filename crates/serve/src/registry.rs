@@ -822,6 +822,7 @@ fn least_loaded(loads: &[f64]) -> usize {
 pub(crate) mod tests {
     use super::*;
     use crate::spec::{CampaignSpec, NoiseSpec, OptimizerKind, SystemKind};
+    use autotune::sync::PoisonFreeMutex;
     use autotune::{CampaignEvent, Objective, OptEvent, SchedulePolicy};
     use autotune_sim::{Environment, FaultPlan, NoiseConfig, Workload};
     use std::collections::BTreeSet;
@@ -966,7 +967,7 @@ pub(crate) mod tests {
             let target =
                 Target::black_box(space.clone(), Objective::MinimizeLatencyAvg, move |c| {
                     let id = format!("{:?}", std::thread::current().id());
-                    seen.lock().unwrap().insert(id);
+                    seen.plock().insert(id);
                     c.get_f64("x").unwrap()
                 });
             let source = OptimizerSource::new(Box::new(RandomSearch::new(space)), 5);
@@ -978,7 +979,7 @@ pub(crate) mod tests {
         assert_eq!(reg.fleet_stats().live_measurements, 20);
         let me = format!("{:?}", std::thread::current().id());
         assert_eq!(
-            seen.lock().unwrap().iter().collect::<Vec<_>>(),
+            seen.plock().iter().collect::<Vec<_>>(),
             [&me],
             "a wave was measured off the thread that called step_round"
         );
@@ -1000,7 +1001,7 @@ pub(crate) mod tests {
         fn on_opt_event(&mut self, _at_s: f64, event: &OptEvent) {
             if let OptEvent::SuggestBegin { .. } = event {
                 let id = format!("{:?}", std::thread::current().id());
-                let mut seen = self.seen.lock().unwrap();
+                let mut seen = self.seen.plock();
                 seen.entry(self.name.clone()).or_default().insert(id);
             }
         }
@@ -1097,7 +1098,7 @@ pub(crate) mod tests {
             return;
         }
         let me = format!("{:?}", std::thread::current().id());
-        let seen = seen.lock().unwrap();
+        let seen = seen.plock();
         let gp_threads: BTreeSet<&String> = seen
             .iter()
             .filter(|(name, _)| name.starts_with("gp"))

@@ -322,10 +322,8 @@ impl TenantRouter {
         workers: usize,
         wal: WalConfig,
     ) -> Result<(Self, RecoveryReport), ServeError> {
-        let (mut durable, report, state) =
+        let (durable, report, state) =
             DurableRegistry::open_on(storage, workers, wal, CacheState::replayed)?;
-        // Replayed already: the handle need not hold the journal.
-        drop(durable.take_aux_log());
         let mut router = TenantRouter::over(durable, state);
         router.logged_tick = router.state.cache.tick();
         Ok((router, report))

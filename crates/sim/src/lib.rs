@@ -29,6 +29,8 @@
 //! Every simulator is deterministic given its RNG, so experiments are
 //! reproducible seed-for-seed.
 
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 mod dbms;
 mod env;
 mod fault;
@@ -145,7 +147,10 @@ pub trait SimSystem: Send + Sync {
 /// Generates the shared latency/telemetry shape for a trial given its
 /// analytic mean latency and utilization. Used by all simulators so their
 /// outputs stay structurally comparable.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one call per simulator, each input a distinct quantity"
+)]
 pub(crate) fn finish_trial(
     mean_latency_ms: f64,
     utilization: f64,

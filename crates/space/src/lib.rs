@@ -21,6 +21,7 @@
 //!
 //! ```
 //! use autotune_space::{Space, Param, Value};
+//! use rand::SeedableRng;
 //!
 //! let space = Space::builder()
 //!     .add(Param::float("buffer_pool_gb", 0.5, 16.0).log_scale())
@@ -29,7 +30,7 @@
 //!     .build()
 //!     .unwrap();
 //!
-//! let mut rng = rand::thread_rng();
+//! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 //! let config = space.sample(&mut rng);
 //! let x = space.encode_unit(&config).unwrap();
 //! assert_eq!(x.len(), 3);
@@ -37,11 +38,12 @@
 //! assert_eq!(config.get("flush_method"), back.get("flush_method"));
 //! ```
 
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 mod condition;
 mod config;
 mod constraint;
 mod param;
-#[allow(clippy::module_inception)]
 mod space;
 
 pub use condition::Condition;

@@ -29,7 +29,10 @@ pub struct SpaceBuilder {
 
 impl SpaceBuilder {
     /// Adds a parameter.
-    #[allow(clippy::should_implement_trait)] // builder verb, not arithmetic
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "builder verb, not arithmetic"
+    )]
     pub fn add(mut self, param: Param) -> Self {
         self.params.push(param);
         self

@@ -37,6 +37,8 @@
 //! assert!((p.mean - (3.0f64).sin()).abs() < 0.2);
 //! ```
 
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 mod forest;
 mod gp;
 mod kernel;

@@ -22,6 +22,8 @@
 //! * [`TenantFleet`] — synthetic Zipf-popularity tenant populations drawn
 //!   from workload-family mixtures, for exercising cache hit rates.
 
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 mod cluster;
 mod embedding;
 mod fingerprint;

@@ -71,6 +71,11 @@ fn main() {
 
     let (metrics, storage) = {
         let policy = SchedulePolicy::AsyncSlots { k: 3 };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the example measures real tuner overhead, so its timer reads the wall clock"
+        )]
+        let timer = StdTimer(Instant::now());
         let mut campaign = Campaign::over(&target, Box::new(source), policy, SEED)
             .with_middleware(Box::new(MachineAssignMw::round_robin(N_MACHINES)))
             .with_middleware(Box::new(QuarantineMw::new(N_MACHINES)))
@@ -79,7 +84,7 @@ fn main() {
             .with_middleware(Box::new(CrashPenaltyMw::new()))
             .with_subscriber(Box::new(&mut progress))
             .with_subscriber(Box::new(&mut spans))
-            .with_timer(Box::new(StdTimer(Instant::now())));
+            .with_timer(Box::new(timer));
         (campaign.run(), campaign.into_storage())
     };
 

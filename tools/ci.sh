@@ -59,24 +59,24 @@ run_step "tests" cargo test -q
 
 run_step "rustfmt" cargo fmt --check
 
-# unwrap_used stays a warning in editors (per-crate [lints] tables); the
-# enforcing gate for panic sites is autotune-lint's D5 below, so keep
-# -D warnings from tripping on the documented allow-listed survivors.
-run_step "clippy" cargo clippy --workspace --all-targets -- -D warnings -A clippy::unwrap_used
+# Enforces clippy.toml's determinism bans workspace-wide (no wall-clock
+# reads, no hash-ordered containers, no unseeded randomness, no raw std
+# lock calls outside PoisonFree) and the library crates' stdout/stderr/
+# dbg! ban; panic sites are autotune-lint's D5 below.
+run_step "clippy" cargo clippy --workspace --all-targets -- -D warnings
 
 rustdoc_step() {
   RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 }
 run_step "rustdoc (warnings are errors)" rustdoc_step
 
-# Machine-checks the determinism, panic-safety, and concurrency
-# contracts across every crates/*/src file: no wall-clock reads, no
-# hash-ordered containers, no unseeded randomness, no NaN-panicking
-# comparisons, no panics or stdout in library paths (D1-D6), plus the
-# crash-safety pack — acyclic cross-crate lock order, no guard held
-# across catch_unwind/par_map*/WAL appends, justified Relaxed atomics,
-# append-before-ack in crates/serve, ordered float reductions, and
-# PoisonFree lock recovery (D7-D12; see DESIGN.md "Static invariants").
+# Machine-checks the contracts no compiler lint expresses across every
+# crates/*/src file: no NaN-panicking comparisons and no panics in
+# library paths (D4-D5), plus the crash-safety pack — acyclic
+# cross-crate lock order, no guard held across catch_unwind/par_map*/WAL
+# appends, justified Relaxed atomics, append-before-ack in crates/serve
+# and ordered float reductions (D7-D11; see DESIGN.md "Static
+# invariants").
 run_step "static invariants (autotune-lint)" \
   cargo run -q --release -p autotune-lint -- --deny-all
 

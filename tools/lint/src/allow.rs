@@ -8,6 +8,7 @@
 //! cannot accumulate silently.
 
 use crate::lexer::{Tok, TokKind};
+use crate::rules;
 use std::collections::BTreeMap;
 
 /// One parsed allow comment.
@@ -110,16 +111,11 @@ pub fn collect(toks: &[Tok]) -> Allows {
             .map(|c| c.trim().to_string())
             .filter(|c| !c.is_empty())
             .collect();
-        let valid = !codes.is_empty()
-            && codes.iter().all(|c| {
-                c.starts_with('D')
-                    && c[1..].chars().all(|d| d.is_ascii_digit())
-                    && c[1..].parse::<u32>().is_ok_and(|n| (1..=12).contains(&n))
-            });
+        let valid = !codes.is_empty() && codes.iter().all(|c| rules::is_rule(c));
         if !valid {
             out.malformed.push(MalformedAllow {
                 line: t.line,
-                problem: "codes must be D1..D12 (comma-separated)",
+                problem: "codes must name a rule: D4, D5, D7..D11 (comma-separated)",
             });
             continue;
         }
@@ -189,8 +185,9 @@ mod tests {
 
     #[test]
     fn bad_code_shape_is_malformed() {
-        let toks = lex("x(); // lint: allow(D99) nope");
+        // D1 names no rule here: clock reads are a clippy disallowed method.
+        let toks = lex("x(); // lint: allow(D99) nope\ny(); // lint: allow(D1) a clock read");
         let allows = collect(&toks);
-        assert_eq!(allows.malformed.len(), 1);
+        assert_eq!(allows.malformed.len(), 2);
     }
 }

@@ -1,7 +1,7 @@
 //! Pass 2: per-file symbol table and intraprocedural statement flow.
 //!
 //! The token rules in [`crate::rules`] see one token at a time; the
-//! concurrency pack (D7–D12) needs more: which function a token is in,
+//! concurrency pack (D7–D11) needs more: which function a token is in,
 //! which lock guards are live at a given statement, and whether an ack
 //! construction is preceded by a durable append. This module extracts
 //! that structure from the same lexed stream, still dependency-free:
@@ -10,7 +10,7 @@
 //!   dense non-comment token index) and, per function, extracts lock
 //!   **acquisitions** with an estimated guard lifetime and a list of
 //!   flow **events** (risky calls, relaxed atomics, ack constructions,
-//!   durable calls, parallel reductions, poison unwraps).
+//!   durable calls, parallel reductions).
 //! * Guard lifetimes are estimated conservatively from statement shape:
 //!   a `let`-bound guard lives until `drop(guard)` or its block's `}`;
 //!   a temporary guard dies at the end of its statement (`;`, or the `{`
@@ -88,14 +88,6 @@ pub enum EventKind {
     Reduction {
         /// Human description of the reduction shape.
         what: String,
-    },
-    /// `.lock()/.read()/.write()` immediately followed by a
-    /// poison-panicking adapter (D12).
-    PoisonUnwrap {
-        /// The adapter (`unwrap`, `expect`, `unwrap_or_else`).
-        method: String,
-        /// The lock method it follows.
-        lock: String,
     },
 }
 
@@ -743,36 +735,6 @@ pub fn analyze(toks: &[Tok], sig: &[usize], mask: &[bool]) -> Vec<FnFlow> {
                     }
                 }
             }
-            // Poison unwraps (D12): adapter directly after an empty-arg
-            // `.lock()/.read()/.write()` call.
-            if dotted
-                && called
-                && POISON_ADAPTERS.contains(&t.text.as_str())
-                && d >= 2
-                && is_punct(toks, sig, d - 2, ')')
-            {
-                if let Some(lock_open) = match_backward(toks, sig, d - 2) {
-                    let empty = lock_open + 1 == d - 2;
-                    let lock_method = lock_open
-                        .checked_sub(1)
-                        .and_then(|j| tok(toks, sig, j))
-                        .filter(|u| {
-                            u.is_ident("lock") || u.is_ident("read") || u.is_ident("write")
-                        });
-                    if empty {
-                        if let Some(lm) = lock_method {
-                            flow.events.push(Event {
-                                kind: EventKind::PoisonUnwrap {
-                                    method: t.text.clone(),
-                                    lock: lm.text.clone(),
-                                },
-                                di: d,
-                                line: t.line,
-                            });
-                        }
-                    }
-                }
-            }
             d += 1;
         }
     }
@@ -780,7 +742,10 @@ pub fn analyze(toks: &[Tok], sig: &[usize], mask: &[bool]) -> Vec<FnFlow> {
 }
 
 /// Builds one [`Acquire`] (lifetime estimation) and records it.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the scan's cursor state, passed down unbundled"
+)]
 fn push_acquire(
     toks: &[Tok],
     sig: &[usize],
@@ -998,21 +963,5 @@ fn f() -> Response {
             .collect();
         assert_eq!(red.len(), 1, "{red:?}");
         assert!(red[0].contains("total"));
-    }
-
-    #[test]
-    fn poison_unwrap_detected_only_on_empty_arg_locks() {
-        let src =
-            "fn f() { m.lock().unwrap(); r.read().expect(\"x\"); file.read(&mut b).unwrap(); }";
-        let fs = flows(src);
-        let pu: Vec<&str> = fs[0]
-            .events
-            .iter()
-            .filter_map(|e| match &e.kind {
-                EventKind::PoisonUnwrap { lock, .. } => Some(lock.as_str()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(pu, vec!["lock", "read"]);
     }
 }

@@ -1,17 +1,20 @@
-//! `autotune-lint` — static determinism & panic-safety analysis for the
+//! `autotune-lint` — static panic-safety & concurrency analysis for the
 //! autotune workspace.
 //!
 //! The repo's trustworthiness rests on invariants no type system checks:
 //! trials replay byte-identically, every random draw derives from the
 //! campaign seed, time flows only through the virtual clock, and the
-//! tuner never panics mid-campaign. This crate machine-checks those
-//! invariants as twelve named diagnostics (see [`rules`]) over every
-//! `crates/*/src` file, with an inline `// lint: allow(Dx) <reason>`
-//! escape hatch for the sites that are proven safe. D1–D6 are per-token
-//! determinism/panic-safety rules; D7–D12 are the concurrency and
-//! crash-safety pack, driven by a second pass ([`flow`]) that recovers
-//! per-function lock acquisitions, guard lifetimes, and protocol events,
-//! and by a cross-crate lock-order graph ([`graph`]).
+//! tuner never panics mid-campaign. The invariants that ban a name (no
+//! clock reads, hash-ordered containers, unseeded randomness, raw std
+//! lock calls or library stdout) are clippy's, configured in
+//! `clippy.toml`; this crate machine-checks the ones that need token
+//! patterns or statement flow, as seven named diagnostics (see
+//! [`rules`]) over every `crates/*/src` file, with an inline
+//! `// lint: allow(Dx) <reason>` escape hatch for the sites that are
+//! proven safe. D4–D5 are per-token panic-safety rules; D7–D11 are the
+//! concurrency and crash-safety pack, driven by a second pass ([`flow`])
+//! that recovers per-function lock acquisitions, guard lifetimes, and
+//! protocol events, and by a cross-crate lock-order graph ([`graph`]).
 //!
 //! Run it from anywhere in the workspace:
 //!

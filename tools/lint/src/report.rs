@@ -10,7 +10,7 @@ pub struct Violation {
     pub file: String,
     /// 1-based source line.
     pub line: u32,
-    /// Diagnostic code (`D1`..`D12`, or `A1`/`A2` for allow hygiene).
+    /// Diagnostic code (`D4`..`D11`, or `A1`/`A2` for allow hygiene).
     pub code: &'static str,
     /// Human message, including the suggested fix.
     pub message: String,

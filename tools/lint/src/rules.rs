@@ -1,20 +1,19 @@
 //! The invariant diagnostics, matched over the token stream and the
-//! statement-flow pass.
+//! statement-flow pass. The gaps in the numbering are the rules clippy
+//! enforces by type (`clippy.toml` and the library crates' `lib.rs`
+//! deny): wall-clock reads (D1), hash-ordered containers (D2), unseeded
+//! randomness (D3), stdout/stderr/`dbg!` in library code (D6) and raw
+//! std lock calls outside `autotune::sync::PoisonFree` (D12).
 //!
 //! | code | invariant | exempt |
 //! |------|-----------|--------|
-//! | D1 | no wall-clock reads (`Instant::now`, `SystemTime::now`) — time enters through an injected `WallTimer` | tests |
-//! | D2 | no `HashMap`/`HashSet` — hash iteration order leaks into RNG-consuming paths; use `BTreeMap`/`BTreeSet` | tests |
-//! | D3 | no unseeded randomness (`thread_rng`, `from_entropy`, `rand::random`, `OsRng`) | tests |
 //! | D4 | no NaN-panicking float comparisons (`partial_cmp(..).unwrap()/expect()/unwrap_or(..)`) — use `total_cmp` | tests |
 //! | D5 | no `.unwrap()`/`.expect()`/`panic!`-family in library paths — return `Result` or allow with a reason | bench, tests |
-//! | D6 | no `println!`/`eprintln!`/`dbg!` in library crates — route through telemetry | bench, tests |
 //! | D7 | consistent lock order — nested acquisitions feed a cross-crate graph that must stay acyclic; re-acquiring a held lock is flagged at the site | bench, tests |
 //! | D8 | no lock guard held across `catch_unwind`, `par_map*`, or WAL `append`/`append_aux` | bench, tests |
 //! | D9 | no `Ordering::Relaxed` on non-counter atomics (`fetch_add`/`fetch_sub` are counters) without a happens-before argument | bench, tests |
 //! | D10 | in `crates/serve`, every durable-state ack (`Response::{Registered,Stopped,CacheMiss}`) must be dominated by a durable append/journal call; a `CacheHit` is a read and promises none | library, bench, tests |
 //! | D11 | no non-associative float reductions (`.sum()`, captured `+=`) inside `par_map*` closures — use the ordered-reduction helpers | bench, tests |
-//! | D12 | no poison-panicking `.lock()/.read()/.write()` adapters in library paths — go through `autotune::sync::PoisonFree` | bench, tests |
 //!
 //! Each rule reports at the line of its anchor token and honours the
 //! `// lint: allow(Dx) <reason>` escape hatch on that exact line. D7's
@@ -36,9 +35,10 @@ pub enum CrateKind {
     /// `crates/serve`: everything a library gets, plus the D10
     /// append-before-ack protocol check.
     Serve,
-    /// The bench/experiment crate: panics and stdout are its job, but
-    /// what `repro` prints is checked in and diffed, so the determinism
-    /// rules (D1-D3) and D4 (NaN-safe comparisons) apply.
+    /// The bench/experiment crate: its panics are experiment failures,
+    /// so only D4 (NaN-safe comparisons) applies. What `repro` prints is
+    /// checked in and diffed; clippy's clock, hash-order and entropy
+    /// bans hold this crate like every other.
     Bench,
 }
 
@@ -48,29 +48,13 @@ struct Rule {
     applies_to_bench: bool,
 }
 
-const RULES: [Rule; 12] = [
-    Rule {
-        code: "D1",
-        applies_to_bench: true,
-    },
-    Rule {
-        code: "D2",
-        applies_to_bench: true,
-    },
-    Rule {
-        code: "D3",
-        applies_to_bench: true,
-    },
+const RULES: [Rule; 7] = [
     Rule {
         code: "D4",
         applies_to_bench: true,
     },
     Rule {
         code: "D5",
-        applies_to_bench: false,
-    },
-    Rule {
-        code: "D6",
         applies_to_bench: false,
     },
     Rule {
@@ -93,11 +77,12 @@ const RULES: [Rule; 12] = [
         code: "D11",
         applies_to_bench: false,
     },
-    Rule {
-        code: "D12",
-        applies_to_bench: false,
-    },
 ];
+
+/// True when `code` names one of the rules above.
+pub(crate) fn is_rule(code: &str) -> bool {
+    RULES.iter().any(|r| r.code == code)
+}
 
 /// Durable-state acks: the server must not send these before the
 /// corresponding WAL append. Read-only and terminal responses
@@ -175,56 +160,6 @@ pub fn check(
             CrateKind::Library => code != "D10",
         };
 
-        // D1: wall-clock reads.
-        if enabled("D1")
-            && (t.is_ident("Instant") || t.is_ident("SystemTime"))
-            && seq_is(toks, &sig, si + 1, &[":", ":", "now"])
-        {
-            sink.emit(
-                "D1",
-                t.line,
-                format!(
-                    "wall-clock read `{}::now()` — inject a WallTimer (core::telemetry) instead",
-                    t.text
-                ),
-            );
-        }
-
-        // D2: hash-ordered containers.
-        if enabled("D2") && (t.is_ident("HashMap") || t.is_ident("HashSet")) {
-            sink.emit(
-                "D2",
-                t.line,
-                format!(
-                    "`{}` in a deterministic crate — hash iteration order leaks into \
-                     RNG-consuming paths; use BTreeMap/BTreeSet or a sorted drain",
-                    t.text
-                ),
-            );
-        }
-
-        // D3: unseeded randomness.
-        if enabled("D3") {
-            if t.is_ident("thread_rng") || t.is_ident("from_entropy") || t.is_ident("OsRng") {
-                sink.emit(
-                    "D3",
-                    t.line,
-                    format!(
-                        "unseeded randomness `{}` — derive every stream from the campaign seed",
-                        t.text
-                    ),
-                );
-            } else if t.is_ident("rand") && seq_is(toks, &sig, si + 1, &[":", ":", "random"]) {
-                sink.emit(
-                    "D3",
-                    t.line,
-                    "unseeded randomness `rand::random` — derive every stream from the campaign \
-                     seed"
-                        .to_string(),
-                );
-            }
-        }
-
         // D4: NaN-panicking (or NaN-inconsistent) float comparisons.
         if enabled("D4") && t.is_ident("partial_cmp") {
             if let Some(method) = panicky_suffix(toks, &sig, si) {
@@ -239,16 +174,14 @@ pub fn check(
             }
         }
 
-        // D5: panicking calls in library paths. Sites already owned by a
-        // more specific diagnostic stay quiet: D4 owns
-        // `partial_cmp(..).unwrap()`, D12 owns `.lock().unwrap()`.
+        // D5: panicking calls in library paths. A site D4 already owns,
+        // `partial_cmp(..).unwrap()`, stays quiet.
         if enabled("D5") {
             if (t.is_ident("unwrap") || t.is_ident("expect"))
                 && si > 0
                 && toks[sig[si - 1]].is_punct('.')
                 && seq_is(toks, &sig, si + 1, &["("])
                 && !follows_partial_cmp(toks, &sig, si)
-                && !follows_lock_acquire(toks, &sig, si)
             {
                 sink.emit(
                     "D5",
@@ -278,28 +211,9 @@ pub fn check(
                 );
             }
         }
-
-        // D6: stdout/stderr writes from library crates.
-        if enabled("D6")
-            && t.kind == TokKind::Ident
-            && matches!(
-                t.text.as_str(),
-                "println" | "eprintln" | "print" | "eprint" | "dbg"
-            )
-            && seq_is(toks, &sig, si + 1, &["!"])
-        {
-            sink.emit(
-                "D6",
-                t.line,
-                format!(
-                    "`{}!` in a library crate — route output through telemetry",
-                    t.text
-                ),
-            );
-        }
     }
 
-    // Pass 2: the statement-flow rules (D7–D12) over per-function
+    // Pass 2: the statement-flow rules (D7–D11) over per-function
     // acquisitions and events.
     let mut edges: Vec<LockEdge> = Vec::new();
     if kind != CrateKind::Bench {
@@ -395,19 +309,6 @@ pub fn check(
                                 "non-associative float reduction ({what}) inside a `par_map*` \
                                  closure in `{}` — use the ordered helpers \
                                  (autotune_linalg::par::ordered_sum/ordered_mean)",
-                                f.name
-                            ),
-                        );
-                    }
-                    // D12: poison-panicking lock adapters.
-                    EventKind::PoisonUnwrap { method, lock } => {
-                        sink.emit(
-                            "D12",
-                            e.line,
-                            format!(
-                                "`.{lock}().{method}(..)` panics (or hand-recovers) on poisoning \
-                                 in `{}` — go through autotune::sync::PoisonFree \
-                                 (`.p{lock}()`)",
                                 f.name
                             ),
                         );
@@ -566,21 +467,6 @@ fn follows_partial_cmp(toks: &[Tok], sig: &[usize], si: usize) -> bool {
     adapted_callee(toks, sig, si).is_some_and(|j| toks[sig[j]].is_ident("partial_cmp"))
 }
 
-/// True when the `.unwrap`/`.expect` at dense index `si` adapts an
-/// empty-argument `.lock()/.read()/.write()` call — that site is already
-/// reported as D12 (the fix is `PoisonFree`, not a Result), so D5 stays
-/// quiet.
-fn follows_lock_acquire(toks: &[Tok], sig: &[usize], si: usize) -> bool {
-    let Some(j) = adapted_callee(toks, sig, si) else {
-        return false;
-    };
-    let t = &toks[sig[j]];
-    let is_lock = t.is_ident("lock") || t.is_ident("read") || t.is_ident("write");
-    // Empty args: callee at j, `(` at j+1, `)` at j+2 == si-2, `.` at
-    // j+3, adapter at j+4 == si.
-    is_lock && j + 4 == si
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -610,15 +496,9 @@ mod tests {
     }
 
     #[test]
-    fn d1_fires_outside_tests_only() {
-        let src = "fn f() { let t = Instant::now(); }\n#[cfg(test)]\nmod tests { fn g() { let t = Instant::now(); } }";
-        assert_eq!(codes(CrateKind::Library, src), vec!["D1"]);
-    }
-
-    #[test]
-    fn the_experiment_crate_reads_no_clock() {
-        let src = "fn f() { let t = std::time::Instant::now(); let s = SystemTime::now(); }";
-        assert_eq!(codes(CrateKind::Bench, src), vec!["D1", "D1"]);
+    fn d5_fires_outside_tests_only() {
+        let src = "fn f() { let t = a.unwrap(); }\n#[cfg(test)]\nmod tests { fn g() { let t = a.unwrap(); } }";
+        assert_eq!(codes(CrateKind::Library, src), vec!["D5"]);
     }
 
     #[test]
@@ -658,17 +538,9 @@ mod tests {
 
     #[test]
     fn strings_and_comments_never_fire() {
-        let src =
-            "fn f() { let s = \"Instant::now() .unwrap() panic!\"; }\n// Instant::now() in prose\n";
+        let src = "fn f() { let s = \"a.partial_cmp(b).unwrap() .unwrap() panic!\"; }\n\
+                   // x.unwrap() and panic!() in prose\n";
         assert!(run(CrateKind::Library, src).is_empty());
-    }
-
-    #[test]
-    fn d2_d3_d6_basics() {
-        let src =
-            "use std::collections::HashMap;\nfn f() { let r = thread_rng(); println!(\"x\"); }";
-        assert_eq!(codes(CrateKind::Library, src), vec!["D2", "D3", "D6"]);
-        assert_eq!(codes(CrateKind::Bench, src), vec!["D2", "D3"]);
     }
 
     #[test]
@@ -770,14 +642,6 @@ mod tests {
         assert_eq!(codes(CrateKind::Library, src), vec!["D11"]);
         let ok = "fn f() { par_map(&pool, xs, |x| { let mut acc = 0.0; acc += x; acc }); }";
         assert!(run(CrateKind::Library, ok).is_empty());
-    }
-
-    #[test]
-    fn d12_subsumes_d5_on_lock_unwraps() {
-        let src = "fn f() { let g = m.lock().unwrap(); }";
-        assert_eq!(codes(CrateKind::Library, src), vec!["D12"]);
-        let src2 = "fn f() { let g = m.read().unwrap_or_else(PoisonError::into_inner); }";
-        assert_eq!(codes(CrateKind::Library, src2), vec!["D12"]);
     }
 
     #[test]

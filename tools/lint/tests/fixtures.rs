@@ -8,9 +8,7 @@ use autotune_lint::{lint_source, CrateKind};
 use std::path::PathBuf;
 use std::process::Command;
 
-const DIAGNOSTICS: [&str; 12] = [
-    "d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8", "d9", "d10", "d11", "d12",
-];
+const DIAGNOSTICS: [&str; 7] = ["d4", "d5", "d7", "d8", "d9", "d10", "d11"];
 
 fn fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
@@ -136,7 +134,7 @@ fn deny_all_binary_fails_on_flow_pack_fixture() {
 fn deny_all_binary_passes_on_flow_pack_clean_fixture() {
     let out = Command::new(env!("CARGO_BIN_EXE_autotune-lint"))
         .arg("--deny-all")
-        .arg(fixture_dir().join("d12_clean.rs"))
+        .arg(fixture_dir().join("d7_clean.rs"))
         .output()
         .expect("binary runs");
     assert!(out.status.success(), "deny-all must pass on clean input");
